@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke bench-json load-smoke secagg-smoke cache-bench chaos fuzz experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos fuzz experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
 
 all: build test
 
@@ -28,57 +28,27 @@ bench:
 bench-smoke:
 	$(GO) test -race -run='^$$' -bench=. -benchtime=1x ./...
 
-# Refresh the machine-readable benchmarks: the parallelism sweep
-# (BENCH_federation.json), the resilience/chaos sweep
-# (BENCH_resilience.json), the answer-cache sweep (BENCH_cache.json),
-# the tracing-overhead comparison (BENCH_trace.json), the sharded
-# sustained-load sweep (BENCH_load.json) and the secure-aggregation
-# overhead sweep (BENCH_secagg.json). All are checked in so the perf
-# and availability trajectories are tracked across PRs.
-bench-json:
-	$(GO) run ./cmd/expbench -exp parallelism -bench-json BENCH_federation.json
-	$(GO) run ./cmd/expbench -exp chaos -bench-json BENCH_resilience.json
-	$(GO) run ./cmd/expbench -exp cache -bench-json BENCH_cache.json
-	$(GO) run ./cmd/expbench -exp trace -bench-json BENCH_trace.json
-	$(GO) run ./cmd/expbench -exp load -bench-json BENCH_load.json
-	$(GO) run ./cmd/expbench -exp secagg -bench-json BENCH_secagg.json
+# The repo's one systems scorecard (BENCHMARK.json): every workload's
+# twelve end-to-end metrics, one process per workload, about a minute
+# each. benchmark/README.md describes the flags (--trace 1 for the
+# per-layer ladder, --selfcheck for the A/A noise check).
+benchmark:
+	@for w in search_cold gateway_zipf augment_train ingest_churn; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 12 || exit 1; \
+	done
 
-# The sustained-load suite under the race detector: the load sweep's
-# unit tests plus a test-scale fixed-QPS run through expbench — a
-# replica is chaos-killed mid-run, so this smoke covers shard
-# scatter-gather, failover and gateway admission control end to end,
-# mirrored by the CI job.
-load-smoke:
-	$(GO) test -race -run 'TestLoadConfigValidate|TestRunLoadSweep' ./internal/experiments/
-	$(GO) run -race ./cmd/expbench -exp load -scale test
-
-# The secure-aggregation suite under the race detector: the secagg
-# package end to end (mask cancellation, golden vectors, dropout
-# recovery, wire fuzz seeds), the federation TrainSecureFedAvg tests
-# (convergence parity, chaos-injected drop recovery, telemetry), the
-# overhead sweep, and a test-scale sweep through expbench — mirrored by
-# the CI job.
-secagg-smoke:
-	$(GO) test -race ./internal/secagg/
-	$(GO) test -race -run 'SecAgg|TrainSecure' ./internal/federation/ ./internal/experiments/
-	$(GO) run ./cmd/expbench -exp secagg -scale test
-
-# The answer-cache suite under the race detector: every Cache-named
-# test/benchmark (one iteration each) plus a test-scale Zipf-repeat
-# sweep through expbench — cheap rot protection for the replay path,
-# mirrored by the CI job.
-cache-bench:
-	$(GO) test -race -run 'Cache|Coalesce|Stale|Warm' -bench 'Cache' -benchtime=1x \
-		./internal/qcache/ ./internal/federation/ ./internal/experiments/
-	$(GO) run ./cmd/expbench -exp cache -scale test
+# benchmark/ is a nested module that tier-1 `go test ./...` never
+# compiles: vet and test it against this tree so an internal/...
+# signature change cannot break it silently. Mirrored by the CI job.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # The seeded fault-injection suite under the race detector: the chaos
 # and resilience packages end to end, plus the degraded-mode search,
-# breaker, quorum, and per-party link tests in federation/experiments.
+# breaker, quorum, and per-party link tests in federation.
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/resilience/
-	$(GO) test -race -run 'Chaos|Degraded|Breaker|Resilience|Quorum|PartyLink' \
-		./internal/federation/ ./internal/experiments/
+	$(GO) test -race -run 'Chaos|Degraded|Breaker|Resilience|Quorum|PartyLink' ./internal/federation/
 
 # Short fuzz sessions over every fuzz target.
 fuzz:

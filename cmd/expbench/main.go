@@ -1,6 +1,8 @@
 // Command expbench regenerates the tables and figures of the CS-F-LTR
 // paper's evaluation section (see EXPERIMENTS.md for the mapping and
-// recorded results).
+// recorded results). Systems numbers — latency, allocations, bytes,
+// epsilon per operation — come from `bash benchmark/run.sh`, not from
+// here.
 //
 // Usage:
 //
@@ -15,10 +17,6 @@
 //	expbench -exp latency           # per-stage protocol latency breakdown
 //	expbench -exp ablation          # estimator + aggregator ablations
 //	expbench -exp sse               # encryption-based comparator
-//	expbench -exp parallelism       # worker-pool speedup sweep (not in "all")
-//	expbench -exp chaos             # fault-rate availability sweep (not in "all")
-//	expbench -exp cache             # answer-cache Zipf-repeat benchmark (not in "all")
-//	expbench -exp load              # sharded gateway sustained-load benchmark (not in "all")
 //	expbench -exp all               # everything
 //
 // -scale selects the workload size: "test" (seconds), "default"
@@ -26,11 +24,6 @@
 // headline at the paper's document counts.
 // -csv DIR additionally writes CSV series and Fig. 5 SVG panels;
 // -json FILE writes one machine-readable report covering the run.
-// -workers N,N,... selects the pool sizes of the parallelism sweep and
-// -bench-json FILE writes the parallelism, chaos, cache or load sweep's
-// machine-readable result — `make bench-json` uses this to refresh the
-// checked-in BENCH_federation.json, BENCH_resilience.json,
-// BENCH_cache.json and BENCH_load.json.
 // -debug-addr HOST:PORT serves Prometheus /metrics, an expvar-style
 // /debug/vars snapshot and /debug/pprof for the duration of the run.
 package main
@@ -41,7 +34,6 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 	"strings"
 
 	"csfltr/internal/corpus"
@@ -51,18 +43,16 @@ import (
 
 func main() {
 	var (
-		exp       = flag.String("exp", "all", "experiment to run (table1, fig4[-alpha|-beta|-k|-w|-z], fig5, fig6a, fig6b, headline, latency, trace, traffic, all)")
+		exp       = flag.String("exp", "all", "experiment to run: "+strings.Join(experimentNames(), ", ")+" or all")
 		scale     = flag.String("scale", "default", "workload scale: test, default or paper")
 		csvDir    = flag.String("csv", "", "directory to write CSV series into (optional)")
 		jsonOut   = flag.String("json", "", "file to write a machine-readable JSON report into (optional)")
 		seed      = flag.Int64("seed", 1, "experiment seed")
 		scatter   = flag.Bool("scatter", false, "print ASCII scatter plots for fig5 panels")
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address while experiments run (optional)")
-		workers   = flag.String("workers", "", "comma-separated pool sizes for the parallelism sweep (default 1,2,4,8; must start at 1)")
-		benchJSON = flag.String("bench-json", "", "file to write the parallelism sweep result into (optional)")
 	)
 	flag.Parse()
-	if err := run(*exp, *scale, *csvDir, *jsonOut, *seed, *scatter, *debugAddr, *workers, *benchJSON); err != nil {
+	if err := run(*exp, *scale, *csvDir, *jsonOut, *seed, *scatter, *debugAddr); err != nil {
 		fmt.Fprintln(os.Stderr, "expbench:", err)
 		os.Exit(1)
 	}
@@ -104,7 +94,60 @@ func configs(scale string, seed int64) (experiments.PipelineConfig, experiments.
 	return pipe, fig4, fig5, nil
 }
 
-func run(exp, scale, csvDir, jsonOut string, seed int64, scatter bool, debugAddr, workers, benchJSON string) error {
+// env is what one experiment reads (configurations, output options) and
+// writes (the report).
+type env struct {
+	pipe    experiments.PipelineConfig
+	fig4    experiments.Fig4Config
+	fig5    experiments.Fig5Config
+	csvDir  string
+	scatter bool
+	report  *experiments.Report
+}
+
+var fig4Params = []string{"alpha", "beta", "k", "w", "z"}
+
+// runners maps every -exp name except "all" to its experiment. The flag
+// help and the unknown-name error are built from its keys, so a mode
+// cannot be runnable but unlisted.
+var runners = func() map[string]func(*env) error {
+	m := map[string]func(*env) error{
+		"table1": runTable1,
+		"fig5":   runFig5,
+		"fig6a":  runFig6a,
+		"fig6b":  runFig6b,
+		"fig4": func(e *env) error {
+			for _, p := range fig4Params {
+				if err := runFig4(e, p); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+		"headline": runHeadline,
+		"ablation": runAblation,
+		"sse":      runSSE,
+		"latency":  runLatency,
+		"traffic":  runTraffic,
+	}
+	for _, p := range fig4Params {
+		p := p
+		m["fig4-"+p] = func(e *env) error { return runFig4(e, p) }
+	}
+	return m
+}()
+
+// experimentNames returns the sorted -exp names, "all" excluded.
+func experimentNames() []string {
+	names := make([]string, 0, len(runners))
+	for n := range runners {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	return names
+}
+
+func run(exp, scale, csvDir, jsonOut string, seed int64, scatter bool, debugAddr string) error {
 	pipe, fig4, fig5, err := configs(scale, seed)
 	if err != nil {
 		return err
@@ -125,269 +168,7 @@ func run(exp, scale, csvDir, jsonOut string, seed int64, scatter bool, debugAddr
 		"scale": scale,
 		"seed":  fmt.Sprint(seed),
 	})
-	runners := map[string]func() error{
-		"table1": func() error { return runTable1(pipe, report) },
-		"fig5":   func() error { return runFig5(fig5, csvDir, scatter, report) },
-		"fig6a":  func() error { return runFig6a(pipe, report) },
-		"fig6b":  func() error { return runFig6b(pipe, report) },
-		"headline": func() error {
-			res, err := experiments.RunHeadline(fig4)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Headline (Section VI-D): NAIVE vs RTK ==")
-			fmt.Print(experiments.RenderHeadline(res))
-			report.Add("headline", res)
-			return nil
-		},
-		"ablation": func() error {
-			fmt.Println("== Ablation: RTK candidate estimator (zero-fill vs paper-literal) ==")
-			for _, param := range []string{"alpha", "beta"} {
-				ab, err := experiments.RunEstimatorAblation(fig4, param, experiments.PaperFig4Sweeps()[param])
-				if err != nil {
-					return err
-				}
-				fmt.Print(experiments.RenderEstimatorAblation(ab))
-				fmt.Println()
-				report.Add("ablation-estimator-"+param, ab)
-			}
-			fmt.Println("== Ablation: federated aggregation strategy ==")
-			p, err := experiments.NewPipeline(pipe)
-			if err != nil {
-				return err
-			}
-			agg, err := experiments.RunAggregatorAblation(p)
-			if err != nil {
-				return err
-			}
-			fmt.Print(experiments.RenderAggregatorAblation(agg))
-			report.Add("ablation-aggregator", agg)
-			return nil
-		},
-		"sse": func() error {
-			cfg := fig4
-			if cfg.Docs > 8000 {
-				cfg.Docs = 8000
-			}
-			res, err := experiments.RunSSEComparison(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Comparator: searchable symmetric encryption vs sketches ==")
-			fmt.Print(experiments.RenderSSEComparison(res))
-			report.Add("sse", res)
-			return nil
-		},
-		"latency": func() error {
-			cfg := pipe
-			cfg.Params.Epsilon = 1 // exercise the dp_noise stage
-			cfg.Metrics = telemetry.NewRegistry()
-			p, err := experiments.NewPipeline(cfg)
-			if err != nil {
-				return err
-			}
-			res, err := experiments.RunLatencyProbe(p)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Protocol stage latency (registry-sourced) ==")
-			fmt.Printf("%d federated searches, %d messages, %.1f KB relayed\n",
-				res.Searches, res.Traffic.Messages, float64(res.Traffic.Bytes)/1024)
-			fmt.Print(experiments.RenderStageBreakdown(res.Stages))
-			report.Add("latency", res)
-			return nil
-		},
-		"parallelism": func() error {
-			cfg := experiments.DefaultParallelismConfig()
-			if scale == "test" {
-				cfg = experiments.TestParallelismConfig()
-			}
-			cfg.Seed = seed
-			if workers != "" {
-				ws, err := parseWorkers(workers)
-				if err != nil {
-					return err
-				}
-				cfg.Workers = ws
-			}
-			res, err := experiments.RunParallelismSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Parallelism: federated search fan-out and bulk ingestion ==")
-			fmt.Print(experiments.RenderParallelism(res))
-			report.Add("parallelism", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteParallelismJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"chaos": func() error {
-			cfg := experiments.DefaultChaosConfig()
-			if scale == "test" {
-				cfg = experiments.TestChaosConfig()
-			}
-			cfg.Seed = seed
-			res, err := experiments.RunChaosSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Chaos: degraded-mode search availability vs fault rate ==")
-			fmt.Print(experiments.RenderChaos(res))
-			report.Add("chaos", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteBenchJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"cache": func() error {
-			cfg := experiments.DefaultCacheConfig()
-			if scale == "test" {
-				cfg = experiments.TestCacheConfig()
-			}
-			cfg.Seed = seed
-			res, err := experiments.RunCacheSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Answer cache: Zipf-repeat search stream, cache off vs on ==")
-			fmt.Print(experiments.RenderCache(res))
-			report.Add("cache", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteBenchJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"trace": func() error {
-			cfg := experiments.DefaultTraceConfig()
-			if scale == "test" {
-				cfg = experiments.TestTraceConfig()
-			}
-			cfg.Seed = seed
-			res, err := experiments.RunTraceOverhead(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Tracing: flight-recorder overhead, identical workload off vs on ==")
-			fmt.Print(experiments.RenderTrace(res))
-			report.Add("trace", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteBenchJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"load": func() error {
-			cfg := experiments.DefaultLoadConfig()
-			if scale == "test" {
-				cfg = experiments.TestLoadConfig()
-			}
-			cfg.Seed = seed
-			res, err := experiments.RunLoadSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Load: sharded gateway serving at sustained open-loop QPS ==")
-			fmt.Print(experiments.RenderLoad(res))
-			report.Add("load", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteBenchJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"secagg": func() error {
-			cfg := experiments.DefaultSecAggConfig()
-			if scale == "test" {
-				cfg = experiments.TestSecAggConfig()
-			}
-			cfg.Seed = seed
-			res, err := experiments.RunSecAggSweep(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== SecAgg: masked secure aggregation vs plaintext round-robin ==")
-			fmt.Print(experiments.RenderSecAgg(res))
-			report.Add("secagg", res)
-			if benchJSON != "" {
-				f, err := os.Create(benchJSON)
-				if err != nil {
-					return err
-				}
-				defer f.Close()
-				if err := experiments.WriteBenchJSON(f, res); err != nil {
-					return err
-				}
-				fmt.Println("wrote", benchJSON)
-			}
-			return nil
-		},
-		"traffic": func() error {
-			cfg := fig4
-			if cfg.Docs > 4000 {
-				cfg.Docs = 4000 // traffic shape saturates; keep it quick
-			}
-			res, err := experiments.RunTrafficComparison(cfg)
-			if err != nil {
-				return err
-			}
-			fmt.Println("== Server-relayed traffic for one reverse top-K ==")
-			fmt.Printf("NAIVE: %d messages, %.1f KB\n", res.NaiveTraffic.Messages, float64(res.NaiveTraffic.Bytes)/1024)
-			fmt.Printf("RTK:   %d messages, %.1f KB\n", res.RTKTraffic.Messages, float64(res.RTKTraffic.Bytes)/1024)
-			report.Add("traffic", res)
-			return nil
-		},
-	}
-	for _, p := range []string{"alpha", "beta", "k", "w", "z"} {
-		p := p
-		runners["fig4-"+p] = func() error { return runFig4(fig4, p, csvDir, report) }
-	}
-	runners["fig4"] = func() error {
-		for _, p := range []string{"alpha", "beta", "k", "w", "z"} {
-			if err := runFig4(fig4, p, csvDir, report); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
+	e := &env{pipe: pipe, fig4: fig4, fig5: fig5, csvDir: csvDir, scatter: scatter, report: report}
 
 	writeReport := func() error {
 		if jsonOut == "" || report.Len() == 0 {
@@ -406,19 +187,11 @@ func run(exp, scale, csvDir, jsonOut string, seed int64, scatter bool, debugAddr
 	}
 
 	if exp == "all" {
-		names := make([]string, 0, len(runners))
-		for n := range runners {
+		for _, n := range experimentNames() {
 			if strings.HasPrefix(n, "fig4-") {
 				continue // covered by "fig4"
 			}
-			if n == "parallelism" || n == "chaos" || n == "cache" || n == "trace" || n == "load" || n == "secagg" {
-				continue // timing benchmarks, not paper figures; run explicitly
-			}
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
-			if err := runners[n](); err != nil {
+			if err := runners[n](e); err != nil {
 				return fmt.Errorf("%s: %w", n, err)
 			}
 			fmt.Println()
@@ -427,31 +200,104 @@ func run(exp, scale, csvDir, jsonOut string, seed int64, scatter bool, debugAddr
 	}
 	r, ok := runners[exp]
 	if !ok {
-		return fmt.Errorf("unknown experiment %q", exp)
+		return fmt.Errorf("unknown experiment %q (valid: %s, all)", exp, strings.Join(experimentNames(), ", "))
 	}
-	if err := r(); err != nil {
+	if err := r(e); err != nil {
 		return err
 	}
 	return writeReport()
 }
 
-// parseWorkers parses the -workers flag ("1,2,4,8").
-func parseWorkers(s string) ([]int, error) {
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("bad -workers value %q: %w", p, err)
-		}
-		out = append(out, v)
+func runHeadline(e *env) error {
+	res, err := experiments.RunHeadline(e.fig4)
+	if err != nil {
+		return err
 	}
-	return out, nil
+	fmt.Println("== Headline (Section VI-D): NAIVE vs RTK ==")
+	fmt.Print(experiments.RenderHeadline(res))
+	e.report.Add("headline", res)
+	return nil
 }
 
-func runTable1(pipe experiments.PipelineConfig, report *experiments.Report) error {
+func runAblation(e *env) error {
+	fmt.Println("== Ablation: RTK candidate estimator (zero-fill vs paper-literal) ==")
+	for _, param := range []string{"alpha", "beta"} {
+		ab, err := experiments.RunEstimatorAblation(e.fig4, param, experiments.PaperFig4Sweeps()[param])
+		if err != nil {
+			return err
+		}
+		fmt.Print(experiments.RenderEstimatorAblation(ab))
+		fmt.Println()
+		e.report.Add("ablation-estimator-"+param, ab)
+	}
+	fmt.Println("== Ablation: federated aggregation strategy ==")
+	p, err := experiments.NewPipeline(e.pipe)
+	if err != nil {
+		return err
+	}
+	agg, err := experiments.RunAggregatorAblation(p)
+	if err != nil {
+		return err
+	}
+	fmt.Print(experiments.RenderAggregatorAblation(agg))
+	e.report.Add("ablation-aggregator", agg)
+	return nil
+}
+
+func runSSE(e *env) error {
+	cfg := e.fig4
+	if cfg.Docs > 8000 {
+		cfg.Docs = 8000
+	}
+	res, err := experiments.RunSSEComparison(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println("== Comparator: searchable symmetric encryption vs sketches ==")
+	fmt.Print(experiments.RenderSSEComparison(res))
+	e.report.Add("sse", res)
+	return nil
+}
+
+func runLatency(e *env) error {
+	cfg := e.pipe
+	cfg.Params.Epsilon = 1 // exercise the dp_noise stage
+	cfg.Metrics = telemetry.NewRegistry()
+	p, err := experiments.NewPipeline(cfg)
+	if err != nil {
+		return err
+	}
+	res, err := experiments.RunLatencyProbe(p)
+	if err != nil {
+		return err
+	}
+	fmt.Println("== Protocol stage latency (registry-sourced) ==")
+	fmt.Printf("%d federated searches, %d messages, %.1f KB relayed\n",
+		res.Searches, res.Traffic.Messages, float64(res.Traffic.Bytes)/1024)
+	fmt.Print(experiments.RenderStageBreakdown(res.Stages))
+	e.report.Add("latency", res)
+	return nil
+}
+
+func runTraffic(e *env) error {
+	cfg := e.fig4
+	if cfg.Docs > 4000 {
+		cfg.Docs = 4000 // traffic shape saturates; keep it quick
+	}
+	res, err := experiments.RunTrafficComparison(cfg)
+	if err != nil {
+		return err
+	}
+	fmt.Println("== Server-relayed traffic for one reverse top-K ==")
+	fmt.Printf("NAIVE: %d messages, %.1f KB\n", res.NaiveTraffic.Messages, float64(res.NaiveTraffic.Bytes)/1024)
+	fmt.Printf("RTK:   %d messages, %.1f KB\n", res.RTKTraffic.Messages, float64(res.RTKTraffic.Bytes)/1024)
+	e.report.Add("traffic", res)
+	return nil
+}
+
+func runTable1(e *env) error {
 	fmt.Println("== Table I: LTR model performance ==")
-	p, err := experiments.NewPipeline(pipe)
+	p, err := experiments.NewPipeline(e.pipe)
 	if err != nil {
 		return err
 	}
@@ -460,20 +306,20 @@ func runTable1(pipe experiments.PipelineConfig, report *experiments.Report) erro
 		return err
 	}
 	fmt.Print(experiments.RenderTable1(res))
-	report.Add("table1", res)
+	e.report.Add("table1", res)
 	return nil
 }
 
-func runFig4(cfg experiments.Fig4Config, param string, csvDir string, report *experiments.Report) error {
-	fmt.Printf("== Fig. 4: impact of %s (docs=%d) ==\n", param, cfg.Docs)
-	points, err := experiments.RunFig4Sweep(cfg, param, experiments.PaperFig4Sweeps()[param])
+func runFig4(e *env, param string) error {
+	fmt.Printf("== Fig. 4: impact of %s (docs=%d) ==\n", param, e.fig4.Docs)
+	points, err := experiments.RunFig4Sweep(e.fig4, param, experiments.PaperFig4Sweeps()[param])
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiments.RenderFig4(points))
-	report.Add("fig4-"+param, points)
-	if csvDir != "" {
-		path := filepath.Join(csvDir, "fig4-"+param+".csv")
+	e.report.Add("fig4-"+param, points)
+	if e.csvDir != "" {
+		path := filepath.Join(e.csvDir, "fig4-"+param+".csv")
 		f, err := os.Create(path)
 		if err != nil {
 			return err
@@ -487,9 +333,9 @@ func runFig4(cfg experiments.Fig4Config, param string, csvDir string, report *ex
 	return nil
 }
 
-func runFig5(cfg experiments.Fig5Config, csvDir string, scatter bool, report *experiments.Report) error {
+func runFig5(e *env) error {
 	fmt.Println("== Fig. 5: sketch strategy separability ==")
-	panels, err := experiments.RunFig5(cfg, experiments.PaperFig5Strategies())
+	panels, err := experiments.RunFig5(e.fig5, experiments.PaperFig5Strategies())
 	if err != nil {
 		return err
 	}
@@ -498,16 +344,16 @@ func runFig5(cfg experiments.Fig5Config, csvDir string, scatter bool, report *ex
 	for _, p := range panels {
 		probes[p.Strategy.Name] = p.Probes
 	}
-	report.Add("fig5-probes", probes)
-	if scatter {
+	e.report.Add("fig5-probes", probes)
+	if e.scatter {
 		for _, p := range panels {
 			fmt.Printf("\n[%s] (o = relevant, . = irrelevant, 8 = overlap)\n", p.Strategy.Name)
 			fmt.Print(experiments.Scatter(p.Points, p.Labels, 72, 20))
 		}
 	}
-	if csvDir != "" {
+	if e.csvDir != "" {
 		for _, p := range panels {
-			path := filepath.Join(csvDir, "fig5-"+p.Strategy.Name+".csv")
+			path := filepath.Join(e.csvDir, "fig5-"+p.Strategy.Name+".csv")
 			f, err := os.Create(path)
 			if err != nil {
 				return err
@@ -521,7 +367,7 @@ func runFig5(cfg experiments.Fig5Config, csvDir string, scatter bool, report *ex
 			}
 			fmt.Println("wrote", path)
 
-			svgPath := filepath.Join(csvDir, "fig5-"+p.Strategy.Name+".svg")
+			svgPath := filepath.Join(e.csvDir, "fig5-"+p.Strategy.Name+".svg")
 			sf, err := os.Create(svgPath)
 			if err != nil {
 				return err
@@ -539,27 +385,27 @@ func runFig5(cfg experiments.Fig5Config, csvDir string, scatter bool, report *ex
 	return nil
 }
 
-func runFig6a(pipe experiments.PipelineConfig, report *experiments.Report) error {
+func runFig6a(e *env) error {
 	fmt.Println("== Fig. 6a: impact of privacy budget ==")
-	points, err := experiments.RunFig6a(pipe, []float64{0, 0.5, 1, 2, 4, 8})
+	points, err := experiments.RunFig6a(e.pipe, []float64{0, 0.5, 1, 2, 4, 8})
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiments.RenderFig6a(points))
-	report.Add("fig6a", points)
+	e.report.Add("fig6a", points)
 	return nil
 }
 
-func runFig6b(pipe experiments.PipelineConfig, report *experiments.Report) error {
+func runFig6b(e *env) error {
 	fmt.Println("== Fig. 6b: impact of number of parties ==")
-	cfg := pipe
+	cfg := e.pipe
 	cfg.Corpus = resizeForParties(cfg.Corpus)
 	points, err := experiments.RunFig6b(cfg, []int{1, 2, 3, 4, 5})
 	if err != nil {
 		return err
 	}
 	fmt.Print(experiments.RenderFig6b(points))
-	report.Add("fig6b", points)
+	e.report.Add("fig6b", points)
 	return nil
 }
 

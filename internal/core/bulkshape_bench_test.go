@@ -7,7 +7,7 @@ import (
 )
 
 // BenchmarkOwnerAddDocumentsEviction exercises the eviction-heavy regime
-// used by the experiments sweep (heap cap 250, 1200 docs), where cells
+// of the benchmark's party shape (heap cap 250, 1200 docs), where cells
 // fill early and most pushes contend with the cached floor key.
 func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 	p := DefaultParams()
@@ -20,26 +20,6 @@ func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 			b.Fatal(err)
 		}
 		if err := o.AddDocuments(docs, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkOwnerAddDocumentsLegacy measures the retained reference
-// loader (boxed container/heap pushes, fresh table per document) on the
-// same eviction-heavy shape — the denominator of the ingest speedup the
-// experiments sweep reports.
-func BenchmarkOwnerAddDocumentsLegacy(b *testing.B) {
-	p := DefaultParams()
-	p.K = 50
-	docs := bulkBatch(1200, 120, 1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		o, err := NewOwner(p, 42, dp.Disabled())
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := o.AddDocumentsReplay(docs); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -215,53 +215,6 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestAddDocumentsReplayMatchesBulk: the retained legacy loader (boxed
-// container/heap pushes) must produce exactly the same owner state as
-// the accumulator loader and the public clamped path — that equivalence
-// is what lets the experiments sweep use it as an in-run baseline.
-func TestAddDocumentsReplayMatchesBulk(t *testing.T) {
-	p := testParams()
-	docs := bulkBatch(180, 15, 5)
-	legacy, err := NewOwner(p, 42, dp.Disabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.AddDocumentsReplay(docs); err != nil {
-		t.Fatal(err)
-	}
-	bulk, err := NewOwner(p, 42, dp.Disabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bulk.AddDocuments(docs, 4); err != nil { // public path, clamped
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(legacy.DocIDs(), bulk.DocIDs()) {
-		t.Fatal("document id sets differ")
-	}
-	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(7)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, term := range []uint64{3, 77, 401} {
-		plan := q.Plan(term)
-		want, err := legacy.AnswerRTK(plan.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bulk.AnswerRTK(plan.query)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("AnswerRTK(term %d) differs between legacy replay and bulk", term)
-		}
-	}
-	if legacy.RTKSizeBytes() != bulk.RTKSizeBytes() {
-		t.Fatal("RTK sizes differ between legacy replay and bulk")
-	}
-}
-
 // TestAddDocumentsAtomicOnError: a bad batch must leave the owner
 // completely unchanged — no partially-applied prefix.
 func TestAddDocumentsAtomicOnError(t *testing.T) {
@@ -338,9 +291,7 @@ func BenchmarkOwnerAddDocuments(b *testing.B) {
 // TestAddDocumentsPooledAllocs pins the scratch-pooling contract: once
 // the accumulator pool and the heaps are warm, steady-state ingestion
 // allocates a small constant per document (metadata map entries, roster
-// growth) — not the per-document sketch tables and boxed heap entries
-// of the legacy path (~16k allocations per document on the eviction
-// shape).
+// growth) — not per-document sketch tables and boxed heap entries.
 func TestAddDocumentsPooledAllocs(t *testing.T) {
 	p := DefaultParams()
 	p.Z, p.W, p.Z1, p.K = 8, 64, 4, 20 // small geometry keeps the test fast

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"context"
 	"sync/atomic"
 	"time"
 
@@ -26,7 +27,7 @@ const (
 	// MetricAdmissionShed counts requests refused by admission control,
 	// labeled by reason ("queue_full": the wait queue was at capacity on
 	// arrival; "deadline": the request queued but no slot freed within
-	// QueueTimeout).
+	// QueueTimeout; "canceled": the client gave up while queued).
 	MetricAdmissionShed = "csfltr_http_admission_shed_total"
 	// MetricAdmissionQueueDepth is the number of requests currently
 	// waiting for an execution slot.
@@ -40,6 +41,7 @@ const (
 const (
 	shedQueueFull = "queue_full"
 	shedDeadline  = "deadline"
+	shedCanceled  = "canceled"
 )
 
 // Admission control defaults: a small execution bound (each search is
@@ -94,6 +96,7 @@ type admission struct {
 	queueDepth   *telemetry.Gauge
 	shedFull     *telemetry.Counter
 	shedDeadline *telemetry.Counter
+	shedCanceled *telemetry.Counter
 }
 
 // SetAdmission installs admission control on the gateway's search
@@ -115,6 +118,9 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 		shedDeadline: reg.Counter(MetricAdmissionShed,
 			"Gateway search requests refused by admission control.",
 			telemetry.L("reason", shedDeadline)),
+		shedCanceled: reg.Counter(MetricAdmissionShed,
+			"Gateway search requests refused by admission control.",
+			telemetry.L("reason", shedCanceled)),
 	}
 	s.admission.Store(a)
 }
@@ -130,10 +136,12 @@ func (s *Server) Admission() (AdmissionConfig, bool) {
 }
 
 // admit tries to claim an execution slot, waiting in the bounded queue
-// up to the deadline. On success it returns the release func; on shed
-// it returns the bounded reason label (the shed counter is already
-// incremented).
-func (a *admission) admit() (release func(), ok bool, reason string) {
+// until the deadline or until ctx is done — a client that disconnects
+// while queued gives its queue position back and never runs a search
+// (which would spend epsilon on an answer nobody reads). On success it
+// returns the release func; on shed it returns the bounded reason label
+// (the shed counter is already incremented).
+func (a *admission) admit(ctx context.Context) (release func(), ok bool, reason string) {
 	select {
 	case a.slots <- struct{}{}:
 		a.inFlight.Inc()
@@ -146,19 +154,22 @@ func (a *admission) admit() (release func(), ok bool, reason string) {
 		return nil, false, shedQueueFull
 	}
 	a.queueDepth.Inc()
+	defer func() {
+		a.queued.Add(-1)
+		a.queueDepth.Dec()
+	}()
 	t := time.NewTimer(a.cfg.QueueTimeout)
 	defer t.Stop()
 	select {
 	case a.slots <- struct{}{}:
-		a.queued.Add(-1)
-		a.queueDepth.Dec()
 		a.inFlight.Inc()
 		return a.release, true, ""
 	case <-t.C:
-		a.queued.Add(-1)
-		a.queueDepth.Dec()
 		a.shedDeadline.Inc()
 		return nil, false, shedDeadline
+	case <-ctx.Done():
+		a.shedCanceled.Inc()
+		return nil, false, shedCanceled
 	}
 }
 

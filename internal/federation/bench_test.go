@@ -146,8 +146,7 @@ func benchFedN(b *testing.B, parties int, rtt time.Duration) *Federation {
 // cross-silo regime: every relayed message carries a simulated 2ms WAN
 // round trip, which is what the worker pool overlaps. The workers=1
 // entries are the sequential baseline; result equality across pool sizes
-// is asserted by TestFederatedSearchParallelMatchesSequential and the
-// expbench parallelism sweep (BENCH_federation.json).
+// is asserted by TestFederatedSearchParallelMatchesSequential.
 func BenchmarkFederatedSearch(b *testing.B) {
 	const rtt = 2 * time.Millisecond
 	terms := []uint64{17, 23, 99}

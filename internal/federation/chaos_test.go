@@ -239,6 +239,68 @@ func TestChaosSearchDeterministicAcrossPools(t *testing.T) {
 	}
 }
 
+// TestDegradedSearchAvailabilityTable: over a fixed 20-search stream
+// with P0 hard-down, both survivors at the row's injected error rate
+// and a one-party quorum, every search answers Partial — none full (P0
+// never answers), none failed — retries strictly grow with the rate,
+// P0's breaker ends Open, and a same-seed rerun reproduces every count.
+func TestDegradedSearchAvailabilityTable(t *testing.T) {
+	type counts struct {
+		ok, partial, failed, retries int
+		p0                           resilience.State
+	}
+	const searches = 20
+	run := func(rate float64) counts {
+		p := chaosSearchParams()
+		p.MinParties = 1
+		fed := chaosFedUnderTest(t, p, 130)
+		policy := fastPolicy()
+		policy.MaxAttempts = 3 // the default; with two, the 30% row loses both survivors in one search
+		fed.SetResiliencePolicy(policy)
+		in := fed.Server.Chaos()
+		in.SetProfile("P1", chaos.Profile{ErrorRate: rate})
+		in.SetProfile("P2", chaos.Profile{ErrorRate: rate})
+		rng := rand.New(rand.NewSource(11))
+		var c counts
+		for s := 0; s < searches; s++ {
+			terms := []uint64{uint64(rng.Intn(200)), uint64(rng.Intn(200)), uint64(rng.Intn(200))}
+			res, err := fed.Search("Q", terms, 5)
+			if res != nil {
+				for _, rep := range res.Parties {
+					c.retries += rep.Retries
+				}
+			}
+			switch {
+			case err != nil:
+				c.failed++
+			case res.Partial:
+				c.partial++
+			default:
+				c.ok++
+			}
+		}
+		c.p0 = fed.BreakerState("P0")
+		return c
+	}
+	prevRetries := -1
+	for _, rate := range []float64{0, 0.1, 0.3} {
+		got := run(rate)
+		if got.partial != searches {
+			t.Fatalf("rate %v: %+v, want all %d searches Partial under MinParties=1 with P0 down", rate, got, searches)
+		}
+		if got.p0 != resilience.Open {
+			t.Fatalf("rate %v: dead party's breaker ended %v, want Open", rate, got.p0)
+		}
+		if got.retries <= prevRetries {
+			t.Fatalf("rate %v: %d retries, not above the %d of the previous rate", rate, got.retries, prevRetries)
+		}
+		prevRetries = got.retries
+		if again := run(rate); again != got {
+			t.Fatalf("rate %v: same-seed rerun differs: %+v vs %+v", rate, again, got)
+		}
+	}
+}
+
 // TestSearchQuorumLost: losing more parties than MinParties allows must
 // fail with ErrQuorum while still returning the per-party report.
 func TestSearchQuorumLost(t *testing.T) {

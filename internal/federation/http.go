@@ -204,16 +204,9 @@ func HTTPHandler(s *Server) http.Handler {
 			writeError(w, r, http.StatusNotFound, "federation: no search backend attached")
 			return
 		}
-		if a := s.admission.Load(); a != nil {
-			release, ok, reason := a.admit()
-			if !ok {
-				w.Header().Set("Retry-After",
-					strconv.Itoa(int((a.cfg.RetryAfter+time.Second-1)/time.Second)))
-				writeError(w, r, http.StatusTooManyRequests, "federation: overloaded: "+reason)
-				return
-			}
-			defer release()
-		}
+		// The body is read before queueing: net/http only watches the
+		// connection for a client disconnect (cancelling r.Context())
+		// once the request body has been consumed.
 		var req httpSearchRequest
 		if !readJSON(w, r, &req) {
 			return
@@ -221,6 +214,16 @@ func HTTPHandler(s *Server) http.Handler {
 		if req.From == "" || len(req.Terms) == 0 {
 			writeError(w, r, http.StatusBadRequest, "federation: search needs from and terms")
 			return
+		}
+		if a := s.admission.Load(); a != nil {
+			release, ok, reason := a.admit(r.Context())
+			if !ok {
+				w.Header().Set("Retry-After",
+					strconv.Itoa(int((a.cfg.RetryAfter+time.Second-1)/time.Second)))
+				writeError(w, r, http.StatusTooManyRequests, "federation: overloaded: "+reason)
+				return
+			}
+			defer release()
 		}
 		res, traceID, err := (*fn)(req.From, req.Terms, req.K)
 		if err != nil {

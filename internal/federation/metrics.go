@@ -170,8 +170,8 @@ type transportKey struct{ party, api, codec string }
 type shardSeriesKey struct{ party, field, shard, aux string }
 
 // CodecRaw / CodecWire are the MetricTransportBytes codec label values —
-// exported so harnesses (expbench, the experiments sweeps) can query
-// Server.TransportBytes without string drift.
+// exported so the benchmark can query Server.TransportBytes without
+// string drift.
 const (
 	CodecRaw  = "raw"
 	CodecWire = "wire"

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"csfltr/internal/core"
 	"csfltr/internal/textkit"
 )
 
@@ -33,6 +34,12 @@ func shardTestFed(t *testing.T, shards, replicas int) *Federation {
 	p := testParams()
 	p.Shards = shards
 	p.Replicas = replicas
+	return shardTestFedParams(t, p)
+}
+
+// shardTestFedParams is shardTestFed under caller-chosen parameters.
+func shardTestFedParams(t *testing.T, p core.Params) *Federation {
+	t.Helper()
 	fed, err := NewDeterministic([]string{"A", "B", "C"}, p, 42, 7)
 	if err != nil {
 		t.Fatal(err)

@@ -14,18 +14,11 @@ import (
 // ErrNoTrainingData is returned when every party's dataset is empty.
 var ErrNoTrainingData = errors.New("federation: no training data at any party")
 
-// modelWireSize returns the historical fixed-width accounting size of a
-// model update: 8 bytes per weight plus the bias. Kept as the "raw"
-// codec reference figure; the relay counters now carry real framed
-// bytes (see modelHopSize).
-func modelWireSize(dim int) int64 { return int64(8 * (dim + 1)) }
-
 // TrainingStats reports what the distributed training run cost. Hops
 // and bytes are read back from the server's relay counters (op="train")
 // rather than tallied separately, so training traffic is accounted in
-// exactly one place. BytesRelayed reflects the bytes the wire codec
-// actually frames per hop (varint-coded, compressed above threshold),
-// not the fixed 8-bytes-per-weight estimate.
+// exactly one place. BytesRelayed is the bytes the wire codec frames
+// per hop (varint-coded, compressed above threshold).
 type TrainingStats struct {
 	Rounds       int
 	ModelHops    int   // model hand-offs through the server

@@ -25,6 +25,11 @@ func trainData(n int, seed int64) []ltr.Instance {
 	return out
 }
 
+// modelWireSize is the uncompressed size of a model update — 8 bytes
+// per weight plus the bias — against which the training tests bound the
+// codec's per-hop framing overhead.
+func modelWireSize(dim int) int64 { return int64(8 * (dim + 1)) }
+
 func TestFederationTrainRoundRobin(t *testing.T) {
 	fed, err := NewDeterministic([]string{"A", "B", "C"}, testParams(), 42, 1)
 	if err != nil {

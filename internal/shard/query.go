@@ -14,7 +14,6 @@ import (
 
 // Owner API label values (bounded; mirrors the federation transport
 // labels so per-shard byte series line up with the party-level ones).
-// Exported so Intercept hooks can match on the call being intercepted.
 const (
 	APIDocIDs  = "docids"
 	APIDocMeta = "docmeta"
@@ -121,7 +120,10 @@ func (g *Group) callShard(ctx telemetry.SpanContext, si int, api string, fn func
 			continue
 		}
 		sp := g.attemptSpan(h, ctx, api, si, ri)
-		err := g.tryReplica(si, ri, api, r, fn)
+		err := ErrReplicaDown // the kill switch fails the attempt before the owner is touched
+		if !r.killed.Load() {
+			err = fn(r.owner)
+		}
 		if err == nil || permanentErr(err) {
 			// Answered (a protocol-level negative answer is an answer).
 			r.breaker.Record(true)
@@ -135,20 +137,6 @@ func (g *Group) callShard(ctx telemetry.SpanContext, si int, api string, fn func
 	}
 	g.recordOutcome(h, si, false)
 	return fmt.Errorf("shard: shard %s: %w (last: %v)", ShardLabel(si), ErrNoReplica, lastErr)
-}
-
-// tryReplica applies the kill switch and the installed interceptor,
-// then runs the owner call.
-func (g *Group) tryReplica(si, ri int, api string, r *replica, fn func(o *core.Owner) error) error {
-	if r.killed.Load() {
-		return ErrReplicaDown
-	}
-	if icp := g.intercept.Load(); icp != nil {
-		if err := (*icp)(si, ri, api); err != nil {
-			return err
-		}
-	}
-	return fn(r.owner)
 }
 
 // attemptSpan starts one replica attempt span (nil without hooks or a

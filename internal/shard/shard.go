@@ -106,12 +106,6 @@ type Hooks struct {
 	OnTransport func(api, shard string, bytes int64)
 }
 
-// Intercept is invoked before every replica-owner call; returning an
-// error makes the call fail as if the replica were unreachable (the
-// caller fails over). Experiments use it to inject per-node simulated
-// service time and chaos faults.
-type Intercept func(shard, replica int, api string) error
-
 // replica is one copy of a shard's owner state plus its health machinery.
 type replica struct {
 	owner   *core.Owner
@@ -144,8 +138,7 @@ type Group struct {
 	cache *qcache.Cache // nil when disabled
 	keyer *qcache.Keyer
 
-	hooks     atomic.Pointer[Hooks]
-	intercept atomic.Pointer[Intercept]
+	hooks atomic.Pointer[Hooks]
 }
 
 // New builds a sharded owner group: Params.Shards partitions (0 and 1
@@ -236,16 +229,6 @@ func (g *Group) SetHooks(h Hooks) {
 			h.BreakerChange(BreakerLabel(si, ri), r.breaker.State())
 		}
 	}
-}
-
-// SetIntercept installs (or, with nil, removes) the per-replica call
-// interceptor.
-func (g *Group) SetIntercept(fn Intercept) {
-	if fn == nil {
-		g.intercept.Store(nil)
-		return
-	}
-	g.intercept.Store(&fn)
 }
 
 // Shards returns the number of doc-range partitions.
