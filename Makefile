@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test -fuzz FuzzUnmarshalTable -fuzztime 30s ./internal/sketch/
 	$(GO) test -fuzz FuzzReadOwner -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRTKQueryHandling -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzRTKResponseHandling -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzHTTPEnvelope -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzRPCDecode -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzWritePrometheus -fuzztime 30s ./internal/telemetry/

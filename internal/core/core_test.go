@@ -582,18 +582,80 @@ func BenchmarkNaiveReverseTopK(b *testing.B) {
 	}
 }
 
+// BenchmarkRTKReverseTopK measures one reverse top-K query end to end
+// (plan, owner answer, recovery): at the paper's K = 150 replaying one
+// term, and at the benchmark geometry (K = 50, epsilon = 0.5, 1200
+// documents) rotating over terms as distinct searches do.
 func BenchmarkRTKReverseTopK(b *testing.B) {
-	p := DefaultParams()
-	p.Epsilon = 0
-	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
-	if err != nil {
-		b.Fatal(err)
-	}
-	o, _ := buildZipfOwner(b, p, nil, 1000, 77)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := RTKReverseTopK(q, o, 77, p.K); err != nil {
+	b.Run("paper", func(b *testing.B) {
+		p := DefaultParams()
+		p.Epsilon = 0
+		q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
+		if err != nil {
 			b.Fatal(err)
 		}
+		o, _ := buildZipfOwner(b, p, nil, 1000, 77)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := RTKReverseTopK(q, o, 77, p.K); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("benchmark-geometry", func(b *testing.B) {
+		q, o := benchGeometry(b, 0.5)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := RTKReverseTopK(q, o, uint64(1000+i%500), 50); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkOwnerAnswerRTK measures the owner side alone at the benchmark
+// geometry: warm answers to rotating queries, and the first answer after
+// a mutation (an accepted push leaves its cells as heaps to re-sort).
+func BenchmarkOwnerAnswerRTK(b *testing.B) {
+	q, o := benchGeometry(b, 0.5)
+	plans := make([]*Plan, 500)
+	for i := range plans {
+		plans[i] = q.Plan(uint64(1000 + i))
 	}
+	b.Run("warm", func(b *testing.B) {
+		for _, plan := range plans { // bring every addressed cell to canonical order
+			if _, err := o.AnswerRTK(plan.query); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := o.AnswerRTK(plans[i%len(plans)].query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	nextDoc := 1_000_000 // the sub-benchmark body reruns as b.N grows
+	b.Run("after-ingest", func(b *testing.B) {
+		rng := rand.New(rand.NewSource(9))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			counts := map[uint64]int64{}
+			for j := 0; j < 80; j++ {
+				counts[uint64(1000+rng.Intn(500))] += 50 // heavy enough to be accepted
+			}
+			nextDoc++
+			if err := o.AddDocument(nextDoc, counts); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+			if _, err := o.AnswerRTK(plans[i%len(plans)].query); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -2,6 +2,9 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"math/rand"
 	"testing"
 
 	"csfltr/internal/dp"
@@ -82,6 +85,82 @@ func FuzzRTKQueryHandling(f *testing.F) {
 		if resp, err := o.AnswerTF(0, q); err == nil {
 			if len(resp.Values) != p.Z {
 				t.Fatal("accepted TF query answered with wrong geometry")
+			}
+		}
+	})
+}
+
+// FuzzRTKResponseHandling hardens the querier's recovery against
+// whatever a remote party puts in an RTK response — wrong cell counts,
+// id/value length mismatches, unordered or repeated ids, NaN and
+// infinite values: RTKWithPlan must reject or recover, never panic, and
+// may only ever return documents the response offered.
+//
+// Encoding: one byte of cell count, then per cell an id count, a value
+// count, the ids (signed bytes) and the values (signed bytes, with three
+// codes standing for NaN, +Inf and -Inf). Missing bytes read as zero.
+func FuzzRTKResponseHandling(f *testing.F) {
+	p := DefaultParams()
+	p.Z = 4
+	p.W = 16
+	p.Z1 = 2
+	p.K = 3
+	p.Epsilon = 0
+	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	plan := q.Plan(3)
+	f.Add([]byte{4, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20}) // every row: 3 ids, 2 values
+	f.Add([]byte{4, 2, 2, 1, 2, 5, 6, 2, 2, 2, 3, 7, 8, 1, 1, 2, 9, 0, 0})                                       // well-formed
+	f.Add([]byte{4, 2, 2, 2, 1, 5, 6, 2, 2, 1, 1, 7, 8})                                                         // descending, duplicate
+	f.Add([]byte{4, 1, 1, 1, 128, 1, 1, 1, 129, 1, 1, 1, 130, 1, 1, 2, 128})                                     // NaN, +Inf, -Inf
+	f.Add([]byte{9})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		resp := &RTKResponse{Cells: make([]RTKCell, int(next())%12)}
+		offered := make(map[int]bool)
+		for a := range resp.Cells {
+			nIDs, nVals := int(next())%16, int(next())%16
+			cell := RTKCell{IDs: make([]int32, nIDs), Values: make([]float64, nVals)}
+			for i := range cell.IDs {
+				cell.IDs[i] = int32(int8(next()))
+				offered[int(cell.IDs[i])] = true
+			}
+			for i := range cell.Values {
+				switch b := next(); b {
+				case 128:
+					cell.Values[i] = math.NaN()
+				case 129:
+					cell.Values[i] = math.Inf(1)
+				case 130:
+					cell.Values[i] = math.Inf(-1)
+				default:
+					cell.Values[i] = float64(int8(b))
+				}
+			}
+			resp.Cells[a] = cell
+		}
+		docs, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K)
+		if err != nil {
+			if !errors.Is(err, ErrBadQuery) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		if len(docs) > p.K {
+			t.Fatalf("%d results for k=%d", len(docs), p.K)
+		}
+		for _, dc := range docs {
+			if !offered[dc.DocID] {
+				t.Fatalf("result %+v was never offered by the response", dc)
 			}
 		}
 	})

@@ -25,6 +25,14 @@ type RTKResponse struct {
 	Cells []RTKCell
 }
 
+// newRTKResponse allocates a response of z empty cells plus one id slab
+// and one value slab of n entries for the producer to carve the rows
+// from, so an answer costs a fixed number of allocations rather than two
+// per row.
+func newRTKResponse(z, n int) (*RTKResponse, []int32, []float64) {
+	return &RTKResponse{Cells: make([]RTKCell, z)}, make([]int32, n), make([]float64, n)
+}
+
 // WireSize returns the encoded size in bytes (12 bytes per entry), used
 // for communication accounting.
 func (r *RTKResponse) WireSize() int64 {
@@ -67,8 +75,9 @@ type docMeta struct {
 //
 // Owner is safe for concurrent use: ingestion and query answering are
 // serialized by an internal mutex (the RPC transport serves connections
-// concurrently, and the DP mechanism's random source is not itself
-// thread-safe).
+// concurrently, the DP mechanism's random source is not itself
+// thread-safe, and answering a query may re-order the addressed cells in
+// place — see cellHeap).
 type Owner struct {
 	mu            sync.Mutex
 	params        Params
@@ -486,9 +495,11 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 	return &TFResponse{Values: vals}, nil
 }
 
-// AnswerRTK implements the owner side of Algorithm 5: return the heap
-// content of the addressed cell in every row, counts perturbed with a
-// single noise draw.
+// AnswerRTK implements the owner side of Algorithm 5: return the content
+// of the addressed cell in every row, in canonical ascending-DocID order,
+// counts perturbed with a single noise draw. Cells a mutation left out of
+// canonical order are sorted in place on the way, so back-to-back queries
+// only copy. The response owns its memory (callers cache it).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -496,23 +507,25 @@ func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 		return nil, fmt.Errorf("%w: query has %d columns, want %d", ErrBadQuery, qLen(q), o.params.Z)
 	}
 	noise := o.mech.Sample()
-	cells := make([]RTKCell, o.params.Z)
-	for a := 0; a < o.params.Z; a++ {
-		if q.Cols[a] >= uint32(o.params.W) {
-			return nil, fmt.Errorf("%w: column %d out of range", ErrBadQuery, q.Cols[a])
+	total := 0
+	for a, col := range q.Cols {
+		if col >= uint32(o.params.W) {
+			return nil, fmt.Errorf("%w: column %d out of range", ErrBadQuery, col)
 		}
-		entries := o.rtk.Cell(a, q.Cols[a])
-		cell := RTKCell{
-			IDs:    make([]int32, len(entries)),
-			Values: make([]float64, len(entries)),
-		}
-		for i, e := range entries {
-			cell.IDs[i] = e.DocID
-			cell.Values[i] = float64(e.Value) + noise
-		}
-		cells[a] = cell
+		total += len(o.rtk.Cell(a, col))
 	}
-	return &RTKResponse{Cells: cells}, nil
+	resp, ids, vals := newRTKResponse(o.params.Z, total)
+	for a, col := range q.Cols {
+		entries := o.rtk.Cell(a, col)
+		n := len(entries)
+		for i, e := range entries {
+			ids[i] = e.DocID
+			vals[i] = float64(e.Value) + noise
+		}
+		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+		ids, vals = ids[n:], vals[n:]
+	}
+	return resp, nil
 }
 
 // NaiveSizeBytes returns the owner-side memory of the per-document

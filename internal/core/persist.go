@@ -77,16 +77,13 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 		}
 	}
 	// RTK-Sketch cells, each in canonical ascending-DocID order: the
-	// internal heap layout depends on ingestion history (sequential vs
-	// bulk), but the snapshot must be a pure function of the corpus so
-	// save -> load -> save stays byte-stable.
-	scratch := make([]Entry, 0, o.params.HeapCap())
+	// resident layout depends on ingestion history (sequential vs bulk,
+	// queried or not), but the snapshot must be a pure function of the
+	// corpus so save -> load -> save stays byte-stable.
 	for c := range o.rtk.cells {
-		h := &o.rtk.cells[c]
-		scratch = append(scratch[:0], h.entries...)
-		sortEntriesByDoc(scratch)
-		put64(uint64(len(scratch)))
-		for _, e := range scratch {
+		entries := o.rtk.cells[c].canonicalize(&o.rtk.sorter)
+		put64(uint64(len(entries)))
+		for _, e := range entries {
 			put64(uint64(int64(e.DocID)))
 			put64(uint64(e.Value))
 		}
@@ -238,16 +235,27 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 		}
 		h := &o.rtk.cells[c]
 		h.entries = make([]Entry, n)
+		// Snapshots store cells in canonical DocID order; one that does
+		// not is re-ordered by whichever of push and Cell needs it first.
+		h.canonical = true
 		for j := range h.entries {
 			var id, val uint64
 			if !read(&id) || !read(&val) {
 				return nil, fmt.Errorf("%w: truncated cell entry", ErrCorruptState)
 			}
 			h.entries[j] = Entry{DocID: int32(int64(id)), Value: int64(val)}
+			if j > 0 && h.entries[j].DocID <= h.entries[j-1].DocID {
+				h.canonical = false
+			}
 		}
-		// Snapshots store cells in canonical DocID order; restore the
-		// heap invariant so later pushes keep evicting the true minimum.
-		h.heapify()
+		if n == uint64(p.HeapCap()) {
+			// Later pushes must keep evicting the true minimum.
+			if h.canonical {
+				h.scanFloor()
+			} else {
+				h.heapify()
+			}
+		}
 	}
 	var docs uint64
 	if !read(&docs) {

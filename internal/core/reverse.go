@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"csfltr/internal/sketch"
 )
@@ -87,32 +89,8 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	cost.Messages = 1
 	cost.BytesReceived += resp.WireSize()
 	cost.SketchLookups = plan.params.Z
-	if len(resp.Cells) != plan.params.Z {
-		return nil, cost, fmt.Errorf("%w: response has %d cells, want %d",
-			ErrBadQuery, len(resp.Cells), plan.params.Z)
-	}
-
-	// Gather per-document (row, value) observations from the private rows
-	// only; decoy rows address unrelated cells and would pollute the
-	// intersection. PV is sorted ascending, so each document's observed
-	// rows come out sorted ascending too — the zero-fill branch below
-	// relies on that.
-	type obs struct {
-		rows []int
-		vals []float64
-	}
-	byDoc := make(map[int32]*obs)
-	for _, a := range priv.PV {
-		cell := resp.Cells[a]
-		for i, id := range cell.IDs {
-			o := byDoc[id]
-			if o == nil {
-				o = &obs{}
-				byDoc[id] = o
-			}
-			o.rows = append(o.rows, a)
-			o.vals = append(o.vals, cell.Values[i])
-		}
+	if err := checkRTKResponse(resp, plan.params.Z); err != nil {
+		return nil, cost, err
 	}
 
 	// Soft intersection: keep documents present in >= beta*z1 private rows
@@ -121,68 +99,166 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	if threshold < 1 {
 		threshold = 1
 	}
-	var zeroFill []float64 // scratch reused across candidates
-	candidates := make([]DocCount, 0, len(byDoc))
-	for id, o := range byDoc {
-		if len(o.rows) < threshold {
+	zeroFill := plan.params.Estimator == EstimatorZeroFill
+
+	// Walk the private rows only — decoy rows address unrelated cells and
+	// would pollute the intersection — as a k-way merge by DocID: every
+	// cell ascends, so each round takes the smallest id any row's cursor
+	// points at and collects that document's value from every row holding
+	// it, in PV order. Both estimator inputs are filled on the way: one
+	// slot per private row, zero where the document is absent, and the
+	// compacted present rows with their signs.
+	sc := rtkScratchPool.Get().(*rtkScratch)
+	defer rtkScratchPool.Put(sc)
+	sc.size(len(priv.PV))
+	for i, a := range priv.PV {
+		sc.ids[i], sc.cellVals[i] = resp.Cells[a].IDs, resp.Cells[a].Values
+		sc.pos[i] = 0
+		sc.head[i] = headID(sc.ids[i], 0)
+	}
+	candidates := sc.candidates[:0]
+	for {
+		next := noHead
+		for _, h := range sc.head {
+			next = min(next, h)
+		}
+		if next == noHead {
+			break
+		}
+		n := 0
+		for i, h := range sc.head {
+			if h != next {
+				sc.filled[i] = 0
+				continue
+			}
+			p := sc.pos[i]
+			v := sc.cellVals[i][p]
+			sc.filled[i] = v
+			sc.signs[n], sc.vals[n] = plan.signs[i], v
+			n++
+			sc.pos[i] = p + 1
+			sc.head[i] = headID(sc.ids[i], p+1)
+		}
+		if n < threshold {
 			continue
 		}
-		rows, vals := o.rows, o.vals
-		if plan.params.Estimator == EstimatorZeroFill {
-			// Estimate over ALL private rows, treating rows where the
-			// document was evicted from the heap as zeros. An absent
-			// entry means the document's cell value fell below the heap
-			// floor; scoring only the rows where it survived would bias
-			// borderline documents upward (they survive exactly where
-			// collision noise inflated them) and let weak candidates
-			// outrank true top-K members. o.rows is a sorted subsequence
-			// of PV, so a single linear merge places each observation.
-			rows = priv.PV
-			if zeroFill == nil {
-				zeroFill = make([]float64, len(rows))
+		// Zero-fill estimates over ALL private rows, treating rows where
+		// the document was evicted from the heap as zeros. An absent entry
+		// means the document's cell value fell below the heap floor;
+		// scoring only the rows where it survived would bias borderline
+		// documents upward (they survive exactly where collision noise
+		// inflated them) and let weak candidates outrank true top-K
+		// members.
+		signs, vals := plan.signs, sc.filled
+		if !zeroFill {
+			signs, vals = sc.signs[:n], sc.vals[:n]
+		}
+		est := sketch.EstimateSigned(plan.params.SketchKind, signs, vals)
+		candidates = append(candidates, DocCount{DocID: int(next), Count: est})
+	}
+	for i := range sc.ids {
+		sc.ids[i], sc.cellVals[i] = nil, nil // the pool must not pin the response
+	}
+	sc.candidates = candidates // keep the grown buffer for the next query
+	top := topK(candidates, k)
+	out := make([]DocCount, len(top)) // callers retain the result
+	copy(out, top)
+	return out, cost, nil
+}
+
+// checkRTKResponse validates an owner's answer before recovery indexes
+// into it: z cells, each with one value per id and ids strictly
+// ascending (the canonical order every producer emits and the merge in
+// RTKWithPlan relies on; it also rejects a document listed twice in one
+// row). Responses cross transports, so a faulty or hostile remote party
+// must surface as an error, never as an out-of-range panic.
+func checkRTKResponse(resp *RTKResponse, z int) error {
+	if len(resp.Cells) != z {
+		return fmt.Errorf("%w: response has %d cells, want %d", ErrBadQuery, len(resp.Cells), z)
+	}
+	for a, cell := range resp.Cells {
+		if len(cell.Values) != len(cell.IDs) {
+			return fmt.Errorf("%w: response row %d has %d ids but %d values",
+				ErrBadQuery, a, len(cell.IDs), len(cell.Values))
+		}
+		for i := 1; i < len(cell.IDs); i++ {
+			if cell.IDs[i] <= cell.IDs[i-1] {
+				return fmt.Errorf("%w: response row %d is not in ascending document order", ErrBadQuery, a)
 			}
-			vals = zeroFill
-			mergeZeroFill(priv.PV, o.rows, o.vals, vals)
-		}
-		est := sketch.EstimateFromRows(plan.params.SketchKind, plan.fam, priv.Term, rows, vals)
-		//csfltr:allow determinism -- candidates are fully re-ordered by topK's (count, id) sort before any order-dependent use
-		candidates = append(candidates, DocCount{DocID: int(id), Count: est})
-	}
-	return topK(candidates, k), cost, nil
-}
-
-// mergeZeroFill scatters a document's observed per-row values into dst —
-// one slot per private row, zero where the document was evicted from the
-// cell heap. rows must be a sorted subsequence of pv and dst must have
-// len(pv); a single linear merge replaces the per-row lookup that made
-// the zero-fill estimator O(z^2) per candidate.
-func mergeZeroFill(pv, rows []int, vals, dst []float64) {
-	j := 0
-	for i, a := range pv {
-		if j < len(rows) && rows[j] == a {
-			dst[i] = vals[j]
-			j++
-		} else {
-			dst[i] = 0
 		}
 	}
+	return nil
 }
 
-// topK sorts results by descending count (ties by ascending id for
-// determinism) and truncates to k.
+// rtkScratch is the per-call working memory of RTKWithPlan, pooled so a
+// query allocates only the result it returns. All but candidates hold
+// one slot per private row: the row's ids and values, the merge cursor
+// and the id under it, then the current document's values zero-filled
+// and compacted (with the signs of the rows it is present in).
+type rtkScratch struct {
+	ids        [][]int32
+	cellVals   [][]float64
+	pos        []int
+	head       []int64
+	filled     []float64
+	signs      []float64
+	vals       []float64
+	candidates []DocCount
+}
+
+var rtkScratchPool = sync.Pool{New: func() any { return new(rtkScratch) }}
+
+func (sc *rtkScratch) size(z1 int) {
+	if cap(sc.pos) < z1 {
+		sc.ids, sc.cellVals = make([][]int32, z1), make([][]float64, z1)
+		sc.pos, sc.head = make([]int, z1), make([]int64, z1)
+		sc.filled, sc.signs, sc.vals = make([]float64, z1), make([]float64, z1), make([]float64, z1)
+	}
+	sc.ids, sc.cellVals = sc.ids[:z1], sc.cellVals[:z1]
+	sc.pos, sc.head = sc.pos[:z1], sc.head[:z1]
+	sc.filled, sc.signs, sc.vals = sc.filled[:z1], sc.signs[:z1], sc.vals[:z1]
+}
+
+// noHead is the cursor value of an exhausted row; wider than any DocID.
+const noHead = int64(math.MaxInt64)
+
+func headID(ids []int32, pos int) int64 {
+	if pos < len(ids) {
+		return int64(ids[pos])
+	}
+	return noHead
+}
+
+// topK orders results by descending count (ties by ascending id for
+// determinism) and truncates to k, in place. Only the k best are ever
+// ordered: results[:m] is kept sorted as the scan proceeds, and an
+// element that does not beat the current k-th — almost all of them, when
+// k is a small share of the candidates — costs a single comparison.
 //
 //csfltr:deterministic
 func topK(results []DocCount, k int) []DocCount {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Count != results[j].Count {
-			return results[i].Count > results[j].Count
-		}
-		return results[i].DocID < results[j].DocID
-	})
-	if len(results) > k {
-		results = results[:k]
+	if k <= 0 {
+		return results[:0]
 	}
-	return results
+	rank := func(a, b DocCount) int {
+		if c := cmp.Compare(b.Count, a.Count); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.DocID, b.DocID)
+	}
+	m := 0
+	for _, r := range results {
+		if m == k && rank(r, results[m-1]) >= 0 {
+			continue
+		}
+		at, _ := slices.BinarySearchFunc(results[:m], r, rank)
+		if m < k {
+			m++
+		}
+		copy(results[at+1:m], results[at:])
+		results[at] = r
+	}
+	return results[:m]
 }
 
 // ExactReverseTopK computes the ground-truth reverse top-K over raw term

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"csfltr/internal/hashutil"
@@ -16,33 +17,46 @@ type Entry struct {
 	Value int64
 }
 
-// cellHeap is a capped min-heap of entries ordered by ranking key. For
-// Count Sketch the key is |Value|: a document's cell value is its
-// (sign-weighted) contribution plus collision noise, and the querier
-// recovers the sign later, so magnitude is what predicts relevance. For
-// Count-Min the key is Value itself (always non-negative).
+// cellHeap is one capped RTK-Sketch cell: the at most cap entries with
+// the largest ranking key seen so far. For Count Sketch the key is
+// |Value|: a document's cell value is its (sign-weighted) contribution
+// plus collision noise, and the querier recovers the sign later, so
+// magnitude is what predicts relevance. For Count-Min the key is Value
+// itself (always non-negative).
 //
-// The heap order is a strict total order — key ascending, ties broken by
+// Eviction follows a strict total order — key ascending, ties broken by
 // DocID descending — so the set of entries surviving a sequence of
-// capped pushes depends only on the pushed set, never on push order or
-// on how the pushes were partitioned across accumulators. That
+// capped pushes depends only on the pushed set, never on push order, on
+// how the pushes were partitioned across accumulators, or on how the
+// slice happened to be laid out when a push arrived. That
 // content-addressed determinism is what lets the bulk loader fold
 // per-worker stripes independently and merge them afterwards while
-// staying bit-identical to a sequential AddDocument loop (all observable
-// surfaces emit entries in canonical ascending-DocID order; see Cell).
+// staying bit-identical to a sequential AddDocument loop, and what lets
+// a cell live in either of two layouts:
+//
+//   - canonical: entries ascending by DocID — the order every observable
+//     surface (AnswerRTK, snapshots, Cell) emits. Readers bring a cell
+//     here in place (canonicalize), at most once per mutation, so
+//     back-to-back queries sort nothing and keep no second copy.
+//   - not canonical: a plain append buffer while below capacity, a
+//     min-heap under less once full. Only an accepted push on a full
+//     cell needs the heap, so only that push pays to (re)build it.
+//
+// While a cell is full, floorKey/floorDoc cache its eviction minimum in
+// both layouts: the overwhelmingly common outcome on a full cell —
+// rejection — costs one comparison against fields already in cache and
+// never asks which layout the slice is in.
 //
 // The sift code is hand-rolled rather than container/heap: the interface
 // boxing of heap.Push/heap.Pop dominated the bulk-ingest allocation
 // profile (two boxed Entry values per cell per document, ~13M allocs per
 // 1200-document batch).
 type cellHeap struct {
-	entries []Entry
-	abs     bool // order by |Value| (Count Sketch) instead of Value
-	// minKey caches key(entries[0]) while the cell is full (set by
-	// heapify and maintained by push), so the overwhelmingly common
-	// outcome on a full cell — rejection — costs one comparison against
-	// a field already in cache instead of a load from the entry slab.
-	minKey int64
+	entries   []Entry
+	abs       bool  // order by |Value| (Count Sketch) instead of Value
+	canonical bool  // entries are known to ascend by DocID
+	floorDoc  int32 // DocID of the eviction minimum, valid while full
+	floorKey  int64 // key of the eviction minimum, valid while full
 }
 
 func (h *cellHeap) key(e Entry) int64 {
@@ -69,15 +83,17 @@ func (h *cellHeap) less(a, b Entry) bool {
 // minimum iff it beats it, which is exactly "push then evict the
 // minimum" without ever growing past cap.
 //
-// While a cell is below capacity the entries are a plain unordered
-// append buffer — the heap invariant is only needed to locate the
-// eviction minimum, so it is established lazily (one heapify) the
-// moment the cell first fills. Under-capacity corpora therefore ingest
-// at append speed with zero sift work, which is where the bulk of the
-// old per-push sifting went.
+// Below capacity a push is a plain append — the heap is only needed to
+// locate the eviction minimum, so it is built (one heapify, which also
+// caches the floor) the moment the cell fills, and under-capacity
+// corpora ingest at append speed with zero sift work. On a full cell
+// rejection reads nothing but the cached floor, and only an accepted
+// push on a canonical cell pays to rebuild the heap a reader sorted
+// away.
 func (h *cellHeap) push(e Entry, cap int) {
 	if len(h.entries) < cap {
 		h.entries = append(h.entries, e)
+		h.canonical = false // unknown until a reader looks (see canonicalize)
 		if len(h.entries) == cap {
 			h.heapify()
 		}
@@ -87,15 +103,35 @@ func (h *cellHeap) push(e Entry, cap int) {
 		return
 	}
 	ke := h.key(e)
-	if ke < h.minKey {
+	if ke < h.floorKey {
 		return // below the floor: rejected without touching the slab
 	}
-	if ke == h.minKey && e.DocID >= h.entries[0].DocID {
+	if ke == h.floorKey && e.DocID >= h.floorDoc {
 		return // ties on the floor keep the smaller DocID
+	}
+	if h.canonical {
+		h.canonical = false
+		h.heapify()
 	}
 	h.entries[0] = e
 	h.siftDown(0)
-	h.minKey = h.key(h.entries[0])
+	h.setFloor(h.entries[0])
+}
+
+func (h *cellHeap) setFloor(e Entry) {
+	h.floorKey, h.floorDoc = h.key(e), e.DocID
+}
+
+// scanFloor caches the floor of a full cell without re-ordering it: what
+// a canonical cell loaded at capacity needs before its first push.
+func (h *cellHeap) scanFloor() {
+	min := h.entries[0]
+	for _, e := range h.entries[1:] {
+		if h.less(e, min) {
+			min = e
+		}
+	}
+	h.setFloor(min)
 }
 
 func (h *cellHeap) siftDown(i int) {
@@ -117,22 +153,75 @@ func (h *cellHeap) siftDown(i int) {
 	}
 }
 
-// heapify restores the heap invariant (and the cached minimum key) over
-// an arbitrarily ordered entry slice — when a cell first fills, after a
-// bulk removal, or after a snapshot load.
+// heapify builds the heap (and the cached floor) over an arbitrarily
+// ordered, non-empty entry slice.
 func (h *cellHeap) heapify() {
 	for i := len(h.entries)/2 - 1; i >= 0; i-- {
 		h.siftDown(i)
 	}
-	if len(h.entries) > 0 {
-		h.minKey = h.key(h.entries[0])
-	}
+	h.setFloor(h.entries[0])
 }
 
-// sortEntriesByDoc puts a cell copy into the canonical ascending-DocID
-// order every observable surface (Cell, AnswerRTK, snapshots) uses.
-func sortEntriesByDoc(es []Entry) {
-	sort.Slice(es, func(i, j int) bool { return es[i].DocID < es[j].DocID })
+// remove drops every entry of docID and returns how many there were.
+// The in-place filter preserves relative order, so a canonical cell
+// stays canonical; a heap loses an entry and with it its capacity, which
+// makes it a valid append buffer — neither needs re-ordering here.
+func (h *cellHeap) remove(docID int32) int {
+	n := 0
+	for n < len(h.entries) && h.entries[n].DocID != docID {
+		n++
+	}
+	if n == len(h.entries) {
+		return 0
+	}
+	for _, e := range h.entries[n+1:] {
+		if e.DocID != docID {
+			h.entries[n] = e
+			n++
+		}
+	}
+	removed := len(h.entries) - n
+	h.entries = h.entries[:n]
+	return removed
+}
+
+// canonicalize brings the cell to canonical order in place and returns
+// the resident entries; callers must not retain or modify them. The set
+// of entries — and so the cached floor — is untouched. A cell whose
+// appends happened to arrive in ascending id order (the usual ingest
+// order, below capacity) is recognised by one scan and not sorted.
+func (h *cellHeap) canonicalize(d *docSorter) []Entry {
+	if !h.canonical {
+		ascends := func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) }
+		if !slices.IsSortedFunc(h.entries, ascends) {
+			d.sort(h.entries)
+		}
+		h.canonical = true
+	}
+	return h.entries
+}
+
+// docSorter puts entries into the canonical ascending-DocID order,
+// keeping its scratch between calls. It sorts one packed word per entry
+// (order-preserving id bits above the entry's position) with the
+// specialised integer sort and then gathers — about a third of the cost
+// of sorting the 16-byte entries through a comparison callback, which is
+// what the first read of a cell after a mutation pays. Equal ids (only a
+// corrupt snapshot has them) keep their relative order.
+type docSorter struct {
+	keys []uint64
+	tmp  []Entry
+}
+
+func (d *docSorter) sort(es []Entry) {
+	d.keys, d.tmp = d.keys[:0], append(d.tmp[:0], es...)
+	for i, e := range es {
+		d.keys = append(d.keys, uint64(uint32(e.DocID)^(1<<31))<<32|uint64(i))
+	}
+	slices.Sort(d.keys)
+	for i, k := range d.keys {
+		es[i] = d.tmp[uint32(k)]
+	}
 }
 
 // rtkAccum is a per-worker private accumulator used by the bulk loader:
@@ -143,12 +232,14 @@ func sortEntriesByDoc(es []Entry) {
 // synchronization; a deterministic merge pass folds the survivors into
 // the shared sketch afterwards.
 type rtkAccum struct {
-	cells   int
-	cap     int
-	abs     bool
-	lens    []int32
-	minKeys []int64 // per-cell cached floor key, valid once the cell is full
-	slab    []Entry
+	cells int
+	cap   int
+	abs   bool
+	lens  []int32
+	// per-cell cached eviction floor, valid once the cell is full
+	floorKeys []int64
+	floorDocs []int32
+	slab      []Entry
 }
 
 // accumPool recycles accumulator slabs across batches (and owners): at
@@ -169,7 +260,8 @@ func getAccum(cells, cap int, abs bool) *rtkAccum {
 	}
 	if len(a.lens) < cells {
 		a.lens = make([]int32, cells)
-		a.minKeys = make([]int64, cells)
+		a.floorKeys = make([]int64, cells)
+		a.floorDocs = make([]int32, cells)
 	} else {
 		for i := 0; i < cells; i++ {
 			a.lens[i] = 0
@@ -191,13 +283,14 @@ func putAccum(a *rtkAccum) {
 func (a *rtkAccum) push(c int, e Entry) {
 	off := c * a.cap
 	v := cellHeap{
-		entries: a.slab[off : off+int(a.lens[c]) : off+a.cap],
-		abs:     a.abs,
-		minKey:  a.minKeys[c],
+		entries:  a.slab[off : off+int(a.lens[c]) : off+a.cap],
+		abs:      a.abs,
+		floorKey: a.floorKeys[c],
+		floorDoc: a.floorDocs[c],
 	}
 	v.push(e, a.cap)
 	a.lens[c] = int32(len(v.entries))
-	a.minKeys[c] = v.minKey
+	a.floorKeys[c], a.floorDocs[c] = v.floorKey, v.floorDoc
 }
 
 // addTable folds one document's sketch table into every cell.
@@ -221,6 +314,7 @@ type RTKSketch struct {
 	fam    *hashutil.Family
 	cells  []cellHeap // row-major z x w
 	docs   int
+	sorter docSorter // Cell's scratch
 }
 
 // NewRTKSketch creates an empty RTK-Sketch bound to the shared hash
@@ -313,22 +407,7 @@ func (s *RTKSketch) Delete(docID int) int {
 	removed := 0
 	id := int32(docID)
 	for c := range s.cells {
-		h := &s.cells[c]
-		n := 0
-		hit := false
-		for _, e := range h.entries {
-			if e.DocID == id {
-				removed++
-				hit = true
-				continue
-			}
-			h.entries[n] = e
-			n++
-		}
-		if hit {
-			h.entries = h.entries[:n]
-			h.heapify()
-		}
+		removed += s.cells[c].remove(id)
 	}
 	if removed > 0 {
 		s.docs--
@@ -342,60 +421,101 @@ func (s *RTKSketch) Delete(docID int) int {
 // can reproduce the eviction order exactly.
 func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 
-// MergeCellEntries merges per-partition snapshots of one cell into the
-// entry set a single sketch over the union of the partitions' documents
-// would hold, returned in the canonical ascending-DocID order of Cell.
+// MergeRTKResponses merges per-partition answers to one query into the
+// answer a single sketch over the union of the partitions' documents
+// would give, adding noise to every released value. Parts are raw
+// (noise-free, so every value is an exact integer) Owner answers over
+// disjoint document sets; like them, the result owns its memory.
 //
 // Correctness mirrors mergeAccumRows: eviction is a strict total order
 // (key descending, key-ties keep the smaller DocID), so an entry in the
 // global top-cap is necessarily in the top-cap of its own partition —
-// selecting the top-cap of the concatenated survivors under the same
-// order reproduces the single-sketch cell bit for bit. abs must be
-// Params.AbsEvictionKeys() of the sketches being merged; heapCap is
-// Params.HeapCap(). Partitions must not share document ids.
+// selecting the top-cap of the combined survivors under the same order
+// reproduces the single-sketch cell bit for bit. When the survivors of a
+// row fit under the cap nothing is evicted and the canonical parts are
+// simply merged by DocID. abs must be Params.AbsEvictionKeys() of the
+// sketches being merged; heapCap is Params.HeapCap().
 //
 //csfltr:deterministic
-func MergeCellEntries(parts [][]Entry, heapCap int, abs bool) []Entry {
-	total := 0
-	for _, p := range parts {
-		total += len(p)
-	}
-	merged := make([]Entry, 0, total)
-	for _, p := range parts {
-		merged = append(merged, p...)
-	}
-	if total > heapCap {
-		key := func(e Entry) int64 {
-			if abs && e.Value < 0 {
-				return -e.Value
-			}
-			return e.Value
+func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float64) *RTKResponse {
+	z := len(parts[0].Cells)
+	rowLen := func(a int) int {
+		n := 0
+		for _, p := range parts {
+			n += len(p.Cells[a].IDs)
 		}
-		sort.Slice(merged, func(i, j int) bool {
-			ki, kj := key(merged[i]), key(merged[j])
-			if ki != kj {
-				return ki > kj
-			}
-			return merged[i].DocID < merged[j].DocID
-		})
-		merged = merged[:heapCap]
+		return n
 	}
-	sortEntriesByDoc(merged)
-	return merged
+	total, longest := 0, 0
+	for a := 0; a < z; a++ {
+		n := rowLen(a)
+		total += min(n, heapCap)
+		longest = max(longest, n)
+	}
+	resp, ids, vals := newRTKResponse(z, total)
+	order := cellHeap{abs: abs}
+	cur := make([]int, len(parts))
+	var over []Entry // scratch for rows that overflow the cap
+	var byDoc docSorter
+	if longest > heapCap {
+		over = make([]Entry, 0, longest)
+		byDoc = docSorter{keys: make([]uint64, 0, heapCap), tmp: make([]Entry, 0, heapCap)}
+	}
+	for a := 0; a < z; a++ {
+		n := rowLen(a)
+		if n <= heapCap {
+			// k-way merge by DocID: every output slot takes the smallest
+			// head among the parts' cursors.
+			clear(cur)
+			for i := 0; i < n; i++ {
+				best, bestID := -1, int32(0)
+				for pi, p := range parts {
+					if c := p.Cells[a].IDs; cur[pi] < len(c) && (best < 0 || c[cur[pi]] < bestID) {
+						best, bestID = pi, c[cur[pi]]
+					}
+				}
+				ids[i], vals[i] = bestID, parts[best].Cells[a].Values[cur[best]]+noise
+				cur[best]++
+			}
+		} else {
+			over = over[:0]
+			for _, p := range parts {
+				c := p.Cells[a]
+				for i, id := range c.IDs {
+					over = append(over, Entry{DocID: id, Value: int64(c.Values[i])})
+				}
+			}
+			slices.SortFunc(over, func(x, y Entry) int {
+				if order.less(y, x) {
+					return -1
+				}
+				if order.less(x, y) {
+					return 1
+				}
+				return 0
+			})
+			n = heapCap
+			byDoc.sort(over[:n])
+			for i, e := range over[:n] {
+				ids[i], vals[i] = e.DocID, float64(e.Value)+noise
+			}
+		}
+		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+		ids, vals = ids[n:], vals[n:]
+	}
+	return resp
 }
 
-// Cell returns a copy of the entries of cell (row, col) in canonical
-// ascending-DocID order. This is the owner-side lookup of Algorithm 5:
-// the querier asks for the heaps its term hashes to. The canonical order
-// makes responses (and therefore wire encodings and snapshots)
-// independent of the internal heap layout, which may differ between
-// sequential and bulk ingestion of the same corpus.
+// Cell returns the entries of cell (row, col) in canonical
+// ascending-DocID order, bringing the cell there in place first if a
+// mutation since the last read left it otherwise. This is the owner-side
+// lookup of Algorithm 5: the querier asks for the heaps its term hashes
+// to. The canonical order makes responses (and therefore wire encodings
+// and snapshots) independent of the resident layout, which depends on
+// ingestion history. The slice is the sketch's own storage: it is valid
+// until the next Update or Delete and must not be modified.
 func (s *RTKSketch) Cell(row int, col uint32) []Entry {
-	h := &s.cells[row*s.params.W+int(col)]
-	out := make([]Entry, len(h.entries))
-	copy(out, h.entries)
-	sortEntriesByDoc(out)
-	return out
+	return s.cells[row*s.params.W+int(col)].canonicalize(&s.sorter)
 }
 
 // SizeBytes returns the current memory footprint of the heap payloads

@@ -106,12 +106,20 @@ type Plan struct {
 	fam    *hashutil.Family
 	query  *TFQuery
 	priv   *TFPrivate
+	// signs[i] is the Count Sketch sign hash g_a(term) of private row
+	// a = priv.PV[i] as +-1, evaluated once here rather than once per
+	// candidate document of every answer the plan recovers.
+	signs []float64
 }
 
 // Plan builds a reusable query plan for term (Algorithm 1 run once).
 func (q *Querier) Plan(term uint64) *Plan {
 	query, priv := q.BuildQuery(term)
-	return &Plan{params: q.params, fam: q.fam, query: query, priv: priv}
+	signs := make([]float64, len(priv.PV))
+	for i, a := range priv.PV {
+		signs[i] = float64(q.fam.Sign(a, term))
+	}
+	return &Plan{params: q.params, fam: q.fam, query: query, priv: priv, signs: signs}
 }
 
 // Term returns the planned term.

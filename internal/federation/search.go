@@ -1,9 +1,10 @@
 package federation
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -322,8 +323,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	// accountant records it separately.
 	result := &SearchResult{}
 	var tasks []searchTask
-	taskStart := make(map[string]int) // party -> first task index
-	taskCount := make(map[string]int)
+	// spans[ri] is the task range of result.Parties[ri] (empty for a
+	// skipped party).
+	type taskSpan struct{ start, count int }
+	var spans []taskSpan
 	for _, party := range f.Parties {
 		if party.Name == from {
 			continue
@@ -341,6 +344,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 				Outcome: OutcomeSkipped,
 				Err:     resilience.ErrBreakerOpen.Error(),
 			})
+			spans = append(spans, taskSpan{})
 			continue
 		}
 		owner, err := f.Server.OwnerFor(party.Name, FieldBody)
@@ -351,7 +355,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		if c != nil {
 			gens = party.generations(FieldBody)
 		}
-		taskStart[party.Name] = len(tasks)
+		start := len(tasks)
 		rep := PartyReport{Party: party.Name, Outcome: OutcomeOK}
 		for _, plan := range plans {
 			t := searchTask{party: party.Name, owner: owner, plan: plan}
@@ -384,7 +388,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 			}
 			tasks = append(tasks, t)
 		}
-		taskCount[party.Name] = len(plans)
+		spans = append(spans, taskSpan{start: start, count: len(plans)})
 		result.Parties = append(result.Parties, rep)
 	}
 
@@ -473,12 +477,12 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	merge := m.stageTrace(StageMerge, run.parent)
 	defer func() { run.addStage(StageMerge, merge.End()) }()
 	type key struct {
-		party string
+		party int // index into result.Parties
 		doc   int
 	}
 	survivors := 0
 	scores := make(map[key]float64)
-	addDocs := func(party string, dcs []core.DocCount) {
+	addDocs := func(party int, dcs []core.DocCount) {
 		for _, dc := range dcs {
 			if dc.Count <= 0 {
 				continue
@@ -488,7 +492,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	}
 	// backfill serves a lost party from recent cache entries when the
 	// staleness policy allows; it counts as a survivor with OutcomeStale.
-	backfill := func(rep *PartyReport) bool {
+	backfill := func(ri int) bool {
+		rep := &result.Parties[ri]
 		if c == nil || f.Params.CacheMaxStale <= 0 {
 			return false
 		}
@@ -511,7 +516,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		survivors++
 		for _, h := range hits {
 			result.Cost.Add(h.cost)
-			addDocs(rep.Party, h.docs)
+			addDocs(ri, h.docs)
 			src.account.Replayed(rep.Party)
 			run.addCost(rep.Party, h.cost)
 		}
@@ -520,13 +525,13 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	for ri := range result.Parties {
 		rep := &result.Parties[ri]
 		if rep.Outcome == OutcomeSkipped {
-			if backfill(rep) {
+			if backfill(ri) {
 				continue
 			}
 			m.outcomeFor(rep.Party, OutcomeSkipped).Inc()
 			continue
 		}
-		start, count := taskStart[rep.Party], taskCount[rep.Party]
+		start, count := spans[ri].start, spans[ri].count
 		var firstErr error
 		for i := start; i < start+count; i++ {
 			rep.Retries += retries[i]
@@ -551,7 +556,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		if firstErr != nil {
 			rep.Err = firstErr.Error()
-			if backfill(rep) {
+			if backfill(ri) {
 				continue
 			}
 			rep.Outcome = OutcomeFailed
@@ -562,7 +567,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		survivors++
 		for i := start; i < start+count; i++ {
 			result.Cost.Add(costs[i])
-			addDocs(rep.Party, docs[i])
+			addDocs(ri, docs[i])
 			run.addCost(rep.Party, costs[i])
 			if c != nil && !tasks[i].cached {
 				c.Put(tasks[i].full, tasks[i].base,
@@ -581,16 +586,16 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 
 	hits := make([]SearchHit, 0, len(scores))
 	for kk, s := range scores {
-		hits = append(hits, SearchHit{Party: kk.party, DocID: kk.doc, Score: s})
+		hits = append(hits, SearchHit{Party: result.Parties[kk.party].Party, DocID: kk.doc, Score: s})
 	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
+	slices.SortFunc(hits, func(a, b SearchHit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
 		}
-		if hits[i].Party != hits[j].Party {
-			return hits[i].Party < hits[j].Party
+		if c := cmp.Compare(a.Party, b.Party); c != 0 {
+			return c
 		}
-		return hits[i].DocID < hits[j].DocID
+		return cmp.Compare(a.DocID, b.DocID)
 	})
 	if len(hits) > k {
 		hits = hits[:k]

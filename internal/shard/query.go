@@ -50,7 +50,7 @@ func (g *Group) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
 // into fixed shard-index slots, merges them under the sketch's strict
 // total eviction order, and perturbs the merged cells with the facade's
 // single noise draw. At Epsilon=0 the response is bit-identical to a
-// single Owner holding the whole corpus (see core.MergeCellEntries).
+// single Owner holding the whole corpus (see core.MergeRTKResponses).
 func (g *Group) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	return g.answerRTK(telemetry.SpanContext{}, q)
 }
@@ -272,33 +272,7 @@ func (g *Group) answerRTK(ctx telemetry.SpanContext, q *core.TFQuery) (*core.RTK
 
 	// Gather: merge each row's shard cells under the sketch's strict
 	// total eviction order, then release with one facade noise draw.
-	heapCap := g.params.HeapCap()
-	noise := g.sample()
-	cells := make([]core.RTKCell, z)
-	parts := make([][]core.Entry, len(g.shards))
-	for a := 0; a < z; a++ {
-		for si := range g.shards {
-			c := raw[si].Cells[a]
-			es := make([]core.Entry, len(c.IDs))
-			for i := range c.IDs {
-				// Shard owners answer noise-free, so every value is an
-				// exact integer; the conversion back is lossless.
-				es[i] = core.Entry{DocID: c.IDs[i], Value: int64(c.Values[i])}
-			}
-			parts[si] = es
-		}
-		merged := core.MergeCellEntries(parts, heapCap, g.absKeys)
-		cell := core.RTKCell{
-			IDs:    make([]int32, len(merged)),
-			Values: make([]float64, len(merged)),
-		}
-		for i, e := range merged {
-			cell.IDs[i] = e.DocID
-			cell.Values[i] = float64(e.Value) + noise
-		}
-		cells[a] = cell
-	}
-	return &core.RTKResponse{Cells: cells}, nil
+	return core.MergeRTKResponses(raw, g.params.HeapCap(), g.absKeys, g.sample()), nil
 }
 
 // shardRTK answers one shard's slice of the scatter, through the

@@ -2,6 +2,7 @@ package sketch
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -69,6 +70,43 @@ func TestMedianDoesNotModifyInput(t *testing.T) {
 	Median(xs)
 	if !reflect.DeepEqual(xs, orig) {
 		t.Fatal("Median reordered its input")
+	}
+}
+
+// TestEstimateSignedMatchesEstimateFromRows: precomputing the sign hashes
+// must not change a single bit of the estimate, for either sketch kind,
+// odd and even row counts, zeros, infinities and NaNs included.
+func TestEstimateSignedMatchesEstimateFromRows(t *testing.T) {
+	fam, err := hashutil.NewFamily(hashutil.KindPolynomial, 40, 64, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	special := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN()}
+	rng := rand.New(rand.NewSource(6))
+	for trial := 0; trial < 2000; trial++ {
+		term := rng.Uint64()
+		rows := rng.Perm(40)[:rng.Intn(41)]
+		sort.Ints(rows)
+		values := make([]float64, len(rows))
+		signs := make([]float64, len(rows))
+		for i, a := range rows {
+			values[i] = math.Round(rng.NormFloat64()*20) + rng.Float64()
+			if rng.Intn(8) == 0 {
+				values[i] = special[rng.Intn(len(special))]
+			}
+			signs[i] = float64(fam.Sign(a, term))
+		}
+		for _, kind := range []Kind{Count, CountMin} {
+			want := EstimateFromRows(kind, fam, term, rows, values)
+			got := EstimateSigned(kind, signs, append([]float64(nil), values...))
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("trial %d kind %v rows %v values %v: EstimateSigned %v, EstimateFromRows %v",
+					trial, kind, rows, values, got, want)
+			}
+		}
+	}
+	if EstimateSigned(Count, []float64{1}, []float64{1, 2}) != 0 {
+		t.Fatal("mismatched lengths must estimate 0, like EstimateFromRows")
 	}
 }
 

@@ -257,13 +257,7 @@ func EstimateFromRows(kind Kind, fam *hashutil.Family, term uint64, rows []int, 
 	}
 	if kind != Count {
 		// Count-Min: the minimum needs no sign adjustment and no scratch.
-		min := values[0]
-		for _, v := range values[1:] {
-			if v < min {
-				min = v
-			}
-		}
-		return min
+		return minOf(values)
 	}
 	var stack [smallRows]float64
 	adj := stack[:0]
@@ -274,6 +268,35 @@ func EstimateFromRows(kind Kind, fam *hashutil.Family, term uint64, rows []int, 
 		adj = append(adj, float64(fam.Sign(a, term))*values[i])
 	}
 	return MedianInPlace(adj)
+}
+
+// EstimateSigned is EstimateFromRows for a caller that recovers many
+// answers for one term over the same rows and so evaluates the sign
+// hashes once: signs[i] must be g_a(term) as +-1 for the row values[i]
+// came from (Count-Min ignores it). values is consumed as scratch. The
+// result is bit-identical to EstimateFromRows on the same rows.
+func EstimateSigned(kind Kind, signs, values []float64) float64 {
+	if len(values) == 0 || len(signs) != len(values) {
+		return 0
+	}
+	if kind != Count {
+		return minOf(values)
+	}
+	for i, g := range signs {
+		values[i] *= g
+	}
+	return MedianInPlace(values)
+}
+
+// minOf returns the smallest of the non-empty values.
+func minOf(values []float64) float64 {
+	min := values[0]
+	for _, v := range values[1:] {
+		if v < min {
+			min = v
+		}
+	}
+	return min
 }
 
 // Median returns the median of xs (average of the two central values for
