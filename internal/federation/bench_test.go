@@ -3,6 +3,7 @@ package federation
 import (
 	"fmt"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -75,17 +76,47 @@ func BenchmarkRPCRTK(b *testing.B) {
 	}
 }
 
-// BenchmarkHTTPRTK measures the same query over the HTTP/JSON gateway
-// (loopback).
+// geometryFed builds a two-party federation at the geometry of the
+// repo benchmark's gateway workload: default sketch parameters, K = 50,
+// Epsilon = 0.5, and 400 documents of 120 terms at party B, enough to
+// fill every addressed RTK cell (30 cells of 250 entries per answer).
+func geometryFed(tb testing.TB) *Federation {
+	tb.Helper()
+	p := core.DefaultParams()
+	p.K = 50
+	fed, err := NewDeterministic([]string{"A", "B"}, p, 42, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	party, _ := fed.Party("B")
+	rng := rand.New(rand.NewSource(1))
+	for id := 0; id < 400; id++ {
+		body := make([]textkit.TermID, 120)
+		for j := range body {
+			body[j] = textkit.TermID(rng.Intn(3000))
+		}
+		if err := party.IngestDocument(textkit.NewDocument(id, -1, nil, body)); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return fed
+}
+
+// BenchmarkHTTPRTK measures one reverse top-K through an HTTP remote at
+// the benchmark geometry, rotating over 64 terms on a transport of its
+// own (loopback).
 func BenchmarkHTTPRTK(b *testing.B) {
-	fed := benchFed(b)
+	fed := geometryFed(b)
 	ts := httptest.NewServer(HTTPHandler(fed.Server))
 	defer ts.Close()
+	transport := &http.Transport{MaxIdleConnsPerHost: 2}
+	defer transport.CloseIdleConnections()
 	a, _ := fed.Party("A")
-	remote := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
+	remote := NewHTTPOwner(ts.URL, "B", FieldBody, &http.Client{Transport: transport})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RTKReverseTopK(a.Querier(), remote, 9999, 20); err != nil {
+		if _, _, err := core.RTKReverseTopK(a.Querier(), remote, uint64(i%64), 50); err != nil {
 			b.Fatal(err)
 		}
 	}

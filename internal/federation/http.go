@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"csfltr/internal/chaos"
@@ -18,8 +19,10 @@ import (
 	"csfltr/internal/wire"
 )
 
-// HTTP transport: a JSON gateway over the same OwnerAPI surface as the
-// net/rpc transport, for clients outside the Go ecosystem. Routes:
+// HTTP transport: a gateway over the same OwnerAPI surface as the
+// net/rpc transport. The sketch endpoints (/tf, /rtk) take and return
+// either JSON — the public surface for clients outside the Go ecosystem
+// — or internal/wire frames, which is all HTTPOwner speaks. Routes:
 //
 //	GET  /v1/parties                                  -> {"parties": [...]}
 //	GET  /v1/parties/{name}/{field}/docs              -> {"ids": [...]}
@@ -39,7 +42,7 @@ import (
 // get a JSON 405 with an Allow header. Error envelopes echo the request
 // ID so a client report can be joined against server telemetry.
 
-// httpTFRequest is the POST /tf body.
+// httpTFRequest is the JSON POST /tf body.
 type httpTFRequest struct {
 	DocID int      `json:"doc_id"`
 	Cols  []uint32 `json:"cols"`
@@ -50,7 +53,7 @@ type httpTFResponse struct {
 	Values []float64 `json:"values"`
 }
 
-// httpRTKRequest is the POST /rtk body.
+// httpRTKRequest is the JSON POST /rtk body.
 type httpRTKRequest struct {
 	Cols []uint32 `json:"cols"`
 }
@@ -301,7 +304,9 @@ func HTTPHandler(s *Server) http.Handler {
 				return
 			}
 			if wantsWire(r) {
-				writeWire(w, wire.AppendTFResponse(nil, resp))
+				frame := frameBufs.Get().(*[]byte)
+				*frame = wire.AppendTFResponse((*frame)[:0], resp)
+				writeWire(w, frame)
 				return
 			}
 			writeJSON(w, http.StatusOK, httpTFResponse{Values: resp.Values})
@@ -337,7 +342,9 @@ func HTTPHandler(s *Server) http.Handler {
 				return
 			}
 			if wantsWire(r) {
-				writeWire(w, wire.AppendRTKResponse(nil, resp))
+				frame := frameBufs.Get().(*[]byte)
+				*frame = wire.AppendRTKResponse((*frame)[:0], resp)
+				writeWire(w, frame)
 				return
 			}
 			out := httpRTKResponse{Cells: make([]httpRTKCell, len(resp.Cells))}
@@ -489,11 +496,27 @@ func readWireBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	return body, true
 }
 
-// writeWire writes a wire-framed success response.
-func writeWire(w http.ResponseWriter, data []byte) {
+// frameBufs recycles the buffers wire frames are encoded into (gateway)
+// and read into (HTTPOwner). A decoded reply never refers to its frame,
+// so a buffer goes back as soon as it is written or decoded.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// putFrame recycles frame unless it grew past what a sketch reply needs;
+// one outsized reply must not stay pinned in the pool.
+func putFrame(frame *[]byte) {
+	if cap(*frame) <= 1<<20 {
+		frameBufs.Put(frame)
+	}
+}
+
+// writeWire writes a wire-framed success response and recycles frame.
+// The length is known, so it is declared: no chunked framing.
+func writeWire(w http.ResponseWriter, frame *[]byte) {
 	w.Header().Set("Content-Type", WireContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(*frame)))
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
+	_, _ = w.Write(*frame)
+	putFrame(frame)
 }
 
 // readJSON decodes a bounded JSON body, writing the error response on
@@ -512,25 +535,18 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // HTTPOwner is a core.OwnerAPI backed by the HTTP gateway — the Go
-// client for non-RPC deployments. Construct with NewHTTPOwner. A
-// trace-bound copy (WithTrace) stamps the X-Trace-* headers on every
-// request so the gateway continues the caller's span tree.
+// client for non-RPC deployments. Construct with NewHTTPOwner. The
+// sketch endpoints (/tf, /rtk) carry internal/wire frames in both
+// directions; the roster and metadata calls are JSON. A trace-bound
+// copy (WithTrace) stamps the X-Trace-* headers on every request so the
+// gateway continues the caller's span tree.
 type HTTPOwner struct {
 	base   string
 	party  string
 	field  Field
 	client *http.Client
 	ctx    telemetry.SpanContext
-	wire   bool
 }
-
-// EnableWire switches the sketch endpoints (/tf, /rtk) to the compact
-// binary wire bodies; the roster and metadata calls stay JSON. The
-// client advertises the codec per request (Content-Type plus Accept)
-// and sniffs the response Content-Type, so a gateway that predates the
-// codec still interoperates — its JSON replies decode on the fallback
-// path. Call before sharing the owner across goroutines.
-func (h *HTTPOwner) EnableWire(on bool) { h.wire = on }
 
 // WithTrace implements traceCarrier.
 func (h *HTTPOwner) WithTrace(ctx telemetry.SpanContext) core.OwnerAPI {
@@ -569,6 +585,16 @@ func (h *HTTPOwner) stamp(req *http.Request) {
 	}
 }
 
+// closeBody drains a bounded remainder of a response body and closes
+// it. net/http only returns a connection to its idle pool once the body
+// has been read to EOF, and a JSON decoder stops at the end of the
+// value — short of the trailing newline and the final chunk — so every
+// client path closes through here.
+func closeBody(resp *http.Response) {
+	_, _ = io.CopyN(io.Discard, resp.Body, 64<<10)
+	_ = resp.Body.Close()
+}
+
 // getJSON performs a GET (tagged with a fresh request ID) and decodes
 // the response.
 func (h *HTTPOwner) getJSON(url string, v any) error {
@@ -581,33 +607,7 @@ func (h *HTTPOwner) getJSON(url string, v any) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
-	return decodeOrError(resp, v)
-}
-
-// postJSON performs a POST with a JSON body (tagged with a fresh request
-// ID) and decodes the response.
-func (h *HTTPOwner) postJSON(url string, body, v any) error {
-	data, err := json.Marshal(body)
-	if err != nil {
-		return err
-	}
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(string(data)))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	h.stamp(req)
-	resp, err := h.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return decodeOrError(resp, v)
-}
-
-// decodeOrError decodes a success body or surfaces the error envelope.
-func decodeOrError(resp *http.Response, v any) error {
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
 		return respError(resp)
 	}
@@ -623,30 +623,48 @@ func respError(resp *http.Response) error {
 	return fmt.Errorf("federation: http %d", resp.StatusCode)
 }
 
-// postWire performs a POST with a wire-framed body, advertising the
-// codec in both directions, and returns the raw body plus whether the
-// gateway answered in wire form.
-func (h *HTTPOwner) postWire(url string, body []byte) ([]byte, bool, error) {
+// maxWireReply caps a wire reply the client will buffer (the codec's
+// own payload limit).
+const maxWireReply = 1 << 26
+
+// postWire performs a POST with a wire-framed body and returns the
+// wire-framed reply in a buffer the caller hands to putFrame once it is
+// decoded. A 200 in any other media type is an error: a gateway
+// that cannot answer in wire form cannot read the request either.
+func (h *HTTPOwner) postWire(url string, body []byte) (*[]byte, error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	req.Header.Set("Content-Type", WireContentType)
 	req.Header.Set("Accept", WireContentType)
 	h.stamp(req)
 	resp, err := h.client.Do(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode != http.StatusOK {
-		return nil, false, respError(resp)
+		return nil, respError(resp)
 	}
-	data, err := io.ReadAll(resp.Body)
+	if ct := resp.Header.Get("Content-Type"); !isWireContent(ct) {
+		return nil, fmt.Errorf("federation: %s answered %q, want %s", url, ct, WireContentType)
+	}
+	if resp.ContentLength > maxWireReply {
+		return nil, fmt.Errorf("federation: %s: reply of %d bytes exceeds the wire limit", url, resp.ContentLength)
+	}
+	// Sized from the declared length, so the frame lands in one piece; a
+	// reply an intermediary re-chunked still reads, by growing.
+	frame := frameBufs.Get().(*[]byte)
+	buf := bytes.NewBuffer((*frame)[:0])
+	buf.Grow(int(max(resp.ContentLength, 0)) + bytes.MinRead)
+	_, err = buf.ReadFrom(io.LimitReader(resp.Body, maxWireReply))
+	*frame = buf.Bytes()
 	if err != nil {
-		return nil, false, err
+		putFrame(frame)
+		return nil, fmt.Errorf("federation: %s: reading reply: %w", url, err)
 	}
-	return data, isWireContent(resp.Header.Get("Content-Type")), nil
+	return frame, nil
 }
 
 // DocIDs implements core.OwnerAPI.
@@ -674,57 +692,22 @@ func (h *HTTPOwner) DocMeta(docID int) (int, int, error) {
 
 // AnswerTF implements core.OwnerAPI.
 func (h *HTTPOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
-	if h.wire {
-		body, isWire, err := h.postWire(h.url("/tf"), encodeWireTFRequest(docID, q.Cols))
-		if err != nil {
-			return nil, err
-		}
-		if isWire {
-			return wire.DecodeTFResponse(body)
-		}
-		var out httpTFResponse // codec-unaware gateway: JSON despite Accept
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, err
-		}
-		return &core.TFResponse{Values: out.Values}, nil
-	}
-	var out httpTFResponse
-	if err := h.postJSON(h.url("/tf"), httpTFRequest{DocID: docID, Cols: q.Cols}, &out); err != nil {
+	frame, err := h.postWire(h.url("/tf"), encodeWireTFRequest(docID, q.Cols))
+	if err != nil {
 		return nil, err
 	}
-	return &core.TFResponse{Values: out.Values}, nil
+	defer putFrame(frame)
+	return wire.DecodeTFResponse(*frame)
 }
 
 // AnswerRTK implements core.OwnerAPI.
 func (h *HTTPOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
-	if h.wire {
-		body, isWire, err := h.postWire(h.url("/rtk"), wire.AppendTFQuery(nil, q))
-		if err != nil {
-			return nil, err
-		}
-		if isWire {
-			return wire.DecodeRTKResponse(body)
-		}
-		var out httpRTKResponse // codec-unaware gateway: JSON despite Accept
-		if err := json.Unmarshal(body, &out); err != nil {
-			return nil, err
-		}
-		return rtkFromHTTP(out), nil
-	}
-	var out httpRTKResponse
-	if err := h.postJSON(h.url("/rtk"), httpRTKRequest{Cols: q.Cols}, &out); err != nil {
+	frame, err := h.postWire(h.url("/rtk"), wire.AppendTFQuery(nil, q))
+	if err != nil {
 		return nil, err
 	}
-	return rtkFromHTTP(out), nil
-}
-
-// rtkFromHTTP converts the JSON cell mirror back to the core type.
-func rtkFromHTTP(out httpRTKResponse) *core.RTKResponse {
-	resp := &core.RTKResponse{Cells: make([]core.RTKCell, len(out.Cells))}
-	for i, c := range out.Cells {
-		resp.Cells[i] = core.RTKCell{IDs: c.IDs, Values: c.Values}
-	}
-	return resp
+	defer putFrame(frame)
+	return wire.DecodeRTKResponse(*frame)
 }
 
 // httpEndpoint adapts an HTTP-gateway party host to the server's

@@ -2,9 +2,11 @@ package federation
 
 import (
 	"encoding/json"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"csfltr/internal/core"
@@ -169,4 +171,149 @@ func TestHTTPTrafficAccounted(t *testing.T) {
 	if tr := fed.Server.Traffic(); tr.Messages < 2 || tr.Bytes == 0 {
 		t.Fatalf("gateway traffic not accounted: %+v", tr)
 	}
+}
+
+// TestHTTPClientReusesConnections: net/http only keeps a connection
+// whose response body was read to EOF, and a JSON decoder stops at the
+// end of the value — short of the trailing newline and, on a chunked
+// reply, the terminating chunk. Every client path therefore drains
+// before closing, and a run of sequential calls of every kind, errors
+// included, stays on one connection.
+func TestHTTPClientReusesConnections(t *testing.T) {
+	fed := geometryFed(t)
+	var conns atomic.Int32
+	ts := httptest.NewUnstartedServer(HTTPHandler(fed.Server))
+	ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	ts.Start()
+	defer ts.Close()
+	transport := &http.Transport{MaxIdleConnsPerHost: 2}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport}
+	owner := NewHTTPOwner(ts.URL, "B", FieldBody, client)
+	ghost := NewHTTPOwner(ts.URL, "ZZZ", FieldBody, client)
+	a, _ := fed.Party("A")
+
+	for i := 0; i < 50; i++ {
+		if _, err := owner.AnswerRTK(a.Querier().Plan(uint64(i)).Query()); err != nil {
+			t.Fatal(err)
+		}
+		if ids := owner.DocIDs(); len(ids) != 400 { // > 2 kB of JSON: a chunked reply
+			t.Fatalf("DocIDs returned %d ids", len(ids))
+		}
+		if _, _, err := owner.DocMeta(i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if _, _, err := owner.DocMeta(100000 + i); err == nil {
+			t.Fatal("unknown document should error")
+		}
+		if _, err := ghost.AnswerRTK(a.Querier().Plan(1).Query()); err == nil {
+			t.Fatal("unknown party should error")
+		}
+	}
+	if n := conns.Load(); n > 2 {
+		t.Fatalf("160 sequential calls opened %d connections, want at most 2", n)
+	}
+}
+
+// countingListener counts every byte its connections read or write.
+type countingListener struct {
+	net.Listener
+	n *atomic.Int64
+}
+
+func (l countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{Conn: c, n: l.n}, nil
+}
+
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+// Write counts before it writes, so a byte the peer has seen is already
+// in the total when the peer acts on it.
+func (c countingConn) Write(p []byte) (int, error) {
+	c.n.Add(int64(len(p)))
+	return c.Conn.Write(p)
+}
+
+// TestHTTPSocketBytesWithinAccounted: what the coordinator accounts for
+// an HTTP remote is the uncompressed frame size, and the socket carries
+// the flate-compressed frame — so the bytes that cross the party host's
+// socket stay within the accounted bytes plus the HTTP headers, and a
+// reverse top-K reply costs a fraction of the public JSON form.
+func TestHTTPSocketBytesWithinAccounted(t *testing.T) {
+	fed := geometryFed(t) // Epsilon = 0.5: noisy values, the worst case for the codec
+	b, _ := fed.Party("B")
+	host := NewServer()
+	if err := host.Register(b); err != nil {
+		t.Fatal(err)
+	}
+	var socket atomic.Int64
+	ts := httptest.NewUnstartedServer(HTTPHandler(host))
+	ts.Listener = countingListener{Listener: ts.Listener, n: &socket}
+	ts.Start()
+	defer ts.Close()
+	transport := &http.Transport{MaxIdleConnsPerHost: 2}
+	defer transport.CloseIdleConnections()
+	coord := NewServer()
+	coord.SetWireCodec(true)
+	if err := coord.RegisterHTTPRemote("B", ts.URL, &http.Client{Transport: transport}); err != nil {
+		t.Fatal(err)
+	}
+	remote, err := coord.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const calls, headerBytes = 20, 700
+	querier := fed.Parties[0].Querier()
+	queries := make([]*core.TFQuery, calls)
+	for i := range queries {
+		queries[i] = querier.Plan(uint64(i)).Query()
+		if _, err := remote.AnswerRTK(queries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rtkSocket := socket.Load()
+	if acc := coord.TransportBytes(CodecWire, apiRTK); rtkSocket > acc+calls*headerBytes {
+		t.Fatalf("rtk: %d bytes on the socket, %d accounted (+%d per call of headers)", rtkSocket, acc, headerBytes)
+	}
+	for i := 0; i < calls; i++ {
+		if _, err := remote.AnswerTF(i, queries[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tfSocket := socket.Load() - rtkSocket
+	if acc := coord.TransportBytes(CodecWire, apiTF); tfSocket > acc+calls*headerBytes {
+		t.Fatalf("tf: %d bytes on the socket, %d accounted (+%d per call of headers)", tfSocket, acc, headerBytes)
+	}
+
+	jsonBytes := 0
+	for _, q := range queries {
+		body, _ := json.Marshal(httpRTKRequest{Cols: q.Cols})
+		var out httpRTKResponse
+		jsonBytes += postRawJSON(t, ts.URL+"/v1/parties/B/body/rtk", string(body), &out)
+	}
+	if int(rtkSocket)*5 > jsonBytes {
+		t.Fatalf("rtk: %d bytes on the socket in wire form, %d bytes of JSON replies: want at least 5x fewer", rtkSocket, jsonBytes)
+	}
+	t.Logf("rtk socket %d B (accounted %d), tf socket %d B (accounted %d), json rtk replies %d B over %d calls",
+		rtkSocket, coord.TransportBytes(CodecWire, apiRTK), tfSocket, coord.TransportBytes(CodecWire, apiTF), jsonBytes, calls)
 }

@@ -3,9 +3,12 @@ package federation
 import (
 	"bytes"
 	"encoding/gob"
+	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -59,94 +62,115 @@ func TestGobHooksRoundTrip(t *testing.T) {
 	}
 }
 
-// TestHTTPWireNegotiation runs a wire-mode client against the gateway
-// and checks its answers match the JSON-mode client's bit for bit.
+// postRawJSON POSTs a JSON body the way a non-Go client would — no
+// Accept header, no wire media type — decodes the 200 reply into out and
+// returns the reply's size in bytes.
+func postRawJSON(t *testing.T, url, body string, out any) int {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := resp.Header.Get("Content-Type"); resp.StatusCode != http.StatusOK || ct != "application/json" {
+		t.Fatalf("POST %s: status %d, content type %q: %s", url, resp.StatusCode, ct, data)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatalf("POST %s: reply is not JSON: %v", url, err)
+	}
+	return len(data)
+}
+
+// TestHTTPWireNegotiation: the JSON routes are the public surface for
+// clients outside Go and HTTPOwner speaks only wire frames, so at
+// Epsilon = 0 a raw JSON POST and HTTPOwner must get the same answer
+// from /tf and /rtk, bit for bit.
 func TestHTTPWireNegotiation(t *testing.T) {
 	_, ts := httpFed(t)
-	jsonOwner := NewHTTPOwner(ts.URL, "B", FieldBody, nil)
-	wireOwner := NewHTTPOwner(ts.URL, "B", FieldBody, nil)
-	wireOwner.EnableWire(true)
-
+	owner := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
 	q := &core.TFQuery{Cols: []uint32{1, 7, 42, 301, 8, 99, 200, 450, 3}}
-	wantTF, err := jsonOwner.AnswerTF(0, q)
+	const cols = `"cols":[1,7,42,301,8,99,200,450,3]`
+
+	var rawTF httpTFResponse
+	postRawJSON(t, ts.URL+"/v1/parties/B/body/tf", `{"doc_id":0,`+cols+`}`, &rawTF)
+	gotTF, err := owner.AnswerTF(0, q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotTF, err := wireOwner.AnswerTF(0, q)
+	if len(rawTF.Values) != len(q.Cols) || !reflect.DeepEqual(gotTF.Values, rawTF.Values) {
+		t.Fatalf("TF diverged:\n wire %v\n json %v", gotTF.Values, rawTF.Values)
+	}
+
+	var rawRTK httpRTKResponse
+	postRawJSON(t, ts.URL+"/v1/parties/B/body/rtk", `{`+cols+`}`, &rawRTK)
+	gotRTK, err := owner.AnswerRTK(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(gotTF, wantTF) {
-		t.Fatalf("wire TF diverged:\n got %+v\nwant %+v", gotTF, wantTF)
+	if len(rawRTK.Cells) != len(q.Cols) || len(gotRTK.Cells) != len(rawRTK.Cells) {
+		t.Fatalf("RTK cell count: wire %d, json %d, want %d", len(gotRTK.Cells), len(rawRTK.Cells), len(q.Cols))
 	}
-	wantRTK, err := jsonOwner.AnswerRTK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotRTK, err := wireOwner.AnswerRTK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotRTK.Cells) != len(wantRTK.Cells) {
-		t.Fatalf("wire RTK cell count diverged: %d vs %d", len(gotRTK.Cells), len(wantRTK.Cells))
-	}
-	for i := range gotRTK.Cells {
-		if !reflect.DeepEqual(gotRTK.Cells[i].IDs, wantRTK.Cells[i].IDs) ||
-			!reflect.DeepEqual(gotRTK.Cells[i].Values, wantRTK.Cells[i].Values) {
-			t.Fatalf("wire RTK cell %d diverged", i)
+	entries := 0
+	for i, c := range rawRTK.Cells {
+		entries += len(c.IDs)
+		if !slices.Equal(gotRTK.Cells[i].IDs, c.IDs) || !slices.Equal(gotRTK.Cells[i].Values, c.Values) {
+			t.Fatalf("RTK cell %d diverged:\n wire %+v\n json %+v", i, gotRTK.Cells[i], c)
 		}
+	}
+	if entries == 0 {
+		t.Fatal("RTK query addressed only empty cells; the comparison is vacuous")
 	}
 }
 
-// TestHTTPWireFallback: a wire-mode client against a JSON-only gateway
-// (simulated by stripping the Accept negotiation server-side) must fall
-// back to decoding the JSON reply.
-func TestHTTPWireFallback(t *testing.T) {
+// TestHTTPWireRejectsNonWireReply: a 200 in any media type but the wire
+// one is an error — never a silent decode of something else — while a
+// wire reply an intermediary re-chunked (no Content-Length) still reads.
+func TestHTTPWireRejectsNonWireReply(t *testing.T) {
 	_, ts := httpFed(t)
-	// A proxy that rewrites wire requests to JSON-era behaviour: it
-	// strips the Accept header so the gateway answers JSON, and converts
-	// the wire request body to its JSON equivalent.
-	proxy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	q := &core.TFQuery{Cols: []uint32{2, 8, 11, 70, 140, 300, 410, 17, 33}}
+
+	jsonOnly := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write([]byte(`{"cells":[],"values":[]}`))
+	}))
+	defer jsonOnly.Close()
+	owner := NewHTTPOwner(jsonOnly.URL, "B", FieldBody, jsonOnly.Client())
+	if resp, err := owner.AnswerRTK(q); err == nil || !strings.Contains(err.Error(), WireContentType) {
+		t.Fatalf("JSON 200 to AnswerRTK: resp %+v, err %v", resp, err)
+	}
+	if resp, err := owner.AnswerTF(0, q); err == nil || !strings.Contains(err.Error(), WireContentType) {
+		t.Fatalf("JSON 200 to AnswerTF: resp %+v, err %v", resp, err)
+	}
+
+	rechunk := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		r2, _ := http.NewRequest(r.Method, ts.URL+r.URL.Path, r.Body)
 		r2.Header = r.Header.Clone()
-		r2.Header.Del("Accept")
-		resp, err := http.DefaultTransport.RoundTrip(r2)
+		resp, err := ts.Client().Do(r2)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadGateway)
 			return
 		}
 		defer resp.Body.Close()
-		for k, vs := range resp.Header {
-			for _, v := range vs {
-				w.Header().Add(k, v)
-			}
-		}
+		w.Header().Set("Content-Type", resp.Header.Get("Content-Type"))
 		w.WriteHeader(resp.StatusCode)
-		buf := make([]byte, 32*1024)
-		for {
-			n, err := resp.Body.Read(buf)
-			if n > 0 {
-				w.Write(buf[:n])
-			}
-			if err != nil {
-				break
-			}
-		}
+		w.(http.Flusher).Flush() // headers leave before the length is known: chunked
+		_, _ = io.Copy(w, resp.Body)
 	}))
-	defer proxy.Close()
-
-	owner := NewHTTPOwner(proxy.URL, "B", FieldBody, nil)
-	owner.EnableWire(true)
-	q := &core.TFQuery{Cols: []uint32{2, 8, 11, 70, 140, 300, 410, 17, 33}}
-	// The gateway still understands the wire request body (Content-Type
-	// survives the proxy) but answers JSON; the client must sniff and
-	// fall back.
-	resp, err := owner.AnswerRTK(q)
+	defer rechunk.Close()
+	want, err := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client()).AnswerRTK(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Cells) == 0 {
-		t.Fatal("fallback path returned no cells")
+	got, err := NewHTTPOwner(rechunk.URL, "B", FieldBody, rechunk.Client()).AnswerRTK(q)
+	if err != nil {
+		t.Fatalf("chunked wire reply: %v", err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("chunked wire reply diverged:\n got %+v\nwant %+v", got, want)
 	}
 }
 

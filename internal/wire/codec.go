@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -46,37 +47,33 @@ func appendValues(dst []byte, vals []float64) []byte {
 	return dst
 }
 
-// decodeValues consumes a value vector of n values.
-func decodeValues(data []byte, n int) ([]float64, []byte, error) {
+// decodeValues consumes a value vector of len(dst) values into dst.
+func decodeValues(dst []float64, data []byte) ([]byte, error) {
 	if len(data) < 1 {
-		return nil, nil, fmt.Errorf("%w: missing value flags", ErrMalformed)
+		return nil, fmt.Errorf("%w: missing value flags", ErrMalformed)
 	}
 	flags := data[0]
 	data = data[1:]
 	if flags&^byte(valueFlagIntegral) != 0 {
-		return nil, nil, fmt.Errorf("%w: unknown value flags %#x", ErrMalformed, flags)
+		return nil, fmt.Errorf("%w: unknown value flags %#x", ErrMalformed, flags)
 	}
-	out := make([]float64, n)
 	if flags&valueFlagIntegral != 0 {
-		for i := range out {
+		for i := range dst {
 			v, rest, err := Varint(data)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			out[i], data = float64(v), rest
+			dst[i], data = float64(v), rest
 		}
-		return out, data, nil
+		return data, nil
 	}
-	if len(data) < 8*n {
-		return nil, nil, fmt.Errorf("%w: truncated float values", ErrMalformed)
+	if len(data) < 8*len(dst) {
+		return nil, fmt.Errorf("%w: truncated float values", ErrMalformed)
 	}
-	for i := range out {
-		b := data[8*i:]
-		bits := uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-			uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-		out[i] = math.Float64frombits(bits)
+	for i := range dst {
+		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
 	}
-	return out, data[8*n:], nil
+	return data[8*len(dst):], nil
 }
 
 // integral reports whether every value is a whole number representable
@@ -179,8 +176,8 @@ func DecodeTFResponse(data []byte) (*core.TFResponse, error) {
 	if err := checkCount(n, rest); err != nil {
 		return nil, err
 	}
-	vals, rest, err := decodeValues(rest, int(n))
-	if err != nil {
+	vals := make([]float64, n)
+	if rest, err = decodeValues(vals, rest); err != nil {
 		return nil, err
 	}
 	if len(rest) != 0 {
@@ -218,14 +215,13 @@ func idsSize(ids []int32) int {
 	return n
 }
 
-// decodeIDs consumes n delta-coded document ids.
-func decodeIDs(data []byte, n int) ([]int32, []byte, error) {
-	out := make([]int32, n)
+// decodeIDs consumes len(dst) delta-coded document ids into dst.
+func decodeIDs(dst []int32, data []byte) ([]byte, error) {
 	prev := int64(0)
-	for i := range out {
+	for i := range dst {
 		d, rest, err := Varint(data)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		v := prev
 		if i == 0 {
@@ -234,25 +230,29 @@ func decodeIDs(data []byte, n int) ([]int32, []byte, error) {
 			v += d
 		}
 		if v < math.MinInt32 || v > math.MaxInt32 {
-			return nil, nil, fmt.Errorf("%w: document id out of range", ErrMalformed)
+			return nil, fmt.Errorf("%w: document id out of range", ErrMalformed)
 		}
-		out[i], prev, data = int32(v), v, rest
+		dst[i], prev, data = int32(v), v, rest
 	}
-	return out, data, nil
+	return data, nil
 }
 
 // AppendRTKResponse appends the framed encoding of an RTK reply — the
 // protocol's dominant payload (z cells of up to alpha*K entries each).
+// The payload is built once, in the pooled packer's scratch.
 func AppendRTKResponse(dst []byte, r *core.RTKResponse) []byte {
-	payload := make([]byte, 0, sizeRTKPayload(r))
-	payload = AppendUvarint(payload, uint64(len(r.Cells)))
+	p := packers.Get().(*packer)
+	payload := AppendUvarint(p.payload[:0], uint64(len(r.Cells)))
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		payload = AppendUvarint(payload, uint64(len(c.IDs)))
 		payload = appendIDs(payload, c.IDs)
 		payload = appendValues(payload, c.Values)
 	}
-	return Pack(dst, payload)
+	p.payload = payload
+	dst = p.pack(dst, payload)
+	putPacker(p)
+	return dst
 }
 
 // sizeRTKPayload returns the unframed payload size of an RTK reply.
@@ -273,12 +273,32 @@ func SizeRTKResponse(r *core.RTKResponse) int64 {
 
 // DecodeRTKResponse decodes a framed RTK reply. A malformed input
 // returns ErrMalformed; element counts are validated against the bytes
-// actually present before any allocation sized by them.
+// actually present before any allocation sized by them. The reply owns
+// its memory (callers cache it): a compressed frame is inflated into
+// pooled scratch that nothing returned refers to.
 func DecodeRTKResponse(data []byte) (*core.RTKResponse, error) {
-	payload, err := Unpack(data)
+	body, rawLen, compressed, err := splitFrame(data)
 	if err != nil {
 		return nil, err
 	}
+	if !compressed {
+		return decodeRTKPayload(body)
+	}
+	f := inflaters.Get().(*inflater)
+	defer putInflater(f)
+	if cap(f.scratch) < rawLen {
+		f.scratch = make([]byte, rawLen)
+	}
+	payload := f.scratch[:rawLen]
+	if err := f.inflate(payload, body); err != nil {
+		return nil, err
+	}
+	return decodeRTKPayload(payload)
+}
+
+// decodeRTKPayload decodes an unframed RTK reply into one id slab and
+// one value slab sub-sliced per cell, as core's owners build theirs.
+func decodeRTKPayload(payload []byte) (*core.RTKResponse, error) {
 	ncells, rest, err := Uvarint(payload)
 	if err != nil {
 		return nil, err
@@ -286,30 +306,86 @@ func DecodeRTKResponse(data []byte) (*core.RTKResponse, error) {
 	if err := checkCount(ncells, rest); err != nil {
 		return nil, err
 	}
+	total, err := countRTKEntries(rest, ncells)
+	if err != nil {
+		return nil, err
+	}
 	out := &core.RTKResponse{Cells: make([]core.RTKCell, ncells)}
+	ids, vals := make([]int32, total), make([]float64, total)
 	for i := range out.Cells {
 		n, r2, err := Uvarint(rest)
 		if err != nil {
 			return nil, err
 		}
-		if err := checkCount(n, r2); err != nil {
+		if n > uint64(len(ids)) {
+			return nil, fmt.Errorf("%w: cell length changed between passes", ErrMalformed)
+		}
+		c := &out.Cells[i]
+		c.IDs, ids = ids[:n:n], ids[n:]
+		c.Values, vals = vals[:n:n], vals[n:]
+		if r2, err = decodeIDs(c.IDs, r2); err != nil {
 			return nil, err
 		}
-		ids, r3, err := decodeIDs(r2, int(n))
-		if err != nil {
+		if rest, err = decodeValues(c.Values, r2); err != nil {
 			return nil, err
 		}
-		vals, r4, err := decodeValues(r3, int(n))
-		if err != nil {
-			return nil, err
-		}
-		out.Cells[i] = core.RTKCell{IDs: ids, Values: vals}
-		rest = r4
 	}
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
 	}
 	return out, nil
+}
+
+// countRTKEntries walks the ncells cells encoded in data and returns
+// their total entry count, so the slabs can be sized before anything is
+// decoded. Every entry costs at least two bytes of input, which bounds
+// the total by len(data).
+func countRTKEntries(data []byte, ncells uint64) (int, error) {
+	total := 0
+	for ; ncells > 0; ncells-- {
+		n, rest, err := Uvarint(data)
+		if err != nil {
+			return 0, err
+		}
+		if err := checkCount(n, rest); err != nil {
+			return 0, err
+		}
+		if rest, err = skipVarints(rest, int(n)); err != nil {
+			return 0, err
+		}
+		if len(rest) < 1 {
+			return 0, fmt.Errorf("%w: missing value flags", ErrMalformed)
+		}
+		if rest[0]&valueFlagIntegral != 0 {
+			if rest, err = skipVarints(rest[1:], int(n)); err != nil {
+				return 0, err
+			}
+		} else {
+			if uint64(len(rest)-1) < 8*n {
+				return 0, fmt.Errorf("%w: truncated float values", ErrMalformed)
+			}
+			rest = rest[1+8*n:]
+		}
+		total += int(n)
+		data = rest
+	}
+	return total, nil
+}
+
+// skipVarints steps over n varints without decoding them.
+func skipVarints(data []byte, n int) ([]byte, error) {
+	for i, b := range data {
+		if n == 0 {
+			return data[i:], nil
+		}
+		if b < 0x80 {
+			n--
+		}
+	}
+	if n != 0 {
+		return nil, fmt.Errorf("%w: truncated varints", ErrMalformed)
+	}
+	return nil, nil
 }
 
 // AppendModel appends the framed encoding of a linear ranking model: a
@@ -348,8 +424,8 @@ func DecodeModel(data []byte) ([]float64, float64, error) {
 	if err := checkCount(n, rest); err != nil {
 		return nil, 0, err
 	}
-	vals, rest, err := decodeValues(rest, int(n)+1)
-	if err != nil {
+	vals := make([]float64, n+1)
+	if rest, err = decodeValues(vals, rest); err != nil {
 		return nil, 0, err
 	}
 	if len(rest) != 0 {

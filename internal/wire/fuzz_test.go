@@ -23,6 +23,11 @@ func FuzzWireDecode(f *testing.F) {
 	}}))
 	f.Add(AppendEntries(nil, []core.Entry{{DocID: 4, Value: -2}, {DocID: 90, Value: 7}}))
 	f.Add(AppendRowMatrix(nil, [][]int64{{1, -2, 3}, {0, 0, 9}}))
+	// A compressed frame cut short, then the whole frame: the pooled
+	// inflate state the first one leaves behind must not reach the second.
+	compressed := AppendRTKResponse(nil, geometryResponse(4))
+	f.Add(compressed[:len(compressed)/2])
+	f.Add(compressed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := DecodeRTKResponse(data); err == nil {

@@ -1,0 +1,254 @@
+package wire
+
+import (
+	"bytes"
+	"compress/flate"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+
+	"csfltr/internal/core"
+)
+
+// packOracle is Pack as it was before the flate state was pooled: a new
+// writer per frame. The pooled Pack must produce the same bytes.
+func packOracle(payload []byte) []byte {
+	flags, body := byte(0), payload
+	if len(payload) >= CompressThreshold {
+		var buf bytes.Buffer
+		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
+		if err == nil {
+			if _, err = zw.Write(payload); err == nil && zw.Close() == nil && buf.Len() < len(payload) {
+				flags, body = flagCompressed, buf.Bytes()
+			}
+		}
+	}
+	dst := binary.AppendUvarint([]byte{Version, flags}, uint64(len(payload)))
+	return append(dst, body...)
+}
+
+// geometryResponse builds an RTK reply of the benchmark's geometry — 30
+// cells of 250 ascending document ids — whose values are small counts
+// plus one shared noise draw, as an owner releases them at Epsilon > 0.
+func geometryResponse(seed int64) *core.RTKResponse {
+	rng := rand.New(rand.NewSource(seed))
+	noise := rng.NormFloat64()
+	resp := &core.RTKResponse{Cells: make([]core.RTKCell, 30)}
+	for c := range resp.Cells {
+		ids, vals := make([]int32, 250), make([]float64, 250)
+		id := int32(rng.Intn(8))
+		for i := range ids {
+			ids[i], vals[i] = id, float64(1+rng.Intn(6))+noise
+			id += 1 + int32(rng.Intn(4))
+		}
+		resp.Cells[c] = core.RTKCell{IDs: ids, Values: vals}
+	}
+	return resp
+}
+
+// TestPackMatchesFreshWriter: over payloads around CompressThreshold and
+// up to 256 kB, of every compressibility, a pooled and Reset writer
+// emits exactly the bytes a new one does, and the frame unpacks to the
+// payload.
+func TestPackMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 2000; trial++ {
+		var size int
+		switch {
+		case trial%4 != 0:
+			size = CompressThreshold - 64 + rng.Intn(128)
+		case trial%16 != 0:
+			size = rng.Intn(8 << 10)
+		default:
+			size = rng.Intn(256<<10 + 1)
+		}
+		payload := make([]byte, size)
+		switch rng.Intn(3) {
+		case 0: // incompressible: Pack keeps the raw payload
+			rng.Read(payload)
+		case 1: // varint-like: small values, a few distinct bytes
+			for i := range payload {
+				payload[i] = byte(rng.Intn(1 + rng.Intn(12)))
+			}
+		default: // long repeats
+			unit := make([]byte, 1+rng.Intn(40))
+			rng.Read(unit)
+			for i := range payload {
+				payload[i] = unit[i%len(unit)]
+			}
+		}
+		prefix := []byte("keep")
+		got := Pack(prefix, payload)
+		if want := append([]byte("keep"), packOracle(payload)...); !bytes.Equal(got, want) {
+			t.Fatalf("trial %d (size %d): pooled frame of %d bytes differs from a fresh writer's %d",
+				trial, size, len(got), len(want))
+		}
+		back, err := Unpack(got[len(prefix):])
+		if err != nil {
+			t.Fatalf("trial %d (size %d): %v", trial, size, err)
+		}
+		if !bytes.Equal(back, payload) {
+			t.Fatalf("trial %d (size %d): payload corrupted", trial, size)
+		}
+	}
+}
+
+// TestUnpackRecoversAfterMalformedFrame: a compressed frame that is
+// truncated or has a flipped bit fails with ErrMalformed — or, where the
+// flip survives inflation, decodes to something else — and the pooled
+// reader it ran on then decodes a good frame exactly.
+func TestUnpackRecoversAfterMalformedFrame(t *testing.T) {
+	resp := geometryResponse(3)
+	good := AppendRTKResponse(nil, resp)
+	if good[1]&flagCompressed == 0 {
+		t.Fatal("the geometry reply should compress")
+	}
+	rng := rand.New(rand.NewSource(5))
+	check := func(name string, bad []byte) {
+		t.Helper()
+		if _, err := Unpack(bad); err != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: Unpack: %v, want ErrMalformed", name, err)
+		}
+		if _, err := DecodeRTKResponse(bad); err != nil && !errors.Is(err, ErrMalformed) {
+			t.Fatalf("%s: DecodeRTKResponse: %v, want ErrMalformed", name, err)
+		}
+		got, err := DecodeRTKResponse(good)
+		if err != nil || !respEqual(got, resp) {
+			t.Fatalf("%s: good frame after a bad one: err %v", name, err)
+		}
+		payload, err := Unpack(good)
+		if again, err2 := Unpack(good); err != nil || err2 != nil || !bytes.Equal(payload, again) {
+			t.Fatalf("%s: Unpack after a bad frame: %v / %v", name, err, err2)
+		}
+	}
+	for cut := len(good) - 1; cut > 4; cut -= 1 + rng.Intn(len(good)/40) {
+		bad := good[:cut]
+		if _, err := Unpack(bad); !errors.Is(err, ErrMalformed) {
+			t.Fatalf("truncated at %d: %v, want ErrMalformed", cut, err)
+		}
+		check(fmt.Sprintf("truncated at %d", cut), bad)
+	}
+	for trial := 0; trial < 200; trial++ {
+		bad := bytes.Clone(good)
+		bit := 8*4 + rng.Intn(8*(len(bad)-4)) // past the header
+		bad[bit/8] ^= 1 << (bit % 8)
+		check(fmt.Sprintf("bit %d flipped", bit), bad)
+	}
+}
+
+// TestCodecConcurrent: goroutines sharing the pools each get their own
+// answer back (run under -race by make race and CI).
+func TestCodecConcurrent(t *testing.T) {
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			resp := geometryResponse(int64(100 + g))
+			want := AppendRTKResponse(nil, resp)
+			var frame []byte
+			for i := 0; i < 40; i++ {
+				frame = AppendRTKResponse(frame[:0], resp)
+				if !bytes.Equal(frame, want) {
+					t.Errorf("goroutine %d: frame %d differs from its first encoding", g, i)
+					return
+				}
+				got, err := DecodeRTKResponse(frame)
+				if err != nil || !respEqual(got, resp) {
+					t.Errorf("goroutine %d: decode %d diverged: %v", g, i, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDecodedResponseOwnsItsMemory: callers cache decoded replies, so
+// nothing a reply refers to may be pooled scratch that a later decode
+// reuses.
+func TestDecodedResponseOwnsItsMemory(t *testing.T) {
+	resp := geometryResponse(1)
+	first, err := DecodeRTKResponse(AppendRTKResponse(nil, resp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := DecodeRTKResponse(AppendRTKResponse(nil, geometryResponse(int64(2+i)))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !respEqual(first, resp) {
+		t.Fatal("a decoded response changed under later decodes")
+	}
+}
+
+// TestRTKCodecAllocCeilings pins the steady-state allocation cost of the
+// dominant payload at the benchmark geometry. Encoding into a reused
+// buffer allocates nothing. Decoding allocates the reply — header,
+// cells, one id slab, one value slab — and, for a compressed frame,
+// what compress/flate itself allocates per stream even on a Reset
+// reader: a few small Huffman link tables per dynamic block, whose
+// number depends on the data.
+func TestRTKCodecAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	resp := geometryResponse(9)
+	frame := AppendRTKResponse(nil, resp)
+	payload, err := Unpack(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored := appendFrame(nil, 0, len(payload), payload)
+	buf := make([]byte, 0, 2*len(frame))
+	entries := 0
+	for _, c := range resp.Cells {
+		entries += len(c.IDs)
+	}
+	decode := func(frame []byte) func() {
+		return func() {
+			if _, err := DecodeRTKResponse(frame); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+
+	encAllocs, encBytes := perRun(200, func() { buf = AppendRTKResponse(buf[:0], resp) })
+	if encAllocs > 1 || encBytes > 1<<10 {
+		t.Errorf("AppendRTKResponse: %.1f allocs/op, %.0f B/op, want at most 1 and 1 kB", encAllocs, encBytes)
+	}
+	if n, _ := perRun(200, decode(stored)); n > 4 {
+		t.Errorf("DecodeRTKResponse, stored frame: %.1f allocs/op, want at most 4", n)
+	}
+	decAllocs, decBytes := perRun(200, decode(frame))
+	if decAllocs > 24 {
+		t.Errorf("DecodeRTKResponse, compressed frame: %.1f allocs/op, want at most 24", decAllocs)
+	}
+	if slabs := float64(12 * entries); decBytes > 1.2*slabs {
+		t.Errorf("DecodeRTKResponse: %.0f B/op, want at most 1.2x the %.0f B of slabs it returns", decBytes, slabs)
+	}
+	t.Logf("frame %d B of %d B raw; encode %.0f allocs %.0f B/op; decode %.0f allocs %.0f B/op for %d B of slabs",
+		len(frame), len(payload), encAllocs, encBytes, decAllocs, decBytes, 12*entries)
+}
+
+// perRun returns the mean allocation count (rounded down, as
+// testing.AllocsPerRun does, so a stray runtime allocation does not
+// count) and bytes of one call of f, after a warm-up call has filled
+// the pools.
+func perRun(runs int, f func()) (allocs, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs)),
+		float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}

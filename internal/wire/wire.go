@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Version is the first byte of every frame. Decoders reject frames with
@@ -47,26 +48,66 @@ const maxPayload = 1 << 26
 // implausible lengths, trailing garbage.
 var ErrMalformed = errors.New("wire: malformed payload")
 
+// maxPooledScratch caps the scratch a pooled packer or inflater keeps
+// between frames, so one outsized frame does not pin its buffers for
+// the life of the process.
+const maxPooledScratch = 1 << 20
+
+// packer is the reusable state of one Pack call: the flate writer, the
+// buffer it compresses into and scratch for the payload under
+// construction. flate.NewWriter allocates over a megabyte of tables, so
+// they are built once per pool entry and Reset between frames; Reset
+// makes a writer equivalent to a new one, so the compressed bytes do
+// not depend on what the entry packed before.
+type packer struct {
+	zw      *flate.Writer
+	z       bytes.Buffer
+	payload []byte
+}
+
+var packers = sync.Pool{New: func() any {
+	p := new(packer)
+	p.zw, _ = flate.NewWriter(&p.z, flate.BestSpeed) // fails only on an invalid level
+	return p
+}}
+
+func putPacker(p *packer) {
+	if cap(p.payload) <= maxPooledScratch && p.z.Cap() <= maxPooledScratch {
+		packers.Put(p)
+	}
+}
+
+// pack appends the frame of payload to dst.
+func (p *packer) pack(dst, payload []byte) []byte {
+	if len(payload) >= CompressThreshold {
+		p.z.Reset()
+		p.zw.Reset(&p.z)
+		if _, err := p.zw.Write(payload); err == nil && p.zw.Close() == nil && p.z.Len() < len(payload) {
+			return appendFrame(dst, flagCompressed, len(payload), p.z.Bytes())
+		}
+	}
+	return appendFrame(dst, 0, len(payload), payload)
+}
+
+// appendFrame appends [version][flags][uvarint raw length][body].
+func appendFrame(dst []byte, flags byte, rawLen int, body []byte) []byte {
+	dst = append(dst, Version, flags)
+	dst = binary.AppendUvarint(dst, uint64(rawLen))
+	return append(dst, body...)
+}
+
 // Pack wraps an encoded payload in the versioned frame, appending to
 // dst: [version][flags][uvarint raw length][payload]. Payloads of
 // CompressThreshold bytes or more are flate-compressed when that
 // actually shrinks them.
 func Pack(dst, payload []byte) []byte {
-	flags := byte(0)
-	body := payload
-	if len(payload) >= CompressThreshold {
-		var buf bytes.Buffer
-		zw, err := flate.NewWriter(&buf, flate.BestSpeed)
-		if err == nil {
-			if _, err = zw.Write(payload); err == nil && zw.Close() == nil && buf.Len() < len(payload) {
-				flags |= flagCompressed
-				body = buf.Bytes()
-			}
-		}
+	if len(payload) < CompressThreshold {
+		return appendFrame(dst, 0, len(payload), payload)
 	}
-	dst = append(dst, Version, flags)
-	dst = binary.AppendUvarint(dst, uint64(len(payload)))
-	return append(dst, body...)
+	p := packers.Get().(*packer)
+	dst = p.pack(dst, payload)
+	putPacker(p)
+	return dst
 }
 
 // PackedSize returns the frame size Pack would produce without
@@ -76,46 +117,97 @@ func PackedSize(payloadLen int) int64 {
 	return int64(2 + uvarintLen(uint64(payloadLen)) + payloadLen)
 }
 
-// Unpack validates the frame and returns the raw payload. The input
-// must contain exactly one frame; trailing bytes are an error.
-func Unpack(data []byte) ([]byte, error) {
+// splitFrame validates the frame header and returns the frame body, the
+// raw payload length it declares and whether the body is compressed.
+// The input must contain exactly one frame.
+func splitFrame(data []byte) (body []byte, rawLen int, compressed bool, err error) {
 	if len(data) < 2 {
-		return nil, fmt.Errorf("%w: truncated frame", ErrMalformed)
+		return nil, 0, false, fmt.Errorf("%w: truncated frame", ErrMalformed)
 	}
 	if data[0] != Version {
-		return nil, fmt.Errorf("%w: unknown version %d", ErrMalformed, data[0])
+		return nil, 0, false, fmt.Errorf("%w: unknown version %d", ErrMalformed, data[0])
 	}
 	flags := data[1]
 	if flags&^byte(flagCompressed) != 0 {
-		return nil, fmt.Errorf("%w: unknown flags %#x", ErrMalformed, flags)
+		return nil, 0, false, fmt.Errorf("%w: unknown flags %#x", ErrMalformed, flags)
 	}
-	rawLen, n := binary.Uvarint(data[2:])
-	if n <= 0 || rawLen > maxPayload {
-		return nil, fmt.Errorf("%w: bad payload length", ErrMalformed)
+	raw, n := binary.Uvarint(data[2:])
+	if n <= 0 || raw > maxPayload {
+		return nil, 0, false, fmt.Errorf("%w: bad payload length", ErrMalformed)
 	}
-	body := data[2+n:]
+	body = data[2+n:]
 	if flags&flagCompressed == 0 {
-		if uint64(len(body)) != rawLen {
-			return nil, fmt.Errorf("%w: payload length mismatch", ErrMalformed)
+		if uint64(len(body)) != raw {
+			return nil, 0, false, fmt.Errorf("%w: payload length mismatch", ErrMalformed)
 		}
-		return body, nil
+		return body, int(raw), false, nil
 	}
 	// Compression only ever shrinks the body (Pack keeps the raw payload
 	// otherwise), so a compressed body at least as large as its claimed
 	// raw length is malformed — and this bound also keeps the inflate
-	// below from being fed unbounded garbage.
-	if uint64(len(body)) >= rawLen {
-		return nil, fmt.Errorf("%w: compressed payload not smaller than raw", ErrMalformed)
+	// from being fed unbounded garbage.
+	if uint64(len(body)) >= raw {
+		return nil, 0, false, fmt.Errorf("%w: compressed payload not smaller than raw", ErrMalformed)
 	}
-	zr := flate.NewReader(bytes.NewReader(body))
+	return body, int(raw), true, nil
+}
+
+// inflater is the reusable state of one inflate: the flate reader, the
+// byte reader it pulls from and scratch for decoders that do not keep
+// the payload. The reader is Reset before every frame, so a stream that
+// failed half way leaves nothing behind for the next one.
+type inflater struct {
+	zr      io.ReadCloser // always a flate.Resetter
+	src     bytes.Reader
+	scratch []byte
+	one     [1]byte
+}
+
+var inflaters = sync.Pool{New: func() any {
+	f := new(inflater)
+	f.zr = flate.NewReader(&f.src)
+	return f
+}}
+
+func putInflater(f *inflater) {
+	f.src.Reset(nil) // do not pin the caller's frame
+	if cap(f.scratch) <= maxPooledScratch {
+		inflaters.Put(f)
+	}
+}
+
+// inflate decompresses body into out. The stream must end, cleanly, at
+// exactly len(out) — the frame's declared raw length — so a frame cut
+// short inside the stream's trailer is malformed like any other.
+func (f *inflater) inflate(out, body []byte) error {
+	f.src.Reset(body)
+	if err := f.zr.(flate.Resetter).Reset(&f.src, nil); err != nil {
+		return fmt.Errorf("%w: inflate: %v", ErrMalformed, err)
+	}
+	if _, err := io.ReadFull(f.zr, out); err != nil {
+		return fmt.Errorf("%w: inflate: %v", ErrMalformed, err)
+	}
+	if n, err := f.zr.Read(f.one[:]); n != 0 || err != io.EOF {
+		return fmt.Errorf("%w: inflated payload does not end at its declared length", ErrMalformed)
+	}
+	return nil
+}
+
+// Unpack validates the frame and returns the raw payload: a sub-slice of
+// data for a stored frame, a new slice for a compressed one — never
+// pooled memory, so the caller may keep it. The input must contain
+// exactly one frame; trailing bytes are an error.
+func Unpack(data []byte) ([]byte, error) {
+	body, rawLen, compressed, err := splitFrame(data)
+	if err != nil || !compressed {
+		return body, err
+	}
 	out := make([]byte, rawLen)
-	if _, err := io.ReadFull(zr, out); err != nil {
-		return nil, fmt.Errorf("%w: inflate: %v", ErrMalformed, err)
-	}
-	// The stream must end exactly at the claimed length.
-	var one [1]byte
-	if n, _ := zr.Read(one[:]); n != 0 {
-		return nil, fmt.Errorf("%w: inflated payload longer than declared", ErrMalformed)
+	f := inflaters.Get().(*inflater)
+	err = f.inflate(out, body)
+	putInflater(f)
+	if err != nil {
+		return nil, err
 	}
 	return out, nil
 }
