@@ -56,6 +56,7 @@ fuzz:
 	$(GO) test -fuzz FuzzReadOwner -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRTKQueryHandling -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRTKResponseHandling -fuzztime 30s ./internal/core/
+	$(GO) test -fuzz FuzzMergeRTKResponses -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzHTTPEnvelope -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzRPCDecode -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzWritePrometheus -fuzztime 30s ./internal/telemetry/

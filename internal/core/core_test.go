@@ -306,9 +306,12 @@ func TestRTKSketchDelete(t *testing.T) {
 			t.Fatal("deleted document still returned")
 		}
 	}
-	// Delete of a never-present doc touches nothing.
-	if removed := o.RTK().Delete(12345); removed != 0 {
-		t.Fatalf("phantom delete removed %d entries", removed)
+	// Removing a never-present doc is refused and touches nothing.
+	if err := o.RemoveDocument(12345); !errors.Is(err, ErrUnknownDoc) {
+		t.Fatalf("phantom removal: %v, want ErrUnknownDoc", err)
+	}
+	if got := o.RTK().NumDocs(); got != 1 {
+		t.Fatalf("NumDocs %d after removing one of two documents, want 1", got)
 	}
 }
 

@@ -165,3 +165,35 @@ func FuzzRTKResponseHandling(f *testing.F) {
 		}
 	})
 }
+
+// FuzzMergeRTKResponses holds the shard facade's merge to the
+// gather-sort-cut oracle on arbitrary well-formed input: partitions with
+// disjoint, ascending ids. The output must equal the oracle's, strictly
+// ascending, with exactly min(n, heapCap) entries (see checkMerge).
+//
+// Encoding: partition count, cap and flags (abs, noise), then one byte
+// pair per entry — the first picks the partition and how far the id
+// advances (ids only grow, which makes every partition ascending and all
+// of them disjoint), the second is the value as a signed byte. Pairs are
+// dealt to two rows alternately.
+func FuzzMergeRTKResponses(f *testing.F) {
+	f.Add([]byte{4, 3, 1, 0, 5, 1, 5, 2, 0, 3, 0, 0, 251, 1, 5, 2, 0})
+	f.Add([]byte{2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0}) // every key ties, cap 2
+	f.Add([]byte{1, 0, 3, 7, 9, 7, 9, 7, 9})       // one partition over a cap of 1
+	f.Add([]byte{5, 31, 2})                        // no entries at all
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 3 {
+			return
+		}
+		nparts, heapCap := 1+int(data[0])%5, 1+int(data[1])%32
+		abs, noise := data[2]&1 != 0, float64(data[2]>>1&3)*0.37
+		rows := []mergeRow{make(mergeRow, nparts), make(mergeRow, nparts)}
+		id := int32(0)
+		for i, pairs := 0, data[3:]; len(pairs) >= 2; i, pairs = i+1, pairs[2:] {
+			id += 1 + int32(pairs[0]>>4)
+			part := &rows[i%2][int(pairs[0])%nparts]
+			*part = append(*part, Entry{DocID: id, Value: int64(int8(pairs[1]))})
+		}
+		checkMerge(t, rows, heapCap, abs, noise)
+	})
+}

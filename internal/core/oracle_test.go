@@ -191,28 +191,60 @@ func checkAscending(t *testing.T, resp *RTKResponse) {
 	}
 }
 
+// strictlyAscending is the claim a set canonical flag makes.
+func strictlyAscending(es []Entry) bool {
+	for i := 1; i < len(es); i++ {
+		if es[i].DocID <= es[i-1].DocID {
+			return false
+		}
+	}
+	return true
+}
+
 // TestCellHeapMatchesModel drives one cell through random pushes,
 // removals and canonical reads and compares it, after every step, with
 // the definition: keep the cap largest entries under the eviction order.
 // Small caps and a narrow key range make floor ties, floor removals and
 // refills of a canonical cell the common case rather than the rare one.
+// Pushes vouch for their order whenever the model says they may (ids
+// come back after removal, so "above every live id" is not "above every
+// id ever seen"), removals aim at the newest, oldest, minimum, a random
+// and an absent id, and after every step a cell that claims to be
+// canonical must be strictly ascending.
 func TestCellHeapMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	var sorter docSorter
-	for trial := 0; trial < 400; trial++ {
+	// removals met per resident state (canonical: searched; append buffer
+	// and full heap: scanned, learning) x (miss, hit)
+	var paths [3][2]int
+	for trial := 0; trial < 600; trial++ {
 		cap := 1 + rng.Intn(6)
+		if trial%10 == 9 {
+			cap = 20 + rng.Intn(30) // deep enough for the gallop to bracket
+		}
 		h := cellHeap{abs: trial%2 == 0}
-		var model []Entry
+		var model, retired []Entry
 		nextID := int32(100)
-		for step := 0; step < 120; step++ {
+		for step := 0; step < 160; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6:
 				e := Entry{DocID: nextID, Value: int64(rng.Intn(7) - 3)}
-				nextID++
-				if rng.Intn(3) == 0 { // out-of-order id, never seen before
+				switch r := rng.Intn(6); {
+				case r < 2: // out-of-order id, never seen before
 					e.DocID = -nextID
+					nextID++
+				case r == 2 && len(retired) > 0: // an id that was here before
+					i := rng.Intn(len(retired))
+					e.DocID = retired[i].DocID
+					retired = slices.Delete(retired, i, i+1)
+				default:
+					nextID++
 				}
-				h.push(e, cap)
+				above := rng.Intn(4) > 0 // a caller need not vouch
+				for _, m := range model {
+					above = above && e.DocID > m.DocID
+				}
+				h.push(e, cap, above)
 				if len(model) < cap {
 					model = append(model, e)
 				} else {
@@ -228,16 +260,41 @@ func TestCellHeapMatchesModel(t *testing.T) {
 				}
 			case op < 8 && len(model) > 0:
 				victim := model[rng.Intn(len(model))]
-				if rng.Intn(2) == 0 { // aim at the eviction minimum
+				aim := func(better func(e, than Entry) bool) {
 					for _, e := range model {
-						if h.less(e, victim) {
+						if better(e, victim) {
 							victim = e
 						}
 					}
 				}
+				want := 1
+				switch rng.Intn(5) {
+				case 0:
+					aim(h.less) // the eviction minimum
+				case 1:
+					aim(func(e, than Entry) bool { return e.DocID > than.DocID }) // newest
+				case 2:
+					aim(func(e, than Entry) bool { return e.DocID < than.DocID }) // oldest
+				case 3: // absent: beside a live id, or beyond both ends
+					victim.DocID += int32(rng.Intn(3)-1) * 1000
+					for slices.ContainsFunc(model, func(e Entry) bool { return e.DocID == victim.DocID }) {
+						victim.DocID += 50_000
+					}
+					want = 0
+				}
+				path := 2
+				if h.canonical {
+					path = 0
+				} else if len(h.entries) < cap {
+					path = 1
+				}
+				paths[path][want]++
 				id := victim.DocID
-				if got := h.remove(id); got != 1 {
-					t.Fatalf("trial %d step %d: remove(%d) = %d, want 1", trial, step, id, got)
+				if got := h.remove(id); got != want {
+					t.Fatalf("trial %d step %d: remove(%d) = %d, want %d", trial, step, id, got, want)
+				}
+				if want == 1 {
+					retired = append(retired, victim)
 				}
 				model = slices.DeleteFunc(model, func(e Entry) bool { return e.DocID == id })
 			default:
@@ -245,6 +302,9 @@ func TestCellHeapMatchesModel(t *testing.T) {
 				if !slices.IsSortedFunc(got, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) }) {
 					t.Fatalf("trial %d step %d: canonicalize left %v", trial, step, got)
 				}
+			}
+			if h.canonical && !strictlyAscending(h.entries) {
+				t.Fatalf("trial %d step %d (cap %d): cell claims canonical order but holds %v", trial, step, cap, h.entries)
 			}
 			got := slices.Clone(h.entries)
 			want := slices.Clone(model)
@@ -255,14 +315,287 @@ func TestCellHeapMatchesModel(t *testing.T) {
 			}
 		}
 	}
+	for path, n := range paths {
+		if n[0] < 100 || n[1] < 100 {
+			t.Errorf("removals from state %d (0 canonical, 1 append buffer, 2 full heap) saw %d misses and %d hits, want >= 100 of each", path, n[0], n[1])
+		}
+	}
+}
+
+// TestSearchFromTail checks the gallop-and-bisect lower bound against a
+// linear one for every target at every length, gaps and both ends
+// included.
+func TestSearchFromTail(t *testing.T) {
+	for n := 0; n <= 70; n++ {
+		es := make([]Entry, n)
+		for i := range es {
+			es[i].DocID = int32(2*i + 2)
+		}
+		for id := int32(0); id <= int32(2*n+3); id++ {
+			want := 0
+			for want < n && es[want].DocID < id {
+				want++
+			}
+			if got := searchFromTail(es, id); got != want {
+				t.Fatalf("n=%d id=%d: index %d, want %d", n, id, got, want)
+			}
+		}
+	}
+}
+
+// modelSketch is Algorithm 4 by definition, one plain slice per cell: an
+// update offers the document to every cell, which keeps the cap largest
+// entries under the eviction order; a deletion drops the document from
+// every cell. It shares no code with cellHeap.
+type modelSketch struct {
+	p     Params
+	cells [][]Entry
+}
+
+func newModelSketch(p Params) *modelSketch {
+	return &modelSketch{p: p, cells: make([][]Entry, p.Z*p.W)}
+}
+
+func (m *modelSketch) less(a, b Entry) bool {
+	ka, kb := a.Value, b.Value
+	if m.p.SketchKind == sketch.Count {
+		ka, kb = max(ka, -ka), max(kb, -kb)
+	}
+	return ka < kb || ka == kb && a.DocID > b.DocID
+}
+
+func (m *modelSketch) add(t *testing.T, docID int, counts map[uint64]int64) {
+	fam, err := m.p.Family(42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := sketch.MustNew(m.p.SketchKind, fam)
+	table.AddCounts(counts)
+	for c := range m.cells {
+		e := Entry{DocID: int32(docID), Value: table.Cell(c/m.p.W, uint32(c%m.p.W))}
+		if len(m.cells[c]) < m.p.HeapCap() {
+			m.cells[c] = append(m.cells[c], e)
+			continue
+		}
+		min := 0
+		for i, x := range m.cells[c] {
+			if m.less(x, m.cells[c][min]) {
+				min = i
+			}
+		}
+		if m.less(m.cells[c][min], e) {
+			m.cells[c][min] = e
+		}
+	}
+}
+
+func (m *modelSketch) remove(docID int) {
+	for c := range m.cells {
+		m.cells[c] = slices.DeleteFunc(m.cells[c], func(e Entry) bool { return e.DocID == int32(docID) })
+	}
+}
+
+// check compares every cell of s with the model as a set, and holds
+// every canonical flag to its word.
+func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
+	t.Helper()
+	byDoc := func(a, b Entry) int { return int(a.DocID) - int(b.DocID) }
+	for c := range m.cells {
+		h := &s.cells[c]
+		if h.canonical && !strictlyAscending(h.entries) {
+			t.Fatalf("cell %d claims canonical order but holds %v", c, h.entries)
+		}
+		got, want := slices.Clone(h.entries), slices.Clone(m.cells[c])
+		slices.SortFunc(got, byDoc)
+		slices.SortFunc(want, byDoc)
+		if !slices.Equal(got, want) {
+			t.Fatalf("cell %d holds %v, model %v", c, got, want)
+		}
+	}
+}
+
+// TestDeletePathsMatchModel puts a sketch into each resident layout a
+// removal can meet — canonical, ascending but not flagged, heap-ordered
+// and full, heap-ordered and one under capacity — and removes the newest,
+// the oldest, a middle and a nowhere-resident document, with the
+// document's table (full cells below whose floor it orders are skipped)
+// and without (every cell is walked), for both sketch kinds. The cells
+// must equal the model's after every removal, and NumDocs the roster.
+func TestDeletePathsMatchModel(t *testing.T) {
+	const ghost = 9000 // no terms, largest id: resident in no full cell
+	layouts := []struct {
+		name  string
+		build func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand)
+	}{
+		{"canonical", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 16; id++ { // ascending one by one: every append is vouched for
+				addBoth(t, o, m, id, pathCounts(rng))
+			}
+			for c := range o.rtk.cells {
+				if !o.rtk.cells[c].canonical {
+					t.Fatalf("cell %d lost canonical order under ascending ingest", c)
+				}
+			}
+		}},
+		{"ascending unflagged", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			batch := make([]DocCounts, 6)
+			for i := range batch {
+				batch[i] = DocCounts{DocID: 10 + i, Counts: pathCounts(rng)}
+				m.add(t, batch[i].DocID, batch[i].Counts)
+			}
+			if err := o.addDocuments(batch, len(batch)); err != nil { // one-document stripes merge in order, vouched for by nobody
+				t.Fatal(err)
+			}
+			for c := range o.rtk.cells {
+				if h := &o.rtk.cells[c]; h.canonical || !strictlyAscending(h.entries) {
+					t.Fatalf("cell %d: canonical=%v entries %v, want ascending and unflagged", c, h.canonical, h.entries)
+				}
+			}
+		}},
+		{"heap full", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for _, id := range rng.Perm(30) {
+				addBoth(t, o, m, 10+id, pathCounts(rng))
+			}
+			addBoth(t, o, m, ghost, nil)
+		}},
+		{"heap one under", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for _, id := range rng.Perm(30) {
+				addBoth(t, o, m, 10+id, pathCounts(rng))
+			}
+			addBoth(t, o, m, ghost, nil)
+			addBoth(t, o, m, 5, map[uint64]int64{1: 90, 2: 90, 3: 90}) // heavy: resident in most cells
+			removeBoth(t, o, m, 5)
+		}},
+	}
+	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
+		for _, layout := range layouts {
+			for _, tables := range []bool{true, false} {
+				for _, victim := range []string{"newest", "oldest", "middle", "absent"} {
+					name := fmt.Sprintf("kind=%v/%s/tables=%v/%s", kind, layout.name, tables, victim)
+					t.Run(name, func(t *testing.T) {
+						p := testParams()
+						p.SketchKind = kind
+						p.Z, p.W, p.Z1, p.Alpha, p.K = 5, 4, 3, 2, 4 // cells cap at 8
+						var opts []OwnerOption
+						if !tables {
+							opts = append(opts, WithoutDocTables())
+						}
+						o, err := NewOwner(p, 42, dp.Disabled(), opts...)
+						if err != nil {
+							t.Fatal(err)
+						}
+						m := newModelSketch(p)
+						layout.build(t, o, m, rand.New(rand.NewSource(31)))
+						m.check(t, o.rtk)
+						ids := o.DocIDs()
+						if ids[len(ids)-1] == ghost {
+							ids = ids[:len(ids)-1]
+						}
+						id := map[string]int{
+							"newest": ids[len(ids)-1], "oldest": ids[0], "middle": ids[len(ids)/2], "absent": ghost,
+						}[victim]
+						if id != ghost {
+							removeBoth(t, o, m, id)
+							return
+						}
+						if _, ok := o.meta[ghost]; ok {
+							for c := range o.rtk.cells {
+								if h := &o.rtk.cells[c]; len(h.entries) == p.HeapCap() && slices.ContainsFunc(h.entries, func(e Entry) bool { return e.DocID == ghost }) {
+									t.Fatalf("setup: the ghost document is resident in full cell %d", c)
+								}
+							}
+							removeBoth(t, o, m, ghost)
+							return
+						}
+						// Under capacity every summarized document is resident
+						// everywhere, so only the cells can be asked.
+						for c := range o.rtk.cells {
+							if got := o.rtk.cells[c].remove(ghost); got != 0 {
+								t.Fatalf("cell %d: removing an absent id dropped %d entries", c, got)
+							}
+						}
+						m.check(t, o.rtk)
+					})
+				}
+			}
+		}
+	}
+}
+
+func pathCounts(rng *rand.Rand) map[uint64]int64 {
+	m := make(map[uint64]int64)
+	for j := 0; j < 3; j++ {
+		m[uint64(rng.Intn(12))] += int64(1 + rng.Intn(4))
+	}
+	return m
+}
+
+func addBoth(t *testing.T, o *Owner, m *modelSketch, id int, counts map[uint64]int64) {
+	t.Helper()
+	if err := o.AddDocument(id, counts); err != nil {
+		t.Fatal(err)
+	}
+	m.add(t, id, counts)
+}
+
+func removeBoth(t *testing.T, o *Owner, m *modelSketch, id int) {
+	t.Helper()
+	if err := o.RemoveDocument(id); err != nil {
+		t.Fatal(err)
+	}
+	m.remove(id)
+	m.check(t, o.rtk)
+	if got, want := o.rtk.NumDocs(), len(o.DocIDs()); got != want {
+		t.Fatalf("after removing %d: NumDocs %d, roster %d", id, got, want)
+	}
+}
+
+// TestCyclicChurnStaysCanonical pins what makes write-beside-read cheap:
+// spare ids that come round again (one in, one out, like ingest_churn)
+// are below the largest id ever seen but above every live one, and that
+// is enough — every cell stays canonical through ingest and removal, so
+// removals search and reads sort nothing. A high-water mark instead of
+// the live maximum would lose the flag after the first lap.
+func TestCyclicChurnStaysCanonical(t *testing.T) {
+	p := testParams()
+	p.K = 40 // cap 200: nothing evicts
+	o := newOwnerT(t, p)
+	if err := o.AddDocuments(bulkBatch(30, 8, 5), 1); err != nil {
+		t.Fatal(err)
+	}
+	spare := bulkBatch(4, 8, 6)
+	for lap := 0; lap < 3; lap++ {
+		for i, d := range spare {
+			if err := o.AddDocument(100+i, d.Counts); err != nil {
+				t.Fatal(err)
+			}
+			for c := range o.rtk.cells {
+				if h := &o.rtk.cells[c]; !h.canonical || !strictlyAscending(h.entries) {
+					t.Fatalf("lap %d: cell %d after ingesting %d: canonical=%v, entries %v", lap, c, 100+i, h.canonical, h.entries)
+				}
+			}
+			if err := o.RemoveDocument(100 + i); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 }
 
 // churn drives identical random mutations into a set of owners.
 type churn struct {
-	rng    *rand.Rand
-	owners []*Owner
-	live   []int
-	used   map[int]bool
+	rng     *rand.Rand
+	owners  []*Owner
+	live    []int // in ingestion order
+	used    map[int]bool
+	retired []int                    // removed ids, free to come back
+	docs    map[int]map[uint64]int64 // what every live document holds
+}
+
+func newChurn(seed int64, owners ...*Owner) *churn {
+	return &churn{
+		rng: rand.New(rand.NewSource(seed)), owners: owners,
+		used: map[int]bool{}, docs: map[int]map[uint64]int64{},
+	}
 }
 
 func (c *churn) counts() map[uint64]int64 {
@@ -275,8 +608,16 @@ func (c *churn) counts() map[uint64]int64 {
 
 // freshID mixes ids above every earlier one (the append that keeps a
 // cell canonical, also when it refills one a removal opened up) with ids
-// that land out of order.
+// that land out of order and ids that were removed and come back — below
+// the largest id ever seen, yet possibly above every live one.
 func (c *churn) freshID() int {
+	if n := len(c.retired); n > 0 && c.rng.Intn(4) == 0 {
+		i := c.rng.Intn(n)
+		id := c.retired[i]
+		c.retired = slices.Delete(c.retired, i, i+1)
+		c.live = append(c.live, id)
+		return id
+	}
 	id := 4000 + len(c.used)
 	for c.rng.Intn(2) == 0 || c.used[id] {
 		id = c.rng.Intn(4000)
@@ -287,12 +628,14 @@ func (c *churn) freshID() int {
 }
 
 // mutate applies one random AddDocument / AddDocuments / RemoveDocument
-// to every owner.
+// to every owner. Removals take the newest document (LIFO), the oldest
+// (FIFO), the largest id or a random one.
 func (c *churn) mutate(t *testing.T) {
 	t.Helper()
 	switch op := c.rng.Intn(10); {
 	case op < 5:
 		id, counts := c.freshID(), c.counts()
+		c.docs[id] = counts
 		for _, o := range c.owners {
 			if err := o.AddDocument(id, counts); err != nil {
 				t.Fatal(err)
@@ -302,6 +645,7 @@ func (c *churn) mutate(t *testing.T) {
 		batch := make([]DocCounts, 1+c.rng.Intn(12))
 		for i := range batch {
 			batch[i] = DocCounts{DocID: c.freshID(), Counts: c.counts()}
+			c.docs[batch[i].DocID] = batch[i].Counts
 		}
 		workers := 1 + c.rng.Intn(3) // unclamped: real multi-accumulator merges
 		for _, o := range c.owners {
@@ -311,11 +655,24 @@ func (c *churn) mutate(t *testing.T) {
 		}
 	case len(c.live) > 0:
 		i := c.rng.Intn(len(c.live))
+		switch c.rng.Intn(4) {
+		case 0:
+			i = len(c.live) - 1
+		case 1:
+			i = 0
+		case 2:
+			i = slices.Index(c.live, slices.Max(c.live))
+		}
 		id := c.live[i]
-		c.live = append(c.live[:i], c.live[i+1:]...)
+		c.live = slices.Delete(c.live, i, i+1)
+		c.retired = append(c.retired, id)
+		delete(c.docs, id)
 		for _, o := range c.owners {
 			if err := o.RemoveDocument(id); err != nil {
 				t.Fatal(err)
+			}
+			if got := o.rtk.NumDocs(); got != len(c.live) {
+				t.Fatalf("after removing %d: NumDocs %d, %d documents live", id, got, len(c.live))
 			}
 		}
 	}
@@ -330,11 +687,13 @@ func snapshot(t *testing.T, o *Owner) []byte {
 	return buf.Bytes()
 }
 
-// TestRTKMatchesOracle: over random interleavings of ingestion, removal
-// and queries, the resident-order owner plus merge-based recovery must
-// equal the copy-and-sort owner plus map-based recovery exactly — ids,
-// count bits, cost and raw responses — in every estimator, sketch kind,
-// cap regime and noise setting.
+// TestRTKMatchesOracle: over random interleavings of ingestion (one by
+// one, in striped bulk, of ids that come back after removal), removal
+// (LIFO, FIFO, the largest id, random), a snapshot reload and queries,
+// the resident-order owner plus merge-based recovery must equal the
+// copy-and-sort owner plus map-based recovery exactly — ids, count bits,
+// cost and raw responses — in every estimator, sketch kind, cap regime
+// and noise setting.
 func TestRTKMatchesOracle(t *testing.T) {
 	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
 		for _, est := range []EstimatorMode{EstimatorZeroFill, EstimatorPresentRows} {
@@ -374,9 +733,20 @@ func oracleRun(t *testing.T, p Params) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := &churn{rng: rand.New(rand.NewSource(5)), owners: []*Owner{got, want}, used: map[int]bool{}}
+	c := newChurn(5, got, want)
 	queries := 0
 	for step := 0; step < 400; step++ {
+		if step == 200 {
+			// The second half runs on a reloaded owner: every cell arrives
+			// canonical, full ones with a scanned floor, and removals,
+			// refills and reads carry on from there. It keeps the mechanism,
+			// so the noise draws stay in step with the reference's.
+			loaded, err := ReadOwner(bytes.NewReader(snapshot(t, got)), got.mech)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, c.owners[0] = loaded, loaded
+		}
 		if c.rng.Intn(3) > 0 {
 			c.mutate(t)
 			continue
@@ -439,7 +809,7 @@ func TestSnapshotIndependentOfQueries(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := &churn{rng: rand.New(rand.NewSource(8)), owners: []*Owner{read, unread}, used: map[int]bool{}}
+		c := newChurn(8, read, unread)
 		for step := 0; step < 250; step++ {
 			c.mutate(t)
 			for i := 0; i < 2; i++ {
@@ -469,6 +839,68 @@ func TestSnapshotIndependentOfQueries(t *testing.T) {
 	}
 }
 
+// TestNumDocsTracksRoster: the sketch's document counter follows the
+// roster through every mutation — also through the removal of a document
+// no cell holds any more, which with the floor skip is the common case —
+// and what a snapshot persists of it is a function of the documents, not
+// of the churn that led to them.
+func TestNumDocsTracksRoster(t *testing.T) {
+	p := testParams()
+	p.W, p.Alpha, p.K = 6, 2, 4 // cells cap at 8
+
+	// A document without terms and with the largest id loses every tie:
+	// once the cells are full it is resident nowhere.
+	o := newOwnerT(t, p)
+	c := newChurn(3, o)
+	for len(c.live) < 20 {
+		c.mutate(t)
+	}
+	before := o.rtk.NumDocs()
+	if err := o.AddDocument(9999, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := o.RemoveDocument(9999); err != nil {
+		t.Fatal(err)
+	}
+	if got := o.rtk.NumDocs(); got != before || got != len(o.DocIDs()) {
+		t.Fatalf("NumDocs %d after adding and removing a resident-nowhere document, want %d (roster %d)", got, before, len(o.DocIDs()))
+	}
+
+	for _, capped := range []bool{true, false} {
+		if !capped {
+			p.K = 400
+		}
+		o := newOwnerT(t, p)
+		c := newChurn(4, o)
+		for step := 0; step < 300; step++ {
+			c.mutate(t)
+			if got, want := o.rtk.NumDocs(), len(o.DocIDs()); got != want || want != len(c.live) {
+				t.Fatalf("capped=%v step %d: NumDocs %d, roster %d, %d documents live", capped, step, got, want, len(c.live))
+			}
+		}
+		snap := snapshot(t, o)
+		loaded, err := ReadOwner(bytes.NewReader(snap), dp.Disabled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := loaded.rtk.NumDocs(); got != len(c.live) {
+			t.Fatalf("capped=%v: reloaded NumDocs %d, %d documents live", capped, got, len(c.live))
+		}
+		if capped {
+			continue // eviction is lossy: a removal does not bring back what the cap dropped
+		}
+		fresh := newOwnerT(t, p)
+		for id, counts := range c.docs {
+			if err := fresh.AddDocument(id, counts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(snap, snapshot(t, fresh)) {
+			t.Fatal("snapshot after churn differs from a fresh owner's over the same documents")
+		}
+	}
+}
+
 func newOwnerT(t testing.TB, p Params) *Owner {
 	t.Helper()
 	o, err := NewOwner(p, 42, dp.Disabled())
@@ -478,51 +910,189 @@ func newOwnerT(t testing.TB, p Params) *Owner {
 	return o
 }
 
+// mergeRow is one row of a merge case: per partition, its entries in
+// ascending DocID order, ids disjoint across partitions.
+type mergeRow [][]Entry
+
+// randomMergeRow deals sum(sizes) distinct ids out to the partitions and
+// draws every value from value.
+func randomMergeRow(rng *rand.Rand, sizes []int, value func() int64) mergeRow {
+	n := 0
+	for _, sz := range sizes {
+		n += sz
+	}
+	ids := rng.Perm(2 * n)[:n]
+	row := make(mergeRow, len(sizes))
+	for pi, sz := range sizes {
+		part := ids[:sz]
+		ids = ids[sz:]
+		sort.Ints(part)
+		for _, id := range part {
+			row[pi] = append(row[pi], Entry{DocID: int32(id), Value: value()})
+		}
+	}
+	return row
+}
+
+// checkMerge runs MergeRTKResponses over rows (all with the same number
+// of partitions) and compares every row with refMergeCell: same ids,
+// same value bits, strictly ascending, exactly min(n, heapCap) entries.
+func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise float64) {
+	t.Helper()
+	parts := make([]*RTKResponse, len(rows[0]))
+	for pi := range parts {
+		parts[pi] = &RTKResponse{Cells: make([]RTKCell, len(rows))}
+		for a, row := range rows {
+			cell := &parts[pi].Cells[a]
+			for _, e := range row[pi] {
+				cell.IDs = append(cell.IDs, e.DocID)
+				cell.Values = append(cell.Values, float64(e.Value))
+			}
+		}
+	}
+	got := MergeRTKResponses(parts, heapCap, abs, noise)
+	if len(got.Cells) != len(rows) {
+		t.Fatalf("%d rows, want %d", len(got.Cells), len(rows))
+	}
+	for a, row := range rows {
+		n := 0
+		for _, part := range row {
+			n += len(part)
+		}
+		want := refMergeCell(row, heapCap, abs)
+		cell := got.Cells[a]
+		if len(cell.IDs) != min(n, heapCap) || len(cell.IDs) != len(want) || len(cell.Values) != len(want) {
+			t.Fatalf("row %d: %d ids and %d values from %d candidates under cap %d, oracle %d",
+				a, len(cell.IDs), len(cell.Values), n, heapCap, len(want))
+		}
+		for i, e := range want {
+			if i > 0 && cell.IDs[i] <= cell.IDs[i-1] {
+				t.Fatalf("row %d not strictly ascending at %d: %v", a, i, cell.IDs)
+			}
+			if cell.IDs[i] != e.DocID || math.Float64bits(cell.Values[i]) != math.Float64bits(float64(e.Value)+noise) {
+				t.Fatalf("row %d entry %d: (%d,%v), want (%d,%v)", a, i,
+					cell.IDs[i], cell.Values[i], e.DocID, float64(e.Value)+noise)
+			}
+		}
+	}
+}
+
 // TestMergeRTKResponsesMatchesOracle: merging per-partition answers must
-// equal the concatenate-and-sort reference on both sides of the cap.
+// equal the concatenate-and-sort reference on both sides of the cap —
+// over small random shapes, and at the shape the sharded benchmark
+// produces: cap 250, four partitions of 62-67 entries overflowing it by
+// 1-16, most values 0, so hundreds of entries tie on the key and only the
+// DocID tie-break decides the cut.
 func TestMergeRTKResponsesMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
+	small := func() int64 { return int64(rng.Intn(9) - 4) } // collisions on the key are common
 	for trial := 0; trial < 300; trial++ {
 		z, nparts := 1+rng.Intn(4), 1+rng.Intn(5)
-		heapCap := 1 + rng.Intn(12)
-		abs := rng.Intn(2) == 0
-		noise := float64(rng.Intn(3)) * 0.37
-		parts := make([]*RTKResponse, nparts)
-		entries := make([][][]Entry, nparts) // [part][row]
-		for pi := range parts {
-			parts[pi] = &RTKResponse{Cells: make([]RTKCell, z)}
-			entries[pi] = make([][]Entry, z)
-			for a := 0; a < z; a++ {
-				var cell RTKCell
-				for id := int32(pi); id < 60; id += int32(nparts) { // disjoint, ascending
-					if rng.Intn(10) < 2 {
-						v := int64(rng.Intn(9) - 4) // collisions on the key are common
-						cell.IDs = append(cell.IDs, id)
-						cell.Values = append(cell.Values, float64(v))
-						entries[pi][a] = append(entries[pi][a], Entry{DocID: id, Value: v})
-					}
-				}
-				parts[pi].Cells[a] = cell
+		rows := make([]mergeRow, z)
+		for a := range rows {
+			sizes := make([]int, nparts)
+			for pi := range sizes {
+				sizes[pi] = rng.Intn(8)
+			}
+			rows[a] = randomMergeRow(rng, sizes, small)
+		}
+		checkMerge(t, rows, 1+rng.Intn(12), rng.Intn(2) == 0, float64(rng.Intn(3))*0.37)
+	}
+
+	sparse := func() int64 { // >= 55 % zeros, the rest small and of either sign
+		if rng.Intn(100) < 60 {
+			return 0
+		}
+		return int64(rng.Intn(7) - 3)
+	}
+	for over := 1; over <= 16; over++ {
+		sizes := make([]int, 4)
+		for i := 0; i < 250+over; i++ {
+			sizes[i%4]++
+		}
+		rows := make([]mergeRow, 6)
+		for a := range rows {
+			rows[a] = randomMergeRow(rng, sizes, sparse)
+		}
+		for _, abs := range []bool{true, false} {
+			checkMerge(t, rows, 250, abs, 0)
+			checkMerge(t, rows, 250, abs, -1.625)
+		}
+	}
+
+	edges := map[string]struct {
+		sizes   []int
+		heapCap int
+		value   func() int64
+	}{
+		"all keys equal":           {[]int{40, 40, 40}, 100, func() int64 { return 3 }},
+		"all keys equal under abs": {[]int{40, 40, 40}, 100, func() int64 { return int64(3 - 6*rng.Intn(2)) }},
+		"one over the cap":         {[]int{30, 30, 41}, 100, small},
+		"one part empty":           {[]int{70, 0, 70}, 100, small},
+		"one part alone overflows": {[]int{130, 5}, 100, small},
+		"single part":              {[]int{130}, 100, small},
+		"negative values":          {[]int{60, 60, 60}, 100, func() int64 { return -int64(rng.Intn(5)) }},
+		"cap of one":               {[]int{3, 3}, 1, small},
+	}
+	for name, e := range edges {
+		rows := []mergeRow{randomMergeRow(rng, e.sizes, e.value), randomMergeRow(rng, e.sizes, e.value)}
+		for _, abs := range []bool{true, false} {
+			for _, noise := range []float64{0, 0.37} {
+				t.Run(fmt.Sprintf("%s/abs=%v/noise=%v", name, abs, noise), func(t *testing.T) {
+					checkMerge(t, rows, e.heapCap, abs, noise)
+				})
 			}
 		}
-		got := MergeRTKResponses(parts, heapCap, abs, noise)
-		checkAscending(t, got)
-		for a := 0; a < z; a++ {
-			rowParts := make([][]Entry, nparts)
-			for pi := range parts {
-				rowParts[pi] = entries[pi][a]
+	}
+}
+
+// benchMergeParts builds z = 30 rows over documents 0..docs-1, dealt to
+// four partitions in blocks of ids the way shard.Group stripes them, with
+// the sharded benchmark's value mix (most cell values 0).
+func benchMergeParts(docs, block int) []*RTKResponse {
+	rng := rand.New(rand.NewSource(41))
+	parts := make([]*RTKResponse, 4)
+	for pi := range parts {
+		parts[pi] = &RTKResponse{Cells: make([]RTKCell, 30)}
+	}
+	for a := 0; a < 30; a++ {
+		for id := 0; id < docs; id++ {
+			v := 0
+			if rng.Intn(100) >= 60 {
+				v = rng.Intn(7) - 3
 			}
-			want := refMergeCell(rowParts, heapCap, abs)
-			if len(got.Cells[a].IDs) != len(want) {
-				t.Fatalf("trial %d row %d: %d entries, want %d", trial, a, len(got.Cells[a].IDs), len(want))
-			}
-			for i, e := range want {
-				if got.Cells[a].IDs[i] != e.DocID || got.Cells[a].Values[i] != float64(e.Value)+noise {
-					t.Fatalf("trial %d row %d entry %d: (%d,%v), want (%d,%v)", trial, a, i,
-						got.Cells[a].IDs[i], got.Cells[a].Values[i], e.DocID, float64(e.Value)+noise)
+			cell := &parts[id/block%4].Cells[a]
+			cell.IDs = append(cell.IDs, int32(id))
+			cell.Values = append(cell.Values, float64(v))
+		}
+	}
+	return parts
+}
+
+// The three regimes of the facade merge at the benchmark geometry
+// (z = 30, cap 250, 4 partitions): everything fits; the ingest_churn
+// shape, 4 x 64 + 1 candidates for 250 places; and every partition full.
+var benchMergeShapes = []struct {
+	name        string
+	docs, block int
+}{
+	{"fits", 248, 64},
+	{"over_by_7", 257, 64},
+	{"over_4x", 1000, 125},
+}
+
+func BenchmarkMergeRTKResponses(b *testing.B) {
+	for _, shape := range benchMergeShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			parts := benchMergeParts(shape.docs, shape.block)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if resp := MergeRTKResponses(parts, 250, true, 0.5); len(resp.Cells) != 30 {
+					b.Fatal("short response")
 				}
 			}
-		}
+		})
 	}
 }
 
@@ -629,5 +1199,35 @@ func TestRTKAllocCeilings(t *testing.T) {
 	})
 	if recovered > 12 {
 		t.Errorf("RTKWithPlan (owner call included): %.1f allocs per call, ceiling 12", recovered)
+	}
+
+	// The facade merge: response, two slabs and the cursor table; a row
+	// over the cap adds the one gather scratch and nothing to sort with.
+	merge := make(map[string]float64)
+	for _, shape := range benchMergeShapes {
+		parts := benchMergeParts(shape.docs, shape.block)
+		merge[shape.name] = testing.AllocsPerRun(50, func() { MergeRTKResponses(parts, 250, true, 0.5) })
+	}
+	if merge["fits"] > 5 {
+		t.Errorf("MergeRTKResponses under the cap: %.1f allocs per call, ceiling 5", merge["fits"])
+	}
+	for _, name := range []string{"over_by_7", "over_4x"} {
+		if merge[name] > merge["fits"]+1 {
+			t.Errorf("MergeRTKResponses %s: %.1f allocs per call, ceiling %.0f (under the cap) + 1", name, merge[name], merge["fits"])
+		}
+	}
+
+	// Removing a document and putting it back moves entries within the
+	// cells' own slabs.
+	const victim = 600
+	table := o.docTables[victim]
+	churn := testing.AllocsPerRun(10, func() {
+		o.rtk.Delete(victim, table)
+		if err := o.rtk.Update(victim, table); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if churn > 0 {
+		t.Errorf("RTKSketch.Delete + Update of one document: %.1f allocs, want 0", churn)
 	}
 }

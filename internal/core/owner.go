@@ -279,7 +279,7 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 	} else if err := o.bulkFoldStriped(docs, tables, workers); err != nil {
 		return err
 	}
-	o.rtk.addDocs(len(docs))
+	o.rtk.addDocs(docs)
 
 	// Metadata, in slice order.
 	for i, d := range docs {
@@ -306,7 +306,6 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 // it fails before the first fold or never, so a failure leaves the owner
 // unmutated.
 func (o *Owner) bulkFold1(docs []DocCounts, tables []*sketch.Table) error {
-	z := o.params.Z
 	var scratch *sketch.Table
 	for i := range docs {
 		t := scratch
@@ -319,7 +318,7 @@ func (o *Owner) bulkFold1(docs []DocCounts, tables []*sketch.Table) error {
 			t.Reset()
 		}
 		t.AddCounts(docs[i].Counts)
-		o.rtk.updateRows(docs[i].DocID, t, 0, z)
+		o.rtk.updateRows(docs[i].DocID, t)
 		if tables != nil {
 			tables[i] = t
 		} else {
@@ -421,14 +420,16 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []*sketch.Table, worker
 }
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
-// sketch and metadata.
+// sketch and metadata. An owner that kept the document's table hands it
+// to the sketch, which then skips every full cell the document cannot be
+// in (see RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, ok := o.meta[docID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	o.rtk.Delete(docID)
+	o.rtk.Delete(docID, o.docTables[docID]) // nil without tables
 	delete(o.docTables, docID)
 	delete(o.meta, docID)
 	// Swap-delete via the position index instead of the old O(n)
@@ -444,6 +445,11 @@ func (o *Owner) RemoveDocument(docID int) error {
 	}
 	o.ids = o.ids[:last]
 	delete(o.idPos, docID)
+	if docID == o.rtk.liveMax {
+		// The next id to come back below the old maximum — the usual churn
+		// — is again an ascending append.
+		o.rtk.resetLiveMax(o.ids)
+	}
 	o.generation.Add(1)
 	return nil
 }

@@ -321,32 +321,58 @@ func TestAddDocumentsPooledAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkOwnerRemoveDocument measures single-document removal on a
-// 10k-document owner — the swap-delete via the position index that
-// replaced the O(n) roster scan. Each iteration removes and re-adds one
-// document so the roster size stays fixed.
+// BenchmarkOwnerRemoveDocument measures removing one document (it is
+// added back off the clock, so the roster stays fixed) over what decides
+// the cost of RTKSketch.Delete: whether the owner still has the document's table
+// (full cells below whose floor the document orders are skipped), whether
+// the victim is the newest id or drawn across the id range (the search in
+// a canonical cell gallops from the tail), and whether the cells are
+// under capacity (64 documents, cap 250: every document is in every cell)
+// or over it (1 200). The last row is the 10k-document shape this
+// benchmark had before it became a table; with tables it would hold
+// 480 MB of them.
 func BenchmarkOwnerRemoveDocument(b *testing.B) {
-	p := DefaultParams()
-	o, err := NewOwner(p, 42, dp.Disabled(), WithoutDocTables())
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := o.AddDocuments(bulkBatch(10_000, 10, 1), 1); err != nil {
-		b.Fatal(err)
-	}
-	victim := bulkBatch(1, 10, 2)
-	victim[0].DocID = 20_000
-	if err := o.AddDocuments(victim, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := o.RemoveDocument(victim[0].DocID); err != nil {
-			b.Fatal(err)
-		}
-		if err := o.AddDocuments(victim, 1); err != nil {
-			b.Fatal(err)
+	for _, shape := range []struct{ docs, terms, k int }{{64, 120, 50}, {1200, 120, 50}, {10_000, 10, DefaultParams().K}} {
+		for _, tables := range []bool{true, false} {
+			if tables && shape.docs == 10_000 {
+				continue
+			}
+			for _, victims := range []string{"newest", "across"} {
+				name := fmt.Sprintf("docs=%d/tables=%v/%s", shape.docs, tables, victims)
+				b.Run(name, func(b *testing.B) {
+					p := DefaultParams()
+					p.K = shape.k
+					var opts []OwnerOption
+					if !tables {
+						opts = append(opts, WithoutDocTables())
+					}
+					o, err := NewOwner(p, 42, dp.Disabled(), opts...)
+					if err != nil {
+						b.Fatal(err)
+					}
+					docs := bulkBatch(shape.docs, shape.terms, 1)
+					if err := o.AddDocuments(docs, 1); err != nil {
+						b.Fatal(err)
+					}
+					b.ReportAllocs()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						victim := docs[len(docs)-1:]
+						if victims == "across" {
+							at := i * 7919 % len(docs)
+							victim = docs[at : at+1]
+						}
+						if err := o.RemoveDocument(victim[0].DocID); err != nil {
+							b.Fatal(err)
+						}
+						b.StopTimer()
+						if err := o.AddDocuments(victim, 1); err != nil {
+							b.Fatal(err)
+						}
+						b.StartTimer()
+					}
+				})
+			}
 		}
 	}
 }

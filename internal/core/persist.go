@@ -228,6 +228,9 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 		}
 	}
 	o.idsSorted = false
+	// Appends are vouched for against liveMax, so it must bound every id
+	// a cell holds — also one a corrupt snapshot left out of the roster.
+	o.rtk.resetLiveMax(o.ids)
 	for c := range o.rtk.cells {
 		var n uint64
 		if !read(&n) || n > uint64(p.HeapCap()) {
@@ -244,6 +247,7 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 				return nil, fmt.Errorf("%w: truncated cell entry", ErrCorruptState)
 			}
 			h.entries[j] = Entry{DocID: int32(int64(id)), Value: int64(val)}
+			o.rtk.admit(int(h.entries[j].DocID))
 			if j > 0 && h.entries[j].DocID <= h.entries[j-1].DocID {
 				h.canonical = false
 			}

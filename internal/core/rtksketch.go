@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -37,7 +38,11 @@ type Entry struct {
 //   - canonical: entries ascending by DocID — the order every observable
 //     surface (AnswerRTK, snapshots, Cell) emits. Readers bring a cell
 //     here in place (canonicalize), at most once per mutation, so
-//     back-to-back queries sort nothing and keep no second copy.
+//     back-to-back queries sort nothing and keep no second copy. Two
+//     writers may also claim it, because both know the order without
+//     looking: an append of an id above every live one (push's above
+//     bit) onto an empty or canonical cell, and a removal whose scan saw
+//     everything it left behind ascend (remove).
 //   - not canonical: a plain append buffer while below capacity, a
 //     min-heap under less once full. Only an accepted push on a full
 //     cell needs the heap, so only that push pays to (re)build it.
@@ -72,9 +77,13 @@ func (h *cellHeap) key(e Entry) int64 {
 // larger DocID first — so when keys tie at the cap boundary the larger
 // DocID is evicted and the surviving set stays order-independent.
 func (h *cellHeap) less(a, b Entry) bool {
-	ka, kb := h.key(a), h.key(b)
-	if ka != kb {
-		return ka < kb
+	return rankLess(Entry{DocID: a.DocID, Value: h.key(a)}, Entry{DocID: b.DocID, Value: h.key(b)})
+}
+
+// rankLess is less over entries whose Value already is the ranking key.
+func rankLess(a, b Entry) bool {
+	if a.Value != b.Value {
+		return a.Value < b.Value
 	}
 	return a.DocID > b.DocID
 }
@@ -86,15 +95,20 @@ func (h *cellHeap) less(a, b Entry) bool {
 // Below capacity a push is a plain append — the heap is only needed to
 // locate the eviction minimum, so it is built (one heapify, which also
 // caches the floor) the moment the cell fills, and under-capacity
-// corpora ingest at append speed with zero sift work. On a full cell
-// rejection reads nothing but the cached floor, and only an accepted
-// push on a canonical cell pays to rebuild the heap a reader sorted
-// away.
-func (h *cellHeap) push(e Entry, cap int) {
-	if len(h.entries) < cap {
+// corpora ingest at append speed with zero sift work. above is the
+// caller's word that e.DocID exceeds every id in the cell (see
+// RTKSketch.updateRows): such an append onto an empty or canonical cell
+// leaves it canonical without looking at the previous entry — until the
+// append that fills the cell, whose heapify undoes the order. On a full
+// cell rejection reads nothing but the cached floor, and only an
+// accepted push on a canonical cell pays to rebuild the heap a reader
+// sorted away.
+func (h *cellHeap) push(e Entry, cap int, above bool) {
+	if n := len(h.entries); n < cap {
 		h.entries = append(h.entries, e)
-		h.canonical = false // unknown until a reader looks (see canonicalize)
-		if len(h.entries) == cap {
+		h.canonical = above && (h.canonical || n == 0)
+		if n+1 == cap {
+			h.canonical = false
 			h.heapify()
 		}
 		return
@@ -162,27 +176,83 @@ func (h *cellHeap) heapify() {
 	h.setFloor(h.entries[0])
 }
 
-// remove drops every entry of docID and returns how many there were.
-// The in-place filter preserves relative order, so a canonical cell
-// stays canonical; a heap loses an entry and with it its capacity, which
-// makes it a valid append buffer — neither needs re-ordering here.
+// belowFloor reports whether e orders below the cached floor. Every entry
+// a full cell holds orders at or above its floor, so a full cell cannot
+// hold an e that does: it was rejected on arrival or evicted since.
+func (h *cellHeap) belowFloor(e Entry) bool {
+	ke := h.key(e)
+	return ke < h.floorKey || ke == h.floorKey && e.DocID > h.floorDoc
+}
+
+// remove drops every entry of docID and returns how many there were
+// (more than one only in a cell loaded from a corrupt snapshot). Closing
+// the gap preserves relative order, so a canonical cell stays canonical;
+// a heap loses an entry and with it its capacity, which makes it a valid
+// append buffer — neither needs re-ordering here.
+//
+// A canonical cell is searched, newest ids first, and the gap closed with
+// one copy. Any other cell is scanned, and the scan learns on the way
+// whether what it leaves behind ascends, so the next removal searches:
+// an append buffer usually does, once the entry that arrived out of order
+// is the one removed. The learning is arithmetic, not a comparison per
+// entry, which would mispredict on every other entry of a heap.
 func (h *cellHeap) remove(docID int32) int {
+	es := h.entries
+	if h.canonical {
+		n := searchFromTail(es, docID)
+		end := n
+		for end < len(es) && es[end].DocID == docID {
+			end++
+		}
+		if end > n {
+			h.entries = es[:n+copy(es[n:], es[end:])]
+		}
+		return end - n
+	}
+	// ascends keeps its sign bit iff every surviving entry's id is above
+	// its predecessor's.
+	ascends, prev := int64(-1), int64(math.MinInt32)-1
 	n := 0
-	for n < len(h.entries) && h.entries[n].DocID != docID {
+	for n < len(es) && es[n].DocID != docID {
+		ascends &= prev - int64(es[n].DocID)
+		prev = int64(es[n].DocID)
 		n++
 	}
-	if n == len(h.entries) {
-		return 0
+	if n < len(es) {
+		for _, e := range es[n+1:] {
+			if e.DocID != docID {
+				ascends &= prev - int64(e.DocID)
+				prev = int64(e.DocID)
+				es[n] = e
+				n++
+			}
+		}
+		h.entries = es[:n]
 	}
-	for _, e := range h.entries[n+1:] {
-		if e.DocID != docID {
-			h.entries[n] = e
-			n++
+	h.canonical = ascends < 0
+	return len(es) - n
+}
+
+// searchFromTail returns the index of the first entry of ascending es
+// whose DocID is at least docID. It gallops back from the tail and
+// bisects the bracket, so the most recently ingested document — the one
+// churn removes — is found in the last cache line and any other in
+// O(log n).
+func searchFromTail(es []Entry, docID int32) int {
+	hi, step := len(es), 1 // es[hi:] are all >= docID
+	for hi > 0 && es[max(hi-step, 0)].DocID >= docID {
+		hi = max(hi-step, 0)
+		step <<= 1
+	}
+	lo := max(hi-step, 0)
+	for lo < hi {
+		if mid := int(uint(lo+hi) >> 1); es[mid].DocID < docID {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	removed := len(h.entries) - n
-	h.entries = h.entries[:n]
-	return removed
+	return lo
 }
 
 // canonicalize brings the cell to canonical order in place and returns
@@ -288,7 +358,7 @@ func (a *rtkAccum) push(c int, e Entry) {
 		floorKey: a.floorKeys[c],
 		floorDoc: a.floorDocs[c],
 	}
-	v.push(e, a.cap)
+	v.push(e, a.cap, false)
 	a.lens[c] = int32(len(v.entries))
 	a.floorKeys[c], a.floorDocs[c] = v.floorKey, v.floorDoc
 }
@@ -314,7 +384,12 @@ type RTKSketch struct {
 	fam    *hashutil.Family
 	cells  []cellHeap // row-major z x w
 	docs   int
-	sorter docSorter // Cell's scratch
+	// liveMax is at least the largest id summarized (math.MinInt before
+	// the first): what lets an ingest vouch for an ascending append
+	// without looking into any cell. Delete leaves it stale-high — safe,
+	// only less often useful — until the keeper of the roster resets it.
+	liveMax int
+	sorter  docSorter // Cell's scratch
 }
 
 // NewRTKSketch creates an empty RTK-Sketch bound to the shared hash
@@ -335,7 +410,7 @@ func NewRTKSketch(params Params, fam *hashutil.Family) (*RTKSketch, error) {
 	for i := range cells {
 		cells[i].abs = abs
 	}
-	return &RTKSketch{params: params, fam: fam, cells: cells}, nil
+	return &RTKSketch{params: params, fam: fam, cells: cells, liveMax: math.MinInt}, nil
 }
 
 // Params returns the sketch's parameters.
@@ -352,22 +427,45 @@ func (s *RTKSketch) Update(docID int, table *sketch.Table) error {
 	if table == nil || table.Z() != s.params.Z || table.W() != s.params.W {
 		return fmt.Errorf("%w: document table geometry mismatch", ErrBadParams)
 	}
-	s.updateRows(docID, table, 0, s.params.Z)
+	s.updateRows(docID, table)
 	s.docs++
 	return nil
 }
 
-// updateRows is Update restricted to rows [lo, hi). Because eviction is
-// a strict total order, the surviving set per cell is a pure function of
+// admit records docID as live and reports whether it exceeds every id
+// that already was.
+func (s *RTKSketch) admit(docID int) bool {
+	above := docID > s.liveMax
+	if above {
+		s.liveMax = docID
+	}
+	return above
+}
+
+// resetLiveMax recomputes liveMax from the authoritative roster of live
+// ids; worth doing when the largest one has just been deleted.
+func (s *RTKSketch) resetLiveMax(ids []int) {
+	s.liveMax = math.MinInt
+	for _, id := range ids {
+		s.admit(id)
+	}
+}
+
+// updateRows pushes one document into every cell. Because eviction is a
+// strict total order, the surviving set per cell is a pure function of
 // the pushed set — any partition of the pushes over workers or
-// accumulators converges to the same state.
-func (s *RTKSketch) updateRows(docID int, table *sketch.Table, lo, hi int) {
+// accumulators converges to the same state. Whether the id exceeds every
+// live one is decided here, once per document, and handed to all z*w
+// pushes as one bit: that is what lets a cell stay canonical under
+// ascending ingest without a load of its previous entry per push.
+func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
+	above := s.admit(docID)
 	cap := s.params.HeapCap()
 	w := s.params.W
 	id := int32(docID)
-	for i := lo; i < hi; i++ {
+	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
-			s.cells[i*w+j].push(Entry{DocID: id, Value: table.Cell(i, uint32(j))}, cap)
+			s.cells[i*w+j].push(Entry{DocID: id, Value: table.Cell(i, uint32(j))}, cap, above)
 		}
 	}
 }
@@ -379,7 +477,8 @@ func (s *RTKSketch) updateRows(docID int, table *sketch.Table, lo, hi int) {
 // competitors), so merging stripe survivors under the same total order
 // reproduces exactly the set sequential pushes would keep. Row ranges
 // partition the cell array, so concurrent calls over disjoint ranges
-// never touch the same heap.
+// never touch the same heap — which is also why the pushes vouch for no
+// order here: liveMax is shared, and addDocs raises it afterwards.
 func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int) {
 	cap := s.params.HeapCap()
 	w := s.params.W
@@ -390,28 +489,49 @@ func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int) {
 			for _, acc := range accums {
 				off := c * acc.cap
 				for _, e := range acc.slab[off : off+int(acc.lens[c])] {
-					h.push(e, cap)
+					h.push(e, cap, false)
 				}
 			}
 		}
 	}
 }
 
-// addDocs bumps the summarized-document counter after a bulk load.
-func (s *RTKSketch) addDocs(n int) { s.docs += n }
+// addDocs counts a bulk-loaded batch as summarized and live.
+func (s *RTKSketch) addDocs(docs []DocCounts) {
+	s.docs += len(docs)
+	for _, d := range docs {
+		s.admit(d.DocID)
+	}
+}
 
-// Delete removes every entry of docID from the sketch (Algorithm 4's
-// deletion: enumerate all cells and drop the document). Returns the
-// number of cells the document was still present in.
-func (s *RTKSketch) Delete(docID int) int {
+// Delete removes document docID, which must be summarized, from every
+// cell (Algorithm 4's deletion: enumerate all cells and drop the
+// document) and returns the number of cells that still held it. table is
+// the table the document was inserted with, or nil if the caller no
+// longer has it. With it, the enumeration is restricted to the cells that
+// can contain the document: an entry present in a full cell orders at or
+// above the cell's floor, so a full cell whose cached floor orders above
+// the document's own entry is skipped without touching its slab. The
+// argument needs the floor, so it holds only while the cell is full.
+func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
+	if table != nil && (table.Z() != s.params.Z || table.W() != s.params.W) {
+		table = nil
+	}
 	removed := 0
 	id := int32(docID)
-	for c := range s.cells {
-		removed += s.cells[c].remove(id)
+	cap := s.params.HeapCap()
+	w := s.params.W
+	for i := 0; i < s.params.Z; i++ {
+		for j := 0; j < w; j++ {
+			h := &s.cells[i*w+j]
+			if table != nil && len(h.entries) == cap &&
+				h.belowFloor(Entry{DocID: id, Value: table.Cell(i, uint32(j))}) {
+				continue
+			}
+			removed += h.remove(id)
+		}
 	}
-	if removed > 0 {
-		s.docs--
-	}
+	s.docs--
 	return removed
 }
 
@@ -430,80 +550,133 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // Correctness mirrors mergeAccumRows: eviction is a strict total order
 // (key descending, key-ties keep the smaller DocID), so an entry in the
 // global top-cap is necessarily in the top-cap of its own partition —
-// selecting the top-cap of the combined survivors under the same order
-// reproduces the single-sketch cell bit for bit. When the survivors of a
-// row fit under the cap nothing is evicted and the canonical parts are
-// simply merged by DocID. abs must be Params.AbsEvictionKeys() of the
+// the top-cap of the combined survivors under the same order is the
+// single-sketch cell bit for bit. The parts arrive ascending by DocID, so
+// every row is one k-way merge by DocID. A row whose survivors overflow
+// the cap first finds its cut, the smallest entry that stays: the entry
+// of rank n-heapCap among the n candidates (selectRank), unique because
+// the order is strict. The merge then drops what orders below the cut,
+// so exactly heapCap entries come out, already in canonical order, and
+// nothing is ever sorted. abs must be Params.AbsEvictionKeys() of the
 // sketches being merged; heapCap is Params.HeapCap().
 //
 //csfltr:deterministic
 func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float64) *RTKResponse {
 	z := len(parts[0].Cells)
-	rowLen := func(a int) int {
+	total, longest := 0, 0
+	for a := 0; a < z; a++ {
 		n := 0
 		for _, p := range parts {
 			n += len(p.Cells[a].IDs)
 		}
-		return n
-	}
-	total, longest := 0, 0
-	for a := 0; a < z; a++ {
-		n := rowLen(a)
 		total += min(n, heapCap)
 		longest = max(longest, n)
 	}
 	resp, ids, vals := newRTKResponse(z, total)
 	order := cellHeap{abs: abs}
-	cur := make([]int, len(parts))
-	var over []Entry // scratch for rows that overflow the cap
-	var byDoc docSorter
-	if longest > heapCap {
-		over = make([]Entry, 0, longest)
-		byDoc = docSorter{keys: make([]uint64, 0, heapCap), tmp: make([]Entry, 0, heapCap)}
+	rank := func(id int32, v float64) Entry { // an entry of a part, its value replaced by the ranking key
+		return Entry{DocID: id, Value: order.key(Entry{Value: int64(v)})}
 	}
+	var ranked []Entry // gather scratch for rows that overflow the cap
+	if longest > heapCap {
+		ranked = make([]Entry, 0, longest)
+	}
+	heads := make([]RTKCell, len(parts)) // what the merge has yet to take of each part's row
 	for a := 0; a < z; a++ {
-		n := rowLen(a)
-		if n <= heapCap {
-			// k-way merge by DocID: every output slot takes the smallest
-			// head among the parts' cursors.
-			clear(cur)
-			for i := 0; i < n; i++ {
-				best, bestID := -1, int32(0)
-				for pi, p := range parts {
-					if c := p.Cells[a].IDs; cur[pi] < len(c) && (best < 0 || c[cur[pi]] < bestID) {
-						best, bestID = pi, c[cur[pi]]
-					}
-				}
-				ids[i], vals[i] = bestID, parts[best].Cells[a].Values[cur[best]]+noise
-				cur[best]++
-			}
-		} else {
-			over = over[:0]
-			for _, p := range parts {
-				c := p.Cells[a]
-				for i, id := range c.IDs {
-					over = append(over, Entry{DocID: id, Value: int64(c.Values[i])})
-				}
-			}
-			slices.SortFunc(over, func(x, y Entry) int {
-				if order.less(y, x) {
-					return -1
-				}
-				if order.less(x, y) {
-					return 1
-				}
-				return 0
-			})
-			n = heapCap
-			byDoc.sort(over[:n])
-			for i, e := range over[:n] {
-				ids[i], vals[i] = e.DocID, float64(e.Value)+noise
-			}
+		n := 0
+		for pi, p := range parts {
+			heads[pi] = p.Cells[a]
+			n += len(heads[pi].IDs)
 		}
-		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
-		ids, vals = ids[n:], vals[n:]
+		keep := min(n, heapCap)
+		cut := Entry{DocID: math.MaxInt32, Value: math.MinInt64} // nothing orders below it
+		if n > heapCap {
+			ranked = ranked[:0]
+			for _, c := range heads {
+				for i, id := range c.IDs {
+					ranked = append(ranked, rank(id, c.Values[i]))
+				}
+			}
+			cut = selectRank(ranked, n-heapCap)
+		}
+		for out := 0; out < keep; {
+			// The part with the smallest head gives up its run: every id
+			// below the smallest head among the others. Shards own ranges
+			// of ids, so runs are long.
+			best, limit := -1, int64(math.MaxInt32)+1
+			for pi, c := range heads {
+				switch {
+				case len(c.IDs) == 0:
+				case best < 0 || c.IDs[0] < heads[best].IDs[0]:
+					if best >= 0 {
+						limit = int64(heads[best].IDs[0])
+					}
+					best = pi
+				case int64(c.IDs[0]) < limit:
+					limit = int64(c.IDs[0])
+				}
+			}
+			run := &heads[best]
+			i := 0
+			for {
+				id, v := run.IDs[i], run.Values[i]
+				if !rankLess(rank(id, v), cut) {
+					ids[out], vals[out] = id, v+noise
+					out++
+				}
+				if i++; i == len(run.IDs) || int64(run.IDs[i]) >= limit || out == keep {
+					break
+				}
+			}
+			run.IDs, run.Values = run.IDs[i:], run.Values[i:]
+		}
+		resp.Cells[a] = RTKCell{IDs: ids[:keep:keep], Values: vals[:keep:keep]}
+		ids, vals = ids[keep:], vals[keep:]
 	}
 	return resp
+}
+
+// selectRank returns the entry of rank k (0-based) under rankLess,
+// partially ordering es on the way: quickselect with a median-of-three
+// pivot, O(len(es)) for any k, no comparison callback and no randomness.
+func selectRank(es []Entry, k int) Entry {
+	lo, hi := 0, len(es)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if rankLess(es[mid], es[lo]) {
+			es[mid], es[lo] = es[lo], es[mid]
+		}
+		if rankLess(es[hi], es[lo]) {
+			es[hi], es[lo] = es[lo], es[hi]
+		}
+		if rankLess(es[hi], es[mid]) {
+			es[hi], es[mid] = es[mid], es[hi]
+		}
+		pivot := es[mid]
+		i, j := lo, hi
+		for i <= j {
+			for rankLess(es[i], pivot) {
+				i++
+			}
+			for rankLess(pivot, es[j]) {
+				j--
+			}
+			if i <= j {
+				es[i], es[j] = es[j], es[i]
+				i++
+				j--
+			}
+		}
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return es[k]
+		}
+	}
+	return es[k]
 }
 
 // Cell returns the entries of cell (row, col) in canonical

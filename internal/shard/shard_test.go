@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"bytes"
 	"errors"
 	"math"
 	"math/rand"
@@ -362,6 +363,117 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 	}
 	if err := g.RemoveDocument(victim); !errors.Is(err, core.ErrUnknownDoc) {
 		t.Fatalf("double removal: want ErrUnknownDoc, got %v", err)
+	}
+}
+
+// TestChurnMatchesSingleOwner runs the write-beside-read cycle — ingest
+// one document, search, remove one — for 200 steps on a 4 x 2 group whose
+// shards stay under the cap while their union overflows it, so every
+// answer is cut by the facade merge. Spare ids come round again and
+// again, one step behind their removal, so an ingest lands now above
+// every live id and now below; every fifth step a document from the
+// middle of some shard's range leaves and returns. After every step the
+// group answers bit for bit what a single owner built from the same
+// documents answers (built afresh: in a long-lived capped owner a removal
+// does not bring back what the cap dropped, see above), and every 25
+// steps both replicas of every shard write the same snapshot — reads go
+// round-robin, so the replicas' cells differ in layout, which nothing
+// observable may show.
+func TestChurnMatchesSingleOwner(t *testing.T) {
+	p := testParams()
+	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
+	all := testDocs(48, 43)
+	for i := range all {
+		all[i].DocID = i
+	}
+	base, spare := all[:40], all[40:]
+	sp := p
+	sp.Shards, sp.Replicas = 4, 2
+	g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDocuments(base, 1); err != nil {
+		t.Fatal(err)
+	}
+	live := make(map[int]core.DocCounts)
+	for _, d := range base {
+		live[d.DocID] = d
+	}
+	add := func(d core.DocCounts) {
+		t.Helper()
+		if err := g.AddDocument(d.DocID, d.Counts); err != nil {
+			t.Fatal(err)
+		}
+		live[d.DocID] = d
+	}
+	remove := func(id int) {
+		t.Helper()
+		if err := g.RemoveDocument(id); err != nil {
+			t.Fatal(err)
+		}
+		delete(live, id)
+	}
+	check := func(step int) {
+		t.Helper()
+		docs := make([]core.DocCounts, 0, len(live))
+		for _, d := range live {
+			docs = append(docs, d)
+		}
+		ref, err := core.NewOwner(p, testSeed, dp.Disabled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.AddDocuments(docs, 1); err != nil {
+			t.Fatal(err)
+		}
+		for salt := 0; salt < 3; salt++ {
+			q := queryCols(p, step+salt)
+			got, err := g.AnswerRTK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.AnswerRTK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("step %d salt %d: sharded answer differs from the single owner's:\n got %+v\nwant %+v", step, salt, got, want)
+			}
+			if n := len(got.Cells[0].IDs); n != p.HeapCap() {
+				t.Fatalf("step %d: row 0 holds %d entries, want the cap %d: the merge did not overflow", step, n, p.HeapCap())
+			}
+		}
+	}
+	for step := 0; step < 200; step++ {
+		add(spare[step%len(spare)])
+		check(step)
+		if step > 0 {
+			remove(spare[(step-1)%len(spare)].DocID)
+		}
+		if step%5 == 4 {
+			mid := base[(step*7)%len(base)]
+			remove(mid.DocID)
+			check(step)
+			add(mid)
+		}
+		if step%25 != 24 {
+			continue
+		}
+		for si, s := range g.shards {
+			var first bytes.Buffer
+			for ri, r := range s.replicas {
+				var snap bytes.Buffer
+				if _, err := r.owner.WriteTo(&snap); err != nil {
+					t.Fatal(err)
+				}
+				if ri == 0 {
+					first = snap
+				} else if !bytes.Equal(first.Bytes(), snap.Bytes()) {
+					t.Fatalf("step %d: shard %d replica %d snapshot differs from replica 0's", step, si, ri)
+				}
+			}
+		}
 	}
 }
 
