@@ -53,6 +53,7 @@ chaos:
 # Short fuzz sessions over every fuzz target.
 fuzz:
 	$(GO) test -fuzz FuzzUnmarshalTable -fuzztime 30s ./internal/sketch/
+	$(GO) test -fuzz FuzzUnmarshalCompact -fuzztime 30s ./internal/sketch/
 	$(GO) test -fuzz FuzzReadOwner -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRTKQueryHandling -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzRTKResponseHandling -fuzztime 30s ./internal/core/

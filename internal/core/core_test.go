@@ -662,3 +662,22 @@ func BenchmarkOwnerAnswerRTK(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkOwnerAnswerTF measures Algorithm 2's owner side at the
+// benchmark geometry over 1 200 documents: every call reads one cell per
+// row of a different document's table, as the augmentation pipeline's
+// point lookups do, so the tables are not cache-resident.
+func BenchmarkOwnerAnswerTF(b *testing.B) {
+	q, o := benchGeometry(b, 0.5)
+	plans := make([]*Plan, 64)
+	for i := range plans {
+		plans[i] = q.Plan(uint64(1000 + i))
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := o.AnswerTF(i*7919%1200, plans[i%len(plans)].query); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"csfltr/internal/dp"
@@ -37,6 +38,16 @@ func FuzzReadOwner(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte{})
 	f.Add(buf.Bytes()[:20])
+	v1, err := os.ReadFile("testdata/owner_v1.snap") // dense document tables
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v1)
+	var v2 bytes.Buffer // the same corpus as v1: compact tables, narrow and wide
+	if _, err := v1Corpus(f).WriteTo(&v2); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v2.Bytes())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadOwner(bytes.NewReader(data), dp.Disabled())
 		if err != nil {

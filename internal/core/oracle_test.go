@@ -1220,7 +1220,10 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// Removing a document and putting it back moves entries within the
 	// cells' own slabs.
 	const victim = 600
-	table := o.docTables[victim]
+	table, err := o.scratch.Expand(o.docTables[victim])
+	if err != nil {
+		t.Fatal(err)
+	}
 	churn := testing.AllocsPerRun(10, func() {
 		o.rtk.Delete(victim, table)
 		if err := o.rtk.Update(victim, table); err != nil {

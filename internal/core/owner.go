@@ -69,9 +69,9 @@ type docMeta struct {
 
 // Owner is the in-process document-owner endpoint: it maintains one
 // standard sketch per document (Section IV, for TF queries and the NAIVE
-// baseline) and one RTK-Sketch across all documents (Section V). All
-// query answers are perturbed by the configured DP mechanism before they
-// leave the owner.
+// baseline), kept as its non-zero cells (sketch.Compact), and one
+// RTK-Sketch across all documents (Section V). All query answers are
+// perturbed by the configured DP mechanism before they leave the owner.
 //
 // Owner is safe for concurrent use: ingestion and query answering are
 // serialized by an internal mutex (the RPC transport serves connections
@@ -84,7 +84,8 @@ type Owner struct {
 	fam           *hashutil.Family
 	mech          dp.Mechanism
 	keepDocTables bool
-	docTables     map[int]*sketch.Table
+	docTables     map[int]sketch.Compact
+	scratch       *sketch.Builder // the one dense table documents are built in and expanded into
 	meta          map[int]docMeta
 	rtk           *RTKSketch
 	ids           []int
@@ -99,7 +100,8 @@ type Owner struct {
 type OwnerOption func(*Owner)
 
 // WithoutDocTables drops per-document sketches after they are folded into
-// the RTK-Sketch, reducing memory from O(n*z*w) to the RTK footprint.
+// the RTK-Sketch, reducing memory from DocTableBytes (the documents'
+// non-zero cells) plus the RTK footprint to the RTK footprint alone.
 // AnswerTF (and therefore the NAIVE baseline) becomes unavailable.
 func WithoutDocTables() OwnerOption {
 	return func(o *Owner) { o.keepDocTables = false }
@@ -123,12 +125,17 @@ func NewOwner(params Params, seed uint64, mech dp.Mechanism, opts ...OwnerOption
 	if err != nil {
 		return nil, err
 	}
+	scratch, err := sketch.NewBuilder(params.SketchKind, fam)
+	if err != nil {
+		return nil, err
+	}
 	o := &Owner{
 		params:        params,
 		fam:           fam,
 		mech:          mech,
 		keepDocTables: true,
-		docTables:     make(map[int]*sketch.Table),
+		docTables:     make(map[int]sketch.Compact),
+		scratch:       scratch,
 		meta:          make(map[int]docMeta),
 		rtk:           rtk,
 		idPos:         make(map[int]int),
@@ -164,20 +171,16 @@ func (o *Owner) AddDocument(docID int, counts map[uint64]int64) error {
 	if _, dup := o.meta[docID]; dup {
 		return fmt.Errorf("core: duplicate document id %d", docID)
 	}
-	table, err := sketch.New(o.params.SketchKind, o.fam)
-	if err != nil {
-		return err
-	}
 	length := 0
 	for _, c := range counts {
 		length += int(c)
 	}
-	table.AddCounts(counts)
+	table := o.scratch.Sketch(counts)
 	if err := o.rtk.Update(docID, table); err != nil {
 		return err
 	}
 	if o.keepDocTables {
-		o.docTables[docID] = table
+		o.docTables[docID] = o.scratch.Compact(table)
 	}
 	o.meta[docID] = docMeta{length: length, unique: len(counts)}
 	o.trackID(docID)
@@ -217,9 +220,9 @@ type DocCounts struct {
 // (workers <= 0 resolves to Params.Workers, i.e. GOMAXPROCS by default).
 // The final owner state is identical to calling AddDocument for each
 // element: every worker folds its contiguous document stripe into a
-// private accumulator (building and hashing the per-document sketch
-// tables as it goes — the table is pooled scratch unless the owner
-// retains per-document sketches), then one deterministic merge pass
+// private accumulator (building each document's sketch table in the
+// worker's one dense scratch, and compacting it if the owner retains
+// per-document sketches), then one deterministic merge pass
 // folds the stripe survivors into the shared RTK-Sketch with the rows
 // partitioned across workers. Eviction is a strict total order, so the
 // surviving entries per cell depend only on the document set, never on
@@ -263,9 +266,9 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 		workers = len(docs)
 	}
 
-	var tables []*sketch.Table
+	var tables []sketch.Compact // what each document keeps; nil if nothing
 	if o.keepDocTables {
-		tables = make([]*sketch.Table, len(docs))
+		tables = make([]sketch.Compact, len(docs))
 	}
 
 	if workers == 1 {
@@ -273,9 +276,7 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 		// into the RTK-Sketch. The stripe/merge split exists to give
 		// concurrent workers private state; at pool size one it would
 		// only copy every surviving entry a second time.
-		if err := o.bulkFold1(docs, tables); err != nil {
-			return err
-		}
+		o.bulkFold1(docs, tables)
 	} else if err := o.bulkFoldStriped(docs, tables, workers); err != nil {
 		return err
 	}
@@ -298,34 +299,17 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 	return nil
 }
 
-// bulkFold1 is the single-worker bulk fold: each document's table goes
-// straight into the shared RTK-Sketch, with one pooled scratch table
-// reused across the whole batch when per-document sketches are not
-// retained. Callers hold o.mu and have validated the batch. The only
-// error source is sketch.New, a pure function of the owner's parameters:
-// it fails before the first fold or never, so a failure leaves the owner
-// unmutated.
-func (o *Owner) bulkFold1(docs []DocCounts, tables []*sketch.Table) error {
-	var scratch *sketch.Table
+// bulkFold1 is the single-worker bulk fold: each document's table is built
+// in the owner's scratch and goes straight into the shared RTK-Sketch.
+// Callers hold o.mu and have validated the batch.
+func (o *Owner) bulkFold1(docs []DocCounts, tables []sketch.Compact) {
 	for i := range docs {
-		t := scratch
-		if t == nil {
-			var err error
-			if t, err = sketch.New(o.params.SketchKind, o.fam); err != nil {
-				return err
-			}
-		} else {
-			t.Reset()
-		}
-		t.AddCounts(docs[i].Counts)
+		t := o.scratch.Sketch(docs[i].Counts)
 		o.rtk.updateRows(docs[i].DocID, t)
 		if tables != nil {
-			tables[i] = t
-		} else {
-			scratch = t
+			tables[i] = o.scratch.Compact(t)
 		}
 	}
-	return nil
 }
 
 // bulkFoldStriped is the concurrent bulk fold: stage 1 folds each
@@ -333,7 +317,7 @@ func (o *Owner) bulkFold1(docs []DocCounts, tables []*sketch.Table) error {
 // the stripe survivors into the shared sketch with the rows partitioned
 // across the pool. Callers hold o.mu and have validated the batch;
 // nothing on the owner is mutated until every stripe has succeeded.
-func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []*sketch.Table, workers int) error {
+func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []sketch.Compact, workers int) error {
 	// Stage 1: each worker folds its document stripe into a private
 	// accumulator. Nothing is mutated on the owner yet, so a failure here
 	// aborts cleanly. A stripe of s documents pushes exactly s entries
@@ -350,24 +334,16 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []*sketch.Table, worker
 		}
 		acc := getAccum(z*w, acap, abs)
 		accums[wk] = acc
-		var scratch *sketch.Table
+		scratch, err := sketch.NewBuilder(o.params.SketchKind, o.fam)
+		if err != nil {
+			errs[wk] = err
+			return
+		}
 		for i := lo; i < hi; i++ {
-			t := scratch
-			if t == nil {
-				var err error
-				if t, err = sketch.New(o.params.SketchKind, o.fam); err != nil {
-					errs[wk] = err
-					return
-				}
-			} else {
-				t.Reset()
-			}
-			t.AddCounts(docs[i].Counts)
+			t := scratch.Sketch(docs[i].Counts)
 			acc.addTable(docs[i].DocID, t, z, w)
 			if tables != nil {
-				tables[i] = t
-			} else {
-				scratch = t
+				tables[i] = scratch.Compact(t)
 			}
 		}
 	}
@@ -420,16 +396,20 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []*sketch.Table, worker
 }
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
-// sketch and metadata. An owner that kept the document's table hands it
-// to the sketch, which then skips every full cell the document cannot be
-// in (see RTKSketch.Delete).
+// sketch and metadata. An owner that kept the document's table expands it
+// into the scratch and hands it to the sketch, which then skips every full
+// cell the document cannot be in (see RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, ok := o.meta[docID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	o.rtk.Delete(docID, o.docTables[docID]) // nil without tables
+	var table *sketch.Table // nil without tables
+	if c, ok := o.docTables[docID]; ok {
+		table, _ = o.scratch.Expand(c) // a kept table has the scratch's geometry
+	}
+	o.rtk.Delete(docID, table)
 	delete(o.docTables, docID)
 	delete(o.meta, docID)
 	// Swap-delete via the position index instead of the old O(n)
@@ -489,15 +469,12 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 	if q == nil || len(q.Cols) != o.params.Z {
 		return nil, fmt.Errorf("%w: query has %d columns, want %d", ErrBadQuery, qLen(q), o.params.Z)
 	}
-	raw, err := table.LookupColumns(q.Cols)
-	if err != nil {
+	if err := table.CheckColumns(q.Cols); err != nil {
 		return nil, err
 	}
 	noise := o.mech.Sample() // one draw for all z values, as in Algorithm 2
-	vals := make([]float64, len(raw))
-	for i, v := range raw {
-		vals[i] = float64(v) + noise
-	}
+	vals := make([]float64, len(q.Cols))
+	table.Lookup(q.Cols, noise, vals)
 	return &TFResponse{Values: vals}, nil
 }
 
@@ -534,14 +511,23 @@ func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	return resp, nil
 }
 
-// NaiveSizeBytes returns the owner-side memory of the per-document
-// sketches (the NAIVE baseline's space cost).
+// NaiveSizeBytes returns the NAIVE baseline's space cost, the quantity of
+// the paper's Fig. 4: one dense z x w table of 8-byte counters per
+// retained document sketch. What the sketches occupy here is
+// DocTableBytes.
 func (o *Owner) NaiveSizeBytes() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
+	return int64(len(o.docTables)) * int64(8*o.params.Z*o.params.W)
+}
+
+// DocTableBytes returns the resident size of the per-document sketches.
+func (o *Owner) DocTableBytes() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
 	var n int64
-	for _, t := range o.docTables {
-		n += int64(t.SizeBytes())
+	for _, c := range o.docTables {
+		n += int64(c.SizeBytes())
 	}
 	return n
 }

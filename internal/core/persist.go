@@ -17,9 +17,12 @@ import (
 var ErrCorruptState = errors.New("core: corrupt persisted state")
 
 // persistMagic and persistVersion guard the owner snapshot format.
+// Version 2 stores each retained document table as its compact bytes
+// (sketch.Compact.AppendBinary); version 1 stored the dense table
+// (sketch.Table.MarshalBinary) and is still read. Nothing else differs.
 const (
 	persistMagic   = uint32(0x43534F31) // "CSO1"
-	persistVersion = uint32(1)
+	persistVersion = uint32(2)
 )
 
 // WriteTo persists the owner's full state — parameters, hash seed,
@@ -54,6 +57,7 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 	// Documents.
 	ids := append([]int(nil), o.ids...) // under o.mu; DocIDs would deadlock
 	sort.Ints(ids)
+	var table []byte // one document's table, reused
 	put64(uint64(len(ids)))
 	keep := uint32(0)
 	if o.keepDocTables {
@@ -66,12 +70,9 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 		put64(uint64(int64(m.length)))
 		put64(uint64(int64(m.unique)))
 		if o.keepDocTables {
-			data, err := o.docTables[id].MarshalBinary()
-			if err != nil {
-				return cw.n, err
-			}
-			put64(uint64(len(data)))
-			if _, err := cw.Write(data); err != nil {
+			table = o.docTables[id].AppendBinary(table[:0])
+			put64(uint64(len(table)))
+			if _, err := cw.Write(table); err != nil {
 				return cw.n, err
 			}
 		}
@@ -93,6 +94,23 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 		return cw.n, cw.err
 	}
 	return cw.n, cw.w.(*bufio.Writer).Flush()
+}
+
+// decodeDocTable reads one retained document table as a snapshot of the
+// given version stores it. Version 1's dense tables are compacted on the
+// way in, so a loaded owner is the same whichever version it came from.
+func (o *Owner) decodeDocTable(version uint32, data []byte) (sketch.Compact, error) {
+	if version >= 2 {
+		return sketch.UnmarshalCompact(o.params.Z, o.params.W, data)
+	}
+	dense, err := sketch.UnmarshalTable(data)
+	if err != nil {
+		return sketch.Compact{}, err
+	}
+	if dense.Z() != o.params.Z || dense.W() != o.params.W {
+		return sketch.Compact{}, fmt.Errorf("table is %dx%d", dense.Z(), dense.W())
+	}
+	return o.scratch.Compact(dense), nil
 }
 
 // countingWriter tracks bytes and the first error.
@@ -133,7 +151,8 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 	if !read(&g32) || g32 != persistMagic {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorruptState)
 	}
-	if !read(&g32) || g32 != persistVersion {
+	var version uint32
+	if !read(&version) || version < 1 || version > persistVersion {
 		return nil, fmt.Errorf("%w: unsupported version", ErrCorruptState)
 	}
 	var p Params
@@ -203,6 +222,7 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
 	}
+	var table []byte // one document's serialized table, reused
 	for i := uint64(0); i < nDocs; i++ {
 		var id, length, unique uint64
 		if !read(&id) || !read(&length) || !read(&unique) {
@@ -212,17 +232,20 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 		o.meta[docID] = docMeta{length: int(int64(length)), unique: int(int64(unique))}
 		o.trackID(docID)
 		if keep == 1 {
+			// The longest table of this geometry is a compact one with
+			// every cell non-zero in 8-byte words (a counter per cell, two
+			// words per 64 columns); version 1's dense table is shorter.
 			var tblLen uint64
-			if !read(&tblLen) || tblLen > 1<<32 {
+			if !read(&tblLen) || tblLen > uint64(64+8*p.Z*(p.W+p.W/16+4)) {
 				return nil, fmt.Errorf("%w: bad table length for doc %d", ErrCorruptState, docID)
 			}
-			buf := make([]byte, tblLen)
-			if _, err := io.ReadFull(br, buf); err != nil {
+			table = append(table[:0], make([]byte, tblLen)...)
+			if _, err := io.ReadFull(br, table); err != nil {
 				return nil, fmt.Errorf("%w: truncated table for doc %d", ErrCorruptState, docID)
 			}
-			tbl, err := sketch.UnmarshalTable(buf)
+			tbl, err := o.decodeDocTable(version, table)
 			if err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrCorruptState, err)
+				return nil, fmt.Errorf("%w: document %d: %v", ErrCorruptState, docID, err)
 			}
 			o.docTables[docID] = tbl
 		}

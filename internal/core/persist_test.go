@@ -3,11 +3,15 @@ package core
 import (
 	"bytes"
 	"errors"
+	"io"
 	"math/rand"
+	"os"
+	"slices"
 	"testing"
 
 	"csfltr/internal/dp"
 	"csfltr/internal/sketch"
+	"csfltr/internal/zipf"
 )
 
 // snapshotOwner builds an owner with deterministic content and returns
@@ -198,4 +202,154 @@ func TestSnapshotSketchKindPreserved(t *testing.T) {
 	if got.Params().SketchKind != sketch.CountMin {
 		t.Fatal("sketch kind lost in snapshot")
 	}
+}
+
+// v1Corpus builds the owner whose version-1 snapshot, written by the last
+// commit that kept dense document tables, is testdata/owner_v1.snap: cells
+// over capacity (6 documents, cap 2) and one document whose counter does
+// not fit the narrow compact encoding. Small, because it also seeds
+// FuzzReadOwner.
+func v1Corpus(t testing.TB) *Owner {
+	t.Helper()
+	p := DefaultParams()
+	p.Z, p.W, p.Z1, p.K, p.Alpha, p.Epsilon = 3, 8, 2, 2, 1, 0
+	o, err := NewOwner(p, 42, dp.Disabled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(22))
+	for id := 0; id < 6; id++ {
+		counts := map[uint64]int64{uint64(100 + id): int64(6 - id)}
+		for j := 0; j < 3; j++ {
+			counts[uint64(rng.Intn(60))]++
+		}
+		if id == 4 {
+			counts[555] = 40_000 // beyond the narrow encoding
+		}
+		if err := o.AddDocument(id, counts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return o
+}
+
+// TestReadOwnerVersion1: a snapshot from before document tables were
+// compact loads to the owner the same corpus builds today — every TF and
+// RTK answer at epsilon = 0, and the snapshot it writes next.
+func TestReadOwnerVersion1(t *testing.T) {
+	v1, err := os.ReadFile("testdata/owner_v1.snap")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v1[4] != 1 {
+		t.Fatalf("testdata/owner_v1.snap is version %d", v1[4])
+	}
+	old, err := ReadOwner(bytes.NewReader(v1), dp.Disabled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := v1Corpus(t)
+	p := fresh.Params()
+	for col := 0; col < p.W; col++ {
+		q := &TFQuery{Cols: make([]uint32, p.Z)}
+		for a := range q.Cols {
+			q.Cols[a] = uint32((col + 5*a) % p.W)
+		}
+		want, err := fresh.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := old.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for a := range want.Cells {
+			if !slices.Equal(got.Cells[a].IDs, want.Cells[a].IDs) || !slices.Equal(got.Cells[a].Values, want.Cells[a].Values) {
+				t.Fatalf("AnswerRTK(%v) row %d: loaded %v, built %v", q.Cols, a, got.Cells[a], want.Cells[a])
+			}
+		}
+		for _, id := range fresh.DocIDs() {
+			want, err := fresh.AnswerTF(id, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := old.AnswerTF(id, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got.Values, want.Values) {
+				t.Fatalf("AnswerTF(%d, %v): loaded %v, built %v", id, q.Cols, got.Values, want.Values)
+			}
+		}
+	}
+	if old.DocTableBytes() != fresh.DocTableBytes() {
+		t.Fatalf("loaded tables occupy %d bytes, built ones %d", old.DocTableBytes(), fresh.DocTableBytes())
+	}
+	var resaved, v2 bytes.Buffer
+	if _, err := old.WriteTo(&resaved); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fresh.WriteTo(&v2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), v2.Bytes()) {
+		t.Fatal("a version-1 snapshot, loaded and saved, differs from the version-2 snapshot of the same corpus")
+	}
+	if v2.Bytes()[4] != 2 {
+		t.Fatalf("snapshots are written as version %d, want 2", v2.Bytes()[4])
+	}
+}
+
+// TestDocTableDiet pins what keeping document tables compact buys at the
+// benchmark geometry (z = 30, w = 200), over 1 200 documents of 120
+// Zipf-drawn tokens: resident tables at most a sixth of the dense ones the
+// NAIVE accounting still reports, their snapshot section at least 4x
+// smaller than version 1 wrote it, the whole snapshot at least 2x.
+func TestDocTableDiet(t *testing.T) {
+	p := DefaultParams()
+	p.K = 50
+	o, err := NewOwner(p, 42, dp.Disabled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	dist := zipf.MustNew(2000, 1.05)
+	docs := make([]DocCounts, 1200)
+	for id := range docs {
+		counts := make(map[uint64]int64)
+		for j := 0; j < 120; j++ {
+			counts[uint64(dist.Sample(rng))]++
+		}
+		docs[id] = DocCounts{DocID: id, Counts: counts}
+	}
+	if err := o.AddDocuments(docs, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	dense := int64(len(docs)) * int64(8*p.Z*p.W)
+	if got := o.NaiveSizeBytes(); got != dense {
+		t.Fatalf("NaiveSizeBytes = %d, want the dense n*z*w*8 = %d", got, dense)
+	}
+	resident := o.DocTableBytes()
+	if resident == 0 || 6*resident > dense {
+		t.Fatalf("document tables occupy %d bytes, ceiling is a sixth of dense (%d)", resident, dense/6)
+	}
+
+	total, err := o.WriteTo(io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per document, beside the table: version 2 writes a length and the
+	// encoding tag; version 1 wrote a length and Table.MarshalBinary's
+	// 30-byte header.
+	tables := resident + int64(len(docs))*(8+1)
+	tablesV1 := dense + int64(len(docs))*(8+30)
+	if tablesV1 < 4*tables {
+		t.Fatalf("document-table section is %d bytes, version 1 wrote %d: less than 4x smaller", tables, tablesV1)
+	}
+	if totalV1 := total - tables + tablesV1; totalV1 < 2*total {
+		t.Fatalf("snapshot is %d bytes, version 1 wrote %d: less than 2x smaller", total, totalV1)
+	}
+	t.Logf("tables: %d B resident (dense %d, 1/%.1f); snapshot %d B (version 1: %d, %.1fx)",
+		resident, dense, float64(dense)/float64(resident), total, total-tables+tablesV1, float64(total-tables+tablesV1)/float64(total))
 }

@@ -694,8 +694,9 @@ type PartyConfig struct {
 	// Budget is the optional per-peer DP budget for the accountant
 	// (0 = track only).
 	Budget float64
-	// KeepDocTables controls whether per-document sketches are retained
-	// (required for TF queries and the NAIVE baseline). Default true.
+	// DropDocTables mirrors core.WithoutDocTables on every owner of the
+	// party: per-document sketches are not retained, so TF queries and
+	// the NAIVE baseline are unavailable. The zero value keeps them.
 	DropDocTables bool
 }
 

@@ -193,17 +193,13 @@ func (t *Table) Cell(row int, col uint32) int64 {
 // supplies one (possibly obfuscated) column index per row and receives the
 // corresponding cells. len(cols) must equal Z.
 func (t *Table) LookupColumns(cols []uint32) ([]int64, error) {
-	if len(cols) != t.fam.Z() {
-		return nil, fmt.Errorf("%w: got %d column indexes for %d rows",
-			ErrIncompatible, len(cols), t.fam.Z())
+	w := t.fam.W()
+	if err := checkColumns(cols, t.fam.Z(), w); err != nil {
+		return nil, err
 	}
-	w := uint32(t.fam.W())
 	out := make([]int64, len(cols))
 	for a, c := range cols {
-		if c >= w {
-			return nil, fmt.Errorf("%w: column %d out of range [0,%d)", ErrIncompatible, c, w)
-		}
-		out[a] = t.cells[a*int(w)+int(c)]
+		out[a] = t.cells[a*w+int(c)]
 	}
 	return out, nil
 }
