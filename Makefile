@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos fuzz experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
 
 all: build test
 
@@ -65,6 +65,14 @@ fuzz:
 	$(GO) test -fuzz FuzzCacheKey -fuzztime 30s ./internal/qcache/
 	$(GO) test -fuzz FuzzWireDecode -fuzztime 30s ./internal/wire/
 	$(GO) test -fuzz FuzzSecAggDecode -fuzztime 30s ./internal/secagg/
+
+# Ten seconds each on the decoders of what a remote party sends: the
+# wire frames (version 2 RTK replies among them) and the querier's
+# handling of a decoded reply. A short minimize budget keeps the engine
+# mutating instead of shrinking the 9 kB seeds. Mirrored by the CI job.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzRTKResponseHandling -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 
 # Regenerate every table and figure at the shape-faithful default scale
 # (about 20 minutes; see EXPERIMENTS.md).

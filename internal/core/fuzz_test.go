@@ -127,7 +127,47 @@ func FuzzRTKResponseHandling(f *testing.F) {
 	f.Add([]byte{4, 2, 2, 2, 1, 5, 6, 2, 2, 1, 1, 7, 8})                                                         // descending, duplicate
 	f.Add([]byte{4, 1, 1, 1, 128, 1, 1, 1, 129, 1, 1, 1, 130, 1, 1, 2, 128})                                     // NaN, +Inf, -Inf
 	f.Add([]byte{9})
+	// The same bytes are also read as a version 2 payload, the form a
+	// remote party's reply arrives in: a well-formed one, and that cut
+	// short.
+	payload, _ := (&RTKResponse{Cells: []RTKCell{
+		{IDs: []int32{1, 2}, Values: []float64{5, 6}}, {IDs: []int32{2, 3}, Values: []float64{7, 8}},
+		{IDs: []int32{2}, Values: []float64{9}}, {},
+	}}).AppendPayload(nil)
+	f.Add(payload)
+	f.Add(payload[:len(payload)-3])
+	recoverFrom := func(t *testing.T, resp *RTKResponse, offered map[int]bool) {
+		docs, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K)
+		if err != nil {
+			if !errors.Is(err, ErrBadQuery) {
+				t.Fatalf("unexpected error class: %v", err)
+			}
+			return
+		}
+		if len(docs) > p.K {
+			t.Fatalf("%d results for k=%d", len(docs), p.K)
+		}
+		for _, dc := range docs {
+			if !offered[dc.DocID] {
+				t.Fatalf("result %+v was never offered by the response", dc)
+			}
+		}
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if resp, err := DecodeRTKPayload(data); err == nil {
+			if again, ok := resp.AppendPayload(nil); !ok || !bytes.Equal(again, data) {
+				t.Fatalf("payload % x decodes, and re-encodes to % x (%v)", data, again, ok)
+			}
+			offered := make(map[int]bool)
+			for _, cell := range resp.Cells {
+				for _, id := range cell.IDs {
+					offered[int(id)] = true
+				}
+			}
+			recoverFrom(t, resp, offered)
+		} else if !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("unexpected decode error class: %v", err)
+		}
 		next := func() byte {
 			if len(data) == 0 {
 				return 0
@@ -159,21 +199,7 @@ func FuzzRTKResponseHandling(f *testing.F) {
 			}
 			resp.Cells[a] = cell
 		}
-		docs, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K)
-		if err != nil {
-			if !errors.Is(err, ErrBadQuery) {
-				t.Fatalf("unexpected error class: %v", err)
-			}
-			return
-		}
-		if len(docs) > p.K {
-			t.Fatalf("%d results for k=%d", len(docs), p.K)
-		}
-		for _, dc := range docs {
-			if !offered[dc.DocID] {
-				t.Fatalf("result %+v was never offered by the response", dc)
-			}
-		}
+		recoverFrom(t, resp, offered)
 	})
 }
 

@@ -58,7 +58,10 @@ func (r refOwner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 		}
 		cells[a] = cell
 	}
-	return &RTKResponse{Cells: cells}, nil
+	// The length an owner carries must be the length a walk measures.
+	resp := &RTKResponse{Cells: cells}
+	resp.payloadLen, _ = resp.PayloadLen()
+	return resp, nil
 }
 
 // refRTKWithPlan recovers candidates through a per-document map of
@@ -953,6 +956,19 @@ func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise floa
 	got := MergeRTKResponses(parts, heapCap, abs, noise)
 	if len(got.Cells) != len(rows) {
 		t.Fatalf("%d rows, want %d", len(got.Cells), len(rows))
+	}
+	// The length the merge carries is the length a walk measures; it may
+	// only go unrecorded for a count outside the sizer's window.
+	if walked, _ := (&RTKResponse{Cells: got.Cells}).PayloadLen(); got.payloadLen != walked {
+		inWindow := true
+		for _, cell := range got.Cells {
+			for _, v := range cell.Values {
+				inWindow = inWindow && math.Abs(v-noise) < rtkCountWindow/2
+			}
+		}
+		if got.payloadLen != 0 || inWindow {
+			t.Fatalf("merged reply carries length %d, a walk measures %d", got.payloadLen, walked)
+		}
 	}
 	for a, row := range rows {
 		n := 0

@@ -21,8 +21,13 @@ type RTKCell struct {
 
 // RTKResponse is the owner's answer to a reverse top-K query: the heap
 // content of the cell the (obfuscated) term hashes to in every row.
+//
+// A reply is immutable once produced: producers and decoders record its
+// encoded length in it (see PayloadLen), and callers cache and share it.
 type RTKResponse struct {
 	Cells []RTKCell
+
+	payloadLen int // length of the version 2 payload; 0 when not recorded
 }
 
 // newRTKResponse allocates a response of z empty cells plus one id slab
@@ -482,7 +487,8 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // of the addressed cell in every row, in canonical ascending-DocID order,
 // counts perturbed with a single noise draw. Cells a mutation left out of
 // canonical order are sorted in place on the way, so back-to-back queries
-// only copy. The response owns its memory (callers cache it).
+// only copy. The response owns its memory (callers cache it) and carries
+// its encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -498,16 +504,20 @@ func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 		total += len(o.rtk.Cell(a, col))
 	}
 	resp, ids, vals := newRTKResponse(o.params.Z, total)
+	var sz rtkSizer
 	for a, col := range q.Cols {
 		entries := o.rtk.Cell(a, col)
 		n := len(entries)
 		for i, e := range entries {
 			ids[i] = e.DocID
 			vals[i] = float64(e.Value) + noise
+			sz.note(e.Value)
 		}
 		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+		sz.cell(ids[:n])
 		ids, vals = ids[n:], vals[n:]
 	}
+	sz.finish(resp, noise)
 	return resp, nil
 }
 

@@ -545,7 +545,8 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // answer a single sketch over the union of the partitions' documents
 // would give, adding noise to every released value. Parts are raw
 // (noise-free, so every value is an exact integer) Owner answers over
-// disjoint document sets; like them, the result owns its memory.
+// disjoint document sets; like them, the result owns its memory and
+// carries its encoded length (rtkSizer, fed from the merge loop).
 //
 // Correctness mirrors mergeAccumRows: eviction is a strict total order
 // (key descending, key-ties keep the smaller DocID), so an entry in the
@@ -582,6 +583,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 		ranked = make([]Entry, 0, longest)
 	}
 	heads := make([]RTKCell, len(parts)) // what the merge has yet to take of each part's row
+	var sz rtkSizer
 	for a := 0; a < z; a++ {
 		n := 0
 		for pi, p := range parts {
@@ -621,6 +623,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 			for {
 				id, v := run.IDs[i], run.Values[i]
 				if !rankLess(rank(id, v), cut) {
+					sz.note(int64(v))
 					ids[out], vals[out] = id, v+noise
 					out++
 				}
@@ -631,8 +634,10 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 			run.IDs, run.Values = run.IDs[i:], run.Values[i:]
 		}
 		resp.Cells[a] = RTKCell{IDs: ids[:keep:keep], Values: vals[:keep:keep]}
+		sz.cell(ids[:keep])
 		ids, vals = ids[keep:], vals[keep:]
 	}
+	sz.finish(resp, noise)
 	return resp
 }
 

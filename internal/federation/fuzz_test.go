@@ -11,6 +11,7 @@ import (
 
 	"csfltr/internal/core"
 	"csfltr/internal/textkit"
+	"csfltr/internal/wire"
 )
 
 // FuzzHTTPEnvelope hardens the gateway's JSON envelope decoder: for any
@@ -104,7 +105,10 @@ func gobBytes(f *testing.F, v any) []byte {
 // dispatched RPCService method must not panic. Malformed streams must
 // fail in the decoder; well-formed but hostile arguments (unknown
 // parties, out-of-range sketch columns, absurd document ids) must come
-// back as ordinary errors from the service.
+// back as ordinary errors from the service. The fifth method is the
+// client's side of AnswerRTK: the stream is a gob-encoded RTKReply,
+// whose body is a version 2 wire frame — it fails in the decoder, or
+// the reply's own frame decodes and encodes back to itself.
 func FuzzRPCDecode(f *testing.F) {
 	fed, err := NewDeterministic([]string{"A", "B"}, testParams(), 42, 7)
 	if err != nil {
@@ -139,10 +143,20 @@ func FuzzRPCDecode(f *testing.F) {
 		Query: core.TFQuery{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}}))
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(2), []byte{0xff, 0xff, 0xff, 0xff})
+	var rtk RTKReply
+	if err := svc.AnswerRTK(&RTKArgs{Party: "A", Field: FieldBody, Query: core.TFQuery{Cols: cols}}, &rtk); err != nil {
+		f.Fatal(err)
+	}
+	reply := gobBytes(f, &rtk)
+	f.Add(uint8(4), reply)
+	f.Add(uint8(4), reply[:len(reply)-2])
+	flipped := bytes.Clone(reply)
+	flipped[len(flipped)-1] ^= 0x10
+	f.Add(uint8(4), flipped)
 
 	f.Fuzz(func(t *testing.T, method uint8, payload []byte) {
 		dec := gob.NewDecoder(bytes.NewReader(payload))
-		switch method % 4 {
+		switch method % 5 {
 		case 0:
 			var args DocIDsArgs
 			if dec.Decode(&args) != nil {
@@ -171,6 +185,19 @@ func FuzzRPCDecode(f *testing.F) {
 			}
 			var reply RTKReply
 			_ = svc.AnswerRTK(&args, &reply)
+		case 4:
+			var reply RTKReply
+			if dec.Decode(&reply) != nil {
+				return
+			}
+			frame, _ := reply.GobEncode()
+			var again RTKReply
+			if err := again.GobDecode(frame); err != nil {
+				t.Fatalf("a decoded reply does not survive its own encoding: %v", err)
+			}
+			if twice, _ := again.GobEncode(); frame[0] == wire.VersionRTK && !bytes.Equal(twice, frame) {
+				t.Fatalf("a version 2 reply's frame % x decodes, and re-encodes to % x", frame, twice)
+			}
 		}
 	})
 }

@@ -254,10 +254,11 @@ func (c countingConn) Write(p []byte) (int, error) {
 }
 
 // TestHTTPSocketBytesWithinAccounted: what the coordinator accounts for
-// an HTTP remote is the uncompressed frame size, and the socket carries
-// the flate-compressed frame — so the bytes that cross the party host's
-// socket stay within the accounted bytes plus the HTTP headers, and a
-// reverse top-K reply costs a fraction of the public JSON form.
+// an HTTP remote is the stored frame size. A reverse top-K reply's
+// frame is stored, so for RTK the bytes that cross the party host's
+// socket are the accounted bytes plus the HTTP headers, on both sides;
+// the small TF frames stay within accounted plus headers; and a reverse
+// top-K reply costs a fraction of the public JSON form.
 func TestHTTPSocketBytesWithinAccounted(t *testing.T) {
 	fed := geometryFed(t) // Epsilon = 0.5: noisy values, the worst case for the codec
 	b, _ := fed.Party("B")
@@ -291,9 +292,13 @@ func TestHTTPSocketBytesWithinAccounted(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// An RTK reply's frame is stored, so what is accounted is what
+	// crosses the socket, not an upper bound on it: the two agree to
+	// within 5 % plus the HTTP headers, on both sides.
 	rtkSocket := socket.Load()
-	if acc := coord.TransportBytes(CodecWire, apiRTK); rtkSocket > acc+calls*headerBytes {
-		t.Fatalf("rtk: %d bytes on the socket, %d accounted (+%d per call of headers)", rtkSocket, acc, headerBytes)
+	acc := coord.TransportBytes(CodecWire, apiRTK)
+	if slack := acc/20 + calls*headerBytes; rtkSocket > acc+slack || rtkSocket < acc-slack {
+		t.Fatalf("rtk: %d bytes on the socket, %d accounted: want within 5 %% (+%d per call of headers)", rtkSocket, acc, headerBytes)
 	}
 	for i := 0; i < calls; i++ {
 		if _, err := remote.AnswerTF(i, queries[i]); err != nil {

@@ -84,13 +84,13 @@ type RTKReply struct{ Resp core.RTKResponse }
 
 // The four structs that dominate RPC traffic implement
 // gob.GobEncoder/GobDecoder over internal/wire, so net/rpc ships the
-// compact framed form (varint-delta document ids, zig-zag varint
-// counts, flate above the size threshold) instead of gob's reflected
-// struct encoding. The frame's version byte, not gob's type system, now
-// governs evolution of these payloads: changing a field means bumping
-// wire.Version, and both directions reject frames they do not
-// understand instead of silently misreading them. The small roster and
-// metadata messages stay on plain gob.
+// compact framed form (an RTK reply bit-packed in a stored version 2
+// frame; queries and TF values as varints in version 1) instead of
+// gob's reflected struct encoding. The frame's version byte, not gob's
+// type system, now governs evolution of these payloads: changing a
+// layout means a new version, and both directions reject frames they do
+// not understand instead of silently misreading them. The small roster
+// and metadata messages stay on plain gob.
 
 // GobEncode implements gob.GobEncoder.
 func (a *TFArgs) GobEncode() ([]byte, error) {

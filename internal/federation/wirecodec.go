@@ -274,12 +274,7 @@ func sizeTopKRelease(codec string, docs []core.DocCount) int64 {
 	if codec != codecWire {
 		return 12 * int64(len(docs))
 	}
-	cell := core.RTKCell{IDs: make([]int32, len(docs)), Values: make([]float64, len(docs))}
-	for i, d := range docs {
-		cell.IDs[i] = int32(d.DocID)
-		cell.Values[i] = d.Count
-	}
-	return wire.SizeRTKResponse(&core.RTKResponse{Cells: []core.RTKCell{cell}})
+	return wire.SizeTopK(docs)
 }
 
 // appendFloat appends a float64 as its little-endian bit pattern

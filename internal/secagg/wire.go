@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"csfltr/internal/varint"
 	"csfltr/internal/wire"
 )
 
@@ -51,8 +52,8 @@ func (u *MaskedUpdate) Marshal(dst []byte) []byte {
 // Size returns the framed (uncompressed) encoded size — the number the
 // transport byte accounting records per submission.
 func (u *MaskedUpdate) Size() int64 {
-	n := 1 + uvarintLen(u.Round) + uvarintLen(uint64(u.Party)) +
-		uvarintLen(uint64(len(u.Vec))) + 8*len(u.Vec)
+	n := 1 + varint.Len(u.Round) + varint.Len(uint64(u.Party)) +
+		varint.Len(uint64(len(u.Vec))) + 8*len(u.Vec)
 	return wire.PackedSize(n)
 }
 
@@ -117,8 +118,8 @@ func (r *SeedReveal) Marshal(dst []byte) []byte {
 
 // Size returns the framed (uncompressed) encoded size.
 func (r *SeedReveal) Size() int64 {
-	n := 1 + uvarintLen(r.Round) + uvarintLen(uint64(r.From)) +
-		uvarintLen(uint64(r.Dropped)) + len(r.Seed)
+	n := 1 + varint.Len(r.Round) + varint.Len(uint64(r.From)) +
+		varint.Len(uint64(r.Dropped)) + len(r.Seed)
 	return wire.PackedSize(n)
 }
 
@@ -153,14 +154,4 @@ func UnmarshalSeedReveal(data []byte) (*SeedReveal, error) {
 	}
 	copy(out.Seed[:], rest)
 	return out, nil
-}
-
-// uvarintLen returns the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
 }

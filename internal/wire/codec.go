@@ -6,9 +6,10 @@ import (
 	"math"
 
 	"csfltr/internal/core"
+	"csfltr/internal/varint"
 )
 
-// Payload layouts (inside the Pack frame):
+// Payload layouts (inside the Pack frame, version 1):
 //
 //	TFQuery:     uvarint n, then n uvarint column indexes.
 //	TFResponse:  uvarint n, then a value vector.
@@ -20,10 +21,12 @@ import (
 // integral bit set, n zig-zag varints (the quantized-count form — exact
 // whenever every value is a whole number, which is always the case at
 // Epsilon = 0); otherwise n raw little-endian float64 bit patterns, so
-// noisy values round-trip losslessly too. Document ids arrive in the
-// canonical ascending order every owner emits, which makes the deltas
-// small positive varints; the delta coding is order-preserving either
-// way, so no information is lost on non-canonical input.
+// noisy values round-trip losslessly too. The id delta coding is
+// order-preserving, so it loses nothing on ids in any order — which is
+// why this layout remains the encoding of the RTK replies version 2
+// (core.RTKResponse.AppendPayload, the layout every canonical reply
+// takes) cannot represent, and of batch top-K releases, whose ids are
+// ordered by count.
 
 // valueFlagIntegral marks a value vector encoded as zig-zag varints.
 const valueFlagIntegral = 1 << 0
@@ -77,16 +80,21 @@ func decodeValues(dst []float64, data []byte) ([]byte, error) {
 }
 
 // integral reports whether every value is a whole number representable
-// as an int64 (the exactness condition for the varint form). Negative
-// zero is excluded: int64 cannot carry its sign bit back.
+// as an int64 (the exactness condition for the varint form).
 func integral(vals []float64) bool {
 	for _, v := range vals {
-		if v != math.Trunc(v) || v < math.MinInt64 || v >= math.MaxInt64 ||
-			(v == 0 && math.Signbit(v)) {
+		if !integralValue(v) {
 			return false
 		}
 	}
 	return true
+}
+
+// integralValue reports whether int64(v) carries v exactly. Negative
+// zero does not: int64 cannot carry its sign bit back.
+func integralValue(v float64) bool {
+	return v == math.Trunc(v) && v >= math.MinInt64 && v < math.MaxInt64 &&
+		!(v == 0 && math.Signbit(v))
 }
 
 // valuesSize returns the encoded size of a value vector.
@@ -94,31 +102,43 @@ func valuesSize(vals []float64) int {
 	n := 1
 	if integral(vals) {
 		for _, v := range vals {
-			n += varintLen(int64(v))
+			n += varint.ZigZagLen(int64(v))
 		}
 		return n
 	}
 	return n + 8*len(vals)
 }
 
-// AppendTFQuery appends the framed encoding of a column query.
+// AppendTFQuery appends the framed encoding of a column query. A query
+// is far below CompressThreshold, so its frame is stored and is written
+// straight into dst; a longer one goes through Pack.
 func AppendTFQuery(dst []byte, q *core.TFQuery) []byte {
-	payload := make([]byte, 0, 2+2*len(q.Cols))
-	payload = AppendUvarint(payload, uint64(len(q.Cols)))
-	for _, c := range q.Cols {
-		payload = AppendUvarint(payload, uint64(c))
+	n := tfQueryLen(q)
+	if n >= CompressThreshold {
+		return Pack(dst, appendTFQueryPayload(make([]byte, 0, n), q))
 	}
-	return Pack(dst, payload)
+	return appendTFQueryPayload(appendHeader(dst, Version, 0, n), q)
+}
+
+func appendTFQueryPayload(dst []byte, q *core.TFQuery) []byte {
+	dst = AppendUvarint(dst, uint64(len(q.Cols)))
+	for _, c := range q.Cols {
+		dst = AppendUvarint(dst, uint64(c))
+	}
+	return dst
+}
+
+// tfQueryLen returns the unframed payload size of a column query.
+func tfQueryLen(q *core.TFQuery) int {
+	n := varint.Len(uint64(len(q.Cols)))
+	for _, c := range q.Cols {
+		n += varint.Len(uint64(c))
+	}
+	return n
 }
 
 // SizeTFQuery returns the framed (uncompressed) encoded size.
-func SizeTFQuery(q *core.TFQuery) int64 {
-	n := uvarintLen(uint64(len(q.Cols)))
-	for _, c := range q.Cols {
-		n += uvarintLen(uint64(c))
-	}
-	return PackedSize(n)
-}
+func SizeTFQuery(q *core.TFQuery) int64 { return PackedSize(tfQueryLen(q)) }
 
 // DecodeTFQuery decodes a framed column query.
 func DecodeTFQuery(data []byte) (*core.TFQuery, error) {
@@ -150,18 +170,27 @@ func DecodeTFQuery(data []byte) (*core.TFQuery, error) {
 	return &core.TFQuery{Cols: cols}, nil
 }
 
-// AppendTFResponse appends the framed encoding of a TF reply.
+// AppendTFResponse appends the framed encoding of a TF reply, straight
+// into dst when it is short enough to be stored (as AppendTFQuery).
 func AppendTFResponse(dst []byte, r *core.TFResponse) []byte {
-	payload := make([]byte, 0, 2+valuesSize(r.Values))
-	payload = AppendUvarint(payload, uint64(len(r.Values)))
-	payload = appendValues(payload, r.Values)
-	return Pack(dst, payload)
+	n := tfResponseLen(r)
+	if n >= CompressThreshold {
+		return Pack(dst, appendTFResponsePayload(make([]byte, 0, n), r))
+	}
+	return appendTFResponsePayload(appendHeader(dst, Version, 0, n), r)
+}
+
+func appendTFResponsePayload(dst []byte, r *core.TFResponse) []byte {
+	return appendValues(AppendUvarint(dst, uint64(len(r.Values))), r.Values)
+}
+
+// tfResponseLen returns the unframed payload size of a TF reply.
+func tfResponseLen(r *core.TFResponse) int {
+	return varint.Len(uint64(len(r.Values))) + valuesSize(r.Values)
 }
 
 // SizeTFResponse returns the framed (uncompressed) encoded size.
-func SizeTFResponse(r *core.TFResponse) int64 {
-	return PackedSize(uvarintLen(uint64(len(r.Values))) + valuesSize(r.Values))
-}
+func SizeTFResponse(r *core.TFResponse) int64 { return PackedSize(tfResponseLen(r)) }
 
 // DecodeTFResponse decodes a framed TF reply.
 func DecodeTFResponse(data []byte) (*core.TFResponse, error) {
@@ -206,9 +235,9 @@ func idsSize(ids []int32) int {
 	n, prev := 0, int64(0)
 	for i, id := range ids {
 		if i == 0 {
-			n += varintLen(int64(id))
+			n += varint.ZigZagLen(int64(id))
 		} else {
-			n += varintLen(int64(id) - prev)
+			n += varint.ZigZagLen(int64(id) - prev)
 		}
 		prev = int64(id)
 	}
@@ -238,46 +267,97 @@ func decodeIDs(dst []int32, data []byte) ([]byte, error) {
 }
 
 // AppendRTKResponse appends the framed encoding of an RTK reply — the
-// protocol's dominant payload (z cells of up to alpha*K entries each).
-// The payload is built once, in the pooled packer's scratch.
+// protocol's dominant payload (z cells of up to alpha*K entries each):
+// a stored VersionRTK frame around the payload the reply itself lays
+// out, or, for a reply that layout cannot represent, the varint payload
+// above in a Version frame. Either payload is built once, in the pooled
+// packer's scratch.
 func AppendRTKResponse(dst []byte, r *core.RTKResponse) []byte {
 	p := packers.Get().(*packer)
-	payload := AppendUvarint(p.payload[:0], uint64(len(r.Cells)))
+	defer putPacker(p)
+	if payload, ok := r.AppendPayload(p.payload[:0]); ok {
+		p.payload = payload
+		return appendStored(dst, VersionRTK, payload)
+	}
+	p.payload = appendRTKPayloadV1(p.payload[:0], r)
+	return p.pack(dst, p.payload)
+}
+
+// appendRTKPayloadV1 appends an RTK reply's version 1 payload.
+func appendRTKPayloadV1(dst []byte, r *core.RTKResponse) []byte {
+	dst = AppendUvarint(dst, uint64(len(r.Cells)))
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		payload = AppendUvarint(payload, uint64(len(c.IDs)))
-		payload = appendIDs(payload, c.IDs)
-		payload = appendValues(payload, c.Values)
+		dst = AppendUvarint(dst, uint64(len(c.IDs)))
+		dst = appendIDs(dst, c.IDs)
+		dst = appendValues(dst, c.Values)
 	}
-	p.payload = payload
-	dst = p.pack(dst, payload)
-	putPacker(p)
 	return dst
 }
 
-// sizeRTKPayload returns the unframed payload size of an RTK reply.
-func sizeRTKPayload(r *core.RTKResponse) int {
-	n := uvarintLen(uint64(len(r.Cells)))
+// sizeRTKPayloadV1 returns the unframed size of an RTK reply's version
+// 1 payload.
+func sizeRTKPayloadV1(r *core.RTKResponse) int {
+	n := varint.Len(uint64(len(r.Cells)))
 	for i := range r.Cells {
 		c := &r.Cells[i]
-		n += uvarintLen(uint64(len(c.IDs))) + idsSize(c.IDs) + valuesSize(c.Values)
+		n += varint.Len(uint64(len(c.IDs))) + idsSize(c.IDs) + valuesSize(c.Values)
 	}
 	return n
 }
 
-// SizeRTKResponse returns the framed (uncompressed) encoded size — the
-// number the transport byte accounting records per relayed reply.
+// SizeRTKResponse returns the size of the frame AppendRTKResponse
+// produces — the number the transport byte accounting records per
+// relayed reply. For a reply that carries its length (every reply an
+// owner, the shard merge or a decoder produced) this is a field read;
+// another is measured. The size of a Version frame is that of its
+// uncompressed form.
 func SizeRTKResponse(r *core.RTKResponse) int64 {
-	return PackedSize(sizeRTKPayload(r))
+	if n, ok := r.PayloadLen(); ok {
+		return PackedSize(n)
+	}
+	return PackedSize(sizeRTKPayloadV1(r))
 }
 
-// DecodeRTKResponse decodes a framed RTK reply. A malformed input
-// returns ErrMalformed; element counts are validated against the bytes
-// actually present before any allocation sized by them. The reply owns
-// its memory (callers cache it): a compressed frame is inflated into
-// pooled scratch that nothing returned refers to.
+// SizeTopK returns the framed (uncompressed) size of one batch reverse
+// top-K release: the (document, count) pairs as a single version 1 RTK
+// cell, the layout that takes ids in count order.
+func SizeTopK(docs []core.DocCount) int64 {
+	n := 1 + varint.Len(uint64(len(docs))) + 1 // one cell, its entry count, the value flags
+	whole, ints, prev := true, 0, int64(0)
+	for _, d := range docs {
+		id := int64(int32(d.DocID))
+		n += varint.ZigZagLen(id - prev)
+		prev = id
+		if whole = whole && integralValue(d.Count); whole {
+			ints += varint.ZigZagLen(int64(d.Count))
+		}
+	}
+	if whole {
+		return PackedSize(n + ints)
+	}
+	return PackedSize(n + 8*len(docs))
+}
+
+// DecodeRTKResponse decodes a framed RTK reply of either version. A
+// malformed input returns ErrMalformed; element counts are validated
+// against the bytes actually present, or against the decoder's own
+// caps, before any allocation sized by them. The reply owns its memory
+// (callers cache it): a compressed frame is inflated into pooled
+// scratch that nothing returned refers to.
 func DecodeRTKResponse(data []byte) (*core.RTKResponse, error) {
-	body, rawLen, compressed, err := splitFrame(data)
+	if len(data) > 0 && data[0] == VersionRTK {
+		body, _, _, err := splitFrame(data, VersionRTK)
+		if err != nil {
+			return nil, err
+		}
+		r, err := core.DecodeRTKPayload(body)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %w", ErrMalformed, err)
+		}
+		return r, nil
+	}
+	body, rawLen, compressed, err := splitFrame(data, Version)
 	if err != nil {
 		return nil, err
 	}
@@ -296,7 +376,7 @@ func DecodeRTKResponse(data []byte) (*core.RTKResponse, error) {
 	return decodeRTKPayload(payload)
 }
 
-// decodeRTKPayload decodes an unframed RTK reply into one id slab and
+// decodeRTKPayload decodes a version 1 RTK payload into one id slab and
 // one value slab sub-sliced per cell, as core's owners build theirs.
 func decodeRTKPayload(payload []byte) (*core.RTKResponse, error) {
 	ncells, rest, err := Uvarint(payload)
@@ -408,7 +488,7 @@ func SizeModel(w []float64, b float64) int64 {
 	vals := make([]float64, 0, len(w)+1)
 	vals = append(vals, w...)
 	vals = append(vals, b)
-	return PackedSize(uvarintLen(uint64(len(w))) + valuesSize(vals))
+	return PackedSize(varint.Len(uint64(len(w))) + valuesSize(vals))
 }
 
 // DecodeModel decodes a framed linear model.

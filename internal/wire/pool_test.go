@@ -103,9 +103,11 @@ func TestPackMatchesFreshWriter(t *testing.T) {
 // reader it ran on then decodes a good frame exactly.
 func TestUnpackRecoversAfterMalformedFrame(t *testing.T) {
 	resp := geometryResponse(3)
-	good := AppendRTKResponse(nil, resp)
-	if good[1]&flagCompressed == 0 {
-		t.Fatal("the geometry reply should compress")
+	// A version 1 frame from Pack: an RTK reply's own frame is version 2
+	// and never compressed.
+	good := Pack(nil, appendRTKPayloadV1(nil, resp))
+	if good[0] != Version || good[1]&flagCompressed == 0 {
+		t.Fatal("the geometry reply's version 1 payload should compress")
 	}
 	rng := rand.New(rand.NewSource(5))
 	check := func(name string, bad []byte) {
@@ -189,22 +191,27 @@ func TestDecodedResponseOwnsItsMemory(t *testing.T) {
 
 // TestRTKCodecAllocCeilings pins the steady-state allocation cost of the
 // dominant payload at the benchmark geometry. Encoding into a reused
-// buffer allocates nothing. Decoding allocates the reply — header,
-// cells, one id slab, one value slab — and, for a compressed frame,
-// what compress/flate itself allocates per stream even on a Reset
-// reader: a few small Huffman link tables per dynamic block, whose
-// number depends on the data.
+// buffer allocates nothing, for the RTK reply and for the TF pair that
+// accompanies it on every HTTP call. Decoding allocates the reply —
+// header, cells, one id slab, one value slab — and nothing else: a
+// version 2 frame is stored, so nothing inflates. A compressed version
+// 1 frame still decodes, at what compress/flate itself allocates per
+// stream even on a Reset reader: a few small Huffman link tables per
+// dynamic block, whose number depends on the data.
 func TestRTKCodecAllocCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
 	}
 	resp := geometryResponse(9)
 	frame := AppendRTKResponse(nil, resp)
-	payload, err := Unpack(frame)
+	if frame[0] != VersionRTK || frame[1] != 0 {
+		t.Fatalf("the geometry reply's frame starts %#x %#x, want a stored version 2 frame", frame[0], frame[1])
+	}
+	decoded, err := DecodeRTKResponse(frame)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stored := appendFrame(nil, 0, len(payload), payload)
+	v1 := Pack(nil, appendRTKPayloadV1(nil, resp))
 	buf := make([]byte, 0, 2*len(frame))
 	entries := 0
 	for _, c := range resp.Cells {
@@ -218,22 +225,31 @@ func TestRTKCodecAllocCeilings(t *testing.T) {
 		}
 	}
 
-	encAllocs, encBytes := perRun(200, func() { buf = AppendRTKResponse(buf[:0], resp) })
-	if encAllocs > 1 || encBytes > 1<<10 {
-		t.Errorf("AppendRTKResponse: %.1f allocs/op, %.0f B/op, want at most 1 and 1 kB", encAllocs, encBytes)
+	for name, r := range map[string]*core.RTKResponse{"built by hand": resp, "decoded": decoded} {
+		encAllocs, encBytes := perRun(200, func() { buf = AppendRTKResponse(buf[:0], r) })
+		if encAllocs > 1 || encBytes > 1<<10 {
+			t.Errorf("AppendRTKResponse, reply %s: %.1f allocs/op, %.0f B/op, want at most 1 and 1 kB", name, encAllocs, encBytes)
+		}
 	}
-	if n, _ := perRun(200, decode(stored)); n > 4 {
-		t.Errorf("DecodeRTKResponse, stored frame: %.1f allocs/op, want at most 4", n)
+	query := &core.TFQuery{Cols: make([]uint32, 30)}
+	values := &core.TFResponse{Values: resp.Cells[0].Values[:30]}
+	if n, _ := perRun(200, func() { buf = AppendTFQuery(buf[:0], query) }); n > 0 {
+		t.Errorf("AppendTFQuery: %.1f allocs/op, want 0", n)
+	}
+	if n, _ := perRun(200, func() { buf = AppendTFResponse(buf[:0], values) }); n > 0 {
+		t.Errorf("AppendTFResponse: %.1f allocs/op, want 0", n)
 	}
 	decAllocs, decBytes := perRun(200, decode(frame))
-	if decAllocs > 24 {
-		t.Errorf("DecodeRTKResponse, compressed frame: %.1f allocs/op, want at most 24", decAllocs)
+	if decAllocs > 4 {
+		t.Errorf("DecodeRTKResponse: %.1f allocs/op, want at most 4", decAllocs)
 	}
 	if slabs := float64(12 * entries); decBytes > 1.2*slabs {
 		t.Errorf("DecodeRTKResponse: %.0f B/op, want at most 1.2x the %.0f B of slabs it returns", decBytes, slabs)
 	}
-	t.Logf("frame %d B of %d B raw; encode %.0f allocs %.0f B/op; decode %.0f allocs %.0f B/op for %d B of slabs",
-		len(frame), len(payload), encAllocs, encBytes, decAllocs, decBytes, 12*entries)
+	if n, _ := perRun(200, decode(v1)); n > 24 {
+		t.Errorf("DecodeRTKResponse, compressed version 1 frame: %.1f allocs/op, want at most 24", n)
+	}
+	t.Logf("frame %d B; decode %.0f allocs %.0f B/op for %d B of slabs", len(frame), decAllocs, decBytes, 12*entries)
 }
 
 // perRun returns the mean allocation count (rounded down, as

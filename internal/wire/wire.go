@@ -3,11 +3,16 @@
 // TF value vectors, obfuscated column queries — are small integers with
 // strong local structure (canonically sorted document ids, quantized
 // counts), which fixed-width encodings (JSON, gob's reflected structs,
-// the 12-bytes-per-entry accounting model) waste heavily. This package
-// encodes them as varint deltas and zig-zag varints inside a small
-// versioned frame, optionally flate-compressed above a size threshold.
+// the "raw" accounting's 12 bytes per entry) waste heavily. An RTK reply
+// — nearly all of the traffic — travels in a version 2 frame: document
+// id deltas bit-packed per cell, values as bit-packed indexes into one
+// per-reply dictionary, stored as is (internal/core owns that layout
+// and its size arithmetic; see core.RTKResponse.AppendPayload). Every
+// other payload is varint deltas and zig-zag varints in a version 1
+// frame, flate-compressed above a size threshold.
 //
-// Layering: wire depends only on the standard library and internal/core;
+// Layering: wire depends only on the standard library, internal/core and
+// the varint size rule the two share (internal/varint);
 // internal/federation builds its transport codecs (gob hooks, HTTP
 // bodies, SearchResult) on the exported primitives, so byte accounting
 // and format versioning stay in one place.
@@ -21,12 +26,24 @@ import (
 	"fmt"
 	"io"
 	"sync"
+
+	"csfltr/internal/varint"
 )
 
-// Version is the first byte of every frame. Decoders reject frames with
-// a version they do not know; adding fields or changing payload layout
-// requires a bump.
-const Version = 1
+// The first byte of every frame is its version. Decoders reject frames
+// with a version they do not know; adding fields or changing a payload
+// layout requires a bump.
+const (
+	// Version frames every payload but an RTK reply, and an RTK reply
+	// that VersionRTK cannot represent (a cell whose ids do not strictly
+	// ascend, too many distinct values): varints, flate above
+	// CompressThreshold.
+	Version = 1
+	// VersionRTK frames an RTK reply: bit-packed and always stored. A
+	// peer that knows only Version rejects it with "unknown version 2",
+	// so queriers and coordinators upgrade before the hosts they call.
+	VersionRTK = 2
+)
 
 // Frame flag bits (second byte of every frame).
 const (
@@ -83,17 +100,22 @@ func (p *packer) pack(dst, payload []byte) []byte {
 		p.z.Reset()
 		p.zw.Reset(&p.z)
 		if _, err := p.zw.Write(payload); err == nil && p.zw.Close() == nil && p.z.Len() < len(payload) {
-			return appendFrame(dst, flagCompressed, len(payload), p.z.Bytes())
+			return append(appendHeader(dst, Version, flagCompressed, len(payload)), p.z.Bytes()...)
 		}
 	}
-	return appendFrame(dst, 0, len(payload), payload)
+	return appendStored(dst, Version, payload)
 }
 
-// appendFrame appends [version][flags][uvarint raw length][body].
-func appendFrame(dst []byte, flags byte, rawLen int, body []byte) []byte {
-	dst = append(dst, Version, flags)
-	dst = binary.AppendUvarint(dst, uint64(rawLen))
-	return append(dst, body...)
+// appendHeader appends [version][flags][uvarint raw length], what every
+// frame begins with; the body follows.
+func appendHeader(dst []byte, version, flags byte, rawLen int) []byte {
+	dst = append(dst, version, flags)
+	return binary.AppendUvarint(dst, uint64(rawLen))
+}
+
+// appendStored appends the frame that holds payload as it is.
+func appendStored(dst []byte, version byte, payload []byte) []byte {
+	return append(appendHeader(dst, version, 0, len(payload)), payload...)
 }
 
 // Pack wraps an encoded payload in the versioned frame, appending to
@@ -102,7 +124,7 @@ func appendFrame(dst []byte, flags byte, rawLen int, body []byte) []byte {
 // actually shrinks them.
 func Pack(dst, payload []byte) []byte {
 	if len(payload) < CompressThreshold {
-		return appendFrame(dst, 0, len(payload), payload)
+		return appendStored(dst, Version, payload)
 	}
 	p := packers.Get().(*packer)
 	dst = p.pack(dst, payload)
@@ -110,29 +132,32 @@ func Pack(dst, payload []byte) []byte {
 	return dst
 }
 
-// PackedSize returns the frame size Pack would produce without
-// compression — the deterministic, allocation-free upper bound used for
-// byte accounting (compression savings on top are workload-dependent).
+// PackedSize returns the size of a stored frame of payloadLen bytes:
+// exactly what a VersionRTK frame occupies, and for a Version frame the
+// deterministic, allocation-free upper bound used for byte accounting
+// (compression savings on top are workload-dependent).
 func PackedSize(payloadLen int) int64 {
-	return int64(2 + uvarintLen(uint64(payloadLen)) + payloadLen)
+	return int64(2 + varint.Len(uint64(payloadLen)) + payloadLen)
 }
 
-// splitFrame validates the frame header and returns the frame body, the
-// raw payload length it declares and whether the body is compressed.
-// The input must contain exactly one frame.
-func splitFrame(data []byte) (body []byte, rawLen int, compressed bool, err error) {
+// splitFrame validates the header of a frame of the given version and
+// returns the frame body, the raw payload length it declares and
+// whether the body is compressed. The input must contain exactly one
+// frame. A VersionRTK frame is never compressed and, its encoding being
+// canonical, declares its length in a minimal varint.
+func splitFrame(data []byte, version byte) (body []byte, rawLen int, compressed bool, err error) {
 	if len(data) < 2 {
 		return nil, 0, false, fmt.Errorf("%w: truncated frame", ErrMalformed)
 	}
-	if data[0] != Version {
+	if data[0] != version {
 		return nil, 0, false, fmt.Errorf("%w: unknown version %d", ErrMalformed, data[0])
 	}
 	flags := data[1]
-	if flags&^byte(flagCompressed) != 0 {
+	if flags&^byte(flagCompressed) != 0 || (version == VersionRTK && flags != 0) {
 		return nil, 0, false, fmt.Errorf("%w: unknown flags %#x", ErrMalformed, flags)
 	}
 	raw, n := binary.Uvarint(data[2:])
-	if n <= 0 || raw > maxPayload {
+	if n <= 0 || raw > maxPayload || (version == VersionRTK && n != varint.Len(raw)) {
 		return nil, 0, false, fmt.Errorf("%w: bad payload length", ErrMalformed)
 	}
 	body = data[2+n:]
@@ -193,12 +218,12 @@ func (f *inflater) inflate(out, body []byte) error {
 	return nil
 }
 
-// Unpack validates the frame and returns the raw payload: a sub-slice of
-// data for a stored frame, a new slice for a compressed one — never
-// pooled memory, so the caller may keep it. The input must contain
-// exactly one frame; trailing bytes are an error.
+// Unpack validates a Version frame and returns the raw payload: a
+// sub-slice of data for a stored frame, a new slice for a compressed one
+// — never pooled memory, so the caller may keep it. The input must
+// contain exactly one frame; trailing bytes are an error.
 func Unpack(data []byte) ([]byte, error) {
-	body, rawLen, compressed, err := splitFrame(data)
+	body, rawLen, compressed, err := splitFrame(data, Version)
 	if err != nil || !compressed {
 		return body, err
 	}
@@ -234,21 +259,6 @@ func Varint(data []byte) (int64, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: bad varint", ErrMalformed)
 	}
 	return v, data[n:], nil
-}
-
-// uvarintLen returns the encoded length of v as a uvarint.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// varintLen returns the encoded length of v as a zig-zag varint.
-func varintLen(v int64) int {
-	return uvarintLen(uint64(v)<<1 ^ uint64(v>>63))
 }
 
 // checkCount validates an element count claimed by a varint against the

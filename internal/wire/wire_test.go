@@ -262,20 +262,23 @@ func TestRTKCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := resp.WireSize()
-	encoded := int64(len(AppendRTKResponse(nil, resp)))
+	frame := AppendRTKResponse(nil, resp)
 	if raw == 0 {
 		t.Fatal("degenerate: empty response")
 	}
-	if encoded*3 > raw {
-		t.Fatalf("encoded %dB vs raw %dB: less than 3x reduction", encoded, raw)
+	if int64(len(frame))*3 > raw {
+		t.Fatalf("encoded %dB vs raw %dB: less than 3x reduction", len(frame), raw)
 	}
-	if got := SizeRTKResponse(resp); got != PackedSize(sizeRTKPayload(resp)) {
-		t.Fatalf("SizeRTKResponse inconsistent: %d", got)
+	// A version 2 frame is stored: the declared size is the frame's, to
+	// the byte, for the owner's reply (which carries its length) and for
+	// the same cells measured.
+	if frame[0] != VersionRTK {
+		t.Fatalf("an owner's reply framed as version %d", frame[0])
 	}
-	// The size function must match the actual uncompressed encoding.
-	unframed := len(AppendRTKResponse(nil, resp)) // may be compressed
-	if int64(unframed) > SizeRTKResponse(resp) {
-		t.Fatalf("actual frame %dB exceeds declared size %d", unframed, SizeRTKResponse(resp))
+	for name, r := range map[string]*core.RTKResponse{"owner's": resp, "measured": {Cells: resp.Cells}} {
+		if got := SizeRTKResponse(r); got != int64(len(frame)) {
+			t.Fatalf("%s reply: SizeRTKResponse %d, frame %d bytes", name, got, len(frame))
+		}
 	}
 }
 
