@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -616,6 +617,35 @@ func BenchmarkRTKReverseTopK(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkRTKRecover measures the querier's recovery alone — the merge
+// over the private rows, the estimates and the best k — over prebuilt
+// replies at the benchmark geometry (epsilon = 0.5, every cell full),
+// rotating over terms: at the k the scorecard asks for and at the
+// paper's K.
+func BenchmarkRTKRecover(b *testing.B) {
+	q, o := benchGeometry(b, 0.5)
+	plans := make([]*Plan, 64)
+	replies := make([]OwnerAPI, len(plans))
+	for i := range plans {
+		plans[i] = q.Plan(uint64(1000 + i))
+		resp, err := o.AnswerRTK(plans[i].query)
+		if err != nil {
+			b.Fatal(err)
+		}
+		replies[i] = stubOwner{resp: resp}
+	}
+	for _, k := range []int{50, 150} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := RTKWithPlan(plans[i%len(plans)], replies[i%len(plans)], k); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkOwnerAnswerRTK measures the owner side alone at the benchmark

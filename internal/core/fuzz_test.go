@@ -104,8 +104,10 @@ func FuzzRTKQueryHandling(f *testing.F) {
 // FuzzRTKResponseHandling hardens the querier's recovery against
 // whatever a remote party puts in an RTK response — wrong cell counts,
 // id/value length mismatches, unordered or repeated ids, NaN and
-// infinite values: RTKWithPlan must reject or recover, never panic, and
-// may only ever return documents the response offered.
+// infinite values: RTKWithPlan must reject or recover, never panic, may
+// only ever return documents the response offered, and — at k = 1, where
+// the floor it prunes against is set by the first candidate, as at K —
+// must return what the estimate-everything reference does.
 //
 // Encoding: one byte of cell count, then per cell an id count, a value
 // count, the ids (signed bytes) and the values (signed bytes, with three
@@ -146,6 +148,13 @@ func FuzzRTKResponseHandling(f *testing.F) {
 		}
 		if len(docs) > p.K {
 			t.Fatalf("%d results for k=%d", len(docs), p.K)
+		}
+		for _, k := range []int{1, p.K} {
+			got, _, _ := RTKWithPlan(plan, stubOwner{resp: resp}, k)
+			want, _, _ := refRTKWithPlan(plan, stubOwner{resp: resp}, k)
+			if err := sameDocCounts(got, want); err != nil {
+				t.Fatalf("k=%d: %v\n got %v\nwant %v", k, err, got, want)
+			}
 		}
 		for _, dc := range docs {
 			if !offered[dc.DocID] {
@@ -229,7 +238,7 @@ func FuzzMergeRTKResponses(f *testing.F) {
 		for i, pairs := 0, data[3:]; len(pairs) >= 2; i, pairs = i+1, pairs[2:] {
 			id += 1 + int32(pairs[0]>>4)
 			part := &rows[i%2][int(pairs[0])%nparts]
-			*part = append(*part, Entry{DocID: id, Value: int64(int8(pairs[1]))})
+			*part = append(*part, Entry{DocID: id, Value: int32(int8(pairs[1]))})
 		}
 		checkMerge(t, rows, heapCap, abs, noise)
 	})

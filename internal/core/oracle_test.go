@@ -112,10 +112,15 @@ func refRTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error)
 		candidates = append(candidates, DocCount{DocID: int(id), Count: est})
 	}
 	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].Count != candidates[j].Count {
-			return candidates[i].Count > candidates[j].Count
+		// An estimate that is not a number (only a hostile reply yields
+		// one) ranks below every number, by id among its like.
+		a, b := candidates[i], candidates[j]
+		if an, bn := math.IsNaN(a.Count), math.IsNaN(b.Count); an != bn {
+			return bn
+		} else if !an && a.Count != b.Count {
+			return a.Count > b.Count
 		}
-		return candidates[i].DocID < candidates[j].DocID
+		return a.DocID < b.DocID
 	})
 	if len(candidates) > k {
 		candidates = candidates[:k]
@@ -150,9 +155,9 @@ func refMergeCell(parts [][]Entry, heapCap int, abs bool) []Entry {
 	if len(merged) > heapCap {
 		key := func(e Entry) int64 {
 			if abs && e.Value < 0 {
-				return -e.Value
+				return -int64(e.Value)
 			}
-			return e.Value
+			return int64(e.Value)
 		}
 		sort.Slice(merged, func(i, j int) bool {
 			ki, kj := key(merged[i]), key(merged[j])
@@ -231,7 +236,7 @@ func TestCellHeapMatchesModel(t *testing.T) {
 		for step := 0; step < 160; step++ {
 			switch op := rng.Intn(10); {
 			case op < 6:
-				e := Entry{DocID: nextID, Value: int64(rng.Intn(7) - 3)}
+				e := Entry{DocID: nextID, Value: int32(rng.Intn(7) - 3)}
 				switch r := rng.Intn(6); {
 				case r < 2: // out-of-order id, never seen before
 					e.DocID = -nextID
@@ -375,7 +380,7 @@ func (m *modelSketch) add(t *testing.T, docID int, counts map[uint64]int64) {
 	table := sketch.MustNew(m.p.SketchKind, fam)
 	table.AddCounts(counts)
 	for c := range m.cells {
-		e := Entry{DocID: int32(docID), Value: table.Cell(c/m.p.W, uint32(c%m.p.W))}
+		e := Entry{DocID: int32(docID), Value: int32(table.Cell(c/m.p.W, uint32(c%m.p.W)))}
 		if len(m.cells[c]) < m.p.HeapCap() {
 			m.cells[c] = append(m.cells[c], e)
 			continue
@@ -931,7 +936,7 @@ func randomMergeRow(rng *rand.Rand, sizes []int, value func() int64) mergeRow {
 		ids = ids[sz:]
 		sort.Ints(part)
 		for _, id := range part {
-			row[pi] = append(row[pi], Entry{DocID: int32(id), Value: value()})
+			row[pi] = append(row[pi], Entry{DocID: int32(id), Value: int32(value())})
 		}
 	}
 	return row
@@ -1161,6 +1166,81 @@ func TestRTKWithPlanRejectsMalformedResponse(t *testing.T) {
 	}
 	if _, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K); err != nil {
 		t.Fatalf("well-formed response rejected: %v", err)
+	}
+}
+
+// randomReply builds a well-formed reply of z rows over documents
+// 0..universe-1: each row lists a document with probability density and
+// draws its value from value.
+func randomReply(rng *rand.Rand, z, universe int, density float64, value func() float64) *RTKResponse {
+	resp := &RTKResponse{Cells: make([]RTKCell, z)}
+	for a := range resp.Cells {
+		for id := 0; id < universe; id++ {
+			if rng.Float64() < density {
+				resp.Cells[a].IDs = append(resp.Cells[a].IDs, int32(id))
+				resp.Cells[a].Values = append(resp.Cells[a].Values, value())
+			}
+		}
+	}
+	return resp
+}
+
+// TestRTKRecoveryMatchesReference: recovery that keeps the best k as it
+// goes and skips a candidate whose median provably cannot enter must
+// return what estimating every candidate and sorting them all returns —
+// same documents, same order, same count bits — on the inputs built to
+// sit on its edges: values from a handful of integers, so estimates tie
+// at the floor constantly; k from 1 to beyond the candidates; floors that
+// are zero or negative; odd and even numbers of private rows, in both
+// estimator modes (the present-rows one varies the count per candidate);
+// soft-intersection thresholds of one row and of several; Count-Min; and
+// replies salted with NaN, infinities and magnitudes whose pairwise mean
+// overflows, which is where a shortcut around a sort goes wrong first.
+func TestRTKRecoveryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64 / 2}
+	values := map[string]func() float64{
+		"ties":     func() float64 { return float64(rng.Intn(5) - 2) },
+		"negative": func() float64 { return float64(-1 - rng.Intn(3)) },
+		"zero":     func() float64 { return 0 },
+		"noisy":    func() float64 { return float64(rng.Intn(7)-3) + 0.37 },
+		"hostile": func() float64 {
+			if rng.Intn(4) == 0 {
+				return hostile[rng.Intn(len(hostile))]
+			}
+			return float64(rng.Intn(5) - 2)
+		},
+		"huge": func() float64 { return math.MaxFloat64 * float64(rng.Intn(5)-2) / 2 },
+	}
+	for trial := 0; trial < 400; trial++ {
+		p := DefaultParams()
+		p.Z = 1 + rng.Intn(12)
+		p.Z1 = 1 + rng.Intn(p.Z)
+		p.W = 16
+		p.Epsilon = 0
+		p.Beta = []float64{0.05, 0.3, 0.6, 1}[rng.Intn(4)]
+		p.Estimator = []EstimatorMode{EstimatorZeroFill, EstimatorPresentRows}[rng.Intn(2)]
+		p.SketchKind = []sketch.Kind{sketch.Count, sketch.Count, sketch.CountMin}[rng.Intn(3)]
+		q, err := NewQuerier(p, uint64(trial), rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan := q.Plan(uint64(rng.Intn(1000)))
+		universe := 1 + rng.Intn(40)
+		for name, value := range values {
+			owner := stubOwner{resp: randomReply(rng, p.Z, universe, []float64{0.2, 0.7, 1}[rng.Intn(3)], value)}
+			for _, k := range []int{1, 2, 3, 1 + universe/2, universe, universe + 5} {
+				got, _, err := RTKWithPlan(plan, owner, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, _, _ := refRTKWithPlan(plan, owner, k)
+				if err := sameDocCounts(got, want); err != nil {
+					t.Fatalf("trial %d (%s values, z1=%d of %d, beta=%v, estimator=%d, kind=%v, k=%d of %d): %v\n got %v\nwant %v",
+						trial, name, p.Z1, p.Z, p.Beta, p.Estimator, p.SketchKind, k, universe, err, got, want)
+				}
+			}
+		}
 	}
 }
 

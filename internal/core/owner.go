@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -176,6 +177,9 @@ func (o *Owner) AddDocument(docID int, counts map[uint64]int64) error {
 	if _, dup := o.meta[docID]; dup {
 		return fmt.Errorf("core: duplicate document id %d", docID)
 	}
+	if err := checkDoc(docID, counts); err != nil {
+		return err
+	}
 	length := 0
 	for _, c := range counts {
 		length += int(c)
@@ -191,6 +195,24 @@ func (o *Owner) AddDocument(docID int, counts map[uint64]int64) error {
 	o.trackID(docID)
 	o.idsSorted = false
 	o.generation.Add(1)
+	return nil
+}
+
+// checkDoc refuses a document an RTK-Sketch entry cannot hold: an id
+// outside int32, or counts whose magnitudes sum past math.MaxInt32 —
+// every sketch cell is a signed sum of some of the counts, so the sum
+// bounds all z*w of them.
+func checkDoc(docID int, counts map[uint64]int64) error {
+	if !fitsDocID(int64(docID)) {
+		return fmt.Errorf("%w: document id %d does not fit int32", ErrBadParams, docID)
+	}
+	mass := uint64(0)
+	for _, c := range counts {
+		mass += uint64(max(c, -c)) // -MinInt64 wraps to itself: 1<<63, still too large
+		if mass > math.MaxInt32 {
+			return fmt.Errorf("%w: document %d counts more than %d term occurrences", ErrBadParams, docID, math.MaxInt32)
+		}
+	}
 	return nil
 }
 
@@ -262,6 +284,9 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 		if _, dup := inBatch[d.DocID]; dup {
 			return fmt.Errorf("core: duplicate document id %d", d.DocID)
 		}
+		if err := checkDoc(d.DocID, d.Counts); err != nil {
+			return err
+		}
 		inBatch[d.DocID] = struct{}{}
 	}
 	if workers <= 0 {
@@ -308,6 +333,9 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 // in the owner's scratch and goes straight into the shared RTK-Sketch.
 // Callers hold o.mu and have validated the batch.
 func (o *Owner) bulkFold1(docs []DocCounts, tables []sketch.Compact) {
+	for c := range o.rtk.cells {
+		o.rtk.cells[c].reserve(len(docs), o.params.HeapCap())
+	}
 	for i := range docs {
 		t := o.scratch.Sketch(docs[i].Counts)
 		o.rtk.updateRows(docs[i].DocID, t)
@@ -511,7 +539,7 @@ func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 		for i, e := range entries {
 			ids[i] = e.DocID
 			vals[i] = float64(e.Value) + noise
-			sz.note(e.Value)
+			sz.note(int64(e.Value))
 		}
 		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
 		sz.cell(ids[:n])
@@ -542,7 +570,8 @@ func (o *Owner) DocTableBytes() int64 {
 	return n
 }
 
-// RTKSizeBytes returns the RTK-Sketch memory footprint.
+// RTKSizeBytes returns the RTK-Sketch memory footprint: 8 bytes per
+// resident entry (see RTKSketch.SizeBytes).
 func (o *Owner) RTKSizeBytes() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()

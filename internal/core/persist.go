@@ -86,7 +86,7 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 		put64(uint64(len(entries)))
 		for _, e := range entries {
 			put64(uint64(int64(e.DocID)))
-			put64(uint64(e.Value))
+			put64(uint64(int64(e.Value)))
 		}
 	}
 	put64(uint64(o.rtk.docs))
@@ -228,6 +228,9 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 		if !read(&id) || !read(&length) || !read(&unique) {
 			return nil, fmt.Errorf("%w: truncated document %d", ErrCorruptState, i)
 		}
+		if !fitsDocID(int64(id)) {
+			return nil, fmt.Errorf("%w: document id %d does not fit int32", ErrCorruptState, int64(id))
+		}
 		docID := int(int64(id))
 		o.meta[docID] = docMeta{length: int(int64(length)), unique: int(int64(unique))}
 		o.trackID(docID)
@@ -269,7 +272,10 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 			if !read(&id) || !read(&val) {
 				return nil, fmt.Errorf("%w: truncated cell entry", ErrCorruptState)
 			}
-			h.entries[j] = Entry{DocID: int32(int64(id)), Value: int64(val)}
+			if !fitsDocID(int64(id)) || !fitsValue(int64(val)) {
+				return nil, fmt.Errorf("%w: cell entry (%d, %d) does not fit int32", ErrCorruptState, int64(id), int64(val))
+			}
+			h.entries[j] = Entry{DocID: int32(int64(id)), Value: int32(int64(val))}
 			o.rtk.admit(int(h.entries[j].DocID))
 			if j > 0 && h.entries[j].DocID <= h.entries[j-1].DocID {
 				h.canonical = false

@@ -105,39 +105,43 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	// would pollute the intersection — as a k-way merge by DocID: every
 	// cell ascends, so each round takes the smallest id any row's cursor
 	// points at and collects that document's value from every row holding
-	// it, in PV order. Both estimator inputs are filled on the way: one
+	// it, in PV order, noting the smallest id left under the cursors for
+	// the next round. Both estimator inputs are filled on the way: one
 	// slot per private row, zero where the document is absent, and the
 	// compacted present rows with their signs.
 	sc := rtkScratchPool.Get().(*rtkScratch)
 	defer rtkScratchPool.Put(sc)
 	sc.size(len(priv.PV))
+	next := noHead
 	for i, a := range priv.PV {
 		sc.ids[i], sc.cellVals[i] = resp.Cells[a].IDs, resp.Cells[a].Values
 		sc.pos[i] = 0
 		sc.head[i] = headID(sc.ids[i], 0)
+		next = min(next, sc.head[i])
 	}
-	candidates := sc.candidates[:0]
-	for {
-		next := noHead
-		for _, h := range sc.head {
-			next = min(next, h)
-		}
-		if next == noHead {
-			break
-		}
-		n := 0
+	median := plan.params.SketchKind == sketch.Count
+	// best holds the at most k best candidates so far, in result order.
+	// Once it holds k, a candidate enters only with an estimate above
+	// floor, the k-th count: ids arrive ascending, so a tie loses. Until
+	// then floor is NaN, which nothing compares to.
+	best, floor := sc.candidates[:0], math.NaN()
+	for next != noHead {
+		cur, n := next, 0
+		next = noHead
 		for i, h := range sc.head {
-			if h != next {
+			if h == cur {
+				p := sc.pos[i]
+				v := sc.cellVals[i][p]
+				sc.filled[i] = v
+				sc.signs[n], sc.vals[n] = plan.signs[i], v
+				n++
+				sc.pos[i] = p + 1
+				h = headID(sc.ids[i], p+1)
+				sc.head[i] = h
+			} else {
 				sc.filled[i] = 0
-				continue
 			}
-			p := sc.pos[i]
-			v := sc.cellVals[i][p]
-			sc.filled[i] = v
-			sc.signs[n], sc.vals[n] = plan.signs[i], v
-			n++
-			sc.pos[i] = p + 1
-			sc.head[i] = headID(sc.ids[i], p+1)
+			next = min(next, h)
 		}
 		if n < threshold {
 			continue
@@ -153,17 +157,46 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 		if !zeroFill {
 			signs, vals = sc.signs[:n], sc.vals[:n]
 		}
+		if median && medianAtMost(signs, vals, floor) {
+			continue // cannot enter: no need to sort for its median
+		}
 		est := sketch.EstimateSigned(plan.params.SketchKind, signs, vals)
-		candidates = append(candidates, DocCount{DocID: int(next), Count: est})
+		best = keepTop(best, DocCount{DocID: int(cur), Count: est}, k)
+		if len(best) == k {
+			floor = best[k-1].Count
+		}
 	}
 	for i := range sc.ids {
 		sc.ids[i], sc.cellVals[i] = nil, nil // the pool must not pin the response
 	}
-	sc.candidates = candidates // keep the grown buffer for the next query
-	top := topK(candidates, k)
-	out := make([]DocCount, len(top)) // callers retain the result
-	copy(out, top)
+	sc.candidates = best               // keep the grown buffer for the next query
+	out := make([]DocCount, len(best)) // callers retain the result
+	copy(out, best)
 	return out, cost, nil
+}
+
+// medianAtMost reports whether the median of the signed values —
+// sketch.EstimateSigned's Count Sketch estimate — is certain to be at
+// most bound, in one pass and without ordering them. The median of m
+// values is at most the larger of the two central ones, their m/2-th
+// order statistic, and that is at most bound once more than m/2 values
+// are. Certain means for every input: a value that does not compare (NaN
+// from a hostile party; the sort's order is then unspecified) or a bound
+// that does not (NaN, or so large that the mean of two values below it
+// could overflow above it) proves nothing.
+func medianAtMost(signs, vals []float64, bound float64) bool {
+	if !(bound <= math.MaxFloat64/2) {
+		return false
+	}
+	le, gt := 0, 0
+	for i, g := range signs {
+		if x := vals[i] * g; x <= bound {
+			le++
+		} else if x > bound {
+			gt++
+		}
+	}
+	return le > len(vals)/2 && le+gt == len(vals)
 }
 
 // checkRTKResponse validates an owner's answer before recovery indexes
@@ -230,35 +263,43 @@ func headID(ids []int32, pos int) int64 {
 }
 
 // topK orders results by descending count (ties by ascending id for
-// determinism) and truncates to k, in place. Only the k best are ever
-// ordered: results[:m] is kept sorted as the scan proceeds, and an
-// element that does not beat the current k-th — almost all of them, when
-// k is a small share of the candidates — costs a single comparison.
+// determinism) and truncates to k, in place: the results already scanned
+// always cover the at most k kept.
 //
 //csfltr:deterministic
 func topK(results []DocCount, k int) []DocCount {
-	if k <= 0 {
-		return results[:0]
-	}
-	rank := func(a, b DocCount) int {
-		if c := cmp.Compare(b.Count, a.Count); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.DocID, b.DocID)
-	}
-	m := 0
+	best := results[:0]
 	for _, r := range results {
-		if m == k && rank(r, results[m-1]) >= 0 {
-			continue
-		}
-		at, _ := slices.BinarySearchFunc(results[:m], r, rank)
-		if m < k {
-			m++
-		}
-		copy(results[at+1:m], results[at:])
-		results[at] = r
+		best = keepTop(best, r, k)
 	}
-	return results[:m]
+	return best
+}
+
+// rankDocs is the result order: count descending, ties by ascending id.
+func rankDocs(a, b DocCount) int {
+	if c := cmp.Compare(b.Count, a.Count); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.DocID, b.DocID)
+}
+
+// keepTop offers r to best, the at most k best results so far in result
+// order, and returns best with r inserted if it belongs. Only the k best
+// are ever ordered, and a result that does not beat the current k-th —
+// almost all of them, when k is a small share of the candidates — costs a
+// single comparison.
+func keepTop(best []DocCount, r DocCount, k int) []DocCount {
+	m := len(best)
+	if m >= k && (k <= 0 || rankDocs(r, best[m-1]) >= 0) {
+		return best
+	}
+	at, _ := slices.BinarySearchFunc(best, r, rankDocs)
+	if m < k {
+		best = append(best, r)
+	}
+	copy(best[at+1:], best[at:])
+	best[at] = r
+	return best
 }
 
 // ExactReverseTopK computes the ground-truth reverse top-K over raw term

@@ -12,11 +12,21 @@ import (
 )
 
 // Entry is one element of an RTK-Sketch cell: a document id and the raw
-// sketch cell value the document produced at this position.
+// sketch cell value the document produced at this position. It is 8
+// bytes, and the sketch is z*w*alpha*K of them, so both fields are as
+// narrow as their range allows: a cell value is a signed sum of one
+// document's term counts, and ingest (checkDoc) refuses a document whose
+// counts sum past math.MaxInt32 in magnitude — which also keeps -Value
+// representable for the |Value| ranking key.
 type Entry struct {
 	DocID int32
-	Value int64
+	Value int32
 }
+
+// fitsDocID and fitsValue are the range guards every narrowing into an
+// Entry sits behind: at ingest, at Update and when a snapshot is read.
+func fitsDocID(id int64) bool { return math.MinInt32 <= id && id <= math.MaxInt32 }
+func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32 }
 
 // cellHeap is one capped RTK-Sketch cell: the at most cap entries with
 // the largest ranking key seen so far. For Count Sketch the key is
@@ -61,10 +71,10 @@ type cellHeap struct {
 	abs       bool  // order by |Value| (Count Sketch) instead of Value
 	canonical bool  // entries are known to ascend by DocID
 	floorDoc  int32 // DocID of the eviction minimum, valid while full
-	floorKey  int64 // key of the eviction minimum, valid while full
+	floorKey  int32 // key of the eviction minimum, valid while full
 }
 
-func (h *cellHeap) key(e Entry) int64 {
+func (h *cellHeap) key(e Entry) int32 {
 	if h.abs {
 		if e.Value < 0 {
 			return -e.Value
@@ -130,6 +140,17 @@ func (h *cellHeap) push(e Entry, cap int, above bool) {
 	h.entries[0] = e
 	h.siftDown(0)
 	h.setFloor(h.entries[0])
+}
+
+// reserve makes room for the n pushes a bulk batch is about to make with
+// one allocation instead of append's doublings. It at least doubles, so a
+// stream of small batches still grows in amortized constant time, but
+// never past heapCap, which is all a cell can hold.
+func (h *cellHeap) reserve(n, heapCap int) {
+	if want := min(len(h.entries)+n, heapCap); want > cap(h.entries) {
+		want = min(max(want, 2*cap(h.entries)), heapCap)
+		h.entries = append(make([]Entry, 0, want), h.entries...)
+	}
 }
 
 func (h *cellHeap) setFloor(e Entry) {
@@ -275,7 +296,7 @@ func (h *cellHeap) canonicalize(d *docSorter) []Entry {
 // keeping its scratch between calls. It sorts one packed word per entry
 // (order-preserving id bits above the entry's position) with the
 // specialised integer sort and then gathers — about a third of the cost
-// of sorting the 16-byte entries through a comparison callback, which is
+// of sorting the entries through a comparison callback, which is
 // what the first read of a cell after a mutation pays. Equal ids (only a
 // corrupt snapshot has them) keep their relative order.
 type docSorter struct {
@@ -307,7 +328,7 @@ type rtkAccum struct {
 	abs   bool
 	lens  []int32
 	// per-cell cached eviction floor, valid once the cell is full
-	floorKeys []int64
+	floorKeys []int32
 	floorDocs []int32
 	slab      []Entry
 }
@@ -330,7 +351,7 @@ func getAccum(cells, cap int, abs bool) *rtkAccum {
 	}
 	if len(a.lens) < cells {
 		a.lens = make([]int32, cells)
-		a.floorKeys = make([]int64, cells)
+		a.floorKeys = make([]int32, cells)
 		a.floorDocs = make([]int32, cells)
 	} else {
 		for i := 0; i < cells; i++ {
@@ -363,12 +384,13 @@ func (a *rtkAccum) push(c int, e Entry) {
 	a.floorKeys[c], a.floorDocs[c] = v.floorKey, v.floorDoc
 }
 
-// addTable folds one document's sketch table into every cell.
+// addTable folds one document's sketch table into every cell. The
+// document passed checkDoc, so its id and every cell fit an Entry.
 func (a *rtkAccum) addTable(docID int, table *sketch.Table, z, w int) {
 	id := int32(docID)
 	for i := 0; i < z; i++ {
 		for j := 0; j < w; j++ {
-			a.push(i*w+j, Entry{DocID: id, Value: table.Cell(i, uint32(j))})
+			a.push(i*w+j, Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))})
 		}
 	}
 }
@@ -422,10 +444,21 @@ func (s *RTKSketch) NumDocs() int { return s.docs }
 // Update inserts document docID, summarized by its standard sketch table,
 // into every cell (Algorithm 4). table must be built over the same hash
 // family. Cells keep only the alpha*K entries with the largest ranking
-// key; the minimum is evicted on overflow.
+// key; the minimum is evicted on overflow. An id or a cell that an Entry
+// cannot hold is ErrBadParams, and nothing is inserted.
 func (s *RTKSketch) Update(docID int, table *sketch.Table) error {
 	if table == nil || table.Z() != s.params.Z || table.W() != s.params.W {
 		return fmt.Errorf("%w: document table geometry mismatch", ErrBadParams)
+	}
+	if !fitsDocID(int64(docID)) {
+		return fmt.Errorf("%w: document id %d does not fit int32", ErrBadParams, docID)
+	}
+	for i := 0; i < s.params.Z; i++ {
+		for j := 0; j < s.params.W; j++ {
+			if !fitsValue(table.Cell(i, uint32(j))) {
+				return fmt.Errorf("%w: document %d has a cell beyond int32", ErrBadParams, docID)
+			}
+		}
 	}
 	s.updateRows(docID, table)
 	s.docs++
@@ -457,7 +490,8 @@ func (s *RTKSketch) resetLiveMax(ids []int) {
 // accumulators converges to the same state. Whether the id exceeds every
 // live one is decided here, once per document, and handed to all z*w
 // pushes as one bit: that is what lets a cell stay canonical under
-// ascending ingest without a load of its previous entry per push.
+// ascending ingest without a load of its previous entry per push. Callers
+// have range-checked the id and the table (Update, checkDoc).
 func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
 	above := s.admit(docID)
 	cap := s.params.HeapCap()
@@ -465,7 +499,7 @@ func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
 	id := int32(docID)
 	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
-			s.cells[i*w+j].push(Entry{DocID: id, Value: table.Cell(i, uint32(j))}, cap, above)
+			s.cells[i*w+j].push(Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}, cap, above)
 		}
 	}
 }
@@ -486,6 +520,11 @@ func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int) {
 		for j := 0; j < w; j++ {
 			c := i*w + j
 			h := &s.cells[c]
+			n := 0
+			for _, acc := range accums {
+				n += int(acc.lens[c])
+			}
+			h.reserve(n, cap)
 			for _, acc := range accums {
 				off := c * acc.cap
 				for _, e := range acc.slab[off : off+int(acc.lens[c])] {
@@ -518,14 +557,14 @@ func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
 		table = nil
 	}
 	removed := 0
-	id := int32(docID)
+	id := int32(docID) // summarized, so Update or checkDoc saw it fit
 	cap := s.params.HeapCap()
 	w := s.params.W
 	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
 			h := &s.cells[i*w+j]
 			if table != nil && len(h.entries) == cap &&
-				h.belowFloor(Entry{DocID: id, Value: table.Cell(i, uint32(j))}) {
+				h.belowFloor(Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}) {
 				continue
 			}
 			removed += h.remove(id)
@@ -576,7 +615,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 	resp, ids, vals := newRTKResponse(z, total)
 	order := cellHeap{abs: abs}
 	rank := func(id int32, v float64) Entry { // an entry of a part, its value replaced by the ranking key
-		return Entry{DocID: id, Value: order.key(Entry{Value: int64(v)})}
+		return Entry{DocID: id, Value: order.key(Entry{Value: int32(v)})} // raw, so v is an Entry's Value
 	}
 	var ranked []Entry // gather scratch for rows that overflow the cap
 	if longest > heapCap {
@@ -591,7 +630,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 			n += len(heads[pi].IDs)
 		}
 		keep := min(n, heapCap)
-		cut := Entry{DocID: math.MaxInt32, Value: math.MinInt64} // nothing orders below it
+		cut := Entry{DocID: math.MaxInt32, Value: math.MinInt32} // nothing orders below it
 		if n > heapCap {
 			ranked = ranked[:0]
 			for _, c := range heads {
@@ -696,13 +735,13 @@ func (s *RTKSketch) Cell(row int, col uint32) []Entry {
 	return s.cells[row*s.params.W+int(col)].canonicalize(&s.sorter)
 }
 
-// SizeBytes returns the current memory footprint of the heap payloads
-// (12 bytes per entry: 4 for the doc id, 8 for the value), the space
-// metric of Fig. 4.
+// SizeBytes returns the current memory footprint of the heap payloads —
+// what is resident, 8 bytes per entry: 4 for the doc id, 4 for the value
+// — the space metric of Fig. 4.
 func (s *RTKSketch) SizeBytes() int64 {
 	var n int64
 	for c := range s.cells {
-		n += int64(12 * len(s.cells[c].entries))
+		n += int64(8 * len(s.cells[c].entries))
 	}
 	return n
 }

@@ -500,6 +500,51 @@ func TestAddDocumentsAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestIngestRangeGuards: a document an RTK-Sketch entry cannot hold — an
+// id outside int32, which used to be stored and removed as its low 32
+// bits, or counts past int32 — is refused by whichever owner it routes
+// to, and the group keeps nothing of it or of the batch it came in.
+func TestIngestRangeGuards(t *testing.T) {
+	docs := testDocs(40, 43)
+	g := newGroup(t, 4, 2, docs)
+	p := testParams()
+	before, err := g.AnswerRTK(queryCols(p, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := map[string]core.DocCounts{
+		"id above int32":   {DocID: 1<<32 + docs[5].DocID, Counts: docs[5].Counts},
+		"counts too large": {DocID: 2000, Counts: map[uint64]int64{7: math.MaxInt32, 8: 1}},
+	}
+	for name, doc := range bad {
+		if err := g.AddDocument(doc.DocID, doc.Counts); !errors.Is(err, core.ErrBadParams) {
+			t.Fatalf("%s: AddDocument returned %v, want ErrBadParams", name, err)
+		}
+		batch := testDocs(12, 47)
+		for i := range batch {
+			batch[i].DocID = 1000 + i*3
+		}
+		batch[7] = doc
+		if err := g.AddDocuments(batch, 0); !errors.Is(err, core.ErrBadParams) {
+			t.Fatalf("%s: AddDocuments returned %v, want ErrBadParams", name, err)
+		}
+		if n := len(g.DocIDs()); n != len(docs) {
+			t.Fatalf("%s: the group holds %d documents, want %d", name, n, len(docs))
+		}
+		after, err := g.AnswerRTK(queryCols(p, 3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(after.Cells, before.Cells) {
+			t.Fatalf("%s: a refused document changed an answer", name)
+		}
+	}
+	// The id the oversized one would have been truncated to is still there.
+	if err := g.RemoveDocument(docs[5].DocID); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestErrorRouting: protocol-level negative answers come back verbatim
 // and never trip failover.
 func TestErrorRouting(t *testing.T) {

@@ -514,66 +514,6 @@ func DecodeModel(data []byte) ([]float64, float64, error) {
 	return vals[:n], vals[n], nil
 }
 
-// AppendEntries appends the framed encoding of a run of RTK heap
-// entries (delta-coded ids, zig-zag varint values) — the persistence
-// and debugging form of one cell's content.
-func AppendEntries(dst []byte, es []core.Entry) []byte {
-	payload := make([]byte, 0, 2+3*len(es))
-	payload = AppendUvarint(payload, uint64(len(es)))
-	prev := int64(0)
-	for i, e := range es {
-		if i == 0 {
-			payload = AppendVarint(payload, int64(e.DocID))
-		} else {
-			payload = AppendVarint(payload, int64(e.DocID)-prev)
-		}
-		prev = int64(e.DocID)
-		payload = AppendVarint(payload, e.Value)
-	}
-	return Pack(dst, payload)
-}
-
-// DecodeEntries decodes a framed entry run.
-func DecodeEntries(data []byte) ([]core.Entry, error) {
-	payload, err := Unpack(data)
-	if err != nil {
-		return nil, err
-	}
-	n, rest, err := Uvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCount(n, rest); err != nil {
-		return nil, err
-	}
-	out := make([]core.Entry, n)
-	prev := int64(0)
-	for i := range out {
-		d, r2, err := Varint(rest)
-		if err != nil {
-			return nil, err
-		}
-		id := prev
-		if i == 0 {
-			id = d
-		} else {
-			id += d
-		}
-		if id < math.MinInt32 || id > math.MaxInt32 {
-			return nil, fmt.Errorf("%w: document id out of range", ErrMalformed)
-		}
-		v, r3, err := Varint(r2)
-		if err != nil {
-			return nil, err
-		}
-		out[i], prev, rest = core.Entry{DocID: int32(id), Value: v}, id, r3
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-	}
-	return out, nil
-}
-
 // AppendRowMatrix appends the framed encoding of a sketch row matrix
 // (z rows by w columns of signed counts, row-major zig-zag varints) —
 // the bulk form of a standard sketch table's content.

@@ -25,7 +25,6 @@ func FuzzWireDecode(f *testing.F) {
 		{IDs: []int32{}, Values: []float64{}},
 	}}
 	f.Add(Pack(nil, appendRTKPayloadV1(nil, small)))
-	f.Add(AppendEntries(nil, []core.Entry{{DocID: 4, Value: -2}, {DocID: 90, Value: 7}}))
 	f.Add(AppendRowMatrix(nil, [][]int64{{1, -2, 3}, {0, 0, 9}}))
 	// A compressed (version 1) frame cut short, then the whole frame: the
 	// pooled inflate state the first one leaves behind must not reach the
@@ -66,11 +65,6 @@ func FuzzWireDecode(f *testing.F) {
 		if r, err := DecodeTFResponse(data); err == nil {
 			if _, err := DecodeTFResponse(AppendTFResponse(nil, r)); err != nil {
 				t.Fatalf("TFResponse re-encode failed: %v", err)
-			}
-		}
-		if es, err := DecodeEntries(data); err == nil {
-			if _, err := DecodeEntries(AppendEntries(nil, es)); err != nil {
-				t.Fatalf("Entries re-encode failed: %v", err)
 			}
 		}
 		if rows, err := DecodeRowMatrix(data); err == nil {

@@ -170,29 +170,6 @@ func TestTFRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEntriesRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 200; trial++ {
-		es := make([]core.Entry, rng.Intn(60))
-		for i := range es {
-			es[i] = core.Entry{DocID: int32(rng.Intn(1 << 24)), Value: int64(rng.Intn(4000) - 1000)}
-		}
-		got, err := DecodeEntries(AppendEntries(nil, es))
-		if err != nil {
-			t.Fatalf("trial %d: %v", trial, err)
-		}
-		if len(es) == 0 {
-			if len(got) != 0 {
-				t.Fatalf("trial %d: empty run diverged", trial)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(got, es) {
-			t.Fatalf("trial %d: round trip diverged", trial)
-		}
-	}
-}
-
 // TestSketchRowsRoundTrip: encode -> decode is the identity for real
 // sketch tables across every SketchKind and a grid of geometries — the
 // codec must be exact for whatever cell values the sketches produce.
