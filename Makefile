@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
 
 all: build test
 
@@ -49,6 +49,14 @@ benchmark-test:
 chaos:
 	$(GO) test -race ./internal/chaos/ ./internal/resilience/
 	$(GO) test -race -run 'Chaos|Degraded|Breaker|Resilience|Quorum|PartyLink' ./internal/federation/
+
+# The reply lease under the race detector, five times over: who may
+# release a reverse top-K reply and who retains one, in every package
+# that produces or ends one. (The allocation budgets themselves skip
+# under -race, where sync.Pool drops Puts; `make test` runs them.)
+# Mirrored by the CI job.
+lease:
+	$(GO) test -race -count=5 -run 'Lease|Release|Retention|AllocBudget' ./internal/core ./internal/shard ./internal/wire ./internal/federation
 
 # Short fuzz sessions over every fuzz target.
 fuzz:

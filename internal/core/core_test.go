@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"csfltr/internal/dp"
@@ -113,6 +115,49 @@ func TestBuildQueryObfuscation(t *testing.T) {
 	}
 	if query.WireSize() != int64(4*p.Z) {
 		t.Fatalf("wire size = %d", query.WireSize())
+	}
+}
+
+// TestBuildQueryMatchesPerm: BuildQuery draws its permutation into
+// scratch the querier keeps, and must consume its rng exactly as the
+// rand.Perm it replaces did — every later draw, plan and digest hangs on
+// that. A twin rng replays the old construction over 10 000 terms, Plan
+// and BuildQuery alternating since they share the path, with a Recover
+// in between to show its scratch is its own.
+func TestBuildQueryMatchesPerm(t *testing.T) {
+	p := testParams()
+	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin := rand.New(rand.NewSource(11))
+	for i := 0; i < 10000; i++ {
+		term := uint64(i * 7919)
+		var query *TFQuery
+		var priv *TFPrivate
+		if i%2 == 0 {
+			query, priv = q.BuildQuery(term)
+		} else {
+			plan := q.Plan(term)
+			query, priv = plan.query, plan.priv
+		}
+		pv := twin.Perm(p.Z)[:p.Z1]
+		sort.Ints(pv)
+		if !slices.Equal(priv.PV, pv) {
+			t.Fatalf("term %d: PV %v, rand.Perm gives %v", i, priv.PV, pv)
+		}
+		for a, col := range query.Cols {
+			want := q.fam.Index(a, term)
+			if _, real := slices.BinarySearch(pv, a); !real {
+				want = q.fam.Index(a, twin.Uint64())
+			}
+			if col != want {
+				t.Fatalf("term %d row %d: column %d, want %d", i, a, col, want)
+			}
+		}
+		if _, err := q.Recover(priv, &TFResponse{Values: make([]float64, p.Z)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -649,8 +694,9 @@ func BenchmarkRTKRecover(b *testing.B) {
 }
 
 // BenchmarkOwnerAnswerRTK measures the owner side alone at the benchmark
-// geometry: warm answers to rotating queries, and the first answer after
-// a mutation (an accepted push leaves its cells as heaps to re-sort).
+// geometry: warm answers to rotating queries, each released as recovery
+// or the /rtk handler would, and the first answer after a mutation (an
+// accepted push leaves its cells as heaps to re-sort).
 func BenchmarkOwnerAnswerRTK(b *testing.B) {
 	q, o := benchGeometry(b, 0.5)
 	plans := make([]*Plan, 500)
@@ -666,9 +712,11 @@ func BenchmarkOwnerAnswerRTK(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := o.AnswerRTK(plans[i%len(plans)].query); err != nil {
+			resp, err := o.AnswerRTK(plans[i%len(plans)].query)
+			if err != nil {
 				b.Fatal(err)
 			}
+			resp.Release() // as its holder does once it has read or framed it
 		}
 	})
 	nextDoc := 1_000_000 // the sub-benchmark body reruns as b.N grows

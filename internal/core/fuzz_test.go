@@ -107,7 +107,9 @@ func FuzzRTKQueryHandling(f *testing.F) {
 // infinite values: RTKWithPlan must reject or recover, never panic, may
 // only ever return documents the response offered, and — at k = 1, where
 // the floor it prunes against is set by the first candidate, as at K —
-// must return what the estimate-everything reference does.
+// must return what the estimate-everything reference does. Every
+// recovery ends its reply (the stub hands each its own), and a decoded
+// reply that is released must not change the next decode.
 //
 // Encoding: one byte of cell count, then per cell an id count, a value
 // count, the ids (signed bytes) and the values (signed bytes, with three
@@ -174,6 +176,15 @@ func FuzzRTKResponseHandling(f *testing.F) {
 				}
 			}
 			recoverFrom(t, resp, offered)
+			// The reply ends here; the same bytes, decoded into what it left
+			// behind, must give the same reply.
+			resp.Release()
+			if resp, err = DecodeRTKPayload(data); err != nil {
+				t.Fatalf("payload % x decoded once, then failed: %v", data, err)
+			}
+			if again, ok := resp.AppendPayload(nil); !ok || !bytes.Equal(again, data) {
+				t.Fatalf("payload % x, decoded into recycled memory, re-encodes to % x (%v)", data, again, ok)
+			}
 		} else if !errors.Is(err, ErrBadQuery) {
 			t.Fatalf("unexpected decode error class: %v", err)
 		}

@@ -23,20 +23,89 @@ type RTKCell struct {
 // RTKResponse is the owner's answer to a reverse top-K query: the heap
 // content of the cell the (obfuscated) term hashes to in every row.
 //
-// A reply is immutable once produced: producers and decoders record its
-// encoded length in it (see PayloadLen), and callers cache and share it.
+// A reply has one holder. Whoever obtains one — from OwnerAPI.AnswerRTK,
+// MergeRTKResponses or a decoder — owns it: an implementation of
+// AnswerRTK must not hand out a reply it keeps, and nothing may modify a
+// reply once it is produced (producers and decoders record its encoded
+// length in it, see PayloadLen). A holder that shares a reply keeps it
+// for good — package shard's cache retains its owners' raw replies, the
+// federation's answer cache only what was recovered from one — and a
+// holder that has not shared it may, when done, Release it so that its
+// memory serves the next reply. Releasing is optional: a reply that is
+// dropped is collected like anything else. A copy of the struct is a
+// second holder of the same rows; whoever makes one drops the original.
 type RTKResponse struct {
 	Cells []RTKCell
 
 	payloadLen int // length of the version 2 payload; 0 when not recorded
 }
 
-// newRTKResponse allocates a response of z empty cells plus one id slab
+// rtkReplies recycles the memory of released replies. What it holds is
+// the next reply: an *RTKResponse no one else has seen, whose Cells is
+// a whole cell array, zero but for its last element, where the id slab
+// and the value slab are parked at length 0.
+//
+// A reply in use keeps that layout, the parked slabs beyond len(Cells)
+// where nothing that reads a reply — a comparison, an encoder, gob —
+// looks: two replies with equal cells are equal field for field whether
+// or not the pool made them, and Release needs no bookkeeping beside the
+// reply to find what to return.
+var rtkReplies sync.Pool
+
+// NewRTKResponse returns a response of z empty cells plus one id slab
 // and one value slab of n entries for the producer to carve the rows
 // from, so an answer costs a fixed number of allocations rather than two
-// per row.
-func newRTKResponse(z, n int) (*RTKResponse, []int32, []float64) {
-	return &RTKResponse{Cells: make([]RTKCell, z)}, make([]int32, n), make([]float64, n)
+// per row — and, when a released reply is at hand, none but the reply
+// header Release already made. Every producer of a reply comes through
+// here. The slabs are not zeroed: a producer writes every entry of the
+// [:n] it hands to a cell, and hands it over with its capacity cut to n
+// (ids[:n:n]), so nothing left behind by an earlier reply can be reached
+// through this one.
+func NewRTKResponse(z, n int) (*RTKResponse, []int32, []float64) {
+	r, _ := rtkReplies.Get().(*RTKResponse)
+	if r == nil {
+		r = new(RTKResponse)
+	}
+	cells, slabs := r.Cells, RTKCell{}
+	if len(cells) > 0 {
+		slabs = cells[len(cells)-1]
+	}
+	if len(cells) <= z {
+		cells = make([]RTKCell, z+1)
+	}
+	if slabs.IDs == nil || cap(slabs.IDs) < n {
+		slabs = RTKCell{IDs: make([]int32, 0, n), Values: make([]float64, 0, n)}
+	}
+	cells[len(cells)-1] = slabs
+	r.Cells = cells[:z]
+	return r, slabs.IDs[:n], slabs.Values[:n]
+}
+
+// Release ends the reply's life: its cell array and slabs go back to
+// serve a later reply, and the reply itself is left with zero cells, so
+// a holder that should not exist fails checkRTKResponse or encodes
+// nothing rather than reading someone else's answer. Only the reply's
+// sole holder may call it, after its last read of the cells. It is a
+// no-op on a reply NewRTKResponse did not make (a literal, a test
+// double's, one gob decoded) and on one already released; memory beyond
+// what the decoders accept (rtkMaxEntries) is dropped, not kept.
+func (r *RTKResponse) Release() {
+	if r == nil {
+		return
+	}
+	whole := r.Cells[:cap(r.Cells)]
+	if len(whole) == len(r.Cells) {
+		return
+	}
+	slabs := whole[len(whole)-1]
+	if slabs.IDs == nil || slabs.Values == nil || len(slabs.IDs)+len(slabs.Values) != 0 {
+		return // spare capacity, not parked slabs
+	}
+	clear(r.Cells) // the pool pins no reply's rows
+	r.Cells, r.payloadLen = nil, 0
+	if cap(slabs.IDs) <= rtkMaxEntries && len(whole) <= rtkMaxEntries {
+		rtkReplies.Put(&RTKResponse{Cells: whole})
+	}
 }
 
 // WireSize returns the encoded size in bytes (12 bytes per entry), used
@@ -515,8 +584,8 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // of the addressed cell in every row, in canonical ascending-DocID order,
 // counts perturbed with a single noise draw. Cells a mutation left out of
 // canonical order are sorted in place on the way, so back-to-back queries
-// only copy. The response owns its memory (callers cache it) and carries
-// its encoded length, computed in the copy loop (rtkSizer).
+// only copy. The response belongs to the caller (see RTKResponse) and
+// carries its encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -531,7 +600,7 @@ func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 		}
 		total += len(o.rtk.Cell(a, col))
 	}
-	resp, ids, vals := newRTKResponse(o.params.Z, total)
+	resp, ids, vals := NewRTKResponse(o.params.Z, total)
 	var sz rtkSizer
 	for a, col := range q.Cols {
 		entries := o.rtk.Cell(a, col)

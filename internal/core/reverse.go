@@ -86,6 +86,9 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	if err != nil {
 		return nil, cost, err
 	}
+	// The answer is this call's alone and is not needed once the
+	// candidates are recovered from it; what is returned is a copy.
+	defer resp.Release()
 	cost.Messages = 1
 	cost.BytesReceived += resp.WireSize()
 	cost.SketchLookups = plan.params.Z
@@ -167,7 +170,7 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 		}
 	}
 	for i := range sc.ids {
-		sc.ids[i], sc.cellVals[i] = nil, nil // the pool must not pin the response
+		sc.ids[i], sc.cellVals[i] = nil, nil // the scratch must not outlive the response's rows
 	}
 	sc.candidates = best               // keep the grown buffer for the next query
 	out := make([]DocCount, len(best)) // callers retain the result

@@ -584,8 +584,9 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // answer a single sketch over the union of the partitions' documents
 // would give, adding noise to every released value. Parts are raw
 // (noise-free, so every value is an exact integer) Owner answers over
-// disjoint document sets; like them, the result owns its memory and
-// carries its encoded length (rtkSizer, fed from the merge loop).
+// disjoint document sets, read and left as they are; like them, the
+// result belongs to the caller and carries its encoded length (rtkSizer,
+// fed from the merge loop).
 //
 // Correctness mirrors mergeAccumRows: eviction is a strict total order
 // (key descending, key-ties keep the smaller DocID), so an entry in the
@@ -612,16 +613,17 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 		total += min(n, heapCap)
 		longest = max(longest, n)
 	}
-	resp, ids, vals := newRTKResponse(z, total)
+	resp, ids, vals := NewRTKResponse(z, total)
 	order := cellHeap{abs: abs}
 	rank := func(id int32, v float64) Entry { // an entry of a part, its value replaced by the ranking key
 		return Entry{DocID: id, Value: order.key(Entry{Value: int32(v)})} // raw, so v is an Entry's Value
 	}
-	var ranked []Entry // gather scratch for rows that overflow the cap
+	sc := mergeScratchPool.Get().(*mergeScratch)
+	heads := slices.Grow(sc.heads[:0], len(parts))[:len(parts)]
+	ranked := sc.ranked
 	if longest > heapCap {
-		ranked = make([]Entry, 0, longest)
+		ranked = slices.Grow(ranked[:0], longest)
 	}
-	heads := make([]RTKCell, len(parts)) // what the merge has yet to take of each part's row
 	var sz rtkSizer
 	for a := 0; a < z; a++ {
 		n := 0
@@ -677,8 +679,23 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 		ids, vals = ids[keep:], vals[keep:]
 	}
 	sz.finish(resp, noise)
+	clear(heads) // the scratch must not outlive the parts' rows
+	sc.heads, sc.ranked = heads, ranked
+	mergeScratchPool.Put(sc)
 	return resp
 }
+
+// mergeScratch is the working memory of one MergeRTKResponses, pooled as
+// rtkScratch is for recovery: what the merge has yet to take of each
+// part's row, and the gathered candidates of a row that overflows the
+// cap. The candidates are Entries, which a reply's slabs cannot hold
+// without a slower selection, so this does not come from NewRTKResponse.
+type mergeScratch struct {
+	heads  []RTKCell
+	ranked []Entry
+}
+
+var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // selectRank returns the entry of rank k (0-based) under rankLess,
 // partially ordering es on the way: quickselect with a median-of-three

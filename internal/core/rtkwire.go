@@ -323,13 +323,15 @@ func (b *bitReader) read(dst []uint32, w uint) uint32 {
 // done reports whether everything left unread is zero padding.
 func (b *bitReader) done() bool { return len(b.data) == 0 && b.acc == 0 }
 
-// DecodeRTKPayload decodes a version 2 payload into a reply that owns
-// its memory: one id slab and one value slab, sub-sliced per cell. It
-// accepts exactly what AppendPayload produces; every other input is an
-// ErrBadQuery, found before anything is allocated for a count the input
-// does not bear out.
+// DecodeRTKPayload decodes a version 2 payload into a reply of the
+// caller's (see RTKResponse) that refers to nothing in data: one id slab
+// and one value slab, sub-sliced per cell. It accepts exactly what
+// AppendPayload produces; every other input is an ErrBadQuery, found
+// before anything is allocated for a count the input does not bear out.
 func DecodeRTKPayload(data []byte) (*RTKResponse, error) {
+	var out *RTKResponse
 	bad := func(what string) (*RTKResponse, error) {
+		out.Release() // half filled, and no one else's
 		return nil, fmt.Errorf("%w: rtk payload: %s", ErrBadQuery, what)
 	}
 	ncells, rest, ok := readUvarint(data)
@@ -361,8 +363,8 @@ func DecodeRTKPayload(data []byte) (*RTKResponse, error) {
 		return bad("trailing bytes")
 	}
 
-	out := &RTKResponse{Cells: make([]RTKCell, ncells), payloadLen: len(data)}
-	ids, vals := make([]int32, total), make([]float64, total)
+	out, ids, vals := NewRTKResponse(int(ncells), total)
+	out.payloadLen = len(data)
 	var used [rtkMaxDict / 64]uint64
 	var chunk [256]uint32
 	rest = cells

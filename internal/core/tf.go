@@ -39,12 +39,16 @@ func (r *TFResponse) WireSize() int64 { return int64(8 * len(r.Values)) }
 
 // Querier is the query-side endpoint of the cross-party TF protocol. It
 // is bound to a federation's shared parameters and hash family. The rng
-// drives decoy selection and PV permutation and must not be shared across
-// goroutines.
+// drives decoy selection and PV permutation, and BuildQuery, Plan and
+// Recover work in scratch the querier keeps: one goroutine at a time.
 type Querier struct {
 	params Params
 	fam    *hashutil.Family
 	rng    *rand.Rand
+
+	perm []int     // BuildQuery: the row permutation PV is drawn from
+	inPV []bool    // BuildQuery: which rows carry the real hash
+	vals []float64 // Recover: the private rows' values
 }
 
 // NewQuerier builds a querier from shared params, the federation hash
@@ -60,7 +64,10 @@ func NewQuerier(params Params, seed uint64, rng *rand.Rand) (*Querier, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Querier{params: params, fam: fam, rng: rng}, nil
+	return &Querier{
+		params: params, fam: fam, rng: rng,
+		perm: make([]int, params.Z), inPV: make([]bool, params.Z), vals: make([]float64, 0, params.Z1),
+	}, nil
 }
 
 // Params returns the shared protocol parameters.
@@ -76,10 +83,19 @@ func (q *Querier) Family() *hashutil.Family { return q.fam }
 // paper).
 func (q *Querier) BuildQuery(term uint64) (*TFQuery, *TFPrivate) {
 	z := q.params.Z
-	perm := q.rng.Perm(z)
+	// rand.Perm, draw for draw, into the kept slice. Nothing needs
+	// resetting: the one element a step can read before any step wrote it
+	// is its own (j == i), which the step then overwrites.
+	perm := q.perm
+	for i := range perm {
+		j := q.rng.Intn(i + 1)
+		perm[i] = perm[j]
+		perm[j] = i
+	}
 	pv := append([]int(nil), perm[:q.params.Z1]...)
 	sortInts(pv)
-	inPV := make([]bool, z)
+	inPV := q.inPV
+	clear(inPV)
 	for _, a := range pv {
 		inPV[a] = true
 	}
@@ -137,10 +153,11 @@ func (q *Querier) Recover(priv *TFPrivate, resp *TFResponse) (float64, error) {
 		return 0, fmt.Errorf("%w: response has %d values, want %d",
 			ErrBadQuery, respLen(resp), q.params.Z)
 	}
-	vals := make([]float64, len(priv.PV))
-	for i, a := range priv.PV {
-		vals[i] = resp.Values[a]
+	vals := q.vals[:0]
+	for _, a := range priv.PV {
+		vals = append(vals, resp.Values[a])
 	}
+	q.vals = vals
 	return sketch.EstimateFromRows(q.params.SketchKind, q.fam, priv.Term, priv.PV, vals), nil
 }
 

@@ -344,6 +344,7 @@ func HTTPHandler(s *Server) http.Handler {
 			if wantsWire(r) {
 				frame := frameBufs.Get().(*[]byte)
 				*frame = wire.AppendRTKResponse((*frame)[:0], resp)
+				resp.Release() // the frame is a copy
 				writeWire(w, frame)
 				return
 			}
@@ -352,6 +353,7 @@ func HTTPHandler(s *Server) http.Handler {
 				out.Cells[i] = httpRTKCell{IDs: c.IDs, Values: c.Values}
 			}
 			writeJSON(w, http.StatusOK, out)
+			resp.Release() // out aliased its rows until the body was encoded
 		})
 	// Catch-all so unknown paths also get the JSON envelope, a request
 	// ID and a metrics sample (route label "other").

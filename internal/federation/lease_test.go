@@ -1,0 +1,238 @@
+package federation
+
+import (
+	"encoding/json"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"reflect"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"csfltr/internal/core"
+	"csfltr/internal/resilience"
+	"csfltr/internal/textkit"
+)
+
+// TestLeaseHTTPConcurrentClients: the /rtk handler returns its reply to
+// the pool once the body is written — after encoding the frame on the
+// wire branch, after the JSON encoder has walked the rows it aliases on
+// the other. Four clients at once, two per branch, must each read the
+// answer a direct call gives at Epsilon = 0, bit for bit
+// (TestHTTPWireNegotiation's comparison): a reply released before its
+// body was complete is a neighbour's to overwrite — which the race
+// detector, under which `make lease` runs, reports whether or not the
+// bytes happen to survive.
+func TestLeaseHTTPConcurrentClients(t *testing.T) {
+	fed, ts := httpFed(t)
+	b, _ := fed.Party("B")
+	rng := rand.New(rand.NewSource(3))
+	for id := 10; id < 400; id++ { // rows long enough that answers differ and take a while to write
+		body := make([]textkit.TermID, 40)
+		for j := range body {
+			body[j] = textkit.TermID(rng.Intn(2000))
+		}
+		if err := b.IngestDocument(textkit.NewDocument(id, -1, nil, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, err := fed.Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 12
+	qs := make([]*core.TFQuery, queries)
+	bodies := make([]string, queries)
+	want := make([]*core.RTKResponse, queries)
+	entries := 0
+	for i := range qs {
+		cols := make([]uint32, testParams().Z)
+		for a := range cols {
+			cols[a] = uint32((i*53 + a*17 + 1) % testParams().W)
+		}
+		qs[i] = &core.TFQuery{Cols: cols}
+		body, _ := json.Marshal(httpRTKRequest{Cols: cols})
+		bodies[i] = string(body)
+		if want[i], err = direct.AnswerRTK(qs[i]); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range want[i].Cells {
+			entries += len(c.IDs)
+		}
+	}
+	if entries == 0 {
+		t.Fatal("the queries addressed only empty cells; the comparison is vacuous")
+	}
+	same := func(got []core.RTKCell, i int) error {
+		if len(got) != len(want[i].Cells) {
+			return fmt.Errorf("query %d: %d cells, want %d", i, len(got), len(want[i].Cells))
+		}
+		for a, c := range want[i].Cells {
+			if !slices.Equal(got[a].IDs, c.IDs) || !slices.Equal(got[a].Values, c.Values) {
+				return fmt.Errorf("query %d cell %d diverged:\n got %+v\nwant %+v", i, a, got[a], c)
+			}
+		}
+		return nil
+	}
+	var wg sync.WaitGroup
+	for client := 0; client < 4; client++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			owner := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
+			for n := 0; n < 40; n++ {
+				i := (client*7 + n) % queries
+				if client%2 == 0 {
+					got, err := owner.AnswerRTK(qs[i])
+					if err == nil {
+						err = same(got.Cells, i)
+					}
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got.Release() // the decoded replies change hands too
+					continue
+				}
+				var raw httpRTKResponse
+				if err := postJSON(ts.URL+"/v1/parties/B/body/rtk", bodies[i], &raw); err != nil {
+					t.Error(err)
+					return
+				}
+				cells := make([]core.RTKCell, len(raw.Cells))
+				for a, c := range raw.Cells {
+					cells[a] = core.RTKCell{IDs: c.IDs, Values: c.Values}
+				}
+				if err := same(cells, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(client)
+	}
+	wg.Wait()
+}
+
+// postJSON is postRawJSON for goroutines other than the test's own: it
+// reports instead of calling t.Fatal.
+func postJSON(url, body string, out any) error {
+	resp, err := http.Post(url, "application/json", strings.NewReader(body))
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("POST %s: status %d", url, resp.StatusCode)
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
+}
+
+// TestLeaseAbandonedAttemptsRelease: resilience.Call walks away from an
+// attempt that outlives its deadline, and the attempt runs on — through
+// AnswerRTK, recovery and the release of its own reply — beside the
+// retry. With a deadline no attempt can meet, every attempt is
+// abandoned; the answers taken while they finish, and after, must equal
+// the undisturbed one.
+func TestLeaseAbandonedAttemptsRelease(t *testing.T) {
+	fed := twoPartyFed(t, testParams())
+	src, _ := fed.Party("A")
+	owner, err := fed.Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := src.Querier().Plan(5)
+	want, wantCost, err := core.RTKWithPlan(plan, owner, 3)
+	if err != nil || len(want) == 0 {
+		t.Fatalf("undisturbed recovery: %v, %v", want, err)
+	}
+	var running sync.WaitGroup
+	attempt := func() ([]core.DocCount, error) {
+		defer running.Done()
+		docs, cost, err := core.RTKWithPlan(plan, owner, 3)
+		if err == nil && (!reflect.DeepEqual(docs, want) || cost != wantCost) {
+			err = fmt.Errorf("an abandoned attempt recovered %v at %+v, want %v at %+v", docs, cost, want, wantCost)
+			t.Error(err)
+		}
+		return docs, err
+	}
+	hurried := resilience.DefaultPolicy().WithSleep(func(time.Duration) {})
+	hurried.MaxAttempts, hurried.CallTimeout = 6, time.Nanosecond
+	for round := 0; round < 20; round++ {
+		running.Add(hurried.MaxAttempts)
+		_, attempts, err := resilience.Call(hurried, uint64(round), attempt)
+		if err == nil { // an attempt beat a 1 ns timer to the select: the rest were never made
+			running.Add(attempts - hurried.MaxAttempts)
+		} else if !errors.Is(err, resilience.ErrDeadlineExceeded) {
+			t.Fatal(err)
+		}
+		// The retry, with time to finish, beside whatever is still running.
+		got, cost, err := core.RTKWithPlan(plan, owner, 3)
+		if err != nil || !reflect.DeepEqual(got, want) || cost != wantCost {
+			t.Fatalf("round %d: the retried answer is %v at %+v (%v), want %v at %+v", round, got, cost, err, want, wantCost)
+		}
+	}
+	running.Wait()
+	if got, _, err := core.RTKWithPlan(plan, owner, 3); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("after every abandoned attempt finished: %v (%v), want %v", got, err, want)
+	}
+}
+
+// TestSearchAllocBudget holds the scorecard's search_cold allocation
+// bill in tier-1: a 4-party x 4-term in-process search at the benchmark
+// geometry (z = 30, alpha*K = 250, 1 200 documents a party, cache off)
+// allocates at most 150 kB in 330 objects in steady state — sixteen
+// reverse top-K answers of 90 kB each pass through it, and none of them
+// may be made anew.
+func TestSearchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the budget holds without -race")
+	}
+	p := core.DefaultParams()
+	p.K = 50
+	names := []string{"Q", "P0", "P1", "P2", "P3"}
+	fed, err := NewDeterministic(names, p, 42, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pi, party := range fed.Parties[1:] {
+		rng := rand.New(rand.NewSource(int64(pi) + 1))
+		docs := make([]core.DocCounts, 1200)
+		for id := range docs {
+			counts := make(map[uint64]int64)
+			for j := 0; j < 80; j++ {
+				counts[uint64(rng.Intn(3000))]++
+			}
+			docs[id] = core.DocCounts{DocID: id, Counts: counts}
+		}
+		if err := party.Owner(FieldBody).AddDocuments(docs, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	search := func(n int) {
+		terms := []uint64{uint64(4 * n), uint64(4*n + 1), uint64(4*n + 2), uint64(4*n + 3)}
+		if _, err := fed.Search("Q", terms, 10); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const warm, runs = 5, 50
+	for n := 0; n < warm; n++ {
+		search(n)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for n := warm; n < warm+runs; n++ {
+		search(n)
+	}
+	runtime.ReadMemStats(&after)
+	objects := float64(after.Mallocs-before.Mallocs) / runs
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
+	t.Logf("%.0f objects, %.1f kB per search", objects, kb)
+	if objects > 330 || kb > 150 {
+		t.Errorf("a 4 x 4 search allocates %.0f objects, %.1f kB; the budget is 330 and 150 kB", objects, kb)
+	}
+}

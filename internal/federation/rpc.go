@@ -193,7 +193,7 @@ func (r *RTKReply) GobDecode(data []byte) error {
 	if err != nil {
 		return err
 	}
-	r.Resp = *resp
+	r.Resp = *resp // the copy is the reply from here on; the decoded header is dropped
 	return nil
 }
 
@@ -297,6 +297,9 @@ func (s *RPCService) AnswerRTK(args *RTKArgs, reply *RTKReply) (err error) {
 	if err != nil {
 		return err
 	}
+	// net/rpc encodes the reply after this method has returned, so there
+	// is no point here at which the service is done with it: it is not
+	// released, and is collected once sent.
 	reply.Resp = *resp
 	return nil
 }

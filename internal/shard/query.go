@@ -249,6 +249,16 @@ func (g *Group) answerRTK(ctx telemetry.SpanContext, q *core.TFQuery) (*core.RTK
 	// Slots keep the merge order independent of completion order — the
 	// same slot-merge discipline as the federated search fan-out.
 	raw := make([]*core.RTKResponse, len(g.shards))
+	if g.cache == nil {
+		// The raw answers are made for this call, and the merge copies
+		// what it keeps. With the cache on they are the cache's, and every
+		// later hit's, from the moment they are stored: those never end.
+		defer func() {
+			for _, r := range raw {
+				r.Release()
+			}
+		}()
+	}
 	errs := make([]error, len(g.shards))
 	gens := g.Generations()
 	if len(g.shards) == 1 {
@@ -279,7 +289,8 @@ func (g *Group) answerRTK(ctx telemetry.SpanContext, q *core.TFQuery) (*core.RTK
 // shard-local raw answer cache when enabled. Cache keys bind the
 // owning shard's generation, so an ingest or removal invalidates
 // exactly that shard's entries. Cached values are raw (pre-noise) and
-// never leave the facade unperturbed.
+// never leave the facade unperturbed; a cached reply is shared by every
+// later hit, so no one may Release it.
 func (g *Group) shardRTK(ctx telemetry.SpanContext, si int, gen uint64, q *core.TFQuery) (*core.RTKResponse, error) {
 	var full, base qcache.Key
 	if g.cache != nil {

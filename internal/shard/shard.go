@@ -280,9 +280,18 @@ func (g *Group) ReplicaState(shard, rep int) resilience.State {
 func (g *Group) Generations() []uint64 {
 	out := make([]uint64, len(g.shards))
 	for i, s := range g.shards {
-		out[i] = s.replicas[0].owner.Generation()
+		out[i] = s.generation()
 	}
 	return out
+}
+
+// generation is the shard's ingest generation: that of the replica a
+// write reaches last. A write goes through the replicas in order, so
+// while it is under way the shard still reads as its old generation, and
+// an answer taken from a replica the write has not reached is never
+// filed under the new one — where it would outlive the write.
+func (s *shardState) generation() uint64 {
+	return s.replicas[len(s.replicas)-1].owner.Generation()
 }
 
 // Generation returns the sum of the per-shard generations — a scalar
@@ -291,7 +300,7 @@ func (g *Group) Generations() []uint64 {
 func (g *Group) Generation() uint64 {
 	var sum uint64
 	for _, s := range g.shards {
-		sum += s.replicas[0].owner.Generation()
+		sum += s.generation()
 	}
 	return sum
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"csfltr/internal/core"
@@ -677,5 +678,196 @@ func TestShardForStability(t *testing.T) {
 	}
 	if g.ShardFor(-40) < 0 || g.ShardFor(-40) >= 4 {
 		t.Fatal("negative ids must still map into range")
+	}
+}
+
+// TestRetentionCachedRepliesOutliveEveryRelease: a group whose cache is
+// on keeps its shards' raw answers and hands one reply to every later
+// hit, so nothing may ever release them; a group whose cache is off
+// made them for one call and returns them. Both run here side by side
+// under the load that would expose a confusion of the two — 2 000
+// queries over 8 goroutines, every merged answer released at once so
+// memory changes hands constantly, beside a writer that ingests and
+// removes in both groups. Between bursts, with the writer quiet, both
+// groups must answer what a single owner built from the live documents
+// answers (TestChurnMatchesSingleOwner's rule), and at the end every raw
+// reply the cache ever held must encode to the bytes it encoded to when
+// it was first seen there.
+func TestRetentionCachedRepliesOutliveEveryRelease(t *testing.T) {
+	p := testParams()
+	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
+	all := testDocs(48, 43)
+	for i := range all {
+		all[i].DocID = i
+	}
+	base, spare := all[:40], all[40:]
+	sp := p
+	sp.Shards, sp.Replicas = 4, 2
+	groups := make(map[string]*Group)
+	for name, cacheBytes := range map[string]int64{"cache on": 0, "cache off": -1} {
+		g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: 10, CacheBytes: cacheBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.AddDocuments(base, 1); err != nil {
+			t.Fatal(err)
+		}
+		groups[name] = g
+	}
+	cached := groups["cache on"]
+	if cached.cache == nil || groups["cache off"].cache != nil {
+		t.Fatal("setup: the groups' caches are not one on, one off")
+	}
+	live := make(map[int]core.DocCounts)
+	for _, d := range base {
+		live[d.DocID] = d
+	}
+
+	// seen holds every raw reply found in the cache right after the query
+	// that stored or hit it, with the payload it encoded to then. (By
+	// reply, not by key: two queries racing a write may store different
+	// answers under one key, and both are then retained.)
+	var seenMu sync.Mutex
+	seen := make(map[*core.RTKResponse][]byte)
+	note := func(q *core.TFQuery, gens []uint64) {
+		for si := range cached.shards {
+			v, ok := cached.cache.Get(cached.rtkKeys(si, gens[si], q))
+			if !ok {
+				continue // a write moved the shard on
+			}
+			raw := v.(*core.RTKResponse)
+			seenMu.Lock()
+			if _, dup := seen[raw]; !dup {
+				payload, ok := raw.AppendPayload(nil)
+				if !ok {
+					t.Error("a raw shard reply has no version 2 payload")
+				}
+				seen[raw] = payload
+			}
+			seenMu.Unlock()
+		}
+	}
+
+	const bursts, perBurst, workers = 10, 200, 8
+	for burst := 0; burst < bursts; burst++ {
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for n := 0; n < perBurst/workers; n++ {
+					q := queryCols(p, (burst*perBurst+w*31+n)%23)
+					for _, g := range groups {
+						gens := g.Generations()
+						resp, err := g.AnswerRTK(q)
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						resp.Release()
+						if g == cached {
+							note(q, gens)
+						}
+					}
+				}
+			}(w)
+		}
+		// The writer: a spare document comes and the previous one goes, in
+		// both groups, while the queries run.
+		in, out := spare[burst%len(spare)], spare[(burst+len(spare)-1)%len(spare)]
+		for _, g := range groups {
+			if err := g.AddDocument(in.DocID, in.Counts); err != nil {
+				t.Fatal(err)
+			}
+			if _, there := live[out.DocID]; there {
+				if err := g.RemoveDocument(out.DocID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		live[in.DocID] = in
+		delete(live, out.DocID)
+		wg.Wait()
+
+		docs := make([]core.DocCounts, 0, len(live))
+		for _, d := range live {
+			docs = append(docs, d)
+		}
+		ref, err := core.NewOwner(p, testSeed, dp.Disabled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.AddDocuments(docs, 1); err != nil {
+			t.Fatal(err)
+		}
+		for salt := 0; salt < 23; salt++ {
+			q := queryCols(p, salt)
+			want, err := ref.AnswerRTK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, g := range groups {
+				got, err := g.AnswerRTK(q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Fatalf("burst %d salt %d, %s: sharded answer differs from the single owner's:\n got %+v\nwant %+v", burst, salt, name, got, want)
+				}
+				got.Release()
+			}
+		}
+	}
+
+	for raw, then := range seen {
+		if now, _ := raw.AppendPayload(nil); !bytes.Equal(now, then) {
+			t.Fatalf("a cached raw reply changed while it was retained:\n then % x\n now  % x", then, now)
+		}
+	}
+	if st := cached.CacheStats(); len(seen) < 100 || st.Hits == 0 {
+		t.Fatalf("degenerate run: %d retained replies checked, cache stats %+v", len(seen), st)
+	}
+}
+
+// BenchmarkGroupAnswerRTK measures the facade's scatter-gather at the
+// benchmark geometry (z = 30, alpha*K = 250, 1 200 documents over
+// 4 shards x 1 replica) with the shard cache off, so every call pays
+// four raw answers and the merge; the caller releases the merged reply
+// as recovery does.
+func BenchmarkGroupAnswerRTK(b *testing.B) {
+	p := core.DefaultParams()
+	p.K, p.Epsilon = 50, 0
+	p.Shards, p.Replicas = 4, 1
+	g, err := New(Config{Params: p, Seed: testSeed, CacheBytes: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	docs := make([]core.DocCounts, 1200)
+	for i := range docs {
+		counts := make(map[uint64]int64)
+		for t := 0; t < 80; t++ {
+			counts[uint64(rng.Intn(500))]++
+		}
+		docs[i] = core.DocCounts{DocID: i, Counts: counts}
+	}
+	if err := g.AddDocuments(docs, 1); err != nil {
+		b.Fatal(err)
+	}
+	queries := make([]*core.TFQuery, 64)
+	for i := range queries {
+		queries[i] = queryCols(p, i)
+		if _, err := g.AnswerRTK(queries[i]); err != nil { // bring every addressed cell to canonical order
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		resp, err := g.AnswerRTK(queries[i%len(queries)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		resp.Release()
 	}
 }

@@ -342,9 +342,10 @@ func SizeTopK(docs []core.DocCount) int64 {
 // DecodeRTKResponse decodes a framed RTK reply of either version. A
 // malformed input returns ErrMalformed; element counts are validated
 // against the bytes actually present, or against the decoder's own
-// caps, before any allocation sized by them. The reply owns its memory
-// (callers cache it): a compressed frame is inflated into pooled
-// scratch that nothing returned refers to.
+// caps, before any allocation sized by them. The reply is the caller's,
+// to keep or to Release (see core.RTKResponse), and refers to nothing in
+// data: a compressed frame is inflated into pooled scratch that nothing
+// returned refers to.
 func DecodeRTKResponse(data []byte) (*core.RTKResponse, error) {
 	if len(data) > 0 && data[0] == VersionRTK {
 		body, _, _, err := splitFrame(data, VersionRTK)
@@ -390,30 +391,39 @@ func decodeRTKPayload(payload []byte) (*core.RTKResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &core.RTKResponse{Cells: make([]core.RTKCell, ncells)}
-	ids, vals := make([]int32, total), make([]float64, total)
-	for i := range out.Cells {
+	out, ids, vals := core.NewRTKResponse(int(ncells), total)
+	if err := decodeRTKCells(out.Cells, ids, vals, rest); err != nil {
+		out.Release() // half filled, and no one else's
+		return nil, err
+	}
+	return out, nil
+}
+
+// decodeRTKCells fills cells from their version 1 encoding, carving
+// every row from the two slabs, which hold what countRTKEntries counted.
+func decodeRTKCells(cells []core.RTKCell, ids []int32, vals []float64, rest []byte) error {
+	for i := range cells {
 		n, r2, err := Uvarint(rest)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		if n > uint64(len(ids)) {
-			return nil, fmt.Errorf("%w: cell length changed between passes", ErrMalformed)
+			return fmt.Errorf("%w: cell length changed between passes", ErrMalformed)
 		}
-		c := &out.Cells[i]
+		c := &cells[i]
 		c.IDs, ids = ids[:n:n], ids[n:]
 		c.Values, vals = vals[:n:n], vals[n:]
 		if r2, err = decodeIDs(c.IDs, r2); err != nil {
-			return nil, err
+			return err
 		}
 		if rest, err = decodeValues(c.Values, r2); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
+		return fmt.Errorf("%w: trailing bytes", ErrMalformed)
 	}
-	return out, nil
+	return nil
 }
 
 // countRTKEntries walks the ncells cells encoded in data and returns

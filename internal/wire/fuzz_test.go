@@ -13,7 +13,9 @@ import (
 // what the input length itself, or the version 2 decoder's caps,
 // justify. Valid inputs that decode must re-encode to a frame that
 // decodes to the same value; a version 2 frame that decodes must
-// re-encode to itself, byte for byte, and be sized as what it is.
+// re-encode to itself, byte for byte, and be sized as what it is. A
+// decoded reply that is released must not change what the next decode
+// of the same bytes returns.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0})
@@ -53,6 +55,13 @@ func FuzzWireDecode(f *testing.F) {
 			}
 			if frame[0] == VersionRTK && SizeRTKResponse(r) != int64(len(frame)) {
 				t.Fatalf("reply sized %d, frame %d bytes", SizeRTKResponse(r), len(frame))
+			}
+			// Both replies end here; the same bytes, decoded into what they
+			// left behind, must give the reply frame was encoded from.
+			again.Release()
+			r.Release()
+			if r, err = DecodeRTKResponse(data); err != nil || !bytes.Equal(AppendRTKResponse(nil, r), frame) {
+				t.Fatalf("decoding % x again, into recycled memory, gave another reply (%v)", data, err)
 			}
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("RTK decode failed with %v, want ErrMalformed", err)

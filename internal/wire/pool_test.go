@@ -170,9 +170,10 @@ func TestCodecConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDecodedResponseOwnsItsMemory: callers cache decoded replies, so
-// nothing a reply refers to may be pooled scratch that a later decode
-// reuses.
+// TestDecodedResponseOwnsItsMemory: a decoded reply is its caller's for
+// as long as the caller keeps it. Nothing it refers to may be scratch a
+// later decode reuses, nor memory that other replies, decoded and
+// released around it, hand back and forth.
 func TestDecodedResponseOwnsItsMemory(t *testing.T) {
 	resp := geometryResponse(1)
 	first, err := DecodeRTKResponse(AppendRTKResponse(nil, resp))
@@ -180,12 +181,55 @@ func TestDecodedResponseOwnsItsMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := DecodeRTKResponse(AppendRTKResponse(nil, geometryResponse(int64(2+i)))); err != nil {
+		other, err := DecodeRTKResponse(AppendRTKResponse(nil, geometryResponse(int64(2+i))))
+		if err != nil {
 			t.Fatal(err)
+		}
+		if i%2 == 0 {
+			other.Release()
 		}
 	}
 	if !respEqual(first, resp) {
 		t.Fatal("a decoded response changed under later decodes")
+	}
+}
+
+// TestLeaseDecodedCellsEndAtTheirRows: both decoders carve a reply from
+// slabs that arrive as an earlier reply left them, so every cell must
+// end where its row ends — capacity equal to length — and each decode
+// of the same frame must give the same reply, whatever was released in
+// between (here: a larger reply full of a value the frame does not
+// hold).
+func TestLeaseDecodedCellsEndAtTheirRows(t *testing.T) {
+	resp := geometryResponse(6)
+	frames := map[string][]byte{
+		"version 2":             AppendRTKResponse(nil, resp),
+		"version 1, compressed": Pack(nil, appendRTKPayloadV1(nil, resp)),
+	}
+	for name, frame := range frames {
+		for round := 0; round < 4; round++ {
+			for i := 0; i < 8; i++ { // the race detector's sync.Pool drops some Puts
+				stale, ids, vals := core.NewRTKResponse(40, 12000)
+				for k := range ids {
+					ids[k], vals[k] = -777, -777
+				}
+				stale.Release()
+			}
+			got, err := DecodeRTKResponse(frame)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for a, c := range got.Cells {
+				if cap(c.IDs) != len(c.IDs) || cap(c.Values) != len(c.Values) {
+					t.Fatalf("%s: row %d has %d ids in capacity %d, %d values in capacity %d",
+						name, a, len(c.IDs), cap(c.IDs), len(c.Values), cap(c.Values))
+				}
+			}
+			if !respEqual(got, resp) {
+				t.Fatalf("%s, round %d: decoding into recycled memory gave another reply", name, round)
+			}
+			got.Release()
+		}
 	}
 }
 
@@ -194,7 +238,9 @@ func TestDecodedResponseOwnsItsMemory(t *testing.T) {
 // buffer allocates nothing, for the RTK reply and for the TF pair that
 // accompanies it on every HTTP call. Decoding allocates the reply —
 // header, cells, one id slab, one value slab — and nothing else: a
-// version 2 frame is stored, so nothing inflates. A compressed version
+// version 2 frame is stored, so nothing inflates. A caller that
+// releases the reply leaves the next decode the header to allocate and
+// nothing of the reply's size. A compressed version
 // 1 frame still decodes, at what compress/flate itself allocates per
 // stream even on a Reset reader: a few small Huffman link tables per
 // dynamic block, whose number depends on the data.
@@ -241,10 +287,20 @@ func TestRTKCodecAllocCeilings(t *testing.T) {
 	}
 	decAllocs, decBytes := perRun(200, decode(frame))
 	if decAllocs > 4 {
-		t.Errorf("DecodeRTKResponse: %.1f allocs/op, want at most 4", decAllocs)
+		t.Errorf("DecodeRTKResponse, reply kept: %.1f allocs/op, want at most 4", decAllocs)
 	}
 	if slabs := float64(12 * entries); decBytes > 1.2*slabs {
-		t.Errorf("DecodeRTKResponse: %.0f B/op, want at most 1.2x the %.0f B of slabs it returns", decBytes, slabs)
+		t.Errorf("DecodeRTKResponse, reply kept: %.0f B/op, want at most 1.2x the %.0f B of slabs it returns", decBytes, slabs)
+	}
+	relAllocs, relBytes := perRun(200, func() {
+		r, err := DecodeRTKResponse(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	})
+	if relAllocs > 2 || relBytes > 1<<10 {
+		t.Errorf("DecodeRTKResponse, reply released: %.1f allocs/op, %.0f B/op, want at most 2 and 1 kB", relAllocs, relBytes)
 	}
 	if n, _ := perRun(200, decode(v1)); n > 24 {
 		t.Errorf("DecodeRTKResponse, compressed version 1 frame: %.1f allocs/op, want at most 24", n)
