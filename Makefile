@@ -67,7 +67,7 @@ fuzz:
 	$(GO) test -fuzz FuzzRTKResponseHandling -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzMergeRTKResponses -fuzztime 30s ./internal/core/
 	$(GO) test -fuzz FuzzHTTPEnvelope -fuzztime 30s ./internal/federation/
-	$(GO) test -fuzz FuzzRPCDecode -fuzztime 30s ./internal/federation/
+	$(GO) test -fuzz FuzzHTTPWireBody -fuzztime 30s ./internal/federation/
 	$(GO) test -fuzz FuzzWritePrometheus -fuzztime 30s ./internal/telemetry/
 	$(GO) test -fuzz FuzzTraceExport -fuzztime 30s ./internal/telemetry/
 	$(GO) test -fuzz FuzzCacheKey -fuzztime 30s ./internal/qcache/
@@ -75,12 +75,14 @@ fuzz:
 	$(GO) test -fuzz FuzzSecAggDecode -fuzztime 30s ./internal/secagg/
 
 # Ten seconds each on the decoders of what a remote party sends: the
-# wire frames (version 2 RTK replies among them) and the querier's
-# handling of a decoded reply. A short minimize budget keeps the engine
-# mutating instead of shrinking the 9 kB seeds. Mirrored by the CI job.
+# wire frames (version 2 RTK replies among them), the querier's handling
+# of a decoded reply, and the HTTP host and client that carry the frames.
+# A short minimize budget keeps the engine mutating instead of shrinking
+# the 9 kB seeds. Mirrored by the CI job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzRTKResponseHandling -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzHTTPWireBody -fuzztime 10s -fuzzminimizetime 1s ./internal/federation/
 
 # Regenerate every table and figure at the shape-faithful default scale
 # (about 20 minutes; see EXPERIMENTS.md).
@@ -103,7 +105,7 @@ examples:
 # Prometheus metrics route once and shut down.
 telemetry-demo:
 	$(GO) build -o /tmp/csfltr-demo ./cmd/csfltr
-	/tmp/csfltr-demo serve -scale test -addr 127.0.0.1:7070 -http 127.0.0.1:7080 & \
+	/tmp/csfltr-demo serve -scale test -http 127.0.0.1:7080 & \
 	SRV=$$!; \
 	for i in $$(seq 1 50); do \
 		curl -sf http://127.0.0.1:7080/v1/parties >/dev/null 2>&1 && break; \
@@ -122,7 +124,7 @@ telemetry-demo:
 # the CI job.
 trace-demo:
 	$(GO) build -race -o /tmp/csfltr-trace-demo ./cmd/csfltr
-	/tmp/csfltr-trace-demo serve -scale test -trace -addr 127.0.0.1:7170 -http 127.0.0.1:7180 & \
+	/tmp/csfltr-trace-demo serve -scale test -trace -http 127.0.0.1:7180 & \
 	SRV=$$!; \
 	for i in $$(seq 1 100); do \
 		curl -sf http://127.0.0.1:7180/v1/audit 2>/dev/null | grep -q trace_id && break; \

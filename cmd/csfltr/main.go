@@ -1,16 +1,17 @@
 // Command csfltr is the pipeline driver of the CS-F-LTR reproduction.
 //
 //	csfltr demo                 # end-to-end simulation, Table-I output
-//	csfltr serve -addr :7070    # host a federation server over net/rpc
+//	csfltr serve -http :7070    # host a federation server over HTTP
 //	csfltr query -addr HOST:PORT -party B -term 12345 -k 10
 //
 // serve generates the synthetic corpus, ingests every party's documents
-// into their sketches and exports the coordinating server over TCP;
-// query dials it and runs a reverse top-K document query (Algorithm 5)
-// as a remote querier.
+// into their sketches and exports the coordinating server's HTTP
+// gateway; query runs a reverse top-K document query (Algorithm 5)
+// against it as a remote querier.
 package main
 
 import (
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -19,7 +20,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
+	"time"
 
 	"csfltr/internal/core"
 	"csfltr/internal/corpus"
@@ -64,7 +67,7 @@ func main() {
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
   csfltr demo  [-scale test|default] [-seed N]
-  csfltr serve [-addr HOST:PORT] [-scale test|default] [-seed N] [-http HOST:PORT] [-debug-addr HOST:PORT] [-trace]
+  csfltr serve [-http HOST:PORT] [-scale test|default] [-seed N] [-remote NAME=ADDR] [-debug-addr HOST:PORT] [-trace]
   csfltr query -addr HOST:PORT [-party NAME] [-term ID] [-k N] [-naive] [-scale test|default]
   csfltr party -name NAME [-addr HOST:PORT] [-scale test|default] [-seed N] [-debug-addr HOST:PORT]
   csfltr train [-scale test|default] [-seed N] -model FILE
@@ -93,6 +96,31 @@ func scaleConfigs(scale string, seed int64) (corpus.Config, core.Params, error) 
 	return ccfg, params, nil
 }
 
+// baseURL turns a HOST:PORT address into the http:// URL the gateway
+// client wants; a full URL passes through.
+func baseURL(addr string) string {
+	if strings.Contains(addr, "://") {
+		return addr
+	}
+	return "http://" + addr
+}
+
+// listenHTTP serves h on addr in the background and returns the server
+// to Close and the address it bound.
+func listenHTTP(addr string, h http.Handler) (*http.Server, net.Addr, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	hs := &http.Server{Handler: h}
+	go func() {
+		if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			fmt.Fprintln(os.Stderr, "http gateway:", err)
+		}
+	}()
+	return hs, ln.Addr(), nil
+}
+
 // startDebug serves /metrics, /debug/vars and /debug/pprof on addr when
 // non-empty and returns a closer (no-op when disabled).
 func startDebug(reg *telemetry.Registry, addr string) (func(), error) {
@@ -109,8 +137,9 @@ func startDebug(reg *telemetry.Registry, addr string) (func(), error) {
 
 // partyCmd hosts one party in its own process (the fully distributed
 // topology): it generates that party's slice of the shared synthetic
-// corpus, ingests it and serves the owner endpoints over TCP. A
-// coordinator registers it with Server.RegisterRemote.
+// corpus, ingests it and serves the owner endpoints over HTTP. A
+// coordinator registers it with Server.RegisterHTTPRemote ('csfltr serve
+// -remote').
 func partyCmd(args []string) error {
 	fs := flag.NewFlagSet("party", flag.ExitOnError)
 	name := fs.String("name", "B", "party name (A, B, C, D selects the corpus slice)")
@@ -119,14 +148,14 @@ func partyCmd(args []string) error {
 	seed := fs.Int64("seed", 1, "corpus seed (must match the federation's)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (optional)")
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning
-	idx := int((*name)[0] - 'A')
 	cfg, params, err := scaleConfigs(*scale, *seed)
 	if err != nil {
 		return err
 	}
-	if idx < 0 || idx >= cfg.NumParties || len(*name) != 1 {
+	if len(*name) != 1 || (*name)[0] < 'A' || int((*name)[0]-'A') >= cfg.NumParties {
 		return fmt.Errorf("party name must be one of A..%c", 'A'+cfg.NumParties-1)
 	}
+	idx := int((*name)[0] - 'A')
 	fmt.Println("generating corpus slice for party", *name, "...")
 	c, err := corpus.Generate(cfg)
 	if err != nil {
@@ -143,13 +172,13 @@ func partyCmd(args []string) error {
 	if err := p.IngestAll(c.Parties[idx].Docs); err != nil {
 		return err
 	}
-	// Inlined ServeParty so the party-local server's registry is
-	// reachable for the debug endpoint.
+	// A private coordinator containing only this party: the silo keeps
+	// its sketches on its own machine and the central one merely relays.
 	local := federation.NewServer()
 	if err := local.Register(p); err != nil {
 		return err
 	}
-	host, err := federation.ListenAndServe(local, *addr)
+	host, bound, err := listenHTTP(*addr, federation.HTTPHandler(local))
 	if err != nil {
 		return err
 	}
@@ -160,7 +189,7 @@ func partyCmd(args []string) error {
 	}
 	defer stopDebug()
 	fmt.Printf("party %s hosting %d documents on %s (Ctrl-C to stop)\n",
-		*name, p.NumDocs(), host.Addr)
+		*name, p.NumDocs(), bound)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt)
 	<-sig
@@ -281,19 +310,44 @@ type remoteFlags []string
 
 func (r *remoteFlags) String() string { return strings.Join(*r, ",") }
 func (r *remoteFlags) Set(v string) error {
-	if !strings.Contains(v, "=") {
+	if name, addr, ok := strings.Cut(v, "="); !ok || name == "" || addr == "" {
 		return fmt.Errorf("want NAME=ADDR, got %q", v)
 	}
 	*r = append(*r, v)
 	return nil
 }
 
+// probeParty asks the host at base for its roster once and reports an
+// error unless it answers and lists name. Building an HTTP owner view
+// does no I/O; this is the start-up check a dial used to give, so an
+// unreachable or mis-named silo fails here and not at the first query.
+func probeParty(base, name string) error {
+	client := http.Client{Timeout: 5 * time.Second}
+	resp, err := client.Get(base + "/v1/parties")
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET /v1/parties: status %d", resp.StatusCode)
+	}
+	var roster struct {
+		Parties []string `json:"parties"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&roster); err != nil {
+		return fmt.Errorf("GET /v1/parties: %w", err)
+	}
+	if !slices.Contains(roster.Parties, name) {
+		return fmt.Errorf("host serves parties %v, not %s", roster.Parties, name)
+	}
+	return nil
+}
+
 func serve(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7070", "net/rpc listen address")
 	scale := fs.String("scale", "default", "test or default")
 	seed := fs.Int64("seed", 1, "corpus seed")
-	httpAddr := fs.String("http", "", "also serve the HTTP gateway (REST API + GET /v1/metrics) on this address (optional)")
+	httpAddr := fs.String("http", "127.0.0.1:7070", "listen address of the HTTP gateway (party endpoints, POST /v1/search, GET /v1/metrics)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (optional)")
 	trace := fs.Bool("trace", false, "enable the distributed-tracing flight recorder and run demo searches (inspect with 'csfltr trace')")
 	shards := fs.Int("shards", 0, "partition each local party's corpus across this many owner shards (0/1 = single owner)")
@@ -326,11 +380,14 @@ func serve(args []string) error {
 	for i := 0; i < cfg.NumParties; i++ {
 		name := string(rune('A' + i))
 		if raddr, remote := remoteNames[name]; remote {
-			client, err := server.RegisterRemote(name, raddr)
+			base := baseURL(raddr)
+			err := server.RegisterHTTPRemote(name, base, nil)
+			if err == nil {
+				err = probeParty(base, name)
+			}
 			if err != nil {
 				return fmt.Errorf("registering remote %s=%s: %w", name, raddr, err)
 			}
-			defer client.Close()
 			fmt.Printf("party %s relayed from %s\n", name, raddr)
 			continue
 		}
@@ -359,26 +416,12 @@ func serve(args []string) error {
 		fed = federation.Assemble(server, locals, params, demoSeed)
 		server.SetAdmission(federation.AdmissionConfig{})
 	}
-	srv, err := federation.ListenAndServe(server, *addr)
+	hs, bound, err := listenHTTP(*httpAddr, federation.HTTPHandler(server))
 	if err != nil {
 		return err
 	}
-	defer srv.Close()
-	fmt.Println("serving federation on", srv.Addr)
-	if *httpAddr != "" {
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			return err
-		}
-		hs := &http.Server{Handler: federation.HTTPHandler(server)}
-		go func() {
-			if err := hs.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fmt.Fprintln(os.Stderr, "http gateway:", err)
-			}
-		}()
-		defer hs.Close()
-		fmt.Printf("HTTP gateway on http://%s (try GET /v1/metrics)\n", ln.Addr())
-	}
+	defer hs.Close()
+	fmt.Printf("serving federation on http://%s (try GET /v1/metrics)\n", bound)
 	stopDebug, err := startDebug(server.Metrics(), *debugAddr)
 	if err != nil {
 		return err
@@ -408,7 +451,7 @@ func serve(args []string) error {
 			fmt.Printf("traced demo search: topic %d -> %d hits, trace %s\n",
 				t, len(res.Hits), traceID)
 		}
-		fmt.Printf("inspect with: csfltr trace -http %s [-id TRACE]\n", *httpAddr)
+		fmt.Printf("inspect with: csfltr trace -http %s [-id TRACE]\n", bound)
 	}
 	fmt.Println("press Ctrl-C to stop")
 	sig := make(chan os.Signal, 1)
@@ -419,7 +462,7 @@ func serve(args []string) error {
 
 func query(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	addr := fs.String("addr", "127.0.0.1:7070", "server address")
+	addr := fs.String("addr", "127.0.0.1:7070", "server address (HOST:PORT or URL)")
 	party := fs.String("party", "B", "document-owner party to query")
 	term := fs.Uint64("term", 0, "term id to search for")
 	k := fs.Int("k", 10, "result count")
@@ -431,16 +474,15 @@ func query(args []string) error {
 	if err != nil {
 		return err
 	}
-	client, err := federation.Dial(*addr)
-	if err != nil {
-		return err
-	}
-	defer client.Close()
 	querier, err := core.NewQuerier(params, demoSeed, rand.New(rand.NewSource(99)))
 	if err != nil {
 		return err
 	}
-	remote := client.OwnerFor(*party, federation.FieldBody)
+	base := baseURL(*addr)
+	if err := probeParty(base, *party); err != nil {
+		return err
+	}
+	remote := federation.NewHTTPOwner(base, *party, federation.FieldBody, nil)
 	var (
 		results []core.DocCount
 		cost    core.Cost

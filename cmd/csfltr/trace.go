@@ -21,7 +21,7 @@ import (
 // chrome://tracing / Perfetto.
 func traceCmd(args []string) error {
 	fs := flag.NewFlagSet("trace", flag.ExitOnError)
-	gw := fs.String("http", "127.0.0.1:7080", "HTTP gateway address (see 'csfltr serve -http')")
+	gw := fs.String("http", "127.0.0.1:7070", "HTTP gateway address (see 'csfltr serve -http')")
 	id := fs.String("id", "", "trace id to dump (omit to list the audit ledger)")
 	chrome := fs.String("chrome", "", "also write the dumped trace as Chrome trace-event JSON to this file")
 	_ = fs.Parse(args) // ExitOnError: Parse exits instead of returning

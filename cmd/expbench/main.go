@@ -14,7 +14,6 @@
 //	expbench -exp fig6b             # Fig. 6b, number-of-parties sweep
 //	expbench -exp headline          # Section VI-D NAIVE vs RTK headline
 //	expbench -exp traffic           # server-relayed bytes, NAIVE vs RTK
-//	expbench -exp latency           # per-stage protocol latency breakdown
 //	expbench -exp ablation          # estimator + aggregator ablations
 //	expbench -exp sse               # encryption-based comparator
 //	expbench -exp all               # everything
@@ -127,7 +126,6 @@ var runners = func() map[string]func(*env) error {
 		"headline": runHeadline,
 		"ablation": runAblation,
 		"sse":      runSSE,
-		"latency":  runLatency,
 		"traffic":  runTraffic,
 	}
 	for _, p := range fig4Params {
@@ -256,26 +254,6 @@ func runSSE(e *env) error {
 	fmt.Println("== Comparator: searchable symmetric encryption vs sketches ==")
 	fmt.Print(experiments.RenderSSEComparison(res))
 	e.report.Add("sse", res)
-	return nil
-}
-
-func runLatency(e *env) error {
-	cfg := e.pipe
-	cfg.Params.Epsilon = 1 // exercise the dp_noise stage
-	cfg.Metrics = telemetry.NewRegistry()
-	p, err := experiments.NewPipeline(cfg)
-	if err != nil {
-		return err
-	}
-	res, err := experiments.RunLatencyProbe(p)
-	if err != nil {
-		return err
-	}
-	fmt.Println("== Protocol stage latency (registry-sourced) ==")
-	fmt.Printf("%d federated searches, %d messages, %.1f KB relayed\n",
-		res.Searches, res.Traffic.Messages, float64(res.Traffic.Bytes)/1024)
-	fmt.Print(experiments.RenderStageBreakdown(res.Stages))
-	e.report.Add("latency", res)
 	return nil
 }
 

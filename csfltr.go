@@ -19,8 +19,8 @@
 //   - the federation substrate: parties, an honest-but-curious
 //     coordinating server with byte-level traffic accounting, a
 //     Diffie-Hellman ceremony that keeps hash keys away from the server,
-//     and an optional TCP net/rpc transport (internal/federation,
-//     internal/keyex);
+//     and an HTTP wire-frame host for parties in other processes
+//     (internal/federation, internal/keyex);
 //   - the LTR layer: the paper's 16 features (length, TF, IDF, TF-IDF,
 //     BM25, LMIR.ABS/DIR/JM on body and title), pointwise linear models,
 //     round-robin distributed SGD, and ERR/nDCG metrics

@@ -1,6 +1,6 @@
 // Federated search over TCP: a coordinating server hosts two companies'
-// sketched document collections and exports them over net/rpc; a remote
-// querier dials in and runs both reverse top-K algorithms, comparing
+// sketched document collections behind its HTTP gateway; a remote
+// querier runs both reverse top-K algorithms against it, comparing
 // their cost — the deployment topology of Section III with real sockets.
 package main
 
@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
+	"net"
+	"net/http"
 
 	"csfltr/internal/core"
 	"csfltr/internal/federation"
@@ -55,19 +57,17 @@ func main() {
 		2: "election watchdog reports record election turnout election observers deployed",
 	})
 
-	srv, err := federation.ListenAndServe(fed.Server, "127.0.0.1:0")
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)
 	}
+	srv := &http.Server{Handler: federation.HTTPHandler(fed.Server)}
+	go func() { _ = srv.Serve(ln) }() // returns once Close is called
 	defer srv.Close()
-	fmt.Println("federation server listening on", srv.Addr)
+	base := "http://" + ln.Addr().String()
+	fmt.Println("federation server listening on", base)
 
 	// --- Client side: a remote querier with only the shared hash seed. ---
-	client, err := federation.Dial(srv.Addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer client.Close()
 	querier, err := core.NewQuerier(params, sharedSeed, rand.New(rand.NewSource(7)))
 	if err != nil {
 		log.Fatal(err)
@@ -75,7 +75,7 @@ func main() {
 	term, _ := vocab.Lookup("election")
 
 	for _, owner := range []string{"press", "wire"} {
-		remote := client.OwnerFor(owner, federation.FieldBody)
+		remote := federation.NewHTTPOwner(base, owner, federation.FieldBody, nil)
 		rtk, rtkCost, err := core.RTKReverseTopK(querier, remote, uint64(term), 3)
 		if err != nil {
 			log.Fatal(err)

@@ -7,6 +7,7 @@ package csfltr
 
 import (
 	"math/rand"
+	"net/http/httptest"
 	"path/filepath"
 	"testing"
 
@@ -19,12 +20,12 @@ import (
 	"csfltr/internal/store"
 )
 
-// TestIntegrationRPCPersistenceCycle runs the deployment story end to
+// TestIntegrationHTTPPersistenceCycle runs the deployment story end to
 // end: build a federation from a synthetic corpus, snapshot an owner to
 // disk, restore it into a *fresh* federation, serve that over TCP, and
 // verify a remote querier gets identical reverse top-K answers from the
 // restored sketches.
-func TestIntegrationRPCPersistenceCycle(t *testing.T) {
+func TestIntegrationHTTPPersistenceCycle(t *testing.T) {
 	params := core.DefaultParams()
 	params.Epsilon = 0
 	params.W = 256
@@ -67,9 +68,7 @@ func TestIntegrationRPCPersistenceCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh querier (same shared seed) against the restored owner via
-	// the RPC transport. We wrap the restored owner in a fresh party by
-	// re-ingesting nothing — serve it directly through a new server.
+	// A fresh querier (same shared seed) against the restored owner.
 	querier, err := core.NewQuerier(params, 4242, rand.New(rand.NewSource(9)))
 	if err != nil {
 		t.Fatal(err)
@@ -88,25 +87,17 @@ func TestIntegrationRPCPersistenceCycle(t *testing.T) {
 	}
 
 	// And over TCP: serve the original federation, query remotely.
-	rpcSrv, err := federation.ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rpcSrv.Close()
-	client, err := federation.Dial(rpcSrv.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	remote := client.OwnerFor("B", federation.FieldBody)
+	ts := httptest.NewServer(federation.HTTPHandler(fed.Server))
+	defer ts.Close()
+	remote := federation.NewHTTPOwner(ts.URL, "B", federation.FieldBody, ts.Client())
 	q2, _ := core.NewQuerier(params, 4242, rand.New(rand.NewSource(9)))
-	viaRPC, _, err := core.RTKReverseTopK(q2, remote, probe, params.K)
+	viaHTTP, _, err := core.RTKReverseTopK(q2, remote, probe, params.K)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := range direct {
-		if direct[i].DocID != viaRPC[i].DocID {
-			t.Fatalf("result %d differs over RPC: %v vs %v", i, direct[i], viaRPC[i])
+		if direct[i].DocID != viaHTTP[i].DocID {
+			t.Fatalf("result %d differs over HTTP: %v vs %v", i, direct[i], viaHTTP[i])
 		}
 	}
 }

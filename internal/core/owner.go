@@ -46,7 +46,7 @@ type RTKResponse struct {
 // and the value slab are parked at length 0.
 //
 // A reply in use keeps that layout, the parked slabs beyond len(Cells)
-// where nothing that reads a reply — a comparison, an encoder, gob —
+// where nothing that reads a reply — a comparison, an encoder —
 // looks: two replies with equal cells are equal field for field whether
 // or not the pool made them, and Release needs no bookkeeping beside the
 // reply to find what to return.
@@ -87,7 +87,7 @@ func NewRTKResponse(z, n int) (*RTKResponse, []int32, []float64) {
 // nothing rather than reading someone else's answer. Only the reply's
 // sole holder may call it, after its last read of the cells. It is a
 // no-op on a reply NewRTKResponse did not make (a literal, a test
-// double's, one gob decoded) and on one already released; memory beyond
+// double's) and on one already released; memory beyond
 // what the decoders accept (rtkMaxEntries) is dropped, not kept.
 func (r *RTKResponse) Release() {
 	if r == nil {
@@ -149,7 +149,7 @@ type docMeta struct {
 // perturbed by the configured DP mechanism before they leave the owner.
 //
 // Owner is safe for concurrent use: ingestion and query answering are
-// serialized by an internal mutex (the RPC transport serves connections
+// serialized by an internal mutex (the HTTP host serves requests
 // concurrently, the DP mechanism's random source is not itself
 // thread-safe, and answering a query may re-order the addressed cells in
 // place — see cellHeap).

@@ -84,7 +84,7 @@ type PipelineConfig struct {
 	Seed int64
 	// Metrics, when non-nil, receives the federation's telemetry (relay
 	// counters, stage latency histograms) instead of a private registry —
-	// for the latency probe and binaries exposing a -debug-addr endpoint.
+	// for binaries exposing a -debug-addr endpoint.
 	Metrics *telemetry.Registry `json:"-"`
 }
 

@@ -147,7 +147,7 @@ func (f *Federation) BatchReverseTopK(from string, reqs []TopKRequest, paralleli
 	// batch task tier; a hit replays the released noisy answer at zero
 	// budget spend. Keys bind the answering owner's ingest generation,
 	// which is only observable for local parties — requests to remote
-	// (RPC/HTTP-registered) parties always take the live path.
+	// (HTTP-registered) parties always take the live path.
 	c := f.cache()
 	runPool(parallelism, len(reqs), m, func(i int) {
 		r := &results[i]

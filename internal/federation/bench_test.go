@@ -52,30 +52,6 @@ func BenchmarkInProcessRTK(b *testing.B) {
 	}
 }
 
-// BenchmarkRPCRTK measures the same query over the TCP net/rpc
-// transport (loopback).
-func BenchmarkRPCRTK(b *testing.B) {
-	fed := benchFed(b)
-	srv, err := ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer srv.Close()
-	client, err := Dial(srv.Addr)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer client.Close()
-	a, _ := fed.Party("A")
-	remote := client.OwnerFor("B", FieldBody)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.RTKReverseTopK(a.Querier(), remote, 9999, 20); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // geometryFed builds a two-party federation at the geometry of the
 // repo benchmark's gateway workload: default sketch parameters, K = 50,
 // Epsilon = 0.5, and 400 documents of 120 terms at party B, enough to

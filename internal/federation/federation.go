@@ -9,8 +9,9 @@
 // pairwise via Diffie-Hellman (package keyex) so the server only ever
 // sees obfuscated column indexes and perturbed counters.
 //
-// Two transports are provided: direct in-process routing through Server,
-// and a TCP net/rpc transport (see rpc.go) exposing the same OwnerAPI.
+// A party is reached one of two ways: direct in-process routing through
+// Server, or over the HTTP wire-frame host (see http.go) exposing the
+// same OwnerAPI.
 package federation
 
 import (
@@ -77,9 +78,8 @@ type TrafficStats struct {
 }
 
 // endpoint resolves a party's owner API per field. Local parties resolve
-// in-process; remote (party-hosted) endpoints resolve to an RPC- or
-// HTTP-backed client. transport names the wire for telemetry
-// ("inproc", "rpc", "http").
+// in-process; remote (party-hosted) endpoints resolve to an HTTP-backed
+// client. transport names the wire for telemetry ("inproc", "http").
 type endpoint interface {
 	ownerAPI(f Field) (core.OwnerAPI, error)
 	transport() string
@@ -88,13 +88,12 @@ type endpoint interface {
 // Transport label values (bounded).
 const (
 	transportInproc = "inproc"
-	transportRPC    = "rpc"
 	transportHTTP   = "http"
 )
 
 // traceCarrier is implemented by owner views that can forward a trace
-// context downstream: the routed owner (span parenting) and the RPC/HTTP
-// clients (on-the-wire propagation). WithTrace returns a shallow copy
+// context downstream: the routed owner (span parenting) and the HTTP
+// client (on-the-wire propagation). WithTrace returns a shallow copy
 // bound to ctx; the receiver is never mutated.
 type traceCarrier interface {
 	WithTrace(ctx telemetry.SpanContext) core.OwnerAPI
@@ -369,9 +368,9 @@ func (s *Server) OwnerFor(name string, field Field) (core.OwnerAPI, error) {
 }
 
 // routedOwner proxies OwnerAPI calls through the server, recording
-// per-party traffic and per-API-call latency. Every transport (HTTP,
-// net/rpc and in-process) resolves owners through Server.OwnerFor, so
-// this is the single place bytes are counted.
+// per-party traffic and per-API-call latency. Both transports (HTTP and
+// in-process) resolve owners through Server.OwnerFor, so this is the
+// single place bytes are counted.
 type routedOwner struct {
 	m         *serverMetrics
 	srv       *Server
@@ -440,7 +439,7 @@ func (t *tracedOwner) apiSpan(api string) *telemetry.TraceSpan {
 }
 
 // wireAPI forwards the call-level span context to the transport client
-// when it can carry one (RPC args fields, HTTP X-Trace-* headers).
+// when it can carry one (the HTTP X-Trace-* headers).
 func (t *tracedOwner) wireAPI(ctx telemetry.SpanContext) core.OwnerAPI {
 	if tc, ok := t.r.api.(traceCarrier); ok {
 		return tc.WithTrace(ctx)
@@ -956,36 +955,13 @@ func Assemble(srv *Server, parties []*Party, params core.Params, hashSeed uint64
 // (package keyex), hash-seed derivation, party construction and server
 // registration. rngSeed makes party-side randomness reproducible.
 func New(names []string, params core.Params, rngSeed int64) (*Federation, error) {
-	if len(names) == 0 {
-		return nil, errors.New("federation: need at least one party")
-	}
-	if err := params.Validate(); err != nil {
-		return nil, err
-	}
 	secrets, err := keyex.AgreeFederationSecret(len(names), nil)
 	if err != nil {
 		return nil, fmt.Errorf("federation: key agreement: %w", err)
 	}
 	// All parties hold the same secret; derive the sketch-hash seed.
 	seed := hashutil.DeriveSeed(secrets[0], "csfltr/sketch-hash/v1")
-	srv := NewServer()
-	fed := &Federation{Server: srv, Params: params, HashSeed: seed}
-	srv.setSearcher(fed.SearchTraced)
-	for i, name := range names {
-		p, err := NewParty(name, PartyConfig{
-			Params:  params,
-			Seed:    seed,
-			RNGSeed: rngSeed + int64(i)*1000,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := srv.Register(p); err != nil {
-			return nil, err
-		}
-		fed.Parties = append(fed.Parties, p)
-	}
-	return fed, nil
+	return NewDeterministic(names, params, seed, rngSeed)
 }
 
 // NewDeterministic builds a federation with a fixed hash seed instead of

@@ -252,71 +252,3 @@ func TestCountsToUint64(t *testing.T) {
 		t.Fatalf("CountsToUint64 = %v", m)
 	}
 }
-
-func TestRPCTransport(t *testing.T) {
-	fed := twoPartyFed(t, testParams())
-	rpcSrv, err := ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rpcSrv.Close()
-	client, err := Dial(rpcSrv.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-
-	remote := client.OwnerFor("B", FieldBody)
-	ids := remote.DocIDs()
-	if len(ids) != 3 {
-		t.Fatalf("remote DocIDs = %v", ids)
-	}
-	length, unique, err := remote.DocMeta(0)
-	if err != nil || length != 5 || unique != 2 {
-		t.Fatalf("remote DocMeta = %d,%d,%v", length, unique, err)
-	}
-	// Full reverse top-K through the RPC transport.
-	a, _ := fed.Party("A")
-	got, _, err := core.RTKReverseTopK(a.Querier(), remote, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) == 0 || got[0].DocID != 0 {
-		t.Fatalf("remote RTK top doc = %v", got)
-	}
-	naive, _, err := core.NaiveReverseTopK(a.Querier(), remote, 5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(naive) == 0 || naive[0].DocID != 0 {
-		t.Fatalf("remote NAIVE top doc = %v", naive)
-	}
-	// Errors propagate.
-	if _, _, err := remote.DocMeta(999); err == nil {
-		t.Fatal("remote unknown doc should error")
-	}
-	unknown := client.OwnerFor("ZZZ", FieldBody)
-	if ids := unknown.DocIDs(); ids != nil {
-		t.Fatalf("unknown party roster = %v", ids)
-	}
-	if _, err := unknown.AnswerRTK(&core.TFQuery{Cols: make([]uint32, testParams().Z)}); err == nil {
-		t.Fatal("unknown party query should error")
-	}
-}
-
-func TestRPCServerClose(t *testing.T) {
-	fed := twoPartyFed(t, testParams())
-	rpcSrv, err := ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := rpcSrv.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rpcSrv.Close(); err != nil {
-		t.Fatal("double close should be a no-op")
-	}
-	if _, err := Dial(rpcSrv.Addr); err == nil {
-		t.Fatal("dialing a closed server should fail")
-	}
-}

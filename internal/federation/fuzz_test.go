@@ -2,7 +2,6 @@ package federation
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -14,12 +13,10 @@ import (
 	"csfltr/internal/wire"
 )
 
-// FuzzHTTPEnvelope hardens the gateway's JSON envelope decoder: for any
-// request body thrown at the TF/RTK POST routes the handler must not
-// panic, must always answer with a JSON body, must echo the caller's
-// X-Request-ID in error envelopes, and must only use the documented
-// status codes.
-func FuzzHTTPEnvelope(f *testing.F) {
+// fuzzFed is the two-party federation the gateway fuzz targets run
+// against: party A holds two documents, party B none.
+func fuzzFed(f *testing.F) *Federation {
+	f.Helper()
 	fed, err := NewDeterministic([]string{"A", "B"}, testParams(), 42, 7)
 	if err != nil {
 		f.Fatal(err)
@@ -28,7 +25,59 @@ func FuzzHTTPEnvelope(f *testing.F) {
 	if err := a.IngestAll([]*textkit.Document{doc(0, 5, 5, 6), doc(1, 6, 7)}); err != nil {
 		f.Fatal(err)
 	}
-	handler := HTTPHandler(fed.Server)
+	return fed
+}
+
+// fuzzRoutes are the POST routes the gateway fuzz targets address.
+var fuzzRoutes = []string{
+	"/v1/parties/A/body/tf",
+	"/v1/parties/A/body/rtk",
+	"/v1/parties/A/title/tf",
+	"/v1/parties/nobody/body/rtk",
+}
+
+// checkFuzzStatus fails unless rec holds a documented status with the
+// caller's X-Request-ID echoed, and — for anything but a 200 — the JSON
+// error envelope echoing it too.
+func checkFuzzStatus(t *testing.T, path string, body []byte, rec *httptest.ResponseRecorder) {
+	t.Helper()
+	switch rec.Code {
+	case http.StatusOK, http.StatusBadRequest, http.StatusNotFound, http.StatusConflict,
+		http.StatusMethodNotAllowed, http.StatusInternalServerError:
+	default:
+		t.Fatalf("%s: unexpected status %d for body %q", path, rec.Code, body)
+	}
+	if got := rec.Header().Get("X-Request-ID"); got != "fuzz-rid" {
+		t.Fatalf("%s: request id not propagated: %q", path, got)
+	}
+	if rec.Code == http.StatusOK {
+		return
+	}
+	if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+		t.Fatalf("%s: non-JSON content type %q (status %d)", path, ct, rec.Code)
+	}
+	var env struct {
+		Error     string `json:"error"`
+		RequestID string `json:"request_id"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
+		t.Fatalf("%s: error body is not an envelope: %v (%q)", path, err, rec.Body.String())
+	}
+	if env.Error == "" {
+		t.Fatalf("%s: error envelope with empty error (status %d)", path, rec.Code)
+	}
+	if env.RequestID != "fuzz-rid" {
+		t.Fatalf("%s: envelope request id %q, want fuzz-rid", path, env.RequestID)
+	}
+}
+
+// FuzzHTTPEnvelope hardens the gateway's JSON envelope decoder: for any
+// request body thrown at the TF/RTK POST routes the handler must not
+// panic, must always answer with a JSON body, must echo the caller's
+// X-Request-ID in error envelopes, and must only use the documented
+// status codes.
+func FuzzHTTPEnvelope(f *testing.F) {
+	handler := HTTPHandler(fuzzFed(f).Server)
 
 	f.Add(uint8(0), []byte(`{"doc_id":0,"cols":[1,2,3,4,5,6,7,8,9]}`))
 	f.Add(uint8(1), []byte(`{"cols":[1,2,3,4,5,6,7,8,9]}`))
@@ -39,165 +88,168 @@ func FuzzHTTPEnvelope(f *testing.F) {
 	f.Add(uint8(0), []byte(`{"doc_id":1e309,"cols":[0]}`))
 	f.Add(uint8(1), []byte(strings.Repeat(`[`, 10000)))
 
-	routes := []string{
-		"/v1/parties/A/body/tf",
-		"/v1/parties/A/body/rtk",
-		"/v1/parties/A/title/tf",
-		"/v1/parties/nobody/body/rtk",
-	}
-	allowed := map[int]bool{
-		http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
-		http.StatusConflict: true, http.StatusMethodNotAllowed: true,
-		http.StatusInternalServerError: true,
-	}
-
 	f.Fuzz(func(t *testing.T, route uint8, body []byte) {
-		path := routes[int(route)%len(routes)]
+		path := fuzzRoutes[int(route)%len(fuzzRoutes)]
 		req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
 		req.Header.Set("X-Request-ID", "fuzz-rid")
 		rec := httptest.NewRecorder()
 		handler.ServeHTTP(rec, req)
 
-		if !allowed[rec.Code] {
-			t.Fatalf("%s: unexpected status %d for body %q", path, rec.Code, body)
-		}
-		if got := rec.Header().Get("X-Request-ID"); got != "fuzz-rid" {
-			t.Fatalf("%s: request id not propagated: %q", path, got)
-		}
-		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-			t.Fatalf("%s: non-JSON content type %q (status %d)", path, ct, rec.Code)
-		}
+		checkFuzzStatus(t, path, body, rec)
 		if rec.Code == http.StatusOK {
+			if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+				t.Fatalf("%s: non-JSON content type %q on a 200", path, ct)
+			}
 			var ok map[string]any
 			if err := json.Unmarshal(rec.Body.Bytes(), &ok); err != nil {
 				t.Fatalf("%s: 200 body is not JSON: %v", path, err)
 			}
-			return
-		}
-		var env struct {
-			Error     string `json:"error"`
-			RequestID string `json:"request_id"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-			t.Fatalf("%s: error body is not an envelope: %v (%q)", path, err, rec.Body.String())
-		}
-		if env.Error == "" {
-			t.Fatalf("%s: error envelope with empty error (status %d)", path, rec.Code)
-		}
-		if env.RequestID != "fuzz-rid" {
-			t.Fatalf("%s: envelope request id %q, want fuzz-rid", path, env.RequestID)
 		}
 	})
 }
 
-// gobBytes encodes a value for the FuzzRPCDecode seed corpus.
-func gobBytes(f *testing.F, v any) []byte {
-	f.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		f.Fatal(err)
-	}
-	return buf.Bytes()
+// handlerTransport serves an http.Client's requests from a handler with
+// no socket in between.
+type handlerTransport struct{ h http.Handler }
+
+func (tr handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	rec := httptest.NewRecorder()
+	tr.h.ServeHTTP(rec, req)
+	return rec.Result(), nil
 }
 
-// FuzzRPCDecode hardens the net/rpc message decode path: for any byte
-// stream presented as a gob-encoded argument struct, decoding plus the
-// dispatched RPCService method must not panic. Malformed streams must
-// fail in the decoder; well-formed but hostile arguments (unknown
-// parties, out-of-range sketch columns, absurd document ids) must come
-// back as ordinary errors from the service. The fifth method is the
-// client's side of AnswerRTK: the stream is a gob-encoded RTKReply,
-// whose body is a version 2 wire frame — it fails in the decoder, or
-// the reply's own frame decodes and encodes back to itself.
-func FuzzRPCDecode(f *testing.F) {
-	fed, err := NewDeterministic([]string{"A", "B"}, testParams(), 42, 7)
-	if err != nil {
-		f.Fatal(err)
-	}
-	a, _ := fed.Party("A")
-	if err := a.IngestAll([]*textkit.Document{doc(0, 5, 5, 6), doc(1, 6, 7)}); err != nil {
-		f.Fatal(err)
-	}
-	svc := &RPCService{server: fed.Server}
+// FuzzHTTPWireBody hardens the two decoders a remote party's bytes
+// reach. Gateway side (modes 0-3, one per fuzzRoutes entry): any bytes
+// POSTed as a wire-framed body never panic the handler, draw only the
+// documented statuses, fail with the JSON error envelope echoing
+// X-Request-ID, and a 200 is a wire frame that decodes. Client side
+// (mode 4 AnswerTF, mode 5 AnswerRTK): an HTTPOwner whose host replies
+// with the fuzz bytes returns an error or a well-formed reply — an RTK
+// reply survives its own encoding, a version 2 frame re-encodes to
+// itself, and the lease the decoder took ends exactly once.
+func FuzzHTTPWireBody(f *testing.F) {
+	fed := fuzzFed(f)
+	handler := HTTPHandler(fed.Server)
+	var reply []byte // what the stub host answers with, set per input
+	stub := &http.Client{Transport: handlerTransport{http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", WireContentType)
+		_, _ = w.Write(reply)
+	})}}
+	owner := NewHTTPOwner("http://party.invalid", "A", FieldBody, stub)
 
 	cols := make([]uint32, testParams().Z)
 	for i := range cols {
 		cols[i] = uint32(i)
 	}
-	valid := [][]byte{
-		gobBytes(f, &DocIDsArgs{Party: "A", Field: FieldBody}),
-		gobBytes(f, &DocMetaArgs{Party: "A", Field: FieldBody, DocID: 0}),
-		gobBytes(f, &TFArgs{Party: "A", Field: FieldBody, DocID: 0, Query: core.TFQuery{Cols: cols}}),
-		gobBytes(f, &RTKArgs{Party: "A", Field: FieldTitle, Query: core.TFQuery{Cols: cols}}),
-	}
-	for method, payload := range valid {
-		f.Add(uint8(method), payload)
-		// Truncated and bit-flipped variants of each valid stream.
-		f.Add(uint8(method), payload[:len(payload)/2])
-		flipped := bytes.Clone(payload)
-		flipped[len(flipped)-1] ^= 0xff
-		f.Add(uint8(method), flipped)
-	}
-	f.Add(uint8(1), gobBytes(f, &DocMetaArgs{Party: "nobody", Field: Field(99), DocID: -1}))
-	f.Add(uint8(3), gobBytes(f, &RTKArgs{Party: "A", Field: FieldBody,
-		Query: core.TFQuery{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}}))
-	f.Add(uint8(0), []byte{})
-	f.Add(uint8(2), []byte{0xff, 0xff, 0xff, 0xff})
-	var rtk RTKReply
-	if err := svc.AnswerRTK(&RTKArgs{Party: "A", Field: FieldBody, Query: core.TFQuery{Cols: cols}}, &rtk); err != nil {
+	query := &core.TFQuery{Cols: cols}
+	direct, err := fed.Server.OwnerFor("A", FieldBody)
+	if err != nil {
 		f.Fatal(err)
 	}
-	reply := gobBytes(f, &rtk)
-	f.Add(uint8(4), reply)
-	f.Add(uint8(4), reply[:len(reply)-2])
-	flipped := bytes.Clone(reply)
-	flipped[len(flipped)-1] ^= 0x10
-	f.Add(uint8(4), flipped)
+	tf, err := direct.AnswerTF(0, query)
+	if err != nil {
+		f.Fatal(err)
+	}
+	rtk, err := direct.AnswerRTK(query)
+	if err != nil {
+		f.Fatal(err)
+	}
+	v2 := wire.AppendRTKResponse(nil, rtk)
+	rtk.Release()
+	// Descending ids are outside what version 2 lays out: a version 1 frame.
+	v1 := wire.AppendRTKResponse(nil, &core.RTKResponse{Cells: []core.RTKCell{
+		{IDs: []int32{9, 3}, Values: []float64{1, 2}}, {IDs: []int32{}, Values: []float64{}}}})
+	if v2[0] != wire.VersionRTK || v1[0] != wire.Version {
+		f.Fatalf("seed frames are versions %d and %d", v2[0], v1[0])
+	}
+	for mode, frame := range [][]byte{
+		0: encodeWireTFRequest(0, cols),
+		1: wire.AppendTFQuery(nil, query),
+		2: encodeWireTFRequest(1, cols),
+		3: wire.AppendTFQuery(nil, query),
+		4: wire.AppendTFResponse(nil, tf),
+		5: v2,
+	} {
+		// Each valid frame, its first half and a bit flip.
+		f.Add(uint8(mode), frame)
+		f.Add(uint8(mode), frame[:len(frame)/2])
+		flipped := bytes.Clone(frame)
+		flipped[len(flipped)-1] ^= 0x10
+		f.Add(uint8(mode), flipped)
+	}
+	f.Add(uint8(5), v1)
+	f.Add(uint8(5), v1[:len(v1)-2])
+	f.Add(uint8(0), encodeWireTFRequest(-1, cols))
+	f.Add(uint8(1), wire.AppendTFQuery(nil, &core.TFQuery{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}))
+	f.Add(uint8(1), []byte{})
+	f.Add(uint8(4), []byte{0xff, 0xff, 0xff, 0xff})
 
-	f.Fuzz(func(t *testing.T, method uint8, payload []byte) {
-		dec := gob.NewDecoder(bytes.NewReader(payload))
-		switch method % 5 {
-		case 0:
-			var args DocIDsArgs
-			if dec.Decode(&args) != nil {
-				return
-			}
-			var reply DocIDsReply
-			_ = svc.DocIDs(&args, &reply)
-		case 1:
-			var args DocMetaArgs
-			if dec.Decode(&args) != nil {
-				return
-			}
-			var reply DocMetaReply
-			_ = svc.DocMeta(&args, &reply)
-		case 2:
-			var args TFArgs
-			if dec.Decode(&args) != nil {
-				return
-			}
-			var reply TFReply
-			_ = svc.AnswerTF(&args, &reply)
-		case 3:
-			var args RTKArgs
-			if dec.Decode(&args) != nil {
-				return
-			}
-			var reply RTKReply
-			_ = svc.AnswerRTK(&args, &reply)
+	f.Fuzz(func(t *testing.T, mode uint8, payload []byte) {
+		switch mode %= 6; mode {
 		case 4:
-			var reply RTKReply
-			if dec.Decode(&reply) != nil {
+			reply = payload
+			if resp, err := owner.AnswerTF(0, query); err == nil && resp == nil {
+				t.Fatal("AnswerTF returned neither a reply nor an error")
+			}
+		case 5:
+			reply = payload
+			resp, err := owner.AnswerRTK(query)
+			if err != nil {
 				return
 			}
-			frame, _ := reply.GobEncode()
-			var again RTKReply
-			if err := again.GobDecode(frame); err != nil {
+			for i, c := range resp.Cells {
+				if len(c.IDs) != len(c.Values) {
+					t.Fatalf("cell %d decoded with %d ids and %d values", i, len(c.IDs), len(c.Values))
+				}
+			}
+			frame := wire.AppendRTKResponse(nil, resp)
+			again, err := wire.DecodeRTKResponse(frame)
+			if err != nil {
 				t.Fatalf("a decoded reply does not survive its own encoding: %v", err)
 			}
-			if twice, _ := again.GobEncode(); frame[0] == wire.VersionRTK && !bytes.Equal(twice, frame) {
+			if twice := wire.AppendRTKResponse(nil, again); frame[0] == wire.VersionRTK && !bytes.Equal(twice, frame) {
 				t.Fatalf("a version 2 reply's frame % x decodes, and re-encodes to % x", frame, twice)
 			}
+			again.Release()
+			resp.Release()
+			resp.Release() // the second is a no-op: the slabs went back once
+			if len(resp.Cells) != 0 {
+				t.Fatalf("a released reply still holds %d cells", len(resp.Cells))
+			}
+			r1, ids1, _ := core.NewRTKResponse(1, 1)
+			r2, ids2, _ := core.NewRTKResponse(1, 1)
+			if &ids1[0] == &ids2[0] {
+				t.Fatal("two live replies share one id slab: a reply was released twice")
+			}
+			r1.Release()
+			r2.Release()
+		default:
+			path := fuzzRoutes[mode]
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload))
+			req.Header.Set("Content-Type", WireContentType)
+			req.Header.Set("Accept", WireContentType)
+			req.Header.Set("X-Request-ID", "fuzz-rid")
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, req)
+
+			checkFuzzStatus(t, path, payload, rec)
+			if rec.Code != http.StatusOK {
+				return
+			}
+			if ct := rec.Header().Get("Content-Type"); ct != WireContentType {
+				t.Fatalf("%s: 200 in content type %q", path, ct)
+			}
+			if strings.HasSuffix(path, "/tf") {
+				if _, err := wire.DecodeTFResponse(rec.Body.Bytes()); err != nil {
+					t.Fatalf("%s: 200 body is not a TF frame: %v", path, err)
+				}
+				return
+			}
+			resp, err := wire.DecodeRTKResponse(rec.Body.Bytes())
+			if err != nil {
+				t.Fatalf("%s: 200 body is not an RTK frame: %v", path, err)
+			}
+			resp.Release()
 		}
 	})
 }

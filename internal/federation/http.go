@@ -19,10 +19,11 @@ import (
 	"csfltr/internal/wire"
 )
 
-// HTTP transport: a gateway over the same OwnerAPI surface as the
-// net/rpc transport. The sketch endpoints (/tf, /rtk) take and return
-// either JSON — the public surface for clients outside the Go ecosystem
-// — or internal/wire frames, which is all HTTPOwner speaks. Routes:
+// HTTP transport: a gateway over the OwnerAPI surface, and the one way a
+// party in another process is reached. The sketch endpoints (/tf, /rtk)
+// take and return either JSON — the public surface for clients outside
+// the Go ecosystem — or internal/wire frames, which is all HTTPOwner
+// speaks. Routes:
 //
 //	GET  /v1/parties                                  -> {"parties": [...]}
 //	GET  /v1/parties/{name}/{field}/docs              -> {"ids": [...]}
@@ -412,6 +413,18 @@ func instrumentHTTP(s *Server, method, route string, h http.HandlerFunc) http.Ha
 	})
 }
 
+// traceOwner re-parents a resolved owner under the request's span
+// context when the request carried one.
+func traceOwner(owner core.OwnerAPI, ctx telemetry.SpanContext) core.OwnerAPI {
+	if !ctx.Valid() {
+		return owner
+	}
+	if tc, ok := owner.(traceCarrier); ok {
+		return tc.WithTrace(ctx)
+	}
+	return owner
+}
+
 // resolveOwner extracts {name}/{field} and resolves the routed owner —
 // re-parented under the request's propagated span context when present —
 // writing the error response itself on failure.
@@ -537,7 +550,7 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 }
 
 // HTTPOwner is a core.OwnerAPI backed by the HTTP gateway — the Go
-// client for non-RPC deployments. Construct with NewHTTPOwner. The
+// client of a remote party. Construct with NewHTTPOwner. The
 // sketch endpoints (/tf, /rtk) carry internal/wire frames in both
 // directions; the roster and metadata calls are JSON. A trace-bound
 // copy (WithTrace) stamps the X-Trace-* headers on every request so the
@@ -713,8 +726,7 @@ func (h *HTTPOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 }
 
 // httpEndpoint adapts an HTTP-gateway party host to the server's
-// endpoint registry, the third transport next to in-process relay and
-// net/rpc.
+// endpoint registry, the remote transport next to in-process relay.
 type httpEndpoint struct {
 	base   string
 	name   string

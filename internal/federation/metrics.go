@@ -197,7 +197,6 @@ type serverMetrics struct {
 	searchReqs *telemetry.Counter
 	degraded   *telemetry.Counter
 
-	rpcInFlight  *telemetry.Gauge
 	httpInFlight *telemetry.Gauge
 
 	poolInFlight *telemetry.Gauge
@@ -265,7 +264,6 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m.searchReqs = reg.Counter(MetricSearchRequests, "Federated searches served.")
 	m.degraded = reg.Counter(MetricDegradedSearches,
 		"Federated searches that completed without the full roster.")
-	m.rpcInFlight = reg.Gauge("csfltr_rpc_in_flight_requests", "RPC calls currently executing.")
 	m.httpInFlight = reg.Gauge("csfltr_http_in_flight_requests", "HTTP requests currently executing.")
 	m.poolInFlight = reg.Gauge(MetricFanoutInFlight, "Fan-out pool tasks currently executing.")
 	m.poolQueue = reg.Gauge(MetricFanoutQueueDepth, "Fan-out pool tasks waiting for a worker.")

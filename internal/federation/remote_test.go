@@ -1,14 +1,28 @@
 package federation
 
 import (
+	"net/http/httptest"
 	"testing"
 
 	"csfltr/internal/core"
 	"csfltr/internal/textkit"
 )
 
+// partyHost serves p alone behind its own HTTP listener, the way
+// `csfltr party` does, and returns the listener's base URL.
+func partyHost(t *testing.T, p *Party) string {
+	t.Helper()
+	local := NewServer()
+	if err := local.Register(p); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(HTTPHandler(local))
+	t.Cleanup(ts.Close)
+	return ts.URL
+}
+
 // TestPartyHostedTopology runs the fully distributed deployment: party B
-// lives in its own "process" behind its own TCP listener; the
+// lives in its own "process" behind its own HTTP listener; the
 // coordinator registers it remotely and relays a local party A's
 // queries to it.
 func TestPartyHostedTopology(t *testing.T) {
@@ -27,11 +41,7 @@ func TestPartyHostedTopology(t *testing.T) {
 		[]textkit.TermID{501}, []textkit.TermID{7, 9})); err != nil {
 		t.Fatal(err)
 	}
-	host, err := ServeParty(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
+	host := partyHost(t, b)
 
 	// Coordinator: local party A + remote registration of B.
 	coord := NewServer()
@@ -42,11 +52,9 @@ func TestPartyHostedTopology(t *testing.T) {
 	if err := coord.Register(a); err != nil {
 		t.Fatal(err)
 	}
-	client, err := coord.RegisterRemote("B", host.Addr)
-	if err != nil {
+	if err := coord.RegisterHTTPRemote("B", host, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer client.Close()
 
 	names := coord.PartyNames()
 	if len(names) != 2 || names[0] != "A" || names[1] != "B" {
@@ -91,30 +99,23 @@ func TestPartyHostedTopology(t *testing.T) {
 	}
 }
 
-// TestRegisterRemoteDuplicate: duplicate names are refused and the
-// dialled connection does not leak into the roster.
+// TestRegisterRemoteDuplicate: a duplicate name is refused and the
+// roster is left as it was.
 func TestRegisterRemoteDuplicate(t *testing.T) {
-	params := testParams()
-	b, err := NewParty("B", PartyConfig{Params: params, Seed: 42, RNGSeed: 2})
+	b, err := NewParty("B", PartyConfig{Params: testParams(), Seed: 42, RNGSeed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	host, err := ServeParty(b, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer host.Close()
+	host := partyHost(t, b)
 	coord := NewServer()
-	c1, err := coord.RegisterRemote("B", host.Addr)
-	if err != nil {
+	if err := coord.RegisterHTTPRemote("B", host, nil); err != nil {
 		t.Fatal(err)
 	}
-	defer c1.Close()
-	if _, err := coord.RegisterRemote("B", host.Addr); err == nil {
+	if err := coord.RegisterHTTPRemote("B", host, nil); err == nil {
 		t.Fatal("duplicate remote registration should fail")
 	}
-	if _, err := coord.RegisterRemote("C", "127.0.0.1:1"); err == nil {
-		t.Fatal("unreachable host should fail")
+	if names := coord.PartyNames(); len(names) != 1 || names[0] != "B" {
+		t.Fatalf("roster after refused registration = %v", names)
 	}
 }
 

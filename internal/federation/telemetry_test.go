@@ -27,9 +27,10 @@ func rtkQueryVia(t *testing.T, fed *Federation, owner core.OwnerAPI) TrafficStat
 
 // TestTransportByteParity is the regression test for consolidated byte
 // accounting: the same reverse top-K query must be charged identical
-// message and byte counts whether it arrives in-process, over HTTP or
-// over net/rpc — all three route through the server's single accounting
-// helper.
+// message and byte counts whether the party is in-process, reached
+// through this server's own gateway, or hosted in another process and
+// relayed to over HTTP — every leg routes through the server's single
+// accounting helper.
 func TestTransportByteParity(t *testing.T) {
 	fed := twoPartyFed(t, testParams())
 
@@ -45,24 +46,23 @@ func TestTransportByteParity(t *testing.T) {
 	ts := httptest.NewServer(HTTPHandler(fed.Server))
 	defer ts.Close()
 	overHTTP := rtkQueryVia(t, fed, NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client()))
-
-	rs, err := ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	client, err := Dial(rs.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	overRPC := rtkQueryVia(t, fed, client.OwnerFor("B", FieldBody))
-
 	if overHTTP != inProc {
 		t.Fatalf("HTTP traffic %+v != in-process %+v", overHTTP, inProc)
 	}
-	if overRPC != inProc {
-		t.Fatalf("RPC traffic %+v != in-process %+v", overRPC, inProc)
+
+	// Remote leg: B on its own host, a second coordinator relaying to it.
+	b, _ := fed.Party("B")
+	coord := NewServer()
+	if err := coord.RegisterHTTPRemote("B", partyHost(t, b), nil); err != nil {
+		t.Fatal(err)
+	}
+	relayed, err := coord.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	remote := rtkQueryVia(t, &Federation{Server: coord, Parties: fed.Parties}, relayed)
+	if remote != inProc {
+		t.Fatalf("relayed traffic %+v != in-process %+v", remote, inProc)
 	}
 }
 
@@ -234,46 +234,6 @@ func TestTrainingStatsFromRegistry(t *testing.T) {
 	}
 }
 
-// TestRPCMetricsRecorded: RPC calls are counted, timed and error-tallied
-// per method.
-func TestRPCMetricsRecorded(t *testing.T) {
-	fed := twoPartyFed(t, testParams())
-	rs, err := ListenAndServe(fed.Server, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs.Close()
-	client, err := Dial(rs.Addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer client.Close()
-	owner := client.OwnerFor("B", FieldBody)
-	if ids := owner.DocIDs(); len(ids) != 3 {
-		t.Fatalf("DocIDs over RPC = %v", ids)
-	}
-	// Unknown party produces an RPC error sample.
-	if _, _, err := client.OwnerFor("ZZZ", FieldBody).DocMeta(0); err == nil {
-		t.Fatal("unknown party should error")
-	}
-	snap := fed.Server.Metrics().Snapshot()
-	reqs := map[string]int64{}
-	if m := snap.Metric("csfltr_rpc_requests_total"); m != nil {
-		for _, s := range m.Series {
-			reqs[s.Labels["method"]] = int64(s.Value)
-		}
-	}
-	if reqs["DocIDs"] != 1 || reqs["DocMeta"] != 1 {
-		t.Fatalf("rpc request counters = %v", reqs)
-	}
-	if m := snap.Metric("csfltr_rpc_errors_total"); m == nil || m.Series[0].Labels["method"] != "DocMeta" {
-		t.Fatalf("rpc error counter missing: %+v", m)
-	}
-	if m := snap.Metric("csfltr_rpc_request_duration_seconds"); m == nil {
-		t.Fatal("rpc latency histogram missing")
-	}
-}
-
 // TestHTTPMetricsRoute: the gateway serves Prometheus text including
 // request counters, latency histograms and relayed-bytes counters after
 // a federated query has flowed through it.
@@ -285,6 +245,10 @@ func TestHTTPMetricsRoute(t *testing.T) {
 	remote := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
 	if _, _, err := core.RTKReverseTopK(a.Querier(), remote, 5, 2); err != nil {
 		t.Fatal(err)
+	}
+	// An unknown party produces an error sample on its route.
+	if _, _, err := NewHTTPOwner(ts.URL, "ZZZ", FieldBody, ts.Client()).DocMeta(0); err == nil {
+		t.Fatal("unknown party should error")
 	}
 	resp, err := http.Get(ts.URL + "/v1/metrics")
 	if err != nil {
@@ -302,6 +266,7 @@ func TestHTTPMetricsRoute(t *testing.T) {
 	for _, want := range []string{
 		"csfltr_http_requests_total{",
 		"csfltr_http_request_duration_seconds_bucket{",
+		`csfltr_http_errors_total{route="/v1/parties/{name}/{field}/docs/{id}/meta"} 1`,
 		`csfltr_server_relayed_bytes_total{op="query",party="B"}`,
 		"csfltr_server_api_latency_seconds_bucket{",
 	} {

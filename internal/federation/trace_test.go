@@ -408,9 +408,9 @@ func spanShape(spans []telemetry.SpanRecord) string {
 
 // TestTraceParityAcrossTransports: the same chaos-seeded query produces
 // the same coordinator-side span tree shape — including retry attempts —
-// whether the data parties are in-process, behind net/rpc hosts or
-// behind HTTP gateways, and the remote hosts' registries carry spans
-// under the SAME propagated trace ID.
+// whether the data parties are in-process or behind HTTP gateways, and
+// the remote hosts' registries carry spans under the SAME propagated
+// trace ID.
 func TestTraceParityAcrossTransports(t *testing.T) {
 	params := parityParams()
 	terms := []uint64{3, 17}
@@ -426,39 +426,6 @@ func TestTraceParityAcrossTransports(t *testing.T) {
 	parityChaos(inproc.Server)
 	inproc.SetResiliencePolicy(fastPolicy())
 	inproc.Server.EnableTracing(TraceConfig{})
-
-	// net/rpc topology: P1 and P2 on their own hosts.
-	rpcQ := parityParty(t, "Q", params, 0)
-	rpcP1 := parityParty(t, "P1", params, 1)
-	rpcP2 := parityParty(t, "P2", params, 2)
-	parityIngest(t, rpcP1, rpcP2)
-	var rpcHostRegs []*telemetry.Registry
-	coordRPC := NewServer()
-	if err := coordRPC.Register(rpcQ); err != nil {
-		t.Fatal(err)
-	}
-	for _, pt := range []*Party{rpcP1, rpcP2} {
-		hs := NewServer()
-		hs.EnableTracing(TraceConfig{})
-		rpcHostRegs = append(rpcHostRegs, hs.Metrics())
-		if err := hs.Register(pt); err != nil {
-			t.Fatal(err)
-		}
-		host, err := ListenAndServe(hs, "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer host.Close()
-		client, err := coordRPC.RegisterRemote(pt.Name, host.Addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer client.Close()
-	}
-	parityChaos(coordRPC)
-	coordRPC.EnableTracing(TraceConfig{})
-	fedRPC := &Federation{Server: coordRPC, Parties: []*Party{rpcQ, rpcP1, rpcP2}, Params: params, HashSeed: 42}
-	fedRPC.SetResiliencePolicy(fastPolicy())
 
 	// HTTP topology: P1 and P2 behind their own gateways.
 	htQ := parityParty(t, "Q", params, 0)
@@ -490,7 +457,7 @@ func TestTraceParityAcrossTransports(t *testing.T) {
 
 	shapes := map[string]string{}
 	traceIDs := map[string]string{}
-	for name, fed := range map[string]*Federation{"inproc": inproc, "rpc": fedRPC, "http": fedHTTP} {
+	for name, fed := range map[string]*Federation{"inproc": inproc, "http": fedHTTP} {
 		res, traceID, err := fed.SearchTraced("Q", terms, 5)
 		if err != nil {
 			t.Fatalf("%s search: %v", name, err)
@@ -509,14 +476,11 @@ func TestTraceParityAcrossTransports(t *testing.T) {
 			t.Fatalf("%s audit missing", name)
 		}
 		for _, pr := range audit.Parties {
-			want := map[string]string{"inproc": transportInproc, "rpc": transportRPC, "http": transportHTTP}[name]
+			want := map[string]string{"inproc": transportInproc, "http": transportHTTP}[name]
 			if pr.Transport != want {
 				t.Fatalf("%s audit transport for %s = %q, want %q", name, pr.Party, pr.Transport, want)
 			}
 		}
-	}
-	if shapes["inproc"] != shapes["rpc"] {
-		t.Fatalf("inproc vs rpc tree shape:\n%s\n---\n%s", shapes["inproc"], shapes["rpc"])
 	}
 	if shapes["inproc"] != shapes["http"] {
 		t.Fatalf("inproc vs http tree shape:\n%s\n---\n%s", shapes["inproc"], shapes["http"])
@@ -527,16 +491,14 @@ func TestTraceParityAcrossTransports(t *testing.T) {
 
 	// The party hosts recorded their server-side spans under the
 	// coordinator's propagated trace ID.
-	for name, regs := range map[string][]*telemetry.Registry{"rpc": rpcHostRegs, "http": httpHostRegs} {
-		found := false
-		for _, reg := range regs {
-			if _, ok := reg.Trace(traceIDs[name]); ok {
-				found = true
-			}
+	found := false
+	for _, reg := range httpHostRegs {
+		if _, ok := reg.Trace(traceIDs["http"]); ok {
+			found = true
 		}
-		if !found {
-			t.Fatalf("%s: no remote host registry carries trace %s", name, traceIDs[name])
-		}
+	}
+	if !found {
+		t.Fatalf("no remote host registry carries trace %s", traceIDs["http"])
 	}
 }
 

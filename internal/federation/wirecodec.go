@@ -10,13 +10,12 @@ import (
 )
 
 // This file builds the federation-level codecs on internal/wire: the
-// payload helpers shared by the net/rpc gob hooks (rpc.go), the HTTP
-// wire bodies (http.go) and the SearchResult codec. Only released,
+// HTTP wire bodies (http.go) and the SearchResult codec. Only released,
 // non-private material is ever encoded — obfuscated column vectors,
 // perturbed values, document ids and outcome metadata — the same
-// surface the JSON and gob encodings already exposed; raw terms and
-// hash keys never reach a codec (enforced by the privacyboundary
-// analyzer's wire-struct sinks).
+// surface the JSON encoding already exposed; raw terms and hash keys
+// never reach a codec (enforced by the privacyboundary analyzer's
+// wire-struct sinks).
 
 // WireContentType is the HTTP media type of wire-framed bodies. A
 // client that sends it as Accept gets wire responses; one that sends a
@@ -71,29 +70,6 @@ func decodeCols(data []byte) ([]uint32, []byte, error) {
 		cols[i], rest = uint32(v), r
 	}
 	return cols, rest, nil
-}
-
-// appendTrace appends the trace metadata triple.
-func appendTrace(dst []byte, t traceMeta) []byte {
-	dst = appendString(dst, t.TraceID)
-	dst = appendString(dst, t.ParentSpan)
-	return appendString(dst, t.RequestID)
-}
-
-// decodeTrace consumes the trace metadata triple.
-func decodeTrace(data []byte) (traceMeta, []byte, error) {
-	var t traceMeta
-	var err error
-	if t.TraceID, data, err = decodeString(data); err != nil {
-		return t, nil, err
-	}
-	if t.ParentSpan, data, err = decodeString(data); err != nil {
-		return t, nil, err
-	}
-	if t.RequestID, data, err = decodeString(data); err != nil {
-		return t, nil, err
-	}
-	return t, data, nil
 }
 
 // encodeWireTFRequest frames the HTTP /tf request body: the document id

@@ -1,8 +1,6 @@
 package federation
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -15,52 +13,6 @@ import (
 
 	"csfltr/internal/core"
 )
-
-// TestGobHooksRoundTrip drives the custom GobEncoder/GobDecoder pairs
-// through a real gob stream — the path every net/rpc call takes.
-func TestGobHooksRoundTrip(t *testing.T) {
-	tr := traceMeta{TraceID: "t1", ParentSpan: "s1", RequestID: "r1"}
-	tfArgs := &TFArgs{Party: "B", Field: FieldTitle, DocID: 7,
-		Query: core.TFQuery{Cols: []uint32{3, 9, 4096}}, Trace: tr}
-	rtkArgs := &RTKArgs{Party: "A", Field: FieldBody,
-		Query: core.TFQuery{Cols: []uint32{1, 2, 3, 500}}, Trace: traceMeta{}}
-	tfReply := &TFReply{Resp: core.TFResponse{Values: []float64{1, -2.5, 300}}}
-	rtkReply := &RTKReply{Resp: core.RTKResponse{Cells: []core.RTKCell{
-		{IDs: []int32{1, 5, 9}, Values: []float64{4, 2, 1}},
-		{IDs: []int32{}, Values: []float64{}},
-	}}}
-	roundTrip := func(in, out any) {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(in); err != nil {
-			t.Fatalf("encode %T: %v", in, err)
-		}
-		if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-			t.Fatalf("decode %T: %v", in, err)
-		}
-	}
-	var gotTFArgs TFArgs
-	roundTrip(tfArgs, &gotTFArgs)
-	if !reflect.DeepEqual(&gotTFArgs, tfArgs) {
-		t.Fatalf("TFArgs diverged:\n got %+v\nwant %+v", gotTFArgs, *tfArgs)
-	}
-	var gotRTKArgs RTKArgs
-	roundTrip(rtkArgs, &gotRTKArgs)
-	if !reflect.DeepEqual(&gotRTKArgs, rtkArgs) {
-		t.Fatalf("RTKArgs diverged:\n got %+v\nwant %+v", gotRTKArgs, *rtkArgs)
-	}
-	var gotTFReply TFReply
-	roundTrip(tfReply, &gotTFReply)
-	if !reflect.DeepEqual(&gotTFReply, tfReply) {
-		t.Fatalf("TFReply diverged:\n got %+v\nwant %+v", gotTFReply, *tfReply)
-	}
-	var gotRTKReply RTKReply
-	roundTrip(rtkReply, &gotRTKReply)
-	if len(gotRTKReply.Resp.Cells) != 2 ||
-		!reflect.DeepEqual(gotRTKReply.Resp.Cells[0], rtkReply.Resp.Cells[0]) {
-		t.Fatalf("RTKReply diverged:\n got %+v\nwant %+v", gotRTKReply, *rtkReply)
-	}
-}
 
 // postRawJSON POSTs a JSON body the way a non-Go client would — no
 // Accept header, no wire media type — decodes the 200 reply into out and

@@ -94,37 +94,6 @@ func TestDCGSwapMonotonicity(t *testing.T) {
 	}
 }
 
-// TestPrecisionRRConsistency (property): P@k > 0 iff a relevant document
-// exists in the top k, which also lower-bounds the reciprocal rank.
-func TestPrecisionRRConsistency(t *testing.T) {
-	check := func(raw []uint8, kRaw uint8) bool {
-		labels := boundedLabels(raw)
-		k := 1 + int(kRaw)%10
-		p := PrecisionAt(labels, k)
-		rr := RRAt(labels)
-		limit := k
-		if limit > len(labels) {
-			limit = len(labels)
-		}
-		hasRel := false
-		for i := 0; i < limit; i++ {
-			if labels[i] > 0 {
-				hasRel = true
-			}
-		}
-		if hasRel != (p > 0) {
-			return false
-		}
-		if hasRel && rr < 1/float64(k) {
-			return false // first relevant doc is within top k
-		}
-		return true
-	}
-	if err := quick.Check(check, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestModelScoreLinearity (property): Score is linear in the feature
 // vector: Score(x+y) + Score(0) == Score(x) + Score(y) up to float error.
 func TestModelScoreLinearity(t *testing.T) {

@@ -27,7 +27,7 @@ const keyKindShardRTK uint64 = 1
 // Group implements core.OwnerAPI. The exported methods run untraced;
 // WithTrace returns a view that parents per-replica attempt spans under
 // the caller's span (the federation server forwards its trace context
-// here exactly as it does to RPC/HTTP transport clients).
+// here exactly as it does to the HTTP transport client).
 
 // DocIDs returns the union of every shard's document ids, ascending —
 // identical to a single owner over the whole corpus. Shards that have

@@ -123,66 +123,6 @@ func (t *Table) AddCounts(counts map[uint64]int64) {
 	}
 }
 
-// AddConservative records count occurrences of term with the
-// conservative-update policy (Estan & Varghese): each counter is raised
-// only as far as needed to keep the minimum estimate correct, which
-// tightens Count-Min's overestimation on skewed streams. Valid only for
-// CountMin tables and non-negative counts — conservative updates are not
-// linear, so deletion is unsupported (use plain Add for that trade-off).
-func (t *Table) AddConservative(term uint64, count int64) error {
-	if t.kind != CountMin {
-		return fmt.Errorf("%w: conservative update requires CountMin, have %v", ErrBadKind, t.kind)
-	}
-	if count < 0 {
-		return fmt.Errorf("%w: conservative update cannot delete (count %d)", ErrIncompatible, count)
-	}
-	if count == 0 {
-		return nil
-	}
-	w := t.fam.W()
-	z := t.fam.Z()
-	idx := make([]int, z)
-	min := int64(math.MaxInt64)
-	for a := 0; a < z; a++ {
-		idx[a] = a*w + int(t.fam.Index(a, term))
-		if v := t.cells[idx[a]]; v < min {
-			min = v
-		}
-	}
-	target := min + count
-	for _, i := range idx {
-		if t.cells[i] < target {
-			t.cells[i] = target
-		}
-	}
-	return nil
-}
-
-// MergeMax combines two CountMin tables cell-wise by maximum. Unlike
-// Merge (which adds), the result upper-bounds both inputs and is the
-// correct combination rule for conservative-update tables, at the price
-// of no longer being a sketch of the multiset union.
-//
-//csfltr:deterministic
-func (t *Table) MergeMax(other *Table) error {
-	if other == nil {
-		return fmt.Errorf("%w: nil other", ErrIncompatible)
-	}
-	if t.kind != CountMin || other.kind != CountMin {
-		return fmt.Errorf("%w: MergeMax requires CountMin tables", ErrBadKind)
-	}
-	if t.fam.Z() != other.fam.Z() || t.fam.W() != other.fam.W() ||
-		t.fam.Seed() != other.fam.Seed() || t.fam.Kind() != other.fam.Kind() {
-		return fmt.Errorf("%w: geometry/seed mismatch", ErrIncompatible)
-	}
-	for i, v := range other.cells {
-		if v > t.cells[i] {
-			t.cells[i] = v
-		}
-	}
-	return nil
-}
-
 // Cell returns the raw counter at (row, col).
 func (t *Table) Cell(row int, col uint32) int64 {
 	return t.cells[row*t.fam.W()+int(col)]

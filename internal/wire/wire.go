@@ -2,8 +2,8 @@
 // transport. The protocol's dominant payloads — RTK-Sketch cell replies,
 // TF value vectors, obfuscated column queries — are small integers with
 // strong local structure (canonically sorted document ids, quantized
-// counts), which fixed-width encodings (JSON, gob's reflected structs,
-// the "raw" accounting's 12 bytes per entry) waste heavily. An RTK reply
+// counts), which fixed-width encodings (JSON, the "raw" accounting's 12
+// bytes per entry) waste heavily. An RTK reply
 // — nearly all of the traffic — travels in a version 2 frame: document
 // id deltas bit-packed per cell, values as bit-packed indexes into one
 // per-reply dictionary, stored as is (internal/core owns that layout
@@ -13,8 +13,8 @@
 //
 // Layering: wire depends only on the standard library, internal/core and
 // the varint size rule the two share (internal/varint);
-// internal/federation builds its transport codecs (gob hooks, HTTP
-// bodies, SearchResult) on the exported primitives, so byte accounting
+// internal/federation builds its transport codecs (HTTP bodies,
+// SearchResult) on the exported primitives, so byte accounting
 // and format versioning stay in one place.
 package wire
 
