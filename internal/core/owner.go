@@ -23,17 +23,17 @@ type RTKCell struct {
 // RTKResponse is the owner's answer to a reverse top-K query: the heap
 // content of the cell the (obfuscated) term hashes to in every row.
 //
-// A reply has one holder. Whoever obtains one — from OwnerAPI.AnswerRTK,
-// MergeRTKResponses or a decoder — owns it: an implementation of
-// AnswerRTK must not hand out a reply it keeps, and nothing may modify a
-// reply once it is produced (producers and decoders record its encoded
-// length in it, see PayloadLen). A holder that shares a reply keeps it
-// for good — package shard's cache retains its owners' raw replies, the
-// federation's answer cache only what was recovered from one — and a
-// holder that has not shared it may, when done, Release it so that its
-// memory serves the next reply. Releasing is optional: a reply that is
-// dropped is collected like anything else. A copy of the struct is a
-// second holder of the same rows; whoever makes one drops the original.
+// A reply has one holder. Whoever obtains one — from OwnerAPI.AnswerRTK
+// or AnswerRTKBatch, MergeRTKResponses or a decoder — owns it: an
+// implementation of OwnerAPI must not hand out a reply it keeps, and
+// nothing may modify a reply once it is produced (producers and decoders
+// record its encoded length in it, see PayloadLen). A holder that shares
+// a reply keeps it for good — nothing here does: the federation's answer
+// cache retains only what was recovered from one — and a holder that has
+// not shared it may, when done, Release it so that its memory serves the
+// next reply. Releasing is optional: a reply that is dropped is
+// collected like anything else. A copy of the struct is a second holder
+// of the same rows; whoever makes one drops the original.
 type RTKResponse struct {
 	Cells []RTKCell
 
@@ -132,8 +132,64 @@ type OwnerAPI interface {
 	// (Algorithm 2).
 	AnswerTF(docID int, q *TFQuery) (*TFResponse, error)
 	// AnswerRTK returns the RTK-Sketch cells addressed by the query
-	// (owner side of Algorithm 5).
+	// (owner side of Algorithm 5): AnswerRTKBatch for one query.
 	AnswerRTK(q *TFQuery) (*RTKResponse, error)
+	// AnswerRTKBatch answers up to MaxRTKBatch reverse top-K queries in
+	// one exchange: one reply per query, in query order, each perturbed
+	// with its own noise draw, taken in that order. It is all or
+	// nothing: every query is checked before the first draw, so a batch
+	// with a malformed query (ErrBadQuery, as is an empty batch or one
+	// above the cap) draws no noise and produces no reply. The caller
+	// holds each reply on its own (see RTKResponse).
+	AnswerRTKBatch(qs []*TFQuery) ([]*RTKResponse, error)
+}
+
+// MaxRTKBatch caps the queries of one AnswerRTKBatch exchange, and with
+// them what a host must read and hold to answer one request.
+const MaxRTKBatch = 16
+
+// CheckRTKBatch validates the queries of one reverse top-K exchange
+// against the sketch geometry (z rows of w columns): between one and
+// MaxRTKBatch queries of z columns below w each.
+func CheckRTKBatch(qs []*TFQuery, z, w int) error {
+	if len(qs) == 0 || len(qs) > MaxRTKBatch {
+		return fmt.Errorf("%w: batch of %d queries, want 1 to %d", ErrBadQuery, len(qs), MaxRTKBatch)
+	}
+	for _, q := range qs {
+		if q == nil || len(q.Cols) != z {
+			return fmt.Errorf("%w: query has %d columns, want %d", ErrBadQuery, qLen(q), z)
+		}
+		for _, col := range q.Cols {
+			if col >= uint32(w) {
+				return fmt.Errorf("%w: column %d out of range", ErrBadQuery, col)
+			}
+		}
+	}
+	return nil
+}
+
+// AnswerRTKs puts owner's answers to qs, asked in one exchange, into
+// out (one slot per query). A single query goes as AnswerRTK — every
+// implementation's batch of one — which spares the exchange its reply
+// slice. On error out holds nothing.
+func AnswerRTKs(owner OwnerAPI, qs []*TFQuery, out []*RTKResponse) error {
+	if len(qs) == 1 {
+		resp, err := owner.AnswerRTK(qs[0])
+		out[0] = resp
+		return err
+	}
+	resps, err := owner.AnswerRTKBatch(qs)
+	if err != nil {
+		return err
+	}
+	if len(resps) != len(qs) {
+		for _, r := range resps {
+			r.Release()
+		}
+		return fmt.Errorf("%w: %d replies to %d queries", ErrBadQuery, len(resps), len(qs))
+	}
+	copy(out, resps)
+	return nil
 }
 
 // docMeta is the retained non-private metadata per document.
@@ -587,35 +643,52 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // only copy. The response belongs to the caller (see RTKResponse) and
 // carries its encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
+	var out [1]*RTKResponse
+	err := o.answerRTK([]*TFQuery{q}, out[:])
+	return out[0], err
+}
+
+// AnswerRTKBatch implements OwnerAPI: the queries are answered under
+// one hold of the owner's lock, so all k replies describe one state of
+// the sketch.
+func (o *Owner) AnswerRTKBatch(qs []*TFQuery) ([]*RTKResponse, error) {
+	out := make([]*RTKResponse, len(qs))
+	if err := o.answerRTK(qs, out); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+func (o *Owner) answerRTK(qs []*TFQuery, out []*RTKResponse) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
-	if q == nil || len(q.Cols) != o.params.Z {
-		return nil, fmt.Errorf("%w: query has %d columns, want %d", ErrBadQuery, qLen(q), o.params.Z)
+	if err := CheckRTKBatch(qs, o.params.Z, o.params.W); err != nil {
+		return err
 	}
-	noise := o.mech.Sample()
-	total := 0
-	for a, col := range q.Cols {
-		if col >= uint32(o.params.W) {
-			return nil, fmt.Errorf("%w: column %d out of range", ErrBadQuery, col)
+	for i, q := range qs {
+		noise := o.mech.Sample()
+		total := 0
+		for a, col := range q.Cols {
+			total += len(o.rtk.Cell(a, col))
 		}
-		total += len(o.rtk.Cell(a, col))
-	}
-	resp, ids, vals := NewRTKResponse(o.params.Z, total)
-	var sz rtkSizer
-	for a, col := range q.Cols {
-		entries := o.rtk.Cell(a, col)
-		n := len(entries)
-		for i, e := range entries {
-			ids[i] = e.DocID
-			vals[i] = float64(e.Value) + noise
-			sz.note(int64(e.Value))
+		resp, ids, vals := NewRTKResponse(o.params.Z, total)
+		var sz rtkSizer
+		for a, col := range q.Cols {
+			entries := o.rtk.Cell(a, col)
+			n := len(entries)
+			for i, e := range entries {
+				ids[i] = e.DocID
+				vals[i] = float64(e.Value) + noise
+				sz.note(int64(e.Value))
+			}
+			resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+			sz.cell(ids[:n])
+			ids, vals = ids[n:], vals[n:]
 		}
-		resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
-		sz.cell(ids[:n])
-		ids, vals = ids[n:], vals[n:]
+		sz.finish(resp, noise)
+		out[i] = resp
 	}
-	sz.finish(resp, noise)
-	return resp, nil
+	return nil
 }
 
 // NaiveSizeBytes returns the NAIVE baseline's space cost, the quantity of

@@ -68,32 +68,79 @@ func RTKReverseTopK(q *Querier, owner OwnerAPI, term uint64, k int) ([]DocCount,
 }
 
 // RTKWithPlan is RTKReverseTopK over a prebuilt query plan (see
-// Querier.Plan). A federated search builds one plan per query term and
-// fans it out to every party concurrently; the plan is read-only here, so
-// concurrent calls sharing a plan are safe. Cost accounting is identical
-// to the build-per-call path — the query is still sent (and its bytes
-// counted) once per owner.
+// Querier.Plan): RTKWithPlans for one plan. Cost accounting is
+// identical to the build-per-call path — the query is still sent (and
+// its bytes counted) once per owner.
 //
 //csfltr:deterministic
 func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
+	var docs [1][]DocCount
+	var costs [1]Cost
+	err := rtkWithPlans([]*Plan{plan}, owner, k, docs[:], costs[:])
+	return docs[0], costs[0], err
+}
+
+// RTKWithPlans runs the reverse top-K queries of several plans against
+// one owner in a single exchange (OwnerAPI.AnswerRTKBatch) and recovers
+// each plan's top k from its reply: per plan, the documents and the cost
+// RTKWithPlan would have returned. A federated search builds one plan
+// per query term and sends each party the plans it still needs; plans
+// are read-only here, so concurrent calls sharing them are safe. It is
+// all or nothing — an error from the owner or from any reply leaves no
+// documents — and every reply of the exchange is released before it
+// returns, recovered or not.
+//
+//csfltr:deterministic
+func RTKWithPlans(plans []*Plan, owner OwnerAPI, k int) ([][]DocCount, []Cost, error) {
+	docs, costs := make([][]DocCount, len(plans)), make([]Cost, len(plans))
+	if err := rtkWithPlans(plans, owner, k, docs, costs); err != nil {
+		return nil, costs, err
+	}
+	return docs, costs, nil
+}
+
+func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs []Cost) error {
 	if k <= 0 {
-		return nil, Cost{}, fmt.Errorf("%w: k=%d", ErrBadParams, k)
+		return fmt.Errorf("%w: k=%d", ErrBadParams, k)
 	}
-	query, priv := plan.query, plan.priv
-	var cost Cost
-	cost.BytesSent += query.WireSize()
-	resp, err := owner.AnswerRTK(query)
-	if err != nil {
-		return nil, cost, err
+	sc := rtkScratchPool.Get().(*rtkScratch)
+	defer rtkScratchPool.Put(sc)
+	sc.queries, sc.replies = sc.queries[:0], sc.replies[:0]
+	for i, plan := range plans {
+		sc.queries = append(sc.queries, plan.query)
+		sc.replies = append(sc.replies, nil)
+		costs[i].BytesSent = plan.query.WireSize()
 	}
-	// The answer is this call's alone and is not needed once the
-	// candidates are recovered from it; what is returned is a copy.
-	defer resp.Release()
+	// The answers are this call's alone and are not needed once the
+	// candidates are recovered from them; what is returned is a copy.
+	defer func() {
+		for i, resp := range sc.replies {
+			resp.Release()
+			sc.queries[i], sc.replies[i] = nil, nil // the scratch pins no one's query
+		}
+	}()
+	if err := AnswerRTKs(owner, sc.queries, sc.replies); err != nil {
+		return err
+	}
+	for i, plan := range plans {
+		var err error
+		if docs[i], err = sc.recover(plan, sc.replies[i], k, &costs[i]); err != nil {
+			clear(docs)
+			return err
+		}
+	}
+	return nil
+}
+
+// recover is the querier side of Algorithm 5 for one reply: it checks
+// the reply, accounts it in cost and returns the plan's top k.
+func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) ([]DocCount, error) {
+	priv := plan.priv
 	cost.Messages = 1
 	cost.BytesReceived += resp.WireSize()
 	cost.SketchLookups = plan.params.Z
 	if err := checkRTKResponse(resp, plan.params.Z); err != nil {
-		return nil, cost, err
+		return nil, err
 	}
 
 	// Soft intersection: keep documents present in >= beta*z1 private rows
@@ -112,8 +159,6 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	// the next round. Both estimator inputs are filled on the way: one
 	// slot per private row, zero where the document is absent, and the
 	// compacted present rows with their signs.
-	sc := rtkScratchPool.Get().(*rtkScratch)
-	defer rtkScratchPool.Put(sc)
 	sc.size(len(priv.PV))
 	next := noHead
 	for i, a := range priv.PV {
@@ -175,7 +220,7 @@ func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
 	sc.candidates = best               // keep the grown buffer for the next query
 	out := make([]DocCount, len(best)) // callers retain the result
 	copy(out, best)
-	return out, cost, nil
+	return out, nil
 }
 
 // medianAtMost reports whether the median of the signed values —
@@ -240,6 +285,9 @@ type rtkScratch struct {
 	signs      []float64
 	vals       []float64
 	candidates []DocCount
+	// One exchange's queries and the replies it holds until recovery ends.
+	queries []*TFQuery
+	replies []*RTKResponse
 }
 
 var rtkScratchPool = sync.Pool{New: func() any { return new(rtkScratch) }}

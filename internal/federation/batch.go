@@ -61,6 +61,13 @@ func runPool(workers, n int, m *serverMetrics, fn func(i int)) {
 	wg.Wait()
 }
 
+// rtkOut is one request's result, produced inside a resilience.Call so
+// a timed-out attempt can be abandoned without racing the caller.
+type rtkOut struct {
+	docs []core.DocCount
+	cost core.Cost
+}
+
 // TopKRequest names one reverse top-K query of a batch.
 type TopKRequest struct {
 	To    string // document-owner party

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -98,6 +99,53 @@ func BenchmarkHTTPRTK(b *testing.B) {
 	}
 }
 
+// BenchmarkGatewaySearch measures one cold two-term search in the
+// topology of the repo benchmark's gateway workload, at its geometry:
+// the data party behind an HTTP listener of its own, a coordinator that
+// reaches it as an HTTP remote, and a client that POSTs /v1/search to
+// the coordinator's gateway. The cache is off and the terms rotate, so
+// every search pays its exchange with the party — one, carrying both
+// terms.
+func BenchmarkGatewaySearch(b *testing.B) {
+	fed := geometryFed(b)
+	a, _ := fed.Party("A")
+	party, _ := fed.Party("B")
+	host := NewServer()
+	if err := host.Register(party); err != nil {
+		b.Fatal(err)
+	}
+	hostTS := httptest.NewServer(HTTPHandler(host))
+	defer hostTS.Close()
+	transport := &http.Transport{MaxIdleConnsPerHost: 2}
+	defer transport.CloseIdleConnections()
+	client := &http.Client{Transport: transport}
+	coord := NewServer()
+	if err := coord.Register(a); err != nil {
+		b.Fatal(err)
+	}
+	if err := coord.RegisterHTTPRemote("B", hostTS.URL, client); err != nil {
+		b.Fatal(err)
+	}
+	gateway := Assemble(coord, fed.Parties, fed.Params, fed.HashSeed)
+	gatewayTS := httptest.NewServer(HTTPHandler(coord))
+	defer gatewayTS.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		body := fmt.Sprintf(`{"from":"A","terms":[%d,%d],"k":10}`, 2*(i%32), 2*(i%32)+1)
+		resp, err := client.Post(gatewayTS.URL+"/v1/search", "application/json", strings.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		closeBody(resp)
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("search %d: status %d", i, resp.StatusCode)
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(exchangesSent(gateway))/float64(b.N), "exchanges/op")
+}
+
 // BenchmarkFederatedSearchCPU measures a three-term whole-query search
 // with in-process owners and no simulated network: pure compute, the
 // regime where parallel dispatch only pays off with multiple physical
@@ -149,28 +197,32 @@ func benchFedN(b *testing.B, parties int, rtt time.Duration) *Federation {
 	return fed
 }
 
-// BenchmarkFederatedSearch measures the concurrent query fan-out in the
-// cross-silo regime: every relayed message carries a simulated 2ms WAN
-// round trip, which is what the worker pool overlaps. The workers=1
-// entries are the sequential baseline; result equality across pool sizes
-// is asserted by TestFederatedSearchParallelMatchesSequential.
+// BenchmarkFederatedSearch measures the query fan-out in the cross-silo
+// regime: every exchange with a party crosses its link once, at a
+// simulated 2ms WAN round trip, and a search sends a party one exchange
+// whatever its number of terms — exchanges/op is the party count — so
+// what the worker pool overlaps is parties. The workers=1 entries are
+// the sequential baseline; result equality across pool sizes is asserted
+// by TestFederatedSearchParallelMatchesSequential.
 func BenchmarkFederatedSearch(b *testing.B) {
 	const rtt = 2 * time.Millisecond
 	terms := []uint64{17, 23, 99}
 	for _, parties := range []int{2, 4, 8} {
 		fed := benchFedN(b, parties, rtt)
 		for _, workers := range []int{1, 4, 8} {
-			if workers > parties*len(terms) {
+			if workers > parties {
 				continue
 			}
 			fed.Params.Parallelism = workers
 			b.Run(fmt.Sprintf("parties=%d/workers=%d", parties, workers), func(b *testing.B) {
 				b.ReportAllocs()
+				sent := exchangesSent(fed)
 				for i := 0; i < b.N; i++ {
 					if _, _, err := fed.FederatedSearch("Q", terms, 20); err != nil {
 						b.Fatal(err)
 					}
 				}
+				b.ReportMetric(float64(exchangesSent(fed)-sent)/float64(b.N), "exchanges/op")
 			})
 		}
 	}

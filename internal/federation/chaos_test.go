@@ -83,15 +83,17 @@ func reportString(reps []PartyReport) string {
 // TestDegradedSearchSeededChaos is the PR's acceptance test: with one
 // party hard-down and one at a 30% error rate, a quorum-policy search
 // returns a Partial result ranked identically across two runs with the
-// same seed; the dead party's failures trip its breaker so a second
-// search skips it, spending zero DP budget on queries never sent; and
-// the open breaker is observable via /v1/metrics.
+// same seed; the dead party's failed exchanges — one per search — trip
+// its breaker so the search after the third skips it, spending zero DP
+// budget on queries never sent; and the open breaker is observable via
+// /v1/metrics.
 func TestDegradedSearchSeededChaos(t *testing.T) {
 	terms := []uint64{5, 42, 133}
 	run := func() (*Federation, *SearchResult) {
-		// Seed 130 realizes the interesting regime: P1's 30% error rate
-		// bites (retries happen) but retries save every P1 query.
-		fed := chaosFedUnderTest(t, chaosSearchParams(), 130)
+		// Seed 20 realizes the interesting regime: P1's 30% error rate
+		// bites (its exchange is retried) but the retry saves it, in this
+		// search and the three that follow.
+		fed := chaosFedUnderTest(t, chaosSearchParams(), 20)
 		res, err := fed.Search("Q", terms, 5)
 		if err != nil {
 			t.Fatalf("degraded search failed outright: %v", err)
@@ -119,7 +121,7 @@ func TestDegradedSearchSeededChaos(t *testing.T) {
 		t.Fatal("down party recorded no retries")
 	}
 	if byParty["P1"].Outcome != OutcomeOK || byParty["P1"].Retries == 0 {
-		t.Fatalf("P1 report %+v, want ok with retries (seed 130 regime)", byParty["P1"])
+		t.Fatalf("P1 report %+v, want ok with retries (seed 20 regime)", byParty["P1"])
 	}
 	for _, hit := range res.Hits {
 		if hit.Party == "P0" {
@@ -142,26 +144,35 @@ func TestDegradedSearchSeededChaos(t *testing.T) {
 		t.Fatalf("replay party report differs:\n  %s\n  %s", b, a)
 	}
 
-	// P0's three failed queries tripped its breaker (threshold 3).
+	// A search sends P0 one exchange, so one failed search is one breaker
+	// outcome: the third consecutive one trips it (threshold 3).
+	if st := fed.BreakerState("P0"); st != resilience.Closed {
+		t.Fatalf("P0 breaker state %v after one failed exchange, want Closed", st)
+	}
+	for n := 2; n <= 3; n++ {
+		if _, err := fed.Search("Q", terms, 5); err != nil {
+			t.Fatalf("search %d: %v", n, err)
+		}
+	}
 	if st := fed.BreakerState("P0"); st != resilience.Open {
-		t.Fatalf("P0 breaker state %v after failed search, want Open", st)
+		t.Fatalf("P0 breaker state %v after three failed exchanges, want Open", st)
 	}
 
-	// Second search on the same federation: P0 is skipped before any
+	// The next search on the same federation: P0 is skipped before any
 	// budget is spent on it.
 	src, _ := fed.Party("Q")
 	spentP0 := src.Accountant().Spent("P0")
 	spentP2 := src.Accountant().Spent("P2")
 	res3, err := fed.Search("Q", terms, 5)
 	if err != nil {
-		t.Fatalf("second search: %v", err)
+		t.Fatalf("search after the breaker opened: %v", err)
 	}
 	byParty3 := map[string]PartyReport{}
 	for _, rep := range res3.Parties {
 		byParty3[rep.Party] = rep
 	}
 	if byParty3["P0"].Outcome != OutcomeSkipped || byParty3["P0"].Queries != 0 {
-		t.Fatalf("P0 second-search report %+v, want skipped with 0 queries", byParty3["P0"])
+		t.Fatalf("P0 report %+v once its breaker is open, want skipped with 0 queries", byParty3["P0"])
 	}
 	if got := src.Accountant().Spent("P0"); got != spentP0 {
 		t.Fatalf("budget spent on a skipped party: %v -> %v", spentP0, got)

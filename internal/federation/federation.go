@@ -507,11 +507,8 @@ func (t *tracedOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, er
 func (t *tracedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	sp := t.apiSpan(apiRTK)
 	defer sp.End()
-	r := t.r
-	codec := r.codecLabel()
-	r.m.record(r.party, opQuery, q.WireSize())
-	r.m.recordTransport(r.party, apiRTK, codec, sizeTFQueryAs(codec, q))
-	if err := r.srv.intercept(r.party, apiRTK, chaosContent(0, q.Cols)); err != nil {
+	codec := t.r.codecLabel()
+	if err := t.r.rtkSent(codec, q); err != nil {
 		markFault(sp, err)
 		return nil, err
 	}
@@ -519,10 +516,33 @@ func (t *tracedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.m.record(r.party, opQuery, resp.WireSize())
-	r.m.recordTransport(r.party, apiRTK, codec, sizeRTKRespAs(codec, resp))
+	t.r.rtkReceived(codec, resp)
 	sp.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
 	return resp, nil
+}
+
+func (t *tracedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	sp := t.apiSpan(apiRTK)
+	defer sp.End()
+	codec := t.r.codecLabel()
+	if err := t.r.rtkSent(codec, qs...); err != nil {
+		markFault(sp, err)
+		return nil, err
+	}
+	resps, err := t.wireAPI(sp.Context()).AnswerRTKBatch(qs)
+	if err != nil {
+		return nil, err
+	}
+	var bytes int64
+	for _, q := range qs {
+		bytes += q.WireSize()
+	}
+	for _, resp := range resps {
+		t.r.rtkReceived(codec, resp)
+		bytes += resp.WireSize()
+	}
+	sp.AddAttr(telemetry.AInt("queries", int64(len(qs))), telemetry.AInt("bytes", bytes))
+	return resps, nil
 }
 
 func (r *routedOwner) DocIDs() []int {
@@ -573,18 +593,56 @@ func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	sp := r.m.apiSpan(apiRTK)
 	defer sp.End()
 	codec := r.codecLabel()
-	r.m.record(r.party, opQuery, q.WireSize())
-	r.m.recordTransport(r.party, apiRTK, codec, sizeTFQueryAs(codec, q))
-	if err := r.srv.intercept(r.party, apiRTK, chaosContent(0, q.Cols)); err != nil {
+	if err := r.rtkSent(codec, q); err != nil {
 		return nil, err
 	}
 	resp, err := r.api.AnswerRTK(q)
 	if err != nil {
 		return nil, err
 	}
+	r.rtkReceived(codec, resp)
+	return resp, nil
+}
+
+// AnswerRTKBatch relays the queries as one exchange. A single query is
+// relayed by AnswerRTK, which differs only in not passing a slice on.
+func (r *routedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	sp := r.m.apiSpan(apiRTK)
+	defer sp.End()
+	codec := r.codecLabel()
+	if err := r.rtkSent(codec, qs...); err != nil {
+		return nil, err
+	}
+	resps, err := r.api.AnswerRTKBatch(qs)
+	if err != nil {
+		return nil, err
+	}
+	for _, resp := range resps {
+		r.rtkReceived(codec, resp)
+	}
+	return resps, nil
+}
+
+// rtkSent accounts the request half of one reverse top-K exchange and
+// puts it through the party's link. Bytes and relayed messages are
+// those of the queries had each travelled alone, so traffic figures do
+// not depend on how a search groups its terms; the exchange counter,
+// the link's round trip and its fault decision are per exchange.
+func (r *routedOwner) rtkSent(codec string, qs ...*core.TFQuery) error {
+	content := chaosContent(0, nil)
+	for _, q := range qs {
+		r.m.record(r.party, opQuery, q.WireSize())
+		r.m.recordTransport(r.party, apiRTK, codec, sizeTFQueryAs(codec, q))
+		content = foldCols(content, q.Cols)
+	}
+	r.m.exchangesFor(r.party).Inc()
+	return r.srv.intercept(r.party, apiRTK, content)
+}
+
+// rtkReceived accounts one reply of a reverse top-K exchange.
+func (r *routedOwner) rtkReceived(codec string, resp *core.RTKResponse) {
 	r.m.record(r.party, opQuery, resp.WireSize())
 	r.m.recordTransport(r.party, apiRTK, codec, sizeRTKRespAs(codec, resp))
-	return resp, nil
 }
 
 // chaosContent folds a query's column vector (and a discriminator) into
@@ -593,7 +651,12 @@ func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 // it is relayed, which is what keeps fault replays bit-identical under
 // a concurrent fan-out.
 func chaosContent(disc uint64, cols []uint32) uint64 {
-	h := disc ^ 0xcbf29ce484222325
+	return foldCols(disc^0xcbf29ce484222325, cols)
+}
+
+// foldCols continues a call-content hash over one more column vector:
+// an exchange of several queries is identified by all of them, in order.
+func foldCols(h uint64, cols []uint32) uint64 {
 	for _, c := range cols {
 		h ^= uint64(c)
 		h *= 0x100000001b3

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -122,11 +123,14 @@ func (tr handlerTransport) RoundTrip(req *http.Request) (*http.Response, error) 
 // reach. Gateway side (modes 0-3, one per fuzzRoutes entry): any bytes
 // POSTed as a wire-framed body never panic the handler, draw only the
 // documented statuses, fail with the JSON error envelope echoing
-// X-Request-ID, and a 200 is a wire frame that decodes. Client side
-// (mode 4 AnswerTF, mode 5 AnswerRTK): an HTTPOwner whose host replies
-// with the fuzz bytes returns an error or a well-formed reply — an RTK
-// reply survives its own encoding, a version 2 frame re-encodes to
-// itself, and the lease the decoder took ends exactly once.
+// X-Request-ID, and a 200 is a wire frame that decodes — on /rtk one
+// frame per query frame of the body, which was then a well-formed batch
+// within the cap. Client side (mode 4 AnswerTF, mode 5 AnswerRTK, mode 6
+// AnswerRTKBatch of three): an HTTPOwner whose host replies with the
+// fuzz bytes returns an error or a well-formed reply — an RTK reply
+// survives its own encoding, a version 2 frame re-encodes to itself,
+// and the lease the decoder took ends exactly once; a batch reply is
+// three well-formed replies or an error and none.
 func FuzzHTTPWireBody(f *testing.F) {
 	fed := fuzzFed(f)
 	handler := HTTPHandler(fed.Server)
@@ -179,13 +183,29 @@ func FuzzHTTPWireBody(f *testing.F) {
 	}
 	f.Add(uint8(5), v1)
 	f.Add(uint8(5), v1[:len(v1)-2])
+	// Batches: three query frames to both /rtk routes and three reply
+	// frames to the client — whole, the last frame cut short, bytes after
+	// the last — and a query batch above the cap.
+	batch := []*core.TFQuery{query, query, query}
+	queries := wire.AppendTFQueries(nil, batch)
+	replies := slices.Concat(v2, v1, v2)
+	for _, mode := range []uint8{1, 3} {
+		f.Add(mode, queries)
+		f.Add(mode, queries[:len(queries)-2])
+		f.Add(mode, append(bytes.Clone(queries), 0))
+		f.Add(mode, bytes.Repeat(wire.AppendTFQuery(nil, query), core.MaxRTKBatch+1))
+	}
+	f.Add(uint8(6), replies)
+	f.Add(uint8(6), replies[:len(replies)-2])
+	f.Add(uint8(6), append(bytes.Clone(replies), 0))
+	f.Add(uint8(6), v2)
 	f.Add(uint8(0), encodeWireTFRequest(-1, cols))
 	f.Add(uint8(1), wire.AppendTFQuery(nil, &core.TFQuery{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}))
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(4), []byte{0xff, 0xff, 0xff, 0xff})
 
 	f.Fuzz(func(t *testing.T, mode uint8, payload []byte) {
-		switch mode %= 6; mode {
+		switch mode %= 7; mode {
 		case 4:
 			reply = payload
 			if resp, err := owner.AnswerTF(0, query); err == nil && resp == nil {
@@ -223,6 +243,26 @@ func FuzzHTTPWireBody(f *testing.F) {
 			}
 			r1.Release()
 			r2.Release()
+		case 6:
+			reply = payload
+			resps, err := owner.AnswerRTKBatch(batch)
+			if err != nil {
+				if resps != nil {
+					t.Fatalf("AnswerRTKBatch failed with %v and still returned %d replies", err, len(resps))
+				}
+				return
+			}
+			if len(resps) != len(batch) {
+				t.Fatalf("%d replies to %d queries", len(resps), len(batch))
+			}
+			for n, resp := range resps {
+				for i, c := range resp.Cells {
+					if len(c.IDs) != len(c.Values) {
+						t.Fatalf("reply %d cell %d decoded with %d ids and %d values", n, i, len(c.IDs), len(c.Values))
+					}
+				}
+				resp.Release()
+			}
 		default:
 			path := fuzzRoutes[mode]
 			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(payload))
@@ -245,11 +285,17 @@ func FuzzHTTPWireBody(f *testing.F) {
 				}
 				return
 			}
-			resp, err := wire.DecodeRTKResponse(rec.Body.Bytes())
+			asked, err := wire.DecodeTFQueries(payload, core.MaxRTKBatch)
 			if err != nil {
-				t.Fatalf("%s: 200 body is not an RTK frame: %v", path, err)
+				t.Fatalf("%s: 200 to a body that is not a batch of queries: %v", path, err)
 			}
-			resp.Release()
+			resps := make([]*core.RTKResponse, len(asked))
+			if err := wire.DecodeRTKResponses(rec.Body.Bytes(), resps); err != nil {
+				t.Fatalf("%s: 200 body is not the %d RTK frames asked for: %v", path, len(asked), err)
+			}
+			for _, resp := range resps {
+				resp.Release()
+			}
 		}
 	})
 }

@@ -11,6 +11,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"csfltr/internal/chaos"
@@ -318,37 +319,45 @@ func HTTPHandler(s *Server) http.Handler {
 			if !ok {
 				return
 			}
-			var cols []uint32
+			// A wire body is one query frame or a batch of them back to
+			// back; JSON, the public surface, carries a single query.
+			var qs []*core.TFQuery
 			if wireRequest(r) {
 				body, ok := readWireBody(w, r)
 				if !ok {
 					return
 				}
-				q, err := wire.DecodeTFQuery(body)
-				if err != nil {
+				var err error
+				if qs, err = wire.DecodeTFQueries(body, core.MaxRTKBatch); err != nil {
 					writeError(w, r, http.StatusBadRequest, "invalid wire body: "+err.Error())
 					return
 				}
-				cols = q.Cols
 			} else {
 				var req httpRTKRequest
 				if !readJSON(w, r, &req) {
 					return
 				}
-				cols = req.Cols
+				qs = []*core.TFQuery{{Cols: req.Cols}}
 			}
-			resp, err := owner.AnswerRTK(&core.TFQuery{Cols: cols})
-			if err != nil {
+			if len(qs) > 1 && !wantsWire(r) {
+				writeError(w, r, http.StatusBadRequest, "federation: a batch is answered in wire frames only")
+				return
+			}
+			resps := make([]*core.RTKResponse, len(qs))
+			if err := core.AnswerRTKs(owner, qs, resps); err != nil {
 				writeError(w, r, statusFor(err), err.Error())
 				return
 			}
 			if wantsWire(r) {
 				frame := frameBufs.Get().(*[]byte)
-				*frame = wire.AppendRTKResponse((*frame)[:0], resp)
-				resp.Release() // the frame is a copy
+				*frame = wire.AppendRTKResponses((*frame)[:0], resps)
+				for _, resp := range resps {
+					resp.Release() // the frame is a copy
+				}
 				writeWire(w, frame)
 				return
 			}
+			resp := resps[0]
 			out := httpRTKResponse{Cells: make([]httpRTKCell, len(resp.Cells))}
 			for i, c := range resp.Cells {
 				out.Cells[i] = httpRTKCell{IDs: c.IDs, Values: c.Values}
@@ -364,14 +373,45 @@ func HTTPHandler(s *Server) http.Handler {
 	return mux
 }
 
+// routeMetrics holds one route's series that every request touches,
+// resolved once rather than through the registry's label lookup per
+// request: the latency histogram and the counter of 200s. Other status
+// codes are rare and go through the lookup.
+type routeMetrics struct {
+	m   *serverMetrics // what they were resolved against (see Server.SetRegistry)
+	dur *telemetry.Histogram
+	ok  *telemetry.Counter
+}
+
+func newRouteMetrics(m *serverMetrics, route string) *routeMetrics {
+	return &routeMetrics{
+		m: m,
+		dur: m.reg.Histogram("csfltr_http_request_duration_seconds", "HTTP gateway request latency.", nil,
+			telemetry.L("route", route)),
+		ok: requestCounter(m, route, http.StatusOK),
+	}
+}
+
+func requestCounter(m *serverMetrics, route string, code int) *telemetry.Counter {
+	return m.reg.Counter("csfltr_http_requests_total", "HTTP gateway requests served.",
+		telemetry.L("route", route), telemetry.L("code", strconv.Itoa(code)))
+}
+
 // instrumentHTTP wraps one route handler with the gateway middleware:
 // request-ID assignment/propagation, trace-context propagation via the
 // X-Trace-* headers, method enforcement (405 + Allow), the in-flight
 // gauge, the per-route latency histogram and the per-route/status
 // request and error counters. method "" accepts any.
 func instrumentHTTP(s *Server, method, route string, h http.HandlerFunc) http.Handler {
+	var resolved atomic.Pointer[routeMetrics]
+	resolved.Store(newRouteMetrics(s.metrics(), route))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		m := s.metrics()
+		rm := resolved.Load()
+		if rm.m != m { // the registry was replaced after the handler was built
+			rm = newRouteMetrics(m, route)
+			resolved.Store(rm)
+		}
 		rid := r.Header.Get("X-Request-ID")
 		if rid == "" {
 			rid = telemetry.RequestID()
@@ -386,9 +426,7 @@ func instrumentHTTP(s *Server, method, route string, h http.HandlerFunc) http.Ha
 			TraceID: r.Header.Get(headerTraceID),
 			SpanID:  r.Header.Get(headerTraceParent),
 		}
-		sp := m.reg.StartChildSpan("http."+route, parent, m.reg.Histogram(
-			"csfltr_http_request_duration_seconds", "HTTP gateway request latency.", nil,
-			telemetry.L("route", route)))
+		sp := m.reg.StartChildSpan("http."+route, parent, rm.dur)
 		if ctx := sp.Context(); ctx.Valid() {
 			sp.AddAttr(telemetry.AStr("transport", transportHTTP))
 			sp.SetRequestID(rid)
@@ -404,8 +442,11 @@ func instrumentHTTP(s *Server, method, route string, h http.HandlerFunc) http.Ha
 			writeError(sw, r, http.StatusMethodNotAllowed, "method "+r.Method+" not allowed")
 		}
 		sp.End()
-		m.reg.Counter("csfltr_http_requests_total", "HTTP gateway requests served.",
-			telemetry.L("route", route), telemetry.L("code", strconv.Itoa(sw.code))).Inc()
+		if sw.code == http.StatusOK {
+			rm.ok.Inc()
+		} else {
+			requestCounter(m, route, sw.code).Inc()
+		}
 		if sw.code >= 400 {
 			m.reg.Counter("csfltr_http_errors_total", "HTTP gateway requests that failed.",
 				telemetry.L("route", route)).Inc()
@@ -556,9 +597,9 @@ func readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 // copy (WithTrace) stamps the X-Trace-* headers on every request so the
 // gateway continues the caller's span tree.
 type HTTPOwner struct {
-	base   string
-	party  string
-	field  Field
+	prefix string // "<base>/v1/parties/<party>/<field>"
+	tfURL  string
+	rtkURL string
 	client *http.Client
 	ctx    telemetry.SpanContext
 }
@@ -577,17 +618,13 @@ func NewHTTPOwner(base, party string, field Field, client *http.Client) *HTTPOwn
 	if client == nil {
 		client = http.DefaultClient
 	}
+	prefix := fmt.Sprintf("%s/v1/parties/%s/%s", strings.TrimRight(base, "/"), party, field)
 	return &HTTPOwner{
-		base:   strings.TrimRight(base, "/"),
-		party:  party,
-		field:  field,
+		prefix: prefix,
+		tfURL:  prefix + "/tf",
+		rtkURL: prefix + "/rtk",
 		client: client,
 	}
-}
-
-// url builds an endpoint path.
-func (h *HTTPOwner) url(suffix string) string {
-	return fmt.Sprintf("%s/v1/parties/%s/%s%s", h.base, h.party, h.field, suffix)
 }
 
 // stamp tags a request with a fresh request ID and, when this owner is
@@ -687,7 +724,7 @@ func (h *HTTPOwner) DocIDs() []int {
 	var out struct {
 		IDs []int `json:"ids"`
 	}
-	if err := h.getJSON(h.url("/docs"), &out); err != nil {
+	if err := h.getJSON(h.prefix+"/docs", &out); err != nil {
 		return nil
 	}
 	return out.IDs
@@ -699,7 +736,7 @@ func (h *HTTPOwner) DocMeta(docID int) (int, int, error) {
 		Length int `json:"length"`
 		Unique int `json:"unique"`
 	}
-	if err := h.getJSON(h.url(fmt.Sprintf("/docs/%d/meta", docID)), &out); err != nil {
+	if err := h.getJSON(fmt.Sprintf("%s/docs/%d/meta", h.prefix, docID), &out); err != nil {
 		return 0, 0, err
 	}
 	return out.Length, out.Unique, nil
@@ -707,7 +744,7 @@ func (h *HTTPOwner) DocMeta(docID int) (int, int, error) {
 
 // AnswerTF implements core.OwnerAPI.
 func (h *HTTPOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
-	frame, err := h.postWire(h.url("/tf"), encodeWireTFRequest(docID, q.Cols))
+	frame, err := h.postWire(h.tfURL, encodeWireTFRequest(docID, q.Cols))
 	if err != nil {
 		return nil, err
 	}
@@ -717,12 +754,31 @@ func (h *HTTPOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, erro
 
 // AnswerRTK implements core.OwnerAPI.
 func (h *HTTPOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
-	frame, err := h.postWire(h.url("/rtk"), wire.AppendTFQuery(nil, q))
-	if err != nil {
+	var out [1]*core.RTKResponse
+	err := h.answerRTK([]*core.TFQuery{q}, out[:])
+	return out[0], err
+}
+
+// AnswerRTKBatch implements core.OwnerAPI: one POST carrying the
+// queries' frames back to back, answered by as many reply frames.
+func (h *HTTPOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	out := make([]*core.RTKResponse, len(qs))
+	if err := h.answerRTK(qs, out); err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+func (h *HTTPOwner) answerRTK(qs []*core.TFQuery, out []*core.RTKResponse) error {
+	body := frameBufs.Get().(*[]byte)
+	*body = wire.AppendTFQueries((*body)[:0], qs)
+	frame, err := h.postWire(h.rtkURL, *body)
+	if err != nil {
+		return err // body is dropped, not recycled: net/http may still be sending it
+	}
+	putFrame(body) // the host read all of it before it answered
 	defer putFrame(frame)
-	return wire.DecodeRTKResponse(*frame)
+	return wire.DecodeRTKResponses(*frame, out)
 }
 
 // httpEndpoint adapts an HTTP-gateway party host to the server's

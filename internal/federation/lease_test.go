@@ -185,9 +185,9 @@ func TestLeaseAbandonedAttemptsRelease(t *testing.T) {
 // TestSearchAllocBudget holds the scorecard's search_cold allocation
 // bill in tier-1: a 4-party x 4-term in-process search at the benchmark
 // geometry (z = 30, alpha*K = 250, 1 200 documents a party, cache off)
-// allocates at most 150 kB in 330 objects in steady state — sixteen
-// reverse top-K answers of 90 kB each pass through it, and none of them
-// may be made anew.
+// allocates at most 100 kB in 210 objects in steady state — sixteen
+// reverse top-K answers of 90 kB each pass through it in four
+// exchanges, and none of them may be made anew.
 func TestSearchAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector; the budget holds without -race")
@@ -232,7 +232,7 @@ func TestSearchAllocBudget(t *testing.T) {
 	objects := float64(after.Mallocs-before.Mallocs) / runs
 	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1e3
 	t.Logf("%.0f objects, %.1f kB per search", objects, kb)
-	if objects > 330 || kb > 150 {
-		t.Errorf("a 4 x 4 search allocates %.0f objects, %.1f kB; the budget is 330 and 150 kB", objects, kb)
+	if objects > 210 || kb > 100 {
+		t.Errorf("a 4 x 4 search allocates %.0f objects, %.1f kB; the budget is 210 and 100 kB", objects, kb)
 	}
 }

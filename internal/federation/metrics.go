@@ -30,6 +30,12 @@ const (
 	// MetricAPILatency is per-owner-API-call latency at the server,
 	// labeled by api (docids, docmeta, tf, rtk).
 	MetricAPILatency = "csfltr_server_api_latency_seconds"
+	// MetricSearchExchanges counts the reverse top-K exchanges relayed to
+	// a party, labeled by party: one per message sent, whether it carries
+	// one query or a search's whole batch for that party, and one more
+	// per retry. MetricRelayedMessages keeps counting queries and replies
+	// one by one; this family is where round trips show up.
+	MetricSearchExchanges = "csfltr_search_exchanges_total"
 	// MetricSearchStageDuration times the cross-party query pipeline,
 	// labeled by stage (tf_query, rtk_query, dp_noise, merge).
 	MetricSearchStageDuration = "csfltr_search_stage_duration_seconds"
@@ -206,6 +212,7 @@ type serverMetrics struct {
 	relay     map[relayKey]relayCounters
 	breaker   map[string]*telemetry.Gauge
 	retries   map[string]*telemetry.Counter
+	exchanges map[string]*telemetry.Counter   // party
 	outcomes  map[relayKey]*telemetry.Counter // reusing relayKey as (party, outcome)
 	faults    map[relayKey]*telemetry.Counter // (party, kind)
 	cache     map[relayKey]*telemetry.Counter // (tier, result)
@@ -230,17 +237,18 @@ type serverMetrics struct {
 // newServerMetrics creates the handle cache over reg.
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{
-		reg:      reg,
-		api:      make(map[string]*telemetry.Histogram, 4),
-		stage:    make(map[string]*telemetry.Histogram, 4),
-		relay:    make(map[relayKey]relayCounters),
-		breaker:  make(map[string]*telemetry.Gauge),
-		retries:  make(map[string]*telemetry.Counter),
-		outcomes: make(map[relayKey]*telemetry.Counter),
-		faults:   make(map[relayKey]*telemetry.Counter),
-		cache:    make(map[relayKey]*telemetry.Counter),
-		stale:    make(map[string]*telemetry.Counter),
-		budget:   make(map[relayKey]struct{}),
+		reg:       reg,
+		api:       make(map[string]*telemetry.Histogram, 4),
+		stage:     make(map[string]*telemetry.Histogram, 4),
+		relay:     make(map[relayKey]relayCounters),
+		breaker:   make(map[string]*telemetry.Gauge),
+		retries:   make(map[string]*telemetry.Counter),
+		exchanges: make(map[string]*telemetry.Counter),
+		outcomes:  make(map[relayKey]*telemetry.Counter),
+		faults:    make(map[relayKey]*telemetry.Counter),
+		cache:     make(map[relayKey]*telemetry.Counter),
+		stale:     make(map[string]*telemetry.Counter),
+		budget:    make(map[relayKey]struct{}),
 
 		transport:      make(map[transportKey]*telemetry.Counter),
 		shardTransport: make(map[shardSeriesKey]*telemetry.Counter),
@@ -314,6 +322,20 @@ func (m *serverMetrics) retriesFor(party string) *telemetry.Counter {
 			"Retry attempts beyond the first try, per party.",
 			telemetry.L("party", party))
 		m.retries[party] = c
+	}
+	return c
+}
+
+// exchangesFor returns one party's reverse top-K exchange counter.
+func (m *serverMetrics) exchangesFor(party string) *telemetry.Counter {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	c, ok := m.exchanges[party]
+	if !ok {
+		c = m.reg.Counter(MetricSearchExchanges,
+			"Reverse top-K exchanges relayed to a party, whatever number of queries each carried.",
+			telemetry.L("party", party))
+		m.exchanges[party] = c
 	}
 	return c
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -39,8 +40,8 @@ type PartyReport struct {
 	// the party (0 for a skipped party; cache replays are counted in
 	// Cached instead — no query sent, no budget spent).
 	Queries int
-	// Retries is the number of retry attempts beyond each query's first
-	// try.
+	// Retries is the number of retry attempts beyond each exchange's
+	// first try (a search sends a party one exchange, see Search).
 	Retries int
 	// Cached is the number of this party's answers served from the
 	// federated answer cache at zero privacy cost.
@@ -67,7 +68,6 @@ type SearchResult struct {
 // search fan-out.
 type searchTask struct {
 	party string
-	owner core.OwnerAPI
 	plan  *core.Plan
 	// Cache identity and state (zero-valued when the cache is off): a
 	// cached task is never dispatched — its slot is prefilled from hit.
@@ -76,11 +76,22 @@ type searchTask struct {
 	hit        cachedTask
 }
 
-// rtkOut is one task's result, produced inside a resilience.Call so a
-// timed-out attempt can be abandoned without racing the merge.
-type rtkOut struct {
-	docs []core.DocCount
-	cost core.Cost
+// searchExchange is one message of a search's fan-out: the tasks of one
+// party that still need an answer — all of them, up to
+// core.MaxRTKBatch — asked in one AnswerRTKBatch under one deadline,
+// one retry loop and one breaker outcome. They succeed or fail together.
+type searchExchange struct {
+	party string
+	owner core.OwnerAPI
+	tasks []int // indexes into the search's task list, ascending
+}
+
+// exchangeOut is one exchange's result, produced inside a
+// resilience.Call so a timed-out attempt can be abandoned without
+// racing the merge: documents and cost per task of the exchange.
+type exchangeOut struct {
+	docs  [][]core.DocCount
+	costs []core.Cost
 }
 
 // FederatedSearch runs a whole query against every other party and
@@ -129,14 +140,20 @@ func dedupeTerms(terms []uint64) []uint64 {
 // even when the whole query misses. With CacheBytes == 0 (the default)
 // the uncached path below runs unchanged.
 //
-// The per-(party, term) queries are independent, so they are dispatched
-// onto a bounded worker pool (Params.Parallelism workers; 0 defaults to
-// GOMAXPROCS, 1 is the sequential baseline). The result is identical at
-// every pool size: each term's obfuscated query plan is built once, in
-// deterministic term order, and shared read-only by all parties' tasks;
-// per-task results land in a slot indexed by task and are merged in task
-// order, so score accumulation order — and therefore floating-point
-// rounding and the final ranking — never depends on scheduling.
+// Each party receives one exchange carrying the queries of all its
+// terms that no cache tier answered (core.OwnerAPI.AnswerRTKBatch; a
+// query of more than core.MaxRTKBatch terms is split), and the
+// exchanges, which are independent, are dispatched onto a bounded worker
+// pool (Params.Parallelism workers; 0 defaults to GOMAXPROCS, 1 is the
+// sequential baseline): the pool overlaps parties, not the terms of one
+// party. The result is identical at every pool size: each term's
+// obfuscated query plan is built once, in deterministic term order, and
+// shared read-only by all parties' tasks; an owner answers its batch in
+// term order, one noise draw per term; per-task results land in a slot
+// indexed by task and are merged in task order, so score accumulation
+// order — and therefore floating-point rounding and the final ranking —
+// never depends on scheduling. (Concurrent searches still interleave
+// their draws at an owner.)
 //
 // Privacy budget is spent per (term, party) query against the querier's
 // accountant, and it is spent for the whole fan-out *before* dispatch:
@@ -144,21 +161,21 @@ func dedupeTerms(terms []uint64) []uint64 {
 // leaves the party. Cache replays spend nothing and are recorded with
 // dp.Accountant.Replayed.
 //
-// Each query runs under the federation's resilience policy: bounded
-// retries with deterministic backoff and a per-attempt deadline. With
-// Params.MinParties > 0 the search degrades instead of failing: a party
-// whose circuit breaker is open is skipped before any of its budget is
-// spent, a party with any failed query is dropped from the merge (its
-// outcomes feed the breaker), and the search succeeds with Partial set
-// as long as at least MinParties parties answered — otherwise it
-// returns ErrQuorum alongside the per-party report. A failed party
-// contributes nothing to Hits even for its succeeded queries, so the
-// ranking never depends on which fraction of a party's queries happened
-// to finish. When Params.CacheMaxStale > 0 a skipped or failed party
-// may instead be backfilled from recent cache entries (all of the
-// query's terms, bounded age — reported per party as OutcomeStale with
-// StaleFor); a backfilled party counts toward the quorum and toward a
-// complete (non-Partial) result.
+// Each exchange runs under the federation's resilience policy: bounded
+// retries with deterministic backoff and a per-attempt deadline; a retry
+// asks for the whole batch again. With Params.MinParties > 0 the search
+// degrades instead of failing: a party whose circuit breaker is open is
+// skipped before any of its budget is spent, a party whose exchange
+// failed is dropped from the merge (one breaker outcome per exchange),
+// and the search succeeds with Partial set as long as at least
+// MinParties parties answered — otherwise it returns ErrQuorum
+// alongside the per-party report. A batch is answered whole or not at
+// all, so the ranking never depends on which fraction of a party's
+// queries happened to finish. When Params.CacheMaxStale > 0 a skipped
+// or failed party may instead be backfilled from recent cache entries
+// (all of the query's terms, bounded age — reported per party as
+// OutcomeStale with StaleFor); a backfilled party counts toward the
+// quorum and toward a complete (non-Partial) result.
 //
 //csfltr:releases
 func (f *Federation) Search(from string, terms []uint64, k int) (*SearchResult, error) {
@@ -168,8 +185,8 @@ func (f *Federation) Search(from string, terms []uint64, k int) (*SearchResult, 
 
 // SearchTraced is Search plus its trace identity: with tracing enabled
 // (Server.EnableTracing) it returns the trace ID under which the whole
-// query's span tree was recorded — fan-out, per-(party, term) reverse
-// top-K queries with retry attempts and injected faults, cache replays,
+// query's span tree was recorded — fan-out, per-party reverse
+// top-K exchanges with retry attempts and injected faults, cache replays,
 // stale serves and the merge — retrievable via Server.TraceTree or
 // GET /v1/trace/{id}, alongside one flight-recorder audit record. With
 // tracing off the trace ID is "" and the search runs the untraced hot
@@ -323,9 +340,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	// accountant records it separately.
 	result := &SearchResult{}
 	var tasks []searchTask
-	// spans[ri] is the task range of result.Parties[ri] (empty for a
-	// skipped party).
-	type taskSpan struct{ start, count int }
+	var exchanges []searchExchange
+	// spans[ri] is the task range and the exchange range of
+	// result.Parties[ri] (empty for a skipped party).
+	type taskSpan struct{ start, count, xstart, xcount int }
 	var spans []taskSpan
 	for _, party := range f.Parties {
 		if party.Name == from {
@@ -355,10 +373,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		if c != nil {
 			gens = party.generations(FieldBody)
 		}
-		start := len(tasks)
+		start, xstart := len(tasks), len(exchanges)
 		rep := PartyReport{Party: party.Name, Outcome: OutcomeOK}
 		for _, plan := range plans {
-			t := searchTask{party: party.Name, owner: owner, plan: plan}
+			t := searchTask{party: party.Name, plan: plan}
 			if c != nil {
 				t.full, t.base = f.taskKeys(from, party.Name, plan.Term(), gens)
 				if v, ok := c.Get(t.full, t.base); ok {
@@ -385,69 +403,81 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 					return nil, err
 				}
 				rep.Queries++
+				if n := len(exchanges); n == xstart || len(exchanges[n-1].tasks) == core.MaxRTKBatch {
+					exchanges = append(exchanges, searchExchange{party: party.Name, owner: owner,
+						tasks: make([]int, 0, min(len(plans), core.MaxRTKBatch))})
+				}
+				x := &exchanges[len(exchanges)-1]
+				x.tasks = append(x.tasks, len(tasks))
 			}
 			tasks = append(tasks, t)
 		}
-		spans = append(spans, taskSpan{start: start, count: len(plans)})
+		spans = append(spans, taskSpan{start: start, count: len(plans),
+			xstart: xstart, xcount: len(exchanges) - xstart})
 		result.Parties = append(result.Parties, rep)
 	}
 
-	// Fan out on the worker pool. Each task writes only its own slot, so
-	// workers never contend on shared state; the fanout span measures the
-	// wall-clock of the whole dispatch while the per-task rtk_query spans
-	// accumulate worker time. The resilience wrapper bounds each attempt
-	// with the policy deadline and retries transient failures with
-	// deterministic backoff. Cached tasks are prefilled and never
-	// dispatched.
+	// Fan out on the worker pool, one unit of work per exchange. Each
+	// exchange writes only its own tasks' slots, so workers never contend
+	// on shared state; the fanout span measures the wall-clock of the
+	// whole dispatch while the per-exchange rtk_query spans accumulate
+	// worker time. The resilience wrapper bounds each attempt with the
+	// policy deadline and retries transient failures with deterministic
+	// backoff. Cached tasks are prefilled and belong to no exchange.
 	docs := make([][]core.DocCount, len(tasks))
 	costs := make([]core.Cost, len(tasks))
-	errs := make([]error, len(tasks))
-	retries := make([]int, len(tasks))
-	var pending []int
+	errs := make([]error, len(exchanges))
+	retries := make([]int, len(exchanges))
 	for i := range tasks {
-		if tasks[i].cached {
-			docs[i], costs[i] = tasks[i].hit.docs, tasks[i].hit.cost
-			if run.parent.Valid() {
-				sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil,
-					telemetry.AStr("tier", cacheTierTask),
-					telemetry.AStr("party", tasks[i].party),
-					telemetry.AStr("term", f.TermHash(tasks[i].plan.Term())))
-				sp.End()
-			}
+		if !tasks[i].cached {
 			continue
 		}
-		pending = append(pending, i)
+		docs[i], costs[i] = tasks[i].hit.docs, tasks[i].hit.cost
+		if run.parent.Valid() {
+			sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil,
+				telemetry.AStr("tier", cacheTierTask),
+				telemetry.AStr("party", tasks[i].party),
+				telemetry.AStr("term", f.TermHash(tasks[i].plan.Term())))
+			sp.End()
+		}
 	}
 	fanout := m.stageTrace(StageFanout, run.parent)
-	runPool(f.Params.Workers(len(pending)), len(pending), m, func(pi int) {
-		i := pending[pi]
-		t := tasks[i]
+	runPool(f.Params.Workers(len(exchanges)), len(exchanges), m, func(xi int) {
+		x := exchanges[xi]
+		xplans := make([]*core.Plan, len(x.tasks))
+		for j, i := range x.tasks {
+			xplans[j] = tasks[i].plan
+		}
 		sp := m.stageTrace(StageRTKQuery, fanout.Context())
 		traced := sp.Context().Valid()
 		if traced {
+			hashes := make([]string, len(xplans))
+			for j, plan := range xplans {
+				hashes[j] = f.TermHash(plan.Term())
+			}
 			sp.AddAttr(
-				telemetry.AStr("party", t.party),
-				telemetry.AStr("term", f.TermHash(t.plan.Term())))
+				telemetry.AStr("party", x.party),
+				telemetry.AStr("terms", strings.Join(hashes, ",")))
 		}
 		// The attempt counter is atomic because resilience.Call abandons
 		// timed-out attempt goroutines: a late attempt can still be
 		// running when the retry fires.
 		var attemptN int64
-		out, attempts, err := resilience.Call(policy, f.callSeed(t.party, t.plan.Term()),
-			func() (rtkOut, error) {
-				owner := t.owner
+		out, attempts, err := resilience.Call(policy, f.callSeed(x.party, xplans[0].Term()),
+			func() (exchangeOut, error) {
+				owner := x.owner
 				var asp *telemetry.TraceSpan
 				if traced {
 					asp = m.reg.StartChildSpan("search.attempt", sp.Context(), nil,
-						telemetry.AStr("party", t.party),
+						telemetry.AStr("party", x.party),
 						telemetry.AInt("attempt", atomic.AddInt64(&attemptN, 1)))
 					if tc, ok := owner.(traceCarrier); ok {
 						owner = tc.WithTrace(asp.Context())
 					}
 				}
-				var o rtkOut
+				var o exchangeOut
 				var err error
-				o.docs, o.cost, err = core.RTKWithPlan(t.plan, owner, f.Params.K)
+				o.docs, o.costs, err = core.RTKWithPlans(xplans, owner, f.Params.K)
 				if asp != nil {
 					markFault(asp, err)
 					if err != nil {
@@ -457,7 +487,12 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 				}
 				return o, err
 			})
-		docs[i], costs[i], errs[i], retries[i] = out.docs, out.cost, err, attempts-1
+		errs[xi], retries[xi] = err, attempts-1
+		if err == nil {
+			for j, i := range x.tasks {
+				docs[i], costs[i] = out.docs[j], out.costs[j]
+			}
+		}
 		if traced {
 			sp.AddAttr(telemetry.AInt("attempts", int64(attempts)))
 			if err != nil {
@@ -471,9 +506,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 
 	// Merge in task order: deterministic accumulation, no shared-map
 	// contention during the fan-out. Party inclusion is all-or-nothing:
-	// either every one of a party's queries succeeded and all contribute,
-	// or the party is dropped entirely. Breaker outcomes are recorded
-	// here, in task order, so breaker state evolves deterministically.
+	// either every one of a party's exchanges succeeded and all its
+	// queries contribute, or the party is dropped entirely. Breaker
+	// outcomes are recorded here, in exchange order, so breaker state
+	// evolves deterministically.
 	merge := m.stageTrace(StageMerge, run.parent)
 	defer func() { run.addStage(StageMerge, merge.End()) }()
 	type key struct {
@@ -532,11 +568,12 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 			continue
 		}
 		start, count := spans[ri].start, spans[ri].count
+		sent := spans[ri].xstart + spans[ri].xcount
 		var firstErr error
-		for i := start; i < start+count; i++ {
-			rep.Retries += retries[i]
-			if errs[i] != nil && firstErr == nil {
-				firstErr = errs[i]
+		for xi := spans[ri].xstart; xi < sent; xi++ {
+			rep.Retries += retries[xi]
+			if errs[xi] != nil && firstErr == nil {
+				firstErr = errs[xi]
 			}
 		}
 		if rep.Retries > 0 {
@@ -548,10 +585,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		if degraded {
 			b := f.breakerFor(rep.Party)
-			for i := start; i < start+count; i++ {
-				if !tasks[i].cached {
-					b.Record(errs[i] == nil)
-				}
+			for xi := spans[ri].xstart; xi < sent; xi++ {
+				b.Record(errs[xi] == nil)
 			}
 		}
 		if firstErr != nil {

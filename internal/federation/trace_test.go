@@ -20,7 +20,7 @@ import (
 
 // TestTracedDegradedSearchFlightRecorder is the PR's acceptance test:
 // a chaos-seeded degraded search under tracing yields ONE coherent span
-// tree — fan-out, per-(party, term) RTK queries with retry attempts and
+// tree — fan-out, one RTK exchange per party with retry attempts and
 // injected faults, merge — retrievable via GET /v1/trace/{id} together
 // with its audit record, and exportable as valid Chrome trace JSON.
 func TestTracedDegradedSearchFlightRecorder(t *testing.T) {
@@ -58,12 +58,13 @@ func TestTracedDegradedSearchFlightRecorder(t *testing.T) {
 			attemptsOnRetriedTask = true
 		}
 		if sp.Name == "search.stage."+StageRTKQuery {
-			if sp.Attr("party") == "" || sp.Attr("term") == "" {
-				t.Fatalf("rtk_query span missing party/term attrs: %+v", sp)
+			hashes := strings.Split(sp.Attr("terms"), ",")
+			if sp.Attr("party") == "" || len(hashes) != len(terms) {
+				t.Fatalf("rtk_query span missing party attr or a hash per term: %+v", sp)
 			}
-			for _, term := range terms {
-				if sp.Attr("term") == fmt.Sprint(term) {
-					t.Fatalf("raw term leaked into span attrs: %+v", sp)
+			for i, term := range terms {
+				if hashes[i] != fed.TermHash(term) || hashes[i] == fmt.Sprint(term) {
+					t.Fatalf("span term %d is not the term's keyed hash: %+v", i, sp)
 				}
 			}
 		}
@@ -74,14 +75,14 @@ func TestTracedDegradedSearchFlightRecorder(t *testing.T) {
 	if count["search.stage."+StageFanout] != 1 || count["search.stage."+StageMerge] != 1 {
 		t.Fatalf("missing pipeline stage spans: %v", count)
 	}
-	// 3 terms x 3 data parties = 9 RTK tasks.
-	if count["search.stage."+StageRTKQuery] != 9 {
-		t.Fatalf("rtk_query spans = %d, want 9 (counts: %v)", count["search.stage."+StageRTKQuery], count)
+	// One exchange per data party carries its 3 terms.
+	if count["search.stage."+StageRTKQuery] != 3 {
+		t.Fatalf("rtk_query spans = %d, want 3 (counts: %v)", count["search.stage."+StageRTKQuery], count)
 	}
-	// P0 is hard-down (2 attempts x 3 terms) and seed 130 makes P1 retry:
-	// attempts must exceed tasks.
+	// P0 is hard-down, so its exchange is attempted twice: attempts must
+	// exceed exchanges.
 	if count["search.attempt"] <= count["search.stage."+StageRTKQuery] {
-		t.Fatalf("attempt spans (%d) do not exceed tasks (%d) despite chaos retries",
+		t.Fatalf("attempt spans (%d) do not exceed exchanges (%d) despite chaos retries",
 			count["search.attempt"], count["search.stage."+StageRTKQuery])
 	}
 	if faults == 0 {

@@ -1,6 +1,7 @@
 package federation
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"csfltr/internal/core"
+	"csfltr/internal/wire"
 )
 
 // postRawJSON POSTs a JSON body the way a non-Go client would — no
@@ -141,6 +143,95 @@ func TestHTTPWireBadBody(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("%s: status %d, want 400", path, resp.StatusCode)
 		}
+	}
+}
+
+// TestHTTPWireBatch: /rtk takes k query frames back to back and answers
+// k reply frames under one Content-Length — at Epsilon = 0 the replies
+// the same queries get one by one — through HTTPOwner.AnswerRTKBatch
+// and as raw bytes. A body with bytes after its last frame, with its
+// last frame cut short or with more frames than core.MaxRTKBatch is a
+// 400 with the JSON envelope and nothing else; so is a batch from a
+// client that does not accept wire frames, JSON being single-query.
+func TestHTTPWireBatch(t *testing.T) {
+	fed, ts := httpFed(t)
+	owner := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
+	direct, err := fed.Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	qs := []*core.TFQuery{
+		{Cols: []uint32{1, 7, 42, 301, 8, 99, 200, 450, 3}},
+		{Cols: []uint32{2, 8, 11, 70, 140, 300, 410, 17, 33}},
+		{Cols: []uint32{5, 5, 5, 5, 5, 5, 5, 5, 5}},
+	}
+	var want []*core.RTKResponse
+	var frames []byte
+	entries := 0
+	for _, q := range qs {
+		resp, err := direct.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, resp)
+		frames = wire.AppendRTKResponse(frames, resp)
+		for _, c := range resp.Cells {
+			entries += len(c.IDs)
+		}
+	}
+	if entries == 0 {
+		t.Fatal("the queries addressed only empty cells; the comparison is vacuous")
+	}
+	got, err := owner.AnswerRTKBatch(qs)
+	if err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("AnswerRTKBatch over HTTP: %+v (%v)\nwant %+v", got, err, want)
+	}
+
+	post := func(body []byte, accept string) (int, string, []byte) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/parties/B/body/rtk", bytes.NewReader(body))
+		req.Header.Set("Content-Type", WireContentType)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		resp, err := ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		data, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("Content-Type"), data
+	}
+	body := wire.AppendTFQueries(nil, qs)
+	if code, ct, data := post(body, WireContentType); code != http.StatusOK || ct != WireContentType || !bytes.Equal(data, frames) {
+		t.Fatalf("raw batch: status %d, content type %q, %d bytes; want the %d bytes of the three single replies", code, ct, len(data), len(frames))
+	}
+	over := make([]*core.TFQuery, core.MaxRTKBatch+1)
+	for i := range over {
+		over[i] = qs[i%len(qs)]
+	}
+	for name, tc := range map[string]struct {
+		body   []byte
+		accept string
+	}{
+		"bytes after the last frame": {append(bytes.Clone(body), 0x01), WireContentType},
+		"last frame cut short":       {body[:len(body)-2], WireContentType},
+		"above the cap":              {wire.AppendTFQueries(nil, over), WireContentType},
+		"batch, JSON reply":          {body, ""},
+	} {
+		code, ct, data := post(tc.body, tc.accept)
+		var env httpError
+		if code != http.StatusBadRequest || ct != "application/json" || json.Unmarshal(data, &env) != nil ||
+			env.Error == "" || env.RequestID == "" {
+			t.Errorf("%s: status %d, content type %q, body %q; want a 400 with the JSON envelope", name, code, ct, data)
+		}
+	}
+	// A single wire query to a JSON-accepting client is still answered.
+	if code, ct, _ := post(wire.AppendTFQuery(nil, qs[0]), ""); code != http.StatusOK || ct != "application/json" {
+		t.Fatalf("single wire query, JSON reply: status %d, content type %q", code, ct)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"sync"
 
 	"csfltr/internal/core"
-	"csfltr/internal/qcache"
 	"csfltr/internal/resilience"
 	"csfltr/internal/telemetry"
 )
@@ -20,9 +19,6 @@ const (
 	APITF      = "tf"
 	APIRTK     = "rtk"
 )
-
-// Cache key kinds for the shard-local raw answer cache.
-const keyKindShardRTK uint64 = 1
 
 // Group implements core.OwnerAPI. The exported methods run untraced;
 // WithTrace returns a view that parents per-replica attempt spans under
@@ -55,6 +51,13 @@ func (g *Group) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	return g.answerRTK(telemetry.SpanContext{}, q)
 }
 
+// AnswerRTKBatch answers the queries with one scatter: every shard is
+// asked once, for all of them, and the merges then run in query order
+// with one facade draw each — the draws a single Owner makes.
+func (g *Group) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	return g.answerRTKBatch(telemetry.SpanContext{}, qs)
+}
+
 // WithTrace implements the federation's trace-carrier contract: the
 // returned view parents every replica attempt span under ctx.
 func (g *Group) WithTrace(ctx telemetry.SpanContext) core.OwnerAPI {
@@ -79,6 +82,9 @@ func (t *tracedGroup) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, er
 }
 func (t *tracedGroup) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	return t.g.answerRTK(t.ctx, q)
+}
+func (t *tracedGroup) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	return t.g.answerRTKBatch(t.ctx, qs)
 }
 
 // sample serializes the facade's noise draws (the mechanism's random
@@ -231,106 +237,86 @@ func (g *Group) answerTF(ctx telemetry.SpanContext, docID int, q *core.TFQuery) 
 }
 
 func (g *Group) answerRTK(ctx telemetry.SpanContext, q *core.TFQuery) (*core.RTKResponse, error) {
-	z, w := g.params.Z, g.params.W
-	if q == nil || len(q.Cols) != z {
-		n := 0
-		if q != nil {
-			n = len(q.Cols)
-		}
-		return nil, fmt.Errorf("%w: query has %d columns, want %d", core.ErrBadQuery, n, z)
+	var out [1]*core.RTKResponse
+	err := g.answerRTKs(ctx, []*core.TFQuery{q}, out[:])
+	return out[0], err
+}
+
+func (g *Group) answerRTKBatch(ctx telemetry.SpanContext, qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	out := make([]*core.RTKResponse, len(qs))
+	if err := g.answerRTKs(ctx, qs, out); err != nil {
+		return nil, err
 	}
-	for _, c := range q.Cols {
-		if c >= uint32(w) {
-			return nil, fmt.Errorf("%w: column %d out of range", core.ErrBadQuery, c)
-		}
+	return out, nil
+}
+
+func (g *Group) answerRTKs(ctx telemetry.SpanContext, qs []*core.TFQuery, out []*core.RTKResponse) error {
+	if err := core.CheckRTKBatch(qs, g.params.Z, g.params.W); err != nil {
+		return err
 	}
 
-	// Scatter: every shard answers raw into its fixed slot, concurrently.
-	// Slots keep the merge order independent of completion order — the
-	// same slot-merge discipline as the federated search fan-out.
-	raw := make([]*core.RTKResponse, len(g.shards))
-	if g.cache == nil {
-		// The raw answers are made for this call, and the merge copies
-		// what it keeps. With the cache on they are the cache's, and every
-		// later hit's, from the moment they are stored: those never end.
-		defer func() {
-			for _, r := range raw {
-				r.Release()
-			}
-		}()
-	}
-	errs := make([]error, len(g.shards))
-	gens := g.Generations()
-	if len(g.shards) == 1 {
-		raw[0], errs[0] = g.shardRTK(ctx, 0, gens[0], q)
+	// Scatter: every shard answers all the queries raw, on one replica,
+	// into its fixed run of slots, concurrently. Slots keep the merge
+	// order independent of completion order — the same slot-merge
+	// discipline as the federated search fan-out.
+	k, n := len(qs), len(g.shards)
+	raw := make([]*core.RTKResponse, n*k) // shard si's answer to qs[i] at si*k+i
+	errs := make([]error, n)
+	if n == 1 {
+		errs[0] = g.shardRTK(ctx, 0, qs, raw)
 	} else {
 		var wg sync.WaitGroup
 		for si := range g.shards {
 			wg.Add(1)
 			go func(si int) {
 				defer wg.Done()
-				raw[si], errs[si] = g.shardRTK(ctx, si, gens[si], q)
+				errs[si] = g.shardRTK(ctx, si, qs, raw[si*k:(si+1)*k])
 			}(si)
 		}
 		wg.Wait()
 	}
+	// The raw answers are made for this call, and a merge copies what it
+	// keeps: each is released once its merge is done, or here if a shard
+	// failed and there is none.
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			for _, r := range raw {
+				r.Release()
+			}
+			return err
 		}
 	}
 
-	// Gather: merge each row's shard cells under the sketch's strict
-	// total eviction order, then release with one facade noise draw.
-	return core.MergeRTKResponses(raw, g.params.HeapCap(), g.absKeys, g.sample()), nil
+	// Gather: per query, merge each row's shard cells under the sketch's
+	// strict total eviction order, then release with one facade noise
+	// draw — in query order, the draws a single owner makes.
+	cells := make([]*core.RTKResponse, n)
+	for i := range qs {
+		for si := range cells {
+			cells[si] = raw[si*k+i]
+		}
+		out[i] = core.MergeRTKResponses(cells, g.params.HeapCap(), g.absKeys, g.sample())
+		for _, r := range cells {
+			r.Release()
+		}
+	}
+	return nil
 }
 
-// shardRTK answers one shard's slice of the scatter, through the
-// shard-local raw answer cache when enabled. Cache keys bind the
-// owning shard's generation, so an ingest or removal invalidates
-// exactly that shard's entries. Cached values are raw (pre-noise) and
-// never leave the facade unperturbed; a cached reply is shared by every
-// later hit, so no one may Release it.
-func (g *Group) shardRTK(ctx telemetry.SpanContext, si int, gen uint64, q *core.TFQuery) (*core.RTKResponse, error) {
-	var full, base qcache.Key
-	if g.cache != nil {
-		full, base = g.rtkKeys(si, gen, q)
-		if v, ok := g.cache.Get(full, base); ok {
-			resp := v.(*core.RTKResponse)
-			g.recordTransport(APIRTK, si, q.WireSize()+resp.WireSize())
-			return resp, nil
-		}
-	}
-	var resp *core.RTKResponse
+// shardRTK puts shard si's raw (pre-noise) answers to qs into out: one
+// exchange with one replica. The answers never leave the facade
+// unperturbed.
+func (g *Group) shardRTK(ctx telemetry.SpanContext, si int, qs []*core.TFQuery, out []*core.RTKResponse) error {
 	err := g.callShard(ctx, si, APIRTK, func(o *core.Owner) error {
-		var err error
-		resp, err = o.AnswerRTK(q)
-		return err
+		return core.AnswerRTKs(o, qs, out)
 	})
 	if err != nil {
-		return nil, err
+		return err
 	}
-	g.recordTransport(APIRTK, si, q.WireSize()+resp.WireSize())
-	if g.cache != nil {
-		g.cache.Put(full, base, resp.WireSize()+rtkCacheOverhead, resp)
+	var bytes int64
+	for i, q := range qs {
+		bytes += q.WireSize() + out[i].WireSize()
 	}
-	return resp, nil
-}
-
-// rtkCacheOverhead approximates the per-entry bookkeeping beyond the
-// wire payload when charging the cache.
-const rtkCacheOverhead = 256
-
-// rtkKeys derives the (full, base) cache keys of one shard's raw RTK
-// answer: the full key binds the shard's generation, the base key is
-// generation-free (the cache uses it for age tracking).
-func (g *Group) rtkKeys(si int, gen uint64, q *core.TFQuery) (full, base qcache.Key) {
-	fb := g.keyer.Begin(keyKindShardRTK).Int(si).Int(len(q.Cols))
-	bb := g.keyer.Begin(keyKindShardRTK).Int(si).Int(len(q.Cols))
-	for _, c := range q.Cols {
-		fb.U64(uint64(c))
-		bb.U64(uint64(c))
-	}
-	fb.U64(gen)
-	return fb.Key(), bb.Key()
+	g.recordTransport(APIRTK, si, bytes)
+	return nil
 }

@@ -34,7 +34,6 @@ import (
 
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
-	"csfltr/internal/qcache"
 	"csfltr/internal/resilience"
 	"csfltr/internal/telemetry"
 )
@@ -55,10 +54,6 @@ var (
 // of sequential corpora is preserved while load still spreads.
 const DefaultBlockSize = 64
 
-// DefaultCacheBytes is the per-group capacity of the shard-local raw
-// answer cache (see Config.CacheBytes).
-const DefaultCacheBytes = 4 << 20
-
 // Config configures a sharded owner group.
 type Config struct {
 	// Params are the shared protocol parameters. Shards and Replicas are
@@ -73,14 +68,6 @@ type Config struct {
 	DropDocTables bool
 	// BlockSize is the doc-range striping block (0 = DefaultBlockSize).
 	BlockSize int
-	// CacheBytes bounds the shard-local cache of raw (pre-noise) RTK
-	// answers, keyed by the owning shard's ingest generation so an
-	// ingest or removal invalidates only that shard's entries. The cache
-	// lives entirely inside the party trust boundary — cached values are
-	// raw and the facade draws fresh noise per release, so replay is
-	// invisible to the DP accountant. 0 means DefaultCacheBytes; < 0
-	// disables caching.
-	CacheBytes int64
 	// Policy is the per-replica breaker/backoff policy (nil = defaults).
 	Policy *resilience.Policy
 }
@@ -135,9 +122,6 @@ type Group struct {
 	mu  sync.Mutex // guards ids and write paths
 	ids map[int]struct{}
 
-	cache *qcache.Cache // nil when disabled
-	keyer *qcache.Keyer
-
 	hooks atomic.Pointer[Hooks]
 }
 
@@ -186,14 +170,6 @@ func New(cfg Config) (*Group, error) {
 		absKeys:   cfg.Params.AbsEvictionKeys(),
 		mech:      mech,
 		ids:       make(map[int]struct{}),
-	}
-	cacheBytes := cfg.CacheBytes
-	if cacheBytes == 0 {
-		cacheBytes = DefaultCacheBytes
-	}
-	if cacheBytes > 0 {
-		g.cache = qcache.New(cacheBytes)
-		g.keyer = qcache.NewKeyer(cfg.Seed)
 	}
 	for si := 0; si < nShards; si++ {
 		s := &shardState{}
@@ -303,15 +279,6 @@ func (g *Group) Generation() uint64 {
 		sum += s.generation()
 	}
 	return sum
-}
-
-// CacheStats returns the shard-local answer cache's counters (zero
-// stats when the cache is disabled).
-func (g *Group) CacheStats() qcache.Stats {
-	if g.cache == nil {
-		return qcache.Stats{}
-	}
-	return g.cache.Stats()
 }
 
 // AddDocument ingests one document into every replica of its owning

@@ -175,9 +175,7 @@ func TestReplicaFailover(t *testing.T) {
 	p := testParams()
 	p.Shards = 2
 	p.Replicas = 2
-	// Cache disabled: a cached raw answer would keep serving after every
-	// replica dies, hiding the failover path this test exists to probe.
-	g, err := New(Config{Params: p, Seed: testSeed, BlockSize: 4, CacheBytes: -1})
+	g, err := New(Config{Params: p, Seed: testSeed, BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,8 +219,7 @@ func TestBreakerOpensOnDeadReplica(t *testing.T) {
 	p.Replicas = 2
 	pol := resilience.DefaultPolicy()
 	pol.FailureThreshold = 3
-	// Cache disabled so every query actually reaches a replica.
-	g, err := New(Config{Params: p, Seed: testSeed, BlockSize: 4, Policy: &pol, CacheBytes: -1})
+	g, err := New(Config{Params: p, Seed: testSeed, BlockSize: 4, Policy: &pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,25 +254,13 @@ func TestBreakerOpensOnDeadReplica(t *testing.T) {
 }
 
 // TestCacheInvalidationShardLocal is the RemoveDocument satellite: a
-// removal bumps only the owning shard's generation, so repeated
-// identical queries re-fetch exactly one shard and replay the rest from
-// cache — no cross-shard stampede.
+// removal bumps only the owning shard's generation, so a cache keyed by
+// the generation vector (the federation's answer cache, see
+// Party.generations) loses only what that shard contributed to — no
+// cross-shard stampede.
 func TestCacheInvalidationShardLocal(t *testing.T) {
 	docs := testDocs(120, 23)
 	g := newGroup(t, 4, 1, docs)
-	p := testParams()
-	q := queryCols(p, 3)
-
-	if _, err := g.AnswerRTK(q); err != nil { // cold: 4 misses, 4 stores
-		t.Fatal(err)
-	}
-	if _, err := g.AnswerRTK(q); err != nil { // warm: 4 hits
-		t.Fatal(err)
-	}
-	st := g.CacheStats()
-	if st.Misses != 4 || st.Hits != 4 {
-		t.Fatalf("warmup stats: hits=%d misses=%d, want 4/4", st.Hits, st.Misses)
-	}
 
 	victim := docs[0].DocID
 	vs := g.ShardFor(victim)
@@ -292,16 +277,6 @@ func TestCacheInvalidationShardLocal(t *testing.T) {
 		if si != vs && moved {
 			t.Fatalf("shard %d generation moved on a foreign removal", si)
 		}
-	}
-
-	if _, err := g.AnswerRTK(q); err != nil {
-		t.Fatal(err)
-	}
-	st = g.CacheStats()
-	// Third pass: the three untouched shards replay from cache, only the
-	// owning shard misses and re-answers.
-	if st.Hits != 7 || st.Misses != 5 {
-		t.Fatalf("post-removal stats: hits=%d misses=%d, want 7/5 (shard-local invalidation)", st.Hits, st.Misses)
 	}
 
 	// And the removal is live: the victim no longer appears anywhere.
@@ -681,19 +656,17 @@ func TestShardForStability(t *testing.T) {
 	}
 }
 
-// TestRetentionCachedRepliesOutliveEveryRelease: a group whose cache is
-// on keeps its shards' raw answers and hands one reply to every later
-// hit, so nothing may ever release them; a group whose cache is off
-// made them for one call and returns them. Both run here side by side
-// under the load that would expose a confusion of the two — 2 000
-// queries over 8 goroutines, every merged answer released at once so
-// memory changes hands constantly, beside a writer that ingests and
-// removes in both groups. Between bursts, with the writer quiet, both
-// groups must answer what a single owner built from the live documents
-// answers (TestChurnMatchesSingleOwner's rule), and at the end every raw
-// reply the cache ever held must encode to the bytes it encoded to when
-// it was first seen there.
-func TestRetentionCachedRepliesOutliveEveryRelease(t *testing.T) {
+// TestRetentionShardedMatchesSingleOwnerUnderWrites: a group makes its
+// shards' raw answers for one call and returns their memory once merged,
+// so a reply a caller still holds must never be made of memory a later
+// call was handed. It runs under the load that would expose one — 2 000
+// queries over 8 goroutines, alone and in batches of three, every
+// merged answer released at once so memory changes hands constantly,
+// beside a writer that ingests and removes. Between bursts, with the
+// writer quiet, the group must answer what a single owner built from
+// the live documents answers (TestChurnMatchesSingleOwner's rule), one
+// query at a time and batched.
+func TestRetentionShardedMatchesSingleOwnerUnderWrites(t *testing.T) {
 	p := testParams()
 	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
 	all := testDocs(48, 43)
@@ -703,49 +676,16 @@ func TestRetentionCachedRepliesOutliveEveryRelease(t *testing.T) {
 	base, spare := all[:40], all[40:]
 	sp := p
 	sp.Shards, sp.Replicas = 4, 2
-	groups := make(map[string]*Group)
-	for name, cacheBytes := range map[string]int64{"cache on": 0, "cache off": -1} {
-		g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: 10, CacheBytes: cacheBytes})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := g.AddDocuments(base, 1); err != nil {
-			t.Fatal(err)
-		}
-		groups[name] = g
+	g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: 10})
+	if err != nil {
+		t.Fatal(err)
 	}
-	cached := groups["cache on"]
-	if cached.cache == nil || groups["cache off"].cache != nil {
-		t.Fatal("setup: the groups' caches are not one on, one off")
+	if err := g.AddDocuments(base, 1); err != nil {
+		t.Fatal(err)
 	}
 	live := make(map[int]core.DocCounts)
 	for _, d := range base {
 		live[d.DocID] = d
-	}
-
-	// seen holds every raw reply found in the cache right after the query
-	// that stored or hit it, with the payload it encoded to then. (By
-	// reply, not by key: two queries racing a write may store different
-	// answers under one key, and both are then retained.)
-	var seenMu sync.Mutex
-	seen := make(map[*core.RTKResponse][]byte)
-	note := func(q *core.TFQuery, gens []uint64) {
-		for si := range cached.shards {
-			v, ok := cached.cache.Get(cached.rtkKeys(si, gens[si], q))
-			if !ok {
-				continue // a write moved the shard on
-			}
-			raw := v.(*core.RTKResponse)
-			seenMu.Lock()
-			if _, dup := seen[raw]; !dup {
-				payload, ok := raw.AppendPayload(nil)
-				if !ok {
-					t.Error("a raw shard reply has no version 2 payload")
-				}
-				seen[raw] = payload
-			}
-			seenMu.Unlock()
-		}
 	}
 
 	const bursts, perBurst, workers = 10, 200, 8
@@ -756,33 +696,31 @@ func TestRetentionCachedRepliesOutliveEveryRelease(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for n := 0; n < perBurst/workers; n++ {
-					q := queryCols(p, (burst*perBurst+w*31+n)%23)
-					for _, g := range groups {
-						gens := g.Generations()
-						resp, err := g.AnswerRTK(q)
-						if err != nil {
-							t.Error(err)
-							return
-						}
+					salt := burst*perBurst + w*31 + n
+					qs := []*core.TFQuery{queryCols(p, salt%23), queryCols(p, (salt+7)%23), queryCols(p, (salt+11)%23)}
+					if n%2 == 0 {
+						qs = qs[:1]
+					}
+					resps, err := g.AnswerRTKBatch(qs)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					for _, resp := range resps {
 						resp.Release()
-						if g == cached {
-							note(q, gens)
-						}
 					}
 				}
 			}(w)
 		}
-		// The writer: a spare document comes and the previous one goes, in
-		// both groups, while the queries run.
+		// The writer: a spare document comes and the previous one goes
+		// while the queries run.
 		in, out := spare[burst%len(spare)], spare[(burst+len(spare)-1)%len(spare)]
-		for _, g := range groups {
-			if err := g.AddDocument(in.DocID, in.Counts); err != nil {
+		if err := g.AddDocument(in.DocID, in.Counts); err != nil {
+			t.Fatal(err)
+		}
+		if _, there := live[out.DocID]; there {
+			if err := g.RemoveDocument(out.DocID); err != nil {
 				t.Fatal(err)
-			}
-			if _, there := live[out.DocID]; there {
-				if err := g.RemoveDocument(out.DocID); err != nil {
-					t.Fatal(err)
-				}
 			}
 		}
 		live[in.DocID] = in
@@ -801,44 +739,38 @@ func TestRetentionCachedRepliesOutliveEveryRelease(t *testing.T) {
 			t.Fatal(err)
 		}
 		for salt := 0; salt < 23; salt++ {
-			q := queryCols(p, salt)
-			want, err := ref.AnswerRTK(q)
+			qs := []*core.TFQuery{queryCols(p, salt), queryCols(p, (salt+5)%23)}
+			want, err := ref.AnswerRTKBatch(qs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for name, g := range groups {
-				got, err := g.AnswerRTK(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("burst %d salt %d, %s: sharded answer differs from the single owner's:\n got %+v\nwant %+v", burst, salt, name, got, want)
-				}
-				got.Release()
+			one, err := g.AnswerRTK(qs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := g.AnswerRTKBatch(qs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(one, want[0]) || !reflect.DeepEqual(got, want) {
+				t.Fatalf("burst %d salt %d: sharded answers differ from the single owner's:\n one %+v\n got %+v\nwant %+v", burst, salt, one, got, want)
+			}
+			for _, r := range append(append(got, one), want...) {
+				r.Release()
 			}
 		}
-	}
-
-	for raw, then := range seen {
-		if now, _ := raw.AppendPayload(nil); !bytes.Equal(now, then) {
-			t.Fatalf("a cached raw reply changed while it was retained:\n then % x\n now  % x", then, now)
-		}
-	}
-	if st := cached.CacheStats(); len(seen) < 100 || st.Hits == 0 {
-		t.Fatalf("degenerate run: %d retained replies checked, cache stats %+v", len(seen), st)
 	}
 }
 
 // BenchmarkGroupAnswerRTK measures the facade's scatter-gather at the
 // benchmark geometry (z = 30, alpha*K = 250, 1 200 documents over
-// 4 shards x 1 replica) with the shard cache off, so every call pays
-// four raw answers and the merge; the caller releases the merged reply
-// as recovery does.
+// 4 shards x 1 replica): every call pays four raw answers and the
+// merge; the caller releases the merged reply as recovery does.
 func BenchmarkGroupAnswerRTK(b *testing.B) {
 	p := core.DefaultParams()
 	p.K, p.Epsilon = 50, 0
 	p.Shards, p.Replicas = 4, 1
-	g, err := New(Config{Params: p, Seed: testSeed, CacheBytes: -1})
+	g, err := New(Config{Params: p, Seed: testSeed})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -113,8 +113,22 @@ func valuesSize(vals []float64) int {
 // is far below CompressThreshold, so its frame is stored and is written
 // straight into dst; a longer one goes through Pack.
 func AppendTFQuery(dst []byte, q *core.TFQuery) []byte {
+	return appendTFQuery(dst, q, true)
+}
+
+// AppendTFQueries appends the request body of a reverse top-K batch:
+// the queries' frames back to back, for one query exactly AppendTFQuery.
+// Only the last frame may be compressed (see NextFrame).
+func AppendTFQueries(dst []byte, qs []*core.TFQuery) []byte {
+	for i, q := range qs {
+		dst = appendTFQuery(dst, q, i == len(qs)-1)
+	}
+	return dst
+}
+
+func appendTFQuery(dst []byte, q *core.TFQuery, last bool) []byte {
 	n := tfQueryLen(q)
-	if n >= CompressThreshold {
+	if n >= CompressThreshold && last {
 		return Pack(dst, appendTFQueryPayload(make([]byte, 0, n), q))
 	}
 	return appendTFQueryPayload(appendHeader(dst, Version, 0, n), q)
@@ -139,6 +153,28 @@ func tfQueryLen(q *core.TFQuery) int {
 
 // SizeTFQuery returns the framed (uncompressed) encoded size.
 func SizeTFQuery(q *core.TFQuery) int64 { return PackedSize(tfQueryLen(q)) }
+
+// DecodeTFQueries decodes the request body of a reverse top-K batch:
+// between one and limit column-query frames back to back, nothing after
+// the last.
+func DecodeTFQueries(data []byte, limit int) ([]*core.TFQuery, error) {
+	var qs []*core.TFQuery
+	for len(qs) == 0 || len(data) > 0 {
+		if len(qs) == limit {
+			return nil, fmt.Errorf("%w: more than %d frames", ErrMalformed, limit)
+		}
+		frame, rest, err := NextFrame(data)
+		if err != nil {
+			return nil, err
+		}
+		q, err := DecodeTFQuery(frame)
+		if err != nil {
+			return nil, err
+		}
+		qs, data = append(qs, q), rest
+	}
+	return qs, nil
+}
 
 // DecodeTFQuery decodes a framed column query.
 func DecodeTFQuery(data []byte) (*core.TFQuery, error) {
@@ -273,6 +309,21 @@ func decodeIDs(dst []int32, data []byte) ([]byte, error) {
 // above in a Version frame. Either payload is built once, in the pooled
 // packer's scratch.
 func AppendRTKResponse(dst []byte, r *core.RTKResponse) []byte {
+	return appendRTKResponse(dst, r, true)
+}
+
+// AppendRTKResponses appends the reply body of a reverse top-K batch:
+// the replies' frames back to back, in query order, for one reply
+// exactly AppendRTKResponse. Only the last frame may be compressed (see
+// NextFrame).
+func AppendRTKResponses(dst []byte, rs []*core.RTKResponse) []byte {
+	for i, r := range rs {
+		dst = appendRTKResponse(dst, r, i == len(rs)-1)
+	}
+	return dst
+}
+
+func appendRTKResponse(dst []byte, r *core.RTKResponse, last bool) []byte {
 	p := packers.Get().(*packer)
 	defer putPacker(p)
 	if payload, ok := r.AppendPayload(p.payload[:0]); ok {
@@ -280,6 +331,9 @@ func AppendRTKResponse(dst []byte, r *core.RTKResponse) []byte {
 		return appendStored(dst, VersionRTK, payload)
 	}
 	p.payload = appendRTKPayloadV1(p.payload[:0], r)
+	if !last {
+		return appendStored(dst, Version, p.payload)
+	}
 	return p.pack(dst, p.payload)
 }
 
@@ -337,6 +391,30 @@ func SizeTopK(docs []core.DocCount) int64 {
 		return PackedSize(n + ints)
 	}
 	return PackedSize(n + 8*len(docs))
+}
+
+// DecodeRTKResponses decodes the reply body of a reverse top-K batch
+// into out: exactly len(out) RTK reply frames back to back. Each reply
+// is the caller's as DecodeRTKResponse's is; on error none is left held.
+func DecodeRTKResponses(data []byte, out []*core.RTKResponse) error {
+	for i := range out {
+		frame, rest, err := NextFrame(data)
+		if err == nil {
+			out[i], err = DecodeRTKResponse(frame)
+		}
+		if err == nil && i == len(out)-1 && len(rest) != 0 {
+			err = fmt.Errorf("%w: bytes after the last of %d frames", ErrMalformed, len(out))
+		}
+		if err != nil {
+			for j := range out[:i+1] {
+				out[j].Release()
+				out[j] = nil
+			}
+			return err
+		}
+		data = rest
+	}
+	return nil
 }
 
 // DecodeRTKResponse decodes a framed RTK reply of either version. A

@@ -15,7 +15,10 @@ import (
 // decodes to the same value; a version 2 frame that decodes must
 // re-encode to itself, byte for byte, and be sized as what it is. A
 // decoded reply that is released must not change what the next decode
-// of the same bytes returns.
+// of the same bytes returns. The same bytes are also read as a batch
+// body — frames back to back — of queries and of one to three replies:
+// a body that decodes re-encodes to a body that decodes alike, and one
+// that does not is refused whole, with no reply left held.
 func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0})
@@ -42,6 +45,18 @@ func FuzzWireDecode(f *testing.F) {
 	for _, bad := range malformedV2() {
 		f.Add(bad.frame)
 	}
+	// Batch bodies: three frames, the last cut short, bytes after the last,
+	// and a compressed frame where only a stored one can be delimited.
+	q := &core.TFQuery{Cols: []uint32{1, 5, 199}}
+	queries := AppendTFQueries(nil, []*core.TFQuery{q, q, q})
+	f.Add(queries)
+	f.Add(queries[:len(queries)-2])
+	f.Add(append(bytes.Clone(queries), 7))
+	replies := AppendRTKResponses(nil, []*core.RTKResponse{small, geometryResponse(4), small})
+	f.Add(replies)
+	f.Add(replies[:len(replies)-2])
+	f.Add(append(bytes.Clone(replies), 7))
+	f.Add(append(bytes.Clone(compressed), stored...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := DecodeRTKResponse(data); err == nil {
@@ -65,6 +80,41 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		} else if !errors.Is(err, ErrMalformed) {
 			t.Fatalf("RTK decode failed with %v, want ErrMalformed", err)
+		}
+		if frame, rest, err := NextFrame(data); err == nil {
+			if len(frame) == 0 || len(frame)+len(rest) != len(data) || !bytes.Equal(frame, data[:len(frame)]) {
+				t.Fatalf("NextFrame cut % x into % x and % x", data, frame, rest)
+			}
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("NextFrame failed with %v, want ErrMalformed", err)
+		}
+		if qs, err := DecodeTFQueries(data, core.MaxRTKBatch); err == nil {
+			again, err := DecodeTFQueries(AppendTFQueries(nil, qs), len(qs))
+			if err != nil || len(again) != len(qs) || len(qs) == 0 || len(qs) > core.MaxRTKBatch {
+				t.Fatalf("a body of %d queries re-encodes to one of %d (%v)", len(qs), len(again), err)
+			}
+		} else if !errors.Is(err, ErrMalformed) || qs != nil {
+			t.Fatalf("query batch decode: %d queries and %v, want none and ErrMalformed", len(qs), err)
+		}
+		for k := 1; k <= 3; k++ {
+			out := make([]*core.RTKResponse, k)
+			if err := DecodeRTKResponses(data, out); err != nil {
+				if !errors.Is(err, ErrMalformed) || out[0] != nil || out[k-1] != nil {
+					t.Fatalf("reply batch of %d refused with %v, holding %v", k, err, out)
+				}
+				continue
+			}
+			again := make([]*core.RTKResponse, k)
+			if err := DecodeRTKResponses(AppendRTKResponses(nil, out), again); err != nil {
+				t.Fatalf("a body of %d replies does not survive its own encoding: %v", k, err)
+			}
+			for i := range out {
+				if !respEqual(out[i], again[i]) {
+					t.Fatalf("reply %d of %d diverged on re-encoding", i, k)
+				}
+				out[i].Release()
+				again[i].Release()
+			}
 		}
 		if q, err := DecodeTFQuery(data); err == nil {
 			if _, err := DecodeTFQuery(AppendTFQuery(nil, q)); err != nil {

@@ -177,6 +177,31 @@ func splitFrame(data []byte, version byte) (body []byte, rawLen int, compressed 
 	return body, int(raw), true, nil
 }
 
+// NextFrame splits the first frame off data, a body of one or more
+// frames back to back (the requests and replies of a reverse top-K
+// batch). A stored frame declares its length and ends there. A
+// compressed frame declares only the length it inflates to, so it runs
+// to the end of the body: encoders store every frame but the last (see
+// AppendTFQueries), and one that is not last fails to decode. The frame
+// itself is validated by whichever decoder it is handed to.
+func NextFrame(data []byte) (frame, rest []byte, err error) {
+	if len(data) < 2 {
+		return nil, nil, fmt.Errorf("%w: truncated frame", ErrMalformed)
+	}
+	raw, n := binary.Uvarint(data[2:])
+	if n <= 0 || raw > maxPayload {
+		return nil, nil, fmt.Errorf("%w: bad payload length", ErrMalformed)
+	}
+	if data[1]&flagCompressed != 0 {
+		return data, nil, nil
+	}
+	end := 2 + n + int(raw)
+	if end > len(data) {
+		return nil, nil, fmt.Errorf("%w: truncated frame", ErrMalformed)
+	}
+	return data[:end:end], data[end:], nil
+}
+
 // inflater is the reusable state of one inflate: the flate reader, the
 // byte reader it pulls from and scratch for decoders that do not keep
 // the payload. The reader is Reset before every frame, so a stream that
