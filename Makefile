@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo loc
 
 all: build test
 
@@ -168,6 +168,14 @@ vet-v2: analyze
 # cannot depend on execution order. Mirrored by the CI job.
 analyze-fixtures:
 	$(GO) test -shuffle=on -short -run 'TestFixtures|TestFixtureHarness|TestParseAllow|TestReasonless' ./internal/analysis/
+
+# The three size figures the simplicity PRs report: Go lines outside
+# tests and benchmark/, test Go lines (benchmark/ excluded likewise) and
+# tracked files. Informational: CI prints it, nothing gates on it.
+loc:
+	@echo "go lines outside tests and benchmark/: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "test go lines:                         $$(git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "tracked files:                         $$(git ls-files | wc -l)"
 
 clean:
 	$(GO) clean ./...

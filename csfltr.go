@@ -41,6 +41,7 @@
 //	partyA, _ := fed.Party("A")
 //	partyA.IngestDocument(doc)
 //	top, cost, _ := fed.ReverseTopK("B", "A", csfltr.FieldBody, term, 10, true)
+//	res, _ := fed.Search("B", []uint64{term}, 10) // every other party, merged
 package csfltr
 
 import (
@@ -83,9 +84,8 @@ const (
 // DocCount is one reverse top-K result entry.
 type DocCount = core.DocCount
 
-// SearchHit is one federated search result (see
-// Federation.FederatedSearch: a whole query ranked across every other
-// party's private documents).
+// SearchHit is one federated search result (see Federation.Search: a
+// whole query ranked across every other party's private documents).
 type SearchHit = federation.SearchHit
 
 // Cost records protocol communication and computation cost.

@@ -42,9 +42,9 @@ func Example() {
 	// btree count in doc 0: 2
 }
 
-// ExampleFederation_FederatedSearch ranks a whole query across every
-// other party's private documents.
-func ExampleFederation_FederatedSearch() {
+// ExampleFederation_Search ranks a whole query across every other
+// party's private documents.
+func ExampleFederation_Search() {
 	params := csfltr.DefaultParams()
 	params.Epsilon = 0
 	fed, err := csfltr.NewDeterministicFederation([]string{"hq", "eu", "apac"}, params, 42, 1)
@@ -59,11 +59,11 @@ func ExampleFederation_FederatedSearch() {
 
 	retention, _ := vocab.Lookup("retention")
 	policy, _ := vocab.Lookup("policy")
-	hits, _, err := fed.FederatedSearch("hq", []uint64{uint64(retention), uint64(policy)}, 2)
+	res, err := fed.Search("hq", []uint64{uint64(retention), uint64(policy)}, 2)
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, h := range hits {
+	for _, h := range res.Hits {
 		fmt.Printf("%s/doc%d score %.0f\n", h.Party, h.DocID, h.Score)
 	}
 	// Output:

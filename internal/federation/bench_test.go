@@ -154,7 +154,7 @@ func BenchmarkFederatedSearchCPU(b *testing.B) {
 	fed := benchFed(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := fed.FederatedSearch("A", []uint64{9999, 17, 23}, 20); err != nil {
+		if _, err := fed.Search("A", []uint64{9999, 17, 23}, 20); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func BenchmarkFederatedSearch(b *testing.B) {
 				b.ReportAllocs()
 				sent := exchangesSent(fed)
 				for i := 0; i < b.N; i++ {
-					if _, _, err := fed.FederatedSearch("Q", terms, 20); err != nil {
+					if _, err := fed.Search("Q", terms, 20); err != nil {
 						b.Fatal(err)
 					}
 				}

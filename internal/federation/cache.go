@@ -27,15 +27,12 @@ import (
 // which is folded into every full key, so corpus changes invalidate
 // cached answers without any explicit flush.
 
-// Cache key domains. Search and batch task entries are kept apart even
-// though they answer the same logical query: Search replays answers
-// released to the federation's long-lived querier while BatchReverseTopK
-// uses per-request seeded queriers, and mixing the two would break the
-// warm-search bit-identity guarantee.
+// Cache key domains, one per tier. The values are part of every key's
+// bytes and so decide shard placement and eviction order inside qcache:
+// never renumber them.
 const (
 	keyKindSearchTask uint64 = iota + 1
 	keyKindSearchQuery
-	keyKindBatchTask
 )
 
 // cachedTask is one cached (party, term) RTK answer: the recovered
@@ -155,16 +152,6 @@ func (f *Federation) queryKeys(from string, terms []uint64, k int) (full, base q
 		bb.String(p.Name)
 	}
 	return fb.Key(), bb.Key()
-}
-
-// batchKeys derives the keys of one batch reverse top-K answer.
-func (f *Federation) batchKeys(from string, req TopKRequest, gens []uint64) (full, base qcache.Key) {
-	begin := func() *qcache.Builder {
-		return f.keyer.Begin(keyKindBatchTask).
-			String(from).String(req.To).Int(int(req.Field)).
-			U64(req.Term).F64(f.Params.Epsilon).Int(req.K)
-	}
-	return foldGens(begin(), gens).Key(), begin().Key()
 }
 
 // staleBackfill tries to serve a lost party from recent cache entries:

@@ -405,38 +405,6 @@ func TestCacheHTTPRoute(t *testing.T) {
 	}
 }
 
-// TestBatchCacheReplays: repeated RTK batch requests to a local party
-// replay from the cache with zero additional spend.
-func TestBatchCacheReplays(t *testing.T) {
-	fed := cacheFed(t, cacheParams())
-	a, _ := fed.Party("A")
-	reqs := []TopKRequest{{To: "B", Field: FieldBody, Term: 10, K: 3}}
-	first, err := fed.BatchReverseTopK("A", reqs, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if first[0].Err != nil {
-		t.Fatal(first[0].Err)
-	}
-	spent := a.Accountant().Spent("B")
-	second, err := fed.BatchReverseTopK("A", reqs, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if second[0].Err != nil {
-		t.Fatal(second[0].Err)
-	}
-	if got := a.Accountant().Spent("B"); got != spent {
-		t.Fatalf("batch replay spent budget: %v -> %v", spent, got)
-	}
-	if !reflect.DeepEqual(first[0].Docs, second[0].Docs) {
-		t.Fatal("batch replay returned different docs")
-	}
-	if a.Accountant().Replays("B") == 0 {
-		t.Fatal("batch replay not recorded with the accountant")
-	}
-}
-
 // BenchmarkSearchColdCache measures the uncached fan-out under a
 // simulated WAN link — the baseline the warm path is compared against.
 func BenchmarkSearchColdCache(b *testing.B) {

@@ -346,84 +346,3 @@ func TestStrictModeStillFails(t *testing.T) {
 		t.Fatalf("strict search with a dead party returned %v, want an injected fault", err)
 	}
 }
-
-// TestBatchReverseTopKUnderChaos: batch queries to a tripped party are
-// refused up front with ErrBreakerOpen and spend no budget.
-func TestBatchReverseTopKUnderChaos(t *testing.T) {
-	fed := chaosFedUnderTest(t, chaosSearchParams(), 123)
-	reqs := []TopKRequest{
-		{To: "P0", Field: FieldBody, Term: 5, K: 3},
-		{To: "P0", Field: FieldBody, Term: 42, K: 3},
-		{To: "P0", Field: FieldBody, Term: 133, K: 3},
-		{To: "P2", Field: FieldBody, Term: 5, K: 3},
-	}
-	results, err := fed.BatchReverseTopK("Q", reqs, 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 3; i++ {
-		if results[i].Err == nil {
-			t.Fatalf("request %d to the dead party succeeded", i)
-		}
-	}
-	if results[3].Err != nil {
-		t.Fatalf("request to the live party failed: %v", results[3].Err)
-	}
-	// Three consecutive failures tripped P0's breaker.
-	if st := fed.BreakerState("P0"); st != resilience.Open {
-		t.Fatalf("P0 breaker %v after failed batch, want Open", st)
-	}
-	src, _ := fed.Party("Q")
-	spent := src.Accountant().Spent("P0")
-	again, err := fed.BatchReverseTopK("Q", reqs[:1], 1, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(again[0].Err, resilience.ErrBreakerOpen) {
-		t.Fatalf("tripped party's request err = %v, want ErrBreakerOpen", again[0].Err)
-	}
-	if got := src.Accountant().Spent("P0"); got != spent {
-		t.Fatalf("budget spent on a breaker-refused request: %v -> %v", spent, got)
-	}
-}
-
-// TestHTTPChaosTransport: the HTTP client transport applies per-party
-// profiles by parsing the gateway path, so remote federations get the
-// same chaos regime as in-process ones.
-func TestHTTPChaosTransport(t *testing.T) {
-	fed := searchFed(t)
-	ts := httptest.NewServer(HTTPHandler(fed.Server))
-	defer ts.Close()
-	in := chaos.New(7)
-	in.SetProfile("B", chaos.Profile{Down: true})
-	client := &http.Client{Transport: ChaosTransport(in, nil)}
-	a, _ := fed.Party("A")
-
-	dead := NewHTTPOwner(ts.URL, "B", FieldBody, client)
-	if _, _, err := core.RTKReverseTopK(a.Querier(), dead, 10, 3); !errors.Is(err, chaos.ErrInjected) {
-		t.Fatalf("query through a down HTTP link returned %v, want an injected fault", err)
-	}
-	alive := NewHTTPOwner(ts.URL, "C", FieldBody, client)
-	if _, _, err := core.RTKReverseTopK(a.Querier(), alive, 10, 3); err != nil {
-		t.Fatalf("query to an unprofiled party failed: %v", err)
-	}
-}
-
-// TestPartyFromPath pins the gateway-path parser the HTTP chaos
-// transport relies on.
-func TestPartyFromPath(t *testing.T) {
-	cases := map[string]string{
-		"/v1/parties/B/body/rtk":         "B",
-		"/v1/parties/silo-7/title/tf":    "silo-7",
-		"/v1/parties/X":                  "X",
-		"/v1/metrics":                    "",
-		"/v2/parties/B/body/rtk":         "",
-		"/v1/parties/":                   "",
-		"/v1/parties/B/body/docs/0/meta": "B",
-	}
-	for path, want := range cases {
-		if got := partyFromPath(path); got != want {
-			t.Fatalf("partyFromPath(%q) = %q, want %q", path, got, want)
-		}
-	}
-}

@@ -50,7 +50,7 @@ func ledgerOf(t *testing.T, fed *Federation, from string) string {
 type singleExchanges struct {
 	t        *testing.T
 	fed      *Federation
-	answered map[string]rtkOut
+	answered map[string]cachedTask
 }
 
 func (s *singleExchanges) search(from string, terms []uint64, k int) ([]SearchHit, core.Cost) {
@@ -137,7 +137,7 @@ func TestSearchEqualsSingleExchanges(t *testing.T) {
 			p.CacheBytes = 0 // the replay keeps its own record of what was answered
 			singles := &singleExchanges{t: t, fed: shardTestFedParams(t, p)}
 			if tc.cacheBytes > 0 {
-				singles.answered = make(map[string]rtkOut)
+				singles.answered = make(map[string]cachedTask)
 			}
 			for _, terms := range [][]uint64{{3, 7, 12}, {7, 20}, {1, 4, 9, 5}} {
 				before := exchangesSent(batched)

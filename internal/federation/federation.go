@@ -269,8 +269,15 @@ func (s *Server) Chaos() *chaos.Injector { return s.chaosInj.Load() }
 // relayed message.
 func (s *Server) SetWireCodec(on bool) { s.wireCodec.Store(on) }
 
-// WireCodecEnabled reports whether wire-codec accounting is active.
-func (s *Server) WireCodecEnabled() bool { return s.wireCodec.Load() }
+// codecLabel is the MetricTransportBytes codec label the server is
+// currently accounting under — the one reading of the SetWireCodec
+// switch.
+func (s *Server) codecLabel() string {
+	if s.wireCodec.Load() {
+		return codecWire
+	}
+	return codecRaw
+}
 
 // TransportBytes sums the MetricTransportBytes series recorded under
 // codec ("raw" or "wire"), optionally filtered by api ("" sums every
@@ -302,8 +309,8 @@ func (s *Server) ensureChaos() *chaos.Injector {
 // exchange). Cross-silo federations are WAN-separated with
 // heterogeneous links, so query latency is round-trip dominated; the
 // delay makes in-process benchmarks and experiments reproduce that
-// regime — in particular it is what the concurrent FederatedSearch
-// fan-out overlaps. Zero removes the delay. The party's other fault
+// regime — in particular it is what the concurrent Search fan-out
+// overlaps. Zero removes the delay. The party's other fault
 // knobs are preserved.
 func (s *Server) SetPartyLink(party string, rtt time.Duration) {
 	in := s.ensureChaos()
@@ -364,28 +371,27 @@ func (s *Server) OwnerFor(name string, field Field) (core.OwnerAPI, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &routedOwner{m: s.metrics(), srv: s, party: name, api: api, transport: p.transport()}, nil
+	return &routedOwner{m: s.metrics(), srv: s, party: name, api: api}, nil
 }
 
-// routedOwner proxies OwnerAPI calls through the server, recording
-// per-party traffic and per-API-call latency. Both transports (HTTP and
-// in-process) resolve owners through Server.OwnerFor, so this is the
-// single place bytes are counted.
+// routedOwner proxies OwnerAPI calls through the server: it is the relay,
+// the one place a message to a party is accounted (traffic, transport
+// bytes, per-call latency), put through the party's simulated link
+// (Server.intercept) and — when bound to a trace by WithTrace — recorded
+// as a span. Both transports (HTTP and in-process) resolve owners through
+// Server.OwnerFor, so nothing reaches a party around it.
 type routedOwner struct {
-	m         *serverMetrics
-	srv       *Server
-	party     string
-	api       core.OwnerAPI
-	transport string
-}
-
-// codecLabel is the MetricTransportBytes codec label the server is
-// currently accounting under.
-func (r *routedOwner) codecLabel() string {
-	if r.srv.wireCodec.Load() {
-		return codecWire
-	}
-	return codecRaw
+	m     *serverMetrics
+	srv   *Server
+	party string
+	api   core.OwnerAPI
+	// ctx, when set, parents every call's span; nil is the untraced
+	// relay, which times calls with a value span and allocates nothing for
+	// tracing. A pointer, and no field for what only a traced call needs
+	// (the transport label), because Server.OwnerFor allocates one relay
+	// per resolution — ~110 per augment_train op — and 64 bytes is its
+	// size class.
+	ctx *telemetry.SpanContext
 }
 
 // sizeTFQueryAs / sizeTFRespAs / sizeRTKRespAs charge a message with the
@@ -414,211 +420,150 @@ func sizeRTKRespAs(codec string, resp *core.RTKResponse) int64 {
 	return resp.WireSize()
 }
 
-// WithTrace implements traceCarrier: the returned owner parents each API
+// WithTrace implements traceCarrier: the returned copy parents each API
 // call's span under ctx, tags it with party/transport/fault attributes,
 // and forwards the per-call span context over trace-carrying transports.
-// The untraced methods below stay allocation-identical to pre-tracing
-// behaviour.
 func (r *routedOwner) WithTrace(ctx telemetry.SpanContext) core.OwnerAPI {
 	if !ctx.Valid() {
 		return r
 	}
-	return &tracedOwner{r: r, ctx: ctx}
+	cp, parent := *r, ctx // parent, not the parameter, is what escapes: the return above stays allocation-free
+	cp.ctx = &parent
+	return &cp
 }
 
-// tracedOwner decorates routedOwner with a parent span context.
-type tracedOwner struct {
-	r   *routedOwner
-	ctx telemetry.SpanContext
+// relaySpan times one relayed call. Exactly one half is live: the value
+// span on the untraced path, the trace span under a valid parent.
+type relaySpan struct {
+	plain  telemetry.Span
+	traced *telemetry.TraceSpan
 }
 
-// apiSpan starts the per-call child span with the standard attributes.
-func (t *tracedOwner) apiSpan(api string) *telemetry.TraceSpan {
-	return t.r.m.reg.StartChildSpan("server.api."+api, t.ctx, t.r.m.api[api],
-		telemetry.AStr("party", t.r.party), telemetry.AStr("transport", t.r.transport))
+// end stops whichever half is live; the other is a no-op.
+func (s relaySpan) end() {
+	s.plain.End()
+	s.traced.End()
 }
 
-// wireAPI forwards the call-level span context to the transport client
-// when it can carry one (the HTTP X-Trace-* headers).
-func (t *tracedOwner) wireAPI(ctx telemetry.SpanContext) core.OwnerAPI {
-	if tc, ok := t.r.api.(traceCarrier); ok {
-		return tc.WithTrace(ctx)
+// begin starts one relayed call: its span, and the owner to forward to —
+// bound to the call's span context when the relay is traced and the
+// transport can carry one (the HTTP X-Trace-* headers).
+func (r *routedOwner) begin(api string) (relaySpan, core.OwnerAPI) {
+	if r.ctx == nil {
+		return relaySpan{plain: r.m.apiSpan(api)}, r.api
 	}
-	return t.r.api
+	sp := r.m.reg.StartChildSpan("server.api."+api, *r.ctx, r.m.api[api],
+		telemetry.AStr("party", r.party), telemetry.AStr("transport", r.srv.transportFor(r.party)))
+	if tc, ok := r.api.(traceCarrier); ok {
+		return relaySpan{traced: sp}, tc.WithTrace(sp.Context())
+	}
+	return relaySpan{traced: sp}, r.api
 }
 
 // markFault tags the span with the injected-fault kind (or nothing for
-// ordinary errors, which the caller's span records itself).
+// ordinary errors, which the caller's span records itself). A nil span —
+// the untraced relay's — is left alone.
 func markFault(sp *telemetry.TraceSpan, err error) {
-	if kind := chaos.FaultKind(err); kind != "" {
+	if kind := chaos.FaultKind(err); sp != nil && kind != "" {
 		sp.AddAttr(telemetry.AStr("fault", kind))
 	}
 }
 
-func (t *tracedOwner) DocIDs() []int {
-	sp := t.apiSpan(apiDocIDs)
-	defer sp.End()
-	r := t.r
-	if err := r.srv.intercept(r.party, apiDocIDs, 0); err != nil {
-		markFault(sp, err)
-		return nil
-	}
-	ids := t.wireAPI(sp.Context()).DocIDs()
-	r.m.record(r.party, opQuery, int64(8*len(ids)))
-	r.m.recordTransport(r.party, apiDocIDs, r.codecLabel(), int64(8*len(ids)))
-	return ids
-}
-
-func (t *tracedOwner) DocMeta(docID int) (int, int, error) {
-	sp := t.apiSpan(apiDocMeta)
-	defer sp.End()
-	r := t.r
-	if err := r.srv.intercept(r.party, apiDocMeta, uint64(docID)); err != nil {
-		markFault(sp, err)
-		return 0, 0, err
-	}
-	length, unique, err := t.wireAPI(sp.Context()).DocMeta(docID)
-	r.m.record(r.party, opQuery, 16)
-	r.m.recordTransport(r.party, apiDocMeta, r.codecLabel(), 16)
-	return length, unique, err
-}
-
-func (t *tracedOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
-	sp := t.apiSpan(apiTF)
-	defer sp.End()
-	r := t.r
-	codec := r.codecLabel()
-	r.m.record(r.party, opQuery, q.WireSize())
-	r.m.recordTransport(r.party, apiTF, codec, sizeTFQueryAs(codec, q))
-	if err := r.srv.intercept(r.party, apiTF, chaosContent(uint64(docID)+1, q.Cols)); err != nil {
-		markFault(sp, err)
-		return nil, err
-	}
-	resp, err := t.wireAPI(sp.Context()).AnswerTF(docID, q)
-	if err != nil {
-		return nil, err
-	}
-	r.m.record(r.party, opQuery, resp.WireSize())
-	r.m.recordTransport(r.party, apiTF, codec, sizeTFRespAs(codec, resp))
-	sp.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
-	return resp, nil
-}
-
-func (t *tracedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
-	sp := t.apiSpan(apiRTK)
-	defer sp.End()
-	codec := t.r.codecLabel()
-	if err := t.r.rtkSent(codec, q); err != nil {
-		markFault(sp, err)
-		return nil, err
-	}
-	resp, err := t.wireAPI(sp.Context()).AnswerRTK(q)
-	if err != nil {
-		return nil, err
-	}
-	t.r.rtkReceived(codec, resp)
-	sp.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
-	return resp, nil
-}
-
-func (t *tracedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
-	sp := t.apiSpan(apiRTK)
-	defer sp.End()
-	codec := t.r.codecLabel()
-	if err := t.r.rtkSent(codec, qs...); err != nil {
-		markFault(sp, err)
-		return nil, err
-	}
-	resps, err := t.wireAPI(sp.Context()).AnswerRTKBatch(qs)
-	if err != nil {
-		return nil, err
-	}
-	var bytes int64
-	for _, q := range qs {
-		bytes += q.WireSize()
-	}
-	for _, resp := range resps {
-		t.r.rtkReceived(codec, resp)
-		bytes += resp.WireSize()
-	}
-	sp.AddAttr(telemetry.AInt("queries", int64(len(qs))), telemetry.AInt("bytes", bytes))
-	return resps, nil
-}
-
 func (r *routedOwner) DocIDs() []int {
-	sp := r.m.apiSpan(apiDocIDs)
+	sp, api := r.begin(apiDocIDs)
 	if err := r.srv.intercept(r.party, apiDocIDs, 0); err != nil {
-		sp.End()
+		markFault(sp.traced, err)
+		sp.end()
 		return nil
 	}
-	ids := r.api.DocIDs()
-	sp.End()
+	ids := api.DocIDs()
+	sp.end()
 	r.m.record(r.party, opQuery, int64(8*len(ids)))
-	r.m.recordTransport(r.party, apiDocIDs, r.codecLabel(), int64(8*len(ids)))
+	r.m.recordTransport(r.party, apiDocIDs, r.srv.codecLabel(), int64(8*len(ids)))
 	return ids
 }
 
 func (r *routedOwner) DocMeta(docID int) (int, int, error) {
-	sp := r.m.apiSpan(apiDocMeta)
+	sp, api := r.begin(apiDocMeta)
 	if err := r.srv.intercept(r.party, apiDocMeta, uint64(docID)); err != nil {
-		sp.End()
+		markFault(sp.traced, err)
+		sp.end()
 		return 0, 0, err
 	}
-	length, unique, err := r.api.DocMeta(docID)
-	sp.End()
+	length, unique, err := api.DocMeta(docID)
+	sp.end()
 	r.m.record(r.party, opQuery, 16)
-	r.m.recordTransport(r.party, apiDocMeta, r.codecLabel(), 16)
+	r.m.recordTransport(r.party, apiDocMeta, r.srv.codecLabel(), 16)
 	return length, unique, err
 }
 
 func (r *routedOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
-	sp := r.m.apiSpan(apiTF)
-	defer sp.End()
-	codec := r.codecLabel()
+	sp, api := r.begin(apiTF)
+	defer sp.end()
+	codec := r.srv.codecLabel()
 	r.m.record(r.party, opQuery, q.WireSize())
 	r.m.recordTransport(r.party, apiTF, codec, sizeTFQueryAs(codec, q))
 	if err := r.srv.intercept(r.party, apiTF, chaosContent(uint64(docID)+1, q.Cols)); err != nil {
+		markFault(sp.traced, err)
 		return nil, err
 	}
-	resp, err := r.api.AnswerTF(docID, q)
+	resp, err := api.AnswerTF(docID, q)
 	if err != nil {
 		return nil, err
 	}
 	r.m.record(r.party, opQuery, resp.WireSize())
 	r.m.recordTransport(r.party, apiTF, codec, sizeTFRespAs(codec, resp))
+	if sp.traced != nil {
+		sp.traced.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
+	}
 	return resp, nil
 }
 
 func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
-	sp := r.m.apiSpan(apiRTK)
-	defer sp.End()
-	codec := r.codecLabel()
+	sp, api := r.begin(apiRTK)
+	defer sp.end()
+	codec := r.srv.codecLabel()
 	if err := r.rtkSent(codec, q); err != nil {
+		markFault(sp.traced, err)
 		return nil, err
 	}
-	resp, err := r.api.AnswerRTK(q)
+	resp, err := api.AnswerRTK(q)
 	if err != nil {
 		return nil, err
 	}
 	r.rtkReceived(codec, resp)
+	if sp.traced != nil {
+		sp.traced.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
+	}
 	return resp, nil
 }
 
 // AnswerRTKBatch relays the queries as one exchange. A single query is
 // relayed by AnswerRTK, which differs only in not passing a slice on.
 func (r *routedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
-	sp := r.m.apiSpan(apiRTK)
-	defer sp.End()
-	codec := r.codecLabel()
+	sp, api := r.begin(apiRTK)
+	defer sp.end()
+	codec := r.srv.codecLabel()
 	if err := r.rtkSent(codec, qs...); err != nil {
+		markFault(sp.traced, err)
 		return nil, err
 	}
-	resps, err := r.api.AnswerRTKBatch(qs)
+	resps, err := api.AnswerRTKBatch(qs)
 	if err != nil {
 		return nil, err
 	}
 	for _, resp := range resps {
 		r.rtkReceived(codec, resp)
+	}
+	if sp.traced != nil {
+		var bytes int64
+		for _, q := range qs {
+			bytes += q.WireSize()
+		}
+		for _, resp := range resps {
+			bytes += resp.WireSize()
+		}
+		sp.traced.AddAttr(telemetry.AInt("queries", int64(len(qs))), telemetry.AInt("bytes", bytes))
 	}
 	return resps, nil
 }
@@ -847,10 +792,6 @@ func (p *Party) Owner(f Field) *core.Owner { return p.owners[f] }
 // Group exposes the sharded owner facade for a field. Nil when the
 // party is unsharded — use Owner then.
 func (p *Party) Group(f Field) *shard.Group { return p.groups[f] }
-
-// Sharded reports whether the party's fields are backed by shard
-// groups.
-func (p *Party) Sharded() bool { return p.groups[FieldBody] != nil }
 
 // RemoveDocument deletes one document from both field backends. On a
 // sharded party only the owning shard's generation moves, so cached

@@ -14,8 +14,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"csfltr/internal/chaos"
 	"csfltr/internal/core"
+	"csfltr/internal/dp"
 	"csfltr/internal/telemetry"
 	"csfltr/internal/wire"
 )
@@ -454,18 +454,6 @@ func instrumentHTTP(s *Server, method, route string, h http.HandlerFunc) http.Ha
 	})
 }
 
-// traceOwner re-parents a resolved owner under the request's span
-// context when the request carried one.
-func traceOwner(owner core.OwnerAPI, ctx telemetry.SpanContext) core.OwnerAPI {
-	if !ctx.Valid() {
-		return owner
-	}
-	if tc, ok := owner.(traceCarrier); ok {
-		return tc.WithTrace(ctx)
-	}
-	return owner
-}
-
 // resolveOwner extracts {name}/{field} and resolves the routed owner —
 // re-parented under the request's propagated span context when present —
 // writing the error response itself on failure.
@@ -480,7 +468,10 @@ func resolveOwner(w http.ResponseWriter, r *http.Request, s *Server) (core.Owner
 		writeError(w, r, statusFor(err), err.Error())
 		return nil, false
 	}
-	return traceOwner(owner, HTTPTraceContext(r)), true
+	if tc, ok := owner.(traceCarrier); ok {
+		owner = tc.WithTrace(HTTPTraceContext(r)) // itself when the request is untraced
+	}
+	return owner, true
 }
 
 // parseField maps the path segment to a Field.
@@ -500,9 +491,13 @@ func statusFor(err error) int {
 	switch {
 	case errors.Is(err, ErrUnknownParty), errors.Is(err, core.ErrUnknownDoc):
 		return http.StatusNotFound
-	case errors.Is(err, core.ErrBadQuery), errors.Is(err, ErrUnknownField),
-		errors.Is(err, ErrSelfQuery):
+	case errors.Is(err, core.ErrBadQuery), errors.Is(err, core.ErrBadParams),
+		errors.Is(err, ErrUnknownField), errors.Is(err, ErrSelfQuery):
 		return http.StatusBadRequest
+	case errors.Is(err, dp.ErrBudgetExceeded):
+		// A privacy refusal, not a crash: permanent, so not a 5xx a client
+		// would retry.
+		return http.StatusForbidden
 	case errors.Is(err, core.ErrNoSketches):
 		return http.StatusConflict
 	case errors.Is(err, ErrQuorum):
@@ -808,70 +803,4 @@ func (s *Server) RegisterHTTPRemote(name, base string, client *http.Client) erro
 		client = http.DefaultClient
 	}
 	return s.register(name, &httpEndpoint{base: base, name: name, client: client})
-}
-
-// ChaosTransport wraps an http.RoundTripper with the fault injector, so
-// HTTP-transport federations can run under the same per-party chaos
-// profiles as the in-process relay: it extracts the target party from
-// the gateway path (/v1/parties/{name}/...), applies the party's
-// profile (latency sleep, injected fault) and only then forwards the
-// request. base nil means http.DefaultTransport. Install it on the
-// client used by NewHTTPOwner:
-//
-//	c := &http.Client{Transport: federation.ChaosTransport(in, nil)}
-//	owner := federation.NewHTTPOwner(url, "B", federation.FieldBody, c)
-func ChaosTransport(in *chaos.Injector, base http.RoundTripper) http.RoundTripper {
-	if base == nil {
-		base = http.DefaultTransport
-	}
-	return &chaosRoundTripper{in: in, base: base}
-}
-
-// chaosRoundTripper implements http.RoundTripper over an injector.
-type chaosRoundTripper struct {
-	in   *chaos.Injector
-	base http.RoundTripper
-}
-
-// RoundTrip implements http.RoundTripper.
-func (c *chaosRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
-	path := req.URL.Path
-	if party := partyFromPath(path); party != "" {
-		if err := c.in.Intercept(party, "http", chaosContent(uint64(len(path)), pathContent(path))); err != nil {
-			return nil, err
-		}
-	}
-	return c.base.RoundTrip(req)
-}
-
-// partyFromPath extracts {name} from a /v1/parties/{name}/... gateway
-// path ("" if the path has another shape).
-func partyFromPath(path string) string {
-	const prefix = "/v1/parties/"
-	if !strings.HasPrefix(path, prefix) {
-		return ""
-	}
-	rest := path[len(prefix):]
-	if i := strings.IndexByte(rest, '/'); i > 0 {
-		return rest[:i]
-	}
-	return rest
-}
-
-// pathContent folds a URL path into the column-vector shape
-// chaosContent consumes.
-func pathContent(path string) []uint32 {
-	out := make([]uint32, 0, (len(path)+3)/4)
-	var cur uint32
-	for i := 0; i < len(path); i++ {
-		cur = cur<<8 | uint32(path[i])
-		if i%4 == 3 {
-			out = append(out, cur)
-			cur = 0
-		}
-	}
-	if len(path)%4 != 0 {
-		out = append(out, cur)
-	}
-	return out
 }

@@ -2,6 +2,7 @@ package federation
 
 import (
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -10,6 +11,7 @@ import (
 	"testing"
 
 	"csfltr/internal/core"
+	"csfltr/internal/textkit"
 )
 
 // httpFed builds a federation and an httptest server fronting it.
@@ -321,4 +323,52 @@ func TestHTTPSocketBytesWithinAccounted(t *testing.T) {
 	}
 	t.Logf("rtk socket %d B (accounted %d), tf socket %d B (accounted %d), json rtk replies %d B over %d calls",
 		rtkSocket, coord.TransportBytes(CodecWire, apiRTK), tfSocket, coord.TransportBytes(CodecWire, apiTF), jsonBytes, calls)
+}
+
+// TestGatewayPermanentErrorsAreNot5xx: no error a retry cannot cure is
+// answered as a server fault, and a querier whose privacy budget is
+// exhausted gets a 403 with the error envelope, not a 500.
+func TestGatewayPermanentErrorsAreNot5xx(t *testing.T) {
+	for _, permanent := range permanentErrors {
+		if code := statusFor(fmt.Errorf("wrapped: %w", permanent)); code >= 500 {
+			t.Errorf("%v maps to %d, a status clients retry", permanent, code)
+		}
+	}
+	if code := statusFor(core.ErrBadParams); code != http.StatusBadRequest {
+		t.Errorf("ErrBadParams maps to %d, want 400", code)
+	}
+
+	p := testParams()
+	p.Epsilon = 0.5
+	fed, err := NewDeterministic([]string{"A", "B"}, p, 42, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tight, err := NewParty("A2", PartyConfig{Params: p, Seed: 42, RNGSeed: 1, Budget: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Server.Register(tight); err != nil {
+		t.Fatal(err)
+	}
+	fed.Parties = append(fed.Parties, tight)
+	b, _ := fed.Party("B")
+	mustIngest(t, b, 0, []textkit.TermID{1, 2})
+	ts := httptest.NewServer(HTTPHandler(fed.Server))
+	defer ts.Close()
+	// Two terms at epsilon 0.5 each overrun the 0.5 budget against B.
+	resp, err := http.Post(ts.URL+"/v1/search", "application/json",
+		strings.NewReader(`{"from":"A2","terms":[1,2],"k":3}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var env httpError
+	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusForbidden || env.Error == "" ||
+		env.RequestID == "" || env.RequestID != resp.Header.Get("X-Request-ID") {
+		t.Fatalf("budget-exhausted search: status %d, envelope %+v", resp.StatusCode, env)
+	}
 }

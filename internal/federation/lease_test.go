@@ -13,9 +13,11 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"csfltr/internal/core"
 	"csfltr/internal/resilience"
+	"csfltr/internal/telemetry"
 	"csfltr/internal/textkit"
 )
 
@@ -234,5 +236,24 @@ func TestSearchAllocBudget(t *testing.T) {
 	t.Logf("%.0f objects, %.1f kB per search", objects, kb)
 	if objects > 210 || kb > 100 {
 		t.Errorf("a 4 x 4 search allocates %.0f objects, %.1f kB; the budget is 210 and 100 kB", objects, kb)
+	}
+}
+
+// TestUntracedRelayAllocation: Server.OwnerFor allocates one relay per
+// resolution — one per CrossTF, ~110 per augment_train op — so a field
+// that pushes routedOwner past 64 bytes reads as +3 % alloc_kb_per_op,
+// and a party host binds every request's owner to the request's trace
+// context, so binding to none must allocate nothing.
+func TestUntracedRelayAllocation(t *testing.T) {
+	if n := unsafe.Sizeof(routedOwner{}); n > 64 {
+		t.Fatalf("routedOwner is %d bytes; the untraced relay's allocation budget is the 64-byte class", n)
+	}
+	owner, err := twoPartyFed(t, testParams()).Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc := owner.(traceCarrier) // through the interface, as resolveOwner calls it
+	if n := testing.AllocsPerRun(100, func() { tc.WithTrace(telemetry.SpanContext{}) }); n != 0 && !raceEnabled {
+		t.Fatalf("WithTrace of no trace allocates %v objects", n)
 	}
 }

@@ -57,9 +57,9 @@ const (
 	// quantization error bound of each released aggregate.
 	MetricSecAggQuantError = "csfltr_secagg_quantization_error"
 	// MetricFanoutInFlight / MetricFanoutQueueDepth instrument the bounded
-	// worker pool behind the parallel fan-out operations (federated search,
-	// batch reverse top-K): tasks currently executing and tasks still
-	// queued. Sampled gauges — scrape mid-search to see pool pressure.
+	// worker pool behind the federated search fan-out: tasks currently
+	// executing and tasks still queued. Sampled gauges — scrape mid-search
+	// to see pool pressure.
 	MetricFanoutInFlight   = "csfltr_fanout_in_flight_tasks"
 	MetricFanoutQueueDepth = "csfltr_fanout_queue_depth"
 	// MetricBreakerState is the per-party circuit breaker position,
@@ -129,7 +129,6 @@ const (
 	// Release-side apis: what the coordinator hands back to clients.
 	// These appear only in the MetricTransportBytes family.
 	apiSearch = "search"
-	apiBatch  = "batch"
 	// Training-side apis: round-robin model hops and secure-aggregation
 	// submissions/reveals. These also appear only in MetricTransportBytes.
 	apiTrain  = "train"

@@ -51,20 +51,22 @@ func TestFederatedSearchParallelMatchesSequential(t *testing.T) {
 	terms := []uint64{3, 17, 17, 99, 250}
 	base := parallelSearchFed(t)
 	base.Params.Parallelism = 1
-	wantHits, wantCost, err := base.FederatedSearch("Q", terms, 12)
+	want, err := base.Search("Q", terms, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHits, wantCost := want.Hits, want.Cost
 	if len(wantHits) == 0 {
 		t.Fatal("degenerate test: sequential search found nothing")
 	}
 	for _, workers := range []int{2, 4, 16, 0 /* GOMAXPROCS */} {
 		fed := parallelSearchFed(t)
 		fed.Params.Parallelism = workers
-		hits, cost, err := fed.FederatedSearch("Q", terms, 12)
+		res, err := fed.Search("Q", terms, 12)
 		if err != nil {
 			t.Fatal(err)
 		}
+		hits, cost := res.Hits, res.Cost
 		if cost != wantCost {
 			t.Fatalf("workers=%d: cost %+v, want %+v", workers, cost, wantCost)
 		}
@@ -101,7 +103,7 @@ func TestFederatedSearchBudgetAbortsBeforeDispatch(t *testing.T) {
 	b, _ := fed.Party("B")
 	mustIngest(t, b, 0, []textkit.TermID{1, 2})
 	before := fed.Server.Traffic()
-	if _, _, err := fed.FederatedSearch("Q", []uint64{1, 2}, 3); err == nil {
+	if _, err := fed.Search("Q", []uint64{1, 2}, 3); err == nil {
 		t.Fatal("budget overrun should abort the search")
 	}
 	if after := fed.Server.Traffic(); after != before {
@@ -168,14 +170,15 @@ func TestIngestAllParallelMatchesSequential(t *testing.T) {
 		t.Fatalf("docRefs: %d vs %d", len(seqParty.docRefs), len(parParty.docRefs))
 	}
 	terms := []uint64{5, 42, 133, 301}
-	wantHits, wantCost, err := seq.FederatedSearch("Q", terms, 15)
+	want, err := seq.Search("Q", terms, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotHits, gotCost, err := par.FederatedSearch("Q", terms, 15)
+	got, err := par.Search("Q", terms, 15)
 	if err != nil {
 		t.Fatal(err)
 	}
+	wantHits, wantCost, gotHits, gotCost := want.Hits, want.Cost, got.Hits, got.Cost
 	if len(wantHits) == 0 {
 		t.Fatal("degenerate test: no hits")
 	}

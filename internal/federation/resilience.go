@@ -71,22 +71,26 @@ func (f *Federation) BreakerState(party string) resilience.State {
 	return b.State()
 }
 
-// Retryable is the federation's default retry classifier: protocol
-// errors that can never succeed — malformed queries, unknown documents
-// or parties, exhausted privacy budget — are permanent; everything else
-// (injected faults, transport errors, deadline overruns) is worth
-// retrying.
+// permanentErrors are the protocol errors that can never succeed on a
+// retry: malformed queries, unknown documents or parties, exhausted
+// privacy budget. The gateway answers none of them with a 5xx (see
+// statusFor).
+var permanentErrors = []error{
+	core.ErrBadParams,
+	core.ErrBadQuery,
+	core.ErrUnknownDoc,
+	core.ErrNoSketches,
+	dp.ErrBudgetExceeded,
+	ErrUnknownParty,
+	ErrUnknownField,
+	ErrSelfQuery,
+}
+
+// Retryable is the federation's default retry classifier: the permanent
+// protocol errors are not; everything else (injected faults, transport
+// errors, deadline overruns) is worth retrying.
 func Retryable(err error) bool {
-	for _, permanent := range []error{
-		core.ErrBadParams,
-		core.ErrBadQuery,
-		core.ErrUnknownDoc,
-		core.ErrNoSketches,
-		dp.ErrBudgetExceeded,
-		ErrUnknownParty,
-		ErrUnknownField,
-		ErrSelfQuery,
-	} {
+	for _, permanent := range permanentErrors {
 		if errors.Is(err, permanent) {
 			return false
 		}

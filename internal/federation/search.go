@@ -4,8 +4,10 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -92,22 +94,6 @@ type searchExchange struct {
 type exchangeOut struct {
 	docs  [][]core.DocCount
 	costs []core.Cost
-}
-
-// FederatedSearch runs a whole query against every other party and
-// returns the merged top-k hits. It is the strict variant of Search:
-// any party failure fails the whole search (even under a MinParties
-// policy the quorum machinery runs, but the flat signature drops the
-// per-party report — callers that want degraded results should use
-// Search). Kept for compatibility with existing call sites.
-//
-//csfltr:releases
-func (f *Federation) FederatedSearch(from string, terms []uint64, k int) ([]SearchHit, core.Cost, error) {
-	res, err := f.Search(from, terms, k)
-	if err != nil {
-		return nil, core.Cost{}, err
-	}
-	return res.Hits, res.Cost, nil
 }
 
 // dedupeTerms drops repeated terms, preserving first-seen order.
@@ -220,10 +206,7 @@ func (f *Federation) SearchTraced(from string, terms []uint64, k int) (*SearchRe
 	d := root.End()
 	f.commitSearchAudit(run, from, k, start, d, res, err)
 	if err == nil && res != nil {
-		codec := codecRaw
-		if f.Server.WireCodecEnabled() {
-			codec = codecWire
-		}
+		codec := f.Server.codecLabel()
 		m.recordTransport(from, apiSearch, codec, sizeSearchRelease(codec, res))
 	}
 	return res, root.Context().TraceID, err
@@ -303,6 +286,44 @@ func allOK(res *SearchResult) bool {
 		}
 	}
 	return true
+}
+
+// runPool executes fn(0..n-1) on at most `workers` goroutines, returning
+// when every task has finished. Tasks are claimed from an atomic counter
+// in index order, so workers stay busy without a scheduler goroutine or
+// per-task channel traffic. The pool reports its pressure into the
+// metrics' fanout gauges (in-flight tasks and queue depth). It is the
+// worker pool of the search fan-out below.
+func runPool(workers, n int, m *serverMetrics, fn func(i int)) {
+	if n <= 0 {
+		return
+	}
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	m.poolQueue.Add(float64(n))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= n {
+					return
+				}
+				m.poolQueue.Dec()
+				m.poolInFlight.Inc()
+				fn(i)
+				m.poolInFlight.Dec()
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // searchUncached is the fan-out path of Search: everything except the

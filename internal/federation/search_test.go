@@ -32,10 +32,11 @@ func mustIngest(t *testing.T, p *Party, id int, body []textkit.TermID) {
 
 func TestFederatedSearch(t *testing.T) {
 	fed := searchFed(t)
-	hits, cost, err := fed.FederatedSearch("A", []uint64{10, 11}, 3)
+	res, err := fed.Search("A", []uint64{10, 11}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
+	hits, cost := res.Hits, res.Cost
 	if len(hits) == 0 {
 		t.Fatal("no hits")
 	}
@@ -64,20 +65,20 @@ func TestFederatedSearch(t *testing.T) {
 
 func TestFederatedSearchDuplicateTerms(t *testing.T) {
 	fed := searchFed(t)
-	once, _, err := fed.FederatedSearch("A", []uint64{10}, 5)
+	once, err := fed.Search("A", []uint64{10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fed2 := searchFed(t)
-	twice, _, err := fed2.FederatedSearch("A", []uint64{10, 10}, 5)
+	twice, err := fed2.Search("A", []uint64{10, 10}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(once) != len(twice) {
+	if len(once.Hits) != len(twice.Hits) {
 		t.Fatal("duplicate terms changed the hit set")
 	}
-	for i := range once {
-		if once[i] != twice[i] {
+	for i := range once.Hits {
+		if once.Hits[i] != twice.Hits[i] {
 			t.Fatal("duplicate terms double-scored")
 		}
 	}
@@ -85,26 +86,26 @@ func TestFederatedSearchDuplicateTerms(t *testing.T) {
 
 func TestFederatedSearchTruncation(t *testing.T) {
 	fed := searchFed(t)
-	hits, _, err := fed.FederatedSearch("A", []uint64{10, 11}, 1)
+	res, err := fed.Search("A", []uint64{10, 11}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) != 1 {
-		t.Fatalf("k=1 returned %d hits", len(hits))
+	if len(res.Hits) != 1 {
+		t.Fatalf("k=1 returned %d hits", len(res.Hits))
 	}
 	// k <= 0 defaults to params.K.
-	hits, _, err = fed.FederatedSearch("A", []uint64{10, 11}, 0)
+	res, err = fed.Search("A", []uint64{10, 11}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(hits) == 0 {
+	if len(res.Hits) == 0 {
 		t.Fatal("default k returned nothing")
 	}
 }
 
 func TestFederatedSearchUnknownParty(t *testing.T) {
 	fed := searchFed(t)
-	if _, _, err := fed.FederatedSearch("ZZZ", []uint64{1}, 3); !errors.Is(err, ErrUnknownParty) {
+	if _, err := fed.Search("ZZZ", []uint64{1}, 3); !errors.Is(err, ErrUnknownParty) {
 		t.Fatal("unknown querier should error")
 	}
 }
@@ -128,7 +129,7 @@ func TestFederatedSearchBudget(t *testing.T) {
 	b, _ := fed.Party("B")
 	mustIngest(t, b, 0, []textkit.TermID{1, 2})
 	// Two terms -> two queries at eps=0.5 exceeds the 0.5 budget.
-	if _, _, err := fed.FederatedSearch("A2", []uint64{1, 2}, 3); err == nil {
+	if _, err := fed.Search("A2", []uint64{1, 2}, 3); err == nil {
 		t.Fatal("budget overrun should abort the search")
 	}
 }

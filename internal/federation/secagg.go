@@ -8,7 +8,6 @@ import (
 
 	"csfltr/internal/keyex"
 	"csfltr/internal/ltr"
-	"csfltr/internal/resilience"
 	"csfltr/internal/secagg"
 )
 
@@ -118,7 +117,6 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 	model := ltr.NewLinearModel(dim)
 	local := cfg
 	local.Epochs = 1
-	codec := f.trainCodecLabel()
 	m := f.Server.metrics()
 	startHops, startBytes := m.trafficFor(opSecAgg)
 	startRetries := trainRetriesTotal(m, names)
@@ -176,14 +174,13 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 			msg := secagg.MaskedUpdate{Round: uint64(r), Party: uint32(i), Vec: masked}
 			frame := msg.Marshal(nil)
 			msgN++
-			if err := f.secaggRelay(name, msgN, int64(len(frame))); err != nil {
+			if err := f.guardedHop(name, opSecAgg, apiSecAgg, msgN, int64(len(frame))); err != nil {
 				// Transient-exhausted or breaker-refused: the party is
 				// dropped from this round and recovered below.
 				dropped = append(dropped, i)
 				stats.Drops++
 				continue
 			}
-			m.recordTransport(name, apiSecAgg, codec, int64(len(frame)))
 			stats.MaskedBytes += int64(len(frame))
 			// Server side: decode and accumulate blind.
 			decoded, err := secagg.UnmarshalMaskedUpdate(frame)
@@ -221,7 +218,7 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 				msg := secagg.SeedReveal{Round: uint64(r), From: uint32(j), Dropped: uint32(d), Seed: seed}
 				frame := msg.Marshal(nil)
 				msgN++
-				if err := f.secaggRelay(name, msgN, int64(len(frame))); err != nil {
+				if err := f.guardedHop(name, opSecAgg, apiSecAgg, msgN, int64(len(frame))); err != nil {
 					// A survivor that cannot deliver its reveal stalls
 					// recovery of this party; without the reveal the sum
 					// stays masked, so the round cannot be released.
@@ -230,7 +227,6 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 					return nil, stats, fmt.Errorf("federation: secure round %d: reveal from %s for dropped %s: %w",
 						r, name, names[d], err)
 				}
-				m.recordTransport(name, apiSecAgg, codec, int64(len(frame)))
 				stats.RevealBytes += int64(len(frame))
 				decoded, err := secagg.UnmarshalSeedReveal(frame)
 				if err != nil {
@@ -274,29 +270,4 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 	stats.BytesRelayed = endBytes - startBytes
 	stats.Retries = int(trainRetriesTotal(m, names) - startRetries)
 	return model, stats, nil
-}
-
-// secaggRelay runs the chaos interceptor for one secure-aggregation
-// message under the federation's retry policy and breaker, then charges
-// its framed size to the op="secagg" relay series. content discriminates
-// the message in the chaos stream.
-func (f *Federation) secaggRelay(name string, content uint64, frame int64) error {
-	m := f.Server.metrics()
-	br := f.breakerFor(name)
-	if !br.Allow() {
-		return fmt.Errorf("federation: secagg relay to %s: %w", name, resilience.ErrBreakerOpen)
-	}
-	_, attempts, err := resilience.Call(f.ResiliencePolicy(), f.callSeed(name, content),
-		func() (struct{}, error) {
-			return struct{}{}, f.Server.intercept(name, opSecAgg, content)
-		})
-	if attempts > 1 {
-		m.retriesFor(name).Add(int64(attempts - 1))
-	}
-	br.Record(err == nil)
-	if err != nil {
-		return fmt.Errorf("federation: secagg relay to %s: %w", name, err)
-	}
-	m.record(name, opSecAgg, frame)
-	return nil
 }

@@ -95,7 +95,7 @@ func TestShardedSearchBitIdentical(t *testing.T) {
 		fed := shardTestFed(t, fan.shards, fan.replicas)
 		b, _ := fed.Party("B")
 		if fan.shards > 1 || fan.replicas > 1 {
-			if !b.Sharded() || b.Group(FieldBody) == nil || b.Owner(FieldBody) != nil {
+			if b.Group(FieldBody) == nil || b.Owner(FieldBody) != nil {
 				t.Fatalf("fan %+v: party backend not sharded", fan)
 			}
 		}

@@ -133,7 +133,7 @@ func TestAPILatencyRecorded(t *testing.T) {
 // and merge stage histograms and the search counters.
 func TestSearchStagesRecorded(t *testing.T) {
 	fed := twoPartyFed(t, testParams())
-	if _, _, err := fed.FederatedSearch("A", []uint64{5, 9}, 3); err != nil {
+	if _, err := fed.Search("A", []uint64{5, 9}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fed.CrossTF("A", "B", FieldBody, 0, 5); err != nil {

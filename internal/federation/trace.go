@@ -65,7 +65,7 @@ type AuditStage struct {
 // AuditRecord is one federated query in the flight recorder.
 type AuditRecord struct {
 	TraceID string `json:"trace_id,omitempty"`
-	// Op is "search" or "batch".
+	// Op is "search", the one audited operation.
 	Op      string `json:"op"`
 	Querier string `json:"querier"`
 	// Terms is the number of deduplicated query terms (count only — the

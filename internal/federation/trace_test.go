@@ -552,56 +552,89 @@ func TestEventsRouteFieldsStable(t *testing.T) {
 	}
 }
 
-// TestBatchAudit: batch operations land in the flight recorder too,
-// with Queries counting exactly the accountant's spends.
-func TestBatchAudit(t *testing.T) {
-	p := testParams()
-	p.Epsilon = 0.25
-	fed, err := NewDeterministic([]string{"A", "B"}, p, 42, 7)
-	if err != nil {
+// relayLedger runs one fixed workload — a search, a CrossTF, a DocMeta
+// and a DocIDs against P1, once under each accounting codec — on a fresh
+// Q/P1/P2 federation and returns everything the relay recorded, as text.
+func relayLedger(t *testing.T, remote, traced, faulty bool) string {
+	t.Helper()
+	params := parityParams()
+	q, p1, p2 := parityParty(t, "Q", params, 0), parityParty(t, "P1", params, 1), parityParty(t, "P2", params, 2)
+	parityIngest(t, p1, p2)
+	srv := NewServer()
+	if err := srv.Register(q); err != nil {
 		t.Fatal(err)
 	}
-	b, _ := fed.Party("B")
-	mustIngest(t, b, 0, []textkit.TermID{10, 10, 11})
-	fed.Server.EnableTracing(TraceConfig{})
-
-	reqs := []TopKRequest{
-		{To: "B", Field: FieldBody, Term: 10, K: 2},
-		{To: "B", Field: FieldBody, Term: 11, K: 2},
-	}
-	results, err := fed.BatchReverseTopK("A", reqs, 2, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range results {
-		if r.Err != nil {
-			t.Fatalf("batch result error: %v", r.Err)
+	for _, pt := range []*Party{p1, p2} {
+		host := srv
+		if remote {
+			host = NewServer()
+			gw := httptest.NewServer(HTTPHandler(host))
+			t.Cleanup(gw.Close)
+			if err := srv.RegisterHTTPRemote(pt.Name, gw.URL, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := host.Register(pt); err != nil {
+			t.Fatal(err)
 		}
 	}
-	records := fed.Server.AuditRecords()
-	if len(records) != 1 {
-		t.Fatalf("audit records = %d, want 1", len(records))
+	if faulty {
+		parityChaos(srv)
 	}
-	rec := records[0]
-	if rec.Op != "batch" || rec.Outcome != AuditOK {
-		t.Fatalf("batch record %+v", rec)
+	fed := &Federation{Server: srv, Parties: []*Party{q, p1, p2}, Params: params, HashSeed: 42}
+	fed.SetResiliencePolicy(fastPolicy())
+	owner, err := srv.OwnerFor("P1", FieldBody)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(rec.Parties) != 1 || rec.Parties[0].Queries != 2 {
-		t.Fatalf("batch parties %+v, want B with 2 queries", rec.Parties)
+	if traced {
+		srv.EnableTracing(TraceConfig{})
+		root := srv.Metrics().StartRootSpan("test", nil)
+		defer root.End()
+		owner = owner.(traceCarrier).WithTrace(root.Context())
 	}
-	src, _ := fed.Party("A")
-	if got := src.Accountant().Spent("B"); got != rec.Parties[0].Epsilon {
-		t.Fatalf("batch audit epsilon %v != accountant %v", rec.Parties[0].Epsilon, got)
+
+	var out strings.Builder
+	for _, wireCodec := range []bool{false, true} {
+		srv.SetWireCodec(wireCodec)
+		res, traceID, err := fed.SearchTraced("Q", []uint64{3, 17}, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if spans, _ := srv.TraceTree(traceID); traced != strings.Contains(spanShape(spans), "server.api.rtk") {
+			t.Fatalf("traced=%v but the relay's rtk span says otherwise", traced)
+		}
+		tf, tfErr := fed.CrossTF("Q", "P1", FieldBody, 0, 3)
+		length, unique, metaErr := owner.DocMeta(0)
+		fmt.Fprintf(&out, "hits %+v parties %+v tf %v %v meta %d %d %v ids %d\n",
+			res.Hits, res.Parties, tf, tfErr, length, unique, metaErr, len(owner.DocIDs()))
 	}
-	spans, ok := fed.Server.TraceTree(rec.TraceID)
-	if !ok {
-		t.Fatalf("batch trace %s missing", rec.TraceID)
+	fmt.Fprintf(&out, "traffic %+v exchanges %d faults %d\n", srv.Traffic(), exchangesSent(fed),
+		srv.metrics().faultFor("P1", chaos.KindError).Value())
+	for _, codec := range []string{CodecRaw, CodecWire} {
+		for _, api := range []string{apiDocIDs, apiDocMeta, apiTF, apiRTK, apiSearch} {
+			fmt.Fprintf(&out, "%s/%s %d\n", codec, api, srv.TransportBytes(codec, api))
+		}
 	}
-	count := map[string]int{}
-	for _, sp := range spans {
-		count[sp.Name]++
-	}
-	if count["batch"] != 1 || count["batch.rtk_query"] != 2 {
-		t.Fatalf("batch span counts %v", count)
+	return out.String()
+}
+
+// TestRelayAccountingIndependentOfTracing: what the relay records — bytes,
+// messages, exchanges, injected faults — and what a search answers are
+// the same whether the party is in-process or behind HTTP and whether or
+// not the call is traced, with and without a seeded fault profile. One
+// relay implementation makes that true by construction; this keeps it so.
+func TestRelayAccountingIndependentOfTracing(t *testing.T) {
+	for _, faulty := range []bool{false, true} {
+		want := relayLedger(t, false, false, faulty)
+		if faulty == strings.Contains(want, "faults 0\n") {
+			t.Fatalf("chaos=%v but the fault counter disagrees:\n%s", faulty, want)
+		}
+		for _, cell := range []struct{ remote, traced bool }{{false, true}, {true, false}, {true, true}} {
+			if got := relayLedger(t, cell.remote, cell.traced, faulty); got != want {
+				t.Errorf("chaos=%v remote=%v traced=%v: ledger differs from the in-process untraced cell:\n%s---\n%s",
+					faulty, cell.remote, cell.traced, got, want)
+			}
+		}
 	}
 }

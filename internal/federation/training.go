@@ -26,40 +26,33 @@ type TrainingStats struct {
 	Retries      int   // hop attempts beyond the first, across all hops
 }
 
-// trainHop runs the chaos interceptor for one model hand-off under the
-// federation's retry policy and breaker, then charges the hop's framed
-// byte size to the op="train" relay series and the transport family.
-// content discriminates the hop in the chaos stream so each hand-off
-// faults independently.
-func (f *Federation) trainHop(name string, content uint64, frame int64, codec string) error {
+// guardedHop relays one training-side message (a round-robin model
+// hand-off or a secure-aggregation submission/reveal) to a party: breaker
+// admission, the party's simulated link under the federation's retry
+// policy, the retry count and the breaker outcome, then the frame's bytes
+// charged to the op relay series and the api transport family. content
+// discriminates the message in the chaos stream so each one faults
+// independently.
+func (f *Federation) guardedHop(name, op, api string, content uint64, frame int64) error {
 	m := f.Server.metrics()
 	br := f.breakerFor(name)
 	if !br.Allow() {
-		return fmt.Errorf("federation: training hop to %s: %w", name, resilience.ErrBreakerOpen)
+		return fmt.Errorf("federation: %s hop to %s: %w", op, name, resilience.ErrBreakerOpen)
 	}
 	_, attempts, err := resilience.Call(f.ResiliencePolicy(), f.callSeed(name, content),
 		func() (struct{}, error) {
-			return struct{}{}, f.Server.intercept(name, opTrain, content)
+			return struct{}{}, f.Server.intercept(name, op, content)
 		})
 	if attempts > 1 {
 		m.retriesFor(name).Add(int64(attempts - 1))
 	}
 	br.Record(err == nil)
 	if err != nil {
-		return fmt.Errorf("federation: training hop to %s: %w", name, err)
+		return fmt.Errorf("federation: %s hop to %s: %w", op, name, err)
 	}
-	m.record(name, opTrain, frame)
-	m.recordTransport(name, apiTrain, codec, frame)
+	m.record(name, op, frame)
+	m.recordTransport(name, api, f.Server.codecLabel(), frame)
 	return nil
-}
-
-// trainCodecLabel is the transport codec label training hops are
-// accounted under (training always moves framed models).
-func (f *Federation) trainCodecLabel() string {
-	if f.Server.WireCodecEnabled() {
-		return codecWire
-	}
-	return codecRaw
 }
 
 // TrainRoundRobin runs the paper's round-robin distributed SGD *over the
@@ -102,7 +95,6 @@ func (f *Federation) TrainRoundRobin(dim int, data map[string][]ltr.Instance, ro
 	for i := range order {
 		order[i] = i
 	}
-	codec := f.trainCodecLabel()
 	m := f.Server.metrics()
 	startHops, startBytes := m.trafficFor(opTrain)
 	startRetries := trainRetriesTotal(m, names)
@@ -122,7 +114,7 @@ func (f *Federation) TrainRoundRobin(dim int, data map[string][]ltr.Instance, ro
 			// encoded size of the model it carries.
 			hopN++
 			down := int64(len(wire.AppendModel(nil, model.W, model.B)))
-			if err := f.trainHop(name, hopN, down, codec); err != nil {
+			if err := f.guardedHop(name, opTrain, apiTrain, hopN, down); err != nil {
 				round.End()
 				return nil, stats, fmt.Errorf("federation: round %d: %w", r, err)
 			}
@@ -133,7 +125,7 @@ func (f *Federation) TrainRoundRobin(dim int, data map[string][]ltr.Instance, ro
 			}
 			hopN++
 			up := int64(len(wire.AppendModel(nil, model.W, model.B)))
-			if err := f.trainHop(name, hopN, up, codec); err != nil {
+			if err := f.guardedHop(name, opTrain, apiTrain, hopN, up); err != nil {
 				round.End()
 				return nil, stats, fmt.Errorf("federation: round %d: %w", r, err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"csfltr/internal/core"
 	"csfltr/internal/wire"
 )
 
@@ -241,16 +240,6 @@ func sizeSearchRelease(codec string, res *SearchResult) int64 {
 		return searchResultSize(res)
 	}
 	return int64(len(AppendSearchResult(nil, res)))
-}
-
-// sizeTopKRelease charges one batch reverse top-K release under the
-// active codec: the historical 12 bytes per (doc, count) pair for
-// "raw", the framed single-cell RTK encoding for "wire".
-func sizeTopKRelease(codec string, docs []core.DocCount) int64 {
-	if codec != codecWire {
-		return 12 * int64(len(docs))
-	}
-	return wire.SizeTopK(docs)
 }
 
 // appendFloat appends a float64 as its little-endian bit pattern

@@ -373,26 +373,6 @@ func SizeRTKResponse(r *core.RTKResponse) int64 {
 	return PackedSize(sizeRTKPayloadV1(r))
 }
 
-// SizeTopK returns the framed (uncompressed) size of one batch reverse
-// top-K release: the (document, count) pairs as a single version 1 RTK
-// cell, the layout that takes ids in count order.
-func SizeTopK(docs []core.DocCount) int64 {
-	n := 1 + varint.Len(uint64(len(docs))) + 1 // one cell, its entry count, the value flags
-	whole, ints, prev := true, 0, int64(0)
-	for _, d := range docs {
-		id := int64(int32(d.DocID))
-		n += varint.ZigZagLen(id - prev)
-		prev = id
-		if whole = whole && integralValue(d.Count); whole {
-			ints += varint.ZigZagLen(int64(d.Count))
-		}
-	}
-	if whole {
-		return PackedSize(n + ints)
-	}
-	return PackedSize(n + 8*len(docs))
-}
-
 // DecodeRTKResponses decodes the reply body of a reverse top-K batch
 // into out: exactly len(out) RTK reply frames back to back. Each reply
 // is the caller's as DecodeRTKResponse's is; on error none is left held.

@@ -203,23 +203,3 @@ func TestV1GoldenDecodes(t *testing.T) {
 		t.Fatal("the version 1 golden frame decodes to another reply")
 	}
 }
-
-// TestSizeTopK: a batch release is sized as the single version 1 cell
-// it has always been charged as, in whatever order its ids come.
-func TestSizeTopK(t *testing.T) {
-	for name, docs := range map[string][]core.DocCount{
-		"none":        nil,
-		"count order": {{DocID: 90, Count: 7}, {DocID: 4, Count: 5}, {DocID: 17, Count: 5}},
-		"ascending":   {{DocID: 1, Count: 2}, {DocID: 2, Count: 1}},
-		"noisy":       {{DocID: 300, Count: 2.5}, {DocID: 2, Count: -0.25}},
-	} {
-		cell := core.RTKCell{IDs: make([]int32, len(docs)), Values: make([]float64, len(docs))}
-		for i, d := range docs {
-			cell.IDs[i], cell.Values[i] = int32(d.DocID), d.Count
-		}
-		want := PackedSize(sizeRTKPayloadV1(&core.RTKResponse{Cells: []core.RTKCell{cell}}))
-		if got := SizeTopK(docs); got != want {
-			t.Errorf("%s: SizeTopK %d, want %d", name, got, want)
-		}
-	}
-}
