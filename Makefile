@@ -51,8 +51,8 @@ chaos:
 	$(GO) test -race -run 'Chaos|Degraded|Breaker|Resilience|Quorum|PartyLink' ./internal/federation/
 
 # The reply lease under the race detector, five times over: who may
-# release a reverse top-K reply and who retains one, in every package
-# that produces or ends one. (The allocation budgets themselves skip
+# release a reverse top-K or TF reply and who retains one, in every
+# package that produces or ends one. (The allocation budgets themselves skip
 # under -race, where sync.Pool drops Puts; `make test` runs them.)
 # Mirrored by the CI job.
 lease:

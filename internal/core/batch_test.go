@@ -19,7 +19,7 @@ func batchQueries(q *Querier, k int) ([]*Plan, []*TFQuery) {
 	plans, qs := make([]*Plan, k), make([]*TFQuery, k)
 	for i := range plans {
 		plans[i] = q.Plan(uint64(1003 + 2*i))
-		qs[i] = plans[i].query
+		qs[i] = plans[i].Query()
 	}
 	return plans, qs
 }

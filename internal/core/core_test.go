@@ -139,7 +139,7 @@ func TestBuildQueryMatchesPerm(t *testing.T) {
 			query, priv = q.BuildQuery(term)
 		} else {
 			plan := q.Plan(term)
-			query, priv = plan.query, plan.priv
+			query, priv = plan.Query(), &plan.priv
 		}
 		pv := twin.Perm(p.Z)[:p.Z1]
 		sort.Ints(pv)
@@ -675,7 +675,7 @@ func BenchmarkRTKRecover(b *testing.B) {
 	replies := make([]OwnerAPI, len(plans))
 	for i := range plans {
 		plans[i] = q.Plan(uint64(1000 + i))
-		resp, err := o.AnswerRTK(plans[i].query)
+		resp, err := o.AnswerRTK(plans[i].Query())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -705,14 +705,14 @@ func BenchmarkOwnerAnswerRTK(b *testing.B) {
 	}
 	b.Run("warm", func(b *testing.B) {
 		for _, plan := range plans { // bring every addressed cell to canonical order
-			if _, err := o.AnswerRTK(plan.query); err != nil {
+			if _, err := o.AnswerRTK(plan.Query()); err != nil {
 				b.Fatal(err)
 			}
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			resp, err := o.AnswerRTK(plans[i%len(plans)].query)
+			resp, err := o.AnswerRTK(plans[i%len(plans)].Query())
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -734,7 +734,7 @@ func BenchmarkOwnerAnswerRTK(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.StartTimer()
-			if _, err := o.AnswerRTK(plans[i%len(plans)].query); err != nil {
+			if _, err := o.AnswerRTK(plans[i%len(plans)].Query()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -754,7 +754,7 @@ func BenchmarkOwnerAnswerTF(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := o.AnswerTF(i*7919%1200, plans[i%len(plans)].query); err != nil {
+		if _, err := o.AnswerTF(i*7919%1200, plans[i%len(plans)].Query()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,7 +37,7 @@ func (h heldOwner) AnswerRTK(*TFQuery) (*RTKResponse, error) { return h.resp, ni
 func TestReleaseEndsTheReply(t *testing.T) {
 	q, o := leaseGeometry(t)
 	plan := q.Plan(1003)
-	resp, err := o.AnswerRTK(plan.query)
+	resp, err := o.AnswerRTK(plan.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestReleaseEndsTheReply(t *testing.T) {
 		t.Fatalf("a released reply encodes to % x (%v), want the two bytes of an empty reply", payload, ok)
 	}
 	// Another answer takes the memory over; the released reply stays dead.
-	again, err := o.AnswerRTK(plan.query)
+	again, err := o.AnswerRTK(plan.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestLeaseNoStaleReach(t *testing.T) {
 	parts := benchMergeParts(300, 40)
 	produce := map[string]func() *RTKResponse{
 		"Owner.AnswerRTK": func() *RTKResponse {
-			resp, err := o.AnswerRTK(plan.query)
+			resp, err := o.AnswerRTK(plan.Query())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -143,6 +143,158 @@ func TestLeaseNoStaleReach(t *testing.T) {
 				t.Fatalf("%s, round %d: the answer changed once there was memory to recycle", name, round)
 			}
 			got.Release()
+		}
+	}
+}
+
+// heldTFOwner answers every TF query with the one reply it holds.
+type heldTFOwner struct {
+	OwnerAPI
+	resp *TFResponse
+}
+
+func (h heldTFOwner) AnswerTF(int, *TFQuery) (*TFResponse, error) { return h.resp, nil }
+
+// TestReleaseEndsTheTFReply: a released TF reply holds no values, so a
+// holder that should not exist is refused by recovery — Recover's and
+// CrossTF's alike — rather than reading an answer the memory serves
+// next; releasing twice, releasing a literal and releasing nil change
+// nothing.
+func TestReleaseEndsTheTFReply(t *testing.T) {
+	q, o := leaseGeometry(t)
+	query, priv := q.BuildQuery(1003)
+	resp, err := o.AnswerTF(3, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := q.Recover(priv, resp); err != nil {
+		t.Fatalf("setup: %v", err)
+	}
+	resp.Release()
+	if resp.Values != nil {
+		t.Fatalf("released reply still reads %d values", len(resp.Values))
+	}
+	if _, err := q.Recover(priv, resp); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("Recover from a released reply: %v, want ErrBadQuery", err)
+	}
+	if _, err := CrossTF(q, heldTFOwner{resp: resp}, 3, 1003); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("CrossTF over a released reply: %v, want ErrBadQuery", err)
+	}
+	resp.Release()
+	if resp.Values != nil {
+		t.Fatal("a second Release revived the reply")
+	}
+
+	var none *TFResponse
+	none.Release()
+	literal := &TFResponse{Values: []float64{1, 2, 3}}
+	literal.Release()
+	if !reflect.DeepEqual(literal, &TFResponse{Values: []float64{1, 2, 3}}) {
+		t.Fatalf("Release changed a reply NewTFResponse did not make: %+v", literal)
+	}
+}
+
+// TestLeaseTFNoStaleReach: a recycled TF reply's memory is handed out as
+// it was left, so every producer must write all of a reply's values and
+// hand them over ending at their capacity. The pool is primed with
+// longer replies full of a value no answer holds; owner and CrossTF must
+// then answer what they answered before there was anything to recycle.
+func TestLeaseTFNoStaleReach(t *testing.T) {
+	q, o := leaseGeometry(t)
+	query, priv := q.BuildQuery(1007)
+	want, err := o.AnswerTF(5, query)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTF, err := q.Recover(priv, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// CrossTF draws as BuildQuery does: a querier in the state q was in
+	// before BuildQuery draws the same query.
+	fresh, _ := leaseGeometry(t)
+	const stale = -12345
+	prime := func() {
+		var held []*TFResponse
+		for i := 0; i < 8; i++ { // the race detector's sync.Pool drops some Puts
+			r := NewTFResponse(4 * o.params.Z)
+			for k := range r.Values {
+				r.Values[k] = stale
+			}
+			held = append(held, r)
+		}
+		for _, r := range held {
+			r.Release()
+		}
+	}
+	for round := 0; round < 3; round++ {
+		prime()
+		got, err := o.AnswerTF(5, query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(got.Values) != len(got.Values) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("round %d: the owner's reply changed once there was memory to recycle: %v (cap %d), want %v",
+				round, got.Values, cap(got.Values), want.Values)
+		}
+		got.Release()
+	}
+	prime()
+	if got, err := CrossTF(fresh, o, 5, 1007); err != nil || got != wantTF {
+		t.Fatalf("CrossTF over recycled memory: %v (%v), want %v", got, err, wantTF)
+	}
+}
+
+// TestTFAllocCeilings pins the warm per-call allocation budget of the
+// point query and the plans at the benchmark geometry: a released owner
+// reply and a whole CrossTF cost nothing, a shared plan its four
+// objects, and a one-shot reverse top-K — whose plan is pooled — the
+// reply header Release makes and the result it returns.
+func TestTFAllocCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; ceilings hold without -race")
+	}
+	q, o := benchGeometry(t, 0.5)
+	plans := make([]*Plan, 64)
+	for i := range plans {
+		plans[i] = q.Plan(uint64(1000 + i))
+	}
+	i := 0
+	for _, c := range []struct {
+		name    string
+		ceiling float64
+		call    func() error
+	}{
+		{"Owner.AnswerTF, reply released", 0, func() error {
+			resp, err := o.AnswerTF(i%1200, plans[i%len(plans)].Query())
+			resp.Release()
+			return err
+		}},
+		{"CrossTF (owner call included)", 0, func() error {
+			_, err := CrossTF(q, o, i%1200, uint64(i))
+			return err
+		}},
+		{"Querier.Plan", 4, func() error {
+			q.Plan(uint64(i))
+			return nil
+		}},
+		{"RTKReverseTopK (owner call included)", 2, func() error {
+			_, _, err := RTKReverseTopK(q, o, uint64(1000+i%64), 50)
+			return err
+		}},
+	} {
+		var err error
+		n := testing.AllocsPerRun(200, func() {
+			i++
+			if e := c.call(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n > c.ceiling {
+			t.Errorf("%s: %.1f allocs per call, ceiling %v", c.name, n, c.ceiling)
 		}
 	}
 }

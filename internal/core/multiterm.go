@@ -49,6 +49,8 @@ func (r *MultiTFResponse) WireSize() int64 {
 // private index set, so the per-row sums the owner cannot compute (it
 // does not know PV) can be formed by the querier after recovery.
 func (q *Querier) BuildMultiQuery(terms []uint64) (*MultiTFQuery, *MultiTFPrivate) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	z := q.params.Z
 	perm := q.rng.Perm(z)
 	pv := append([]int(nil), perm[:q.params.Z1]...)
@@ -86,7 +88,7 @@ func (o *Owner) AnswerMultiTF(docID int, q *MultiTFQuery) (*MultiTFResponse, err
 		if err != nil {
 			return nil, err
 		}
-		out.PerTerm[i] = *resp
+		out.PerTerm[i] = TFResponse{Values: resp.Values} // keeps the values; the lease lapses
 	}
 	return out, nil
 }

@@ -67,7 +67,7 @@ func (r refOwner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 // refRTKWithPlan recovers candidates through a per-document map of
 // (row, value) observations and ranks them with a reflection sort.
 func refRTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
-	query, priv := plan.query, plan.priv
+	query, priv := plan.Query(), &plan.priv
 	var cost Cost
 	cost.BytesSent += query.WireSize()
 	resp, err := owner.AnswerRTK(query)
@@ -762,11 +762,11 @@ func oracleRun(t *testing.T, p Params) {
 		queries++
 		plan := q.Plan(uint64(c.rng.Intn(24)))
 		// Raw answers first: one noise draw on each side.
-		gotResp, err := got.AnswerRTK(plan.query)
+		gotResp, err := got.AnswerRTK(plan.Query())
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantResp, err := refOwner{want}.AnswerRTK(plan.query)
+		wantResp, err := refOwner{want}.AnswerRTK(plan.Query())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -775,7 +775,7 @@ func oracleRun(t *testing.T, p Params) {
 			t.Fatalf("step %d: responses differ:\n got %+v\nwant %+v", step, gotResp, wantResp)
 		}
 		for a := 0; a < p.Z; a++ {
-			if col := plan.query.Cols[a]; !slices.Equal(got.rtk.Cell(a, col), refCell(want.rtk, a, col)) {
+			if col := plan.Query().Cols[a]; !slices.Equal(got.rtk.Cell(a, col), refCell(want.rtk, a, col)) {
 				t.Fatalf("step %d: Cell(%d,%d) differs", step, a, col)
 			}
 		}
@@ -821,7 +821,7 @@ func TestSnapshotIndependentOfQueries(t *testing.T) {
 		for step := 0; step < 250; step++ {
 			c.mutate(t)
 			for i := 0; i < 2; i++ {
-				resp, err := read.AnswerRTK(q.Plan(uint64(c.rng.Intn(24))).query)
+				resp, err := read.AnswerRTK(q.Plan(uint64(c.rng.Intn(24))).Query())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -1164,7 +1164,7 @@ func TestRTKWithPlanRejectsMalformedResponse(t *testing.T) {
 		"duplicate id": func(c *RTKCell) { c.IDs[1] = c.IDs[0] },
 	}
 	for name, mutate := range mutations {
-		resp, err := o.AnswerRTK(plan.query)
+		resp, err := o.AnswerRTK(plan.Query())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -1177,7 +1177,7 @@ func TestRTKWithPlanRejectsMalformedResponse(t *testing.T) {
 			t.Fatalf("%s: got (%v, %v), want ErrBadQuery", name, docs, err)
 		}
 	}
-	resp, err := o.AnswerRTK(plan.query)
+	resp, err := o.AnswerRTK(plan.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1297,7 +1297,7 @@ func TestRTKAllocCeilings(t *testing.T) {
 	i := 0
 	answer := testing.AllocsPerRun(200, func() {
 		i++
-		if _, err := o.AnswerRTK(plans[i%len(plans)].query); err != nil {
+		if _, err := o.AnswerRTK(plans[i%len(plans)].Query()); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -1307,7 +1307,7 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// A released reply leaves one allocation to the next: its header.
 	leased := testing.AllocsPerRun(200, func() {
 		i++
-		resp, err := o.AnswerRTK(plans[i%len(plans)].query)
+		resp, err := o.AnswerRTK(plans[i%len(plans)].Query())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -129,7 +129,7 @@ type OwnerAPI interface {
 	// shareable).
 	DocMeta(docID int) (length, unique int, err error)
 	// AnswerTF answers a cross-party TF query against one document
-	// (Algorithm 2).
+	// (Algorithm 2). The caller holds the reply (see TFResponse).
 	AnswerTF(docID int, q *TFQuery) (*TFResponse, error)
 	// AnswerRTK returns the RTK-Sketch cells addressed by the query
 	// (owner side of Algorithm 5): AnswerRTKBatch for one query.
@@ -631,9 +631,9 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 		return nil, err
 	}
 	noise := o.mech.Sample() // one draw for all z values, as in Algorithm 2
-	vals := make([]float64, len(q.Cols))
-	table.Lookup(q.Cols, noise, vals)
-	return &TFResponse{Values: vals}, nil
+	resp := NewTFResponse(len(q.Cols))
+	table.Lookup(q.Cols, noise, resp.Values)
+	return resp, nil
 }
 
 // AnswerRTK implements the owner side of Algorithm 5: return the content

@@ -84,7 +84,7 @@ func TestRTKZeroFillMatchesReference(t *testing.T) {
 
 	// Reference: replay the owner response and estimate each candidate
 	// with the quadratic per-row lookup.
-	resp, err := o.AnswerRTK(plan.query)
+	resp, err := o.AnswerRTK(plan.Query())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,11 +187,11 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 				}
 			}
 			for _, plan := range plans {
-				want, err := seq.AnswerRTK(plan.query)
+				want, err := seq.AnswerRTK(plan.Query())
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := bulk.AnswerRTK(plan.query)
+				got, err := bulk.AnswerRTK(plan.Query())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -199,11 +199,11 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 					t.Fatalf("AnswerRTK(term %d) differs between sequential and bulk(workers=%d)",
 						plan.Term(), workers)
 				}
-				wantTF, err := seq.AnswerTF(docs[0].DocID, plan.query)
+				wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.query)
+				gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -31,7 +31,7 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 	if k <= 0 {
 		return nil, Cost{}, fmt.Errorf("%w: k=%d", ErrBadParams, k)
 	}
-	query, priv := plan.query, plan.priv
+	query, priv := &plan.query, &plan.priv
 	var cost Cost
 	cost.BytesSent += query.WireSize()
 	ids := owner.DocIDs()
@@ -44,14 +44,16 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 		cost.Messages++
 		cost.BytesReceived += resp.WireSize()
 		cost.SketchLookups += plan.params.Z
-		if len(resp.Values) != plan.params.Z {
+		if n := len(resp.Values); n != plan.params.Z {
+			resp.Release()
 			return nil, cost, fmt.Errorf("%w: response has %d values, want %d",
-				ErrBadQuery, len(resp.Values), plan.params.Z)
+				ErrBadQuery, n, plan.params.Z)
 		}
 		vals := make([]float64, len(priv.PV))
 		for i, a := range priv.PV {
 			vals[i] = resp.Values[a]
 		}
+		resp.Release()
 		count := sketch.EstimateFromRows(plan.params.SketchKind, plan.fam, priv.Term, priv.PV, vals)
 		results = append(results, DocCount{DocID: id, Count: count})
 	}
@@ -62,9 +64,14 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 // term hashes to, soft-intersect them (a document must appear in at least
 // beta*z1 of the private rows), estimate each candidate's count with the
 // standard sketch estimator over the rows it appeared in, and return the
-// top k. One round trip; traffic is O(z*alpha*K) independent of n.
+// top k. One round trip; traffic is O(z*alpha*K) independent of n. The
+// plan lives for the call only, so it is built in pooled scratch, as
+// CrossTF's is.
 func RTKReverseTopK(q *Querier, owner OwnerAPI, term uint64, k int) ([]DocCount, Cost, error) {
-	return RTKWithPlan(q.Plan(term), owner, k)
+	sc := planScratchPool.Get().(*planScratch)
+	defer planScratchPool.Put(sc)
+	q.planInto(&sc.plan, term)
+	return RTKWithPlan(&sc.plan, owner, k)
 }
 
 // RTKWithPlan is RTKReverseTopK over a prebuilt query plan (see
@@ -107,7 +114,7 @@ func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs
 	defer rtkScratchPool.Put(sc)
 	sc.queries, sc.replies = sc.queries[:0], sc.replies[:0]
 	for i, plan := range plans {
-		sc.queries = append(sc.queries, plan.query)
+		sc.queries = append(sc.queries, &plan.query)
 		sc.replies = append(sc.replies, nil)
 		costs[i].BytesSent = plan.query.WireSize()
 	}
@@ -135,7 +142,7 @@ func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs
 // recover is the querier side of Algorithm 5 for one reply: it checks
 // the reply, accounts it in cost and returns the plan's top k.
 func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) ([]DocCount, error) {
-	priv := plan.priv
+	priv := &plan.priv
 	cost.Messages = 1
 	cost.BytesReceived += resp.WireSize()
 	cost.SketchLookups = plan.params.Z

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"sync"
 
 	"csfltr/internal/hashutil"
 	"csfltr/internal/sketch"
@@ -30,24 +31,79 @@ type TFPrivate struct {
 
 // TFResponse carries the owner's perturbed sketch lookups, one per row
 // (Algorithm 2).
+//
+// A reply has one holder, as an RTKResponse does: whoever obtains one
+// from OwnerAPI.AnswerTF or a decoder owns it, an implementation of
+// OwnerAPI must not hand out a reply it keeps, and the holder may, when
+// done, Release it. Unlike a reverse top-K reply, a released TF reply is
+// recycled whole, header included — it is a few hundred bytes asked ~100
+// times per augmented training query, so the header is most of what it
+// costs — which makes Release the holder's last touch of the reply, not
+// only of its values.
 type TFResponse struct {
 	Values []float64
+
+	// mem is the memory NewTFResponse leased the reply, at length 0; nil
+	// for a reply it did not make (a literal), which Release leaves alone.
+	mem []float64
 }
 
 // WireSize returns the encoded size in bytes (8 bytes per value).
 func (r *TFResponse) WireSize() int64 { return int64(8 * len(r.Values)) }
 
+// tfReplies holds released TF replies, their values parked in mem.
+var tfReplies sync.Pool
+
+// tfMaxValues bounds the values a recycled reply keeps: a reply has one
+// per sketch row, and a decoder accepts as many as its frame bears out.
+const tfMaxValues = 1 << 12
+
+// NewTFResponse returns a reply of z values for a producer to fill —
+// a released reply when one is at hand, so an answer costs nothing. Every
+// producer of a reply comes through here. The values are not zeroed: a
+// producer writes all z of them, and they end at the reply's capacity,
+// so nothing an earlier reply left in the memory is reachable.
+func NewTFResponse(z int) *TFResponse {
+	if r, _ := tfReplies.Get().(*TFResponse); r != nil && cap(r.mem) >= z {
+		r.Values = r.mem[:z:z]
+		return r
+	}
+	mem := make([]float64, z)
+	return &TFResponse{Values: mem, mem: mem[:0]}
+}
+
+// Release ends the reply's life: it goes back to serve a later answer
+// and, until then, holds no values, so a holder that should not exist
+// fails Recover (ErrBadQuery). Only the reply's sole holder may call it,
+// after its last read. It is a no-op on nil, on a reply NewTFResponse did
+// not make and on one already released.
+func (r *TFResponse) Release() {
+	if r == nil || r.mem == nil || r.Values == nil {
+		return
+	}
+	r.Values = nil
+	if cap(r.mem) <= tfMaxValues {
+		tfReplies.Put(r)
+	}
+}
+
 // Querier is the query-side endpoint of the cross-party TF protocol. It
 // is bound to a federation's shared parameters and hash family. The rng
-// drives decoy selection and PV permutation, and BuildQuery, Plan and
-// Recover work in scratch the querier keeps: one goroutine at a time.
+// drives decoy selection and PV permutation.
+//
+// A Querier is safe for concurrent use — a gateway serves concurrent
+// searches from one party. Its lock guards the rng and the scratch the
+// draws go through, and is held for the draws only (and for Recover's
+// scratch), never across an owner call; concurrent callers then take
+// the draws in the order they reach the lock.
 type Querier struct {
 	params Params
 	fam    *hashutil.Family
-	rng    *rand.Rand
 
-	perm []int     // BuildQuery: the row permutation PV is drawn from
-	inPV []bool    // BuildQuery: which rows carry the real hash
+	mu   sync.Mutex
+	rng  *rand.Rand
+	perm []int     // obfuscate: the row permutation PV is drawn from
+	inPV []bool    // obfuscate: which rows carry the real hash
 	vals []float64 // Recover: the private rows' values
 }
 
@@ -82,7 +138,19 @@ func (q *Querier) Family() *hashutil.Family { return q.fam }
 // rows carry h_a(t') for freshly sampled decoy terms t' (Eq. (4) of the
 // paper).
 func (q *Querier) BuildQuery(term uint64) (*TFQuery, *TFPrivate) {
-	z := q.params.Z
+	query := &TFQuery{Cols: make([]uint32, q.params.Z)}
+	priv := &TFPrivate{Term: term, PV: make([]int, q.params.Z1)}
+	q.obfuscate(term, query.Cols, priv.PV)
+	return query, priv
+}
+
+// obfuscate is Algorithm 1 into the caller's memory: pv (Z1 long)
+// receives the private rows, ascending, and cols (Z long) one column per
+// row. Every path that builds a query draws here, so they all draw the
+// same values in the same order.
+func (q *Querier) obfuscate(term uint64, cols []uint32, pv []int) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	// rand.Perm, draw for draw, into the kept slice. Nothing needs
 	// resetting: the one element a step can read before any step wrote it
 	// is its own (j == i), which the step then overwrites.
@@ -92,22 +160,20 @@ func (q *Querier) BuildQuery(term uint64) (*TFQuery, *TFPrivate) {
 		perm[i] = perm[j]
 		perm[j] = i
 	}
-	pv := append([]int(nil), perm[:q.params.Z1]...)
+	copy(pv, perm)
 	sortInts(pv)
 	inPV := q.inPV
 	clear(inPV)
 	for _, a := range pv {
 		inPV[a] = true
 	}
-	cols := make([]uint32, z)
-	for a := 0; a < z; a++ {
+	for a := range cols {
 		if inPV[a] {
 			cols[a] = q.fam.Index(a, term)
 		} else {
 			cols[a] = q.fam.Index(a, q.rng.Uint64())
 		}
 	}
-	return &TFQuery{Cols: cols}, &TFPrivate{Term: term, PV: pv}
 }
 
 // Plan is a reusable obfuscated query for one term: the wire-format query
@@ -120,8 +186,8 @@ func (q *Querier) BuildQuery(term uint64) (*TFQuery, *TFPrivate) {
 type Plan struct {
 	params Params
 	fam    *hashutil.Family
-	query  *TFQuery
-	priv   *TFPrivate
+	query  TFQuery
+	priv   TFPrivate
 	// signs[i] is the Count Sketch sign hash g_a(term) of private row
 	// a = priv.PV[i] as +-1, evaluated once here rather than once per
 	// candidate document of every answer the plan recovers.
@@ -130,12 +196,21 @@ type Plan struct {
 
 // Plan builds a reusable query plan for term (Algorithm 1 run once).
 func (q *Querier) Plan(term uint64) *Plan {
-	query, priv := q.BuildQuery(term)
-	signs := make([]float64, len(priv.PV))
-	for i, a := range priv.PV {
-		signs[i] = float64(q.fam.Sign(a, term))
+	p := new(Plan)
+	q.planInto(p, term)
+	return p
+}
+
+// planInto builds the plan for term in p, reusing p's memory.
+func (q *Querier) planInto(p *Plan, term uint64) {
+	p.params, p.fam = q.params, q.fam
+	p.query.Cols = resize(p.query.Cols, q.params.Z)
+	p.priv.Term, p.priv.PV = term, resize(p.priv.PV, q.params.Z1)
+	p.signs = resize(p.signs, q.params.Z1)
+	q.obfuscate(term, p.query.Cols, p.priv.PV)
+	for i, a := range p.priv.PV {
+		p.signs[i] = float64(q.fam.Sign(a, term))
 	}
-	return &Plan{params: q.params, fam: q.fam, query: query, priv: priv, signs: signs}
 }
 
 // Term returns the planned term.
@@ -143,22 +218,77 @@ func (p *Plan) Term() uint64 { return p.priv.Term }
 
 // Query returns the shareable wire query (the private state stays
 // inside the plan).
-func (p *Plan) Query() *TFQuery { return p.query }
+func (p *Plan) Query() *TFQuery { return &p.query }
 
 // Recover combines the owner's perturbed values into the final count
 // estimate using only the private index set (Eq. (6)): sign-corrected
 // median for Count Sketch, minimum for Count-Min.
 func (q *Querier) Recover(priv *TFPrivate, resp *TFResponse) (float64, error) {
-	if resp == nil || len(resp.Values) != q.params.Z {
-		return 0, fmt.Errorf("%w: response has %d values, want %d",
-			ErrBadQuery, respLen(resp), q.params.Z)
+	if err := checkTFResponse(resp, q.params.Z); err != nil {
+		return 0, err
 	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
 	vals := q.vals[:0]
 	for _, a := range priv.PV {
 		vals = append(vals, resp.Values[a])
 	}
 	q.vals = vals
 	return sketch.EstimateFromRows(q.params.SketchKind, q.fam, priv.Term, priv.PV, vals), nil
+}
+
+// checkTFResponse refuses a reply without one value per row — a released
+// one among them.
+func checkTFResponse(resp *TFResponse, z int) error {
+	if resp == nil || len(resp.Values) != z {
+		return fmt.Errorf("%w: response has %d values, want %d", ErrBadQuery, respLen(resp), z)
+	}
+	return nil
+}
+
+// planScratch is the working memory of the one-shot queries, CrossTF and
+// RTKReverseTopK, pooled so that neither allocates its plan: the plan,
+// and the private rows' values a TF recovery reads.
+type planScratch struct {
+	plan Plan
+	vals []float64
+}
+
+var planScratchPool = sync.Pool{New: func() any { return new(planScratch) }}
+
+// CrossTF runs one cross-party TF query end to end, as RTKWithPlan does a
+// reverse top-K one: Algorithm 1 into pooled scratch (the draws
+// BuildQuery makes, in the same order), the owner's Algorithm 2 for
+// document docID, and recovery by Eq. (6) — bit-identical to Recover's —
+// after which the reply is released. In steady state it allocates
+// nothing. owner must not keep the query past the call.
+func CrossTF(q *Querier, owner OwnerAPI, docID int, term uint64) (float64, error) {
+	sc := planScratchPool.Get().(*planScratch)
+	defer planScratchPool.Put(sc)
+	plan := &sc.plan
+	q.planInto(plan, term)
+	resp, err := owner.AnswerTF(docID, &plan.query)
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Release()
+	if err := checkTFResponse(resp, plan.params.Z); err != nil {
+		return 0, err
+	}
+	vals := sc.vals[:0]
+	for _, a := range plan.priv.PV {
+		vals = append(vals, resp.Values[a])
+	}
+	sc.vals = vals
+	return sketch.EstimateSigned(plan.params.SketchKind, plan.signs, vals), nil
+}
+
+// resize returns s at length n, reusing its memory when it is enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 func respLen(r *TFResponse) int {

@@ -109,7 +109,7 @@ type traceCarrier interface {
 // Traffic and TrainingStats are views over that registry.
 type Server struct {
 	mu      sync.Mutex
-	parties map[string]endpoint
+	parties map[string]*member
 	m       *serverMetrics
 
 	// chaosInj simulates the links between the server and each party:
@@ -153,7 +153,16 @@ func NewServer() *Server {
 // for embedding the federation into a process-wide registry (e.g. the
 // experiments harness or a binary's -debug-addr endpoint).
 func NewServerWithRegistry(reg *telemetry.Registry) *Server {
-	return &Server{parties: make(map[string]endpoint), m: newServerMetrics(reg)}
+	return &Server{parties: make(map[string]*member), m: newServerMetrics(reg)}
+}
+
+// member is one roster entry: the party's endpoint and the relay to each
+// of its fields, built when the party registers so that OwnerFor — once
+// per CrossTF, ~110 times per augmented training query — hands out a
+// relay rather than making one.
+type member struct {
+	endpoint
+	relays [numFields]*routedOwner
 }
 
 // Metrics returns the server's telemetry registry — the source the
@@ -165,15 +174,21 @@ func (s *Server) Metrics() *telemetry.Registry {
 }
 
 // SetRegistry redirects the server's telemetry into reg. Call it before
-// serving traffic: recorded series do not migrate. In-process parties
-// already on the roster are re-wired to the new registry.
+// serving traffic: recorded series do not migrate. The roster's relays
+// and in-process parties are re-wired to the new registry; a relay
+// resolved before the call keeps recording into the old one.
 func (s *Server) SetRegistry(reg *telemetry.Registry) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.m = newServerMetrics(reg)
-	for _, e := range s.parties {
-		if p, ok := e.(*Party); ok {
-			p.attachDPHist(s.m.stage[StageDPNoise])
+	for _, mb := range s.parties {
+		for f, r := range mb.relays {
+			cp := *r
+			cp.m = s.m
+			mb.relays[f] = &cp
+		}
+		if p, ok := mb.endpoint.(*Party); ok {
+			p.attachDPHist(s.m.stage[StageDPNoise].hist)
 			p.attachShardHooks(s.m)
 		}
 	}
@@ -193,27 +208,36 @@ func (s *Server) Register(p *Party) error {
 		return err
 	}
 	s.mu.Lock()
-	p.attachDPHist(s.m.stage[StageDPNoise])
+	p.attachDPHist(s.m.stage[StageDPNoise].hist)
 	p.attachShardHooks(s.m)
 	s.mu.Unlock()
 	return nil
 }
 
-// register adds any endpoint under a unique name. Registering new
-// parties at runtime is free for existing members — exactly the
-// reusability property the paper attributes to the sketch construction.
+// register adds any endpoint under a unique name, with its relays.
+// Registering new parties at runtime is free for existing members —
+// exactly the reusability property the paper attributes to the sketch
+// construction.
 func (s *Server) register(name string, e endpoint) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.parties[name]; dup {
 		return fmt.Errorf("federation: party %q already registered", name)
 	}
-	s.parties[name] = e
+	mb := &member{endpoint: e}
+	for f := range mb.relays {
+		api, err := e.ownerAPI(Field(f))
+		if err != nil {
+			return err
+		}
+		mb.relays[f] = &routedOwner{m: s.m, srv: s, party: name, api: api}
+	}
+	s.parties[name] = mb
 	return nil
 }
 
-// Unregister removes a party from the roster (e.g. a silo leaving the
-// federation). Unknown names are a no-op.
+// Unregister removes a party and its relays from the roster (e.g. a silo
+// leaving the federation). Unknown names are a no-op.
 func (s *Server) Unregister(name string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -345,33 +369,22 @@ func (s *Server) intercept(party, op string, content uint64) error {
 	return in.Intercept(party, op, content)
 }
 
-// lookup resolves a party endpoint by name.
-func (s *Server) lookup(name string) (endpoint, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	p, ok := s.parties[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownParty, name)
-	}
-	return p, nil
-}
-
 // OwnerFor returns an OwnerAPI view of the named party's field, routed
 // through the server with traffic accounting. The returned value is what
 // a querier party hands to core.NaiveReverseTopK / core.RTKReverseTopK.
+// It is the party's registered relay, shared by every caller: resolving
+// one allocates nothing.
 func (s *Server) OwnerFor(name string, field Field) (core.OwnerAPI, error) {
 	if field < 0 || field >= numFields {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownField, int(field))
 	}
-	p, err := s.lookup(name)
-	if err != nil {
-		return nil, err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	mb, ok := s.parties[name]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownParty, name)
 	}
-	api, err := p.ownerAPI(field)
-	if err != nil {
-		return nil, err
-	}
-	return &routedOwner{m: s.metrics(), srv: s, party: name, api: api}, nil
+	return mb.relays[field], nil
 }
 
 // routedOwner proxies OwnerAPI calls through the server: it is the relay,
@@ -379,7 +392,9 @@ func (s *Server) OwnerFor(name string, field Field) (core.OwnerAPI, error) {
 // bytes, per-call latency), put through the party's simulated link
 // (Server.intercept) and — when bound to a trace by WithTrace — recorded
 // as a span. Both transports (HTTP and in-process) resolve owners through
-// Server.OwnerFor, so nothing reaches a party around it.
+// Server.OwnerFor, so nothing reaches a party around it. A relay is
+// immutable: the server builds one per (party, field) at registration,
+// and WithTrace binds a copy.
 type routedOwner struct {
 	m     *serverMetrics
 	srv   *Server
@@ -388,9 +403,8 @@ type routedOwner struct {
 	// ctx, when set, parents every call's span; nil is the untraced
 	// relay, which times calls with a value span and allocates nothing for
 	// tracing. A pointer, and no field for what only a traced call needs
-	// (the transport label), because Server.OwnerFor allocates one relay
-	// per resolution — ~110 per augment_train op — and 64 bytes is its
-	// size class.
+	// (the transport label), because WithTrace copies the relay per traced
+	// exchange and 64 bytes is its size class.
 	ctx *telemetry.SpanContext
 }
 
@@ -452,7 +466,8 @@ func (r *routedOwner) begin(api string) (relaySpan, core.OwnerAPI) {
 	if r.ctx == nil {
 		return relaySpan{plain: r.m.apiSpan(api)}, r.api
 	}
-	sp := r.m.reg.StartChildSpan("server.api."+api, *r.ctx, r.m.api[api],
+	h := r.m.api[api]
+	sp := r.m.reg.StartChildSpan(h.name, *r.ctx, h.hist,
 		telemetry.AStr("party", r.party), telemetry.AStr("transport", r.srv.transportFor(r.party)))
 	if tc, ok := r.api.(traceCarrier); ok {
 		return relaySpan{traced: sp}, tc.WithTrace(sp.Context())
@@ -1051,10 +1066,5 @@ func (f *Federation) CrossTF(from, to string, field Field, docID int, term uint6
 		return 0, err
 	}
 	defer f.Server.metrics().stageSpan(StageTFQuery).End()
-	query, priv := src.querier.BuildQuery(term)
-	resp, err := dst.AnswerTF(docID, query)
-	if err != nil {
-		return 0, err
-	}
-	return src.querier.Recover(priv, resp)
+	return core.CrossTF(src.querier, dst, docID, term)
 }

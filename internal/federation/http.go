@@ -308,10 +308,12 @@ func HTTPHandler(s *Server) http.Handler {
 			if wantsWire(r) {
 				frame := frameBufs.Get().(*[]byte)
 				*frame = wire.AppendTFResponse((*frame)[:0], resp)
+				resp.Release() // the frame is a copy
 				writeWire(w, frame)
 				return
 			}
 			writeJSON(w, http.StatusOK, httpTFResponse{Values: resp.Values})
+			resp.Release() // the body aliased its values until it was encoded
 		})
 	handle(http.MethodPost, "/v1/parties/{name}/{field}/rtk", "/v1/parties/{name}/{field}/rtk",
 		func(w http.ResponseWriter, r *http.Request) {

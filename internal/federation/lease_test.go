@@ -120,6 +120,100 @@ func TestLeaseHTTPConcurrentClients(t *testing.T) {
 	wg.Wait()
 }
 
+// TestLeaseHTTPTFRoutes: the /tf handler returns its TF reply to the
+// pool once the body is encoded — after the wire frame is appended on one
+// branch, after the JSON encoder has read the values it aliases on the
+// other — and the wire client hands its decoded replies on to a holder
+// that releases them. Four clients at once, two per branch, must each
+// read the values a direct call gives at Epsilon = 0; a reply released
+// before its body was complete is the next answer's to overwrite, which
+// the race detector (`make lease`) reports whether or not the values
+// happen to survive.
+func TestLeaseHTTPTFRoutes(t *testing.T) {
+	fed, ts := httpFed(t)
+	b, _ := fed.Party("B")
+	rng := rand.New(rand.NewSource(5))
+	for id := 10; id < 60; id++ {
+		body := make([]textkit.TermID, 40)
+		for j := range body {
+			body[j] = textkit.TermID(rng.Intn(300))
+		}
+		if err := b.IngestDocument(textkit.NewDocument(id, -1, nil, body)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	direct, err := fed.Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const queries = 12
+	type tfCase struct {
+		doc  int
+		q    *core.TFQuery
+		body string
+		want []float64
+	}
+	cases := make([]tfCase, queries)
+	nonzero := 0
+	for i := range cases {
+		cols := make([]uint32, testParams().Z)
+		for a := range cols {
+			cols[a] = uint32((i*37 + a*11 + 3) % testParams().W)
+		}
+		c := tfCase{doc: 10 + 4*i, q: &core.TFQuery{Cols: cols}}
+		body, _ := json.Marshal(httpTFRequest{DocID: c.doc, Cols: cols})
+		c.body = string(body)
+		resp, err := direct.AnswerTF(c.doc, c.q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.want = slices.Clone(resp.Values)
+		resp.Release()
+		for _, v := range c.want {
+			if v != 0 {
+				nonzero++
+			}
+		}
+		cases[i] = c
+	}
+	if nonzero == 0 {
+		t.Fatal("the queries addressed only empty cells; the comparison is vacuous")
+	}
+	var wg sync.WaitGroup
+	for client := 0; client < 4; client++ {
+		wg.Add(1)
+		go func(client int) {
+			defer wg.Done()
+			owner := NewHTTPOwner(ts.URL, "B", FieldBody, ts.Client())
+			for n := 0; n < 40; n++ {
+				c := cases[(client*5+n)%queries]
+				var got []float64
+				if client%2 == 0 {
+					resp, err := owner.AnswerTF(c.doc, c.q)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					got = slices.Clone(resp.Values)
+					resp.Release()
+				} else {
+					var raw httpTFResponse
+					if err := postJSON(ts.URL+"/v1/parties/B/body/tf", c.body, &raw); err != nil {
+						t.Error(err)
+						return
+					}
+					got = raw.Values
+				}
+				if !slices.Equal(got, c.want) {
+					t.Errorf("client %d, doc %d: %v, want %v", client, c.doc, got, c.want)
+					return
+				}
+			}
+		}(client)
+	}
+	wg.Wait()
+}
+
 // postJSON is postRawJSON for goroutines other than the test's own: it
 // reports instead of calling t.Fatal.
 func postJSON(url, body string, out any) error {
@@ -255,5 +349,78 @@ func TestUntracedRelayAllocation(t *testing.T) {
 	tc := owner.(traceCarrier) // through the interface, as resolveOwner calls it
 	if n := testing.AllocsPerRun(100, func() { tc.WithTrace(telemetry.SpanContext{}) }); n != 0 && !raceEnabled {
 		t.Fatalf("WithTrace of no trace allocates %v objects", n)
+	}
+}
+
+// TestRelayCallAllocBudget holds the per-call allocation table of the
+// relayed point queries in tier-1 — in process, unsharded, at the
+// benchmark geometry with noise on and the wire codec's accounting: a
+// CrossTF allocates nothing (the relay is the party's registered one,
+// span names are interned, the query is obfuscated into pooled scratch
+// and the leased reply is released after recovery), nor does resolving an
+// owner and asking it for a document's metadata; a ReverseTopK allocates
+// its plan, the reply header Release makes and the result it returns.
+func TestRelayCallAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; the budget holds without -race")
+	}
+	p := core.DefaultParams()
+	p.K = 50
+	fed, err := NewDeterministic([]string{"Q", "P"}, p, 42, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed.Server.SetWireCodec(true)
+	rng := rand.New(rand.NewSource(1))
+	docs := make([]core.DocCounts, 300)
+	for id := range docs {
+		counts := make(map[uint64]int64)
+		for j := 0; j < 80; j++ {
+			counts[uint64(rng.Intn(3000))]++
+		}
+		docs[id] = core.DocCounts{DocID: id, Counts: counts}
+	}
+	if err := fed.Parties[1].Owner(FieldBody).AddDocuments(docs, 1); err != nil {
+		t.Fatal(err)
+	}
+	var n int
+	calls := []struct {
+		name   string
+		budget float64
+		call   func() error
+	}{
+		{"CrossTF", 0, func() error {
+			n++
+			_, err := fed.CrossTF("Q", "P", FieldBody, n%len(docs), uint64(n%3000))
+			return err
+		}},
+		{"OwnerFor+DocMeta", 0, func() error {
+			n++
+			owner, err := fed.Server.OwnerFor("P", FieldBody)
+			if err == nil {
+				_, _, err = owner.DocMeta(n % len(docs))
+			}
+			return err
+		}},
+		{"ReverseTopK", 5, func() error {
+			n++
+			_, _, err := fed.ReverseTopK("Q", "P", FieldBody, uint64(n%3000), p.K, true)
+			return err
+		}},
+	}
+	for _, c := range calls {
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			if e := c.call(); e != nil {
+				err = e
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		t.Logf("%s: %v allocs/call", c.name, allocs)
+		if allocs > c.budget {
+			t.Errorf("%s allocates %v objects a call; the budget is %v", c.name, allocs, c.budget)
+		}
 	}
 }

@@ -188,14 +188,21 @@ const (
 // relayCounters is the cached handle pair for one relay series.
 type relayCounters struct{ msgs, bytes *telemetry.Counter }
 
+// namedHist is one latency histogram and the name of the spans that feed
+// it, interned beside it so that starting a span builds no string.
+type namedHist struct {
+	name string
+	hist *telemetry.Histogram
+}
+
 // serverMetrics bundles the server's registry with cached hot-path
 // metric handles. It has its own lock so relay accounting never contends
 // with the roster mutex.
 type serverMetrics struct {
 	reg *telemetry.Registry
 
-	api      map[string]*telemetry.Histogram
-	stage    map[string]*telemetry.Histogram
+	api      map[string]namedHist // by owner api: "server.api.<api>" spans
+	stage    map[string]namedHist // by pipeline stage: "search.stage.<stage>" spans
 	roundDur *telemetry.Histogram
 
 	searchDur  *telemetry.Histogram
@@ -237,8 +244,8 @@ type serverMetrics struct {
 func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 	m := &serverMetrics{
 		reg:       reg,
-		api:       make(map[string]*telemetry.Histogram, 4),
-		stage:     make(map[string]*telemetry.Histogram, 4),
+		api:       make(map[string]namedHist, 4),
+		stage:     make(map[string]namedHist, 4),
 		relay:     make(map[relayKey]relayCounters),
 		breaker:   make(map[string]*telemetry.Gauge),
 		retries:   make(map[string]*telemetry.Counter),
@@ -255,14 +262,14 @@ func newServerMetrics(reg *telemetry.Registry) *serverMetrics {
 		shardOutcome:   make(map[shardSeriesKey]*telemetry.Counter),
 	}
 	for _, api := range []string{apiDocIDs, apiDocMeta, apiTF, apiRTK} {
-		m.api[api] = reg.Histogram(MetricAPILatency,
+		m.api[api] = namedHist{name: "server.api." + api, hist: reg.Histogram(MetricAPILatency,
 			"Latency of one owner API call relayed by the server.", nil,
-			telemetry.L("api", api))
+			telemetry.L("api", api))}
 	}
 	for _, st := range SearchStages {
-		m.stage[st] = reg.Histogram(MetricSearchStageDuration,
+		m.stage[st] = namedHist{name: "search.stage." + st, hist: reg.Histogram(MetricSearchStageDuration,
 			"Time spent per cross-party query pipeline stage.", nil,
-			telemetry.L("stage", st))
+			telemetry.L("stage", st))}
 	}
 	m.roundDur = reg.Histogram(MetricTrainingRoundDuration,
 		"Duration of one round-robin distributed training round.", nil)
@@ -633,18 +640,21 @@ func (m *serverMetrics) resetTraffic() {
 
 // apiSpan starts a latency span for one owner API call.
 func (m *serverMetrics) apiSpan(api string) telemetry.Span {
-	return m.reg.StartSpan("server.api."+api, m.api[api])
+	h := m.api[api]
+	return m.reg.StartSpan(h.name, h.hist)
 }
 
 // stageSpan starts a span for one query pipeline stage.
 func (m *serverMetrics) stageSpan(stage string) telemetry.Span {
-	return m.reg.StartSpan("search.stage."+stage, m.stage[stage])
+	h := m.stage[stage]
+	return m.reg.StartSpan(h.name, h.hist)
 }
 
 // stageTrace starts a pipeline-stage span parented under ctx; with an
 // invalid ctx (tracing off) it degrades to stageSpan behaviour.
 func (m *serverMetrics) stageTrace(stage string, ctx telemetry.SpanContext) *telemetry.TraceSpan {
-	return m.reg.StartChildSpan("search.stage."+stage, ctx, m.stage[stage])
+	h := m.stage[stage]
+	return m.reg.StartChildSpan(h.name, ctx, h.hist)
 }
 
 // timedMechanism decorates a dp.Mechanism so the time spent drawing

@@ -2,6 +2,8 @@ package federation
 
 import (
 	"math/rand"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -264,4 +266,49 @@ func TestSetPartyLinkAllParties(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > rtt {
 		t.Fatalf("delay did not reset: call took %v", elapsed)
 	}
+}
+
+// TestConcurrentSearchesOneQuerier: a gateway serves concurrent searches
+// from one party, so one querier obfuscates for all of them — and for
+// the TF queries beside them — at once. Its randomness and scratch are
+// locked for the draws (the race detector, under which CI runs this,
+// reported them before they were), and with noise off every answer is
+// the one a lone caller gets.
+func TestConcurrentSearchesOneQuerier(t *testing.T) {
+	fed := twoPartyFed(t, testParams())
+	termSets := [][]uint64{{5}, {9}, {8}, {5, 9, 8}}
+	want := make([][]SearchHit, len(termSets))
+	for g, terms := range termSets {
+		res, err := fed.Search("A", terms, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[g] = res.Hits
+	}
+	wantTF := []float64{4, 1, 0} // term 5 in B's documents 0, 1, 2
+	var wg sync.WaitGroup
+	for g, terms := range termSets {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 40; n++ {
+				res, err := fed.Search("A", terms, 3)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(res.Hits, want[g]) {
+					t.Errorf("goroutine %d: hits %+v, want %+v", g, res.Hits, want[g])
+					return
+				}
+				doc := (g + n) % len(wantTF)
+				tf, err := fed.CrossTF("A", "B", FieldBody, doc, 5)
+				if err != nil || tf != wantTF[doc] {
+					t.Errorf("goroutine %d: CrossTF doc %d = %v (%v), want %v", g, doc, tf, err, wantTF[doc])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -1,10 +1,12 @@
 package federation
 
 import (
+	"errors"
 	"net/http/httptest"
 	"testing"
 
 	"csfltr/internal/core"
+	"csfltr/internal/telemetry"
 	"csfltr/internal/textkit"
 )
 
@@ -137,5 +139,91 @@ func TestUnregister(t *testing.T) {
 	// Name is reusable after unregistration.
 	if err := coord.Register(a); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// relayedQueryMessages reads the query messages reg counts as relayed to
+// party.
+func relayedQueryMessages(reg *telemetry.Registry, party string) float64 {
+	if m := reg.Snapshot().Metric(MetricRelayedMessages); m != nil {
+		for _, s := range m.Series {
+			if s.Labels["party"] == party && s.Labels["op"] == opQuery {
+				return s.Value
+			}
+		}
+	}
+	return 0
+}
+
+// TestRelayCacheFollowsRegistry: the roster's relays are built when a
+// party registers, and SetRegistry rebuilds them — so what a relay
+// resolved afterwards carries is accounted in the new registry, and none
+// of it in the old one.
+func TestRelayCacheFollowsRegistry(t *testing.T) {
+	fed := twoPartyFed(t, testParams())
+	old := fed.Server.Metrics()
+	if _, err := fed.CrossTF("A", "B", FieldBody, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	before := relayedQueryMessages(old, "B")
+	if before != 2 {
+		t.Fatalf("a CrossTF relayed %v messages, want the query and its reply", before)
+	}
+	reg := telemetry.NewRegistry()
+	fed.Server.SetRegistry(reg)
+	if _, err := fed.CrossTF("A", "B", FieldBody, 0, 5); err != nil {
+		t.Fatal(err)
+	}
+	owner, err := fed.Server.OwnerFor("B", FieldTitle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := owner.DocMeta(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := relayedQueryMessages(reg, "B"); got != 3 {
+		t.Fatalf("the new registry counts %v messages relayed to B, want 3", got)
+	}
+	if got := relayedQueryMessages(old, "B"); got != before {
+		t.Fatalf("the old registry went on counting: %v messages, want %v", got, before)
+	}
+}
+
+// TestRelayCacheAfterReRegister: Unregister drops a party's relays, and a
+// new endpoint registered under the same name — here the party moved
+// behind an HTTP host, with other documents — is the one its relay
+// reaches.
+func TestRelayCacheAfterReRegister(t *testing.T) {
+	fed := twoPartyFed(t, testParams())
+	if tf, err := fed.CrossTF("A", "B", FieldBody, 0, 5); err != nil || tf != 4 {
+		t.Fatalf("setup: CrossTF = %v (%v), want 4", tf, err)
+	}
+	departed, _ := fed.Server.OwnerFor("B", FieldBody)
+	fed.Server.Unregister("B")
+	if _, err := fed.Server.OwnerFor("B", FieldBody); !errors.Is(err, ErrUnknownParty) {
+		t.Fatalf("OwnerFor an unregistered party: %v, want ErrUnknownParty", err)
+	}
+	moved, err := NewParty("B", PartyConfig{Params: testParams(), Seed: 42, RNGSeed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := moved.IngestDocument(doc(0, 5, 7)); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.Server.RegisterHTTPRemote("B", partyHost(t, moved), nil); err != nil {
+		t.Fatal(err)
+	}
+	owner, err := fed.Server.OwnerFor("B", FieldBody)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if owner == departed {
+		t.Fatal("re-registration kept the departed endpoint's relay")
+	}
+	if _, ok := owner.(*routedOwner).api.(*HTTPOwner); !ok {
+		t.Fatalf("the relay reaches a %T, want the HTTP host", owner.(*routedOwner).api)
+	}
+	if tf, err := fed.CrossTF("A", "B", FieldBody, 0, 5); err != nil || tf != 1 {
+		t.Fatalf("CrossTF after re-registration = %v (%v), want the moved party's 1", tf, err)
 	}
 }

@@ -228,7 +228,8 @@ func tfResponseLen(r *core.TFResponse) int {
 // SizeTFResponse returns the framed (uncompressed) encoded size.
 func SizeTFResponse(r *core.TFResponse) int64 { return PackedSize(tfResponseLen(r)) }
 
-// DecodeTFResponse decodes a framed TF reply.
+// DecodeTFResponse decodes a framed TF reply into one from
+// core.NewTFResponse, which the caller holds (and may Release).
 func DecodeTFResponse(data []byte) (*core.TFResponse, error) {
 	payload, err := Unpack(data)
 	if err != nil {
@@ -241,14 +242,15 @@ func DecodeTFResponse(data []byte) (*core.TFResponse, error) {
 	if err := checkCount(n, rest); err != nil {
 		return nil, err
 	}
-	vals := make([]float64, n)
-	if rest, err = decodeValues(vals, rest); err != nil {
+	resp := core.NewTFResponse(int(n))
+	if rest, err = decodeValues(resp.Values, rest); err == nil && len(rest) != 0 {
+		err = fmt.Errorf("%w: trailing bytes", ErrMalformed)
+	}
+	if err != nil {
+		resp.Release()
 		return nil, err
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-	}
-	return &core.TFResponse{Values: vals}, nil
+	return resp, nil
 }
 
 // appendIDs appends n document ids as a zig-zag varint start plus

@@ -14,8 +14,8 @@ import (
 // justify. Valid inputs that decode must re-encode to a frame that
 // decodes to the same value; a version 2 frame that decodes must
 // re-encode to itself, byte for byte, and be sized as what it is. A
-// decoded reply that is released must not change what the next decode
-// of the same bytes returns. The same bytes are also read as a batch
+// decoded reply — RTK or TF — that is released must not change what the
+// next decode of the same bytes returns. The same bytes are also read as a batch
 // body — frames back to back — of queries and of one to three replies:
 // a body that decodes re-encodes to a body that decodes alike, and one
 // that does not is refused whole, with no reply left held.
@@ -122,9 +122,22 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		if r, err := DecodeTFResponse(data); err == nil {
-			if _, err := DecodeTFResponse(AppendTFResponse(nil, r)); err != nil {
-				t.Fatalf("TFResponse re-encode failed: %v", err)
+			frame := AppendTFResponse(nil, r)
+			again, err := DecodeTFResponse(frame)
+			if err != nil || !bytes.Equal(AppendTFResponse(nil, again), frame) {
+				t.Fatalf("TFResponse re-encode diverged: %v", err)
 			}
+			// Every decoded reply is released, so the next decode draws
+			// the memory these leave behind: the same bytes must still give
+			// the reply frame was encoded from.
+			again.Release()
+			r.Release()
+			if r, err = DecodeTFResponse(data); err != nil || !bytes.Equal(AppendTFResponse(nil, r), frame) {
+				t.Fatalf("decoding % x again, into recycled memory, gave another TF reply (%v)", data, err)
+			}
+			r.Release()
+		} else if !errors.Is(err, ErrMalformed) {
+			t.Fatalf("TF decode failed with %v, want ErrMalformed", err)
 		}
 		if rows, err := DecodeRowMatrix(data); err == nil {
 			if _, err := DecodeRowMatrix(AppendRowMatrix(nil, rows)); err != nil {

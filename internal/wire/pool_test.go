@@ -285,6 +285,16 @@ func TestRTKCodecAllocCeilings(t *testing.T) {
 	if n, _ := perRun(200, func() { buf = AppendTFResponse(buf[:0], values) }); n > 0 {
 		t.Errorf("AppendTFResponse: %.1f allocs/op, want 0", n)
 	}
+	tfFrame := AppendTFResponse(nil, values)
+	if n, _ := perRun(200, func() {
+		r, err := DecodeTFResponse(tfFrame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r.Release()
+	}); n > 0 {
+		t.Errorf("DecodeTFResponse, reply released: %.1f allocs/op, want 0", n)
+	}
 	decAllocs, decBytes := perRun(200, decode(frame))
 	if decAllocs > 4 {
 		t.Errorf("DecodeRTKResponse, reply kept: %.1f allocs/op, want at most 4", decAllocs)
