@@ -6,9 +6,11 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"testing"
 
 	"csfltr/internal/dp"
+	"csfltr/internal/sketch"
 )
 
 // FuzzReadOwner hardens the owner-snapshot deserializer: arbitrary bytes
@@ -252,5 +254,167 @@ func FuzzMergeRTKResponses(f *testing.F) {
 			*part = append(*part, Entry{DocID: id, Value: int32(int8(pairs[1]))})
 		}
 		checkMerge(t, rows, heapCap, abs, noise)
+		// Both ways of finding a cut agree on every rank the one-pass way
+		// takes.
+		order := cellHeap{abs: abs}
+		for _, row := range rows {
+			cells := make([]RTKCell, len(row))
+			for pi, part := range row {
+				for _, e := range part {
+					cells[pi].IDs = append(cells[pi].IDs, e.DocID)
+					cells[pi].Values = append(cells[pi].Values, float64(e.Value))
+				}
+			}
+			ranked := order.gather(cells, nil)
+			for k := 0; k < len(ranked) && k <= smallOverflow; k++ {
+				if got, want := order.cutSmall(cells, k), selectRank(slices.Clone(ranked), k); got != want {
+					t.Fatalf("rank %d of %v: one pass finds %v, selection %v", k, ranked, got, want)
+				}
+			}
+		}
+	})
+}
+
+// FuzzRTKSketchOps drives owners at a tiny geometry (cells cap at 8)
+// through any sequence of ingests and removals that crosses the cap in
+// both directions, and after every step holds each to modelSketch, the
+// plain-slice Algorithm 4: one owner keeps its document tables and one
+// does not, so removals take both the marked-cells and the every-cell
+// path, in the sparse form and the explicit one. A sketch whose model
+// never had to evict must still be sparse.
+//
+// Encoding: one byte picks the sketch kind; then per step an operation
+// byte and its arguments — AddDocument (id, two bytes of terms),
+// AddDocuments by one worker or three (a size, then per document an id
+// and two bytes of terms; ids already live are skipped), RemoveDocument
+// (which live document), a Cell read (row, column) and a snapshot
+// reload. Missing bytes read as zero.
+func FuzzRTKSketchOps(f *testing.F) {
+	// Count Sketch; up past the cap one by one, a striped batch, a reload
+	// and a read; down to nothing; up again in one batch by one worker.
+	cross := []byte{0}
+	for id := byte(0); id < 10; id++ {
+		cross = append(cross, 0, id, id+5, 3*(id+5))
+	}
+	cross = append(cross, 2, 2, 20, 9, 7, 21, 4, 4, 22, 1, 1, 5, 4, 1, 2)
+	for i := 0; i < 13; i++ {
+		cross = append(cross, 3, byte(7*i))
+	}
+	cross = append(cross, 1, 3, 23, 5, 5, 24, 6, 6, 25, 7, 7, 26, 8, 8)
+	f.Add(cross)
+	f.Add([]byte{1, 0, 3, 9, 1, 0, 4, 9, 2, 5, 3, 0, 4, 0, 0, 5, 3, 1})
+	f.Add([]byte{0, 2, 3, 0, 7, 1, 1, 7, 2, 2, 7, 3, 3, 7, 4, 4, 5, 3, 2, 3, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			b := data[0]
+			data = data[1:]
+			return b
+		}
+		p := DefaultParams()
+		p.Z, p.W, p.Z1, p.Alpha, p.K, p.Epsilon = 3, 8, 2, 2, 4, 0
+		if next()&1 == 1 {
+			p.SketchKind = sketch.CountMin
+		}
+		withTables, err := NewOwner(p, 42, dp.Disabled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		without, err := NewOwner(p, 42, dp.Disabled(), WithoutDocTables())
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := []*Owner{withTables, without}
+		m := newModelSketch(p)
+		live := map[int]bool{}
+		evicted := false
+		counts := func() map[uint64]int64 {
+			a, b := next(), next()
+			c := make(map[uint64]int64)
+			for i := 0; i < int(a%4); i++ {
+				c[uint64((int(b)+7*i)%16)] += int64(1 + (int(a>>2)+i)%3)
+			}
+			return c
+		}
+		model := func(id int, c map[uint64]int64) {
+			for _, cell := range m.cells {
+				evicted = evicted || len(cell) == p.HeapCap()
+			}
+			m.add(t, id, c)
+			live[id] = true
+		}
+		for step := 0; len(data) > 0 && step < 64; step++ {
+			switch op := next() % 6; op {
+			case 0:
+				id, c := int(next()%32), counts()
+				if live[id] {
+					continue
+				}
+				for _, o := range owners {
+					if err := o.AddDocument(id, c); err != nil {
+						t.Fatal(err)
+					}
+				}
+				model(id, c)
+			case 1, 2:
+				var batch []DocCounts
+				for n := 1 + int(next()%4); n > 0; n-- {
+					d := DocCounts{DocID: int(next() % 32), Counts: counts()}
+					if !live[d.DocID] && !slices.ContainsFunc(batch, func(b DocCounts) bool { return b.DocID == d.DocID }) {
+						batch = append(batch, d)
+					}
+				}
+				for _, o := range owners {
+					if err := o.addDocuments(batch, 2*int(op)-1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, d := range batch {
+					model(d.DocID, d.Counts)
+				}
+			case 3:
+				ids := withTables.DocIDs()
+				if len(ids) == 0 {
+					continue
+				}
+				id := ids[int(next())%len(ids)]
+				for _, o := range owners {
+					if err := o.RemoveDocument(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				m.remove(id)
+				delete(live, id)
+			case 4:
+				row, col := int(next())%p.Z, uint32(next())%uint32(p.W)
+				want := slices.Clone(m.cells[row*p.W+int(col)])
+				slices.SortFunc(want, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) })
+				for _, o := range owners {
+					if got := o.rtk.Cell(row, col); !slices.Equal(got, want) {
+						t.Fatalf("step %d: Cell(%d, %d) = %v, model %v", step, row, col, got, want)
+					}
+				}
+			case 5:
+				for i, o := range owners {
+					loaded, err := ReadOwner(bytes.NewReader(snapshot(t, o)), dp.Disabled())
+					if err != nil {
+						t.Fatal(err)
+					}
+					owners[i] = loaded
+				}
+				withTables = owners[0]
+			}
+			for _, o := range owners {
+				m.check(t, o.rtk)
+				if o.rtk.NumDocs() != len(live) {
+					t.Fatalf("step %d: NumDocs %d, %d documents live", step, o.rtk.NumDocs(), len(live))
+				}
+				if !evicted && !o.rtk.sparse {
+					t.Fatalf("step %d: explicit, yet no cell ever had to evict", step)
+				}
+			}
+		}
 	})
 }

@@ -20,12 +20,23 @@ import (
 // order resident and recovery became a sorted merge. They survive here
 // only as the oracle the production code is compared against bit for bit.
 
-// refCell is a copy of cell (row, col) sorted by DocID; it never touches
-// the resident layout.
+// refCell is a copy of cell (row, col) sorted by DocID — of a sparse
+// sketch, every roster id with the value the cell stores for it, zero if
+// none — and never touches the resident layout.
 func refCell(s *RTKSketch, row int, col uint32) []Entry {
 	h := &s.cells[row*s.params.W+int(col)]
 	out := make([]Entry, len(h.entries))
 	copy(out, h.entries)
+	if s.sparse {
+		stored := make(map[int32]int32)
+		for _, e := range h.entries {
+			stored[e.DocID] = e.Value
+		}
+		out = out[:0]
+		for _, id := range s.roster {
+			out = append(out, Entry{DocID: id, Value: stored[id]})
+		}
+	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out
 }
@@ -403,34 +414,62 @@ func (m *modelSketch) remove(docID int) {
 	}
 }
 
-// check compares every cell of s with the model as a set, and holds
-// every canonical flag to its word.
+// check compares every cell of s, as Cell shows it, with the model's cell
+// sorted by DocID, and holds every canonical flag to its word and a
+// sparse sketch to storing no zero. Cell re-orders what it reads, so it
+// reads a copy: the layout s was left in is what the next step of a test
+// means to meet.
 func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 	t.Helper()
-	byDoc := func(a, b Entry) int { return int(a.DocID) - int(b.DocID) }
 	for c := range m.cells {
 		h := &s.cells[c]
 		if h.canonical && !strictlyAscending(h.entries) {
 			t.Fatalf("cell %d claims canonical order but holds %v", c, h.entries)
 		}
-		got, want := slices.Clone(h.entries), slices.Clone(m.cells[c])
-		slices.SortFunc(got, byDoc)
-		slices.SortFunc(want, byDoc)
-		if !slices.Equal(got, want) {
-			t.Fatalf("cell %d holds %v, model %v", c, got, want)
+		if s.sparse && slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value == 0 }) {
+			t.Fatalf("sparse cell %d stores a zero: %v", c, h.entries)
+		}
+	}
+	view := cloneSketch(s)
+	for c := range m.cells {
+		want := slices.Clone(m.cells[c])
+		slices.SortFunc(want, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) })
+		if got := view.Cell(c/m.p.W, uint32(c%m.p.W)); !slices.Equal(got, want) {
+			t.Fatalf("cell %d reads %v, model %v", c, got, want)
 		}
 	}
 }
 
+// cloneSketch returns a deep copy of s.
+func cloneSketch(s *RTKSketch) *RTKSketch {
+	c := *s
+	c.cells = slices.Clone(s.cells)
+	for i := range c.cells {
+		c.cells[i].entries = slices.Clone(s.cells[i].entries)
+	}
+	c.roster = slices.Clone(s.roster)
+	c.sorter, c.view, c.marks = docSorter{}, nil, nil
+	return &c
+}
+
 // TestDeletePathsMatchModel puts a sketch into each resident layout a
-// removal can meet — canonical, ascending but not flagged, heap-ordered
-// and full, heap-ordered and one under capacity — and removes the newest,
-// the oldest, a middle and a nowhere-resident document, with the
-// document's table (full cells below whose floor it orders are skipped)
-// and without (every cell is walked), for both sketch kinds. The cells
-// must equal the model's after every removal, and NumDocs the roster.
+// removal can meet — sparse with canonical non-zero lists ("canonical"),
+// sparse with lists out of order, explicit since the last push
+// materialized it, explicit and ascending but not flagged, heap-ordered
+// and full, heap-ordered and one under capacity — and removes the newest, the
+// oldest, a middle and a nowhere-resident document, with the document's
+// table (a sparse sketch visits the cells it marks, an explicit one skips
+// the full cells below whose floor it orders) and without (every cell is
+// walked), for both sketch kinds. The cells must equal the model's after
+// every removal, and NumDocs the roster.
 func TestDeletePathsMatchModel(t *testing.T) {
 	const ghost = 9000 // no terms, largest id: resident in no full cell
+	sparse := func(t *testing.T, o *Owner, want bool) {
+		t.Helper()
+		if o.rtk.sparse != want {
+			t.Fatalf("setup: sketch of %d documents under a cap of %d is sparse=%v, want %v", o.rtk.NumDocs(), o.params.HeapCap(), o.rtk.sparse, want)
+		}
+	}
 	layouts := []struct {
 		name  string
 		build func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand)
@@ -439,24 +478,60 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			for id := 10; id < 16; id++ { // ascending one by one: every append is vouched for
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
+			sparse(t, o, true)
 			for c := range o.rtk.cells {
 				if !o.rtk.cells[c].canonical {
 					t.Fatalf("cell %d lost canonical order under ascending ingest", c)
 				}
 			}
 		}},
-		{"ascending unflagged", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"sparse out of order", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			batch := make([]DocCounts, 6)
-			for i := range batch {
-				batch[i] = DocCounts{DocID: 10 + i, Counts: pathCounts(rng)}
+			for i, id := range rng.Perm(len(batch)) {
+				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
 				m.add(t, batch[i].DocID, batch[i].Counts)
+			}
+			if err := o.addDocuments(batch, 3); err != nil {
+				t.Fatal(err)
+			}
+			sparse(t, o, true)
+			unordered := 0
+			for c := range o.rtk.cells {
+				if !o.rtk.cells[c].canonical {
+					unordered++
+				}
+			}
+			if unordered == 0 {
+				t.Fatal("setup: every non-zero list ascends")
+			}
+		}},
+		{"materialized on the last push", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 18; id++ {
+				addBoth(t, o, m, id, pathCounts(rng))
+			}
+			sparse(t, o, true) // at the cap
+			addBoth(t, o, m, 18, pathCounts(rng))
+			sparse(t, o, false)
+		}},
+		{"ascending unflagged", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 18; id++ {
+				addBoth(t, o, m, id, pathCounts(rng))
+			}
+			addBoth(t, o, m, ghost, nil) // materializes; rejected everywhere, so the cells stay canonical
+			for id := 15; id < 18; id++ {
+				removeBoth(t, o, m, id)
+			}
+			batch := []DocCounts{{DocID: 16, Counts: pathCounts(rng)}, {DocID: 17, Counts: pathCounts(rng)}}
+			for _, d := range batch {
+				m.add(t, d.DocID, d.Counts)
 			}
 			if err := o.addDocuments(batch, len(batch)); err != nil { // one-document stripes merge in order, vouched for by nobody
 				t.Fatal(err)
 			}
+			sparse(t, o, false)
 			for c := range o.rtk.cells {
-				if h := &o.rtk.cells[c]; h.canonical || !strictlyAscending(h.entries) {
-					t.Fatalf("cell %d: canonical=%v entries %v, want ascending and unflagged", c, h.canonical, h.entries)
+				if h := &o.rtk.cells[c]; h.canonical || !strictlyAscending(h.entries) || len(h.entries) == o.params.HeapCap() {
+					t.Fatalf("cell %d: canonical=%v entries %v, want ascending, unflagged and under the cap", c, h.canonical, h.entries)
 				}
 			}
 		}},

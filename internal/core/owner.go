@@ -378,7 +378,9 @@ type DocCounts struct {
 // folds the stripe survivors into the shared RTK-Sketch with the rows
 // partitioned across workers. Eviction is a strict total order, so the
 // surviving entries per cell depend only on the document set, never on
-// the stripe boundaries or merge interleaving (see cellHeap).
+// the stripe boundaries or merge interleaving (see cellHeap). A batch
+// that leaves the sketch sparse (at most alpha*K documents in all, see
+// RTKSketch) is folded by one worker whatever the pool size.
 //
 // On error (duplicate id, geometry mismatch) the owner is left unchanged;
 // unlike a sequential AddDocument loop there is no partially-applied
@@ -426,11 +428,14 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 		tables = make([]sketch.Compact, len(docs))
 	}
 
-	if workers == 1 {
+	o.rtk.expect(len(docs))
+	if workers == 1 || o.rtk.sparse {
 		// Single-worker fast path: fold each document's table straight
 		// into the RTK-Sketch. The stripe/merge split exists to give
 		// concurrent workers private state; at pool size one it would
-		// only copy every surviving entry a second time.
+		// only copy every surviving entry a second time. A batch that
+		// leaves the sketch sparse takes it too: it is at most alpha*K
+		// documents, and each pushes only its non-zero cells.
 		o.bulkFold1(docs, tables)
 	} else if err := o.bulkFoldStriped(docs, tables, workers); err != nil {
 		return err
@@ -458,8 +463,10 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 // in the owner's scratch and goes straight into the shared RTK-Sketch.
 // Callers hold o.mu and have validated the batch.
 func (o *Owner) bulkFold1(docs []DocCounts, tables []sketch.Compact) {
-	for c := range o.rtk.cells {
-		o.rtk.cells[c].reserve(len(docs), o.params.HeapCap())
+	if !o.rtk.sparse { // a sparse list grows by what a batch has non-zero there, unknown here
+		for c := range o.rtk.cells {
+			o.rtk.cells[c].reserve(len(docs), o.params.HeapCap())
+		}
 	}
 	for i := range docs {
 		t := o.scratch.Sketch(docs[i].Counts)
@@ -554,20 +561,27 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []sketch.Compact, worke
 }
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
-// sketch and metadata. An owner that kept the document's table expands it
-// into the scratch and hands it to the sketch, which then skips every full
-// cell the document cannot be in (see RTKSketch.Delete).
+// sketch and metadata. An owner that kept the document's table uses it to
+// visit only the cells the document can be in: while the sketch is
+// sparse, those the compact table marks non-zero; once it is explicit,
+// the table is expanded into the scratch and the sketch skips every full
+// cell whose floor the document orders below (see RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, ok := o.meta[docID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	var table *sketch.Table // nil without tables
-	if c, ok := o.docTables[docID]; ok {
-		table, _ = o.scratch.Expand(c) // a kept table has the scratch's geometry
+	c, kept := o.docTables[docID]
+	switch {
+	case kept && o.rtk.sparse:
+		o.rtk.deleteMarked(docID, c)
+	case kept:
+		table, _ := o.scratch.Expand(c) // a kept table has the scratch's geometry
+		o.rtk.Delete(docID, table)
+	default:
+		o.rtk.Delete(docID, nil)
 	}
-	o.rtk.Delete(docID, table)
 	delete(o.docTables, docID)
 	delete(o.meta, docID)
 	// Swap-delete via the position index instead of the old O(n)
@@ -640,7 +654,9 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // of the addressed cell in every row, in canonical ascending-DocID order,
 // counts perturbed with a single noise draw. Cells a mutation left out of
 // canonical order are sorted in place on the way, so back-to-back queries
-// only copy. The response belongs to the caller (see RTKResponse) and
+// only copy; a sparse sketch's rows are merged from its roster and
+// non-zero lists as they are copied, so a reply does not depend on the
+// sketch's form. The response belongs to the caller (see RTKResponse) and
 // carries its encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	var out [1]*RTKResponse
@@ -669,18 +685,13 @@ func (o *Owner) answerRTK(qs []*TFQuery, out []*RTKResponse) error {
 		noise := o.mech.Sample()
 		total := 0
 		for a, col := range q.Cols {
-			total += len(o.rtk.Cell(a, col))
+			total += o.rtk.cellLen(a, col)
 		}
 		resp, ids, vals := NewRTKResponse(o.params.Z, total)
 		var sz rtkSizer
 		for a, col := range q.Cols {
-			entries := o.rtk.Cell(a, col)
-			n := len(entries)
-			for i, e := range entries {
-				ids[i] = e.DocID
-				vals[i] = float64(e.Value) + noise
-				sz.note(int64(e.Value))
-			}
+			n := o.rtk.cellLen(a, col)
+			o.rtk.answerCell(a, col, ids[:n], vals[:n], noise, &sz)
 			resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
 			sz.cell(ids[:n])
 			ids, vals = ids[n:], vals[n:]
@@ -712,8 +723,9 @@ func (o *Owner) DocTableBytes() int64 {
 	return n
 }
 
-// RTKSizeBytes returns the RTK-Sketch memory footprint: 8 bytes per
-// resident entry (see RTKSketch.SizeBytes).
+// RTKSizeBytes returns the RTK-Sketch space of the paper's Fig. 4: 8
+// bytes per entry the cells hold, zero entries included, whether or not
+// they are resident (see RTKSketch.SizeBytes).
 func (o *Owner) RTKSizeBytes() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 
 	"csfltr/internal/dp"
@@ -79,10 +80,11 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 	}
 	// RTK-Sketch cells, each in canonical ascending-DocID order: the
 	// resident layout depends on ingestion history (sequential vs bulk,
-	// queried or not), but the snapshot must be a pure function of the
-	// corpus so save -> load -> save stays byte-stable.
+	// queried or not, sparse or explicit), but the snapshot must be a pure
+	// function of the corpus so save -> load -> save stays byte-stable. A
+	// sparse sketch writes its materialized view, zero entries included.
 	for c := range o.rtk.cells {
-		entries := o.rtk.cells[c].canonicalize(&o.rtk.sorter)
+		entries := o.rtk.cellView(c)
 		put64(uint64(len(entries)))
 		for _, e := range entries {
 			put64(uint64(int64(e.DocID)))
@@ -253,21 +255,34 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 			o.docTables[docID] = tbl
 		}
 	}
-	o.idsSorted = false
+	o.sortIDs()
 	// Appends are vouched for against liveMax, so it must bound every id
 	// a cell holds — also one a corrupt snapshot left out of the roster.
-	o.rtk.resetLiveMax(o.ids)
-	for c := range o.rtk.cells {
+	s := o.rtk
+	s.resetLiveMax(o.ids)
+	// The sketch loads sparse while every cell read holds exactly the
+	// roster, which is what a sketch that never evicted writes; the first
+	// cell that does not turns it explicit, the cells before it
+	// materialized as they were written.
+	s.roster = make([]int32, len(o.ids))
+	for i, id := range o.ids {
+		s.roster[i] = int32(id) // range-checked above
+		if i > 0 && s.roster[i] == s.roster[i-1] {
+			s.makeExplicit(0, 0) // a corrupt roster: no cell can hold it
+			break
+		}
+	}
+	var buf []Entry // one cell as the snapshot stores it, reused
+	for c := range s.cells {
 		var n uint64
 		if !read(&n) || n > uint64(p.HeapCap()) {
 			return nil, fmt.Errorf("%w: bad cell size", ErrCorruptState)
 		}
-		h := &o.rtk.cells[c]
-		h.entries = make([]Entry, n)
+		buf = slices.Grow(buf[:0], int(n))[:n]
 		// Snapshots store cells in canonical DocID order; one that does
 		// not is re-ordered by whichever of push and Cell needs it first.
-		h.canonical = true
-		for j := range h.entries {
+		canonical := true
+		for j := range buf {
 			var id, val uint64
 			if !read(&id) || !read(&val) {
 				return nil, fmt.Errorf("%w: truncated cell entry", ErrCorruptState)
@@ -275,12 +290,22 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 			if !fitsDocID(int64(id)) || !fitsValue(int64(val)) {
 				return nil, fmt.Errorf("%w: cell entry (%d, %d) does not fit int32", ErrCorruptState, int64(id), int64(val))
 			}
-			h.entries[j] = Entry{DocID: int32(int64(id)), Value: int32(int64(val))}
-			o.rtk.admit(int(h.entries[j].DocID))
-			if j > 0 && h.entries[j].DocID <= h.entries[j-1].DocID {
-				h.canonical = false
+			buf[j] = Entry{DocID: int32(int64(id)), Value: int32(int64(val))}
+			s.admit(int(buf[j].DocID))
+			if j > 0 && buf[j].DocID <= buf[j-1].DocID {
+				canonical = false
 			}
 		}
+		if s.sparse && !holdsRoster(buf, s.roster) {
+			s.makeExplicit(c, len(s.roster))
+		}
+		h := &s.cells[c]
+		if s.sparse {
+			h.entries = nonZero(buf)
+			continue
+		}
+		h.entries, h.canonical = make([]Entry, n), canonical
+		copy(h.entries, buf)
 		if n == uint64(p.HeapCap()) {
 			// Later pushes must keep evicting the true minimum.
 			if h.canonical {
@@ -296,4 +321,39 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 	}
 	o.rtk.docs = int(int64(docs))
 	return o, nil
+}
+
+// holdsRoster reports whether a cell as a snapshot stores it is the
+// roster: one entry per live id, in order.
+func holdsRoster(es []Entry, roster []int32) bool {
+	if len(es) != len(roster) {
+		return false
+	}
+	for i, e := range es {
+		if e.DocID != roster[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// nonZero returns a copy of the entries of es whose value is not zero —
+// what a sparse cell keeps — in exactly the memory they need.
+func nonZero(es []Entry) []Entry {
+	n := 0
+	for _, e := range es {
+		if e.Value != 0 {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	out := make([]Entry, 0, n)
+	for _, e := range es {
+		if e.Value != 0 {
+			out = append(out, e)
+		}
+	}
+	return out
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"testing"
 
+	"csfltr/internal/corpus"
 	"csfltr/internal/dp"
 	"csfltr/internal/sketch"
 	"csfltr/internal/zipf"
@@ -202,6 +203,123 @@ func TestSnapshotSketchKindPreserved(t *testing.T) {
 	if got.Params().SketchKind != sketch.CountMin {
 		t.Fatal("sketch kind lost in snapshot")
 	}
+}
+
+// TestSnapshotSparseRoundTrip: a sketch that never evicted writes the
+// snapshot the explicit form of the same documents writes, and loads back
+// sparse — save, load, save is byte-equal and the reload holds exactly
+// the bytes the original held. An owner that went past alpha*K and shrank
+// back below it has cells that lost entries to the cap, so it reloads
+// explicit, as it was.
+func TestSnapshotSparseRoundTrip(t *testing.T) {
+	p := testParams()
+	p.W, p.Alpha, p.K = 64, 2, 10 // cells cap at 20
+	docs := bulkBatch(24, 12, 9)
+	for _, keep := range []bool{true, false} {
+		newOwner := func() *Owner {
+			var opts []OwnerOption
+			if !keep {
+				opts = append(opts, WithoutDocTables())
+			}
+			o, err := NewOwner(p, 42, dp.Disabled(), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := o.AddDocuments(docs[:18], 1); err != nil {
+				t.Fatal(err)
+			}
+			return o
+		}
+		reload := func(o *Owner, wantSparse bool) {
+			t.Helper()
+			saved := snapshot(t, o)
+			loaded, err := ReadOwner(bytes.NewReader(saved), dp.Disabled())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if loaded.rtk.sparse != wantSparse {
+				t.Fatalf("keep=%v: reloaded sparse=%v, want %v", keep, loaded.rtk.sparse, wantSparse)
+			}
+			if !bytes.Equal(snapshot(t, loaded), saved) {
+				t.Fatalf("keep=%v sparse=%v: save -> load -> save is not byte-stable", keep, wantSparse)
+			}
+			if got, want := loaded.rtk.residentBytes(), o.rtk.residentBytes(); got != want {
+				t.Fatalf("keep=%v sparse=%v: reloaded sketch holds %d bytes, the original %d", keep, wantSparse, got, want)
+			}
+		}
+
+		sparse, explicit := newOwner(), newOwner()
+		explicit.rtk.makeExplicit(len(explicit.rtk.cells), p.HeapCap())
+		if !sparse.rtk.sparse || explicit.rtk.sparse {
+			t.Fatal("setup: want one sparse sketch and one explicit")
+		}
+		if !bytes.Equal(snapshot(t, sparse), snapshot(t, explicit)) {
+			t.Fatalf("keep=%v: the sparse sketch writes another snapshot than the explicit one", keep)
+		}
+		if sparse.RTKSizeBytes() != explicit.RTKSizeBytes() || 2*sparse.rtk.residentBytes() > explicit.rtk.residentBytes() {
+			t.Fatalf("keep=%v: sparse %d B (%d resident), explicit %d B", keep,
+				sparse.RTKSizeBytes(), sparse.rtk.residentBytes(), explicit.RTKSizeBytes())
+		}
+		reload(sparse, true)
+
+		shrunk := newOwner()
+		for _, d := range docs[18:] {
+			if err := shrunk.AddDocument(d.DocID, d.Counts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, d := range docs[18:] {
+			if err := shrunk.RemoveDocument(d.DocID); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lost := slices.ContainsFunc(shrunk.rtk.cells, func(h cellHeap) bool { return len(h.entries) < 18 })
+		if shrunk.rtk.sparse || !lost {
+			t.Fatal("setup: the shrunk owner lost no entry to the cap")
+		}
+		reload(shrunk, false)
+	}
+}
+
+// TestSparseResidentBytes pins what the sparse form saves at the
+// benchmark geometry (z = 30, w = 200, alpha*K = 250) on a shard-sized
+// owner: 64 generated documents' bodies, 30 % of whose cells are
+// non-zero, are held in at most 40 % of the sketch's logical bytes, while
+// RTKSizeBytes — Fig. 4's quantity — still counts every entry, zeros
+// included.
+func TestSparseResidentBytes(t *testing.T) {
+	p := DefaultParams()
+	p.K = 50
+	cc := corpus.DefaultConfig()
+	cc.NumParties, cc.DocsPerParty, cc.DocLen, cc.QueriesPerParty = 1, 64, 120, 1
+	c, err := corpus.Generate(cc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs := make([]DocCounts, len(c.Parties[0].Docs))
+	for i, d := range c.Parties[0].Docs {
+		counts := make(map[uint64]int64)
+		for term, n := range d.BodyCounts() {
+			counts[uint64(term)] = int64(n)
+		}
+		docs[i] = DocCounts{DocID: d.ID, Counts: counts}
+	}
+	o := newOwnerT(t, p)
+	if err := o.AddDocuments(docs, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !o.rtk.sparse {
+		t.Fatal("64 documents under a cap of 250 made the sketch explicit")
+	}
+	logical := int64(8 * len(docs) * p.Z * p.W)
+	if got := o.RTKSizeBytes(); got != logical {
+		t.Fatalf("RTKSizeBytes = %d, want the explicit figure %d", got, logical)
+	}
+	resident := o.rtk.residentBytes()
+	if 10*resident > 4*logical {
+		t.Fatalf("the sketch holds %d bytes of its %d logical: more than 40 %%", resident, logical)
+	}
+	t.Logf("resident %d B of %d logical (%.1f %%)", resident, logical, 100*float64(resident)/float64(logical))
 }
 
 // v1Corpus builds the owner whose version-1 snapshot, written by the last

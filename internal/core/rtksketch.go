@@ -115,8 +115,7 @@ func rankLess(a, b Entry) bool {
 // sorted away.
 func (h *cellHeap) push(e Entry, cap int, above bool) {
 	if n := len(h.entries); n < cap {
-		h.entries = append(h.entries, e)
-		h.canonical = above && (h.canonical || n == 0)
+		h.add(e, above)
 		if n+1 == cap {
 			h.canonical = false
 			h.heapify()
@@ -140,6 +139,14 @@ func (h *cellHeap) push(e Entry, cap int, above bool) {
 	h.entries[0] = e
 	h.siftDown(0)
 	h.setFloor(h.entries[0])
+}
+
+// add appends e with no capacity to respect: push below capacity, and
+// every write to a sparse sketch's non-zero list. An append that above
+// vouches for keeps an empty or canonical cell canonical.
+func (h *cellHeap) add(e Entry, above bool) {
+	h.canonical = above && (h.canonical || len(h.entries) == 0)
+	h.entries = append(h.entries, e)
 }
 
 // reserve makes room for the n pushes a bulk batch is about to make with
@@ -400,18 +407,37 @@ func (a *rtkAccum) addTable(docID int, table *sketch.Table, z, w int) {
 // pairs. It replaces the n per-document sketches of the NAIVE solution on
 // the owner side and reduces per-term query cost from O(zn) to O(z*alpha*K).
 //
+// A sketch lives in one of two forms. It is born sparse: until a push
+// would evict, every cell holds every live document — Algorithm 4 gives
+// each cell each document until the cell has alpha*K of them — so a cell
+// is the roster plus its values, and it stores only the entries whose
+// value is not zero, beside one ascending roster of the live ids. Every
+// observable surface (Cell, AnswerRTK, snapshots, MaxCellLoad) emits the
+// materialized view: the roster, with the cell's value where it stores
+// one and zero elsewhere — what an explicit cell would hold, entry for
+// entry. The first push or batch that would take the roster past alpha*K
+// materializes every cell and the sketch is explicit from then on: once
+// an eviction has happened and documents leave again, a cell no longer
+// holds the whole roster, and only the explicit form says which entries
+// it lost.
+//
 // RTKSketch is not safe for concurrent mutation.
 type RTKSketch struct {
 	params Params
 	fam    *hashutil.Family
-	cells  []cellHeap // row-major z x w
+	cells  []cellHeap // row-major z x w; a sparse sketch's cells hold their non-zero entries
 	docs   int
 	// liveMax is at least the largest id summarized (math.MinInt before
 	// the first): what lets an ingest vouch for an ascending append
-	// without looking into any cell. Delete leaves it stale-high — safe,
-	// only less often useful — until the keeper of the roster resets it.
+	// without looking into any cell. Delete on an explicit sketch leaves it
+	// stale-high — safe, only less often useful — until the keeper of the
+	// roster resets it; a sparse sketch keeps the roster and reads it off.
 	liveMax int
 	sorter  docSorter // Cell's scratch
+	sparse  bool
+	roster  []int32 // the live ids, ascending, while sparse
+	view    []Entry // Cell's materialized view, while sparse
+	marks   []int   // the cells a removed document's table marks
 }
 
 // NewRTKSketch creates an empty RTK-Sketch bound to the shared hash
@@ -430,9 +456,9 @@ func NewRTKSketch(params Params, fam *hashutil.Family) (*RTKSketch, error) {
 	cells := make([]cellHeap, params.Z*params.W)
 	abs := params.SketchKind == sketch.Count
 	for i := range cells {
-		cells[i].abs = abs
+		cells[i].abs, cells[i].canonical = abs, true
 	}
-	return &RTKSketch{params: params, fam: fam, cells: cells, liveMax: math.MinInt}, nil
+	return &RTKSketch{params: params, fam: fam, cells: cells, liveMax: math.MinInt, sparse: true}, nil
 }
 
 // Params returns the sketch's parameters.
@@ -492,16 +518,104 @@ func (s *RTKSketch) resetLiveMax(ids []int) {
 // pushes as one bit: that is what lets a cell stay canonical under
 // ascending ingest without a load of its previous entry per push. Callers
 // have range-checked the id and the table (Update, checkDoc).
+//
+// A sparse sketch takes the document onto its roster and appends only the
+// table's non-zero cells, under the same bit; the push that would take the
+// roster past alpha*K first makes the sketch explicit (expect).
 func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
+	s.expect(1)
 	above := s.admit(docID)
 	cap := s.params.HeapCap()
 	w := s.params.W
 	id := int32(docID)
+	if s.sparse {
+		s.enroll(id, above)
+		for i := 0; i < s.params.Z; i++ {
+			for j := 0; j < w; j++ {
+				if v := table.Cell(i, uint32(j)); v != 0 {
+					s.cells[i*w+j].add(Entry{DocID: id, Value: int32(v)}, above)
+				}
+			}
+		}
+		return
+	}
 	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
 			s.cells[i*w+j].push(Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}, cap, above)
 		}
 	}
+}
+
+// expect readies the sketch for n more documents: a sparse sketch they
+// would take past alpha*K is made explicit first, every cell materialized
+// with room for alpha*K entries. An empty sketch has nothing to
+// materialize, so a bulk load past alpha*K starts out explicit at no cost.
+func (s *RTKSketch) expect(n int) {
+	if s.sparse && len(s.roster)+n > s.params.HeapCap() {
+		s.makeExplicit(len(s.cells), s.params.HeapCap())
+	}
+}
+
+// makeExplicit turns a sparse sketch explicit: cells [0, upto) trade
+// their non-zero list for the cell's view, in canonical order, with room
+// for room entries, and a full one gets its floor. Every caller but a
+// snapshot load passes all the cells; ReadOwner passes those it has read.
+func (s *RTKSketch) makeExplicit(upto, room int) {
+	if len(s.roster) > 0 {
+		for c := range s.cells[:upto] {
+			h := &s.cells[c]
+			es := make([]Entry, len(s.roster), max(room, len(s.roster)))
+			s.spread(h.canonicalize(&s.sorter), es)
+			h.entries, h.canonical = es, true
+			if len(es) == s.params.HeapCap() {
+				h.scanFloor()
+			}
+		}
+	}
+	s.sparse, s.roster, s.view = false, nil, nil
+}
+
+// spread writes the view of a sparse cell whose canonical non-zero
+// entries are nz into dst, one entry per roster id: the cell's value
+// where it stores one, zero elsewhere.
+func (s *RTKSketch) spread(nz, dst []Entry) {
+	j := 0
+	for i, id := range s.roster {
+		v := int32(0)
+		if j < len(nz) && nz[j].DocID == id {
+			v = nz[j].Value
+			j++
+		}
+		dst[i] = Entry{DocID: id, Value: v}
+	}
+}
+
+// enroll puts id on a sparse sketch's roster; above is admit's word that
+// it goes at the end.
+func (s *RTKSketch) enroll(id int32, above bool) {
+	i := len(s.roster)
+	if !above {
+		i, _ = slices.BinarySearch(s.roster, id)
+	}
+	s.roster = slices.Insert(s.roster, i, id)
+}
+
+// unenroll ends a removal from a sparse sketch whose lists no longer hold
+// id: it takes id off the roster, and so out of every cell's view, sets
+// liveMax to the largest id left, which the roster knows, and returns
+// how many cells' views held it — every cell, or none.
+func (s *RTKSketch) unenroll(id int32) int {
+	s.docs--
+	held := 0
+	if i, on := slices.BinarySearch(s.roster, id); on {
+		s.roster = slices.Delete(s.roster, i, i+1)
+		held = len(s.cells)
+	}
+	s.liveMax = math.MinInt
+	if n := len(s.roster); n > 0 {
+		s.liveMax = int(s.roster[n-1])
+	}
+	return held
 }
 
 // mergeAccumRows folds rows [lo, hi) of every per-worker accumulator
@@ -552,12 +666,24 @@ func (s *RTKSketch) addDocs(docs []DocCounts) {
 // above the cell's floor, so a full cell whose cached floor orders above
 // the document's own entry is skipped without touching its slab. The
 // argument needs the floor, so it holds only while the cell is full.
+//
+// A sparse sketch takes the document off its roster — which removes it
+// from every cell's view — and off the non-zero list of every cell, which
+// is short: it has no floor to skip by, and the owner, which keeps the
+// table compact, removes through the cells it marks instead
+// (deleteMarked).
 func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
+	id := int32(docID) // summarized, so Update or checkDoc saw it fit
+	if s.sparse {
+		for c := range s.cells {
+			s.cells[c].remove(id)
+		}
+		return s.unenroll(id)
+	}
 	if table != nil && (table.Z() != s.params.Z || table.W() != s.params.W) {
 		table = nil
 	}
 	removed := 0
-	id := int32(docID) // summarized, so Update or checkDoc saw it fit
 	cap := s.params.HeapCap()
 	w := s.params.W
 	for i := 0; i < s.params.Z; i++ {
@@ -572,6 +698,18 @@ func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
 	}
 	s.docs--
 	return removed
+}
+
+// deleteMarked is Delete on a sparse sketch by a caller that kept the
+// document's table compact: the only lists that can hold the document are
+// those of the cells the table marks non-zero, read without expanding it.
+func (s *RTKSketch) deleteMarked(docID int, table sketch.Compact) int {
+	id := int32(docID)
+	s.marks = table.AppendNonZero(s.marks[:0])
+	for _, c := range s.marks {
+		s.cells[c].remove(id)
+	}
+	return s.unenroll(id)
 }
 
 // AbsEvictionKeys reports whether cell eviction ranks entries by
@@ -595,8 +733,11 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // single-sketch cell bit for bit. The parts arrive ascending by DocID, so
 // every row is one k-way merge by DocID. A row whose survivors overflow
 // the cap first finds its cut, the smallest entry that stays: the entry
-// of rank n-heapCap among the n candidates (selectRank), unique because
-// the order is strict. The merge then drops what orders below the cut,
+// of rank n-heapCap among the n candidates, unique because the order is
+// strict — by one pass over the rows that keeps the few smallest
+// (cutSmall) when the overflow is small, as it is when shards just under
+// the cap meet, and by gathering the candidates and selecting (selectRank)
+// otherwise. The merge then drops what orders below the cut,
 // so exactly heapCap entries come out, already in canonical order, and
 // nothing is ever sorted. abs must be Params.AbsEvictionKeys() of the
 // sketches being merged; heapCap is Params.HeapCap().
@@ -615,13 +756,10 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 	}
 	resp, ids, vals := NewRTKResponse(z, total)
 	order := cellHeap{abs: abs}
-	rank := func(id int32, v float64) Entry { // an entry of a part, its value replaced by the ranking key
-		return Entry{DocID: id, Value: order.key(Entry{Value: int32(v)})} // raw, so v is an Entry's Value
-	}
 	sc := mergeScratchPool.Get().(*mergeScratch)
 	heads := slices.Grow(sc.heads[:0], len(parts))[:len(parts)]
 	ranked := sc.ranked
-	if longest > heapCap {
+	if longest-heapCap > smallOverflow {
 		ranked = slices.Grow(ranked[:0], longest)
 	}
 	var sz rtkSizer
@@ -633,13 +771,12 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 		}
 		keep := min(n, heapCap)
 		cut := Entry{DocID: math.MaxInt32, Value: math.MinInt32} // nothing orders below it
-		if n > heapCap {
-			ranked = ranked[:0]
-			for _, c := range heads {
-				for i, id := range c.IDs {
-					ranked = append(ranked, rank(id, c.Values[i]))
-				}
-			}
+		switch {
+		case n <= heapCap:
+		case n-heapCap <= smallOverflow:
+			cut = order.cutSmall(heads, n-heapCap)
+		default:
+			ranked = order.gather(heads, ranked[:0])
 			cut = selectRank(ranked, n-heapCap)
 		}
 		for out := 0; out < keep; {
@@ -663,7 +800,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 			i := 0
 			for {
 				id, v := run.IDs[i], run.Values[i]
-				if !rankLess(rank(id, v), cut) {
+				if !rankLess(order.rank(id, v), cut) {
 					sz.note(int64(v))
 					ids[out], vals[out] = id, v+noise
 					out++
@@ -696,6 +833,55 @@ type mergeScratch struct {
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
+
+// rank returns an entry of a raw reply row — its value an exact integer,
+// an Entry's Value — with the value replaced by its ranking key, the form
+// rankLess orders.
+func (h *cellHeap) rank(id int32, v float64) Entry {
+	return Entry{DocID: id, Value: h.key(Entry{Value: int32(v)})}
+}
+
+// gather appends every entry of the rows to dst in ranked form.
+func (h *cellHeap) gather(rows []RTKCell, dst []Entry) []Entry {
+	for _, c := range rows {
+		for i, id := range c.IDs {
+			dst = append(dst, h.rank(id, c.Values[i]))
+		}
+	}
+	return dst
+}
+
+// smallOverflow is the largest overflow of a merged row that cutSmall
+// cuts; beyond it a merge gathers and selects.
+const smallOverflow = 16
+
+// cutSmall returns the entry of rank k (0-based, at most smallOverflow)
+// under rankLess among the ranked entries of the rows, which hold more
+// than k — what selectRank finds in them gathered — in one pass that
+// keeps the k+1 smallest seen, in order, on the stack. Most entries cost
+// one comparison with the largest of those and are passed over.
+func (h *cellHeap) cutSmall(rows []RTKCell, k int) Entry {
+	var least [smallOverflow + 1]Entry
+	n := 0
+	for _, c := range rows {
+		for i, id := range c.IDs {
+			e := h.rank(id, c.Values[i])
+			if n > k {
+				if !rankLess(e, least[k]) {
+					continue
+				}
+				n-- // the largest kept leaves to make room
+			}
+			j := n
+			for ; j > 0 && rankLess(e, least[j-1]); j-- {
+				least[j] = least[j-1]
+			}
+			least[j] = e
+			n++
+		}
+	}
+	return least[k]
+}
 
 // selectRank returns the entry of rank k (0-based) under rankLess,
 // partially ordering es on the way: quickselect with a median-of-three
@@ -746,17 +932,75 @@ func selectRank(es []Entry, k int) Entry {
 // lookup of Algorithm 5: the querier asks for the heaps its term hashes
 // to. The canonical order makes responses (and therefore wire encodings
 // and snapshots) independent of the resident layout, which depends on
-// ingestion history. The slice is the sketch's own storage: it is valid
-// until the next Update or Delete and must not be modified.
+// ingestion history, and a sparse sketch hands out the materialized view,
+// zero entries included. The slice is the sketch's own storage: it is
+// valid until the next Update, Delete or Cell and must not be modified.
 func (s *RTKSketch) Cell(row int, col uint32) []Entry {
-	return s.cells[row*s.params.W+int(col)].canonicalize(&s.sorter)
+	return s.cellView(row*s.params.W + int(col))
 }
 
-// SizeBytes returns the current memory footprint of the heap payloads —
-// what is resident, 8 bytes per entry: 4 for the doc id, 4 for the value
-// — the space metric of Fig. 4.
+// cellView is Cell by row-major cell index.
+func (s *RTKSketch) cellView(c int) []Entry {
+	nz := s.cells[c].canonicalize(&s.sorter)
+	if !s.sparse {
+		return nz
+	}
+	s.view = slices.Grow(s.view[:0], len(s.roster))[:len(s.roster)]
+	s.spread(nz, s.view)
+	return s.view
+}
+
+// cellLen returns the length of Cell(row, col) without materializing it.
+func (s *RTKSketch) cellLen(row int, col uint32) int {
+	if s.sparse {
+		return len(s.roster)
+	}
+	return len(s.cells[row*s.params.W+int(col)].entries)
+}
+
+// answerCell writes Cell(row, col) into a reply's row — ids, and values
+// plus noise, cellLen(row, col) of each — noting every value with sz. A
+// sparse cell's view is merged straight into the row.
+func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64, noise float64, sz *rtkSizer) {
+	nz := s.cells[row*s.params.W+int(col)].canonicalize(&s.sorter)
+	if !s.sparse {
+		for i, e := range nz {
+			ids[i] = e.DocID
+			vals[i] = float64(e.Value) + noise
+			sz.note(int64(e.Value))
+		}
+		return
+	}
+	if len(nz) < len(s.roster) {
+		sz.note(0)
+	}
+	j := 0
+	for i, id := range s.roster {
+		v := int32(0)
+		if j < len(nz) && nz[j].DocID == id {
+			v = nz[j].Value
+			sz.note(int64(v))
+			j++
+		}
+		ids[i], vals[i] = id, float64(v)+noise
+	}
+}
+
+// SizeBytes returns the space metric of Fig. 4: 8 bytes (4 for the doc
+// id, 4 for the value) per entry the cells hold, zero entries included.
+// It counts what the paper's sketch holds, not what is resident: a
+// sparse sketch keeps only the non-zero entries (see residentBytes).
 func (s *RTKSketch) SizeBytes() int64 {
-	var n int64
+	if s.sparse {
+		return int64(8 * len(s.roster) * len(s.cells))
+	}
+	return s.residentBytes()
+}
+
+// residentBytes returns what the sketch holds in memory: 8 bytes per
+// stored entry, and 4 per roster id while sparse.
+func (s *RTKSketch) residentBytes() int64 {
+	n := int64(4 * len(s.roster))
 	for c := range s.cells {
 		n += int64(8 * len(s.cells[c].entries))
 	}
@@ -766,6 +1010,9 @@ func (s *RTKSketch) SizeBytes() int64 {
 // MaxCellLoad returns the largest cell occupancy; useful for verifying
 // the alpha*K cap in tests and capacity planning.
 func (s *RTKSketch) MaxCellLoad() int {
+	if s.sparse {
+		return len(s.roster)
+	}
 	max := 0
 	for c := range s.cells {
 		if l := len(s.cells[c].entries); l > max {

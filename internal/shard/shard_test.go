@@ -355,6 +355,15 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 // steps both replicas of every shard write the same snapshot — reads go
 // round-robin, so the replicas' cells differ in layout, which nothing
 // observable may show.
+//
+// Then a shard churns across the cap: it holds cap − 1 documents, the
+// largest ids, and goes to cap + 1 and back, lap after lap, each time
+// with other documents. Its owners start sparse, are materialized by the
+// push past the cap and evict from then on; what a cell loses that way
+// is the entry the cell ranks last — a zero with a large id — which the
+// other shards' documents keep out of the union's top cap as well, so
+// the group still answers what the single owner does, at cap + 1 and
+// after each way back.
 func TestChurnMatchesSingleOwner(t *testing.T) {
 	p := testParams()
 	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
@@ -363,91 +372,149 @@ func TestChurnMatchesSingleOwner(t *testing.T) {
 		all[i].DocID = i
 	}
 	base, spare := all[:40], all[40:]
+	c := newChurnGroup(t, p, 10, base)
+	for step := 0; step < 200; step++ {
+		c.add(spare[step%len(spare)])
+		c.check(step)
+		if step > 0 {
+			c.remove(spare[(step-1)%len(spare)].DocID)
+		}
+		if step%5 == 4 {
+			mid := base[(step*7)%len(base)]
+			c.remove(mid.DocID)
+			c.check(step)
+			c.add(mid)
+		}
+		if step%25 == 24 {
+			c.checkReplicas(step)
+		}
+	}
+
+	// Across the cap, in blocks of 40 ids: shard 3 holds 120-154, the cap
+	// less one, and 155-159 come and go; shards 0 and 1 hold six smaller
+	// ids between them.
+	all = testDocs(46, 47)
+	for i := range all {
+		all[i].DocID = []int{0, 1, 2, 3, 40, 41}[min(i, 5)]
+		if i >= 6 {
+			all[i].DocID = 120 + i - 6
+		}
+	}
+	base, spare = all[:41], all[41:]
+	c = newChurnGroup(t, p, 40, base)
+	crossing := c.g.shards[3].replicas
+	for lap := 0; lap < 12; lap++ {
+		x, y := spare[lap%len(spare)], spare[(lap+1+lap/len(spare))%len(spare)]
+		c.add(x)
+		c.check(4 * lap)
+		c.add(y)
+		for _, r := range crossing {
+			if rtk := r.owner.RTK(); rtk.NumDocs() != p.HeapCap()+1 || rtk.MaxCellLoad() != p.HeapCap() {
+				t.Fatalf("lap %d: shard 3 summarizes %d documents in cells of at most %d, want %d in %d",
+					lap, rtk.NumDocs(), rtk.MaxCellLoad(), p.HeapCap()+1, p.HeapCap())
+			}
+		}
+		c.check(4*lap + 1)
+		c.remove(y.DocID)
+		c.check(4*lap + 2)
+		c.remove(x.DocID)
+		c.check(4*lap + 3)
+		c.checkReplicas(lap)
+	}
+}
+
+// churnGroup is a 4 x 2 group beside the documents it holds.
+type churnGroup struct {
+	t    *testing.T
+	p    core.Params
+	g    *Group
+	live map[int]core.DocCounts
+}
+
+func newChurnGroup(t *testing.T, p core.Params, blockSize int, base []core.DocCounts) *churnGroup {
+	t.Helper()
 	sp := p
 	sp.Shards, sp.Replicas = 4, 2
-	g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: 10})
+	g, err := New(Config{Params: sp, Seed: testSeed, BlockSize: blockSize})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.AddDocuments(base, 1); err != nil {
 		t.Fatal(err)
 	}
-	live := make(map[int]core.DocCounts)
+	c := &churnGroup{t: t, p: p, g: g, live: make(map[int]core.DocCounts)}
 	for _, d := range base {
-		live[d.DocID] = d
+		c.live[d.DocID] = d
 	}
-	add := func(d core.DocCounts) {
-		t.Helper()
-		if err := g.AddDocument(d.DocID, d.Counts); err != nil {
-			t.Fatal(err)
-		}
-		live[d.DocID] = d
+	return c
+}
+
+func (c *churnGroup) add(d core.DocCounts) {
+	c.t.Helper()
+	if err := c.g.AddDocument(d.DocID, d.Counts); err != nil {
+		c.t.Fatal(err)
 	}
-	remove := func(id int) {
-		t.Helper()
-		if err := g.RemoveDocument(id); err != nil {
-			t.Fatal(err)
-		}
-		delete(live, id)
+	c.live[d.DocID] = d
+}
+
+func (c *churnGroup) remove(id int) {
+	c.t.Helper()
+	if err := c.g.RemoveDocument(id); err != nil {
+		c.t.Fatal(err)
 	}
-	check := func(step int) {
-		t.Helper()
-		docs := make([]core.DocCounts, 0, len(live))
-		for _, d := range live {
-			docs = append(docs, d)
-		}
-		ref, err := core.NewOwner(p, testSeed, dp.Disabled())
+	delete(c.live, id)
+}
+
+// check asks the group three queries and requires, bit for bit, what a
+// single owner built afresh from the live documents answers — an answer
+// the facade merge cut at the cap.
+func (c *churnGroup) check(step int) {
+	c.t.Helper()
+	docs := make([]core.DocCounts, 0, len(c.live))
+	for _, d := range c.live {
+		docs = append(docs, d)
+	}
+	ref, err := core.NewOwner(c.p, testSeed, dp.Disabled())
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	if err := ref.AddDocuments(docs, 1); err != nil {
+		c.t.Fatal(err)
+	}
+	for salt := 0; salt < 3; salt++ {
+		q := queryCols(c.p, step+salt)
+		got, err := c.g.AnswerRTK(q)
 		if err != nil {
-			t.Fatal(err)
+			c.t.Fatal(err)
 		}
-		if err := ref.AddDocuments(docs, 1); err != nil {
-			t.Fatal(err)
+		want, err := ref.AnswerRTK(q)
+		if err != nil {
+			c.t.Fatal(err)
 		}
-		for salt := 0; salt < 3; salt++ {
-			q := queryCols(p, step+salt)
-			got, err := g.AnswerRTK(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want, err := ref.AnswerRTK(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("step %d salt %d: sharded answer differs from the single owner's:\n got %+v\nwant %+v", step, salt, got, want)
-			}
-			if n := len(got.Cells[0].IDs); n != p.HeapCap() {
-				t.Fatalf("step %d: row 0 holds %d entries, want the cap %d: the merge did not overflow", step, n, p.HeapCap())
-			}
+		if !reflect.DeepEqual(got, want) {
+			c.t.Fatalf("step %d salt %d: sharded answer differs from the single owner's:\n got %+v\nwant %+v", step, salt, got, want)
+		}
+		if n := len(got.Cells[0].IDs); n != c.p.HeapCap() {
+			c.t.Fatalf("step %d: row 0 holds %d entries, want the cap %d: the merge did not overflow", step, n, c.p.HeapCap())
 		}
 	}
-	for step := 0; step < 200; step++ {
-		add(spare[step%len(spare)])
-		check(step)
-		if step > 0 {
-			remove(spare[(step-1)%len(spare)].DocID)
-		}
-		if step%5 == 4 {
-			mid := base[(step*7)%len(base)]
-			remove(mid.DocID)
-			check(step)
-			add(mid)
-		}
-		if step%25 != 24 {
-			continue
-		}
-		for si, s := range g.shards {
-			var first bytes.Buffer
-			for ri, r := range s.replicas {
-				var snap bytes.Buffer
-				if _, err := r.owner.WriteTo(&snap); err != nil {
-					t.Fatal(err)
-				}
-				if ri == 0 {
-					first = snap
-				} else if !bytes.Equal(first.Bytes(), snap.Bytes()) {
-					t.Fatalf("step %d: shard %d replica %d snapshot differs from replica 0's", step, si, ri)
-				}
+}
+
+// checkReplicas requires both replicas of every shard to write the same
+// snapshot.
+func (c *churnGroup) checkReplicas(step int) {
+	c.t.Helper()
+	for si, s := range c.g.shards {
+		var first bytes.Buffer
+		for ri, r := range s.replicas {
+			var snap bytes.Buffer
+			if _, err := r.owner.WriteTo(&snap); err != nil {
+				c.t.Fatal(err)
+			}
+			if ri == 0 {
+				first = snap
+			} else if !bytes.Equal(first.Bytes(), snap.Bytes()) {
+				c.t.Fatalf("step %d: shard %d replica %d snapshot differs from replica 0's", step, si, ri)
 			}
 		}
 	}

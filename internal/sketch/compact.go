@@ -114,6 +114,28 @@ func groupCell[T compactWord](rank, marks, vals []T, shift uint, at int, bit uin
 	return int64(vals[min(i, len(vals)-1)]) & -int64(m>>bit&1)
 }
 
+// AppendNonZero appends to dst the row-major position (row*w + col) of
+// every non-zero cell, ascending — the cells the marks name, found without
+// expanding the table.
+func (c Compact) AppendNonZero(dst []int) []int {
+	if c.narrow != nil {
+		return appendMarked(c.narrow, c.z, c.w, narrowShift, dst)
+	}
+	return appendMarked(c.wide, c.z, c.w, wideShift, dst)
+}
+
+func appendMarked[T compactWord](s []T, z, w int, shift uint, dst []int) []int {
+	perRow := groups(w, shift)
+	marks := s[z*perRow : 2*z*perRow]
+	for at, m := range marks {
+		base := at/perRow*w + at%perRow<<shift
+		for set := markBits(m, shift); set != 0; set &= set - 1 {
+			dst = append(dst, base+bits.TrailingZeros64(set))
+		}
+	}
+	return dst
+}
+
 // Builder is the dense scratch through which an owner's documents pass:
 // it sketches one document at a time into a reused Table, hands that
 // table to whoever folds it, and compacts it for keeping — so ingesting a

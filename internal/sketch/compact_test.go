@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"csfltr/internal/hashutil"
@@ -60,10 +61,15 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 	}
 	checkLookups(t, c, dense)
 	nonZero := 0
-	for _, v := range dense.cells {
+	var cells []int
+	for i, v := range dense.cells {
 		if v != 0 {
 			nonZero++
+			cells = append(cells, i)
 		}
+	}
+	if got := c.AppendNonZero([]int{-1}); !slices.Equal(got[1:], cells) || got[0] != -1 {
+		t.Fatalf("AppendNonZero names cells %v, the dense table %v", got, cells)
 	}
 	// A rank and a marks word per group of columns, a word per counter.
 	want := 8 * (2*z*((w+63)/64) + nonZero)
