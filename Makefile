@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze vet-v2 analyze-fixtures clean telemetry-demo trace-demo loc
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast examples fmt fmt-check vet analyze analyze-fixtures clean telemetry-demo trace-demo loc
 
 all: build test
 
@@ -158,14 +158,11 @@ vet:
 	$(GO) vet ./...
 
 # Project-specific static analysis, v2 suite: interprocedural privacy
-# taint, lock-copy/lock-hold concurrency hygiene, merge-path
+# taint, lock-hold concurrency hygiene, merge-path
 # determinism, epsilon budget-flow, dropped errors, metric-label
 # cardinality, and suppression auditing. See DESIGN.md §14.
 analyze:
 	$(GO) run ./cmd/csfltr-vet ./...
-
-# Alias kept so "the v2 analyzers" are one obvious command.
-vet-v2: analyze
 
 # The analyzers' own fixture suite (testdata packages with // want
 # expectations plus the harness meta-test), shuffled so fixture results

@@ -1,6 +1,6 @@
 // Command csfltr-vet runs the project's static-analysis suite (see
 // internal/analysis): interprocedural privacy-boundary taint for
-// //csfltr:private data, lock-copy and lock-hold concurrency hygiene,
+// //csfltr:private data, lock-hold concurrency hygiene,
 // determinism and budget-flow contracts, nondeterministic map-iteration
 // output, dropped errors, and unbounded metric-label cardinality.
 //

@@ -350,7 +350,7 @@ func serve(args []string) error {
 	httpAddr := fs.String("http", "127.0.0.1:7070", "listen address of the HTTP gateway (party endpoints, POST /v1/search, GET /v1/metrics)")
 	debugAddr := fs.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address (optional)")
 	trace := fs.Bool("trace", false, "enable the distributed-tracing flight recorder and run demo searches (inspect with 'csfltr trace')")
-	shards := fs.Int("shards", 0, "partition each local party's corpus across this many owner shards (0/1 = single owner)")
+	shards := fs.Int("shards", 0, "partition each local party's corpus across this many owner shards (0/1 = one shard; with one replica, a 1 x 1 group: one owner, called directly)")
 	replicas := fs.Int("replicas", 0, "read replicas per shard (0 = 1; >= 2 enables failover)")
 	var remotes remoteFlags
 	fs.Var(&remotes, "remote", "party-hosted silo to relay to, NAME=ADDR (repeatable; see 'csfltr party')")

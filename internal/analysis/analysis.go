@@ -13,9 +13,9 @@
 //   - budget flow — every path releasing estimates to a peer
 //     (`//csfltr:releases`) must pay via dp.Accountant or be a declared
 //     zero-epsilon replay;
-//   - concurrency hygiene — mutex-containing structs must not be copied
-//     (lockcopy), and no blocking channel/RPC/HTTP operation may run
-//     while a mutex is held (lockhold);
+//   - concurrency hygiene — no blocking channel/RPC/HTTP operation may
+//     run while a mutex is held (lockhold); copied locks are go vet's
+//     copylocks check;
 //
 // plus two first-order hygiene properties: silently dropped errors on
 // transport/store/encoder calls, and unbounded metric-label cardinality.
@@ -122,7 +122,6 @@ func All() []*Analyzer {
 		MapIter,
 		UncheckedErr,
 		TelemetryLabel,
-		LockCopy,
 		LockHold,
 		Determinism,
 		BudgetFlow,

@@ -17,7 +17,6 @@ var fixtureCases = []struct {
 	{"mapiter", MapIter},
 	{"uncheckederr", UncheckedErr},
 	{"telemetrylabel", TelemetryLabel},
-	{"lockcopy", LockCopy},
 	{"lockhold", LockHold},
 	{"determinism", Determinism},
 	{"budgetflow", BudgetFlow},

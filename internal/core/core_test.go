@@ -226,6 +226,77 @@ func TestTFWithDPNoiseUnbiased(t *testing.T) {
 	}
 }
 
+// TestTheorem3Bound checks Section IV-C's multi-term error bound
+// empirically over released TF answers: with every row private (z1 = z),
+// one TF answer per query term, the per-row sums of the sign-corrected
+// values and their median across rows, |f_q_hat - f_q| should stay
+// within sqrt(16 l / eps^2 + 64 l / w * F2Res) with high probability.
+func TestTheorem3Bound(t *testing.T) {
+	p := testParams()
+	p.W = 256
+	p.Z = 15
+	p.Z1 = 15
+	p.Epsilon = 1.0
+	rng := rand.New(rand.NewSource(21))
+	mech, err := dp.ForEpsilon(p.Epsilon, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := NewOwner(p, 42, mech)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := zipf.MustNew(2000, 1.1)
+	counts := make(map[uint64]int64)
+	for i := 0; i < 5000; i++ {
+		counts[uint64(dist.Sample(rng))]++
+	}
+	if err := o.AddDocument(0, counts); err != nil {
+		t.Fatal(err)
+	}
+	var freqs []float64
+	for _, c := range counts {
+		freqs = append(freqs, float64(c))
+	}
+	f2res := zipf.ResidualF2(freqs, p.W/8)
+
+	terms := []uint64{1, 2, 3, 5}
+	var truth float64
+	for _, tm := range terms {
+		truth += float64(counts[tm])
+	}
+	l := float64(len(terms))
+	bound := math.Sqrt(16*l/(p.Epsilon*p.Epsilon) + 64*l/float64(p.W)*f2res)
+
+	violations := 0
+	const trials = 200
+	rowSums := make([]float64, p.Z)
+	for i := 0; i < trials; i++ {
+		clear(rowSums)
+		for _, tm := range terms {
+			query, _ := q.BuildQuery(tm)
+			resp, err := o.AnswerTF(0, query)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, v := range resp.Values {
+				rowSums[a] += v * float64(q.Family().Sign(a, tm))
+			}
+		}
+		if got := sketch.MedianInPlace(rowSums); math.Abs(got-truth) > bound {
+			violations++
+		}
+	}
+	if frac := float64(violations) / trials; frac > 0.05 {
+		t.Fatalf("Theorem 3 bound violated in %.0f%% of trials (bound %.1f, truth %.0f)",
+			frac*100, bound, truth)
+	}
+}
+
 func TestAnswerTFErrors(t *testing.T) {
 	p := testParams()
 	q, o := newPair(t, p, nil)

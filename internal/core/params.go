@@ -104,17 +104,18 @@ type Params struct {
 	CacheMaxStale time.Duration
 	// Shards partitions each party's corpus across this many owner
 	// shards by doc-range (internal/shard); queries scatter-gather over
-	// the shards and merge deterministically, bit-identical to the
-	// single-Owner path at Epsilon=0. 0 or 1 — the default — keeps the
-	// legacy single-Owner backend. A runtime knob like Parallelism: not
-	// a protocol parameter, not persisted, invisible to the DP
-	// accountant (the noise release point stays at the party boundary).
+	// the shards and merge deterministically, bit-identical to a 1 × 1
+	// group at Epsilon=0. 0 or 1 — the default — with one replica makes
+	// each field a 1 × 1 group: one owner, called directly. A runtime
+	// knob like Parallelism: not a protocol parameter, not persisted,
+	// invisible to the DP accountant (one noise draw per released answer
+	// at every fan).
 	Shards int
 	// Replicas is the number of read replicas per shard (>= 1 means
 	// that many copies; 0 — the default — resolves to 1). Replicas hold
 	// identical state — ingestion writes through to all of them — so a
-	// replica failing over to a peer never changes query results. Only
-	// meaningful with Shards > 1. A runtime knob like Parallelism.
+	// replica failing over to a peer never changes query results. A
+	// runtime knob like Parallelism.
 	Replicas int
 }
 

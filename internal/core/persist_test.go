@@ -163,25 +163,6 @@ func TestOwnerAccessors(t *testing.T) {
 	}
 }
 
-func TestMultiTFWireSizes(t *testing.T) {
-	p := testParams()
-	q, o := newPair(t, p, nil)
-	if err := o.AddDocument(0, map[uint64]int64{1: 2, 2: 3}); err != nil {
-		t.Fatal(err)
-	}
-	mq, _ := q.BuildMultiQuery([]uint64{1, 2})
-	if mq.WireSize() != int64(2*4*p.Z) {
-		t.Fatalf("query wire size = %d", mq.WireSize())
-	}
-	resp, err := o.AnswerMultiTF(0, mq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.WireSize() != int64(2*8*p.Z) {
-		t.Fatalf("response wire size = %d", resp.WireSize())
-	}
-}
-
 func TestSnapshotSketchKindPreserved(t *testing.T) {
 	p := testParams()
 	p.SketchKind = sketch.CountMin

@@ -107,8 +107,8 @@ func (f *Federation) CacheStats() qcache.Stats {
 // foldGens folds a backend's ingest generation vector into a key: the
 // component count then every component. A sharded party contributes one
 // component per shard, so a mutation invalidates only full keys bound
-// to the owning shard's moved component; unsharded parties contribute
-// the single scalar generation, reproducing the pre-shard keys' shape.
+// to the owning shard's moved component; a 1 × 1 party contributes its
+// owner's single scalar generation.
 func foldGens(b *qcache.Builder, gens []uint64) *qcache.Builder {
 	b.Int(len(gens))
 	for _, g := range gens {
@@ -148,7 +148,7 @@ func (f *Federation) queryKeys(from string, terms []uint64, k int) (full, base q
 		if p.Name == from {
 			continue
 		}
-		foldGens(fb.String(p.Name), p.generations(FieldBody))
+		foldGens(fb.String(p.Name), p.groups[FieldBody].Generations())
 		bb.String(p.Name)
 	}
 	return fb.Key(), bb.Key()

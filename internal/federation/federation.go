@@ -624,43 +624,18 @@ func foldCols(h uint64, cols []uint32) uint64 {
 	return h
 }
 
-// partyBackend is the per-field storage engine behind a party: either a
-// single core.Owner (the legacy path) or a sharded, replicated
-// shard.Group facade. Both expose the owner query API plus the ingest
-// and cache-generation surface the federation needs; which one backs a
-// party is invisible to the protocol (the sharded facade is
-// bit-identical to a single owner at Epsilon=0, see internal/shard).
-type partyBackend interface {
-	core.OwnerAPI
-	AddDocument(docID int, counts map[uint64]int64) error
-	AddDocuments(docs []core.DocCounts, workers int) error
-	RemoveDocument(docID int) error
-	Generation() uint64
-	Generations() []uint64
-}
-
-// singleBackend adapts a single core.Owner to the backend surface: its
-// generation vector has one component.
-type singleBackend struct{ *core.Owner }
-
-func (s singleBackend) Generations() []uint64 { return []uint64{s.Owner.Generation()} }
-
 // Party is one silo: a name, the owner-side sketch state for each
 // document field, a querier endpoint and a per-peer privacy accountant.
-// When Params.Shards or Params.Replicas exceeds 1 the per-field state is
-// a sharded, replicated shard.Group instead of a single owner.
+// Each field's state is a shard.Group of Params.Shards × Params.Replicas
+// owners; at 1 × 1 (the default) it is a single owner.
 type Party struct {
 	Name string
 
-	params   core.Params
-	querier  *core.Querier
-	owners   [numFields]*core.Owner  // nil when the party is sharded
-	groups   [numFields]*shard.Group // nil when the party is unsharded
-	backends [numFields]partyBackend
-	mechs    [numFields]*timedMechanism
-	account  *dp.Accountant
-	docRefs  []int // ingested document ids
-	queryRNG *rand.Rand
+	params  core.Params
+	querier *core.Querier
+	groups  [numFields]*shard.Group
+	mechs   [numFields]*timedMechanism
+	account *dp.Accountant
 }
 
 // attachDPHist points the party's DP mechanism timers at a stage
@@ -673,19 +648,14 @@ func (p *Party) attachDPHist(h *telemetry.Histogram) {
 	}
 }
 
-// attachShardHooks wires a sharded party's groups into the server's
-// telemetry: replica attempt spans into the flight recorder, per-shard
-// outcome counters, replica breaker gauges and per-shard transport
-// bytes. All labels come from the bounded shard label tables plus the
-// party name and field — never raw identifiers. No-op for unsharded
-// parties.
+// attachShardHooks wires the party's groups into the server's telemetry:
+// replica attempt spans into the flight recorder, per-shard outcome
+// counters, replica breaker gauges and per-shard transport bytes. All
+// labels come from the bounded shard label tables plus the party name
+// and field — never raw identifiers. A 1 × 1 group records none of them.
 func (p *Party) attachShardHooks(m *serverMetrics) {
-	for f := Field(0); f < numFields; f++ {
-		g := p.groups[f]
-		if g == nil {
-			continue
-		}
-		name, field := p.Name, f.String()
+	for f, g := range p.groups {
+		name, field := p.Name, Field(f).String()
 		g.SetHooks(shard.Hooks{
 			Registry: m.reg,
 			OnOutcome: func(sh string, ok bool) {
@@ -727,66 +697,39 @@ func NewParty(name string, cfg PartyConfig) (*Party, error) {
 	if name == "" {
 		return nil, errors.New("federation: party name must not be empty")
 	}
-	rng := rand.New(rand.NewSource(cfg.RNGSeed))
 	querier, err := core.NewQuerier(cfg.Params, cfg.Seed, rand.New(rand.NewSource(cfg.RNGSeed+1)))
 	if err != nil {
 		return nil, err
 	}
 	p := &Party{
-		Name:     name,
-		params:   cfg.Params,
-		querier:  querier,
-		account:  dp.NewAccountant(cfg.Budget),
-		queryRNG: rng,
+		Name:    name,
+		params:  cfg.Params,
+		querier: querier,
+		account: dp.NewAccountant(cfg.Budget),
 	}
-	sharded := cfg.Params.Shards > 1 || cfg.Params.Replicas > 1
 	for f := Field(0); f < numFields; f++ {
 		mech, err := dp.ForEpsilon(cfg.Params.Epsilon, rand.New(rand.NewSource(cfg.RNGSeed+2+int64(f))))
 		if err != nil {
 			return nil, err
 		}
 		// Wrap the mechanism so noise-drawing time is attributable to
-		// the dp_noise stage once the party joins a server.
+		// the dp_noise stage once the party joins a server. The group
+		// decides where it draws (see package shard): one draw per
+		// released answer either way.
 		timed := &timedMechanism{inner: mech}
 		p.mechs[f] = timed
-		if sharded {
-			// The group facade is the DP release point — it holds the
-			// party's mechanism while the shard owners inside run
-			// noise-free, keeping one draw per released answer.
-			grp, err := shard.New(shard.Config{
-				Params:        cfg.Params,
-				Seed:          cfg.Seed,
-				Mech:          timed,
-				DropDocTables: cfg.DropDocTables,
-			})
-			if err != nil {
-				return nil, err
-			}
-			p.groups[f] = grp
-			p.backends[f] = grp
-			continue
-		}
-		var opts []core.OwnerOption
-		if cfg.DropDocTables {
-			opts = append(opts, core.WithoutDocTables())
-		}
-		owner, err := core.NewOwner(cfg.Params, cfg.Seed, timed, opts...)
+		p.groups[f], err = shard.New(shard.Config{
+			Params:        cfg.Params,
+			Seed:          cfg.Seed,
+			Mech:          timed,
+			DropDocTables: cfg.DropDocTables,
+		})
 		if err != nil {
 			return nil, err
 		}
-		p.owners[f] = owner
-		p.backends[f] = singleBackend{owner}
 	}
 	return p, nil
 }
-
-// backend returns the storage engine for a field.
-func (p *Party) backend(f Field) partyBackend { return p.backends[f] }
-
-// generations returns the field's per-shard ingest generation vector
-// (one component for an unsharded party) — what cache keys bind so
-// invalidation stays shard-local.
-func (p *Party) generations(f Field) []uint64 { return p.backends[f].Generations() }
 
 // transport implements endpoint.
 func (p *Party) transport() string { return transportInproc }
@@ -796,33 +739,26 @@ func (p *Party) ownerAPI(f Field) (core.OwnerAPI, error) {
 	if f < 0 || f >= numFields {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownField, int(f))
 	}
-	return p.backends[f], nil
+	return p.groups[f], nil
 }
 
-// Owner exposes the single-owner endpoint for a field (e.g. for direct
-// local inspection or space accounting). Nil when the party is sharded —
-// use Group then.
-func (p *Party) Owner(f Field) *core.Owner { return p.owners[f] }
+// Owner exposes a 1 × 1 party's owner for a field (e.g. for direct local
+// inspection or space accounting). Nil above 1 × 1 — use Group then.
+func (p *Party) Owner(f Field) *core.Owner { return p.groups[f].Owner() }
 
-// Group exposes the sharded owner facade for a field. Nil when the
-// party is unsharded — use Owner then.
+// Group exposes the owner group for a field; never nil. Its Generations
+// vector is what cache keys bind, so invalidation stays shard-local.
 func (p *Party) Group(f Field) *shard.Group { return p.groups[f] }
 
-// RemoveDocument deletes one document from both field backends. On a
-// sharded party only the owning shard's generation moves, so cached
-// answers keyed by the other shards' generations stay valid.
+// RemoveDocument deletes one document from both fields. On a sharded
+// party only the owning shard's generation moves, so cached answers
+// keyed by the other shards' generations stay valid.
 func (p *Party) RemoveDocument(docID int) error {
-	if err := p.backends[FieldBody].RemoveDocument(docID); err != nil {
+	if err := p.groups[FieldBody].RemoveDocument(docID); err != nil {
 		return fmt.Errorf("federation: remove body of doc %d: %w", docID, err)
 	}
-	if err := p.backends[FieldTitle].RemoveDocument(docID); err != nil {
+	if err := p.groups[FieldTitle].RemoveDocument(docID); err != nil {
 		return fmt.Errorf("federation: remove title of doc %d: %w", docID, err)
-	}
-	for i, id := range p.docRefs {
-		if id == docID {
-			p.docRefs = append(p.docRefs[:i], p.docRefs[i+1:]...)
-			break
-		}
 	}
 	return nil
 }
@@ -839,13 +775,12 @@ func (p *Party) Accountant() *dp.Accountant { return p.account }
 // IngestDocument sketches one document into both field owners (protocol
 // Step 1). The document's local ID is used as the sketch document id.
 func (p *Party) IngestDocument(d *textkit.Document) error {
-	if err := p.backends[FieldBody].AddDocument(d.ID, CountsToUint64(d.BodyCounts())); err != nil {
+	if err := p.groups[FieldBody].AddDocument(d.ID, CountsToUint64(d.BodyCounts())); err != nil {
 		return fmt.Errorf("federation: ingest body of doc %d: %w", d.ID, err)
 	}
-	if err := p.backends[FieldTitle].AddDocument(d.ID, CountsToUint64(d.TitleCounts())); err != nil {
+	if err := p.groups[FieldTitle].AddDocument(d.ID, CountsToUint64(d.TitleCounts())); err != nil {
 		return fmt.Errorf("federation: ingest title of doc %d: %w", d.ID, err)
 	}
-	p.docRefs = append(p.docRefs, d.ID)
 	return nil
 }
 
@@ -900,11 +835,11 @@ func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		bodyErr = p.backends[FieldBody].AddDocuments(bodies, workers)
+		bodyErr = p.groups[FieldBody].AddDocuments(bodies, workers)
 	}()
 	go func() {
 		defer wg.Done()
-		titleErr = p.backends[FieldTitle].AddDocuments(titles, workers)
+		titleErr = p.groups[FieldTitle].AddDocuments(titles, workers)
 	}()
 	wg.Wait()
 	if bodyErr != nil {
@@ -913,14 +848,11 @@ func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	if titleErr != nil {
 		return fmt.Errorf("federation: bulk ingest titles: %w", titleErr)
 	}
-	for _, d := range docs {
-		p.docRefs = append(p.docRefs, d.ID)
-	}
 	return nil
 }
 
-// NumDocs returns the number of ingested documents.
-func (p *Party) NumDocs() int { return len(p.docRefs) }
+// NumDocs returns the number of documents the party holds.
+func (p *Party) NumDocs() int { return len(p.groups[FieldBody].DocIDs()) }
 
 // CountsToUint64 converts a textkit term vector into the raw-count map
 // the sketch layer consumes.

@@ -168,8 +168,8 @@ func TestIngestAllParallelMatchesSequential(t *testing.T) {
 	par := build(true)
 	seqParty, _ := seq.Party("A")
 	parParty, _ := par.Party("A")
-	if len(seqParty.docRefs) != len(parParty.docRefs) {
-		t.Fatalf("docRefs: %d vs %d", len(seqParty.docRefs), len(parParty.docRefs))
+	if seqParty.NumDocs() != parParty.NumDocs() {
+		t.Fatalf("NumDocs: %d vs %d", seqParty.NumDocs(), parParty.NumDocs())
 	}
 	terms := []uint64{5, 42, 133, 301}
 	want, err := seq.Search("Q", terms, 15)

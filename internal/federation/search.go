@@ -392,7 +392,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		var gens []uint64
 		if c != nil {
-			gens = party.generations(FieldBody)
+			gens = party.groups[FieldBody].Generations()
 		}
 		start, xstart := len(tasks), len(exchanges)
 		rep := PartyReport{Party: party.Name, Outcome: OutcomeOK}

@@ -65,59 +65,64 @@ var shardTestTerms = [][]uint64{
 }
 
 // TestShardedSearchBitIdentical is the federation-level determinism
-// contract of the sharded backends: at Epsilon=0, whole SearchResults —
-// hits, merged cost, per-party reports — are bit-identical across
-// 1, 2 and 4 shards (with and without replicas) and the legacy
-// unsharded path, including after a document removal.
+// contract of the party backends: whole SearchResults — hits, merged
+// cost, per-party reports — are bit-identical across 1, 2 and 4 shards
+// (with and without replicas) and the default party (Shards and
+// Replicas 0, a 1 × 1 group), including after a document removal. It
+// holds with DP off and at ε = 0.5: every fan draws one noise sample per
+// released answer from the same seeded stream, in the same order.
 func TestShardedSearchBitIdentical(t *testing.T) {
-	ref := shardTestFed(t, 0, 0) // legacy single-owner backends
-	var want []*SearchResult
-	for _, terms := range shardTestTerms {
-		res, err := ref.Search("A", terms, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = append(want, res)
-	}
-	refB, _ := ref.Party("B")
-	victim := refB.docRefs[5]
-	if err := refB.RemoveDocument(victim); err != nil {
-		t.Fatal(err)
-	}
-	wantAfter, err := ref.Search("A", shardTestTerms[1], 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, fan := range []struct{ shards, replicas int }{
-		{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2},
-	} {
-		fed := shardTestFed(t, fan.shards, fan.replicas)
-		b, _ := fed.Party("B")
-		if fan.shards > 1 || fan.replicas > 1 {
-			if b.Group(FieldBody) == nil || b.Owner(FieldBody) != nil {
-				t.Fatalf("fan %+v: party backend not sharded", fan)
-			}
-		}
-		for i, terms := range shardTestTerms {
-			got, err := fed.Search("A", terms, 5)
+	for _, eps := range []float64{0, 0.5} {
+		p := testParams()
+		p.Epsilon = eps
+		ref := shardTestFedParams(t, p)
+		var want []*SearchResult
+		for _, terms := range shardTestTerms {
+			res, err := ref.Search("A", terms, 5)
 			if err != nil {
-				t.Fatalf("fan %+v terms %v: %v", fan, terms, err)
+				t.Fatal(err)
 			}
-			if !reflect.DeepEqual(got, want[i]) {
-				t.Fatalf("fan %+v terms %v: SearchResult differs from unsharded:\ngot  %+v\nwant %+v",
-					fan, terms, got, want[i])
-			}
+			want = append(want, res)
 		}
-		if err := b.RemoveDocument(victim); err != nil {
-			t.Fatalf("fan %+v: RemoveDocument: %v", fan, err)
+		refB, _ := ref.Party("B")
+		victim := refB.Group(FieldBody).DocIDs()[5]
+		if err := refB.RemoveDocument(victim); err != nil {
+			t.Fatal(err)
 		}
-		got, err := fed.Search("A", shardTestTerms[1], 5)
+		wantAfter, err := ref.Search("A", shardTestTerms[1], 5)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, wantAfter) {
-			t.Fatalf("fan %+v: post-removal SearchResult differs from unsharded", fan)
+
+		for _, fan := range []struct{ shards, replicas int }{
+			{1, 1}, {2, 1}, {2, 2}, {4, 1}, {4, 2},
+		} {
+			p.Shards, p.Replicas = fan.shards, fan.replicas
+			fed := shardTestFedParams(t, p)
+			b, _ := fed.Party("B")
+			if sharded := fan.shards > 1 || fan.replicas > 1; sharded != (b.Owner(FieldBody) == nil) {
+				t.Fatalf("eps %v fan %+v: Owner(FieldBody) = %v, want nil only above 1 × 1", eps, fan, b.Owner(FieldBody))
+			}
+			for i, terms := range shardTestTerms {
+				got, err := fed.Search("A", terms, 5)
+				if err != nil {
+					t.Fatalf("eps %v fan %+v terms %v: %v", eps, fan, terms, err)
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Fatalf("eps %v fan %+v terms %v: SearchResult differs from the default party's:\ngot  %+v\nwant %+v",
+						eps, fan, terms, got, want[i])
+				}
+			}
+			if err := b.RemoveDocument(victim); err != nil {
+				t.Fatalf("eps %v fan %+v: RemoveDocument: %v", eps, fan, err)
+			}
+			got, err := fed.Search("A", shardTestTerms[1], 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, wantAfter) {
+				t.Fatalf("eps %v fan %+v: post-removal SearchResult differs from the default party's", eps, fan)
+			}
 		}
 	}
 }
@@ -191,35 +196,49 @@ func TestShardedSearchReplicaChaos(t *testing.T) {
 
 // TestShardedPartyMetrics checks the per-shard telemetry surface: a
 // sharded federation records shard-labeled transport bytes and replica
-// breaker gauges under the bounded label tables.
+// breaker gauges under the bounded label tables, and a 1 × 1 one — the
+// default party — registers no shard-labeled series at all.
 func TestShardedPartyMetrics(t *testing.T) {
-	fed := shardTestFed(t, 2, 2)
-	if _, err := fed.Search("A", []uint64{3, 7}, 5); err != nil {
-		t.Fatal(err)
-	}
-	snap := fed.Server.Metrics().Snapshot()
-	var shardBytes, breakers int
-	for _, m := range snap.Metrics {
-		for _, s := range m.Series {
-			if s.Labels["shard"] == "" {
-				continue
-			}
-			switch m.Name {
-			case MetricTransportBytes:
-				if s.Value > 0 {
-					shardBytes++
+	for _, tc := range []struct {
+		shards, replicas int
+		wantBytes        bool
+		wantBreakers     int
+	}{
+		// 2 shards x 2 replicas x 2 fields x 3 parties (the querier's own
+		// backends register too) = 24 gauges.
+		{2, 2, true, 24},
+		{1, 1, false, 0},
+	} {
+		fed := shardTestFed(t, tc.shards, tc.replicas)
+		if _, err := fed.Search("A", []uint64{3, 7}, 5); err != nil {
+			t.Fatal(err)
+		}
+		snap := fed.Server.Metrics().Snapshot()
+		var shardSeries, shardBytes, breakers int
+		for _, m := range snap.Metrics {
+			for _, s := range m.Series {
+				if s.Labels["shard"] == "" {
+					continue
 				}
-			case MetricBreakerState:
-				breakers++
+				shardSeries++
+				switch m.Name {
+				case MetricTransportBytes:
+					if s.Value > 0 {
+						shardBytes++
+					}
+				case MetricBreakerState:
+					breakers++
+				}
 			}
 		}
-	}
-	if shardBytes == 0 {
-		t.Fatal("no shard-labeled transport byte series recorded")
-	}
-	// 2 shards x 2 replicas x 2 fields x 3 parties (the querier's own
-	// backends register too) = 24 gauges.
-	if breakers != 24 {
-		t.Fatalf("replica breaker gauges = %d, want 24", breakers)
+		if (shardBytes > 0) != tc.wantBytes {
+			t.Fatalf("%d x %d: %d shard-labeled transport byte series, want any: %v", tc.shards, tc.replicas, shardBytes, tc.wantBytes)
+		}
+		if breakers != tc.wantBreakers {
+			t.Fatalf("%d x %d: replica breaker gauges = %d, want %d", tc.shards, tc.replicas, breakers, tc.wantBreakers)
+		}
+		if !tc.wantBytes && shardSeries != 0 {
+			t.Fatalf("%d x %d: %d shard-labeled series, want none", tc.shards, tc.replicas, shardSeries)
+		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package leakcheck is the runtime counterpart of the csfltr-vet
 // concurrency analyzers: a snapshot-diff goroutine-leak detector wired
-// into TestMain. The static checks (lockhold, lockcopy) catch the
+// into TestMain. The static check (lockhold) catches the
 // blocking patterns that *cause* stuck goroutines; leakcheck catches
 // the stuck goroutines themselves — a fan-out worker still parked on a
 // result channel, a singleflight waiter nobody signalled, an abandoned

@@ -20,25 +20,37 @@ const (
 	APIRTK     = "rtk"
 )
 
-// Group implements core.OwnerAPI. The exported methods run untraced;
-// WithTrace returns a view that parents per-replica attempt spans under
-// the caller's span (the federation server forwards its trace context
-// here exactly as it does to the HTTP transport client).
+// Group implements core.OwnerAPI. A 1 × 1 group forwards every call to
+// its owner. Above 1 × 1 the exported methods run untraced; WithTrace
+// returns a view that parents per-replica attempt spans under the
+// caller's span (the federation server forwards its trace context here
+// exactly as it does to the HTTP transport client).
 
 // DocIDs returns the union of every shard's document ids, ascending —
 // identical to a single owner over the whole corpus. Shards that have
 // no live replica contribute nothing (the roster call has no error
 // channel, matching core.OwnerAPI).
-func (g *Group) DocIDs() []int { return g.docIDs(telemetry.SpanContext{}) }
+func (g *Group) DocIDs() []int {
+	if g.owner != nil {
+		return g.owner.DocIDs()
+	}
+	return g.docIDs(telemetry.SpanContext{})
+}
 
 // DocMeta routes by doc-range to the owning shard.
 func (g *Group) DocMeta(docID int) (int, int, error) {
+	if g.owner != nil {
+		return g.owner.DocMeta(docID)
+	}
 	return g.docMeta(telemetry.SpanContext{}, docID)
 }
 
 // AnswerTF routes by doc-range to the owning shard and applies the
 // facade's single noise draw — the DP release point of the group.
 func (g *Group) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
+	if g.owner != nil {
+		return g.owner.AnswerTF(docID, q)
+	}
 	return g.answerTF(telemetry.SpanContext{}, docID, q)
 }
 
@@ -48,6 +60,9 @@ func (g *Group) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
 // single noise draw. At Epsilon=0 the response is bit-identical to a
 // single Owner holding the whole corpus (see core.MergeRTKResponses).
 func (g *Group) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
+	if g.owner != nil {
+		return g.owner.AnswerRTK(q)
+	}
 	return g.answerRTK(telemetry.SpanContext{}, q)
 }
 
@@ -55,12 +70,19 @@ func (g *Group) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 // asked once, for all of them, and the merges then run in query order
 // with one facade draw each — the draws a single Owner makes.
 func (g *Group) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
+	if g.owner != nil {
+		return g.owner.AnswerRTKBatch(qs)
+	}
 	return g.answerRTKBatch(telemetry.SpanContext{}, qs)
 }
 
 // WithTrace implements the federation's trace-carrier contract: the
-// returned view parents every replica attempt span under ctx.
+// returned view parents every replica attempt span under ctx. A 1 × 1
+// group has no attempts to trace and returns its owner.
 func (g *Group) WithTrace(ctx telemetry.SpanContext) core.OwnerAPI {
+	if g.owner != nil {
+		return g.owner
+	}
 	if !ctx.Valid() {
 		return g
 	}
@@ -262,19 +284,15 @@ func (g *Group) answerRTKs(ctx telemetry.SpanContext, qs []*core.TFQuery, out []
 	k, n := len(qs), len(g.shards)
 	raw := make([]*core.RTKResponse, n*k) // shard si's answer to qs[i] at si*k+i
 	errs := make([]error, n)
-	if n == 1 {
-		errs[0] = g.shardRTK(ctx, 0, qs, raw)
-	} else {
-		var wg sync.WaitGroup
-		for si := range g.shards {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				errs[si] = g.shardRTK(ctx, si, qs, raw[si*k:(si+1)*k])
-			}(si)
-		}
-		wg.Wait()
+	var wg sync.WaitGroup
+	for si := range g.shards {
+		wg.Add(1)
+		go func(si int) {
+			defer wg.Done()
+			errs[si] = g.shardRTK(ctx, si, qs, raw[si*k:(si+1)*k])
+		}(si)
 	}
+	wg.Wait()
 	// The raw answers are made for this call, and a merge copies what it
 	// keeps: each is released once its merge is done, or here if a shard
 	// failed and there is none.

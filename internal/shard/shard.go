@@ -1,21 +1,25 @@
-// Package shard partitions one party's corpus across N owner shards by
-// doc-range and presents the result as a single logical owner.
+// Package shard is every party's storage engine: it partitions one
+// party's corpus across N owner shards by doc-range and presents the
+// result as a single logical owner.
 //
-// The scatter-gather layer reuses the deterministic slot-merge
+// A group of one shard and one replica is exactly one core.Owner, and
+// every call goes straight to it: no breaker, no scatter, no merge. Above
+// 1 × 1 the scatter-gather layer reuses the deterministic slot-merge
 // discipline of the federated fan-out: shard answers land in fixed
 // shard-index slots and are merged in that order under the RTK-Sketch's
 // strict total eviction order, so the merged response is bit-identical
-// to the legacy single-Owner path at Epsilon=0 regardless of shard
-// count, goroutine interleaving, or which replica served each shard
-// (see Group.AnswerRTK).
+// to the 1 × 1 group at Epsilon=0 regardless of shard count, goroutine
+// interleaving, or which replica served each shard (see Group.AnswerRTK).
 //
-// Privacy: the shard owners themselves run with DP disabled and never
-// release anything outside the party — the differential-privacy release
-// point stays at the Group facade, which draws exactly one noise sample
-// per answered query, the same release schedule as a single Owner. The
-// per-silo DP composition of the paper is therefore unchanged by
-// sharding (the accountant still sees one logical party), matching the
-// cross-silo analysis referenced in PAPERS.md.
+// Privacy: New decides where a party's noise is drawn. A 1 × 1 group's
+// owner holds the mechanism and perturbs each answer itself. Above 1 × 1
+// the shard owners run with DP disabled and never release anything
+// outside the party — the release point is the Group facade, which draws
+// exactly one noise sample per answered query after the merge, the same
+// release schedule as a single Owner. The per-silo DP composition of the
+// paper is therefore unchanged by sharding (the accountant still sees one
+// logical party), matching the cross-silo analysis referenced in
+// PAPERS.md.
 //
 // Each shard may carry multiple read replicas. Replicas hold identical
 // state — ingestion writes through to every replica of the owning shard
@@ -61,8 +65,9 @@ type Config struct {
 	Params core.Params
 	// Seed is the federation hash seed (all shards share the family).
 	Seed uint64
-	// Mech is the facade's DP mechanism: the single release point for
-	// every answer that leaves the group. Nil means dp.Disabled().
+	// Mech is the group's DP mechanism: the single release point for
+	// every answer that leaves the group, held by a 1 × 1 group's owner
+	// and by a larger group's facade. Nil means dp.Disabled().
 	Mech dp.Mechanism
 	// DropDocTables mirrors core.WithoutDocTables on every shard owner.
 	DropDocTables bool
@@ -110,6 +115,10 @@ type shardState struct {
 // Group is a sharded, replicated owner facade implementing
 // core.OwnerAPI. Safe for concurrent use.
 type Group struct {
+	// owner is a 1 × 1 group's one owner, which every method forwards to;
+	// nil above 1 × 1, where the fields below serve.
+	owner *core.Owner
+
 	params    core.Params
 	blockSize int
 	absKeys   bool // Count sketch: heap eviction keys on |value|
@@ -125,8 +134,8 @@ type Group struct {
 	hooks atomic.Pointer[Hooks]
 }
 
-// New builds a sharded owner group: Params.Shards partitions (0 and 1
-// both mean one shard), each with Params.Replicas identical replicas.
+// New builds an owner group: Params.Shards partitions (0 and 1 both mean
+// one shard), each with Params.Replicas identical replicas (likewise).
 func New(cfg Config) (*Group, error) {
 	if err := cfg.Params.Validate(); err != nil {
 		return nil, err
@@ -150,6 +159,19 @@ func New(cfg Config) (*Group, error) {
 	if mech == nil {
 		mech = dp.Disabled()
 	}
+	var opts []core.OwnerOption
+	if cfg.DropDocTables {
+		opts = append(opts, core.WithoutDocTables())
+	}
+	if nShards == 1 && nReplicas == 1 {
+		// The one owner holds the mechanism and is the release point:
+		// there is nothing to merge, so nothing to draw after.
+		o, err := core.NewOwner(cfg.Params, cfg.Seed, mech, opts...)
+		if err != nil {
+			return nil, err
+		}
+		return &Group{owner: o}, nil
+	}
 	policy := resilience.DefaultPolicy()
 	if cfg.Policy != nil {
 		policy = *cfg.Policy
@@ -160,10 +182,6 @@ func New(cfg Config) (*Group, error) {
 	ownerParams := cfg.Params
 	ownerParams.Shards = 0
 	ownerParams.Replicas = 0
-	var opts []core.OwnerOption
-	if cfg.DropDocTables {
-		opts = append(opts, core.WithoutDocTables())
-	}
 	g := &Group{
 		params:    cfg.Params,
 		blockSize: blockSize,
@@ -194,7 +212,8 @@ func New(cfg Config) (*Group, error) {
 
 // SetHooks installs (or replaces) the telemetry hooks and publishes the
 // current breaker state of every replica through BreakerChange so
-// gauges start from a defined value.
+// gauges start from a defined value. A 1 × 1 group has no replica
+// machinery, so it never calls a hook.
 func (g *Group) SetHooks(h Hooks) {
 	g.hooks.Store(&h)
 	if h.BreakerChange == nil {
@@ -207,20 +226,14 @@ func (g *Group) SetHooks(h Hooks) {
 	}
 }
 
-// Shards returns the number of doc-range partitions.
-func (g *Group) Shards() int { return len(g.shards) }
-
-// ReplicasPerShard returns the replica count of each shard.
-func (g *Group) ReplicasPerShard() int { return len(g.shards[0].replicas) }
-
-// Params returns the group's protocol parameters.
-func (g *Group) Params() core.Params { return g.params }
+// Owner returns a 1 × 1 group's one owner, and nil above 1 × 1.
+func (g *Group) Owner() *core.Owner { return g.owner }
 
 // ShardFor maps a document id to its owning shard: contiguous blocks of
 // BlockSize ids stripe round-robin across the shards.
 func (g *Group) ShardFor(docID int) int {
 	n := len(g.shards)
-	if n == 1 {
+	if n <= 1 {
 		return 0
 	}
 	blk := docID / g.blockSize
@@ -234,7 +247,7 @@ func (g *Group) ShardFor(docID int) int {
 // KillReplica marks one replica dead: every call to it fails with
 // ErrReplicaDown until ReviveReplica. Reads degrade to the shard's peer
 // replicas; with every replica of a shard killed, queries touching that
-// shard fail with ErrNoReplica.
+// shard fail with ErrNoReplica. A 1 × 1 group has no replica to kill.
 func (g *Group) KillReplica(shard, rep int) {
 	g.shards[shard].replicas[rep].killed.Store(true)
 }
@@ -254,6 +267,9 @@ func (g *Group) ReplicaState(shard, rep int) resilience.State {
 // keys derived from it invalidate shard-locally: an ingest or removal
 // moves only the owning shard's component.
 func (g *Group) Generations() []uint64 {
+	if g.owner != nil {
+		return []uint64{g.owner.Generation()}
+	}
 	out := make([]uint64, len(g.shards))
 	for i, s := range g.shards {
 		out[i] = s.generation()
@@ -274,6 +290,9 @@ func (s *shardState) generation() uint64 {
 // that moves on every mutation, for callers that only need "did
 // anything change".
 func (g *Group) Generation() uint64 {
+	if g.owner != nil {
+		return g.owner.Generation()
+	}
 	var sum uint64
 	for _, s := range g.shards {
 		sum += s.generation()
@@ -284,6 +303,9 @@ func (g *Group) Generation() uint64 {
 // AddDocument ingests one document into every replica of its owning
 // shard, bumping only that shard's generation.
 func (g *Group) AddDocument(docID int, counts map[uint64]int64) error {
+	if g.owner != nil {
+		return g.owner.AddDocument(docID, counts)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, dup := g.ids[docID]; dup {
@@ -310,6 +332,9 @@ func (g *Group) AddDocument(docID int, counts map[uint64]int64) error {
 // (duplicate id, geometry mismatch) no document of the batch remains in
 // the group. Each touched shard's generation moves by exactly one.
 func (g *Group) AddDocuments(docs []core.DocCounts, workers int) error {
+	if g.owner != nil {
+		return g.owner.AddDocuments(docs, workers)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	seen := make(map[int]struct{}, len(docs))
@@ -381,6 +406,9 @@ func (g *Group) AddDocuments(docs []core.DocCounts, workers int) error {
 // shard and bumps only that shard's generation — cache entries keyed by
 // the other shards' generations stay valid (no cross-shard stampede).
 func (g *Group) RemoveDocument(docID int) error {
+	if g.owner != nil {
+		return g.owner.RemoveDocument(docID)
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if _, ok := g.ids[docID]; !ok {

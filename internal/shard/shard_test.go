@@ -12,6 +12,7 @@ import (
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
+	"csfltr/internal/telemetry"
 )
 
 const testSeed = 0x5eed
@@ -129,6 +130,79 @@ func TestScatterGatherBitIdentical(t *testing.T) {
 					t.Fatalf("DocMeta mismatch for doc %d", d.DocID)
 				}
 			}
+		}
+	}
+}
+
+// TestOneByOneIsItsOwner: a 1 × 1 group's owner holds the group's
+// mechanism and answers every query itself, so at ε = 0.5 the group
+// releases, draw for draw, what an owner with an identically seeded
+// mechanism releases — a second draw at the facade would shift every
+// value. Traced calls go to the same owner.
+func TestOneByOneIsItsOwner(t *testing.T) {
+	docs := testDocs(60, 53)
+	p := testParams()
+	p.Epsilon = 0.5
+	mech := func() dp.Mechanism {
+		m, err := dp.ForEpsilon(p.Epsilon, rand.New(rand.NewSource(61)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	g, err := New(Config{Params: p, Seed: testSeed, Mech: mech()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := core.NewOwner(p, testSeed, mech())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDocuments(docs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.AddDocuments(docs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if g.Owner() == nil || g.WithTrace(telemetry.SpanContext{}) != core.OwnerAPI(g.Owner()) {
+		t.Fatal("a 1 × 1 group must hold one owner and trace straight to it")
+	}
+	for salt := 0; salt < 4; salt++ {
+		q := queryCols(p, salt)
+		got, err := g.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := ref.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("salt %d: AnswerRTK differs from the owner's", salt)
+		}
+		qs := []*core.TFQuery{q, queryCols(p, salt+5)}
+		gotB, err := g.AnswerRTKBatch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantB, err := ref.AnswerRTKBatch(qs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotB, wantB) {
+			t.Fatalf("salt %d: AnswerRTKBatch differs from the owner's", salt)
+		}
+		d := docs[salt].DocID
+		gotTF, err := g.AnswerTF(d, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantTF, err := ref.AnswerTF(d, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(gotTF, wantTF) {
+			t.Fatalf("salt %d: AnswerTF differs from the owner's", salt)
 		}
 	}
 }
@@ -255,8 +329,8 @@ func TestBreakerOpensOnDeadReplica(t *testing.T) {
 
 // TestCacheInvalidationShardLocal is the RemoveDocument satellite: a
 // removal bumps only the owning shard's generation, so a cache keyed by
-// the generation vector (the federation's answer cache, see
-// Party.generations) loses only what that shard contributed to — no
+// the generation vector (the federation's answer cache) loses only what
+// that shard contributed to — no
 // cross-shard stampede.
 func TestCacheInvalidationShardLocal(t *testing.T) {
 	docs := testDocs(120, 23)
@@ -608,8 +682,8 @@ func TestErrorRouting(t *testing.T) {
 	if _, err := g.AnswerRTK(bad); !errors.Is(err, core.ErrBadQuery) {
 		t.Fatalf("out-of-range column: %v", err)
 	}
-	for si := 0; si < g.Shards(); si++ {
-		for ri := 0; ri < g.ReplicasPerShard(); ri++ {
+	for si, s := range g.shards {
+		for ri := range s.replicas {
 			if got := g.ReplicaState(si, ri); got != resilience.Closed {
 				t.Fatalf("replica %d/%d breaker moved on protocol errors: %v", si, ri, got)
 			}
