@@ -78,14 +78,16 @@ fuzz:
 # Ten seconds each on the decoders of what a remote party sends: the
 # wire frames (version 2 RTK replies among them), the querier's handling
 # of a decoded reply, and the HTTP host and client that carry the frames;
-# and on the RTK-Sketch's ingest and removal paths against the plain
-# Algorithm 4 model, across the cap both ways. A short minimize budget
-# keeps the engine mutating instead of shrinking the 9 kB seeds. Mirrored
-# by the CI job.
+# on the RTK-Sketch's ingest and removal paths against the plain
+# Algorithm 4 model, across the cap both ways; and on the owner snapshot
+# reader, seeded with snapshots of every resident state. A short minimize
+# budget keeps the engine mutating instead of shrinking the 9 kB seeds.
+# Mirrored by the CI job.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzRTKResponseHandling -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRTKSketchOps -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzReadOwner -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzHTTPWireBody -fuzztime 10s -fuzzminimizetime 1s ./internal/federation/
 
 # Regenerate every table and figure at the shape-faithful default scale

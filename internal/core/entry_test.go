@@ -13,7 +13,9 @@ import (
 
 // TestEntryLayout: the sketch is z*w*alpha*K entries behind z*w cell
 // headers, so a field added to either shows here before it shows as
-// peak_rss_mb.
+// peak_rss_mb. The held-prefix bound took the header's padding; the
+// count of what a bounded cell holds lives beside the cells
+// (RTKSketch.held), allocated only once some cell lets a document go.
 func TestEntryLayout(t *testing.T) {
 	if got := unsafe.Sizeof(Entry{}); got != 8 {
 		t.Errorf("Entry is %d bytes, want 8", got)

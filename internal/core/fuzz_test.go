@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -50,6 +51,18 @@ func FuzzReadOwner(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(v2.Bytes())
+	past, err := os.ReadFile("testdata/owner_v2_explicit.snap") // past the cap, every zero written out
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(past)
+	for _, o := range heldPrefixStates(f) {
+		var buf bytes.Buffer
+		if _, err := o.WriteTo(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadOwner(bytes.NewReader(data), dp.Disabled())
 		if err != nil {
@@ -275,20 +288,86 @@ func FuzzMergeRTKResponses(f *testing.F) {
 	})
 }
 
+// heldPrefixStates returns small owners (cells cap at 4) in the states
+// the held-prefix form has to get right: a bound lowered by an eviction, a
+// cell back below the cap given a zero above its bound, a small removed id
+// ingested again, and a striped batch past the cap. They seed
+// FuzzReadOwner.
+func heldPrefixStates(tb testing.TB) map[string]*Owner {
+	tb.Helper()
+	p := DefaultParams()
+	p.Z, p.W, p.Z1, p.K, p.Alpha, p.Epsilon = 3, 8, 2, 2, 2, 0
+	counts := func(id int) map[uint64]int64 {
+		return map[uint64]int64{uint64(id % 5): int64(1 + id%3), uint64(7 + id%4): 1}
+	}
+	build := func(steps func(o *Owner) error) *Owner {
+		o, err := NewOwner(p, 42, dp.Disabled())
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := steps(o); err != nil {
+			tb.Fatal(err)
+		}
+		return o
+	}
+	pastCap := func(o *Owner) error {
+		for id := 0; id < 6; id++ {
+			if err := o.AddDocument(id, counts(id)); err != nil {
+				return err
+			}
+		}
+		return o.AddDocument(6, map[uint64]int64{1: 9, 2: 9, 3: 9})
+	}
+	return map[string]*Owner{
+		"evicted": build(pastCap),
+		"zero above the bound": build(func(o *Owner) error {
+			if err := pastCap(o); err != nil {
+				return err
+			}
+			for _, id := range []int{2, 3, 4} {
+				if err := o.RemoveDocument(id); err != nil {
+					return err
+				}
+			}
+			return o.AddDocument(9, nil)
+		}),
+		"small id again": build(func(o *Owner) error {
+			if err := pastCap(o); err != nil {
+				return err
+			}
+			if err := o.RemoveDocument(0); err != nil {
+				return err
+			}
+			return o.AddDocument(0, counts(1))
+		}),
+		"striped": build(func(o *Owner) error {
+			batch := make([]DocCounts, 9)
+			for i := range batch {
+				batch[i] = DocCounts{DocID: 8 - i, Counts: counts(i)}
+			}
+			return o.addDocuments(batch, 3)
+		}),
+	}
+}
+
 // FuzzRTKSketchOps drives owners at a tiny geometry (cells cap at 8)
 // through any sequence of ingests and removals that crosses the cap in
 // both directions, and after every step holds each to modelSketch, the
 // plain-slice Algorithm 4: one owner keeps its document tables and one
 // does not, so removals take both the marked-cells and the every-cell
-// path, in the sparse form and the explicit one. A sketch whose model
-// never had to evict must still be sparse.
+// path. A third owner keeps its tables and loads every batch with the
+// other worker count (one worker against three), and must keep exactly
+// what the first keeps. A sketch whose model never had to evict must
+// still have every cell unbounded.
 //
 // Encoding: one byte picks the sketch kind; then per step an operation
-// byte and its arguments — AddDocument (id, two bytes of terms),
+// byte and its arguments — AddDocument (id, two bytes of terms, the first
+// with its top bit set for negative counts),
 // AddDocuments by one worker or three (a size, then per document an id
 // and two bytes of terms; ids already live are skipped), RemoveDocument
 // (which live document), a Cell read (row, column) and a snapshot
-// reload. Missing bytes read as zero.
+// reload. An id byte is taken mod 32, and 31 stands for math.MaxInt32.
+// Missing bytes read as zero.
 func FuzzRTKSketchOps(f *testing.F) {
 	// Count Sketch; up past the cap one by one, a striped batch, a reload
 	// and a read; down to nothing; up again in one batch by one worker.
@@ -304,6 +383,42 @@ func FuzzRTKSketchOps(f *testing.F) {
 	f.Add(cross)
 	f.Add([]byte{1, 0, 3, 9, 1, 0, 4, 9, 2, 5, 3, 0, 4, 0, 0, 5, 3, 1})
 	f.Add([]byte{0, 2, 3, 0, 7, 1, 1, 7, 2, 2, 7, 3, 3, 7, 4, 4, 5, 3, 2, 3, 0})
+	// Count-Min; past the cap one by one (bounds lowered by rejections and
+	// evictions), three removals back below it, a document with no terms
+	// (a zero above the bound), the smallest id removed and ingested
+	// again, a striped batch past the cap, a read and a reload.
+	held := []byte{1}
+	for id := byte(0); id < 10; id++ {
+		held = append(held, 0, 2*id, 1+id%3, 5*id)
+	}
+	held = append(held, 3, 9, 3, 5, 3, 1, 0, 30, 0, 0, 3, 0, 0, 0, 6, 4)
+	held = append(held, 2, 3, 27, 7, 7, 21, 5, 5, 25, 6, 6, 23, 9, 9, 4, 1, 2, 5)
+	f.Add(held)
+	// The same with negative counts in half the documents.
+	negative := slices.Clone(held)
+	for i := 1; i+3 < 41; i += 4 {
+		if i%8 == 1 {
+			negative[i+2] |= 0x80
+		}
+	}
+	f.Add(negative)
+	// Id 31 is math.MaxInt32, a stored zero in a cell under no bound: one by
+	// one to one under the cap, 31 with no terms fills every cell, and the
+	// next document evicts it everywhere; a reload, a removal back below the
+	// cap, 31 again and a read. Then Count-Min at the cap, where 31 with no
+	// terms is turned away everywhere, a reload and 31 removed.
+	largest := []byte{0}
+	for id := byte(0); id < 7; id++ {
+		largest = append(largest, 0, id, 1+id%3, 5*id)
+	}
+	largest = append(largest, 0, 31, 0, 0, 0, 7, 3, 9, 5, 3, 0, 0, 31, 0, 0, 4, 1, 2)
+	f.Add(largest)
+	rejected := []byte{1}
+	for id := byte(0); id < 8; id++ {
+		rejected = append(rejected, 0, id, 1+id%3, 5*id)
+	}
+	rejected = append(rejected, 0, 31, 0, 0, 5, 3, 8, 4, 2, 3)
+	f.Add(rejected)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -326,17 +441,31 @@ func FuzzRTKSketchOps(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		owners := []*Owner{withTables, without}
+		twin, err := NewOwner(p, 42, dp.Disabled())
+		if err != nil {
+			t.Fatal(err)
+		}
+		owners := []*Owner{withTables, without, twin}
 		m := newModelSketch(p)
 		live := map[int]bool{}
 		evicted := false
 		counts := func() map[uint64]int64 {
 			a, b := next(), next()
+			sign := int64(1)
+			if a&0x80 != 0 { // negative counts: Count-Min keys below every zero
+				sign = -1
+			}
 			c := make(map[uint64]int64)
 			for i := 0; i < int(a%4); i++ {
-				c[uint64((int(b)+7*i)%16)] += int64(1 + (int(a>>2)+i)%3)
+				c[uint64((int(b)+7*i)%16)] += sign * int64(1+(int(a>>2)+i)%3)
 			}
 			return c
+		}
+		docID := func() int {
+			if id := int(next() % 32); id < 31 {
+				return id
+			}
+			return math.MaxInt32 // stored as a zero under no bound
 		}
 		model := func(id int, c map[uint64]int64) {
 			for _, cell := range m.cells {
@@ -348,7 +477,7 @@ func FuzzRTKSketchOps(f *testing.F) {
 		for step := 0; len(data) > 0 && step < 64; step++ {
 			switch op := next() % 6; op {
 			case 0:
-				id, c := int(next()%32), counts()
+				id, c := docID(), counts()
 				if live[id] {
 					continue
 				}
@@ -361,13 +490,17 @@ func FuzzRTKSketchOps(f *testing.F) {
 			case 1, 2:
 				var batch []DocCounts
 				for n := 1 + int(next()%4); n > 0; n-- {
-					d := DocCounts{DocID: int(next() % 32), Counts: counts()}
+					d := DocCounts{DocID: docID(), Counts: counts()}
 					if !live[d.DocID] && !slices.ContainsFunc(batch, func(b DocCounts) bool { return b.DocID == d.DocID }) {
 						batch = append(batch, d)
 					}
 				}
 				for _, o := range owners {
-					if err := o.addDocuments(batch, 2*int(op)-1); err != nil {
+					workers := 2*int(op) - 1
+					if o == twin {
+						workers = 4 - workers
+					}
+					if err := o.addDocuments(batch, workers); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -404,16 +537,19 @@ func FuzzRTKSketchOps(f *testing.F) {
 					}
 					owners[i] = loaded
 				}
-				withTables = owners[0]
+				withTables, twin = owners[0], owners[2]
 			}
 			for _, o := range owners {
 				m.check(t, o.rtk)
 				if o.rtk.NumDocs() != len(live) {
 					t.Fatalf("step %d: NumDocs %d, %d documents live", step, o.rtk.NumDocs(), len(live))
 				}
-				if !evicted && !o.rtk.sparse {
-					t.Fatalf("step %d: explicit, yet no cell ever had to evict", step)
+				if !evicted && o.rtk.held != nil {
+					t.Fatalf("step %d: a bound is lowered, yet no cell ever had to evict", step)
 				}
+			}
+			if !reflect.DeepEqual(residentState(withTables.rtk), residentState(twin.rtk)) {
+				t.Fatalf("step %d: loads by one worker and by three keep different entries", step)
 			}
 		}
 	})

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
@@ -20,21 +21,19 @@ import (
 // order resident and recovery became a sorted merge. They survive here
 // only as the oracle the production code is compared against bit for bit.
 
-// refCell is a copy of cell (row, col) sorted by DocID — of a sparse
-// sketch, every roster id with the value the cell stores for it, zero if
-// none — and never touches the resident layout.
+// refCell is a copy of cell (row, col) sorted by DocID — its stored
+// entries, and a zero for every roster id below its bound that it does
+// not store — and never touches the resident layout.
 func refCell(s *RTKSketch, row int, col uint32) []Entry {
 	h := &s.cells[row*s.params.W+int(col)]
-	out := make([]Entry, len(h.entries))
-	copy(out, h.entries)
-	if s.sparse {
-		stored := make(map[int32]int32)
-		for _, e := range h.entries {
-			stored[e.DocID] = e.Value
-		}
-		out = out[:0]
-		for _, id := range s.roster {
-			out = append(out, Entry{DocID: id, Value: stored[id]})
+	out := slices.Clone(h.entries)
+	stored := make(map[int32]bool)
+	for _, e := range h.entries {
+		stored[e.DocID] = true
+	}
+	for _, id := range s.roster {
+		if id < h.below && !stored[id] {
+			out = append(out, Entry{DocID: id})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
@@ -415,10 +414,11 @@ func (m *modelSketch) remove(docID int) {
 }
 
 // check compares every cell of s, as Cell shows it, with the model's cell
-// sorted by DocID, and holds every canonical flag to its word and a
-// sparse sketch to storing no zero. Cell re-orders what it reads, so it
-// reads a copy: the layout s was left in is what the next step of a test
-// means to meet.
+// sorted by DocID, holds every canonical flag to its word, and holds the
+// held-prefix form to its rules: no cell stores a zero below its bound,
+// and a cell's count is what it holds. Cell re-orders what
+// it reads, so it reads a copy: the layout s was left in is what the next
+// step of a test means to meet.
 func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 	t.Helper()
 	for c := range m.cells {
@@ -426,8 +426,11 @@ func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 		if h.canonical && !strictlyAscending(h.entries) {
 			t.Fatalf("cell %d claims canonical order but holds %v", c, h.entries)
 		}
-		if s.sparse && slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value == 0 }) {
-			t.Fatalf("sparse cell %d stores a zero: %v", c, h.entries)
+		if slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value == 0 && e.DocID < h.below }) {
+			t.Fatalf("cell %d stores a zero below its bound %d: %v", c, h.below, h.entries)
+		}
+		if got := s.load(c, len(s.roster)); got != len(m.cells[c]) {
+			t.Fatalf("cell %d (bound %d) counts %d entries, model %d", c, h.below, got, len(m.cells[c]))
 		}
 	}
 	view := cloneSketch(s)
@@ -447,28 +450,72 @@ func cloneSketch(s *RTKSketch) *RTKSketch {
 	for i := range c.cells {
 		c.cells[i].entries = slices.Clone(s.cells[i].entries)
 	}
-	c.roster = slices.Clone(s.roster)
+	c.roster, c.held = slices.Clone(s.roster), slices.Clone(s.held)
 	c.sorter, c.view, c.marks = docSorter{}, nil, nil
 	return &c
 }
 
-// TestDeletePathsMatchModel puts a sketch into each resident layout a
-// removal can meet — sparse with canonical non-zero lists ("canonical"),
-// sparse with lists out of order, explicit since the last push
-// materialized it, explicit and ascending but not flagged, heap-ordered
-// and full, heap-ordered and one under capacity — and removes the newest, the
-// oldest, a middle and a nowhere-resident document, with the document's
-// table (a sparse sketch visits the cells it marks, an explicit one skips
-// the full cells below whose floor it orders) and without (every cell is
-// walked), for both sketch kinds. The cells must equal the model's after
-// every removal, and NumDocs the roster.
+// cellState is what one cell keeps, whatever the layout: its bound, its
+// count and its stored entries by id.
+type cellState struct {
+	below  int32
+	held   int
+	stored []Entry
+}
+
+// residentState returns what every cell of s keeps — the form a striped
+// load must leave exactly as a one-worker load does.
+func residentState(s *RTKSketch) []cellState {
+	out := make([]cellState, len(s.cells))
+	for c := range s.cells {
+		h := &s.cells[c]
+		stored := append([]Entry(nil), h.entries...)
+		slices.SortFunc(stored, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
+		out[c] = cellState{below: h.below, held: s.load(c, len(s.roster)), stored: stored}
+	}
+	return out
+}
+
+// TestDeletePathsMatchModel puts a sketch into each resident state a
+// removal can meet — every cell holding every live id, its non-zero lists
+// canonical ("canonical") or out of order; bounds lowered by the push that
+// crossed the cap; ascending but unflagged; heap-ordered and full;
+// heap-ordered and one under capacity; a bound lowered by the eviction of
+// an implied zero; a cell back below capacity given a zero above its
+// bound; a small removed id ingested again; math.MaxInt32, stored as a zero
+// under no bound, evicted or rejected; a striped batch past the cap —
+// and removes the newest, the oldest, a middle and a nowhere-resident
+// document, with the document's table (while every cell holds every live
+// id it visits the cells the table marks, otherwise it skips the implied
+// zeros and the full cells below whose floor the document orders) and
+// without (every cell is walked), for both sketch kinds. The cells must
+// equal the model's after every removal, and NumDocs the roster.
 func TestDeletePathsMatchModel(t *testing.T) {
 	const ghost = 9000 // no terms, largest id: resident in no full cell
-	sparse := func(t *testing.T, o *Owner, want bool) {
+	holdsAll := func(t *testing.T, o *Owner, want bool) {
 		t.Helper()
-		if o.rtk.sparse != want {
-			t.Fatalf("setup: sketch of %d documents under a cap of %d is sparse=%v, want %v", o.rtk.NumDocs(), o.params.HeapCap(), o.rtk.sparse, want)
+		if got := o.rtk.held == nil; got != want {
+			t.Fatalf("setup: sketch of %d documents under a cap of %d has every cell unbounded=%v, want %v", o.rtk.NumDocs(), o.params.HeapCap(), got, want)
 		}
+	}
+	somewhere := func(t *testing.T, o *Owner, what string, ok func(h *cellHeap) bool) {
+		t.Helper()
+		for c := range o.rtk.cells {
+			if ok(&o.rtk.cells[c]) {
+				return
+			}
+		}
+		t.Fatalf("setup: no cell %s", what)
+	}
+	stores := func(h *cellHeap, id int32, zero bool) bool {
+		return slices.ContainsFunc(h.entries, func(e Entry) bool { return e.DocID == id && (!zero || e.Value == 0) })
+	}
+	heavy := map[uint64]int64{1: 90, 2: 90, 3: 90} // resident in most cells
+	pastCap := func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		for id := 10; id < 18; id++ {
+			addBoth(t, o, m, id, pathCounts(rng))
+		}
+		addBoth(t, o, m, 18, heavy)
 	}
 	layouts := []struct {
 		name  string
@@ -478,7 +525,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			for id := 10; id < 16; id++ { // ascending one by one: every append is vouched for
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
-			sparse(t, o, true)
+			holdsAll(t, o, true)
 			for c := range o.rtk.cells {
 				if !o.rtk.cells[c].canonical {
 					t.Fatalf("cell %d lost canonical order under ascending ingest", c)
@@ -494,30 +541,26 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			if err := o.addDocuments(batch, 3); err != nil {
 				t.Fatal(err)
 			}
-			sparse(t, o, true)
-			unordered := 0
-			for c := range o.rtk.cells {
-				if !o.rtk.cells[c].canonical {
-					unordered++
-				}
-			}
-			if unordered == 0 {
-				t.Fatal("setup: every non-zero list ascends")
-			}
+			holdsAll(t, o, true)
+			somewhere(t, o, "stores its non-zero entries out of order", func(h *cellHeap) bool { return !h.canonical })
 		}},
 		{"materialized on the last push", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for id := 10; id < 18; id++ {
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
-			sparse(t, o, true) // at the cap
+			holdsAll(t, o, true) // at the cap
 			addBoth(t, o, m, 18, pathCounts(rng))
-			sparse(t, o, false)
+			for c := range o.rtk.cells {
+				if o.rtk.held[c] < 0 {
+					t.Fatalf("cell %d kept every id through the push that overfilled it", c)
+				}
+			}
 		}},
 		{"ascending unflagged", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for id := 10; id < 18; id++ {
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
-			addBoth(t, o, m, ghost, nil) // materializes; rejected everywhere, so the cells stay canonical
+			addBoth(t, o, m, ghost, nil) // rejected everywhere, so the cells stay canonical
 			for id := 15; id < 18; id++ {
 				removeBoth(t, o, m, id)
 			}
@@ -528,12 +571,13 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			if err := o.addDocuments(batch, len(batch)); err != nil { // one-document stripes merge in order, vouched for by nobody
 				t.Fatal(err)
 			}
-			sparse(t, o, false)
+			holdsAll(t, o, false)
 			for c := range o.rtk.cells {
-				if h := &o.rtk.cells[c]; h.canonical || !strictlyAscending(h.entries) || len(h.entries) == o.params.HeapCap() {
-					t.Fatalf("cell %d: canonical=%v entries %v, want ascending, unflagged and under the cap", c, h.canonical, h.entries)
+				if h := &o.rtk.cells[c]; !strictlyAscending(h.entries) || o.rtk.load(c, len(o.rtk.roster)) == o.params.HeapCap() {
+					t.Fatalf("cell %d: entries %v, want ascending and under the cap", c, h.entries)
 				}
 			}
+			somewhere(t, o, "ascends unflagged", func(h *cellHeap) bool { return !h.canonical })
 		}},
 		{"heap full", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for _, id := range rng.Perm(30) {
@@ -546,8 +590,67 @@ func TestDeletePathsMatchModel(t *testing.T) {
 				addBoth(t, o, m, 10+id, pathCounts(rng))
 			}
 			addBoth(t, o, m, ghost, nil)
-			addBoth(t, o, m, 5, map[uint64]int64{1: 90, 2: 90, 3: 90}) // heavy: resident in most cells
+			addBoth(t, o, m, 5, heavy)
 			removeBoth(t, o, m, 5)
+		}},
+		{"bound lowered by an eviction", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			// Rejecting 18 would leave the bound at 18; evicting an implied
+			// zero takes it to a live id.
+			somewhere(t, o, "took 18 by evicting an implied zero", func(h *cellHeap) bool { return stores(h, 18, false) && h.below < 18 })
+		}},
+		{"zero above the bound", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			removeBoth(t, o, m, 12)
+			removeBoth(t, o, m, 13)
+			addBoth(t, o, m, 19, nil) // below the cap again: accepted everywhere, a zero
+			somewhere(t, o, "stores a zero above its bound", func(h *cellHeap) bool { return stores(h, 19, true) })
+		}},
+		{"small id again", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			removeBoth(t, o, m, 10)
+			addBoth(t, o, m, 10, pathCounts(rng))
+			somewhere(t, o, "implies the returning id", func(h *cellHeap) bool { return h.below > 10 && !stores(h, 10, false) })
+		}},
+		{"largest id evicted", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 17; id++ {
+				addBoth(t, o, m, id, pathCounts(rng))
+			}
+			addBoth(t, o, m, math.MaxInt32, nil) // a stored zero under no bound, and the floor of every cell
+			addBoth(t, o, m, 17, heavy)
+			somewhere(t, o, "let math.MaxInt32 go, its bound unmoved", func(h *cellHeap) bool {
+				return h.below == noBound && !stores(h, math.MaxInt32, false)
+			})
+		}},
+		{"largest id rejected", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 18; id++ {
+				addBoth(t, o, m, id, pathCounts(rng))
+			}
+			addBoth(t, o, m, math.MaxInt32, nil) // orders below every zero held
+			somewhere(t, o, "turned math.MaxInt32 away, its bound unmoved", func(h *cellHeap) bool {
+				return h.below == noBound && !stores(h, math.MaxInt32, false)
+			})
+		}},
+		{"striped past the cap", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			batch := make([]DocCounts, 12)
+			for i, id := range rng.Perm(len(batch)) {
+				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
+				m.add(t, batch[i].DocID, batch[i].Counts)
+			}
+			if err := o.addDocuments(batch, 3); err != nil {
+				t.Fatal(err)
+			}
+			holdsAll(t, o, false)
+			one, err := NewOwner(o.params, 42, dp.Disabled())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := one.addDocuments(batch, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(residentState(o.rtk), residentState(one.rtk)) {
+				t.Fatal("a striped load keeps other entries than a one-worker load")
+			}
 		}},
 	}
 	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
@@ -582,16 +685,17 @@ func TestDeletePathsMatchModel(t *testing.T) {
 							return
 						}
 						if _, ok := o.meta[ghost]; ok {
+							view := cloneSketch(o.rtk)
 							for c := range o.rtk.cells {
-								if h := &o.rtk.cells[c]; len(h.entries) == p.HeapCap() && slices.ContainsFunc(h.entries, func(e Entry) bool { return e.DocID == ghost }) {
+								full := o.rtk.load(c, len(o.rtk.roster)) == p.HeapCap()
+								if full && slices.ContainsFunc(view.Cell(c/p.W, uint32(c%p.W)), func(e Entry) bool { return e.DocID == ghost }) {
 									t.Fatalf("setup: the ghost document is resident in full cell %d", c)
 								}
 							}
 							removeBoth(t, o, m, ghost)
 							return
 						}
-						// Under capacity every summarized document is resident
-						// everywhere, so only the cells can be asked.
+						// A document the owner does not have is stored nowhere.
 						for c := range o.rtk.cells {
 							if got := o.rtk.cells[c].remove(ghost); got != 0 {
 								t.Fatalf("cell %d: removing an absent id dropped %d entries", c, got)

@@ -378,9 +378,9 @@ type DocCounts struct {
 // folds the stripe survivors into the shared RTK-Sketch with the rows
 // partitioned across workers. Eviction is a strict total order, so the
 // surviving entries per cell depend only on the document set, never on
-// the stripe boundaries or merge interleaving (see cellHeap). A batch
-// that leaves the sketch sparse (at most alpha*K documents in all, see
-// RTKSketch) is folded by one worker whatever the pool size.
+// the stripe boundaries or merge interleaving (see cellHeap), and the
+// merge leaves each cell's held-prefix bound where the sequential loop
+// would (see RTKSketch.mergeAccumRows).
 //
 // On error (duplicate id, geometry mismatch) the owner is left unchanged;
 // unlike a sequential AddDocument loop there is no partially-applied
@@ -428,19 +428,16 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 		tables = make([]sketch.Compact, len(docs))
 	}
 
-	o.rtk.expect(len(docs))
-	if workers == 1 || o.rtk.sparse {
+	if workers == 1 {
 		// Single-worker fast path: fold each document's table straight
 		// into the RTK-Sketch. The stripe/merge split exists to give
 		// concurrent workers private state; at pool size one it would
-		// only copy every surviving entry a second time. A batch that
-		// leaves the sketch sparse takes it too: it is at most alpha*K
-		// documents, and each pushes only its non-zero cells.
+		// only copy every surviving entry a second time.
 		o.bulkFold1(docs, tables)
 	} else if err := o.bulkFoldStriped(docs, tables, workers); err != nil {
 		return err
 	}
-	o.rtk.addDocs(docs)
+	o.rtk.docs += len(docs)
 
 	// Metadata, in slice order.
 	for i, d := range docs {
@@ -463,11 +460,6 @@ func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
 // in the owner's scratch and goes straight into the shared RTK-Sketch.
 // Callers hold o.mu and have validated the batch.
 func (o *Owner) bulkFold1(docs []DocCounts, tables []sketch.Compact) {
-	if !o.rtk.sparse { // a sparse list grows by what a batch has non-zero there, unknown here
-		for c := range o.rtk.cells {
-			o.rtk.cells[c].reserve(len(docs), o.params.HeapCap())
-		}
-	}
 	for i := range docs {
 		t := o.scratch.Sketch(docs[i].Counts)
 		o.rtk.updateRows(docs[i].DocID, t)
@@ -535,25 +527,7 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []sketch.Compact, worke
 	// Stage 2: the single merge pass, rows sharded across the pool
 	// (disjoint row bands never touch the same heap; the merged set per
 	// cell is order-independent, see mergeAccumRows).
-	bands := workers
-	if bands > z {
-		bands = z
-	}
-	if bands == 1 {
-		o.rtk.mergeAccumRows(accums, 0, z)
-	} else {
-		var mg sync.WaitGroup
-		for b := 0; b < bands; b++ {
-			lo := b * z / bands
-			hi := (b + 1) * z / bands
-			mg.Add(1)
-			go func(lo, hi int) {
-				defer mg.Done()
-				o.rtk.mergeAccumRows(accums, lo, hi)
-			}(lo, hi)
-		}
-		mg.Wait()
-	}
+	o.rtk.merge(accums, docs, workers)
 	for _, a := range accums {
 		putAccum(a)
 	}
@@ -562,25 +536,22 @@ func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []sketch.Compact, worke
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
 // sketch and metadata. An owner that kept the document's table uses it to
-// visit only the cells the document can be in: while the sketch is
-// sparse, those the compact table marks non-zero; once it is explicit,
-// the table is expanded into the scratch and the sketch skips every full
-// cell whose floor the document orders below (see RTKSketch.Delete).
+// visit only the cells the document can be in: while every cell holds
+// every live id, those the compact table marks non-zero; once some cell
+// has let a document go, the table is expanded into the scratch and the
+// sketch skips every full cell whose floor the document orders below (see
+// RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if _, ok := o.meta[docID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	c, kept := o.docTables[docID]
-	switch {
-	case kept && o.rtk.sparse:
-		o.rtk.deleteMarked(docID, c)
-	case kept:
+	if c, kept := o.docTables[docID]; !kept {
+		o.rtk.Delete(docID, nil)
+	} else if !o.rtk.deleteMarked(docID, c) {
 		table, _ := o.scratch.Expand(c) // a kept table has the scratch's geometry
 		o.rtk.Delete(docID, table)
-	default:
-		o.rtk.Delete(docID, nil)
 	}
 	delete(o.docTables, docID)
 	delete(o.meta, docID)
@@ -597,11 +568,6 @@ func (o *Owner) RemoveDocument(docID int) error {
 	}
 	o.ids = o.ids[:last]
 	delete(o.idPos, docID)
-	if docID == o.rtk.liveMax {
-		// The next id to come back below the old maximum — the usual churn
-		// — is again an ascending append.
-		o.rtk.resetLiveMax(o.ids)
-	}
 	o.generation.Add(1)
 	return nil
 }
@@ -654,10 +620,10 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // of the addressed cell in every row, in canonical ascending-DocID order,
 // counts perturbed with a single noise draw. Cells a mutation left out of
 // canonical order are sorted in place on the way, so back-to-back queries
-// only copy; a sparse sketch's rows are merged from its roster and
-// non-zero lists as they are copied, so a reply does not depend on the
-// sketch's form. The response belongs to the caller (see RTKResponse) and
-// carries its encoded length, computed in the copy loop (rtkSizer).
+// only copy; a row's zeros that the roster implies are merged in as it is
+// copied, so a reply does not depend on what the cell stores. The
+// response belongs to the caller (see RTKResponse) and carries its
+// encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	var out [1]*RTKResponse
 	err := o.answerRTK([]*TFQuery{q}, out[:])
@@ -730,6 +696,15 @@ func (o *Owner) RTKSizeBytes() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.rtk.SizeBytes()
+}
+
+// RTKResidentBytes returns what the RTK-Sketch occupies in memory: 8
+// bytes per entry a cell stores and 4 per live id on its roster. The zeros
+// the roster implies are in RTKSizeBytes and not here.
+func (o *Owner) RTKResidentBytes() int64 {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	return o.rtk.residentBytes()
 }
 
 func qLen(q *TFQuery) int {

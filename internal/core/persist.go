@@ -80,9 +80,9 @@ func (o *Owner) WriteTo(w io.Writer) (int64, error) {
 	}
 	// RTK-Sketch cells, each in canonical ascending-DocID order: the
 	// resident layout depends on ingestion history (sequential vs bulk,
-	// queried or not, sparse or explicit), but the snapshot must be a pure
-	// function of the corpus so save -> load -> save stays byte-stable. A
-	// sparse sketch writes its materialized view, zero entries included.
+	// queried or not, which zeros are stored), but the snapshot must be a
+	// pure function of the corpus so save -> load -> save stays
+	// byte-stable. A cell writes its merged view, implied zeros included.
 	for c := range o.rtk.cells {
 		entries := o.rtk.cellView(c)
 		put64(uint64(len(entries)))
@@ -201,9 +201,10 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 	}
 	// Plausibility caps: a hostile or corrupt snapshot must not drive the
 	// allocation of z*w heaps (or the hash coefficient table) to absurd
-	// sizes before we even look at the payload.
-	if p.Z > 1<<12 || p.W > 1<<22 || p.Alpha > 1<<20 || p.K > 1<<24 ||
-		int64(p.Alpha)*int64(p.K) > 1<<28 {
+	// sizes before we even look at the payload. A million cells is 175
+	// times the default geometry's 6 000.
+	if p.Z > 1<<12 || p.W > 1<<22 || int64(p.Z)*int64(p.W) > 1<<20 ||
+		p.Alpha > 1<<20 || p.K > 1<<24 || int64(p.Alpha)*int64(p.K) > 1<<28 {
 		return nil, fmt.Errorf("%w: implausible parameters z=%d w=%d alpha=%d k=%d",
 			ErrCorruptState, p.Z, p.W, p.Alpha, p.K)
 	}
@@ -256,32 +257,26 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 		}
 	}
 	o.sortIDs()
-	// Appends are vouched for against liveMax, so it must bound every id
-	// a cell holds — also one a corrupt snapshot left out of the roster.
 	s := o.rtk
-	s.resetLiveMax(o.ids)
-	// The sketch loads sparse while every cell read holds exactly the
-	// roster, which is what a sketch that never evicted writes; the first
-	// cell that does not turns it explicit, the cells before it
-	// materialized as they were written.
 	s.roster = make([]int32, len(o.ids))
 	for i, id := range o.ids {
 		s.roster[i] = int32(id) // range-checked above
 		if i > 0 && s.roster[i] == s.roster[i-1] {
-			s.makeExplicit(0, 0) // a corrupt roster: no cell can hold it
-			break
+			return nil, fmt.Errorf("%w: document %d listed twice", ErrCorruptState, id)
 		}
 	}
+	// A snapshot stores each cell's merged view. The cell holds every live
+	// id below the first one the view lacks, which is its bound, and
+	// stores what the roster does not imply below it.
 	var buf []Entry // one cell as the snapshot stores it, reused
 	for c := range s.cells {
 		var n uint64
-		if !read(&n) || n > uint64(p.HeapCap()) {
+		// A cell holds live ids only, so its view is never longer than the
+		// roster, whose every id the snapshot had to spell out.
+		if !read(&n) || n > uint64(min(p.HeapCap(), len(s.roster))) {
 			return nil, fmt.Errorf("%w: bad cell size", ErrCorruptState)
 		}
 		buf = slices.Grow(buf[:0], int(n))[:n]
-		// Snapshots store cells in canonical DocID order; one that does
-		// not is re-ordered by whichever of push and Cell needs it first.
-		canonical := true
 		for j := range buf {
 			var id, val uint64
 			if !read(&id) || !read(&val) {
@@ -291,28 +286,22 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 				return nil, fmt.Errorf("%w: cell entry (%d, %d) does not fit int32", ErrCorruptState, int64(id), int64(val))
 			}
 			buf[j] = Entry{DocID: int32(int64(id)), Value: int32(int64(val))}
-			s.admit(int(buf[j].DocID))
-			if j > 0 && buf[j].DocID <= buf[j-1].DocID {
-				canonical = false
-			}
 		}
-		if s.sparse && !holdsRoster(buf, s.roster) {
-			s.makeExplicit(c, len(s.roster))
+		i := 0
+		for i < len(buf) && i < len(s.roster) && buf[i].DocID == s.roster[i] {
+			i++
 		}
 		h := &s.cells[c]
-		if s.sparse {
-			h.entries = nonZero(buf)
-			continue
+		if i < len(s.roster) {
+			h.below = s.roster[i]
+			s.setHeld(c, int(n))
 		}
-		h.entries, h.canonical = make([]Entry, n), canonical
-		copy(h.entries, buf)
+		if !onRoster(buf[i:], s.roster[i:]) {
+			return nil, fmt.Errorf("%w: cell %d holds an entry out of order or off the roster", ErrCorruptState, c)
+		}
+		h.keep(buf)
 		if n == uint64(p.HeapCap()) {
-			// Later pushes must keep evicting the true minimum.
-			if h.canonical {
-				h.scanFloor()
-			} else {
-				h.heapify()
-			}
+			h.refloor(s.roster, &s.sorter) // later pushes must keep evicting the true minimum
 		}
 	}
 	var docs uint64
@@ -323,37 +312,20 @@ func ReadOwner(r io.Reader, mech dp.Mechanism) (*Owner, error) {
 	return o, nil
 }
 
-// holdsRoster reports whether a cell as a snapshot stores it is the
-// roster: one entry per live id, in order.
-func holdsRoster(es []Entry, roster []int32) bool {
-	if len(es) != len(roster) {
-		return false
-	}
-	for i, e := range es {
-		if e.DocID != roster[i] {
+// onRoster reports whether the ids of es ascend strictly and are all on
+// roster, which ascends.
+func onRoster(es []Entry, roster []int32) bool {
+	i := 0
+	for j, e := range es {
+		if j > 0 && e.DocID <= es[j-1].DocID {
+			return false
+		}
+		for i < len(roster) && roster[i] < e.DocID {
+			i++
+		}
+		if i == len(roster) || roster[i] != e.DocID {
 			return false
 		}
 	}
 	return true
-}
-
-// nonZero returns a copy of the entries of es whose value is not zero —
-// what a sparse cell keeps — in exactly the memory they need.
-func nonZero(es []Entry) []Entry {
-	n := 0
-	for _, e := range es {
-		if e.Value != 0 {
-			n++
-		}
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]Entry, 0, n)
-	for _, e := range es {
-		if e.Value != 0 {
-			out = append(out, e)
-		}
-	}
-	return out
 }

@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"os"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -137,6 +139,13 @@ func TestReadOwnerRejectsInvalidParams(t *testing.T) {
 	if _, err := ReadOwner(bytes.NewReader(bad), dp.Disabled()); !errors.Is(err, ErrCorruptState) {
 		t.Fatal("zero Z accepted")
 	}
+	// Z and W each within their own cap, 2^12 * 2^21 cells together: the
+	// reader must refuse before it allocates them.
+	binary.LittleEndian.PutUint64(bad[off:], 1<<12)
+	binary.LittleEndian.PutUint64(bad[off+8:], 1<<21)
+	if _, err := ReadOwner(bytes.NewReader(bad), dp.Disabled()); !errors.Is(err, ErrCorruptState) {
+		t.Fatalf("8G cells: want ErrCorruptState, got %v", err)
+	}
 }
 
 func TestOwnerAccessors(t *testing.T) {
@@ -187,17 +196,18 @@ func TestSnapshotSketchKindPreserved(t *testing.T) {
 }
 
 // TestSnapshotSparseRoundTrip: a sketch that never evicted writes the
-// snapshot the explicit form of the same documents writes, and loads back
-// sparse — save, load, save is byte-equal and the reload holds exactly
-// the bytes the original held. An owner that went past alpha*K and shrank
-// back below it has cells that lost entries to the cap, so it reloads
-// explicit, as it was.
+// snapshot a striped load of the same documents writes, holds at most half
+// of its logical bytes, and loads back as it was — save, load, save is
+// byte-equal and the reload holds exactly the bytes the original held. An
+// owner that went past alpha*K and shrank back below it has cells that
+// lost entries to the cap; it reloads byte-stable too, each cell's bound
+// as high as what it holds allows, so it holds no more than before.
 func TestSnapshotSparseRoundTrip(t *testing.T) {
 	p := testParams()
 	p.W, p.Alpha, p.K = 64, 2, 10 // cells cap at 20
 	docs := bulkBatch(24, 12, 9)
 	for _, keep := range []bool{true, false} {
-		newOwner := func() *Owner {
+		newOwner := func(workers int) *Owner {
 			var opts []OwnerOption
 			if !keep {
 				opts = append(opts, WithoutDocTables())
@@ -206,44 +216,43 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := o.AddDocuments(docs[:18], 1); err != nil {
+			if err := o.addDocuments(docs[:18], workers); err != nil {
 				t.Fatal(err)
 			}
 			return o
 		}
-		reload := func(o *Owner, wantSparse bool) {
+		reload := func(o *Owner, same bool) *Owner {
 			t.Helper()
 			saved := snapshot(t, o)
 			loaded, err := ReadOwner(bytes.NewReader(saved), dp.Disabled())
 			if err != nil {
 				t.Fatal(err)
 			}
-			if loaded.rtk.sparse != wantSparse {
-				t.Fatalf("keep=%v: reloaded sparse=%v, want %v", keep, loaded.rtk.sparse, wantSparse)
-			}
 			if !bytes.Equal(snapshot(t, loaded), saved) {
-				t.Fatalf("keep=%v sparse=%v: save -> load -> save is not byte-stable", keep, wantSparse)
+				t.Fatalf("keep=%v: save -> load -> save is not byte-stable", keep)
 			}
-			if got, want := loaded.rtk.residentBytes(), o.rtk.residentBytes(); got != want {
-				t.Fatalf("keep=%v sparse=%v: reloaded sketch holds %d bytes, the original %d", keep, wantSparse, got, want)
+			got, want := loaded.RTKResidentBytes(), o.RTKResidentBytes()
+			if got > want || same && got != want {
+				t.Fatalf("keep=%v: reloaded sketch holds %d bytes, the original %d", keep, got, want)
 			}
+			return loaded
 		}
 
-		sparse, explicit := newOwner(), newOwner()
-		explicit.rtk.makeExplicit(len(explicit.rtk.cells), p.HeapCap())
-		if !sparse.rtk.sparse || explicit.rtk.sparse {
-			t.Fatal("setup: want one sparse sketch and one explicit")
+		one, striped := newOwner(1), newOwner(3)
+		if one.rtk.held != nil {
+			t.Fatal("setup: 18 documents under a cap of 20 lowered a bound")
 		}
-		if !bytes.Equal(snapshot(t, sparse), snapshot(t, explicit)) {
-			t.Fatalf("keep=%v: the sparse sketch writes another snapshot than the explicit one", keep)
+		if !bytes.Equal(snapshot(t, one), snapshot(t, striped)) || !reflect.DeepEqual(residentState(one.rtk), residentState(striped.rtk)) {
+			t.Fatalf("keep=%v: a striped load writes or keeps other cells than a one-worker load", keep)
 		}
-		if sparse.RTKSizeBytes() != explicit.RTKSizeBytes() || 2*sparse.rtk.residentBytes() > explicit.rtk.residentBytes() {
-			t.Fatalf("keep=%v: sparse %d B (%d resident), explicit %d B", keep,
-				sparse.RTKSizeBytes(), sparse.rtk.residentBytes(), explicit.RTKSizeBytes())
+		if 2*one.RTKResidentBytes() > one.RTKSizeBytes() {
+			t.Fatalf("keep=%v: %d B resident of %d logical", keep, one.RTKResidentBytes(), one.RTKSizeBytes())
 		}
-		reload(sparse, true)
+		if loaded := reload(one, true); !reflect.DeepEqual(residentState(loaded.rtk), residentState(one.rtk)) {
+			t.Fatalf("keep=%v: the reload keeps other cells", keep)
+		}
 
-		shrunk := newOwner()
+		shrunk := newOwner(1)
 		for _, d := range docs[18:] {
 			if err := shrunk.AddDocument(d.DocID, d.Counts); err != nil {
 				t.Fatal(err)
@@ -254,53 +263,139 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		lost := slices.ContainsFunc(shrunk.rtk.cells, func(h cellHeap) bool { return len(h.entries) < 18 })
-		if shrunk.rtk.sparse || !lost {
+		lost := false
+		for c := range shrunk.rtk.cells {
+			lost = lost || shrunk.rtk.load(c, len(shrunk.rtk.roster)) < 18
+		}
+		if shrunk.rtk.held == nil || !lost {
 			t.Fatal("setup: the shrunk owner lost no entry to the cap")
 		}
 		reload(shrunk, false)
 	}
 }
 
-// TestSparseResidentBytes pins what the sparse form saves at the
-// benchmark geometry (z = 30, w = 200, alpha*K = 250) on a shard-sized
-// owner: 64 generated documents' bodies, 30 % of whose cells are
-// non-zero, are held in at most 40 % of the sketch's logical bytes, while
-// RTKSizeBytes — Fig. 4's quantity — still counts every entry, zeros
-// included.
+// TestSparseResidentBytes pins what the held-prefix form saves at the
+// benchmark geometry (z = 30, w = 200, alpha*K = 250) on generated
+// documents: a shard-sized owner of 64 bodies, 30 % of whose cells are
+// non-zero, which never evicts; and an owner of 1 200 titles, past the cap
+// in every cell, whose cells hold a few non-zero entries and zeros
+// implied by the roster. Each holds at most its share of the sketch's
+// logical bytes, while RTKSizeBytes — Fig. 4's quantity — still counts
+// every entry, zeros included.
 func TestSparseResidentBytes(t *testing.T) {
 	p := DefaultParams()
 	p.K = 50
-	cc := corpus.DefaultConfig()
-	cc.NumParties, cc.DocsPerParty, cc.DocLen, cc.QueriesPerParty = 1, 64, 120, 1
-	c, err := corpus.Generate(cc)
+	for _, row := range []struct {
+		docs     int
+		field    string
+		ceilingP int64 // percent of the logical bytes
+	}{
+		{64, "body", 40},
+		{1200, "title", 25},
+	} {
+		cc := corpus.DefaultConfig()
+		cc.NumParties, cc.DocsPerParty, cc.DocLen, cc.QueriesPerParty = 1, row.docs, 120, 1
+		c, err := corpus.Generate(cc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		docs := make([]DocCounts, len(c.Parties[0].Docs))
+		for i, d := range c.Parties[0].Docs {
+			tv := d.BodyCounts()
+			if row.field == "title" {
+				tv = d.TitleCounts()
+			}
+			counts := make(map[uint64]int64)
+			for term, n := range tv {
+				counts[uint64(term)] = int64(n)
+			}
+			docs[i] = DocCounts{DocID: d.ID, Counts: counts}
+		}
+		o := newOwnerT(t, p)
+		if err := o.AddDocuments(docs, 1); err != nil {
+			t.Fatal(err)
+		}
+		logical := int64(8 * min(len(docs), p.HeapCap()) * p.Z * p.W)
+		if got := o.RTKSizeBytes(); got != logical {
+			t.Fatalf("%d %ss: RTKSizeBytes = %d, want the explicit figure %d", row.docs, row.field, got, logical)
+		}
+		resident := o.RTKResidentBytes()
+		if 100*resident > row.ceilingP*logical {
+			t.Fatalf("%d %ss: the sketch holds %d bytes of its %d logical: more than %d %%", row.docs, row.field, resident, logical, row.ceilingP)
+		}
+		t.Logf("%d %ss: resident %d B of %d logical (%.1f %%)", row.docs, row.field, resident, logical, 100*float64(resident)/float64(logical))
+	}
+}
+
+// pastCapCorpus builds the owner whose snapshot, written by the last
+// commit that stored every zero of a cell past alpha*K, is
+// testdata/owner_v2_explicit.snap: twelve documents against cells that
+// cap at 4, a third of them without terms. Small, because it also seeds
+// FuzzReadOwner.
+func pastCapCorpus(t testing.TB) *Owner {
+	t.Helper()
+	p := DefaultParams()
+	p.Z, p.W, p.Z1, p.K, p.Alpha, p.Epsilon = 3, 8, 2, 2, 2, 0
+	o, err := NewOwner(p, 42, dp.Disabled())
 	if err != nil {
 		t.Fatal(err)
 	}
-	docs := make([]DocCounts, len(c.Parties[0].Docs))
-	for i, d := range c.Parties[0].Docs {
-		counts := make(map[uint64]int64)
-		for term, n := range d.BodyCounts() {
-			counts[uint64(term)] = int64(n)
+	rng := rand.New(rand.NewSource(32))
+	for id := 0; id < 12; id++ {
+		counts := map[uint64]int64{}
+		if id%3 != 1 {
+			for j := 0; j < 2; j++ {
+				counts[uint64(rng.Intn(40))] += int64(1 + rng.Intn(3))
+			}
 		}
-		docs[i] = DocCounts{DocID: d.ID, Counts: counts}
+		if err := o.AddDocument(id, counts); err != nil {
+			t.Fatal(err)
+		}
 	}
-	o := newOwnerT(t, p)
-	if err := o.AddDocuments(docs, 1); err != nil {
+	return o
+}
+
+// TestReadOwnerPastCap: a snapshot of an owner past alpha*K, written when
+// its cells stored every zero they held, loads to the owner the same
+// corpus builds today — every RTK answer at epsilon = 0, the same resident
+// bytes, fewer than the logical ones — and re-saves byte for byte.
+func TestReadOwnerPastCap(t *testing.T) {
+	past, err := os.ReadFile("testdata/owner_v2_explicit.snap")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !o.rtk.sparse {
-		t.Fatal("64 documents under a cap of 250 made the sketch explicit")
+	old, err := ReadOwner(bytes.NewReader(past), dp.Disabled())
+	if err != nil {
+		t.Fatal(err)
 	}
-	logical := int64(8 * len(docs) * p.Z * p.W)
-	if got := o.RTKSizeBytes(); got != logical {
-		t.Fatalf("RTKSizeBytes = %d, want the explicit figure %d", got, logical)
+	fresh := pastCapCorpus(t)
+	p := fresh.Params()
+	for col := 0; col < p.W; col++ {
+		q := &TFQuery{Cols: make([]uint32, p.Z)}
+		for a := range q.Cols {
+			q.Cols[a] = uint32((col + 3*a) % p.W)
+		}
+		want, err := fresh.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := old.AnswerRTK(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("AnswerRTK(%v): loaded %v, built %v", q.Cols, got.Cells, want.Cells)
+		}
 	}
-	resident := o.rtk.residentBytes()
-	if 10*resident > 4*logical {
-		t.Fatalf("the sketch holds %d bytes of its %d logical: more than 40 %%", resident, logical)
+	if !bytes.Equal(snapshot(t, old), past) {
+		t.Fatal("the snapshot, loaded and saved, changed")
 	}
-	t.Logf("resident %d B of %d logical (%.1f %%)", resident, logical, 100*float64(resident)/float64(logical))
+	if !reflect.DeepEqual(residentState(old.rtk), residentState(fresh.rtk)) {
+		t.Fatal("the loaded owner keeps other cells than the built one")
+	}
+	if got, logical := old.RTKResidentBytes(), old.RTKSizeBytes(); got != fresh.RTKResidentBytes() || got >= logical {
+		t.Fatalf("loaded owner holds %d bytes, the built one %d, logical %d", got, fresh.RTKResidentBytes(), logical)
+	}
 }
 
 // v1Corpus builds the owner whose version-1 snapshot, written by the last

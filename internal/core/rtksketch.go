@@ -33,7 +33,7 @@ func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32
 // |Value|: a document's cell value is its (sign-weighted) contribution
 // plus collision noise, and the querier recovers the sign later, so
 // magnitude is what predicts relevance. For Count-Min the key is Value
-// itself (always non-negative).
+// itself (non-negative unless a document's counts are not).
 //
 // Eviction follows a strict total order — key ascending, ties broken by
 // DocID descending — so the set of entries surviving a sequence of
@@ -62,6 +62,13 @@ func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32
 // rejection — costs one comparison against fields already in cache and
 // never asks which layout the slice is in.
 //
+// In an RTKSketch a cell also has a held-prefix bound: it holds every
+// live id below it, and stores only its non-zero entries and the zeros at
+// or above the bound — the zeros below it are implied by the sketch's
+// roster of live ids (see RTKSketch). A cell on its own, as the
+// bulk loader's accumulators and cellHeap's own tests use it, stores
+// everything it holds.
+//
 // The sift code is hand-rolled rather than container/heap: the interface
 // boxing of heap.Push/heap.Pop dominated the bulk-ingest allocation
 // profile (two boxed Entry values per cell per document, ~13M allocs per
@@ -72,7 +79,13 @@ type cellHeap struct {
 	canonical bool  // entries are known to ascend by DocID
 	floorDoc  int32 // DocID of the eviction minimum, valid while full
 	floorKey  int32 // key of the eviction minimum, valid while full
+	below     int32 // the held-prefix bound: every live id below it is held
 }
+
+// noBound is the bound of a cell that has let no document below it go: it
+// holds every live id below math.MaxInt32, and stores a zero only for id
+// math.MaxInt32.
+const noBound = math.MaxInt32
 
 func (h *cellHeap) key(e Entry) int32 {
 	if h.abs {
@@ -106,13 +119,15 @@ func rankLess(a, b Entry) bool {
 // locate the eviction minimum, so it is built (one heapify, which also
 // caches the floor) the moment the cell fills, and under-capacity
 // corpora ingest at append speed with zero sift work. above is the
-// caller's word that e.DocID exceeds every id in the cell (see
-// RTKSketch.updateRows): such an append onto an empty or canonical cell
-// leaves it canonical without looking at the previous entry — until the
-// append that fills the cell, whose heapify undoes the order. On a full
-// cell rejection reads nothing but the cached floor, and only an
-// accepted push on a canonical cell pays to rebuild the heap a reader
-// sorted away.
+// caller's word that e.DocID exceeds every id in the cell: such an append
+// onto an empty or canonical cell leaves it canonical without looking at
+// the previous entry — until the append that fills the cell, whose
+// heapify undoes the order. On a full cell rejection reads nothing but
+// the cached floor, and only an accepted push on a canonical cell pays to
+// rebuild the heap a reader sorted away.
+//
+// This is the push of a cell that stores everything it holds; an
+// RTKSketch's cells take RTKSketch.push.
 func (h *cellHeap) push(e Entry, cap int, above bool) {
 	if n := len(h.entries); n < cap {
 		h.add(e, above)
@@ -122,15 +137,8 @@ func (h *cellHeap) push(e Entry, cap int, above bool) {
 		}
 		return
 	}
-	if cap <= 0 {
-		return
-	}
-	ke := h.key(e)
-	if ke < h.floorKey {
-		return // below the floor: rejected without touching the slab
-	}
-	if ke == h.floorKey && e.DocID >= h.floorDoc {
-		return // ties on the floor keep the smaller DocID
+	if cap <= 0 || !h.beats(e) {
+		return // rejected without touching the slab
 	}
 	if h.canonical {
 		h.canonical = false
@@ -142,38 +150,46 @@ func (h *cellHeap) push(e Entry, cap int, above bool) {
 }
 
 // add appends e with no capacity to respect: push below capacity, and
-// every write to a sparse sketch's non-zero list. An append that above
+// every entry an RTKSketch cell comes to store. An append that above
 // vouches for keeps an empty or canonical cell canonical.
 func (h *cellHeap) add(e Entry, above bool) {
 	h.canonical = above && (h.canonical || len(h.entries) == 0)
 	h.entries = append(h.entries, e)
 }
 
-// reserve makes room for the n pushes a bulk batch is about to make with
-// one allocation instead of append's doublings. It at least doubles, so a
-// stream of small batches still grows in amortized constant time, but
-// never past heapCap, which is all a cell can hold.
-func (h *cellHeap) reserve(n, heapCap int) {
-	if want := min(len(h.entries)+n, heapCap); want > cap(h.entries) {
-		want = min(max(want, 2*cap(h.entries)), heapCap)
-		h.entries = append(make([]Entry, 0, want), h.entries...)
-	}
-}
-
 func (h *cellHeap) setFloor(e Entry) {
 	h.floorKey, h.floorDoc = h.key(e), e.DocID
 }
 
-// scanFloor caches the floor of a full cell without re-ordering it: what
-// a canonical cell loaded at capacity needs before its first push.
-func (h *cellHeap) scanFloor() {
-	min := h.entries[0]
-	for _, e := range h.entries[1:] {
-		if h.less(e, min) {
-			min = e
+// beats reports whether e orders above the cached floor of a full cell,
+// which is whether a push of e is accepted: ties on the key keep the
+// smaller DocID.
+func (h *cellHeap) beats(e Entry) bool {
+	ke := h.key(e)
+	return ke > h.floorKey || ke == h.floorKey && e.DocID < h.floorDoc
+}
+
+// storable reports whether an RTKSketch cell stores e once it holds it:
+// a zero below the bound is implied by the roster instead.
+func (h *cellHeap) storable(e Entry) bool {
+	return e.Value != 0 || e.DocID >= h.below
+}
+
+// keep makes the cell hold es, ascending, under its bound: it stores what
+// the roster does not imply, in exactly the memory that takes.
+func (h *cellHeap) keep(es []Entry) {
+	n := 0
+	for _, e := range es {
+		if h.storable(e) {
+			n++
 		}
 	}
-	h.setFloor(min)
+	h.entries, h.canonical = make([]Entry, 0, n), true
+	for _, e := range es {
+		if h.storable(e) {
+			h.entries = append(h.entries, e)
+		}
+	}
 }
 
 func (h *cellHeap) siftDown(i int) {
@@ -391,6 +407,12 @@ func (a *rtkAccum) push(c int, e Entry) {
 	a.floorKeys[c], a.floorDocs[c] = v.floorKey, v.floorDoc
 }
 
+// cell returns the survivors of cell c.
+func (a *rtkAccum) cell(c int) []Entry {
+	off := c * a.cap
+	return a.slab[off : off+int(a.lens[c])]
+}
+
 // addTable folds one document's sketch table into every cell. The
 // document passed checkDoc, so its id and every cell fit an Entry.
 func (a *rtkAccum) addTable(docID int, table *sketch.Table, z, w int) {
@@ -407,37 +429,34 @@ func (a *rtkAccum) addTable(docID int, table *sketch.Table, z, w int) {
 // pairs. It replaces the n per-document sketches of the NAIVE solution on
 // the owner side and reduces per-term query cost from O(zn) to O(z*alpha*K).
 //
-// A sketch lives in one of two forms. It is born sparse: until a push
-// would evict, every cell holds every live document — Algorithm 4 gives
-// each cell each document until the cell has alpha*K of them — so a cell
-// is the roster plus its values, and it stores only the entries whose
-// value is not zero, beside one ascending roster of the live ids. Every
-// observable surface (Cell, AnswerRTK, snapshots, MaxCellLoad) emits the
-// materialized view: the roster, with the cell's value where it stores
-// one and zero elsewhere — what an explicit cell would hold, entry for
-// entry. The first push or batch that would take the roster past alpha*K
-// materializes every cell and the sketch is explicit from then on: once
-// an eviction has happened and documents leave again, a cell no longer
-// holds the whole roster, and only the explicit form says which entries
-// it lost.
+// Most of what the cells hold is zeros — a document leaves a non-zero
+// value in a few of a row's w cells — and a zero carries nothing the
+// roster of live ids does not. So the sketch keeps that roster, ascending,
+// and every cell a held-prefix bound: the cell holds every live id below
+// its bound, and stores only its non-zero entries and the zeros at or
+// above the bound. A cell that has never let a document go holds every
+// live id (noBound) and stores its non-zero entries alone; the rejection
+// or eviction of an id below the bound lowers the bound to it (lower).
+// Every observable surface (Cell, AnswerRTK, snapshots, MaxCellLoad)
+// emits the merged view — the stored entries plus a zero for every live
+// id below the bound that the cell does not store — which is, entry for
+// entry, Algorithm 4's cell.
 //
 // RTKSketch is not safe for concurrent mutation.
 type RTKSketch struct {
 	params Params
 	fam    *hashutil.Family
-	cells  []cellHeap // row-major z x w; a sparse sketch's cells hold their non-zero entries
+	cells  []cellHeap // row-major z x w
 	docs   int
-	// liveMax is at least the largest id summarized (math.MinInt before
-	// the first): what lets an ingest vouch for an ascending append
-	// without looking into any cell. Delete on an explicit sketch leaves it
-	// stale-high — safe, only less often useful — until the keeper of the
-	// roster resets it; a sparse sketch keeps the roster and reads it off.
-	liveMax int
-	sorter  docSorter // Cell's scratch
-	sparse  bool
-	roster  []int32 // the live ids, ascending, while sparse
-	view    []Entry // Cell's materialized view, while sparse
-	marks   []int   // the cells a removed document's table marks
+	roster []int32 // the live ids, ascending
+	// held counts, per cell that has let a document go, what it holds; -1
+	// for a cell that has not, which holds every live id. It is nil while
+	// no cell has — always, for a sketch that never reaches alpha*K — and
+	// then a removal need visit only the cells that store the document.
+	held   []int32
+	sorter docSorter // scratch of Cell and of the pushes that need a cell in order
+	view   []Entry   // Cell's merged view
+	marks  []int     // the cells a removed document's table marks
 }
 
 // NewRTKSketch creates an empty RTK-Sketch bound to the shared hash
@@ -456,9 +475,9 @@ func NewRTKSketch(params Params, fam *hashutil.Family) (*RTKSketch, error) {
 	cells := make([]cellHeap, params.Z*params.W)
 	abs := params.SketchKind == sketch.Count
 	for i := range cells {
-		cells[i].abs, cells[i].canonical = abs, true
+		cells[i].abs, cells[i].canonical, cells[i].below = abs, true, noBound
 	}
-	return &RTKSketch{params: params, fam: fam, cells: cells, liveMax: math.MinInt, sparse: true}, nil
+	return &RTKSketch{params: params, fam: fam, cells: cells}, nil
 }
 
 // Params returns the sketch's parameters.
@@ -491,225 +510,465 @@ func (s *RTKSketch) Update(docID int, table *sketch.Table) error {
 	return nil
 }
 
-// admit records docID as live and reports whether it exceeds every id
-// that already was.
-func (s *RTKSketch) admit(docID int) bool {
-	above := docID > s.liveMax
-	if above {
-		s.liveMax = docID
-	}
-	return above
-}
-
-// resetLiveMax recomputes liveMax from the authoritative roster of live
-// ids; worth doing when the largest one has just been deleted.
-func (s *RTKSketch) resetLiveMax(ids []int) {
-	s.liveMax = math.MinInt
-	for _, id := range ids {
-		s.admit(id)
-	}
-}
-
-// updateRows pushes one document into every cell. Because eviction is a
-// strict total order, the surviving set per cell is a pure function of
-// the pushed set — any partition of the pushes over workers or
+// updateRows enrolls one document and pushes it into every cell. Because
+// eviction is a strict total order, the surviving set per cell is a pure
+// function of the pushed set — any partition of the pushes over workers or
 // accumulators converges to the same state. Whether the id exceeds every
 // live one is decided here, once per document, and handed to all z*w
 // pushes as one bit: that is what lets a cell stay canonical under
-// ascending ingest without a load of its previous entry per push. Callers
+// ascending ingest without a load of its previous entry per push. While
+// every cell holds every live id and this document fills none, its zeros
+// are implied everywhere and only its non-zero cells are visited. Callers
 // have range-checked the id and the table (Update, checkDoc).
-//
-// A sparse sketch takes the document onto its roster and appends only the
-// table's non-zero cells, under the same bit; the push that would take the
-// roster past alpha*K first makes the sketch explicit (expect).
 func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
-	s.expect(1)
-	above := s.admit(docID)
-	cap := s.params.HeapCap()
-	w := s.params.W
 	id := int32(docID)
-	if s.sparse {
-		s.enroll(id, above)
-		for i := 0; i < s.params.Z; i++ {
-			for j := 0; j < w; j++ {
-				if v := table.Cell(i, uint32(j)); v != 0 {
-					s.cells[i*w+j].add(Entry{DocID: id, Value: int32(v)}, above)
-				}
-			}
-		}
-		return
-	}
+	above := s.enroll(id)
+	live, cap, w := len(s.roster)-1, s.params.HeapCap(), s.params.W
+	quiet := s.held == nil && live+1 < cap && id < noBound
 	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
-			s.cells[i*w+j].push(Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}, cap, above)
-		}
-	}
-}
-
-// expect readies the sketch for n more documents: a sparse sketch they
-// would take past alpha*K is made explicit first, every cell materialized
-// with room for alpha*K entries. An empty sketch has nothing to
-// materialize, so a bulk load past alpha*K starts out explicit at no cost.
-func (s *RTKSketch) expect(n int) {
-	if s.sparse && len(s.roster)+n > s.params.HeapCap() {
-		s.makeExplicit(len(s.cells), s.params.HeapCap())
-	}
-}
-
-// makeExplicit turns a sparse sketch explicit: cells [0, upto) trade
-// their non-zero list for the cell's view, in canonical order, with room
-// for room entries, and a full one gets its floor. Every caller but a
-// snapshot load passes all the cells; ReadOwner passes those it has read.
-func (s *RTKSketch) makeExplicit(upto, room int) {
-	if len(s.roster) > 0 {
-		for c := range s.cells[:upto] {
-			h := &s.cells[c]
-			es := make([]Entry, len(s.roster), max(room, len(s.roster)))
-			s.spread(h.canonicalize(&s.sorter), es)
-			h.entries, h.canonical = es, true
-			if len(es) == s.params.HeapCap() {
-				h.scanFloor()
+			e := Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}
+			switch {
+			case !quiet:
+				s.push(i*w+j, e, cap, above, live)
+			case e.Value != 0:
+				s.cells[i*w+j].add(e, above) // what push does here
 			}
 		}
 	}
-	s.sparse, s.roster, s.view = false, nil, nil
 }
 
-// spread writes the view of a sparse cell whose canonical non-zero
-// entries are nz into dst, one entry per roster id: the cell's value
-// where it stores one, zero elsewhere.
-func (s *RTKSketch) spread(nz, dst []Entry) {
-	j := 0
-	for i, id := range s.roster {
-		v := int32(0)
-		if j < len(nz) && nz[j].DocID == id {
-			v = nz[j].Value
-			j++
-		}
-		dst[i] = Entry{DocID: id, Value: v}
-	}
-}
-
-// enroll puts id on a sparse sketch's roster; above is admit's word that
-// it goes at the end.
-func (s *RTKSketch) enroll(id int32, above bool) {
+// enroll puts id on the roster and reports whether it went at the end,
+// above every live id, which is what lets an append keep a cell canonical.
+func (s *RTKSketch) enroll(id int32) bool {
 	i := len(s.roster)
+	above := i == 0 || id > s.roster[i-1]
 	if !above {
 		i, _ = slices.BinarySearch(s.roster, id)
 	}
 	s.roster = slices.Insert(s.roster, i, id)
+	return above
 }
 
-// unenroll ends a removal from a sparse sketch whose lists no longer hold
-// id: it takes id off the roster, and so out of every cell's view, sets
-// liveMax to the largest id left, which the roster knows, and returns
-// how many cells' views held it — every cell, or none.
-func (s *RTKSketch) unenroll(id int32) int {
+// unenroll ends a removal: it takes id off the roster, and so out of
+// every cell that implied it.
+func (s *RTKSketch) unenroll(id int32) {
 	s.docs--
-	held := 0
 	if i, on := slices.BinarySearch(s.roster, id); on {
 		s.roster = slices.Delete(s.roster, i, i+1)
-		held = len(s.cells)
 	}
-	s.liveMax = math.MinInt
-	if n := len(s.roster); n > 0 {
-		s.liveMax = int(s.roster[n-1])
-	}
-	return held
 }
 
-// mergeAccumRows folds rows [lo, hi) of every per-worker accumulator
-// into the sketch — the bulk loader's single deterministic merge pass.
-// Correctness of the stripe/merge split: an entry in the global top-cap
-// of a cell is necessarily in the top-cap of its own stripe (fewer
-// competitors), so merging stripe survivors under the same total order
-// reproduces exactly the set sequential pushes would keep. Row ranges
-// partition the cell array, so concurrent calls over disjoint ranges
-// never touch the same heap — which is also why the pushes vouch for no
-// order here: liveMax is shared, and addDocs raises it afterwards.
-func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int) {
-	cap := s.params.HeapCap()
-	w := s.params.W
-	for i := lo; i < hi; i++ {
-		for j := 0; j < w; j++ {
-			c := i*w + j
-			h := &s.cells[c]
-			n := 0
-			for _, acc := range accums {
-				n += int(acc.lens[c])
-			}
-			h.reserve(n, cap)
-			for _, acc := range accums {
-				off := c * acc.cap
-				for _, e := range acc.slab[off : off+int(acc.lens[c])] {
-					h.push(e, cap, false)
-				}
-			}
+// load returns how many entries cell c holds, stored or implied, when
+// live documents are summarized: all of them until it lets one go.
+func (s *RTKSketch) load(c, live int) int {
+	if s.held == nil || s.held[c] < 0 {
+		return live
+	}
+	return int(s.held[c])
+}
+
+// count adds delta to what cell c holds, if it keeps a count.
+func (s *RTKSketch) count(c, delta int) {
+	if s.held != nil && s.held[c] >= 0 {
+		s.held[c] += int32(delta)
+	}
+}
+
+// setHeld starts a count for cell c, which holds n entries and has let a
+// document go.
+func (s *RTKSketch) setHeld(c, n int) {
+	s.counting()
+	s.held[c] = int32(n)
+}
+
+// counting makes room for the cells' counts, none kept yet.
+func (s *RTKSketch) counting() {
+	if s.held == nil {
+		s.held = make([]int32, len(s.cells))
+		for c := range s.held {
+			s.held[c] = -1
 		}
 	}
 }
 
-// addDocs counts a bulk-loaded batch as summarized and live.
-func (s *RTKSketch) addDocs(docs []DocCounts) {
-	s.docs += len(docs)
-	for _, d := range docs {
-		s.admit(d.DocID)
+// push offers e, a document already on the roster, to cell c — Algorithm
+// 4's step: below capacity the cell takes it, a full cell takes it iff it
+// beats the floor and evicts the floor to make room. live is how many
+// documents the sketch summarized before.
+func (s *RTKSketch) push(c int, e Entry, cap int, above bool, live int) {
+	h := &s.cells[c]
+	n := s.load(c, live)
+	if n < cap {
+		if h.storable(e) {
+			h.add(e, above)
+		}
+		s.count(c, 1)
+		if n+1 == cap {
+			h.refloor(s.roster, &s.sorter)
+		}
+		return
 	}
+	if cap <= 0 {
+		return
+	}
+	if !h.beats(e) {
+		if e.DocID <= h.below {
+			s.lower(c, e, cap)
+		}
+		return
+	}
+	s.evict(c, e, cap, above)
+}
+
+// lower takes d, which is leaving full cell c — rejected or evicted — and
+// is not above its bound, out of what the roster implies there: the cell
+// starts counting what it holds, if it had not, and a d below the bound
+// drops the bound to d. No other implied zero is lost when d's key is not
+// negative: an implied zero above d orders below d, so d leaving means it
+// was not held. A negative key (Count-Min over negative counts) orders
+// below every zero, so the implied zeros between d and the bound are
+// stored first, which leaves the cell canonical; lower reports whether it
+// came to that.
+func (s *RTKSketch) lower(c int, d Entry, cap int) bool {
+	if s.held == nil || s.held[c] < 0 {
+		s.setHeld(c, cap)
+	}
+	h := &s.cells[c]
+	if d.DocID == h.below {
+		// Stored, so nothing implied goes with it: math.MaxInt32 leaving a
+		// cell under no bound.
+		return false
+	}
+	negative := h.key(d) < 0
+	if negative {
+		s.materialize(h, d.DocID)
+	}
+	h.below = d.DocID
+	return negative
+}
+
+// materialize stores a zero for every live id above id and below h's
+// bound that h does not store, leaving h canonical.
+func (s *RTKSketch) materialize(h *cellHeap, id int32) {
+	es := h.canonicalize(&s.sorter)
+	n := len(es)
+	lo, on := slices.BinarySearch(s.roster, id)
+	if on {
+		lo++
+	}
+	j := 0
+	for _, r := range s.roster[lo:heldPrefix(s.roster, h.below)] {
+		for j < n && es[j].DocID < r {
+			j++
+		}
+		if j == n || es[j].DocID != r {
+			es = append(es, Entry{DocID: r})
+		}
+	}
+	if len(es) > n {
+		s.sorter.sort(es)
+		h.entries = es
+	}
+}
+
+// evict makes room in full cell c for e, which beats its floor: the floor
+// leaves — the largest implied zero by a lowered bound, a stored entry off
+// the heap — e comes in, stored unless the roster implies it, and the
+// floor is found again.
+func (s *RTKSketch) evict(c int, e Entry, cap int, above bool) {
+	h := &s.cells[c]
+	if h.floorKey == 0 && h.floorDoc < h.below {
+		// The floor is the largest implied zero. Nothing stored orders
+		// below it, so every stored key is positive, the cell needs no heap
+		// and the next floor is the next implied zero — or, when there is
+		// none, the stored minimum. A zero that beats the floor has a
+		// smaller id: it stays under the lowered bound, implied.
+		s.lower(c, Entry{DocID: h.floorDoc}, cap)
+		if e.Value != 0 {
+			h.add(e, above)
+		}
+		if z, ok := h.largestImplied(s.roster, &s.sorter); ok {
+			h.floorKey, h.floorDoc = 0, z
+		} else {
+			h.canonical = false
+			h.heapify()
+		}
+		return
+	}
+	if h.canonical {
+		h.canonical = false
+		h.heapify()
+	}
+	f := h.entries[0]
+	if f.DocID <= h.below && s.lower(c, f, cap) {
+		// The cell was sorted to store zeros: no heap to replace f in. e
+		// was already on the roster, so one of them may be its own.
+		h.remove(f.DocID)
+		h.remove(e.DocID)
+		if h.storable(e) {
+			h.add(e, false)
+		}
+		h.refloor(s.roster, &s.sorter)
+		return
+	}
+	if h.storable(e) {
+		h.entries[0] = e
+	} else {
+		last := len(h.entries) - 1
+		h.entries[0] = h.entries[last]
+		h.entries = h.entries[:last]
+	}
+	if len(h.entries) > 0 {
+		h.siftDown(0)
+		// The stored minimum is the floor unless an implied zero orders
+		// below it: a minimum whose key is not positive orders below every
+		// implied zero, and a positive floor leaving means no zero was held.
+		if r := h.entries[0]; h.key(r) <= 0 || h.key(f) > 0 {
+			h.setFloor(r)
+			return
+		}
+	}
+	h.refloor(s.roster, &s.sorter)
+}
+
+// refloor finds the floor of a full cell from scratch, under roster: the
+// stored minimum or the largest implied zero, whichever orders lower. It
+// leaves the cell canonical; evict builds the heap when a stored floor is
+// the one to go.
+func (h *cellHeap) refloor(roster []int32, sorter *docSorter) {
+	z, implied := h.largestImplied(roster, sorter)
+	if es := h.entries; len(es) > 0 {
+		m := es[0]
+		for _, e := range es[1:] {
+			if h.less(e, m) {
+				m = e
+			}
+		}
+		if !implied || h.less(m, Entry{DocID: z}) {
+			h.setFloor(m)
+			return
+		}
+	}
+	h.floorKey, h.floorDoc = 0, z
+}
+
+// largestImplied returns the largest id of roster below the bound that the
+// cell does not store — of the zeros the roster implies there, the one
+// that orders lowest — leaving the cell canonical. It steps down the
+// roster and gallops down the stored entries beside it, so the stored tail
+// above the bound and the stored ids it steps over cost a search each, not
+// a scan.
+func (h *cellHeap) largestImplied(roster []int32, sorter *docSorter) (int32, bool) {
+	es := h.canonicalize(sorter)
+	j := len(es)
+	for i := heldPrefix(roster, h.below); i > 0; i-- {
+		r := roster[i-1]
+		k := searchFromTail(es[:j], r)
+		if k == j || es[k].DocID != r {
+			return r, true
+		}
+		j = k
+	}
+	return 0, false
+}
+
+// heldPrefix returns how many ids of ascending roster are below bound.
+func heldPrefix(roster []int32, bound int32) int {
+	i, _ := slices.BinarySearch(roster, bound)
+	return i
+}
+
+// appendView appends to dst the entries cell h holds under roster, in
+// canonical order: its stored entries merged with a zero for every live id
+// below its bound that it does not store. Every stored id below the bound
+// is on the roster, so the stored entries past the roster prefix are the
+// ones at or above the bound.
+func appendView(dst []Entry, h *cellHeap, roster []int32, sorter *docSorter) []Entry {
+	es := h.canonicalize(sorter)
+	j := 0
+	for _, r := range roster[:heldPrefix(roster, h.below)] {
+		if j < len(es) && es[j].DocID == r {
+			dst = append(dst, es[j])
+			j++
+		} else {
+			dst = append(dst, Entry{DocID: r})
+		}
+	}
+	return append(dst, es[j:]...)
+}
+
+// merge folds a striped batch of docs — the per-worker accumulators —
+// into the sketch, with the rows split into bands folded concurrently
+// (mergeAccumRows), and enrolls the batch.
+func (s *RTKSketch) merge(accums []*rtkAccum, docs []DocCounts, bands int) {
+	batch := make([]int32, len(docs))
+	for i, d := range docs {
+		batch[i] = int32(d.DocID)
+	}
+	slices.Sort(batch)
+	roster := append(slices.Clone(s.roster), batch...)
+	slices.Sort(roster)
+	if len(roster) > s.params.HeapCap() {
+		s.counting() // for the bands to keep
+	}
+	z := s.params.Z
+	bands = min(bands, z)
+	var wg sync.WaitGroup
+	for b := 0; b < bands; b++ {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			s.mergeAccumRows(accums, lo, hi, roster, batch)
+		}(b*z/bands, (b+1)*z/bands)
+	}
+	wg.Wait()
+	s.roster = roster
+}
+
+// mergeAccumRows folds rows [lo, hi) of every per-worker accumulator
+// into the sketch. Correctness of the stripe/merge split: an entry in the
+// global top-cap of a cell is necessarily in the top-cap of its own stripe
+// (fewer competitors), so merging stripe survivors under the same total
+// order reproduces exactly the set sequential pushes would keep. Row
+// ranges partition the cell array, so concurrent calls over disjoint
+// ranges never touch the same heap; each brings its own sort scratch, and
+// the sketch's roster is the one before the batch until merge swaps in
+// roster, the one after.
+//
+// A cell the batch does not fill past alpha*K just gains what it stores
+// of the batch. One it does is rebuilt: its view and the survivors are
+// pushed into a capped scratch cell, and the result stored under the
+// bound a document-at-a-time load would reach — the old bound, or the
+// smallest id that left (rejected at its stripe or in the merge, or
+// evicted), whichever is lower — so a striped load ends in the same
+// resident state as one worker's. A batch that takes the roster past
+// alpha*K has the counts allocated before the bands start.
+func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int, roster, batch []int32) {
+	heapCap, w, live := s.params.HeapCap(), s.params.W, len(s.roster)
+	var sorter docSorter
+	scratch := cellHeap{abs: s.params.AbsEvictionKeys(), entries: make([]Entry, 0, heapCap)}
+	var view []Entry
+	for c := lo * w; c < hi*w; c++ {
+		h := &s.cells[c]
+		if n := s.load(c, live) + len(batch); n <= heapCap {
+			for _, acc := range accums {
+				for _, e := range acc.cell(c) {
+					if h.storable(e) {
+						h.add(e, false)
+					}
+				}
+			}
+			s.count(c, len(batch))
+			if n == heapCap {
+				h.refloor(roster, &sorter)
+			}
+			continue
+		}
+		view = appendView(view[:0], h, s.roster, &sorter)
+		scratch.entries = scratch.entries[:0]
+		for _, e := range view {
+			scratch.push(e, heapCap, false)
+		}
+		for _, acc := range accums {
+			for _, e := range acc.cell(c) {
+				scratch.push(e, heapCap, false)
+			}
+		}
+		kept := scratch.entries
+		sorter.sort(kept)
+		h.below = min(h.below, firstLeft(view, batch, kept))
+		h.keep(kept)
+		s.held[c] = int32(heapCap)
+		h.floorKey, h.floorDoc = scratch.floorKey, scratch.floorDoc
+	}
+}
+
+// firstLeft returns the smallest id of view or batch (each ascending,
+// disjoint from the other) that kept lacks. kept, ascending, is drawn from
+// both and is shorter than the two together, so there is one.
+func firstLeft(view []Entry, batch []int32, kept []Entry) int32 {
+	i, j := 0, 0
+	next := func() int32 {
+		if j == len(batch) || i < len(view) && view[i].DocID < batch[j] {
+			i++
+			return view[i-1].DocID
+		}
+		j++
+		return batch[j-1]
+	}
+	for _, k := range kept {
+		if id := next(); id != k.DocID {
+			return id
+		}
+	}
+	return next()
 }
 
 // Delete removes document docID, which must be summarized, from every
 // cell (Algorithm 4's deletion: enumerate all cells and drop the
-// document) and returns the number of cells that still held it. table is
-// the table the document was inserted with, or nil if the caller no
-// longer has it. With it, the enumeration is restricted to the cells that
-// can contain the document: an entry present in a full cell orders at or
-// above the cell's floor, so a full cell whose cached floor orders above
-// the document's own entry is skipped without touching its slab. The
-// argument needs the floor, so it holds only while the cell is full.
-//
-// A sparse sketch takes the document off its roster — which removes it
-// from every cell's view — and off the non-zero list of every cell, which
-// is short: it has no floor to skip by, and the owner, which keeps the
-// table compact, removes through the cells it marks instead
-// (deleteMarked).
+// document) and returns the number of cells that held it. table is the
+// table the document was inserted with, or nil if the caller no longer
+// has it. With it, a cell whose roster implies the document's zero there
+// is not searched at all, and a full cell whose cached floor orders above
+// the document's own entry is skipped without touching its slab: an entry
+// a full cell holds orders at or above its floor. The argument needs the
+// floor, so it holds only while the cell is full.
 func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
 	id := int32(docID) // summarized, so Update or checkDoc saw it fit
-	if s.sparse {
-		for c := range s.cells {
-			s.cells[c].remove(id)
-		}
-		return s.unenroll(id)
-	}
 	if table != nil && (table.Z() != s.params.Z || table.W() != s.params.W) {
 		table = nil
 	}
-	removed := 0
-	cap := s.params.HeapCap()
-	w := s.params.W
+	live, cap, w := len(s.roster), s.params.HeapCap(), s.params.W
+	held := 0
 	for i := 0; i < s.params.Z; i++ {
 		for j := 0; j < w; j++ {
-			h := &s.cells[i*w+j]
-			if table != nil && len(h.entries) == cap &&
-				h.belowFloor(Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))}) {
-				continue
+			c := i*w + j
+			e := Entry{DocID: id}
+			if table != nil {
+				e.Value = int32(table.Cell(i, uint32(j)))
 			}
-			removed += h.remove(id)
+			if s.cells[c].drop(e, table != nil, s.load(c, live) == cap) {
+				s.count(c, -1)
+				held++
+			}
 		}
 	}
-	s.docs--
-	return removed
+	s.unenroll(id)
+	return held
 }
 
-// deleteMarked is Delete on a sparse sketch by a caller that kept the
-// document's table compact: the only lists that can hold the document are
-// those of the cells the table marks non-zero, read without expanding it.
-func (s *RTKSketch) deleteMarked(docID int, table sketch.Compact) int {
+// drop takes e's document out of the cell and reports whether the cell
+// held it. known says whether e's value is the document's, full whether
+// the cell is at capacity.
+func (h *cellHeap) drop(e Entry, known, full bool) bool {
+	switch {
+	case known && e.Value == 0 && e.DocID < h.below:
+		return true // an implied zero: the roster lets it go
+	case known && full && h.belowFloor(e):
+		return false
+	}
+	return h.remove(e.DocID) > 0 || e.DocID < h.below
+}
+
+// deleteMarked is Delete by a caller that keeps the document's table
+// compact, while every cell holds every live id: then the document's zeros
+// are all implied, only the cells its table marks non-zero store it, and
+// those are all it visits, reading the marks without expanding the table.
+// Once some cell's bound is lowered the cells need the values — as they
+// do for id math.MaxInt32, whose zeros are stored — and it reports false,
+// having done nothing.
+func (s *RTKSketch) deleteMarked(docID int, table sketch.Compact) bool {
 	id := int32(docID)
+	if s.held != nil || id == noBound {
+		return false
+	}
 	s.marks = table.AppendNonZero(s.marks[:0])
 	for _, c := range s.marks {
 		s.cells[c].remove(id)
 	}
-	return s.unenroll(id)
+	s.unenroll(id)
+	return true
 }
 
 // AbsEvictionKeys reports whether cell eviction ranks entries by
@@ -932,75 +1191,86 @@ func selectRank(es []Entry, k int) Entry {
 // lookup of Algorithm 5: the querier asks for the heaps its term hashes
 // to. The canonical order makes responses (and therefore wire encodings
 // and snapshots) independent of the resident layout, which depends on
-// ingestion history, and a sparse sketch hands out the materialized view,
-// zero entries included. The slice is the sketch's own storage: it is
-// valid until the next Update, Delete or Cell and must not be modified.
+// ingestion history, and a cell whose roster implies zeros hands out its
+// merged view, those zeros included. The slice is the sketch's own
+// storage: it is valid until the next Update, Delete or Cell and must not
+// be modified.
 func (s *RTKSketch) Cell(row int, col uint32) []Entry {
 	return s.cellView(row*s.params.W + int(col))
 }
 
 // cellView is Cell by row-major cell index.
 func (s *RTKSketch) cellView(c int) []Entry {
-	nz := s.cells[c].canonicalize(&s.sorter)
-	if !s.sparse {
-		return nz
+	h := &s.cells[c]
+	es := h.canonicalize(&s.sorter)
+	if s.load(c, len(s.roster)) == len(es) {
+		return es // nothing implied
 	}
-	s.view = slices.Grow(s.view[:0], len(s.roster))[:len(s.roster)]
-	s.spread(nz, s.view)
+	s.view = appendView(s.view[:0], h, s.roster, &s.sorter)
 	return s.view
 }
 
 // cellLen returns the length of Cell(row, col) without materializing it.
 func (s *RTKSketch) cellLen(row int, col uint32) int {
-	if s.sparse {
-		return len(s.roster)
-	}
-	return len(s.cells[row*s.params.W+int(col)].entries)
+	return s.load(row*s.params.W+int(col), len(s.roster))
 }
 
 // answerCell writes Cell(row, col) into a reply's row — ids, and values
-// plus noise, cellLen(row, col) of each — noting every value with sz. A
-// sparse cell's view is merged straight into the row.
+// plus noise, cellLen(row, col) of each — noting every value with sz. The
+// merged view goes straight into the row.
 func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64, noise float64, sz *rtkSizer) {
-	nz := s.cells[row*s.params.W+int(col)].canonicalize(&s.sorter)
-	if !s.sparse {
-		for i, e := range nz {
+	h := &s.cells[row*s.params.W+int(col)]
+	es := h.canonicalize(&s.sorter)
+	if len(ids) == len(es) { // nothing implied
+		for i, e := range es {
 			ids[i] = e.DocID
 			vals[i] = float64(e.Value) + noise
 			sz.note(int64(e.Value))
 		}
 		return
 	}
-	if len(nz) < len(s.roster) {
-		sz.note(0)
+	// The roster's ids below the bound go out as zeros, copied with no
+	// branch on the content; then the stored entries among them are
+	// written over their zeros, and the ones at or above the bound follow.
+	sz.note(0)
+	below, roster := h.below, s.roster
+	n := heldPrefix(roster, below)
+	copy(ids, roster[:n])
+	for i := range vals[:n] {
+		vals[i] = noise
 	}
-	j := 0
-	for i, id := range s.roster {
-		v := int32(0)
-		if j < len(nz) && nz[j].DocID == id {
-			v = nz[j].Value
-			sz.note(int64(v))
-			j++
+	p, j := 0, 0
+	for ; j < len(es) && es[j].DocID < below; j++ {
+		e := es[j]
+		for roster[p] != e.DocID {
+			p++
 		}
-		ids[i], vals[i] = id, float64(v)+noise
+		vals[p] = float64(e.Value) + noise
+		sz.note(int64(e.Value))
+		p++
+	}
+	for i, e := range es[j:] {
+		ids[n+i], vals[n+i] = e.DocID, float64(e.Value)+noise
+		sz.note(int64(e.Value))
 	}
 }
 
 // SizeBytes returns the space metric of Fig. 4: 8 bytes (4 for the doc
 // id, 4 for the value) per entry the cells hold, zero entries included.
-// It counts what the paper's sketch holds, not what is resident: a
-// sparse sketch keeps only the non-zero entries (see residentBytes).
+// It counts what the paper's sketch holds, not what is resident: the
+// zeros the roster implies are not stored (see residentBytes).
 func (s *RTKSketch) SizeBytes() int64 {
-	if s.sparse {
-		return int64(8 * len(s.roster) * len(s.cells))
+	n := int64(0)
+	for c := range s.cells {
+		n += int64(8 * s.load(c, len(s.roster)))
 	}
-	return s.residentBytes()
+	return n
 }
 
 // residentBytes returns what the sketch holds in memory: 8 bytes per
-// stored entry, and 4 per roster id while sparse.
+// stored entry, 4 per roster id and 4 per cell count.
 func (s *RTKSketch) residentBytes() int64 {
-	n := int64(4 * len(s.roster))
+	n := int64(4 * (len(s.roster) + len(s.held)))
 	for c := range s.cells {
 		n += int64(8 * len(s.cells[c].entries))
 	}
@@ -1010,14 +1280,9 @@ func (s *RTKSketch) residentBytes() int64 {
 // MaxCellLoad returns the largest cell occupancy; useful for verifying
 // the alpha*K cap in tests and capacity planning.
 func (s *RTKSketch) MaxCellLoad() int {
-	if s.sparse {
-		return len(s.roster)
-	}
-	max := 0
+	most := 0
 	for c := range s.cells {
-		if l := len(s.cells[c].entries); l > max {
-			max = l
-		}
+		most = max(most, s.load(c, len(s.roster)))
 	}
-	return max
+	return most
 }

@@ -432,12 +432,12 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 //
 // Then a shard churns across the cap: it holds cap − 1 documents, the
 // largest ids, and goes to cap + 1 and back, lap after lap, each time
-// with other documents. Its owners start sparse, are materialized by the
-// push past the cap and evict from then on; what a cell loses that way
-// is the entry the cell ranks last — a zero with a large id — which the
-// other shards' documents keep out of the union's top cap as well, so
-// the group still answers what the single owner does, at cap + 1 and
-// after each way back.
+// with other documents. Its owners' cells hold every live id until the
+// push past the cap and lower their bounds from then on; what a cell
+// loses that way is the entry the cell ranks last — a zero with a large
+// id — which the other shards' documents keep out of the union's top cap
+// as well, so the group still answers what the single owner does, at
+// cap + 1 and after each way back.
 func TestChurnMatchesSingleOwner(t *testing.T) {
 	p := testParams()
 	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
