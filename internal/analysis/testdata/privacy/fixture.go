@@ -116,10 +116,11 @@ type CleanAuditRow struct {
 	Epsilon float64 `json:"epsilon"`
 }
 
-// RawRows is a stand-in for an unsketched per-document count matrix.
+// RawWeights is a stand-in for a model fitted to raw documents, before
+// any aggregation.
 //
 //csfltr:private
-type RawRows [][]int64
+type RawWeights []float64
 
 // RawFrame is a stand-in for a serialized private blob.
 //
@@ -127,15 +128,15 @@ type RawRows [][]int64
 type RawFrame []byte
 
 // wireSinks exercises the binary codec boundary: the wire package's
-// encoders put their arguments on the federation wire, so only sketch
-// rows, obfuscated columns and DP-noised values may reach them — never
+// encoders put their arguments on the federation wire, so only released
+// models, obfuscated columns and DP-noised values may reach them — never
 // a marked raw value.
-func wireSinks(raw RawRows, frame RawFrame, sketched [][]int64, payload []byte) {
-	_ = wire.AppendRowMatrix(nil, raw)            // want "passed to wire encode"
+func wireSinks(raw RawWeights, frame RawFrame, released []float64, payload []byte) {
+	_ = wire.AppendModel(nil, raw, 0)             // want "passed to wire encode"
 	_ = wire.Pack(nil, frame)                     // want "passed to wire encode"
-	_ = wire.AppendRowMatrix(nil, sketched)       // ok: sketched rows are released material
+	_ = wire.AppendModel(nil, released, 0)        // ok: a released model
 	_ = wire.Pack(nil, payload)                   // ok: derived payload
-	_ = wire.AppendUvarint(nil, uint64(len(raw))) // ok: a count, not the matrix
+	_ = wire.AppendUvarint(nil, uint64(len(raw))) // ok: a count, not the weights
 }
 
 // RawModelUpdate is a stand-in for a party's plaintext model update —

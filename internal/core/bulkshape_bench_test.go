@@ -19,7 +19,7 @@ func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if err := o.AddDocuments(docs, 1); err != nil {
+		if err := o.AddDocuments(docs); err != nil {
 			b.Fatal(err)
 		}
 	}

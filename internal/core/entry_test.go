@@ -25,18 +25,14 @@ func TestEntryLayout(t *testing.T) {
 	}
 }
 
-// ingestPaths are the ways a document enters an owner: one at a time, in
-// a batch folded by one worker, and in a batch striped over several (the
-// batch opens with a small document of its own).
+// ingestPaths are the ways a document enters an owner: on its own, and in
+// a batch (which opens with a small document of its own).
 var ingestPaths = map[string]func(o *Owner, docID int, counts map[uint64]int64) error{
 	"AddDocument": func(o *Owner, docID int, counts map[uint64]int64) error {
 		return o.AddDocument(docID, counts)
 	},
-	"addDocuments/1": func(o *Owner, docID int, counts map[uint64]int64) error {
-		return o.addDocuments(batchOf(o, docID, counts), 1)
-	},
-	"addDocuments/2": func(o *Owner, docID int, counts map[uint64]int64) error {
-		return o.addDocuments(batchOf(o, docID, counts), 2)
+	"AddDocuments": func(o *Owner, docID int, counts map[uint64]int64) error {
+		return o.AddDocuments(batchOf(o, docID, counts))
 	},
 }
 
@@ -109,23 +105,6 @@ func TestIngestRangeGuards(t *testing.T) {
 		if docs, _, _ := RTKReverseTopK(q, o, 7, 1); len(docs) != 1 || docs[0].DocID == math.MaxInt32 {
 			t.Fatalf("%s: after its removal the top document is %v", path, docs)
 		}
-	}
-}
-
-// TestUpdateRangeGuards: the sketch's own entry point checks what it
-// narrows, for a caller that is not Owner.
-func TestUpdateRangeGuards(t *testing.T) {
-	o := newOwnerT(t, testParams())
-	table := o.scratch.Sketch(map[uint64]int64{7: math.MaxInt32 + 1})
-	if err := o.rtk.Update(3, table); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("oversized cell: got %v, want ErrBadParams", err)
-	}
-	table = o.scratch.Sketch(map[uint64]int64{7: 1})
-	if err := o.rtk.Update(1<<32+5, table); !errors.Is(err, ErrBadParams) {
-		t.Fatalf("oversized id: got %v, want ErrBadParams", err)
-	}
-	if o.rtk.NumDocs() != 0 || o.rtk.SizeBytes() != 0 {
-		t.Fatal("a refused update changed the sketch")
 	}
 }
 

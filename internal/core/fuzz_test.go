@@ -291,7 +291,7 @@ func FuzzMergeRTKResponses(f *testing.F) {
 // heldPrefixStates returns small owners (cells cap at 4) in the states
 // the held-prefix form has to get right: a bound lowered by an eviction, a
 // cell back below the cap given a zero above its bound, a small removed id
-// ingested again, and a striped batch past the cap. They seed
+// ingested again, and a batch past the cap. They seed
 // FuzzReadOwner.
 func heldPrefixStates(tb testing.TB) map[string]*Owner {
 	tb.Helper()
@@ -340,12 +340,12 @@ func heldPrefixStates(tb testing.TB) map[string]*Owner {
 			}
 			return o.AddDocument(0, counts(1))
 		}),
-		"striped": build(func(o *Owner) error {
+		"batch past the cap": build(func(o *Owner) error {
 			batch := make([]DocCounts, 9)
 			for i := range batch {
 				batch[i] = DocCounts{DocID: 8 - i, Counts: counts(i)}
 			}
-			return o.addDocuments(batch, 3)
+			return o.AddDocuments(batch)
 		}),
 	}
 }
@@ -355,22 +355,22 @@ func heldPrefixStates(tb testing.TB) map[string]*Owner {
 // both directions, and after every step holds each to modelSketch, the
 // plain-slice Algorithm 4: one owner keeps its document tables and one
 // does not, so removals take both the marked-cells and the every-cell
-// path. A third owner keeps its tables and loads every batch with the
-// other worker count (one worker against three), and must keep exactly
-// what the first keeps. A sketch whose model never had to evict must
-// still have every cell unbounded.
+// path. A third owner keeps its tables and loads every batch one
+// AddDocument at a time, and must keep exactly what the first, which
+// loads it with AddDocuments, keeps. A sketch whose model never had to
+// evict must still have every cell unbounded.
 //
 // Encoding: one byte picks the sketch kind; then per step an operation
 // byte and its arguments — AddDocument (id, two bytes of terms, the first
-// with its top bit set for negative counts),
-// AddDocuments by one worker or three (a size, then per document an id
-// and two bytes of terms; ids already live are skipped), RemoveDocument
+// with its top bit set for negative counts), AddDocuments (two
+// operation values; a size, then per document an id and two bytes of
+// terms; ids already live are skipped), RemoveDocument
 // (which live document), a Cell read (row, column) and a snapshot
 // reload. An id byte is taken mod 32, and 31 stands for math.MaxInt32.
 // Missing bytes read as zero.
 func FuzzRTKSketchOps(f *testing.F) {
-	// Count Sketch; up past the cap one by one, a striped batch, a reload
-	// and a read; down to nothing; up again in one batch by one worker.
+	// Count Sketch; up past the cap one by one, a batch, a reload and a
+	// read; down to nothing; up again in one batch.
 	cross := []byte{0}
 	for id := byte(0); id < 10; id++ {
 		cross = append(cross, 0, id, id+5, 3*(id+5))
@@ -386,7 +386,7 @@ func FuzzRTKSketchOps(f *testing.F) {
 	// Count-Min; past the cap one by one (bounds lowered by rejections and
 	// evictions), three removals back below it, a document with no terms
 	// (a zero above the bound), the smallest id removed and ingested
-	// again, a striped batch past the cap, a read and a reload.
+	// again, a batch past the cap, a read and a reload.
 	held := []byte{1}
 	for id := byte(0); id < 10; id++ {
 		held = append(held, 0, 2*id, 1+id%3, 5*id)
@@ -496,12 +496,16 @@ func FuzzRTKSketchOps(f *testing.F) {
 					}
 				}
 				for _, o := range owners {
-					workers := 2*int(op) - 1
-					if o == twin {
-						workers = 4 - workers
+					if o != twin {
+						if err := o.AddDocuments(batch); err != nil {
+							t.Fatal(err)
+						}
+						continue
 					}
-					if err := o.addDocuments(batch, workers); err != nil {
-						t.Fatal(err)
+					for _, d := range batch {
+						if err := o.AddDocument(d.DocID, d.Counts); err != nil {
+							t.Fatal(err)
+						}
 					}
 				}
 				for _, d := range batch {
@@ -549,7 +553,7 @@ func FuzzRTKSketchOps(f *testing.F) {
 				}
 			}
 			if !reflect.DeepEqual(residentState(withTables.rtk), residentState(twin.rtk)) {
-				t.Fatalf("step %d: loads by one worker and by three keep different entries", step)
+				t.Fatalf("step %d: a batch and its documents one by one keep different entries", step)
 			}
 		}
 	})

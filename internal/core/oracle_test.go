@@ -209,6 +209,32 @@ func checkAscending(t *testing.T, resp *RTKResponse) {
 	}
 }
 
+// pushCapped is Algorithm 4's step on a cell on its own, which stores
+// everything it holds: below cap an append — the one that fills the cell
+// builds the heap and caches the floor — and at cap e replaces the floor
+// iff it beats it. above is the caller's word that e.DocID exceeds every
+// id in the cell.
+func pushCapped(h *cellHeap, e Entry, cap int, above bool) {
+	if n := len(h.entries); n < cap {
+		h.add(e, above)
+		if n+1 == cap {
+			h.canonical = false
+			h.heapify()
+		}
+		return
+	}
+	if cap <= 0 || !h.beats(e) {
+		return
+	}
+	if h.canonical {
+		h.canonical = false
+		h.heapify()
+	}
+	h.entries[0] = e
+	h.siftDown(0)
+	h.setFloor(h.entries[0])
+}
+
 // strictlyAscending is the claim a set canonical flag makes.
 func strictlyAscending(es []Entry) bool {
 	for i := 1; i < len(es); i++ {
@@ -262,7 +288,7 @@ func TestCellHeapMatchesModel(t *testing.T) {
 				for _, m := range model {
 					above = above && e.DocID > m.DocID
 				}
-				h.push(e, cap, above)
+				pushCapped(&h, e, cap, above)
 				if len(model) < cap {
 					model = append(model, e)
 				} else {
@@ -463,8 +489,8 @@ type cellState struct {
 	stored []Entry
 }
 
-// residentState returns what every cell of s keeps — the form a striped
-// load must leave exactly as a one-worker load does.
+// residentState returns what every cell of s keeps — the form a batch
+// must leave exactly as the same documents ingested one by one do.
 func residentState(s *RTKSketch) []cellState {
 	out := make([]cellState, len(s.cells))
 	for c := range s.cells {
@@ -483,7 +509,7 @@ func residentState(s *RTKSketch) []cellState {
 // heap-ordered and one under capacity; a bound lowered by the eviction of
 // an implied zero; a cell back below capacity given a zero above its
 // bound; a small removed id ingested again; math.MaxInt32, stored as a zero
-// under no bound, evicted or rejected; a striped batch past the cap —
+// under no bound, evicted or rejected; one batch past the cap —
 // and removes the newest, the oldest, a middle and a nowhere-resident
 // document, with the document's table (while every cell holds every live
 // id it visits the cells the table marks, otherwise it skips the implied
@@ -538,7 +564,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
 				m.add(t, batch[i].DocID, batch[i].Counts)
 			}
-			if err := o.addDocuments(batch, 3); err != nil {
+			if err := o.AddDocuments(batch); err != nil {
 				t.Fatal(err)
 			}
 			holdsAll(t, o, true)
@@ -568,7 +594,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			for _, d := range batch {
 				m.add(t, d.DocID, d.Counts)
 			}
-			if err := o.addDocuments(batch, len(batch)); err != nil { // one-document stripes merge in order, vouched for by nobody
+			if err := o.AddDocuments(batch); err != nil { // below the ghost, so vouched for by nobody
 				t.Fatal(err)
 			}
 			holdsAll(t, o, false)
@@ -631,26 +657,16 @@ func TestDeletePathsMatchModel(t *testing.T) {
 				return h.below == noBound && !stores(h, math.MaxInt32, false)
 			})
 		}},
-		{"striped past the cap", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"one batch past the cap", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			batch := make([]DocCounts, 12)
 			for i, id := range rng.Perm(len(batch)) {
 				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
 				m.add(t, batch[i].DocID, batch[i].Counts)
 			}
-			if err := o.addDocuments(batch, 3); err != nil {
+			if err := o.AddDocuments(batch); err != nil {
 				t.Fatal(err)
 			}
 			holdsAll(t, o, false)
-			one, err := NewOwner(o.params, 42, dp.Disabled())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := one.addDocuments(batch, 1); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(residentState(o.rtk), residentState(one.rtk)) {
-				t.Fatal("a striped load keeps other entries than a one-worker load")
-			}
 		}},
 	}
 	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
@@ -747,7 +763,7 @@ func TestCyclicChurnStaysCanonical(t *testing.T) {
 	p := testParams()
 	p.K = 40 // cap 200: nothing evicts
 	o := newOwnerT(t, p)
-	if err := o.AddDocuments(bulkBatch(30, 8, 5), 1); err != nil {
+	if err := o.AddDocuments(bulkBatch(30, 8, 5)); err != nil {
 		t.Fatal(err)
 	}
 	spare := bulkBatch(4, 8, 6)
@@ -834,9 +850,8 @@ func (c *churn) mutate(t *testing.T) {
 			batch[i] = DocCounts{DocID: c.freshID(), Counts: c.counts()}
 			c.docs[batch[i].DocID] = batch[i].Counts
 		}
-		workers := 1 + c.rng.Intn(3) // unclamped: real multi-accumulator merges
 		for _, o := range c.owners {
-			if err := o.addDocuments(batch, workers); err != nil {
+			if err := o.AddDocuments(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -875,7 +890,7 @@ func snapshot(t *testing.T, o *Owner) []byte {
 }
 
 // TestRTKMatchesOracle: over random interleavings of ingestion (one by
-// one, in striped bulk, of ids that come back after removal), removal
+// one, in batches, of ids that come back after removal), removal
 // (LIFO, FIFO, the largest id, random), a snapshot reload and queries,
 // the resident-order owner plus merge-based recovery must equal the
 // copy-and-sort owner plus map-based recovery exactly — ids, count bits,
@@ -1524,11 +1539,9 @@ func TestRTKAllocCeilings(t *testing.T) {
 	}
 	churn := testing.AllocsPerRun(10, func() {
 		o.rtk.Delete(victim, table)
-		if err := o.rtk.Update(victim, table); err != nil {
-			t.Fatal(err)
-		}
+		o.rtk.insert(victim, table)
 	})
 	if churn > 0 {
-		t.Errorf("RTKSketch.Delete + Update of one document: %.1f allocs, want 0", churn)
+		t.Errorf("RTKSketch.Delete + insert of one document: %.1f allocs, want 0", churn)
 	}
 }

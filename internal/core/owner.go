@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -295,31 +294,27 @@ func (o *Owner) Generation() uint64 { return o.generation.Load() }
 
 // AddDocument ingests a document given its term counts (Step 1 of the
 // protocol: sketch construction). unique and the total length are
-// derived from counts.
+// derived from counts. It is AddDocuments of a batch of one.
 func (o *Owner) AddDocument(docID int, counts map[uint64]int64) error {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	if _, dup := o.meta[docID]; dup {
-		return fmt.Errorf("core: duplicate document id %d", docID)
+	return o.AddDocuments([]DocCounts{{DocID: docID, Counts: counts}})
+}
+
+// CheckBatch refuses a batch no owner may ingest: one that names a
+// document twice, or a document held reports as already ingested, or
+// that holds a document an RTK-Sketch entry cannot hold (checkDoc). It
+// is the one check of a batch — an owner's own, and a sharded group's
+// before any of its shards is written.
+func CheckBatch(docs []DocCounts, held func(docID int) bool) error {
+	inBatch := make(map[int]struct{}, len(docs))
+	for _, d := range docs {
+		if _, dup := inBatch[d.DocID]; dup || held(d.DocID) {
+			return fmt.Errorf("core: duplicate document id %d", d.DocID)
+		}
+		if err := checkDoc(d.DocID, d.Counts); err != nil {
+			return err
+		}
+		inBatch[d.DocID] = struct{}{}
 	}
-	if err := checkDoc(docID, counts); err != nil {
-		return err
-	}
-	length := 0
-	for _, c := range counts {
-		length += int(c)
-	}
-	table := o.scratch.Sketch(counts)
-	if err := o.rtk.Update(docID, table); err != nil {
-		return err
-	}
-	if o.keepDocTables {
-		o.docTables[docID] = o.scratch.Compact(table)
-	}
-	o.meta[docID] = docMeta{length: length, unique: len(counts)}
-	o.trackID(docID)
-	o.idsSorted = false
-	o.generation.Add(1)
 	return nil
 }
 
@@ -368,170 +363,51 @@ type DocCounts struct {
 	Counts map[uint64]int64
 }
 
-// AddDocuments bulk-loads a batch of documents on a bounded worker pool
-// (workers <= 0 resolves to Params.Workers, i.e. GOMAXPROCS by default).
-// The final owner state is identical to calling AddDocument for each
-// element: every worker folds its contiguous document stripe into a
-// private accumulator (building each document's sketch table in the
-// worker's one dense scratch, and compacting it if the owner retains
-// per-document sketches), then one deterministic merge pass
-// folds the stripe survivors into the shared RTK-Sketch with the rows
-// partitioned across workers. Eviction is a strict total order, so the
-// surviving entries per cell depend only on the document set, never on
-// the stripe boundaries or merge interleaving (see cellHeap), and the
-// merge leaves each cell's held-prefix bound where the sequential loop
-// would (see RTKSketch.mergeAccumRows).
-//
-// On error (duplicate id, geometry mismatch) the owner is left unchanged;
-// unlike a sequential AddDocument loop there is no partially-applied
-// prefix.
-func (o *Owner) AddDocuments(docs []DocCounts, workers int) error {
-	// Ingestion is CPU-bound: a pool wider than the machine only adds
-	// stripe bookkeeping and a larger merge, so explicit pool sizes are
-	// clamped to GOMAXPROCS. The unexported addDocuments keeps the
-	// requested width so equivalence tests can force real
-	// multi-accumulator merges on any host.
-	if mp := runtime.GOMAXPROCS(0); workers > mp {
-		workers = mp
-	}
-	return o.addDocuments(docs, workers)
-}
-
-func (o *Owner) addDocuments(docs []DocCounts, workers int) error {
+// AddDocuments ingests a batch of documents under one hold of the
+// owner's lock and one generation bump: each is folded into the shared
+// RTK-Sketch in slice order (fold), exactly as a loop of AddDocument
+// calls folds them. The batch is checked first (CheckBatch), so on error —
+// a duplicate id, a document an entry cannot hold — the owner is left
+// unchanged, with no partially applied prefix.
+func (o *Owner) AddDocuments(docs []DocCounts) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	if len(docs) == 0 {
 		return nil
 	}
-	inBatch := make(map[int]struct{}, len(docs))
-	for _, d := range docs {
-		if _, dup := o.meta[d.DocID]; dup {
-			return fmt.Errorf("core: duplicate document id %d", d.DocID)
-		}
-		if _, dup := inBatch[d.DocID]; dup {
-			return fmt.Errorf("core: duplicate document id %d", d.DocID)
-		}
-		if err := checkDoc(d.DocID, d.Counts); err != nil {
-			return err
-		}
-		inBatch[d.DocID] = struct{}{}
-	}
-	if workers <= 0 {
-		workers = o.params.Workers(len(docs))
-	}
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-
-	var tables []sketch.Compact // what each document keeps; nil if nothing
-	if o.keepDocTables {
-		tables = make([]sketch.Compact, len(docs))
-	}
-
-	if workers == 1 {
-		// Single-worker fast path: fold each document's table straight
-		// into the RTK-Sketch. The stripe/merge split exists to give
-		// concurrent workers private state; at pool size one it would
-		// only copy every surviving entry a second time.
-		o.bulkFold1(docs, tables)
-	} else if err := o.bulkFoldStriped(docs, tables, workers); err != nil {
+	if err := CheckBatch(docs, o.holds); err != nil {
 		return err
 	}
-	o.rtk.docs += len(docs)
-
-	// Metadata, in slice order.
-	for i, d := range docs {
-		length := 0
-		for _, c := range d.Counts {
-			length += int(c)
-		}
-		if o.keepDocTables {
-			o.docTables[d.DocID] = tables[i]
-		}
-		o.meta[d.DocID] = docMeta{length: length, unique: len(d.Counts)}
-		o.trackID(d.DocID)
+	for _, d := range docs {
+		o.fold(d)
 	}
 	o.idsSorted = false
 	o.generation.Add(1)
 	return nil
 }
 
-// bulkFold1 is the single-worker bulk fold: each document's table is built
-// in the owner's scratch and goes straight into the shared RTK-Sketch.
-// Callers hold o.mu and have validated the batch.
-func (o *Owner) bulkFold1(docs []DocCounts, tables []sketch.Compact) {
-	for i := range docs {
-		t := o.scratch.Sketch(docs[i].Counts)
-		o.rtk.updateRows(docs[i].DocID, t)
-		if tables != nil {
-			tables[i] = o.scratch.Compact(t)
-		}
-	}
+// holds reports whether the owner holds document docID. Callers hold o.mu.
+func (o *Owner) holds(docID int) bool {
+	_, ok := o.meta[docID]
+	return ok
 }
 
-// bulkFoldStriped is the concurrent bulk fold: stage 1 folds each
-// worker's document stripe into a private accumulator, stage 2 merges
-// the stripe survivors into the shared sketch with the rows partitioned
-// across the pool. Callers hold o.mu and have validated the batch;
-// nothing on the owner is mutated until every stripe has succeeded.
-func (o *Owner) bulkFoldStriped(docs []DocCounts, tables []sketch.Compact, workers int) error {
-	// Stage 1: each worker folds its document stripe into a private
-	// accumulator. Nothing is mutated on the owner yet, so a failure here
-	// aborts cleanly. A stripe of s documents pushes exactly s entries
-	// per cell, so the accumulator cap is min(heapCap, stripe size).
-	z, w := o.params.Z, o.params.W
-	heapCap := o.params.HeapCap()
-	abs := o.params.SketchKind == sketch.Count
-	accums := make([]*rtkAccum, workers)
-	errs := make([]error, workers)
-	stripe := func(wk, lo, hi int) {
-		acap := heapCap
-		if n := hi - lo; n < acap {
-			acap = n
-		}
-		acc := getAccum(z*w, acap, abs)
-		accums[wk] = acc
-		scratch, err := sketch.NewBuilder(o.params.SketchKind, o.fam)
-		if err != nil {
-			errs[wk] = err
-			return
-		}
-		for i := lo; i < hi; i++ {
-			t := scratch.Sketch(docs[i].Counts)
-			acc.addTable(docs[i].DocID, t, z, w)
-			if tables != nil {
-				tables[i] = scratch.Compact(t)
-			}
-		}
+// fold is the per-document step of ingest: the document's table is built
+// in the owner's one scratch, inserted into every RTK-Sketch cell and,
+// if the owner keeps per-document sketches, kept compact; then its
+// metadata is recorded. Callers hold o.mu and have checked the document.
+func (o *Owner) fold(d DocCounts) {
+	t := o.scratch.Sketch(d.Counts)
+	o.rtk.insert(d.DocID, t)
+	if o.keepDocTables {
+		o.docTables[d.DocID] = o.scratch.Compact(t)
 	}
-	var wg sync.WaitGroup
-	for wk := 0; wk < workers; wk++ {
-		lo := wk * len(docs) / workers
-		hi := (wk + 1) * len(docs) / workers
-		wg.Add(1)
-		go func(wk, lo, hi int) {
-			defer wg.Done()
-			stripe(wk, lo, hi)
-		}(wk, lo, hi)
+	length := 0
+	for _, c := range d.Counts {
+		length += int(c)
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, a := range accums {
-				putAccum(a)
-			}
-			return err
-		}
-	}
-
-	// Stage 2: the single merge pass, rows sharded across the pool
-	// (disjoint row bands never touch the same heap; the merged set per
-	// cell is order-independent, see mergeAccumRows).
-	o.rtk.merge(accums, docs, workers)
-	for _, a := range accums {
-		putAccum(a)
-	}
-	return nil
+	o.meta[d.DocID] = docMeta{length: length, unique: len(d.Counts)}
+	o.trackID(d.DocID)
 }
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its

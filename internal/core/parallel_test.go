@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -141,10 +142,10 @@ func bulkBatch(n, terms int, seed int64) []DocCounts {
 	return docs
 }
 
-// TestAddDocumentsMatchesSequential: bulk ingestion at every pool size
-// must leave the owner bit-identical to a sequential AddDocument loop —
-// same document set, same metadata, same RTK-Sketch heap content, same
-// query answers.
+// TestAddDocumentsMatchesSequential: a batch, past the cap, must leave
+// the owner bit-identical to a sequential AddDocument loop over the same
+// documents — same snapshot bytes, same resident cells (bounds, counts and
+// stored entries), same document set, metadata and query answers.
 func TestAddDocumentsMatchesSequential(t *testing.T) {
 	p := testParams()
 	docs := bulkBatch(180, 15, 5)
@@ -157,61 +158,60 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	bulk, err := NewOwner(p, 42, dp.Disabled())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := bulk.AddDocuments(docs); err != nil {
+		t.Fatal(err)
+	}
+	if seq.rtk.held == nil {
+		t.Fatal("setup: the batch did not take the sketch past the cap")
+	}
+	if !bytes.Equal(snapshot(t, seq), snapshot(t, bulk)) {
+		t.Fatal("snapshots differ")
+	}
+	if !reflect.DeepEqual(residentState(seq.rtk), residentState(bulk.rtk)) {
+		t.Fatal("resident cells differ")
+	}
+	if !reflect.DeepEqual(seq.DocIDs(), bulk.DocIDs()) {
+		t.Fatal("document id sets differ")
+	}
+	for _, d := range docs {
+		sl, su, err1 := seq.DocMeta(d.DocID)
+		bl, bu, err2 := bulk.DocMeta(d.DocID)
+		if err1 != nil || err2 != nil || sl != bl || su != bu {
+			t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)",
+				d.DocID, sl, su, err1, bl, bu, err2)
+		}
+	}
 	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans := []*Plan{q.Plan(3), q.Plan(77), q.Plan(401)}
-
-	for _, workers := range []int{1, 2, 3, 8, 64} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			bulk, err := NewOwner(p, 42, dp.Disabled())
-			if err != nil {
-				t.Fatal(err)
-			}
-			// The unexported entry point skips the GOMAXPROCS clamp so
-			// every pool size exercises a real multi-accumulator merge,
-			// whatever the host's core count.
-			if err := bulk.addDocuments(docs, workers); err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(seq.DocIDs(), bulk.DocIDs()) {
-				t.Fatal("document id sets differ")
-			}
-			for _, d := range docs {
-				sl, su, err1 := seq.DocMeta(d.DocID)
-				bl, bu, err2 := bulk.DocMeta(d.DocID)
-				if err1 != nil || err2 != nil || sl != bl || su != bu {
-					t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)",
-						d.DocID, sl, su, err1, bl, bu, err2)
-				}
-			}
-			for _, plan := range plans {
-				want, err := seq.AnswerRTK(plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := bulk.AnswerRTK(plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("AnswerRTK(term %d) differs between sequential and bulk(workers=%d)",
-						plan.Term(), workers)
-				}
-				wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantTF, gotTF) {
-					t.Fatalf("AnswerTF(term %d) differs", plan.Term())
-				}
-			}
-		})
+	for _, plan := range []*Plan{q.Plan(3), q.Plan(77), q.Plan(401)} {
+		want, err := seq.AnswerRTK(plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := bulk.AnswerRTK(plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(want, got) {
+			t.Fatalf("AnswerRTK(term %d) differs", plan.Term())
+		}
+		wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantTF, gotTF) {
+			t.Fatalf("AnswerTF(term %d) differs", plan.Term())
+		}
 	}
 }
 
@@ -229,7 +229,7 @@ func TestAddDocumentsAtomicOnError(t *testing.T) {
 
 	// Batch colliding with an already-ingested id.
 	bad := bulkBatch(10, 5, 9) // contains DocID 5
-	if err := o.AddDocuments(bad, 4); err == nil {
+	if err := o.AddDocuments(bad); err == nil {
 		t.Fatal("expected duplicate-id error")
 	}
 	if got := o.DocIDs(); len(got) != 1 || got[0] != 5 {
@@ -241,7 +241,7 @@ func TestAddDocumentsAtomicOnError(t *testing.T) {
 		{DocID: 100, Counts: map[uint64]int64{1: 1}},
 		{DocID: 100, Counts: map[uint64]int64{2: 1}},
 	}
-	if err := o.AddDocuments(dup, 2); err == nil {
+	if err := o.AddDocuments(dup); err == nil {
 		t.Fatal("expected in-batch duplicate error")
 	}
 	if got := o.DocIDs(); len(got) != 1 {
@@ -249,13 +249,13 @@ func TestAddDocumentsAtomicOnError(t *testing.T) {
 	}
 
 	// Empty batch is a no-op.
-	if err := o.AddDocuments(nil, 4); err != nil {
+	if err := o.AddDocuments(nil); err != nil {
 		t.Fatal(err)
 	}
 
 	// A clean batch after a failure applies normally.
 	clean := []DocCounts{{DocID: 6, Counts: map[uint64]int64{1: 1}}}
-	if err := o.AddDocuments(clean, 4); err != nil {
+	if err := o.AddDocuments(clean); err != nil {
 		t.Fatal(err)
 	}
 	if got := o.DocIDs(); len(got) != 2 {
@@ -263,35 +263,32 @@ func TestAddDocumentsAtomicOnError(t *testing.T) {
 	}
 }
 
-// BenchmarkOwnerAddDocuments measures bulk ingestion over a batch-size
-// by pool-size grid (sequential baseline first). On a single-core host
-// the worker curve is flat — the public API clamps the pool to
-// GOMAXPROCS — with real cores stage 1 (per-document hashing) scales.
+// BenchmarkOwnerAddDocuments measures a batch load into a fresh owner
+// at three batch sizes.
 func BenchmarkOwnerAddDocuments(b *testing.B) {
 	p := DefaultParams()
 	for _, size := range []int{100, 300, 1000} {
 		docs := bulkBatch(size, 60, 1)
-		for _, workers := range []int{1, 2, 4} {
-			b.Run(fmt.Sprintf("docs=%d/workers=%d", size, workers), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					o, err := NewOwner(p, 42, dp.Disabled())
-					if err != nil {
-						b.Fatal(err)
-					}
-					if err := o.AddDocuments(docs, workers); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("docs=%d", size), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				o, err := NewOwner(p, 42, dp.Disabled())
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				if err := o.AddDocuments(docs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
-// TestAddDocumentsPooledAllocs pins the scratch-pooling contract: once
-// the accumulator pool and the heaps are warm, steady-state ingestion
-// allocates a small constant per document (metadata map entries, roster
-// growth) — not per-document sketch tables and boxed heap entries.
+// TestAddDocumentsPooledAllocs pins the scratch-reuse contract: once the
+// cells and the roster have grown, steady-state ingestion allocates a
+// small constant per document (metadata map entries, the batch check's
+// id set) — every table is built in the owner's one scratch, and no heap
+// entry is boxed.
 func TestAddDocumentsPooledAllocs(t *testing.T) {
 	p := DefaultParams()
 	p.Z, p.W, p.Z1, p.K = 8, 64, 4, 20 // small geometry keeps the test fast
@@ -299,7 +296,7 @@ func TestAddDocumentsPooledAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := o.AddDocuments(bulkBatch(200, 40, 3), 1); err != nil {
+	if err := o.AddDocuments(bulkBatch(200, 40, 3)); err != nil {
 		t.Fatal(err)
 	}
 	batch := bulkBatch(50, 40, 4)
@@ -307,7 +304,7 @@ func TestAddDocumentsPooledAllocs(t *testing.T) {
 		batch[i].DocID += 10_000 // disjoint from the warm-up roster
 	}
 	perRun := testing.AllocsPerRun(5, func() {
-		if err := o.AddDocuments(batch, 1); err != nil {
+		if err := o.AddDocuments(batch); err != nil {
 			t.Fatal(err)
 		}
 		for _, d := range batch {
@@ -351,7 +348,7 @@ func BenchmarkOwnerRemoveDocument(b *testing.B) {
 						b.Fatal(err)
 					}
 					docs := bulkBatch(shape.docs, shape.terms, 1)
-					if err := o.AddDocuments(docs, 1); err != nil {
+					if err := o.AddDocuments(docs); err != nil {
 						b.Fatal(err)
 					}
 					b.ReportAllocs()
@@ -366,7 +363,7 @@ func BenchmarkOwnerRemoveDocument(b *testing.B) {
 							b.Fatal(err)
 						}
 						b.StopTimer()
-						if err := o.AddDocuments(victim, 1); err != nil {
+						if err := o.AddDocuments(victim); err != nil {
 							b.Fatal(err)
 						}
 						b.StartTimer()

@@ -72,9 +72,9 @@ type Params struct {
 	K          int           // reverse top-K result size (K)
 	Estimator  EstimatorMode // RTK candidate count estimation strategy
 	// Parallelism bounds the worker pool used by the parallel federation
-	// operations (federated search fan-out, bulk ingestion). 0 — the
-	// default — resolves to runtime.GOMAXPROCS(0); 1 reproduces the
-	// sequential path exactly. It is a runtime knob, not a protocol
+	// operations (federated search fan-out, bulk ingestion's term
+	// counting). 0 — the default — resolves to runtime.GOMAXPROCS(0); 1
+	// reproduces the sequential path exactly. It is a runtime knob, not a protocol
 	// parameter: it is not persisted with owner snapshots and does not
 	// affect protocol messages or cost accounting.
 	Parallelism int
@@ -173,8 +173,9 @@ func (p Params) Validate() error {
 func (p Params) HeapCap() int { return p.Alpha * p.K }
 
 // Workers resolves the Parallelism knob to a concrete worker count for a
-// workload of n independent tasks: 0 means runtime.GOMAXPROCS(0), and the
-// result is clamped to [1, n].
+// workload of n independent tasks — a search's party exchanges, a bulk
+// load's term counting: 0 means runtime.GOMAXPROCS(0), and the result is
+// clamped to [1, n].
 func (p Params) Workers(n int) int {
 	w := p.Parallelism
 	if w <= 0 {

@@ -195,10 +195,11 @@ func TestSnapshotSketchKindPreserved(t *testing.T) {
 	}
 }
 
-// TestSnapshotSparseRoundTrip: a sketch that never evicted writes the
-// snapshot a striped load of the same documents writes, holds at most half
-// of its logical bytes, and loads back as it was — save, load, save is
-// byte-equal and the reload holds exactly the bytes the original held. An
+// TestSnapshotSparseRoundTrip: a sketch that never evicted, loaded in one
+// batch, writes the snapshot and keeps the cells of the same documents
+// ingested one by one, holds at most half of its logical bytes, and loads
+// back as it was — save, load, save is byte-equal and the reload holds
+// exactly the bytes the original held. An
 // owner that went past alpha*K and shrank back below it has cells that
 // lost entries to the cap; it reloads byte-stable too, each cell's bound
 // as high as what it holds allows, so it holds no more than before.
@@ -207,7 +208,7 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 	p.W, p.Alpha, p.K = 64, 2, 10 // cells cap at 20
 	docs := bulkBatch(24, 12, 9)
 	for _, keep := range []bool{true, false} {
-		newOwner := func(workers int) *Owner {
+		newOwner := func(batch bool) *Owner {
 			var opts []OwnerOption
 			if !keep {
 				opts = append(opts, WithoutDocTables())
@@ -216,8 +217,16 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := o.addDocuments(docs[:18], workers); err != nil {
-				t.Fatal(err)
+			if batch {
+				if err := o.AddDocuments(docs[:18]); err != nil {
+					t.Fatal(err)
+				}
+				return o
+			}
+			for _, d := range docs[:18] {
+				if err := o.AddDocument(d.DocID, d.Counts); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return o
 		}
@@ -238,12 +247,12 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			return loaded
 		}
 
-		one, striped := newOwner(1), newOwner(3)
+		one, each := newOwner(true), newOwner(false)
 		if one.rtk.held != nil {
 			t.Fatal("setup: 18 documents under a cap of 20 lowered a bound")
 		}
-		if !bytes.Equal(snapshot(t, one), snapshot(t, striped)) || !reflect.DeepEqual(residentState(one.rtk), residentState(striped.rtk)) {
-			t.Fatalf("keep=%v: a striped load writes or keeps other cells than a one-worker load", keep)
+		if !bytes.Equal(snapshot(t, one), snapshot(t, each)) || !reflect.DeepEqual(residentState(one.rtk), residentState(each.rtk)) {
+			t.Fatalf("keep=%v: a batch writes or keeps other cells than its documents one by one", keep)
 		}
 		if 2*one.RTKResidentBytes() > one.RTKSizeBytes() {
 			t.Fatalf("keep=%v: %d B resident of %d logical", keep, one.RTKResidentBytes(), one.RTKSizeBytes())
@@ -252,7 +261,7 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			t.Fatalf("keep=%v: the reload keeps other cells", keep)
 		}
 
-		shrunk := newOwner(1)
+		shrunk := newOwner(true)
 		for _, d := range docs[18:] {
 			if err := shrunk.AddDocument(d.DocID, d.Counts); err != nil {
 				t.Fatal(err)
@@ -312,7 +321,7 @@ func TestSparseResidentBytes(t *testing.T) {
 			docs[i] = DocCounts{DocID: d.ID, Counts: counts}
 		}
 		o := newOwnerT(t, p)
-		if err := o.AddDocuments(docs, 1); err != nil {
+		if err := o.AddDocuments(docs); err != nil {
 			t.Fatal(err)
 		}
 		logical := int64(8 * min(len(docs), p.HeapCap()) * p.Z * p.W)
@@ -516,7 +525,7 @@ func TestDocTableDiet(t *testing.T) {
 		}
 		docs[id] = DocCounts{DocID: id, Counts: counts}
 	}
-	if err := o.AddDocuments(docs, 1); err != nil {
+	if err := o.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 

@@ -24,7 +24,7 @@ type Entry struct {
 }
 
 // fitsDocID and fitsValue are the range guards every narrowing into an
-// Entry sits behind: at ingest, at Update and when a snapshot is read.
+// Entry sits behind: at ingest (checkDoc) and when a snapshot is read.
 func fitsDocID(id int64) bool { return math.MinInt32 <= id && id <= math.MaxInt32 }
 func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32 }
 
@@ -37,22 +37,20 @@ func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32
 //
 // Eviction follows a strict total order — key ascending, ties broken by
 // DocID descending — so the set of entries surviving a sequence of
-// capped pushes depends only on the pushed set, never on push order, on
-// how the pushes were partitioned across accumulators, or on how the
-// slice happened to be laid out when a push arrived. That
-// content-addressed determinism is what lets the bulk loader fold
-// per-worker stripes independently and merge them afterwards while
-// staying bit-identical to a sequential AddDocument loop, and what lets
-// a cell live in either of two layouts:
+// capped pushes depends only on the pushed set, never on push order or
+// on how the slice happened to be laid out when a push arrived. That
+// content-addressed determinism is what lets a sharded party merge its
+// shards' cells into the single sketch's (MergeRTKResponses), and what
+// lets a cell live in either of two layouts:
 //
 //   - canonical: entries ascending by DocID — the order every observable
 //     surface (AnswerRTK, snapshots, Cell) emits. Readers bring a cell
 //     here in place (canonicalize), at most once per mutation, so
 //     back-to-back queries sort nothing and keep no second copy. Two
 //     writers may also claim it, because both know the order without
-//     looking: an append of an id above every live one (push's above
-//     bit) onto an empty or canonical cell, and a removal whose scan saw
-//     everything it left behind ascend (remove).
+//     looking: an append of an id above every live one (the above bit
+//     of RTKSketch.push) onto an empty or canonical cell, and a removal
+//     whose scan saw everything it left behind ascend (remove).
 //   - not canonical: a plain append buffer while below capacity, a
 //     min-heap under less once full. Only an accepted push on a full
 //     cell needs the heap, so only that push pays to (re)build it.
@@ -65,12 +63,11 @@ func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32
 // In an RTKSketch a cell also has a held-prefix bound: it holds every
 // live id below it, and stores only its non-zero entries and the zeros at
 // or above the bound — the zeros below it are implied by the sketch's
-// roster of live ids (see RTKSketch). A cell on its own, as the
-// bulk loader's accumulators and cellHeap's own tests use it, stores
-// everything it holds.
+// roster of live ids (see RTKSketch). A cell on its own, as cellHeap's
+// own tests drive it, stores everything it holds.
 //
 // The sift code is hand-rolled rather than container/heap: the interface
-// boxing of heap.Push/heap.Pop dominated the bulk-ingest allocation
+// boxing of heap.Push/heap.Pop dominated the ingest allocation
 // profile (two boxed Entry values per cell per document, ~13M allocs per
 // 1200-document batch).
 type cellHeap struct {
@@ -111,47 +108,9 @@ func rankLess(a, b Entry) bool {
 	return a.DocID > b.DocID
 }
 
-// push inserts e, keeping at most cap entries: once full, e replaces the
-// minimum iff it beats it, which is exactly "push then evict the
-// minimum" without ever growing past cap.
-//
-// Below capacity a push is a plain append — the heap is only needed to
-// locate the eviction minimum, so it is built (one heapify, which also
-// caches the floor) the moment the cell fills, and under-capacity
-// corpora ingest at append speed with zero sift work. above is the
-// caller's word that e.DocID exceeds every id in the cell: such an append
-// onto an empty or canonical cell leaves it canonical without looking at
-// the previous entry — until the append that fills the cell, whose
-// heapify undoes the order. On a full cell rejection reads nothing but
-// the cached floor, and only an accepted push on a canonical cell pays to
-// rebuild the heap a reader sorted away.
-//
-// This is the push of a cell that stores everything it holds; an
-// RTKSketch's cells take RTKSketch.push.
-func (h *cellHeap) push(e Entry, cap int, above bool) {
-	if n := len(h.entries); n < cap {
-		h.add(e, above)
-		if n+1 == cap {
-			h.canonical = false
-			h.heapify()
-		}
-		return
-	}
-	if cap <= 0 || !h.beats(e) {
-		return // rejected without touching the slab
-	}
-	if h.canonical {
-		h.canonical = false
-		h.heapify()
-	}
-	h.entries[0] = e
-	h.siftDown(0)
-	h.setFloor(h.entries[0])
-}
-
-// add appends e with no capacity to respect: push below capacity, and
-// every entry an RTKSketch cell comes to store. An append that above
-// vouches for keeps an empty or canonical cell canonical.
+// add appends e with no capacity to respect: every entry an RTKSketch
+// cell comes to store. An append that above vouches for keeps an empty
+// or canonical cell canonical.
 func (h *cellHeap) add(e Entry, above bool) {
 	h.canonical = above && (h.canonical || len(h.entries) == 0)
 	h.entries = append(h.entries, e)
@@ -338,92 +297,6 @@ func (d *docSorter) sort(es []Entry) {
 	}
 }
 
-// rtkAccum is a per-worker private accumulator used by the bulk loader:
-// the same z x w grid of capped cells as the RTK-Sketch, but backed by a
-// single fixed-stride Entry slab (cell c owns slab[c*cap : (c+1)*cap])
-// so building one costs two allocations regardless of batch size. Each
-// worker folds its document stripe into its own accumulator without
-// synchronization; a deterministic merge pass folds the survivors into
-// the shared sketch afterwards.
-type rtkAccum struct {
-	cells int
-	cap   int
-	abs   bool
-	lens  []int32
-	// per-cell cached eviction floor, valid once the cell is full
-	floorKeys []int32
-	floorDocs []int32
-	slab      []Entry
-}
-
-// accumPool recycles accumulator slabs across batches (and owners): at
-// default geometry one slab is z*w*heapCap entries, the dominant scratch
-// allocation of a bulk load.
-var accumPool sync.Pool
-
-// getAccum returns a pooled accumulator resized for the given grid.
-func getAccum(cells, cap int, abs bool) *rtkAccum {
-	a, _ := accumPool.Get().(*rtkAccum)
-	if a == nil {
-		a = &rtkAccum{}
-	}
-	a.cells, a.cap, a.abs = cells, cap, abs
-	need := cells * cap
-	if len(a.slab) < need {
-		a.slab = make([]Entry, need)
-	}
-	if len(a.lens) < cells {
-		a.lens = make([]int32, cells)
-		a.floorKeys = make([]int32, cells)
-		a.floorDocs = make([]int32, cells)
-	} else {
-		for i := 0; i < cells; i++ {
-			a.lens[i] = 0
-		}
-	}
-	return a
-}
-
-// putAccum returns an accumulator to the pool.
-func putAccum(a *rtkAccum) {
-	if a != nil {
-		accumPool.Put(a)
-	}
-}
-
-// push folds one entry into cell c under the shared eviction order. The
-// three-index slice pins capacity to the cell's slab stride, so the
-// in-place append in cellHeap.push can never spill into a neighbour.
-func (a *rtkAccum) push(c int, e Entry) {
-	off := c * a.cap
-	v := cellHeap{
-		entries:  a.slab[off : off+int(a.lens[c]) : off+a.cap],
-		abs:      a.abs,
-		floorKey: a.floorKeys[c],
-		floorDoc: a.floorDocs[c],
-	}
-	v.push(e, a.cap, false)
-	a.lens[c] = int32(len(v.entries))
-	a.floorKeys[c], a.floorDocs[c] = v.floorKey, v.floorDoc
-}
-
-// cell returns the survivors of cell c.
-func (a *rtkAccum) cell(c int) []Entry {
-	off := c * a.cap
-	return a.slab[off : off+int(a.lens[c])]
-}
-
-// addTable folds one document's sketch table into every cell. The
-// document passed checkDoc, so its id and every cell fit an Entry.
-func (a *rtkAccum) addTable(docID int, table *sketch.Table, z, w int) {
-	id := int32(docID)
-	for i := 0; i < z; i++ {
-		for j := 0; j < w; j++ {
-			a.push(i*w+j, Entry{DocID: id, Value: int32(table.Cell(i, uint32(j)))})
-		}
-	}
-}
-
 // RTKSketch is the paper's reverse top-K sketch (Section V-B): a z x w
 // table whose every cell is a min-heap of at most alpha*K (docID, value)
 // pairs. It replaces the n per-document sketches of the NAIVE solution on
@@ -486,41 +359,17 @@ func (s *RTKSketch) Params() Params { return s.params }
 // NumDocs returns the number of documents currently summarized.
 func (s *RTKSketch) NumDocs() int { return s.docs }
 
-// Update inserts document docID, summarized by its standard sketch table,
-// into every cell (Algorithm 4). table must be built over the same hash
-// family. Cells keep only the alpha*K entries with the largest ranking
-// key; the minimum is evicted on overflow. An id or a cell that an Entry
-// cannot hold is ErrBadParams, and nothing is inserted.
-func (s *RTKSketch) Update(docID int, table *sketch.Table) error {
-	if table == nil || table.Z() != s.params.Z || table.W() != s.params.W {
-		return fmt.Errorf("%w: document table geometry mismatch", ErrBadParams)
-	}
-	if !fitsDocID(int64(docID)) {
-		return fmt.Errorf("%w: document id %d does not fit int32", ErrBadParams, docID)
-	}
-	for i := 0; i < s.params.Z; i++ {
-		for j := 0; j < s.params.W; j++ {
-			if !fitsValue(table.Cell(i, uint32(j))) {
-				return fmt.Errorf("%w: document %d has a cell beyond int32", ErrBadParams, docID)
-			}
-		}
-	}
-	s.updateRows(docID, table)
-	s.docs++
-	return nil
-}
-
-// updateRows enrolls one document and pushes it into every cell. Because
-// eviction is a strict total order, the surviving set per cell is a pure
-// function of the pushed set — any partition of the pushes over workers or
-// accumulators converges to the same state. Whether the id exceeds every
-// live one is decided here, once per document, and handed to all z*w
-// pushes as one bit: that is what lets a cell stay canonical under
-// ascending ingest without a load of its previous entry per push. While
-// every cell holds every live id and this document fills none, its zeros
-// are implied everywhere and only its non-zero cells are visited. Callers
-// have range-checked the id and the table (Update, checkDoc).
-func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
+// insert is Algorithm 4's insertion: it enrolls document docID,
+// summarized by its standard sketch table over the sketch's hash family,
+// and offers it to every cell, each of which keeps the alpha*K entries with
+// the largest ranking key. Whether the id exceeds every live one is
+// decided here, once per document, and handed to all z*w pushes as one
+// bit: that is what lets a cell stay canonical under ascending ingest
+// without a load of its previous entry per push. While every cell holds
+// every live id and this document fills none, its zeros are implied
+// everywhere and only its non-zero cells are visited. The caller has
+// checked the document (checkDoc), so its id and every cell fit an Entry.
+func (s *RTKSketch) insert(docID int, table *sketch.Table) {
 	id := int32(docID)
 	above := s.enroll(id)
 	live, cap, w := len(s.roster)-1, s.params.HeapCap(), s.params.W
@@ -541,6 +390,7 @@ func (s *RTKSketch) updateRows(docID int, table *sketch.Table) {
 // enroll puts id on the roster and reports whether it went at the end,
 // above every live id, which is what lets an append keep a cell canonical.
 func (s *RTKSketch) enroll(id int32) bool {
+	s.docs++
 	i := len(s.roster)
 	above := i == 0 || id > s.roster[i-1]
 	if !above {
@@ -798,113 +648,6 @@ func appendView(dst []Entry, h *cellHeap, roster []int32, sorter *docSorter) []E
 	return append(dst, es[j:]...)
 }
 
-// merge folds a striped batch of docs — the per-worker accumulators —
-// into the sketch, with the rows split into bands folded concurrently
-// (mergeAccumRows), and enrolls the batch.
-func (s *RTKSketch) merge(accums []*rtkAccum, docs []DocCounts, bands int) {
-	batch := make([]int32, len(docs))
-	for i, d := range docs {
-		batch[i] = int32(d.DocID)
-	}
-	slices.Sort(batch)
-	roster := append(slices.Clone(s.roster), batch...)
-	slices.Sort(roster)
-	if len(roster) > s.params.HeapCap() {
-		s.counting() // for the bands to keep
-	}
-	z := s.params.Z
-	bands = min(bands, z)
-	var wg sync.WaitGroup
-	for b := 0; b < bands; b++ {
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s.mergeAccumRows(accums, lo, hi, roster, batch)
-		}(b*z/bands, (b+1)*z/bands)
-	}
-	wg.Wait()
-	s.roster = roster
-}
-
-// mergeAccumRows folds rows [lo, hi) of every per-worker accumulator
-// into the sketch. Correctness of the stripe/merge split: an entry in the
-// global top-cap of a cell is necessarily in the top-cap of its own stripe
-// (fewer competitors), so merging stripe survivors under the same total
-// order reproduces exactly the set sequential pushes would keep. Row
-// ranges partition the cell array, so concurrent calls over disjoint
-// ranges never touch the same heap; each brings its own sort scratch, and
-// the sketch's roster is the one before the batch until merge swaps in
-// roster, the one after.
-//
-// A cell the batch does not fill past alpha*K just gains what it stores
-// of the batch. One it does is rebuilt: its view and the survivors are
-// pushed into a capped scratch cell, and the result stored under the
-// bound a document-at-a-time load would reach — the old bound, or the
-// smallest id that left (rejected at its stripe or in the merge, or
-// evicted), whichever is lower — so a striped load ends in the same
-// resident state as one worker's. A batch that takes the roster past
-// alpha*K has the counts allocated before the bands start.
-func (s *RTKSketch) mergeAccumRows(accums []*rtkAccum, lo, hi int, roster, batch []int32) {
-	heapCap, w, live := s.params.HeapCap(), s.params.W, len(s.roster)
-	var sorter docSorter
-	scratch := cellHeap{abs: s.params.AbsEvictionKeys(), entries: make([]Entry, 0, heapCap)}
-	var view []Entry
-	for c := lo * w; c < hi*w; c++ {
-		h := &s.cells[c]
-		if n := s.load(c, live) + len(batch); n <= heapCap {
-			for _, acc := range accums {
-				for _, e := range acc.cell(c) {
-					if h.storable(e) {
-						h.add(e, false)
-					}
-				}
-			}
-			s.count(c, len(batch))
-			if n == heapCap {
-				h.refloor(roster, &sorter)
-			}
-			continue
-		}
-		view = appendView(view[:0], h, s.roster, &sorter)
-		scratch.entries = scratch.entries[:0]
-		for _, e := range view {
-			scratch.push(e, heapCap, false)
-		}
-		for _, acc := range accums {
-			for _, e := range acc.cell(c) {
-				scratch.push(e, heapCap, false)
-			}
-		}
-		kept := scratch.entries
-		sorter.sort(kept)
-		h.below = min(h.below, firstLeft(view, batch, kept))
-		h.keep(kept)
-		s.held[c] = int32(heapCap)
-		h.floorKey, h.floorDoc = scratch.floorKey, scratch.floorDoc
-	}
-}
-
-// firstLeft returns the smallest id of view or batch (each ascending,
-// disjoint from the other) that kept lacks. kept, ascending, is drawn from
-// both and is shorter than the two together, so there is one.
-func firstLeft(view []Entry, batch []int32, kept []Entry) int32 {
-	i, j := 0, 0
-	next := func() int32 {
-		if j == len(batch) || i < len(view) && view[i].DocID < batch[j] {
-			i++
-			return view[i-1].DocID
-		}
-		j++
-		return batch[j-1]
-	}
-	for _, k := range kept {
-		if id := next(); id != k.DocID {
-			return id
-		}
-	}
-	return next()
-}
-
 // Delete removes document docID, which must be summarized, from every
 // cell (Algorithm 4's deletion: enumerate all cells and drop the
 // document) and returns the number of cells that held it. table is the
@@ -915,7 +658,7 @@ func firstLeft(view []Entry, batch []int32, kept []Entry) int32 {
 // a full cell holds orders at or above its floor. The argument needs the
 // floor, so it holds only while the cell is full.
 func (s *RTKSketch) Delete(docID int, table *sketch.Table) int {
-	id := int32(docID) // summarized, so Update or checkDoc saw it fit
+	id := int32(docID) // summarized, so checkDoc saw it fit
 	if table != nil && (table.Z() != s.params.Z || table.W() != s.params.W) {
 		table = nil
 	}
@@ -985,9 +728,9 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // result belongs to the caller and carries its encoded length (rtkSizer,
 // fed from the merge loop).
 //
-// Correctness mirrors mergeAccumRows: eviction is a strict total order
-// (key descending, key-ties keep the smaller DocID), so an entry in the
-// global top-cap is necessarily in the top-cap of its own partition —
+// Correctness: eviction is a strict total order (key descending,
+// key-ties keep the smaller DocID), so an entry in the global top-cap is
+// necessarily in the top-cap of its own partition —
 // the top-cap of the combined survivors under the same order is the
 // single-sketch cell bit for bit. The parts arrive ascending by DocID, so
 // every row is one k-way merge by DocID. A row whose survivors overflow
@@ -1193,8 +936,8 @@ func selectRank(es []Entry, k int) Entry {
 // and snapshots) independent of the resident layout, which depends on
 // ingestion history, and a cell whose roster implies zeros hands out its
 // merged view, those zeros included. The slice is the sketch's own
-// storage: it is valid until the next Update, Delete or Cell and must not
-// be modified.
+// storage: it is valid until the sketch's next mutation or Cell and
+// must not be modified.
 func (s *RTKSketch) Cell(row int, col uint32) []Entry {
 	return s.cellView(row*s.params.W + int(col))
 }

@@ -190,9 +190,9 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	docSets := make([][]*textkit.Document, len(c.Parties))
 	for i, party := range c.Parties {
 		docSets[i] = party.Docs
-		// Parallel bulk load (worker count from Params.Parallelism, 0 =
-		// GOMAXPROCS); the resulting sketch state is identical to a
-		// sequential IngestAll, so experiment results are unaffected.
+		// Bulk load: term counting on Params.Parallelism workers (0 =
+		// GOMAXPROCS), both fields at once; the resulting sketch state is
+		// identical to a sequential IngestAll.
 		if err := fed.Parties[i].IngestAllParallel(party.Docs, 0); err != nil {
 			return nil, err
 		}

@@ -187,7 +187,7 @@ func benchFedN(b *testing.B, parties int, rtt time.Duration) *Federation {
 			}
 			docs[id] = core.DocCounts{DocID: id, Counts: counts}
 		}
-		if err := party.Owner(FieldBody).AddDocuments(docs, 0); err != nil {
+		if err := party.Owner(FieldBody).AddDocuments(docs); err != nil {
 			b.Fatal(err)
 		}
 	}

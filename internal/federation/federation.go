@@ -794,15 +794,14 @@ func (p *Party) IngestAll(docs []*textkit.Document) error {
 	return nil
 }
 
-// IngestAllParallel bulk-loads a document slice on a bounded worker pool
-// (workers <= 0 resolves to Params.Parallelism / GOMAXPROCS). Term-count
-// extraction runs in parallel per document, the two field owners load
-// concurrently with each other, and each owner shards its sketch build
-// across the pool (see core.Owner.AddDocuments); the resulting party
-// state is identical to a sequential IngestAll in slice order. On error
-// the party may hold one field's batch but not the other — callers
-// should treat the party as unusable, exactly as after a failed
-// IngestAll.
+// IngestAllParallel bulk-loads a document slice: term counting runs on a
+// pool of workers (workers <= 0 resolves to Params.Parallelism /
+// GOMAXPROCS), then the two fields load concurrently, each as one batch
+// folded document by document in slice order (see
+// shard.Group.AddDocuments). The resulting party state is identical to a
+// sequential IngestAll. On error the party may hold one field's batch but
+// not the other — callers should treat the party as unusable, exactly as
+// after a failed IngestAll.
 func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	if workers <= 0 {
 		workers = p.params.Workers(len(docs))
@@ -835,11 +834,11 @@ func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		bodyErr = p.groups[FieldBody].AddDocuments(bodies, workers)
+		bodyErr = p.groups[FieldBody].AddDocuments(bodies)
 	}()
 	go func() {
 		defer wg.Done()
-		titleErr = p.groups[FieldTitle].AddDocuments(titles, workers)
+		titleErr = p.groups[FieldTitle].AddDocuments(titles)
 	}()
 	wg.Wait()
 	if bodyErr != nil {

@@ -305,7 +305,7 @@ func TestSearchAllocBudget(t *testing.T) {
 			}
 			docs[id] = core.DocCounts{DocID: id, Counts: counts}
 		}
-		if err := party.Owner(FieldBody).AddDocuments(docs, 1); err != nil {
+		if err := party.Owner(FieldBody).AddDocuments(docs); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -380,7 +380,7 @@ func TestRelayCallAllocBudget(t *testing.T) {
 		}
 		docs[id] = core.DocCounts{DocID: id, Counts: counts}
 	}
-	if err := fed.Parties[1].Owner(FieldBody).AddDocuments(docs, 1); err != nil {
+	if err := fed.Parties[1].Owner(FieldBody).AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	var n int

@@ -3,7 +3,6 @@ package federation
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"csfltr/internal/wire"
 )
@@ -25,18 +24,6 @@ const WireContentType = "application/x-csfltr-wire"
 func appendString(dst []byte, s string) []byte {
 	dst = wire.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
-}
-
-// decodeString consumes a length-prefixed string.
-func decodeString(data []byte) (string, []byte, error) {
-	n, rest, err := wire.Uvarint(data)
-	if err != nil {
-		return "", nil, err
-	}
-	if n > uint64(len(rest)) {
-		return "", nil, fmt.Errorf("%w: string length exceeds input", wire.ErrMalformed)
-	}
-	return string(rest[:n]), rest[n:], nil
 }
 
 // appendCols appends a column vector (count + uvarint indexes).
@@ -131,107 +118,6 @@ func AppendSearchResult(dst []byte, r *SearchResult) []byte {
 	return wire.Pack(dst, payload)
 }
 
-// DecodeSearchResult decodes a framed search result.
-func DecodeSearchResult(data []byte) (*SearchResult, error) {
-	payload, err := wire.Unpack(data)
-	if err != nil {
-		return nil, err
-	}
-	nhits, rest, err := wire.Uvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	if nhits > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: hit count exceeds input", wire.ErrMalformed)
-	}
-	out := &SearchResult{}
-	if nhits > 0 {
-		out.Hits = make([]SearchHit, nhits)
-	}
-	for i := range out.Hits {
-		h := &out.Hits[i]
-		if h.Party, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		var id int64
-		if id, rest, err = wire.Varint(rest); err != nil {
-			return nil, err
-		}
-		h.DocID = int(id)
-		if h.Score, rest, err = decodeFloat(rest); err != nil {
-			return nil, err
-		}
-	}
-	var v int64
-	if v, rest, err = wire.Varint(rest); err != nil {
-		return nil, err
-	}
-	out.Cost.Messages = int(v)
-	if out.Cost.BytesSent, rest, err = wire.Varint(rest); err != nil {
-		return nil, err
-	}
-	if out.Cost.BytesReceived, rest, err = wire.Varint(rest); err != nil {
-		return nil, err
-	}
-	if v, rest, err = wire.Varint(rest); err != nil {
-		return nil, err
-	}
-	out.Cost.SketchLookups = int(v)
-	if len(rest) < 1 {
-		return nil, fmt.Errorf("%w: missing partial flag", wire.ErrMalformed)
-	}
-	switch rest[0] {
-	case 0:
-	case 1:
-		out.Partial = true
-	default:
-		return nil, fmt.Errorf("%w: bad partial flag", wire.ErrMalformed)
-	}
-	rest = rest[1:]
-	nparties, rest, err := wire.Uvarint(rest)
-	if err != nil {
-		return nil, err
-	}
-	if nparties > uint64(len(rest)) {
-		return nil, fmt.Errorf("%w: party count exceeds input", wire.ErrMalformed)
-	}
-	if nparties > 0 {
-		out.Parties = make([]PartyReport, nparties)
-	}
-	for i := range out.Parties {
-		p := &out.Parties[i]
-		if p.Party, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		if p.Outcome, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		if p.Err, rest, err = decodeString(rest); err != nil {
-			return nil, err
-		}
-		if v, rest, err = wire.Varint(rest); err != nil {
-			return nil, err
-		}
-		p.Queries = int(v)
-		if v, rest, err = wire.Varint(rest); err != nil {
-			return nil, err
-		}
-		p.Retries = int(v)
-		if v, rest, err = wire.Varint(rest); err != nil {
-			return nil, err
-		}
-		p.Cached = int(v)
-		if v, rest, err = wire.Varint(rest); err != nil {
-			return nil, err
-		}
-		p.StaleFor = time.Duration(v)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", wire.ErrMalformed)
-	}
-	return out, nil
-}
-
 // sizeSearchRelease charges one released SearchResult under the active
 // codec: the in-memory estimate the cache already uses for "raw", the
 // framed binary encoding for "wire".
@@ -250,14 +136,4 @@ func appendFloat(dst []byte, v float64) []byte {
 	return append(dst,
 		byte(bits), byte(bits>>8), byte(bits>>16), byte(bits>>24),
 		byte(bits>>32), byte(bits>>40), byte(bits>>48), byte(bits>>56))
-}
-
-// decodeFloat consumes one little-endian float64.
-func decodeFloat(data []byte) (float64, []byte, error) {
-	if len(data) < 8 {
-		return 0, nil, fmt.Errorf("%w: truncated float", wire.ErrMalformed)
-	}
-	bits := uint64(data[0]) | uint64(data[1])<<8 | uint64(data[2])<<16 | uint64(data[3])<<24 |
-		uint64(data[4])<<32 | uint64(data[5])<<40 | uint64(data[6])<<48 | uint64(data[7])<<56
-	return math.Float64frombits(bits), data[8:], nil
 }

@@ -10,7 +10,6 @@ import (
 	"slices"
 	"strings"
 	"testing"
-	"time"
 
 	"csfltr/internal/core"
 	"csfltr/internal/wire"
@@ -232,29 +231,6 @@ func TestHTTPWireBatch(t *testing.T) {
 	// A single wire query to a JSON-accepting client is still answered.
 	if code, ct, _ := post(wire.AppendTFQuery(nil, qs[0]), ""); code != http.StatusOK || ct != "application/json" {
 		t.Fatalf("single wire query, JSON reply: status %d, content type %q", code, ct)
-	}
-}
-
-// TestSearchResultCodec round-trips a real federated search result.
-func TestSearchResultCodec(t *testing.T) {
-	fed := twoPartyFed(t, testParams())
-	res, err := fed.Search("A", []uint64{5, 9}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Parties = append(res.Parties, PartyReport{
-		Party: "ghost", Outcome: "failed", Err: "synthetic", Retries: 2,
-		StaleFor: 3 * time.Second,
-	})
-	got, err := DecodeSearchResult(AppendSearchResult(nil, res))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, res) {
-		t.Fatalf("search result diverged:\n got %+v\nwant %+v", got, res)
-	}
-	if _, err := DecodeSearchResult([]byte{1, 2, 3}); err == nil {
-		t.Fatal("garbage should not decode")
 	}
 }
 

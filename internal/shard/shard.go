@@ -301,51 +301,32 @@ func (g *Group) Generation() uint64 {
 }
 
 // AddDocument ingests one document into every replica of its owning
-// shard, bumping only that shard's generation.
+// shard, bumping only that shard's generation: AddDocuments of a batch of
+// one.
 func (g *Group) AddDocument(docID int, counts map[uint64]int64) error {
-	if g.owner != nil {
-		return g.owner.AddDocument(docID, counts)
-	}
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if _, dup := g.ids[docID]; dup {
-		return fmt.Errorf("shard: duplicate document %d", docID)
-	}
-	si := g.ShardFor(docID)
-	for ri, r := range g.shards[si].replicas {
-		if err := r.owner.AddDocument(docID, counts); err != nil {
-			// Keep replicas identical: undo the copies already applied.
-			for _, u := range g.shards[si].replicas[:ri] {
-				_ = u.owner.RemoveDocument(docID) // rollback; owner verified the id above
-			}
-			return err
-		}
-	}
-	g.ids[docID] = struct{}{}
-	return nil
+	return g.AddDocuments([]core.DocCounts{{DocID: docID, Counts: counts}})
 }
 
-// AddDocuments bulk-loads a batch: documents are partitioned by owning
-// shard, each partition is written through to every replica of its
-// shard with the owners' deterministic bulk loader, and the shards load
-// concurrently. All-or-nothing like core.Owner.AddDocuments: on error
-// (duplicate id, geometry mismatch) no document of the batch remains in
-// the group. Each touched shard's generation moves by exactly one.
-func (g *Group) AddDocuments(docs []core.DocCounts, workers int) error {
+// AddDocuments ingests a batch: documents are partitioned by owning
+// shard, each partition is written through to every replica of its shard
+// (core.Owner.AddDocuments), and the shards load concurrently. The batch
+// is checked once, before any shard is written, by the owners' own check
+// (core.CheckBatch) against the group's ids: a refused batch leaves every
+// replica untouched — undoing an applied part could not bring back the
+// entries it evicted — and one that passes passes at every replica. Each
+// touched shard's generation moves by exactly one.
+func (g *Group) AddDocuments(docs []core.DocCounts) error {
 	if g.owner != nil {
-		return g.owner.AddDocuments(docs, workers)
+		return g.owner.AddDocuments(docs)
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	seen := make(map[int]struct{}, len(docs))
-	for _, d := range docs {
-		if _, dup := seen[d.DocID]; dup {
-			return fmt.Errorf("shard: duplicate document %d in batch", d.DocID)
-		}
-		if _, dup := g.ids[d.DocID]; dup {
-			return fmt.Errorf("shard: duplicate document %d", d.DocID)
-		}
-		seen[d.DocID] = struct{}{}
+	held := func(docID int) bool {
+		_, ok := g.ids[docID]
+		return ok
+	}
+	if err := core.CheckBatch(docs, held); err != nil {
+		return err
 	}
 	parts := make([][]core.DocCounts, len(g.shards))
 	for _, d := range docs {
@@ -361,13 +342,8 @@ func (g *Group) AddDocuments(docs []core.DocCounts, workers int) error {
 		wg.Add(1)
 		go func(si int) {
 			defer wg.Done()
-			for ri, r := range g.shards[si].replicas {
-				if err := r.owner.AddDocuments(parts[si], workers); err != nil {
-					for _, u := range g.shards[si].replicas[:ri] {
-						for _, d := range parts[si] {
-							_ = u.owner.RemoveDocument(d.DocID) // rollback applied copies
-						}
-					}
+			for _, r := range g.shards[si].replicas {
+				if err := r.owner.AddDocuments(parts[si]); err != nil {
 					errs[si] = err
 					return
 				}
@@ -375,26 +351,8 @@ func (g *Group) AddDocuments(docs []core.DocCounts, workers int) error {
 		}(si)
 	}
 	wg.Wait()
-	var firstErr error
-	for _, err := range errs {
-		if err != nil {
-			firstErr = err
-			break
-		}
-	}
-	if firstErr != nil {
-		// All-or-nothing: unwind every shard whose partition applied.
-		for si := range g.shards {
-			if errs[si] != nil || len(parts[si]) == 0 {
-				continue
-			}
-			for _, r := range g.shards[si].replicas {
-				for _, d := range parts[si] {
-					_ = r.owner.RemoveDocument(d.DocID) // rollback applied copies
-				}
-			}
-		}
-		return firstErr
+	if err := errors.Join(errs...); err != nil {
+		return err // a replica written to past the group holds ids it does not know
 	}
 	for _, d := range docs {
 		g.ids[d.DocID] = struct{}{}

@@ -53,7 +53,7 @@ func newGroup(t *testing.T, shards, replicas int, docs []core.DocCounts) *Group 
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatalf("AddDocuments: %v", err)
 	}
 	return g
@@ -66,7 +66,7 @@ func newReference(t *testing.T, docs []core.DocCounts) *core.Owner {
 	if err != nil {
 		t.Fatalf("NewOwner: %v", err)
 	}
-	if err := o.AddDocuments(docs, 0); err != nil {
+	if err := o.AddDocuments(docs); err != nil {
 		t.Fatalf("AddDocuments: %v", err)
 	}
 	return o
@@ -158,10 +158,10 @@ func TestOneByOneIsItsOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.AddDocuments(docs, 0); err != nil {
+	if err := ref.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	if g.Owner() == nil || g.WithTrace(telemetry.SpanContext{}) != core.OwnerAPI(g.Owner()) {
@@ -253,7 +253,7 @@ func TestReplicaFailover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	q := queryCols(p, 1)
@@ -297,7 +297,7 @@ func TestBreakerOpensOnDeadReplica(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	var changes []resilience.State
@@ -377,7 +377,7 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.AddDocuments(docs, 0); err != nil {
+	if err := ref.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	sp := p
@@ -387,7 +387,7 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	victim := docs[41].DocID
@@ -513,7 +513,7 @@ func newChurnGroup(t *testing.T, p core.Params, blockSize int, base []core.DocCo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(base, 1); err != nil {
+	if err := g.AddDocuments(base); err != nil {
 		t.Fatal(err)
 	}
 	c := &churnGroup{t: t, p: p, g: g, live: make(map[int]core.DocCounts)}
@@ -552,7 +552,7 @@ func (c *churnGroup) check(step int) {
 	if err != nil {
 		c.t.Fatal(err)
 	}
-	if err := ref.AddDocuments(docs, 1); err != nil {
+	if err := ref.AddDocuments(docs); err != nil {
 		c.t.Fatal(err)
 	}
 	for salt := 0; salt < 3; salt++ {
@@ -605,7 +605,7 @@ func TestAddDocumentsAllOrNothing(t *testing.T) {
 		batch[i].DocID = 1000 + i*3
 	}
 	batch[7].DocID = docs[3].DocID // collides with an existing doc
-	if err := g.AddDocuments(batch, 0); err == nil {
+	if err := g.AddDocuments(batch); err == nil {
 		t.Fatal("duplicate batch should fail")
 	}
 	if !reflect.DeepEqual(g.Generations(), gens) {
@@ -614,6 +614,55 @@ func TestAddDocumentsAllOrNothing(t *testing.T) {
 	n := len(g.DocIDs())
 	if n != len(docs) {
 		t.Fatalf("failed batch left %d docs, want %d", n, len(docs))
+	}
+}
+
+// TestRefusedBatchKeepsAnswers: a batch one of whose documents no owner
+// may hold is refused before any shard is written, so the group answers
+// exactly as a twin that never saw it — replica snapshots included. Undoing
+// an applied part instead would remove its documents but not bring back
+// the entries they evicted from the capped cells.
+func TestRefusedBatchKeepsAnswers(t *testing.T) {
+	docs := testDocs(60, 53)
+	g, twin := newGroup(t, 2, 2, docs), newGroup(t, 2, 2, docs)
+	batch := testDocs(40, 59)
+	for i := range batch {
+		batch[i].DocID = 1000 + i*3
+	}
+	batch = append(batch, core.DocCounts{DocID: math.MaxInt32 + 1, Counts: map[uint64]int64{7: 1}})
+	if err := g.AddDocuments(batch); !errors.Is(err, core.ErrBadParams) {
+		t.Fatalf("AddDocuments returned %v, want ErrBadParams", err)
+	}
+	if !reflect.DeepEqual(g.DocIDs(), twin.DocIDs()) || !reflect.DeepEqual(g.Generations(), twin.Generations()) {
+		t.Fatal("the refused batch changed the group's ids or generations")
+	}
+	p := testParams()
+	for salt := 0; salt < 40; salt++ {
+		got, err := g.AnswerRTK(queryCols(p, salt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.AnswerRTK(queryCols(p, salt))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Cells, want.Cells) {
+			t.Fatalf("query %d: the refused batch changed the answer", salt)
+		}
+	}
+	for si, sh := range g.shards {
+		for ri, r := range sh.replicas {
+			var got, want bytes.Buffer
+			if _, err := r.owner.WriteTo(&got); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := twin.shards[si].replicas[ri].owner.WriteTo(&want); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("shard %d replica %d: the refused batch changed its snapshot", si, ri)
+			}
+		}
 	}
 }
 
@@ -642,7 +691,7 @@ func TestIngestRangeGuards(t *testing.T) {
 			batch[i].DocID = 1000 + i*3
 		}
 		batch[7] = doc
-		if err := g.AddDocuments(batch, 0); !errors.Is(err, core.ErrBadParams) {
+		if err := g.AddDocuments(batch); !errors.Is(err, core.ErrBadParams) {
 			t.Fatalf("%s: AddDocuments returned %v, want ErrBadParams", name, err)
 		}
 		if n := len(g.DocIDs()); n != len(docs) {
@@ -724,14 +773,14 @@ func TestFacadeNoiseSingleDraw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(docs, 0); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	ref, err := core.NewOwner(testParams(), testSeed, dp.Disabled())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.AddDocuments(docs, 0); err != nil {
+	if err := ref.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
 	q := queryCols(p, 5)
@@ -821,7 +870,7 @@ func TestRetentionShardedMatchesSingleOwnerUnderWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := g.AddDocuments(base, 1); err != nil {
+	if err := g.AddDocuments(base); err != nil {
 		t.Fatal(err)
 	}
 	live := make(map[int]core.DocCounts)
@@ -876,7 +925,7 @@ func TestRetentionShardedMatchesSingleOwnerUnderWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := ref.AddDocuments(docs, 1); err != nil {
+		if err := ref.AddDocuments(docs); err != nil {
 			t.Fatal(err)
 		}
 		for salt := 0; salt < 23; salt++ {
@@ -924,7 +973,7 @@ func BenchmarkGroupAnswerRTK(b *testing.B) {
 		}
 		docs[i] = core.DocCounts{DocID: i, Counts: counts}
 	}
-	if err := g.AddDocuments(docs, 1); err != nil {
+	if err := g.AddDocuments(docs); err != nil {
 		b.Fatal(err)
 	}
 	queries := make([]*core.TFQuery, 64)

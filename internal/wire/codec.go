@@ -560,79 +560,3 @@ func SizeModel(w []float64, b float64) int64 {
 	vals = append(vals, b)
 	return PackedSize(varint.Len(uint64(len(w))) + valuesSize(vals))
 }
-
-// DecodeModel decodes a framed linear model.
-func DecodeModel(data []byte) ([]float64, float64, error) {
-	payload, err := Unpack(data)
-	if err != nil {
-		return nil, 0, err
-	}
-	n, rest, err := Uvarint(payload)
-	if err != nil {
-		return nil, 0, err
-	}
-	if err := checkCount(n, rest); err != nil {
-		return nil, 0, err
-	}
-	vals := make([]float64, n+1)
-	if rest, err = decodeValues(vals, rest); err != nil {
-		return nil, 0, err
-	}
-	if len(rest) != 0 {
-		return nil, 0, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-	}
-	return vals[:n], vals[n], nil
-}
-
-// AppendRowMatrix appends the framed encoding of a sketch row matrix
-// (z rows by w columns of signed counts, row-major zig-zag varints) —
-// the bulk form of a standard sketch table's content.
-func AppendRowMatrix(dst []byte, rows [][]int64) []byte {
-	payload := AppendUvarint(nil, uint64(len(rows)))
-	for _, row := range rows {
-		payload = AppendUvarint(payload, uint64(len(row)))
-		for _, v := range row {
-			payload = AppendVarint(payload, v)
-		}
-	}
-	return Pack(dst, payload)
-}
-
-// DecodeRowMatrix decodes a framed sketch row matrix.
-func DecodeRowMatrix(data []byte) ([][]int64, error) {
-	payload, err := Unpack(data)
-	if err != nil {
-		return nil, err
-	}
-	z, rest, err := Uvarint(payload)
-	if err != nil {
-		return nil, err
-	}
-	if err := checkCount(z, rest); err != nil {
-		return nil, err
-	}
-	out := make([][]int64, z)
-	for i := range out {
-		w, r2, err := Uvarint(rest)
-		if err != nil {
-			return nil, err
-		}
-		if err := checkCount(w, r2); err != nil {
-			return nil, err
-		}
-		row := make([]int64, w)
-		rest = r2
-		for j := range row {
-			v, r3, err := Varint(rest)
-			if err != nil {
-				return nil, err
-			}
-			row[j], rest = v, r3
-		}
-		out[i] = row
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("%w: trailing bytes", ErrMalformed)
-	}
-	return out, nil
-}
