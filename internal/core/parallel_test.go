@@ -2,10 +2,12 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -142,10 +144,12 @@ func bulkBatch(n, terms int, seed int64) []DocCounts {
 	return docs
 }
 
-// TestAddDocumentsMatchesSequential: a batch, past the cap, must leave
-// the owner bit-identical to a sequential AddDocument loop over the same
-// documents — same snapshot bytes, same resident cells (bounds, counts and
-// stored entries), same document set, metadata and query answers.
+// TestAddDocumentsMatchesSequential: a corpus loaded in batches of any
+// size, past the cap, must leave the owner bit-identical to a sequential
+// AddDocument loop over the same documents — same snapshot bytes, same
+// resident cells (bounds, counts and stored entries), same document set,
+// metadata and query answers. Where one batch ends and the next begins
+// makes no difference.
 func TestAddDocumentsMatchesSequential(t *testing.T) {
 	p := testParams()
 	docs := bulkBatch(180, 15, 5)
@@ -158,60 +162,68 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	bulk, err := NewOwner(p, 42, dp.Disabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := bulk.AddDocuments(docs); err != nil {
-		t.Fatal(err)
-	}
 	if seq.rtk.held == nil {
-		t.Fatal("setup: the batch did not take the sketch past the cap")
-	}
-	if !bytes.Equal(snapshot(t, seq), snapshot(t, bulk)) {
-		t.Fatal("snapshots differ")
-	}
-	if !reflect.DeepEqual(residentState(seq.rtk), residentState(bulk.rtk)) {
-		t.Fatal("resident cells differ")
-	}
-	if !reflect.DeepEqual(seq.DocIDs(), bulk.DocIDs()) {
-		t.Fatal("document id sets differ")
-	}
-	for _, d := range docs {
-		sl, su, err1 := seq.DocMeta(d.DocID)
-		bl, bu, err2 := bulk.DocMeta(d.DocID)
-		if err1 != nil || err2 != nil || sl != bl || su != bu {
-			t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)",
-				d.DocID, sl, su, err1, bl, bu, err2)
-		}
+		t.Fatal("setup: the corpus did not take the sketch past the cap")
 	}
 	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, plan := range []*Plan{q.Plan(3), q.Plan(77), q.Plan(401)} {
-		want, err := seq.AnswerRTK(plan.Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := bulk.AnswerRTK(plan.Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(want, got) {
-			t.Fatalf("AnswerRTK(term %d) differs", plan.Term())
-		}
-		wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(wantTF, gotTF) {
-			t.Fatalf("AnswerTF(term %d) differs", plan.Term())
-		}
+	plans := []*Plan{q.Plan(3), q.Plan(77), q.Plan(401)}
+
+	for _, size := range []int{1, 2, 3, 8, len(docs)} {
+		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
+			bulk, err := NewOwner(p, 42, dp.Disabled())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for lo := 0; lo < len(docs); lo += size {
+				if err := bulk.AddDocuments(docs[lo:min(lo+size, len(docs))]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(snapshot(t, seq), snapshot(t, bulk)) {
+				t.Fatal("snapshots differ")
+			}
+			if !reflect.DeepEqual(residentState(seq.rtk), residentState(bulk.rtk)) {
+				t.Fatal("resident cells differ")
+			}
+			if !reflect.DeepEqual(seq.DocIDs(), bulk.DocIDs()) {
+				t.Fatal("document id sets differ")
+			}
+			for _, d := range docs {
+				sl, su, err1 := seq.DocMeta(d.DocID)
+				bl, bu, err2 := bulk.DocMeta(d.DocID)
+				if err1 != nil || err2 != nil || sl != bl || su != bu {
+					t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)",
+						d.DocID, sl, su, err1, bl, bu, err2)
+				}
+			}
+			for _, plan := range plans {
+				want, err := seq.AnswerRTK(plan.Query())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := bulk.AnswerRTK(plan.Query())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(want, got) {
+					t.Fatalf("AnswerRTK(term %d) differs", plan.Term())
+				}
+				wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(wantTF, gotTF) {
+					t.Fatalf("AnswerTF(term %d) differs", plan.Term())
+				}
+			}
+		})
 	}
 }
 
@@ -262,6 +274,53 @@ func TestAddDocumentsAtomicOnError(t *testing.T) {
 		t.Fatalf("clean batch not applied: ids=%v", got)
 	}
 }
+
+// TestCheckBatch pins the one batch check an owner and a sharded group
+// share: a document named twice in the batch, or one held reports, is a
+// duplicate; one no RTK-Sketch entry can hold is ErrBadParams; anything
+// else, the empty batch included, passes. held is asked about each
+// document of the batch and nothing else.
+func TestCheckBatch(t *testing.T) {
+	one := map[uint64]int64{7: 1}
+	heldIDs := map[int]bool{5: true}
+	cases := map[string]struct {
+		docs []DocCounts
+		bad  error // nil: the batch passes; errDuplicate: refused as a duplicate
+	}{
+		"empty":         {nil, nil},
+		"distinct":      {[]DocCounts{{1, one}, {2, one}, {math.MaxInt32, one}, {math.MinInt32, one}}, nil},
+		"at the mass":   {[]DocCounts{{1, map[uint64]int64{7: math.MaxInt32 - 4, 8: -4}}}, nil},
+		"twice":         {[]DocCounts{{1, one}, {2, one}, {1, one}}, errDuplicate},
+		"already held":  {[]DocCounts{{1, one}, {5, one}}, errDuplicate},
+		"id past int32": {[]DocCounts{{1, one}, {math.MaxInt32 + 1, one}}, ErrBadParams},
+		"past the mass": {[]DocCounts{{1, one}, {2, map[uint64]int64{7: math.MaxInt32, 8: 1}}}, ErrBadParams},
+	}
+	for name, c := range cases {
+		t.Run(name, func(t *testing.T) {
+			asked := map[int]bool{}
+			err := CheckBatch(c.docs, func(docID int) bool {
+				asked[docID] = true
+				return heldIDs[docID]
+			})
+			switch {
+			case c.bad == nil && err != nil:
+				t.Fatalf("refused: %v", err)
+			case c.bad == errDuplicate && (err == nil || errors.Is(err, ErrBadParams)):
+				t.Fatalf("got %v, want a duplicate-id error", err)
+			case c.bad == ErrBadParams && !errors.Is(err, ErrBadParams):
+				t.Fatalf("got %v, want ErrBadParams", err)
+			}
+			for id := range asked {
+				if !slices.ContainsFunc(c.docs, func(d DocCounts) bool { return d.DocID == id }) {
+					t.Fatalf("held asked about %d, not in the batch", id)
+				}
+			}
+		})
+	}
+}
+
+// errDuplicate marks a TestCheckBatch case refused as a duplicate id.
+var errDuplicate = errors.New("duplicate")
 
 // BenchmarkOwnerAddDocuments measures a batch load into a fresh owner
 // at three batch sizes.

@@ -2,13 +2,16 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
+	"csfltr/internal/sketch"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -162,6 +165,75 @@ func TestTFRoundTrip(t *testing.T) {
 			if math.Float64bits(gotR.Values[i]) != math.Float64bits(r.Values[i]) {
 				t.Fatalf("trial %d: value %d diverged", trial, i)
 			}
+		}
+	}
+}
+
+// TestSketchRepliesRoundTrip: encode -> decode is the identity for the
+// replies real owners give, across every SketchKind and a grid of
+// geometries — the codecs must be exact for whatever cell values and
+// entries the sketches produce.
+func TestSketchRepliesRoundTrip(t *testing.T) {
+	for _, kind := range []sketch.Kind{sketch.CountMin, sketch.Count} {
+		for _, geom := range [][2]int{{1, 2}, {3, 16}, {5, 64}, {8, 256}} {
+			z, w := geom[0], geom[1]
+			t.Run(fmt.Sprintf("%v_z%d_w%d", kind, z, w), func(t *testing.T) {
+				p := core.DefaultParams()
+				p.Epsilon = 0
+				p.SketchKind, p.Z, p.W, p.Z1 = kind, z, w, (z+1)/2
+				o, err := core.NewOwner(p, 42, dp.Disabled())
+				if err != nil {
+					t.Fatal(err)
+				}
+				rng := rand.New(rand.NewSource(11))
+				docs := make([]core.DocCounts, 50)
+				for id := range docs {
+					counts := make(map[uint64]int64)
+					for j := 0; j < 20; j++ {
+						counts[uint64(rng.Intn(500))] += int64(rng.Intn(9) + 1)
+					}
+					docs[id] = core.DocCounts{DocID: id, Counts: counts}
+				}
+				if err := o.AddDocuments(docs); err != nil {
+					t.Fatal(err)
+				}
+				q, err := core.NewQuerier(p, 42, rand.New(rand.NewSource(9)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				entries := 0
+				for _, term := range []uint64{3, 77, 401} {
+					plan := q.Plan(term)
+					rtk, err := o.AnswerRTK(plan.Query())
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, err := DecodeRTKResponse(AppendRTKResponse(nil, rtk))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !respEqual(got, rtk) {
+						t.Fatalf("term %d: RTK reply round trip diverged", term)
+					}
+					for _, c := range rtk.Cells {
+						entries += len(c.IDs)
+					}
+					tf, err := o.AnswerTF(int(term%50), plan.Query())
+					if err != nil {
+						t.Fatal(err)
+					}
+					gotTF, err := DecodeTFResponse(AppendTFResponse(nil, tf))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(gotTF.Values, tf.Values) {
+						t.Fatalf("term %d: TF reply round trip diverged", term)
+					}
+				}
+				if entries == 0 {
+					t.Fatal("degenerate: every RTK reply was empty")
+				}
+			})
 		}
 	}
 }
