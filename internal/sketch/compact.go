@@ -16,47 +16,93 @@ import (
 // keeps them like this and goes through a dense Table only to build, fold
 // or delete one (see Builder).
 //
-// A table is one slab of words laid out rank | marks | vals. Every row is
-// cut into groups of as many columns as a word has bits; marks holds one
-// word per group, bit b set iff the group's column b is non-zero (bits at
-// or beyond w stay clear); rank holds, for the same group, the number of
-// non-zero cells before it in row-major order; vals holds the non-zero
-// counters in that order. The cell at (row, col) is therefore found
-// (Lookup) without a search: its group's mark says whether it is stored, and rank
-// plus the marks below col's bit say where.
+// A table is one slab of 64-bit words laid out marks | rank | vals. marks
+// is the row-major bitstream of the z·w cells: bit p&63 of word p>>6 is
+// set iff cell p = row*w + col is non-zero (bits at or beyond z·w stay
+// clear). rank holds one uint32 per marks word, two to a slab word, the
+// even word's in the low half: the number of set bits before that word.
+// vals holds the non-zero counters in row-major order, packed low to high
+// at 1, 2, 4 or 8 bytes each — the narrowest width that holds every
+// counter of the table — and then one word more than they fill. The cell
+// at p is therefore found (Lookup) without a search: its mark says
+// whether it is stored, and its word's rank plus the marks below its bit
+// say where.
 //
-// The words are int16 — 2 bytes per non-zero cell plus 4 per 16 columns —
-// when every counter fits and there are at most 32767 non-zero cells to
-// rank; any other table takes int64 words (and groups of 64 columns) in
-// the same layout. Which one is decided from the table alone, and either
-// answers exactly what the dense table would.
+// A table at the benchmark geometry (z = 30, w = 200) takes 752 bytes of
+// marks, 376 of rank and, for a document's counts, a byte per non-zero
+// counter.
 //
 // The zero Compact holds no table. Compact values are safe for
 // concurrent reads.
 type Compact struct {
-	z, w   int
-	narrow []int16
-	wide   []int64
+	z, w int
+	slab []uint64
+	// width is log2 of the bytes each stored counter takes.
+	width uint
 }
 
-// compactWord is the element type of a Compact slab.
-type compactWord interface{ int16 | int64 }
+// markWords returns the number of marks words, and so of ranks, of a
+// table of cells cells.
+func markWords(cells int) int { return (cells + 63) >> 6 }
 
-// A word of 1<<shift bits marks a group of as many columns.
-const (
-	narrowShift = 4
-	wideShift   = 6
-)
+// valsAt returns where the counters begin in the slab of a table of m
+// marks words: after the marks and the ranks, two ranks to a word.
+func valsAt(m int) int { return m + (m+1)>>1 }
 
-// groups returns the number of column groups, and so of marks (and of
-// rank) words, per row.
-func groups(w int, shift uint) int { return (w + 1<<shift - 1) >> shift }
+// counter returns counter i of vals, packed at 1<<width bytes each: its
+// word shifted down to it, then up and back to extend its sign.
+func counter(vals []uint64, width uint, i int) int64 {
+	keep := (64 - 8<<width) & 63
+	return int64(vals[i<<width>>3]>>(uint(i)<<width&7<<3)<<keep) >> keep
+}
 
-// markBits returns the marks of word m as an unsigned bit set.
-func markBits[T compactWord](m T, shift uint) uint64 { return uint64(m) & (1<<(1<<shift) - 1) }
+// putCounter stores v as counter i of vals, which must still be zero
+// there.
+func putCounter(vals []uint64, width uint, i int, v int64) {
+	vals[i<<width>>3] |= uint64(v) & (^uint64(0) >> ((64 - 8<<width) & 63)) << (uint(i) << width & 7 << 3)
+}
+
+// newCompact lays out the slab of a z x w table whose non-zero cells are
+// set in marks and whose counters, folded to their magnitude (v ^ v>>63)
+// and ORed, make mag. The counters are then put in row-major order.
+func newCompact(z, w int, marks []uint64, mag uint64) Compact {
+	c := Compact{z: z, w: w}
+	for 8<<c.width <= bits.Len64(mag) { // one bit more for the sign
+		c.width++
+	}
+	n := 0
+	for _, set := range marks {
+		n += bits.OnesCount64(set)
+	}
+	m := len(marks)
+	// A word past the last counter's leaves the reads of Lookup in bounds.
+	c.slab = make([]uint64, valsAt(m)+n<<c.width>>3+1)
+	copy(c.slab, marks)
+	before := 0
+	for word, set := range marks {
+		c.slab[m+word>>1] |= uint64(before) << (uint(word) & 1 << 5)
+		before += bits.OnesCount64(set)
+	}
+	return c
+}
+
+// stored returns the number of non-zero cells: the last marks word's rank
+// plus its own marks.
+func (c Compact) stored() int {
+	m := markWords(c.z * c.w)
+	if m == 0 {
+		return 0
+	}
+	return c.rank(m-1) + bits.OnesCount64(c.slab[m-1])
+}
+
+// rank returns the number of non-zero cells before marks word word.
+func (c Compact) rank(word int) int {
+	return int(uint32(c.slab[markWords(c.z*c.w)+word>>1] >> (uint(word) & 1 << 5)))
+}
 
 // SizeBytes returns the in-memory size of the slab.
-func (c Compact) SizeBytes() int { return 2*len(c.narrow) + 8*len(c.wide) }
+func (c Compact) SizeBytes() int { return 8 * len(c.slab) }
 
 // CheckColumns reports the error Table.LookupColumns would for cols: one
 // column index per row, each below W.
@@ -78,59 +124,37 @@ func checkColumns(cols []uint32, z, w int) error {
 // C[a][cols[a]] of every row a — delivered as the protocol releases it:
 // out[a] is the counter as a float64 plus add, the owner's noise draw.
 // cols must have passed CheckColumns and out have a value per row.
+//
+// Whether a hashed column is stored is close to a coin toss, so the
+// answer is selected by arithmetic on the mark, not by a branch on it;
+// nothing loops, and the marks word, its rank and the one counter read
+// are at addresses that depend on no other cell, so a query's rows are
+// fetched side by side, like a dense table's cells. Every width is read
+// by the same shifts.
 func (c Compact) Lookup(cols []uint32, add float64, out []float64) {
-	if c.narrow != nil {
-		slabLookup(c.narrow, c.w, narrowShift, cols, add, out)
-	} else {
-		slabLookup(c.wide, c.w, wideShift, cols, add, out)
-	}
-}
-
-func slabLookup[T compactWord](s []T, w int, shift uint, cols []uint32, add float64, out []float64) {
-	perRow := groups(w, shift)
-	total := len(cols) * perRow
-	rank, marks, vals := s[:total], s[total:2*total], s[2*total:]
-	if len(vals) == 0 {
-		for a := range cols {
-			out[a] = add
-		}
-		return
-	}
+	m := markWords(c.z * c.w)
+	marks, rank, vals := c.slab[:m], c.slab[m:valsAt(m)], c.slab[valsAt(m):]
+	width := c.width & 3
+	keep := (64 - 8<<width) & 63
+	row := 0
 	for a, col := range cols {
-		out[a] = float64(groupCell(rank, marks, vals, shift, a*perRow+int(col>>shift), col&(1<<shift-1))) + add
+		p := row + int(col)
+		word, bit := p>>6, uint(p)&63
+		mark := marks[word]
+		i := uint(uint32(rank[word>>1]>>(uint(word)&1<<5))) + uint(bits.OnesCount64(mark&(1<<bit-1)))
+		v := vals[i<<width>>3] >> (i << width & 7 << 3)
+		out[a] = float64(int64(v<<keep)>>keep&-int64(mark>>bit&1)) + add
+		row += c.w
 	}
-}
-
-// groupCell returns the counter, one of the non-empty vals, at column bit
-// of group at. Whether a hashed column is stored is close to a coin toss,
-// so the answer is selected by arithmetic on the mark, not by a branch on
-// it; nothing loops, and the two words and one counter read are at
-// addresses that depend on no other cell, so a query's rows are fetched
-// side by side, like a dense table's cells.
-func groupCell[T compactWord](rank, marks, vals []T, shift uint, at int, bit uint32) int64 {
-	m := markBits(marks[at], shift)
-	i := int(rank[at]) + bits.OnesCount64(m&(1<<bit-1))
-	// An unmarked cell past the last stored one would index past vals.
-	return int64(vals[min(i, len(vals)-1)]) & -int64(m>>bit&1)
 }
 
 // AppendNonZero appends to dst the row-major position (row*w + col) of
 // every non-zero cell, ascending — the cells the marks name, found without
 // expanding the table.
 func (c Compact) AppendNonZero(dst []int) []int {
-	if c.narrow != nil {
-		return appendMarked(c.narrow, c.z, c.w, narrowShift, dst)
-	}
-	return appendMarked(c.wide, c.z, c.w, wideShift, dst)
-}
-
-func appendMarked[T compactWord](s []T, z, w int, shift uint, dst []int) []int {
-	perRow := groups(w, shift)
-	marks := s[z*perRow : 2*z*perRow]
-	for at, m := range marks {
-		base := at/perRow*w + at%perRow<<shift
-		for set := markBits(m, shift); set != 0; set &= set - 1 {
-			dst = append(dst, base+bits.TrailingZeros64(set))
+	for word, set := range c.slab[:markWords(c.z*c.w)] {
+		for ; set != 0; set &= set - 1 {
+			dst = append(dst, word<<6+bits.TrailingZeros64(set))
 		}
 	}
 	return dst
@@ -143,10 +167,7 @@ func appendMarked[T compactWord](s []T, z, w int, shift uint, dst []int) []int {
 // safe for concurrent use.
 type Builder struct {
 	dense *Table
-	// staging for Compact: the marks of every row in groups of 64 columns,
-	// and the non-zero counters in row-major order
-	marks []uint64
-	vals  []int64
+	marks []uint64 // staging for Compact
 }
 
 // NewBuilder creates a builder of kind tables over fam's geometry.
@@ -177,88 +198,85 @@ func (b *Builder) Expand(c Compact) (*Table, error) {
 		return nil, fmt.Errorf("%w: compact table is %dx%d, builder %dx%d", ErrIncompatible, c.z, c.w, t.Z(), t.W())
 	}
 	t.Reset()
-	if c.narrow != nil {
-		expandSlab(c.narrow, c.z, c.w, narrowShift, t.cells)
-	} else {
-		expandSlab(c.wide, c.z, c.w, wideShift, t.cells)
+	m := markWords(len(t.cells))
+	vals, i := c.slab[valsAt(m):], 0
+	for word, set := range c.slab[:m] {
+		for ; set != 0; set &= set - 1 {
+			t.cells[word<<6+bits.TrailingZeros64(set)] = counter(vals, c.width, i)
+			i++
+		}
 	}
 	return t, nil
 }
 
-func expandSlab[T compactWord](s []T, z, w int, shift uint, cells []int64) {
-	perRow := groups(w, shift)
-	marks, vals := s[z*perRow:2*z*perRow], s[2*z*perRow:]
-	i := 0
-	for a := 0; a < z; a++ {
-		row := cells[a*w : (a+1)*w]
-		for g, m := range marks[a*perRow : (a+1)*perRow] {
-			for set := markBits(m, shift); set != 0; set &= set - 1 {
-				row[g<<shift+bits.TrailingZeros64(set)] = int64(vals[i])
-				i++
-			}
-		}
-	}
-}
-
 // Compact returns the compact form of t (any table, not only the
-// builder's own). It is one pass over the cells without a branch on their
-// content — a document's non-zero cells are scattered, so a test per cell
-// would mispredict on every other one — into staging the builder reuses.
+// builder's own). The marks and the counters' width come from one pass
+// over the cells without a branch on their content — a document's
+// non-zero cells are scattered, so a test per cell would mispredict on
+// every other one; the counters are then copied from the cells the marks
+// name.
 //
 //csfltr:deterministic
 func (b *Builder) Compact(t *Table) Compact {
-	z, w := t.Z(), t.W()
-	perRow := groups(w, wideShift)
-	if len(b.vals) < len(t.cells) || len(b.marks) < z*perRow {
-		b.marks, b.vals = make([]uint64, z*perRow), make([]int64, len(t.cells))
+	m := markWords(len(t.cells))
+	if len(b.marks) < m {
+		b.marks = make([]uint64, m)
 	}
-	marks, vals := b.marks[:z*perRow], b.vals
-	n := 0
-	spill := uint64(0) // keeps bits above the 16th once a counter leaves the int16 range
-	for a := 0; a < z; a++ {
-		row := t.cells[a*w : (a+1)*w]
-		for g := 0; g < perRow; g++ {
-			m := uint64(0)
-			for bit, v := range row[g<<wideShift : min((g+1)<<wideShift, w)] {
-				// Every cell is staged at n; only a non-zero one advances it.
-				nonZero := (uint64(v) | uint64(-v)) >> 63
-				vals[n] = v
-				n += int(nonZero)
-				m |= nonZero << bit
-				spill |= uint64(v - math.MinInt16)
+	marks := b.marks[:m]
+	var mag uint64
+	for word := range marks {
+		set := uint64(0)
+		for bit, v := range t.cells[word<<6 : min((word+1)<<6, len(t.cells))] {
+			set |= (uint64(v) | uint64(-v)) >> 63 << (uint(bit) & 63)
+			mag |= uint64(v ^ v>>63)
+		}
+		marks[word] = set
+	}
+	c := newCompact(t.Z(), t.W(), marks, mag)
+	// The counters are gathered a word at a time: putCounter's
+	// read-modify-write per counter made a body's compaction a third
+	// slower.
+	vals, at := c.slab[valsAt(m):], 0
+	size := uint(8) << c.width
+	mask := ^uint64(0) >> ((64 - size) & 63)
+	acc, off := uint64(0), uint(0)
+	for word, set := range marks {
+		for ; set != 0; set &= set - 1 {
+			acc |= uint64(t.cells[word<<6+bits.TrailingZeros64(set)]) & mask << off
+			if off = (off + size) & 63; off == 0 {
+				vals[at], at, acc = acc, at+1, 0
 			}
-			marks[a*perRow+g] = m
 		}
 	}
-	c := Compact{z: z, w: w}
-	if n <= math.MaxInt16 && spill>>16 == 0 {
-		c.narrow = packSlab[int16](marks, vals[:n], z, w, narrowShift)
-	} else {
-		c.wide = packSlab[int64](marks, vals[:n], z, w, wideShift)
-	}
+	vals[at] = acc
 	return c
 }
 
-// packSlab lays out the slab of a z x w table from its staged marks (in
-// groups of 64 columns) and non-zero counters.
-func packSlab[T compactWord](marks []uint64, vals []int64, z, w int, shift uint) []T {
-	perRow, staged := groups(w, shift), groups(w, wideShift)
-	total := z * perRow
-	s := make([]T, 2*total+len(vals))
-	before := 0
-	for a := 0; a < z; a++ {
-		for g := 0; g < perRow; g++ {
-			col := g << shift
-			m := T(marks[a*staged+col>>wideShift] >> (col & (1<<wideShift - 1)))
-			s[a*perRow+g], s[total+a*perRow+g] = T(before), m
-			before += bits.OnesCount64(markBits(m, shift))
-		}
-	}
-	for i, v := range vals {
-		s[2*total+i] = T(v)
-	}
-	return s
-}
+// Version 2 of the owner snapshot stores a table as words of one size,
+// laid out rank | marks | vals. Every row is cut into groups of as many
+// columns as a word has bits; marks holds one word per group, bit b set
+// iff the group's column b is non-zero (bits at or beyond w stay clear);
+// rank holds, for the same group, the number of non-zero cells before it
+// in row-major order; vals holds the non-zero counters in that order. The
+// words are int16 (groups of 16 columns) when every counter fits and
+// there are at most 32767 non-zero cells to rank, int64 (groups of 64)
+// otherwise.
+
+// compactWord is the element type of a version-2 slab.
+type compactWord interface{ int16 | int64 }
+
+// A version-2 word of 1<<shift bits marks a group of as many columns.
+const (
+	narrowShift = 4
+	wideShift   = 6
+)
+
+// groups returns the number of column groups, and so of marks (and of
+// rank) words, per row.
+func groups(w int, shift uint) int { return (w + 1<<shift - 1) >> shift }
+
+// markBits returns the marks of word m as an unsigned bit set.
+func markBits[T compactWord](m T, shift uint) uint64 { return uint64(m) & (1<<(1<<shift) - 1) }
 
 // Encoding tags of a serialized Compact: the word size of its slab.
 const (
@@ -266,30 +284,64 @@ const (
 	compactWide   = byte(8)
 )
 
+// narrow reports whether the version-2 words of a table of n non-zero
+// cells are int16.
+func (c Compact) narrow(n int) bool { return c.width <= 1 && n <= math.MaxInt16 }
+
 // AppendBinary appends the serialized table to dst: the encoding tag,
-// then the slab's words little-endian. Geometry is not included — a
-// compact table is stored inside something that already states it (the
-// owner snapshot).
+// then the version-2 slab's words little-endian. Geometry is not included
+// — a compact table is stored inside something that already states it
+// (the owner snapshot).
 func (c Compact) AppendBinary(dst []byte) []byte {
-	if c.narrow != nil {
-		dst = append(dst, compactNarrow)
-		for _, v := range c.narrow {
-			dst = binary.LittleEndian.AppendUint16(dst, uint16(v))
-		}
-		return dst
+	n := c.stored()
+	shift, tag := uint(wideShift), compactWide
+	if c.narrow(n) {
+		shift, tag = narrowShift, compactNarrow
 	}
-	dst = append(dst, compactWide)
-	for _, v := range c.wide {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(v))
+	dst = append(dst, tag)
+	put := func(v uint64) {
+		if tag == compactNarrow {
+			dst = binary.LittleEndian.AppendUint16(dst, uint16(v))
+		} else {
+			dst = binary.LittleEndian.AppendUint64(dst, v)
+		}
+	}
+	m := markWords(c.z * c.w)
+	marks, perRow := c.slab[:m], groups(c.w, shift)
+	for a := 0; a < c.z; a++ {
+		for g := 0; g < perRow; g++ {
+			p := a*c.w + g<<shift
+			put(uint64(c.rank(p>>6) + bits.OnesCount64(marks[p>>6]&(1<<(p&63)-1))))
+		}
+	}
+	for a := 0; a < c.z; a++ {
+		for g := 0; g < perRow; g++ {
+			put(bitsAt(marks, a*c.w+g<<shift, min(1<<shift, c.w-g<<shift)))
+		}
+	}
+	vals := c.slab[valsAt(m):]
+	for i := 0; i < n; i++ {
+		put(uint64(counter(vals, c.width, i)))
 	}
 	return dst
 }
 
+// bitsAt returns the k <= 64 bits of the bitstream marks from bit p on.
+func bitsAt(marks []uint64, p, k int) uint64 {
+	word, off := p>>6, uint(p)&63
+	set := marks[word] >> off
+	if off != 0 && word+1 < len(marks) {
+		set |= marks[word+1] << (64 - off)
+	}
+	return set & (1<<uint(k) - 1)
+}
+
 // UnmarshalCompact reconstructs a z x w table serialized by AppendBinary,
-// rejecting with ErrCorrupt anything Builder.Compact could not have laid
-// out: a slab shorter than the geometry's rank and marks, a rank that is
-// not the count of the marks before it, a mark at or beyond column w,
-// counters that are not one per mark, a stored zero.
+// rejecting with ErrCorrupt anything AppendBinary could not have written:
+// a slab shorter than the geometry's rank and marks, a rank that is not
+// the count of the marks before it, a mark at or beyond column w,
+// counters that are not one per mark, a stored zero, int64 words for a
+// table int16 words hold.
 func UnmarshalCompact(z, w int, data []byte) (Compact, error) {
 	if z <= 0 || w <= 1 || len(data) == 0 {
 		return Compact{}, fmt.Errorf("%w: empty compact table", ErrCorrupt)
@@ -307,25 +359,55 @@ func UnmarshalCompact(z, w int, data []byte) (Compact, error) {
 	if len(body)%int(tag) != 0 || words < 2*z*groups(w, shift) {
 		return Compact{}, fmt.Errorf("%w: compact table of %d bytes for a %dx%d sketch", ErrCorrupt, len(body), z, w)
 	}
-	c := Compact{z: z, w: w}
-	var err error
+	var c Compact
 	if tag == compactNarrow {
-		c.narrow = make([]int16, words)
-		for i := range c.narrow {
-			c.narrow[i] = int16(binary.LittleEndian.Uint16(body[2*i:]))
+		s := make([]int16, words)
+		for i := range s {
+			s[i] = int16(binary.LittleEndian.Uint16(body[2*i:]))
 		}
-		err = checkSlab(c.narrow, z, w, shift)
+		if err := checkSlab(s, z, w, shift); err != nil {
+			return Compact{}, err
+		}
+		c = fromVersion2(s, z, w, shift)
 	} else {
-		c.wide = make([]int64, words)
-		for i := range c.wide {
-			c.wide[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
+		s := make([]int64, words)
+		for i := range s {
+			s[i] = int64(binary.LittleEndian.Uint64(body[8*i:]))
 		}
-		err = checkSlab(c.wide, z, w, shift)
-	}
-	if err != nil {
-		return Compact{}, err
+		if err := checkSlab(s, z, w, shift); err != nil {
+			return Compact{}, err
+		}
+		c = fromVersion2(s, z, w, shift)
+		if c.narrow(c.stored()) {
+			return Compact{}, fmt.Errorf("%w: a table int16 words hold is stored in int64 words", ErrCorrupt)
+		}
 	}
 	return c, nil
+}
+
+// fromVersion2 converts a version-2 slab that passed checkSlab.
+func fromVersion2[T compactWord](s []T, z, w int, shift uint) Compact {
+	perRow := groups(w, shift)
+	total := z * perRow
+	marks := make([]uint64, markWords(z*w))
+	for at, m := range s[total : 2*total] {
+		base := at/perRow*w + at%perRow<<shift
+		for set := markBits(m, shift); set != 0; set &= set - 1 {
+			p := base + bits.TrailingZeros64(set)
+			marks[p>>6] |= 1 << (p & 63)
+		}
+	}
+	vals := s[2*total:]
+	var mag uint64
+	for _, v := range vals {
+		mag |= uint64(int64(v) ^ int64(v)>>63)
+	}
+	c := newCompact(z, w, marks, mag)
+	packed := c.slab[valsAt(len(marks)):]
+	for i, v := range vals {
+		putCounter(packed, c.width, i, int64(v))
+	}
+	return c
 }
 
 func checkSlab[T compactWord](s []T, z, w int, shift uint) error {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -50,6 +51,18 @@ func checkLookups(t *testing.T, c Compact, dense *Table) {
 	}
 }
 
+// counterBytes returns the narrowest of 1, 2, 4 and 8 bytes that holds
+// every counter of dense.
+func counterBytes(dense *Table) int {
+	width := 1
+	for _, v := range dense.cells {
+		for v < -1<<(8*width-1) || v > 1<<(8*width-1)-1 {
+			width *= 2
+		}
+	}
+	return width
+}
+
 // checkCompactMatchesDense holds c against the dense table it was
 // compacted from: every cell, the column checks, the expansion and the
 // serialized round trip.
@@ -71,12 +84,14 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 	if got := c.AppendNonZero([]int{-1}); !slices.Equal(got[1:], cells) || got[0] != -1 {
 		t.Fatalf("AppendNonZero names cells %v, the dense table %v", got, cells)
 	}
-	// A rank and a marks word per group of columns, a word per counter.
-	want := 8 * (2*z*((w+63)/64) + nonZero)
-	if c.narrow != nil {
-		want = 2 * (2*z*((w+15)/16) + nonZero)
+	// A marks word per 64 cells, a rank per marks word, two to a word,
+	// and the counters at the narrowest width that holds them all.
+	width := counterBytes(dense)
+	if 1<<c.width != width {
+		t.Fatalf("counters stored at %d bytes, want %d", 1<<c.width, width)
 	}
-	if c.SizeBytes() != want {
+	m := (z*w + 63) / 64
+	if want := 8 * (m + (m+1)/2 + nonZero*width/8 + 1); c.SizeBytes() != want {
 		t.Fatalf("%d non-zero cells in %d bytes, want %d", nonZero, c.SizeBytes(), want)
 	}
 
@@ -104,9 +119,15 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 		}
 	}
 
+	// Version 2: the tag, then a rank and a marks word per group of
+	// columns of each row and a word per counter.
 	data := c.AppendBinary(nil)
-	if want := 1 + c.SizeBytes(); len(data) != want {
-		t.Fatalf("serialized to %d bytes, want %d", len(data), want)
+	word, shift := 8, 64
+	if width <= 2 && nonZero <= 32767 {
+		word, shift = 2, 16
+	}
+	if want := 1 + word*(2*z*((w+shift-1)/shift)+nonZero); len(data) != want || int(data[0]) != word {
+		t.Fatalf("serialized to %d bytes, tag %d; want %d, tag %d", len(data), data[0], want, word)
 	}
 	loaded, err := UnmarshalCompact(z, w, data)
 	if err != nil {
@@ -128,19 +149,20 @@ func TestCompactMatchesDense(t *testing.T) {
 	cases := []struct {
 		name   string
 		z, w   int
+		width  int // bytes per stored counter
 		narrow bool
 		fill   func(*Table)
 	}{
-		{"empty", 5, 16, true, func(*Table) {}},
-		{"body", 30, 200, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 120, 4)) }},
-		{"title", 30, 200, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 10, 2)) }},
-		{"full rows", 4, 8, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 400, 9)) }},
-		{"negative counts", 9, 64, true, func(tab *Table) {
+		{"empty", 5, 16, 1, true, func(*Table) {}},
+		{"body", 30, 200, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 120, 4)) }},
+		{"title", 30, 200, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 10, 2)) }},
+		{"full rows", 4, 8, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 100, 3)) }},
+		{"negative counts", 9, 64, 1, true, func(tab *Table) {
 			for term, c := range randomCounts(rng, 40, 5) {
 				tab.Add(term, -c)
 			}
 		}},
-		{"cancelled to zero", 9, 64, true, func(tab *Table) {
+		{"cancelled to zero", 9, 64, 1, true, func(tab *Table) {
 			gone := randomCounts(rng, 30, 5)
 			tab.AddCounts(gone)
 			tab.AddCounts(randomCounts(rng, 5, 3))
@@ -149,19 +171,39 @@ func TestCompactMatchesDense(t *testing.T) {
 			}
 		}},
 		// Counters set directly: Count Sketch's sign hash would flip them.
-		{"narrow extremes", 3, 16, true, func(tab *Table) { tab.cells[5], tab.cells[40] = 32767, -32768 }},
-		{"counter above int16", 3, 16, false, func(tab *Table) { tab.cells[5], tab.cells[40] = 32768, 3 }},
-		{"counter below int16", 3, 16, false, func(tab *Table) { tab.cells[5], tab.cells[40] = 3, -32769 }},
-		{"counter beyond int32", 3, 16, false, func(tab *Table) { tab.cells[47] = -1 << 40 }},
-		{"one group", 3, 16, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 6, 3)) }},
-		{"one column over a group", 3, 17, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 40, 3)) }},
-		{"w = 64", 5, 64, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 200, 3)) }},
-		{"w = 65, wide", 5, 65, false, func(tab *Table) { tab.AddCounts(randomCounts(rng, 200, 3)); tab.cells[64] = 1 << 20 }},
-		{"w > 65536", 3, 70000, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 300, 3)) }},
-		{"w > 65536, wide", 3, 70000, false, func(tab *Table) { tab.AddCounts(randomCounts(rng, 300, 3)); tab.cells[69999] = -1 << 33 }},
-		{"z > 64", 70, 64, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 20, 3)) }},
-		{"most cells the narrow rank counts", 40, 1000, true, func(tab *Table) { fillCells(tab, 32767) }},
-		{"too many cells", 40, 1000, false, func(tab *Table) { fillCells(tab, 32768) }},
+		{"narrow extremes", 3, 16, 2, true, func(tab *Table) { tab.cells[5], tab.cells[40] = 32767, -32768 }},
+		{"counter above int16", 3, 16, 4, false, func(tab *Table) { tab.cells[5], tab.cells[40] = 32768, 3 }},
+		{"counter below int16", 3, 16, 4, false, func(tab *Table) { tab.cells[5], tab.cells[40] = 3, -32769 }},
+		{"counter beyond int32", 3, 16, 8, false, func(tab *Table) { tab.cells[47] = -1 << 40 }},
+		{"one group", 3, 16, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 6, 3)) }},
+		{"one column over a group", 3, 17, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 40, 3)) }},
+		{"w = 64", 5, 64, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 200, 3)) }},
+		{"w = 65, wide", 5, 65, 4, false, func(tab *Table) { tab.AddCounts(randomCounts(rng, 200, 3)); tab.cells[64] = 1 << 20 }},
+		{"w > 65536", 3, 70000, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 300, 3)) }},
+		{"w > 65536, wide", 3, 70000, 8, false, func(tab *Table) { tab.AddCounts(randomCounts(rng, 300, 3)); tab.cells[69999] = -1 << 33 }},
+		{"z > 64", 70, 64, 1, true, func(tab *Table) { tab.AddCounts(randomCounts(rng, 20, 3)) }},
+		// Each side of every counter width.
+		{"byte extremes", 3, 16, 1, true, func(tab *Table) { tab.cells[5], tab.cells[40] = 127, -128 }},
+		{"counter above a byte", 3, 16, 2, true, func(tab *Table) { tab.cells[5], tab.cells[40] = 128, -3 }},
+		{"counter below a byte", 3, 16, 2, true, func(tab *Table) { tab.cells[5], tab.cells[40] = 3, -129 }},
+		{"int32 extremes", 3, 16, 4, false, func(tab *Table) { tab.cells[5], tab.cells[40] = math.MaxInt32, math.MinInt32 }},
+		{"counter above int32", 3, 16, 8, false, func(tab *Table) { tab.cells[5], tab.cells[40] = math.MaxInt32+1, 3 }},
+		{"counter below int32", 3, 16, 8, false, func(tab *Table) { tab.cells[5], tab.cells[40] = 3, math.MinInt32-1 }},
+		{"int64 extremes", 3, 16, 8, false, func(tab *Table) { tab.cells[0], tab.cells[47] = math.MaxInt64, math.MinInt64 }},
+		// z·w = 250: rows 1 and 3 cross a marks word, the last word is
+		// part full, and cells sit on each side of every crossing.
+		{"rows across words", 5, 50, 1, true, func(tab *Table) {
+			for _, i := range []int{0, 49, 50, 63, 64, 99, 127, 128, 191, 192, 200, 249} {
+				tab.cells[i] = int64(1 + i%7)
+			}
+		}},
+		{"rows across words, two bytes", 5, 50, 2, true, func(tab *Table) {
+			for _, i := range []int{0, 63, 64, 128, 149, 150, 249} {
+				tab.cells[i] = int64(i*200 - 20000)
+			}
+		}},
+		{"most cells the narrow rank counts", 40, 1000, 1, true, func(tab *Table) { fillCells(tab, 32767) }},
+		{"too many cells", 40, 1000, 1, false, func(tab *Table) { fillCells(tab, 32768) }},
 	}
 	for _, kind := range []Kind{Count, CountMin} {
 		for _, tc := range cases {
@@ -174,8 +216,11 @@ func TestCompactMatchesDense(t *testing.T) {
 					t.Fatal(err)
 				}
 				c := b.Compact(dense)
-				if got := c.narrow != nil; got != tc.narrow {
-					t.Fatalf("narrow encoding = %v, want %v", got, tc.narrow)
+				if 1<<c.width != tc.width {
+					t.Fatalf("counters stored at %d bytes, want %d", 1<<c.width, tc.width)
+				}
+				if got := c.AppendBinary(nil)[0] == compactNarrow; got != tc.narrow {
+					t.Fatalf("version-2 narrow encoding = %v, want %v", got, tc.narrow)
 				}
 				checkCompactMatchesDense(t, c, dense)
 			})
@@ -242,11 +287,10 @@ func TestUnmarshalCompactCorrupt(t *testing.T) {
 		if wide {
 			dense.cells[2*w+17] = 1 << 40
 		}
-		c := b.Compact(dense)
-		if (c.wide != nil) != wide {
-			t.Fatalf("wide = %v, want %v", c.wide != nil, wide)
+		good := b.Compact(dense).AppendBinary(nil)
+		if (good[0] == compactWide) != wide {
+			t.Fatalf("wide = %v, want %v", good[0] == compactWide, wide)
 		}
-		good := c.AppendBinary(nil)
 		if _, err := UnmarshalCompact(z, w, good); err != nil {
 			t.Fatalf("wide=%v: the valid slab is rejected: %v", wide, err)
 		}
@@ -279,6 +323,8 @@ func TestUnmarshalCompactCorrupt(t *testing.T) {
 			bad["mark beyond w"] = mutate(marks+1, 16) // row 0, column 16+4 = 20
 		} else {
 			bad["mark beyond w"] = append(append([]byte(nil), good[:1+word*marks+2]...), append([]byte{good[1+word*marks+2] | 0x10}, good[1+word*marks+3:]...)...) // row 0, column 20
+			// The 1<<40 back to 7: every counter fits int16 words.
+			bad["int64 words for an int16 table"] = append(append([]byte(nil), good[:len(good)-word]...), 7, 0, 0, 0, 0, 0, 0, 0)
 		}
 		for name, data := range bad {
 			if _, err := UnmarshalCompact(z, w, data); !errors.Is(err, ErrCorrupt) {

@@ -61,9 +61,8 @@ func mustMarshal(t *testing.T, tab *Table) []byte {
 // FuzzUnmarshalCompact hardens the compact-table deserializer: arbitrary
 // bytes never panic, and an accepted slab is one Builder.Compact could
 // have laid out — it expands, answers every cell the expansion holds,
-// stores exactly the non-zero ones, and (unless it took the wide encoding
-// for a table the narrow one fits) is byte for byte what the expansion
-// compacts to.
+// stores exactly the non-zero ones at the narrowest counter width, and is
+// byte for byte what the expansion compacts to.
 func FuzzUnmarshalCompact(f *testing.F) {
 	const z, w = 3, 16
 	fam, err := hashutil.NewFamily(hashutil.KindPolynomial, z, w, 7)
@@ -74,12 +73,15 @@ func FuzzUnmarshalCompact(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	narrow := b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 3, 9: 1})).AppendBinary(nil)
-	f.Add(narrow)
+	// A seed at each counter width: 1, 2, 4 and 8 bytes.
+	oneByte := b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 3, 9: 1})).AppendBinary(nil)
+	f.Add(oneByte)
+	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1000})).AppendBinary(nil))
 	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 20})).AppendBinary(nil))
+	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 40})).AppendBinary(nil))
 	f.Add(b.Compact(b.Sketch(nil)).AppendBinary(nil))
 	f.Add([]byte{})
-	f.Add(narrow[:len(narrow)-3])
+	f.Add(oneByte[:len(oneByte)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		c, err := UnmarshalCompact(z, w, data)
 		if err != nil {
@@ -99,13 +101,15 @@ func FuzzUnmarshalCompact(f *testing.F) {
 				stored++
 			}
 		}
-		if want := int(data[0]) * (2*z + stored); c.SizeBytes() != want { // one group of columns a row
-			t.Fatalf("%d non-zero cells in %d bytes, want %d", stored, c.SizeBytes(), want)
+		// One marks word and one rank word for the 48 cells.
+		width := counterBytes(dense)
+		if want := 8 * (2 + stored*width/8 + 1); 1<<c.width != width || c.SizeBytes() != want {
+			t.Fatalf("%d non-zero cells at %d bytes each in %d bytes, want %d at %d", stored, 1<<c.width, c.SizeBytes(), want, width)
 		}
 		if !bytes.Equal(c.AppendBinary(nil), data) {
 			t.Fatal("accepted bytes do not re-serialize to themselves")
 		}
-		if again := b.Compact(dense); (again.narrow != nil) == (c.narrow != nil) && !bytes.Equal(again.AppendBinary(nil), data) {
+		if !bytes.Equal(b.Compact(dense).AppendBinary(nil), data) {
 			t.Fatal("accepted bytes are not what the table compacts to")
 		}
 	})
