@@ -175,11 +175,12 @@ analyze-fixtures:
 	$(GO) test -shuffle=on -short -run 'TestFixtures|TestFixtureHarness|TestParseAllow|TestReasonless' ./internal/analysis/
 
 # The three size figures the simplicity PRs report: Go lines outside
-# tests and benchmark/, test Go lines (benchmark/ excluded likewise) and
-# tracked files. Informational: CI prints it, nothing gates on it.
+# tests and benchmark/, test Go lines (_test.go files and testdata/
+# fixtures; benchmark/ excluded likewise) and tracked files.
+# Informational: CI prints it, nothing gates on it.
 loc:
-	@echo "go lines outside tests and benchmark/: $$(git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^benchmark/' | xargs cat | wc -l)"
-	@echo "test go lines:                         $$(git ls-files '*_test.go' | grep -v '^benchmark/' | xargs cat | wc -l)"
+	@echo "go lines outside tests and benchmark/: $$(git ls-files '*.go' | grep -v '^benchmark/' | grep -v -e '_test\.go$$' -e '/testdata/' | xargs cat | wc -l)"
+	@echo "test go lines:                         $$(git ls-files '*.go' | grep -v '^benchmark/' | grep -e '_test\.go$$' -e '/testdata/' | xargs cat | wc -l)"
 	@echo "tracked files:                         $$(git ls-files | wc -l)"
 
 clean:

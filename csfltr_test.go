@@ -10,8 +10,8 @@ import (
 func TestFacadeDocumentHelpers(t *testing.T) {
 	vocab := NewVocabulary()
 	d := NewDocument(vocab, 0, "Federated Ranking", "ranking documents across silos, federated ranking works")
-	if d.TitleLen() != 2 {
-		t.Fatalf("title len = %d", d.TitleLen())
+	if len(d.Title) != 2 {
+		t.Fatalf("title len = %d", len(d.Title))
 	}
 	if d.Len() != 7 {
 		t.Fatalf("body len = %d", d.Len())

@@ -75,7 +75,7 @@ func ExampleFederation_Search() {
 func ExampleNewDocument() {
 	vocab := csfltr.NewVocabulary()
 	doc := csfltr.NewDocument(vocab, 7, "A Title!", "Body text, body TEXT.")
-	fmt.Println(doc.TitleLen(), doc.Len())
+	fmt.Println(len(doc.Title), doc.Len())
 	id1, _ := vocab.Lookup("body")
 	id2, _ := vocab.Lookup("text")
 	fmt.Println(id1 != id2)

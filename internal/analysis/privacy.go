@@ -14,7 +14,7 @@ import (
 //     field tags, or named *Args/*Reply/*Request/*Response/*Message);
 //   - flowing into a marshal path (encoding/json, encoding/gob), a
 //     fmt/log formatting call, a telemetry label constructor, or a
-//     trace attribute constructor (AStr/AInt/AFloat/ABool), where it
+//     trace attribute constructor (AStr/AInt), where it
 //     would end up in process output, metric exposition, or the flight
 //     recorder's span trees and audit records.
 //
@@ -196,8 +196,7 @@ func sinkKind(fn *types.Func) string {
 		return "marshal call"
 	case isTelemetryPath(path) && (name == "L" || name == "Label"):
 		return "telemetry label"
-	case isTelemetryPath(path) && (name == "AStr" || name == "AInt" ||
-		name == "AFloat" || name == "ABool"):
+	case isTelemetryPath(path) && (name == "AStr" || name == "AInt"):
 		return "trace attribute"
 	case isWirePath(path) && (strings.HasPrefix(name, "Append") || name == "Pack"):
 		// The binary codec's encoders put their arguments on the

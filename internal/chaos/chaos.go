@@ -125,9 +125,6 @@ func New(seed uint64) *Injector {
 	}
 }
 
-// Seed returns the injector's seed.
-func (in *Injector) Seed() uint64 { return in.seed }
-
 // SetProfile installs (or replaces) one party's fault profile.
 func (in *Injector) SetProfile(party string, p Profile) {
 	in.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"sort"
 	"testing"
@@ -41,6 +42,29 @@ func newPair(t testing.TB, p Params, mech dp.Mechanism) (*Querier, *Owner) {
 		t.Fatal(err)
 	}
 	return q, o
+}
+
+// TestParamsWorkers: Parallelism resolves to a worker count clamped to
+// [1, n], with 0 standing for GOMAXPROCS.
+func TestParamsWorkers(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		parallelism, n, want int
+	}{
+		{3, 10, 3},
+		{3, 2, 2},
+		{3, 0, 1},
+		{-1, 1 << 20, procs},
+		{0, 1, 1},
+	} {
+		t.Run(fmt.Sprintf("parallelism=%d/n=%d", tc.parallelism, tc.n), func(t *testing.T) {
+			p := DefaultParams()
+			p.Parallelism = tc.parallelism
+			if got := p.Workers(tc.n); got != tc.want {
+				t.Fatalf("Workers(%d) = %d, want %d", tc.n, got, tc.want)
+			}
+		})
+	}
 }
 
 func TestParamsValidate(t *testing.T) {

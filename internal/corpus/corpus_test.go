@@ -70,8 +70,8 @@ func TestGenerateShape(t *testing.T) {
 			if d.ID != i {
 				t.Fatalf("doc ids must be dense local indexes, got %d at %d", d.ID, i)
 			}
-			if d.Len() != cfg.DocLen || d.TitleLen() != cfg.TitleLen {
-				t.Fatalf("doc lengths wrong: %d/%d", d.Len(), d.TitleLen())
+			if d.Len() != cfg.DocLen || len(d.Title) != cfg.TitleLen {
+				t.Fatalf("doc lengths wrong: %d/%d", d.Len(), len(d.Title))
 			}
 			if d.Topic < 0 || d.Topic >= cfg.NumTopics {
 				t.Fatalf("doc topic out of range: %d", d.Topic)

@@ -94,7 +94,7 @@ func TestReadDocsTSVEmptyTitle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(docs) != 1 || docs[0].TitleLen() != 0 || docs[0].Len() != 3 {
+	if len(docs) != 1 || len(docs[0].Title) != 0 || docs[0].Len() != 3 {
 		t.Fatalf("docs = %+v", docs[0])
 	}
 }

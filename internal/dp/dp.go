@@ -216,13 +216,6 @@ func (a *Accountant) Replayed(peer string) {
 	a.replays[peer]++
 }
 
-// Replays returns how many zero-spend replays were recorded for peer.
-func (a *Accountant) Replays(peer string) int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.replays[peer]
-}
-
 // PeerSpend is one peer's row in a Ledger snapshot.
 type PeerSpend struct {
 	Peer    string  `json:"peer"`
@@ -266,67 +259,4 @@ func (a *Accountant) Remaining(peer string) float64 {
 		r = 0
 	}
 	return r
-}
-
-// SequentialComposition returns the total epsilon of k sequential
-// eps-DP queries — the accounting rule the Accountant applies.
-func SequentialComposition(eps float64, k int) float64 {
-	if k <= 0 || eps <= 0 {
-		return 0
-	}
-	return float64(k) * eps
-}
-
-// AdvancedComposition returns the epsilon' such that k sequential eps-DP
-// mechanisms are (epsilon', delta)-DP under the advanced composition
-// theorem (Dwork, Rothblum, Vadhan):
-//
-//	eps' = eps*sqrt(2k ln(1/delta)) + k*eps*(e^eps - 1)
-//
-// For many small queries this is far tighter than k*eps; the protocol
-// layer can use it to budget long-running federations. Returns +Inf for
-// invalid inputs.
-func AdvancedComposition(eps, delta float64, k int) float64 {
-	if eps <= 0 || delta <= 0 || delta >= 1 || k <= 0 {
-		return math.Inf(1)
-	}
-	kf := float64(k)
-	return eps*math.Sqrt(2*kf*math.Log(1/delta)) + kf*eps*(math.Exp(eps)-1)
-}
-
-// QueriesWithinBudget returns the largest k such that k sequential
-// eps-DP queries stay within totalEps under advanced composition at the
-// given delta (simple binary search; 0 if even one query overruns).
-func QueriesWithinBudget(eps, delta, totalEps float64) int {
-	if eps <= 0 || totalEps <= 0 {
-		return 0
-	}
-	lo, hi := 0, 1
-	for AdvancedComposition(eps, delta, hi) <= totalEps {
-		hi *= 2
-		if hi > 1<<30 {
-			break
-		}
-	}
-	for lo < hi-1 {
-		mid := (lo + hi) / 2
-		if AdvancedComposition(eps, delta, mid) <= totalEps {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Peers returns the peers with recorded spending, sorted.
-func (a *Accountant) Peers() []string {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]string, 0, len(a.spent))
-	for p := range a.spent {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }

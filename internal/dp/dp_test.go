@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -240,9 +241,8 @@ func TestAccountant(t *testing.T) {
 	if err := a.Spend("partyC", 0.9); err != nil {
 		t.Fatal(err)
 	}
-	peers := a.Peers()
-	if len(peers) != 2 || peers[0] != "partyB" || peers[1] != "partyC" {
-		t.Fatalf("peers = %v", peers)
+	if l := a.Ledger(); len(l) != 2 || l[0].Peer != "partyB" || l[1].Peer != "partyC" {
+		t.Fatalf("ledger = %+v", l)
 	}
 	if err := a.Spend("partyC", -0.1); !errors.Is(err, ErrBadEpsilon) {
 		t.Fatal("negative spend should be rejected")
@@ -283,61 +283,31 @@ func TestAccountantConcurrent(t *testing.T) {
 	}
 }
 
-func TestSequentialComposition(t *testing.T) {
-	if got := SequentialComposition(0.5, 4); got != 2 {
-		t.Fatalf("SequentialComposition = %v", got)
+// TestAccountantLedger: the ledger lists every peer spent against or
+// replayed from, sorted, with its spend and its zero-spend replays.
+func TestAccountantLedger(t *testing.T) {
+	a := NewAccountant(1)
+	if l := a.Ledger(); len(l) != 0 {
+		t.Fatalf("fresh ledger = %+v", l)
 	}
-	if SequentialComposition(0.5, 0) != 0 || SequentialComposition(-1, 5) != 0 {
-		t.Fatal("degenerate inputs should give 0")
-	}
-}
-
-func TestAdvancedComposition(t *testing.T) {
-	// For many small queries, advanced composition beats sequential.
-	eps, delta := 0.1, 1e-6
-	k := 1000
-	adv := AdvancedComposition(eps, delta, k)
-	seq := SequentialComposition(eps, k)
-	if adv >= seq {
-		t.Fatalf("advanced (%v) should beat sequential (%v) at k=%d", adv, seq, k)
-	}
-	// Hand check: 0.1*sqrt(2*1000*ln(1e6)) + 1000*0.1*(e^0.1-1).
-	want := 0.1*math.Sqrt(2*1000*math.Log(1e6)) + 100*(math.Exp(0.1)-1)
-	if math.Abs(adv-want) > 1e-9 {
-		t.Fatalf("advanced = %v, want %v", adv, want)
-	}
-	// Invalid inputs.
-	for _, bad := range []float64{AdvancedComposition(0, delta, k),
-		AdvancedComposition(eps, 0, k), AdvancedComposition(eps, 1, k),
-		AdvancedComposition(eps, delta, 0)} {
-		if !math.IsInf(bad, 1) {
-			t.Fatalf("invalid input should give +Inf, got %v", bad)
+	for _, spend := range []struct {
+		peer string
+		eps  float64
+	}{{"C", 0.25}, {"A", 0.5}, {"C", 0.25}} {
+		if err := a.Spend(spend.peer, spend.eps); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-func TestQueriesWithinBudget(t *testing.T) {
-	eps, delta, total := 0.1, 1e-6, 10.0
-	k := QueriesWithinBudget(eps, delta, total)
-	if k <= 0 {
-		t.Fatal("budget should admit some queries")
+	a.Replayed("C")
+	a.Replayed("B") // replayed, never spent against
+	a.Replayed("C")
+	want := []PeerSpend{{"A", 0.5, 0}, {"B", 0, 1}, {"C", 0.5, 2}}
+	if got := a.Ledger(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("ledger = %+v, want %+v", got, want)
 	}
-	if AdvancedComposition(eps, delta, k) > total {
-		t.Fatalf("k=%d overruns the budget", k)
-	}
-	if AdvancedComposition(eps, delta, k+1) <= total {
-		t.Fatalf("k=%d is not maximal", k)
-	}
-	// More queries than naive k*eps would allow.
-	if k <= int(total/eps) {
-		t.Fatalf("advanced budget (%d) should exceed the naive %d", k, int(total/eps))
-	}
-	if QueriesWithinBudget(0, delta, total) != 0 || QueriesWithinBudget(eps, delta, 0) != 0 {
-		t.Fatal("degenerate inputs should give 0")
-	}
-	// Budget too small for even one query.
-	if QueriesWithinBudget(5, delta, 0.1) != 0 {
-		t.Fatal("tiny budget should admit zero queries")
+	// A replay spends nothing: the whole budget is still there.
+	if got := a.Remaining("B"); got != 1 {
+		t.Fatalf("Remaining(B) = %v after replays only, want 1", got)
 	}
 }
 

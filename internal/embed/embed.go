@@ -1,10 +1,10 @@
 // Package embed provides the 2-D embedding machinery behind the paper's
 // Fig. 5 ("we embed the points into 2D plane with TSNE"): a from-scratch
-// exact t-SNE, PCA (power iteration), and quantitative separability
-// probes. The paper's claim — "the boundary is still discernible after
-// applying Count sketch" — is visual; the probes (linear-probe accuracy,
-// centroid margin, silhouette) turn it into numbers the benchmark harness
-// can report and tests can assert on.
+// exact t-SNE and quantitative separability probes. The paper's claim —
+// "the boundary is still discernible after applying Count sketch" — is
+// visual; the probes (linear-probe accuracy, centroid margin, silhouette)
+// turn it into numbers the benchmark harness can report and tests can
+// assert on.
 package embed
 
 import (
@@ -58,134 +58,6 @@ func center(x [][]float64) [][]float64 {
 		}
 	}
 	return out
-}
-
-// PCA projects x onto its top dims principal components, computed with
-// power iteration plus deflation on the covariance matrix.
-func PCA(x [][]float64, dims int, seed int64) ([][]float64, error) {
-	n, d, err := validateMatrix(x)
-	if err != nil {
-		return nil, err
-	}
-	if dims <= 0 || dims > d {
-		return nil, fmt.Errorf("%w: dims=%d for %d-dimensional data", ErrBadConfig, dims, d)
-	}
-	c := center(x)
-	// Covariance matrix (d x d).
-	cov := make([][]float64, d)
-	for i := range cov {
-		cov[i] = make([]float64, d)
-	}
-	for _, row := range c {
-		for i := 0; i < d; i++ {
-			ri := row[i]
-			if ri == 0 {
-				continue
-			}
-			for j := i; j < d; j++ {
-				cov[i][j] += ri * row[j]
-			}
-		}
-	}
-	inv := 1 / float64(n)
-	for i := 0; i < d; i++ {
-		for j := i; j < d; j++ {
-			cov[i][j] *= inv
-			cov[j][i] = cov[i][j]
-		}
-	}
-	rng := rand.New(rand.NewSource(seed))
-	components := make([][]float64, 0, dims)
-	for k := 0; k < dims; k++ {
-		v := powerIteration(cov, rng)
-		components = append(components, v)
-		// Deflate: cov -= lambda * v v^T.
-		lambda := rayleigh(cov, v)
-		for i := 0; i < d; i++ {
-			for j := 0; j < d; j++ {
-				cov[i][j] -= lambda * v[i] * v[j]
-			}
-		}
-	}
-	out := make([][]float64, n)
-	for i, row := range c {
-		out[i] = make([]float64, dims)
-		for k, comp := range components {
-			s := 0.0
-			for j, v := range row {
-				s += v * comp[j]
-			}
-			out[i][k] = s
-		}
-	}
-	return out, nil
-}
-
-// powerIteration finds the dominant eigenvector of a symmetric matrix.
-func powerIteration(m [][]float64, rng *rand.Rand) []float64 {
-	d := len(m)
-	v := make([]float64, d)
-	for i := range v {
-		v[i] = rng.NormFloat64()
-	}
-	normalize(v)
-	next := make([]float64, d)
-	for iter := 0; iter < 200; iter++ {
-		for i := 0; i < d; i++ {
-			s := 0.0
-			for j := 0; j < d; j++ {
-				s += m[i][j] * v[j]
-			}
-			next[i] = s
-		}
-		if norm(next) < 1e-12 {
-			// Degenerate (zero matrix after deflation): return arbitrary
-			// unit vector.
-			return v
-		}
-		normalize(next)
-		delta := 0.0
-		for i := range v {
-			delta += math.Abs(next[i] - v[i])
-		}
-		copy(v, next)
-		if delta < 1e-10 {
-			break
-		}
-	}
-	return v
-}
-
-// rayleigh returns v^T M v for unit v.
-func rayleigh(m [][]float64, v []float64) float64 {
-	d := len(m)
-	s := 0.0
-	for i := 0; i < d; i++ {
-		row := 0.0
-		for j := 0; j < d; j++ {
-			row += m[i][j] * v[j]
-		}
-		s += v[i] * row
-	}
-	return s
-}
-
-func norm(v []float64) float64 {
-	s := 0.0
-	for _, x := range v {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
-func normalize(v []float64) {
-	n := norm(v)
-	if n == 0 {
-		return
-	}
-	for i := range v {
-		v[i] /= n
-	}
 }
 
 // TSNEConfig configures the exact t-SNE optimizer.

@@ -46,65 +46,6 @@ func TestValidateMatrix(t *testing.T) {
 	}
 }
 
-func TestPCARecoversDirection(t *testing.T) {
-	// Anisotropic cloud: variance 100 along (1,1)/sqrt2, variance 1
-	// orthogonally.
-	rng := rand.New(rand.NewSource(3))
-	n := 500
-	x := make([][]float64, n)
-	for i := range x {
-		a := rng.NormFloat64() * 10
-		b := rng.NormFloat64()
-		x[i] = []float64{a/math.Sqrt2 - b/math.Sqrt2, a/math.Sqrt2 + b/math.Sqrt2}
-	}
-	proj, err := PCA(x, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v0, v1 float64
-	for _, p := range proj {
-		v0 += p[0] * p[0]
-		v1 += p[1] * p[1]
-	}
-	v0 /= float64(n)
-	v1 /= float64(n)
-	if v0 < 80 || v0 > 120 {
-		t.Fatalf("first component variance %v, want ~100", v0)
-	}
-	if v1 < 0.5 || v1 > 2 {
-		t.Fatalf("second component variance %v, want ~1", v1)
-	}
-}
-
-func TestPCAValidation(t *testing.T) {
-	x := [][]float64{{1, 2}, {3, 4}}
-	if _, err := PCA(x, 0, 1); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("dims=0 should error")
-	}
-	if _, err := PCA(x, 3, 1); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("dims>d should error")
-	}
-	if _, err := PCA(nil, 1, 1); !errors.Is(err, ErrBadInput) {
-		t.Fatal("empty input should error")
-	}
-}
-
-func TestPCADegenerateData(t *testing.T) {
-	// All-identical points: projections must be finite (zeros).
-	x := [][]float64{{1, 1}, {1, 1}, {1, 1}}
-	proj, err := PCA(x, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range proj {
-		for _, v := range p {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatal("degenerate PCA produced non-finite output")
-			}
-		}
-	}
-}
-
 func TestTSNEConfigValidate(t *testing.T) {
 	if err := DefaultTSNEConfig().Validate(); err != nil {
 		t.Fatal(err)

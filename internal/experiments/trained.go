@@ -44,13 +44,6 @@ func TrainCSFLTR(p *Pipeline) (*TrainedModel, error) {
 	}, nil
 }
 
-// Score applies the trained model to a raw (unnormalized) feature
-// vector.
-func (t *TrainedModel) Score(raw []float64) float64 {
-	v := t.Norm.Apply(append([]float64(nil), raw...))
-	return t.Model.Score(v)
-}
-
 // WriteTo persists the model and its normalizer as one stream.
 func (t *TrainedModel) WriteTo(w io.Writer) (int64, error) {
 	n1, err := t.Model.WriteTo(w)

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 )
 
@@ -22,13 +23,9 @@ func TestTrainCSFLTRAndPersist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Same scores on arbitrary raw vectors.
-	raw := make([]float64, 16)
-	for i := range raw {
-		raw[i] = float64(i) * 0.5
-	}
-	if got, want := restored.Score(raw), trained.Score(raw); got != want {
-		t.Fatalf("restored model scores differently: %v vs %v", got, want)
+	// The same weights and the same normalizer.
+	if !reflect.DeepEqual(restored.Model, trained.Model) || !reflect.DeepEqual(restored.Norm, trained.Norm) {
+		t.Fatalf("restored model differs: %+v / %+v, want %+v / %+v", restored.Model, restored.Norm, trained.Model, trained.Norm)
 	}
 	// Evaluation against the same pipeline matches.
 	m1 := EvaluateTrained(trained, p)

@@ -45,19 +45,6 @@ const (
 	fieldFeatures // 8
 )
 
-// FeatureNames returns the 16 feature names in vector order.
-func FeatureNames() []string {
-	base := []string{"len", "tf", "idf", "tfidf", "bm25", "lmir.abs", "lmir.dir", "lmir.jm"}
-	out := make([]string, 0, Dim)
-	for _, f := range base {
-		out = append(out, "body."+f)
-	}
-	for _, f := range base {
-		out = append(out, "title."+f)
-	}
-	return out
-}
-
 // Errors returned by this package.
 var ErrBadParams = errors.New("features: invalid parameters")
 

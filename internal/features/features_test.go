@@ -9,16 +9,6 @@ import (
 	"csfltr/internal/textkit"
 )
 
-func TestFeatureNames(t *testing.T) {
-	names := FeatureNames()
-	if len(names) != Dim {
-		t.Fatalf("got %d names, want %d", len(names), Dim)
-	}
-	if names[0] != "body.len" || names[8] != "title.len" || names[4] != "body.bm25" {
-		t.Fatalf("unexpected layout: %v", names)
-	}
-}
-
 func TestParamsValidate(t *testing.T) {
 	if err := DefaultParams().Validate(); err != nil {
 		t.Fatal(err)

@@ -64,8 +64,6 @@ type AdmissionConfig struct {
 	MaxQueue int
 	// QueueTimeout sheds a queued request that could not start in time.
 	QueueTimeout time.Duration
-	// RetryAfter is the Retry-After hint stamped on 429 responses.
-	RetryAfter time.Duration
 }
 
 // withDefaults resolves zero fields.
@@ -78,9 +76,6 @@ func (c AdmissionConfig) withDefaults() AdmissionConfig {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = DefaultQueueTimeout
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = DefaultRetryAfter
 	}
 	return c
 }
@@ -123,16 +118,6 @@ func (s *Server) SetAdmission(cfg AdmissionConfig) {
 			telemetry.L("reason", shedCanceled)),
 	}
 	s.admission.Store(a)
-}
-
-// Admission returns the installed config and whether admission control
-// is active.
-func (s *Server) Admission() (AdmissionConfig, bool) {
-	a := s.admission.Load()
-	if a == nil {
-		return AdmissionConfig{}, false
-	}
-	return a.cfg, true
 }
 
 // admit tries to claim an execution slot, waiting in the bounded queue

@@ -69,7 +69,7 @@ func TestWarmSearchBitIdenticalZeroSpend(t *testing.T) {
 	if got := a.Accountant().Spent("C"); got != spentC {
 		t.Fatalf("warm search spent budget against C: %v -> %v", spentC, got)
 	}
-	if got := a.Accountant().Replays("B"); got != int64(len(terms)) {
+	if got := replaysOf(a.Accountant(), "B"); got != int64(len(terms)) {
 		t.Fatalf("Replays(B) = %d, want %d", got, len(terms))
 	}
 	st := fed.CacheStats()

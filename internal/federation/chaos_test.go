@@ -268,7 +268,7 @@ func TestDegradedSearchAvailabilityTable(t *testing.T) {
 		policy := fastPolicy()
 		policy.MaxAttempts = 3 // the default; with two, the 30% row loses both survivors in one search
 		fed.SetResiliencePolicy(policy)
-		in := fed.Server.Chaos()
+		in := fed.Server.chaosInj.Load()
 		in.SetProfile("P1", chaos.Profile{ErrorRate: rate})
 		in.SetProfile("P2", chaos.Profile{ErrorRate: rate})
 		rng := rand.New(rand.NewSource(11))
@@ -318,7 +318,7 @@ func TestSearchQuorumLost(t *testing.T) {
 	p := chaosSearchParams()
 	p.MinParties = 3
 	fed := chaosFedUnderTest(t, p, 123)
-	in := fed.Server.Chaos()
+	in := fed.Server.chaosInj.Load()
 	in.SetProfile("P1", chaos.Profile{Partitioned: true})
 	in.SetProfile("P2", chaos.Profile{Down: true})
 	res, err := fed.Search("Q", []uint64{5, 42}, 5)

@@ -13,6 +13,7 @@ import (
 
 	"csfltr/internal/chaos"
 	"csfltr/internal/core"
+	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
 )
 
@@ -36,9 +37,19 @@ func ledgerOf(t *testing.T, fed *Federation, from string) string {
 	out := ""
 	for _, p := range fed.Parties {
 		out += fmt.Sprintf("%s: spent %v replayed %d; ", p.Name,
-			src.Accountant().Spent(p.Name), src.Accountant().Replays(p.Name))
+			src.Accountant().Spent(p.Name), replaysOf(src.Accountant(), p.Name))
 	}
 	return out
+}
+
+// replaysOf returns the zero-spend replays acc's ledger records for peer.
+func replaysOf(acc *dp.Accountant, peer string) int64 {
+	for _, row := range acc.Ledger() {
+		if row.Peer == peer {
+			return row.Replays
+		}
+	}
+	return 0
 }
 
 // singleExchanges answers searches the way they were sent before a
@@ -162,7 +173,7 @@ func TestSearchEqualsSingleExchanges(t *testing.T) {
 			}
 			if tc.cacheBytes > 0 {
 				a, _ := batched.Party("A")
-				if a.Accountant().Replays("B") != 1 {
+				if replaysOf(a.Accountant(), "B") != 1 {
 					t.Fatalf("the repeated term was not replayed from the task tier: %s", ledgerOf(t, batched, "A"))
 				}
 			}
@@ -329,7 +340,7 @@ func TestChaosExchangeFaultIsPerExchange(t *testing.T) {
 	policy := fastPolicy()
 	policy.MaxAttempts, policy.FailureThreshold = 1, 1000
 	fed.SetResiliencePolicy(policy)
-	in := fed.Server.Chaos()
+	in := fed.Server.chaosInj.Load()
 	in.SetProfile("P0", chaos.Profile{})
 	in.SetProfile("P1", chaos.Profile{ErrorRate: 0.5})
 	failed, ok := 0, 0

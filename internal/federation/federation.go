@@ -284,9 +284,6 @@ func (s *Server) SetChaos(in *chaos.Injector) {
 	s.chaosInj.Store(in)
 }
 
-// Chaos returns the installed injector (nil if none).
-func (s *Server) Chaos() *chaos.Injector { return s.chaosInj.Load() }
-
 // SetWireCodec switches the transport byte accounting between the
 // fixed-width raw sizes (false, the default) and the compact binary
 // wire frames (true). Concurrency-safe; takes effect on the next
@@ -686,10 +683,6 @@ type PartyConfig struct {
 	// Budget is the optional per-peer DP budget for the accountant
 	// (0 = track only).
 	Budget float64
-	// DropDocTables mirrors core.WithoutDocTables on every owner of the
-	// party: per-document sketches are not retained, so TF queries and
-	// the NAIVE baseline are unavailable. The zero value keeps them.
-	DropDocTables bool
 }
 
 // NewParty builds a party endpoint.
@@ -719,10 +712,9 @@ func NewParty(name string, cfg PartyConfig) (*Party, error) {
 		timed := &timedMechanism{inner: mech}
 		p.mechs[f] = timed
 		p.groups[f], err = shard.New(shard.Config{
-			Params:        cfg.Params,
-			Seed:          cfg.Seed,
-			Mech:          timed,
-			DropDocTables: cfg.DropDocTables,
+			Params: cfg.Params,
+			Seed:   cfg.Seed,
+			Mech:   timed,
 		})
 		if err != nil {
 			return nil, err

@@ -168,9 +168,9 @@ func FuzzHTTPWireBody(f *testing.F) {
 	}
 	for mode, frame := range [][]byte{
 		0: encodeWireTFRequest(0, cols),
-		1: wire.AppendTFQuery(nil, query),
+		1: wire.AppendTFQueries(nil, []*core.TFQuery{query}),
 		2: encodeWireTFRequest(1, cols),
-		3: wire.AppendTFQuery(nil, query),
+		3: wire.AppendTFQueries(nil, []*core.TFQuery{query}),
 		4: wire.AppendTFResponse(nil, tf),
 		5: v2,
 	} {
@@ -193,14 +193,14 @@ func FuzzHTTPWireBody(f *testing.F) {
 		f.Add(mode, queries)
 		f.Add(mode, queries[:len(queries)-2])
 		f.Add(mode, append(bytes.Clone(queries), 0))
-		f.Add(mode, bytes.Repeat(wire.AppendTFQuery(nil, query), core.MaxRTKBatch+1))
+		f.Add(mode, bytes.Repeat(wire.AppendTFQueries(nil, []*core.TFQuery{query}), core.MaxRTKBatch+1))
 	}
 	f.Add(uint8(6), replies)
 	f.Add(uint8(6), replies[:len(replies)-2])
 	f.Add(uint8(6), append(bytes.Clone(replies), 0))
 	f.Add(uint8(6), v2)
 	f.Add(uint8(0), encodeWireTFRequest(-1, cols))
-	f.Add(uint8(1), wire.AppendTFQuery(nil, &core.TFQuery{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}))
+	f.Add(uint8(1), wire.AppendTFQueries(nil, []*core.TFQuery{{Cols: []uint32{1 << 30, 2, 3, 4, 5, 6, 7, 8, 9}}}))
 	f.Add(uint8(1), []byte{})
 	f.Add(uint8(4), []byte{0xff, 0xff, 0xff, 0xff})
 

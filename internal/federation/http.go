@@ -224,7 +224,7 @@ func HTTPHandler(s *Server) http.Handler {
 			release, ok, reason := a.admit(r.Context())
 			if !ok {
 				w.Header().Set("Retry-After",
-					strconv.Itoa(int((a.cfg.RetryAfter+time.Second-1)/time.Second)))
+					strconv.Itoa(int((DefaultRetryAfter+time.Second-1)/time.Second)))
 				writeError(w, r, http.StatusTooManyRequests, "federation: overloaded: "+reason)
 				return
 			}

@@ -142,9 +142,6 @@ const (
 	StageSecAggRecover   = "recover"
 )
 
-// SecAggStages lists the secure-aggregation stages in execution order.
-var SecAggStages = []string{StageSecAggMask, StageSecAggAggregate, StageSecAggRecover}
-
 // Query pipeline stage label values.
 const (
 	StageTFQuery  = "tf_query"

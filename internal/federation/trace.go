@@ -140,49 +140,38 @@ func (l *auditLog) byTrace(id string) (AuditRecord, bool) {
 	return AuditRecord{}, false
 }
 
+// The flight recorder's bounds: each ring keeps its newest entries.
+const (
+	maxTraces        = 256  // retained traces
+	maxSpansPerTrace = 512  // spans per trace; the excess is dropped
+	auditCapacity    = 1024 // audit records
+	slowLogCapacity  = 64   // slow-query log entries
+)
+
 // TraceConfig configures the flight recorder (Server.EnableTracing).
-// The zero value selects every default.
+// The zero value leaves the event log off.
 type TraceConfig struct {
-	// MaxTraces bounds retained traces (default 256, oldest evicted).
-	MaxTraces int
-	// MaxSpansPerTrace bounds each trace's spans (default 512).
-	MaxSpansPerTrace int
-	// AuditCapacity sizes the audit ring (default 1024).
-	AuditCapacity int
 	// EventCapacity, when positive, also enables the registry's
 	// structured event log at that capacity.
 	EventCapacity int
-	// SlowLogCapacity sizes the slow-query log (default 64).
-	SlowLogCapacity int
-	// SlowFloor is an explicit slow-query threshold; zero means adaptive
-	// (a span is slow when it reaches its histogram's p99 bound).
-	SlowFloor time.Duration
 }
 
 // EnableTracing turns on the tracing substrate end to end: the
 // registry's trace store, slow-query log (and optionally event log), and
-// the server's per-query audit ledger. Searches run after this call
-// produce one trace tree each, retrievable via Server.TraceTree /
-// GET /v1/trace/{id}, plus one audit record via Server.AuditRecords /
-// GET /v1/audit. Enabling is idempotent; there is no disable switch —
-// construct a fresh server to trace-free state.
+// the server's per-query audit ledger. A span is slow when it reaches
+// its histogram's p99 bound. Searches run after this call produce one
+// trace tree each, retrievable via Server.TraceTree / GET /v1/trace/{id},
+// plus one audit record via Server.AuditRecords / GET /v1/audit.
+// Enabling is idempotent: a log already on, here or on the registry
+// through another server, keeps its entries. There is no disable switch
+// — construct a fresh server to trace-free state.
 func (s *Server) EnableTracing(cfg TraceConfig) {
 	reg := s.Metrics()
-	reg.EnableTracing(cfg.MaxTraces, cfg.MaxSpansPerTrace)
-	if cfg.EventCapacity > 0 {
-		reg.EnableEvents(cfg.EventCapacity)
-	}
-	slowCap := cfg.SlowLogCapacity
-	if slowCap <= 0 {
-		slowCap = 64
-	}
-	reg.EnableSlowLog(slowCap, cfg.SlowFloor)
-	auditCap := cfg.AuditCapacity
-	if auditCap <= 0 {
-		auditCap = 1024
-	}
+	reg.EnableTracing(maxTraces, maxSpansPerTrace)
+	reg.EnableEvents(cfg.EventCapacity)
+	reg.EnableSlowLog(slowLogCapacity, 0)
 	if s.audit.Load() == nil {
-		s.audit.CompareAndSwap(nil, newAuditLog(auditCap))
+		s.audit.CompareAndSwap(nil, newAuditLog(auditCapacity))
 	}
 }
 

@@ -638,3 +638,55 @@ func TestRelayAccountingIndependentOfTracing(t *testing.T) {
 		}
 	}
 }
+
+// TestEnableTracingKeepsLogs: enabling the flight recorder again — on the
+// same server, or on a second server over the same registry — keeps the
+// slow-query and event entries already retained.
+func TestEnableTracingKeepsLogs(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	srv := NewServerWithRegistry(reg)
+	srv.EnableTracing(TraceConfig{EventCapacity: 16})
+	// One traced span over a histogram whose p99 bound it reaches: one
+	// event and one slow entry.
+	h := reg.Histogram("csfltr_test_seconds", "", []float64{0})
+	for i := 0; i < 100; i++ {
+		h.Observe(0)
+	}
+	reg.StartRootSpan("op", h).End()
+	check := func(when string) {
+		t.Helper()
+		if events, slow := len(reg.Events()), len(reg.SlowQueries()); events != 1 || slow != 1 {
+			t.Fatalf("%s: %d events and %d slow entries, want 1 and 1", when, events, slow)
+		}
+	}
+	check("first call")
+	srv.EnableTracing(TraceConfig{EventCapacity: 16})
+	check("second call")
+	NewServerWithRegistry(reg).EnableTracing(TraceConfig{EventCapacity: 32})
+	check("second server over the registry")
+}
+
+// TestAuditLogRing: the audit ring keeps its newest records, oldest
+// first, and finds by trace ID only what it kept.
+func TestAuditLogRing(t *testing.T) {
+	l := newAuditLog(3)
+	for i := 0; i < 5; i++ {
+		l.append(AuditRecord{TraceID: fmt.Sprintf("t%d", i), Terms: i})
+	}
+	var kept []string
+	for _, rec := range l.records() {
+		kept = append(kept, rec.TraceID)
+	}
+	if got := strings.Join(kept, ","); got != "t2,t3,t4" {
+		t.Fatalf("records = %s, want t2,t3,t4", got)
+	}
+	for i := 0; i < 5; i++ {
+		rec, ok := l.byTrace(fmt.Sprintf("t%d", i))
+		if ok != (i >= 2) || (ok && rec.Terms != i) {
+			t.Fatalf("byTrace(t%d) = %+v, %v", i, rec, ok)
+		}
+	}
+	if _, ok := l.byTrace(""); ok {
+		t.Fatal("byTrace of the empty ID found a record")
+	}
+}

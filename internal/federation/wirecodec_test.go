@@ -229,7 +229,7 @@ func TestHTTPWireBatch(t *testing.T) {
 		}
 	}
 	// A single wire query to a JSON-accepting client is still answered.
-	if code, ct, _ := post(wire.AppendTFQuery(nil, qs[0]), ""); code != http.StatusOK || ct != "application/json" {
+	if code, ct, _ := post(wire.AppendTFQueries(nil, []*core.TFQuery{qs[0]}), ""); code != http.StatusOK || ct != "application/json" {
 		t.Fatalf("single wire query, JSON reply: status %d, content type %q", code, ct)
 	}
 }

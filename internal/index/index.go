@@ -21,14 +21,11 @@ import (
 	"csfltr/internal/textkit"
 )
 
-// Errors returned by this package.
-var (
-	ErrDuplicateDoc = errors.New("index: duplicate document id")
-	ErrUnknownDoc   = errors.New("index: unknown document")
-)
+// ErrDuplicateDoc is returned when a document id is added twice.
+var ErrDuplicateDoc = errors.New("index: duplicate document id")
 
 // Posting is one inverted-list entry: a document and the term's count in
-// it. Lists are kept sorted by Doc.
+// it. Lists are in insertion order.
 type Posting struct {
 	Doc   int32
 	Count int32
@@ -46,15 +43,11 @@ type BM25Params struct {
 	B  float64
 }
 
-// DefaultBM25 returns the conventional parameterization.
-func DefaultBM25() BM25Params { return BM25Params{K1: 1.2, B: 0.75} }
-
 // Index is an inverted index over term-count vectors.
 type Index struct {
 	postings map[textkit.TermID][]Posting
 	docLen   map[int]int
 	totalLen int64
-	sealed   bool
 }
 
 // New returns an empty index.
@@ -66,7 +59,7 @@ func New() *Index {
 }
 
 // Add indexes one document's term counts under docID. Documents may be
-// added in any id order; lists are sorted on first search.
+// added in any id order.
 func (ix *Index) Add(docID int, tv textkit.TermVector) error {
 	if _, dup := ix.docLen[docID]; dup {
 		return fmt.Errorf("%w: %d", ErrDuplicateDoc, docID)
@@ -78,21 +71,7 @@ func (ix *Index) Add(docID int, tv textkit.TermVector) error {
 	}
 	ix.docLen[docID] = length
 	ix.totalLen += int64(length)
-	ix.sealed = false
 	return nil
-}
-
-// seal sorts every posting list by document id; called lazily before
-// reads that rely on order.
-func (ix *Index) seal() {
-	if ix.sealed {
-		return
-	}
-	for term := range ix.postings {
-		list := ix.postings[term]
-		sort.Slice(list, func(i, j int) bool { return list[i].Doc < list[j].Doc })
-	}
-	ix.sealed = true
 }
 
 // NumDocs returns the number of indexed documents.
@@ -106,28 +85,8 @@ func (ix *Index) AvgDocLen() float64 {
 	return float64(ix.totalLen) / float64(len(ix.docLen))
 }
 
-// DocLen returns the length of one document.
-func (ix *Index) DocLen(docID int) (int, error) {
-	l, ok := ix.docLen[docID]
-	if !ok {
-		return 0, fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
-	}
-	return l, nil
-}
-
 // DocFreq returns the number of documents containing term.
 func (ix *Index) DocFreq(term textkit.TermID) int { return len(ix.postings[term]) }
-
-// TermCount returns the exact count of term in docID (0 if absent).
-func (ix *Index) TermCount(term textkit.TermID, docID int) int {
-	ix.seal()
-	list := ix.postings[term]
-	i := sort.Search(len(list), func(i int) bool { return list[i].Doc >= int32(docID) })
-	if i < len(list) && list[i].Doc == int32(docID) {
-		return int(list[i].Count)
-	}
-	return 0
-}
 
 // idf is the Robertson-Sparck-Jones IDF with +1 flooring.
 func (ix *Index) idf(term textkit.TermID) float64 {
@@ -167,27 +126,6 @@ func (ix *Index) SearchBM25(terms []textkit.TermID, k int, p BM25Params) []Hit {
 	hits := make([]Hit, 0, len(scores))
 	for doc, s := range scores {
 		hits = append(hits, Hit{Doc: int(doc), Score: s})
-	}
-	sort.Slice(hits, func(i, j int) bool {
-		if hits[i].Score != hits[j].Score {
-			return hits[i].Score > hits[j].Score
-		}
-		return hits[i].Doc < hits[j].Doc
-	})
-	if k > 0 && len(hits) > k {
-		hits = hits[:k]
-	}
-	return hits
-}
-
-// ReverseTopK returns the k documents with the largest exact counts of
-// term — the ground truth for the paper's reverse top-K document query
-// (Definition 3).
-func (ix *Index) ReverseTopK(term textkit.TermID, k int) []Hit {
-	list := ix.postings[term]
-	hits := make([]Hit, 0, len(list))
-	for _, pt := range list {
-		hits = append(hits, Hit{Doc: int(pt.Doc), Score: float64(pt.Count)})
 	}
 	sort.Slice(hits, func(i, j int) bool {
 		if hits[i].Score != hits[j].Score {

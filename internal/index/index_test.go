@@ -10,6 +10,9 @@ import (
 	"csfltr/internal/textkit"
 )
 
+// bm25 is the conventional parameterization.
+var bm25 = BM25Params{K1: 1.2, B: 0.75}
+
 func tv(pairs ...int) textkit.TermVector {
 	out := textkit.TermVector{}
 	for i := 0; i+1 < len(pairs); i += 2 {
@@ -35,32 +38,8 @@ func TestAddAndStats(t *testing.T) {
 	if got := ix.AvgDocLen(); got != 3 {
 		t.Fatalf("AvgDocLen = %v, want 3", got)
 	}
-	if l, err := ix.DocLen(0); err != nil || l != 3 {
-		t.Fatalf("DocLen(0) = %d, %v", l, err)
-	}
-	if _, err := ix.DocLen(99); !errors.Is(err, ErrUnknownDoc) {
-		t.Fatal("unknown doc should error")
-	}
 	if ix.DocFreq(2) != 2 || ix.DocFreq(1) != 1 || ix.DocFreq(9) != 0 {
 		t.Fatal("DocFreq wrong")
-	}
-}
-
-func TestTermCount(t *testing.T) {
-	ix := New()
-	// Out-of-order ids exercise lazy sealing.
-	for _, id := range []int{5, 1, 3, 2, 4} {
-		if err := ix.Add(id, tv(7, id)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []int{1, 2, 3, 4, 5} {
-		if got := ix.TermCount(7, id); got != id {
-			t.Fatalf("TermCount(7,%d) = %d", id, got)
-		}
-	}
-	if ix.TermCount(7, 99) != 0 || ix.TermCount(8, 1) != 0 {
-		t.Fatal("absent lookups should be 0")
 	}
 }
 
@@ -76,7 +55,7 @@ func TestSearchBM25Ordering(t *testing.T) {
 	if err := ix.Add(2, tv(8, 10)); err != nil {
 		t.Fatal(err)
 	}
-	hits := ix.SearchBM25([]textkit.TermID{1, 2}, 0, DefaultBM25())
+	hits := ix.SearchBM25([]textkit.TermID{1, 2}, 0, bm25)
 	if len(hits) != 2 {
 		t.Fatalf("hits = %v", hits)
 	}
@@ -84,16 +63,16 @@ func TestSearchBM25Ordering(t *testing.T) {
 		t.Fatalf("doc 0 matches both terms and should rank first: %v", hits)
 	}
 	// Truncation.
-	if got := ix.SearchBM25([]textkit.TermID{1, 2}, 1, DefaultBM25()); len(got) != 1 {
+	if got := ix.SearchBM25([]textkit.TermID{1, 2}, 1, bm25); len(got) != 1 {
 		t.Fatalf("k=1 returned %d hits", len(got))
 	}
 	// No matches.
-	if got := ix.SearchBM25([]textkit.TermID{42}, 5, DefaultBM25()); len(got) != 0 {
+	if got := ix.SearchBM25([]textkit.TermID{42}, 5, bm25); len(got) != 0 {
 		t.Fatalf("no-match query returned %v", got)
 	}
 	// Duplicate query terms must not double-score.
-	once := ix.SearchBM25([]textkit.TermID{1}, 0, DefaultBM25())
-	twice := ix.SearchBM25([]textkit.TermID{1, 1}, 0, DefaultBM25())
+	once := ix.SearchBM25([]textkit.TermID{1}, 0, bm25)
+	twice := ix.SearchBM25([]textkit.TermID{1, 1}, 0, bm25)
 	for i := range once {
 		if math.Abs(once[i].Score-twice[i].Score) > 1e-12 {
 			t.Fatal("duplicate query terms double-scored")
@@ -101,66 +80,89 @@ func TestSearchBM25Ordering(t *testing.T) {
 	}
 }
 
-func TestReverseTopK(t *testing.T) {
+// TestSearchBM25HandComputed checks one score against the formula:
+// idf = ln(1 + (N-df+0.5)/(df+0.5)), tf·(k1+1) / (tf + k1·(1-b+b·dl/avgdl)).
+func TestSearchBM25HandComputed(t *testing.T) {
 	ix := New()
-	for id := 0; id < 10; id++ {
-		if err := ix.Add(id, tv(1, 10-id, 2, 1)); err != nil {
-			t.Fatal(err)
-		}
+	if err := ix.Add(0, tv(1, 2, 2, 2)); err != nil { // dl 4
+		t.Fatal(err)
 	}
-	hits := ix.ReverseTopK(1, 3)
-	if len(hits) != 3 || hits[0].Doc != 0 || hits[1].Doc != 1 || hits[2].Doc != 2 {
-		t.Fatalf("ReverseTopK = %v", hits)
+	if err := ix.Add(1, tv(2, 8)); err != nil { // dl 8
+		t.Fatal(err)
 	}
-	if hits[0].Score != 10 {
-		t.Fatalf("top score = %v", hits[0].Score)
-	}
-	if got := ix.ReverseTopK(99, 3); len(got) != 0 {
-		t.Fatal("absent term should return nothing")
-	}
-	if got := ix.ReverseTopK(1, 0); len(got) != 10 {
-		t.Fatalf("k<=0 should return all matches, got %d", len(got))
+	hits := ix.SearchBM25([]textkit.TermID{1}, 0, bm25)
+	// N=2, df=1, avgdl=6.
+	idf := math.Log1p(1.5 / 1.5)
+	want := idf * 2 * 2.2 / (2 + 1.2*(0.25+0.75*4.0/6))
+	if len(hits) != 1 || hits[0].Doc != 0 || math.Abs(hits[0].Score-want) > 1e-12 {
+		t.Fatalf("hits = %v, want doc 0 at %v", hits, want)
 	}
 }
 
-func TestReverseTopKTieBreak(t *testing.T) {
+// TestSearchBM25TieBreak: equal scores rank by ascending id, whatever
+// order the documents were added in.
+func TestSearchBM25TieBreak(t *testing.T) {
 	ix := New()
 	for _, id := range []int{3, 1, 2} {
 		if err := ix.Add(id, tv(7, 5)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	hits := ix.ReverseTopK(7, 3)
-	if hits[0].Doc != 1 || hits[1].Doc != 2 || hits[2].Doc != 3 {
+	hits := ix.SearchBM25([]textkit.TermID{7}, 0, bm25)
+	if len(hits) != 3 || hits[0].Doc != 1 || hits[1].Doc != 2 || hits[2].Doc != 3 {
 		t.Fatalf("ties must break by ascending id: %v", hits)
 	}
 }
 
-// TestTermCountMatchesInput (property): TermCount returns exactly what
-// was added, for random documents.
-func TestTermCountMatchesInput(t *testing.T) {
+// TestSearchBM25MatchesReference (property): on random documents every
+// match's score equals BM25 computed directly from the term vectors.
+func TestSearchBM25MatchesReference(t *testing.T) {
 	check := func(raw []uint8) bool {
-		ix := New()
 		docs := make([]textkit.TermVector, 5)
 		for i := range docs {
-			docs[i] = textkit.TermVector{}
+			docs[i] = textkit.TermVector{textkit.TermID(40 + i): 1}
 		}
 		for i, r := range raw {
 			docs[i%5][textkit.TermID(r%32)]++
 		}
+		ix := New()
+		total := 0
 		for i, d := range docs {
-			if len(d) == 0 {
-				d[0] = 1 // index requires some content? (empty is fine, but keep counts visible)
-			}
 			if err := ix.Add(i, d); err != nil {
 				return false
 			}
+			for _, c := range d {
+				total += c
+			}
 		}
-		for i, d := range docs {
-			for term, c := range d {
-				if ix.TermCount(term, i) != c {
-					return false
+		avg := float64(total) / float64(len(docs))
+		query := []textkit.TermID{0, 1, 2, 3}
+		want := map[int]float64{}
+		for _, term := range query {
+			df := 0
+			for _, d := range docs {
+				if d[term] > 0 {
+					df++
 				}
+			}
+			idf := math.Log1p((5 - float64(df) + 0.5) / (float64(df) + 0.5))
+			for i, d := range docs {
+				if tf := float64(d[term]); tf > 0 {
+					dl := 0
+					for _, c := range d {
+						dl += c
+					}
+					want[i] += idf * tf * (bm25.K1 + 1) / (tf + bm25.K1*(1-bm25.B+bm25.B*float64(dl)/avg))
+				}
+			}
+		}
+		hits := ix.SearchBM25(query, 0, bm25)
+		if len(hits) != len(want) {
+			return false
+		}
+		for _, h := range hits {
+			if math.Abs(h.Score-want[h.Doc]) > 1e-9 {
+				return false
 			}
 		}
 		return true
@@ -185,6 +187,6 @@ func BenchmarkSearchBM25(b *testing.B) {
 	terms := []textkit.TermID{10, 20, 30}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.SearchBM25(terms, 100, DefaultBM25())
+		ix.SearchBM25(terms, 100, bm25)
 	}
 }

@@ -221,50 +221,6 @@ func TestFederatedTrainersSkipEmptyParties(t *testing.T) {
 	}
 }
 
-func TestPairwiseImprovesRanking(t *testing.T) {
-	// Two-feature ranking problem: relevance driven by feature 0; feature 1
-	// is noise.
-	rng := rand.New(rand.NewSource(7))
-	var data []Instance
-	for q := 0; q < 30; q++ {
-		key := string(rune('a' + q%26))
-		for d := 0; d < 10; d++ {
-			rel := float64(d % 3)
-			x := []float64{rel + 0.3*rng.NormFloat64(), rng.NormFloat64()}
-			data = append(data, Instance{Features: x, Label: rel, QueryKey: key + "x"})
-		}
-	}
-	m := NewLinearModel(2)
-	cfg := DefaultPairwiseConfig()
-	if err := cfg.TrainPairwise(m, data); err != nil {
-		t.Fatal(err)
-	}
-	base := Evaluate(NewLinearModel(2), data) // untrained baseline
-	trained := Evaluate(m, data)
-	if trained.NDCG <= base.NDCG {
-		t.Fatalf("pairwise training did not improve nDCG: %v vs %v", trained.NDCG, base.NDCG)
-	}
-	if m.W[0] <= 0 {
-		t.Fatalf("weight on the informative feature should be positive: %v", m.W)
-	}
-}
-
-func TestPairwiseErrors(t *testing.T) {
-	cfg := DefaultPairwiseConfig()
-	m := NewLinearModel(2)
-	flat := []Instance{
-		{Features: []float64{1, 0}, Label: 1, QueryKey: "q"},
-		{Features: []float64{0, 1}, Label: 1, QueryKey: "q"},
-	}
-	if err := cfg.TrainPairwise(m, flat); !errors.Is(err, ErrBadData) {
-		t.Fatal("no pairs should error")
-	}
-	cfg.LearningRate = 0
-	if err := cfg.TrainPairwise(m, flat); !errors.Is(err, ErrBadConfig) {
-		t.Fatal("bad config should error")
-	}
-}
-
 func TestDCGHandComputed(t *testing.T) {
 	// labels ranked [2, 1, 0]: DCG = 3/1 + 1/log2(3) + 0.
 	want := 3 + 1/math.Log2(3)

@@ -219,74 +219,3 @@ func TrainFedAvg(dim int, partyData [][]Instance, rounds int, cfg SGDConfig) (*L
 	}
 	return model, nil
 }
-
-// PairwiseConfig configures RankNet-style pairwise training, the
-// "more complicated models" extension the paper mentions as compatible.
-type PairwiseConfig struct {
-	LearningRate float64
-	Epochs       int
-	L2           float64
-	MaxPairs     int // cap on pairs per query per epoch (0 = all)
-	Seed         int64
-}
-
-// DefaultPairwiseConfig returns a reasonable pairwise setting.
-func DefaultPairwiseConfig() PairwiseConfig {
-	return PairwiseConfig{LearningRate: 0.05, Epochs: 20, L2: 1e-4, MaxPairs: 200, Seed: 1}
-}
-
-// TrainPairwise trains model on preference pairs (i preferred over j when
-// Label_i > Label_j within the same query) with the logistic pairwise
-// loss log(1 + exp(-(s_i - s_j))).
-func (c PairwiseConfig) TrainPairwise(model *LinearModel, data []Instance) error {
-	if c.LearningRate <= 0 || c.Epochs <= 0 || c.L2 < 0 {
-		return fmt.Errorf("%w: %+v", ErrBadConfig, c)
-	}
-	groups := GroupByQuery(data)
-	rng := rand.New(rand.NewSource(c.Seed))
-	type pair struct{ hi, lo int }
-	// Precompute index pairs per query group (indexes into data).
-	byQuery := make(map[string][]int)
-	for i, inst := range data {
-		byQuery[inst.QueryKey] = append(byQuery[inst.QueryKey], i)
-	}
-	var pairs []pair
-	for key := range groups {
-		idxs := byQuery[key]
-		var qp []pair
-		for _, i := range idxs {
-			for _, j := range idxs {
-				if data[i].Label > data[j].Label {
-					qp = append(qp, pair{hi: i, lo: j})
-				}
-			}
-		}
-		if c.MaxPairs > 0 && len(qp) > c.MaxPairs {
-			rng.Shuffle(len(qp), func(a, b int) { qp[a], qp[b] = qp[b], qp[a] })
-			qp = qp[:c.MaxPairs]
-		}
-		pairs = append(pairs, qp...)
-	}
-	if len(pairs) == 0 {
-		return fmt.Errorf("%w: no preference pairs (labels all equal within queries?)", ErrBadData)
-	}
-	for epoch := 0; epoch < c.Epochs; epoch++ {
-		rng.Shuffle(len(pairs), func(a, b int) { pairs[a], pairs[b] = pairs[b], pairs[a] })
-		for _, p := range pairs {
-			hi, lo := data[p.hi], data[p.lo]
-			margin := model.Score(hi.Features) - model.Score(lo.Features)
-			g := clampFinite(-sigmoid(-margin)) // d/dmargin of log(1+e^{-margin})
-			for i := range model.W {
-				var xh, xl float64
-				if i < len(hi.Features) {
-					xh = hi.Features[i]
-				}
-				if i < len(lo.Features) {
-					xl = lo.Features[i]
-				}
-				model.W[i] -= c.LearningRate * (g*(xh-xl) + c.L2*model.W[i])
-			}
-		}
-	}
-	return nil
-}

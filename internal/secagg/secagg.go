@@ -214,9 +214,6 @@ func NewMasker(index int, shared [][]byte) (*Masker, error) {
 	return &Masker{index: index, shared: row}, nil
 }
 
-// Parties returns the federation size the masker was built for.
-func (m *Masker) Parties() int { return len(m.shared) }
-
 // Mask adds this round's pairwise mask streams to a quantized update
 // and returns the server-safe vector. active[j] marks the parties
 // expected to submit this round; masks are only exchanged among them.

@@ -355,6 +355,25 @@ func TestAggregatorGuards(t *testing.T) {
 	}
 }
 
+// TestAggregatorSubmitted: only an accepted submission marks its party;
+// a refused one and an id off the roster never do.
+func TestAggregatorSubmitted(t *testing.T) {
+	agg, err := NewAggregator(2, []bool{true, false, true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = agg.Add(1, []uint64{1, 2}) // inactive: refused
+	_ = agg.Add(2, []uint64{1})    // wrong dimension: refused
+	if err := agg.Add(0, []uint64{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	for party, want := range map[int]bool{-1: false, 0: true, 1: false, 2: false, 3: false} {
+		if got := agg.Submitted(party); got != want {
+			t.Fatalf("Submitted(%d) = %v, want %v", party, got, want)
+		}
+	}
+}
+
 func TestMaskerGuards(t *testing.T) {
 	secrets := testSecrets(3)
 	if _, err := NewMasker(-1, secrets[0]); err == nil {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"csfltr/internal/varint"
 	"csfltr/internal/wire"
 )
 
@@ -47,14 +46,6 @@ func (u *MaskedUpdate) Marshal(dst []byte) []byte {
 		payload = binary.LittleEndian.AppendUint64(payload, v)
 	}
 	return wire.Pack(dst, payload)
-}
-
-// Size returns the framed (uncompressed) encoded size — the number the
-// transport byte accounting records per submission.
-func (u *MaskedUpdate) Size() int64 {
-	n := 1 + varint.Len(u.Round) + varint.Len(uint64(u.Party)) +
-		varint.Len(uint64(len(u.Vec))) + 8*len(u.Vec)
-	return wire.PackedSize(n)
 }
 
 // UnmarshalMaskedUpdate decodes a framed masked update.
@@ -114,13 +105,6 @@ func (r *SeedReveal) Marshal(dst []byte) []byte {
 	payload = wire.AppendUvarint(payload, uint64(r.Dropped))
 	payload = append(payload, r.Seed[:]...)
 	return wire.Pack(dst, payload)
-}
-
-// Size returns the framed (uncompressed) encoded size.
-func (r *SeedReveal) Size() int64 {
-	n := 1 + varint.Len(r.Round) + varint.Len(uint64(r.From)) +
-		varint.Len(uint64(r.Dropped)) + len(r.Seed)
-	return wire.PackedSize(n)
 }
 
 // UnmarshalSeedReveal decodes a framed seed reveal.

@@ -69,8 +69,6 @@ type Config struct {
 	// every answer that leaves the group, held by a 1 × 1 group's owner
 	// and by a larger group's facade. Nil means dp.Disabled().
 	Mech dp.Mechanism
-	// DropDocTables mirrors core.WithoutDocTables on every shard owner.
-	DropDocTables bool
 	// BlockSize is the doc-range striping block (0 = DefaultBlockSize).
 	BlockSize int
 	// Policy is the per-replica breaker/backoff policy (nil = defaults).
@@ -159,14 +157,10 @@ func New(cfg Config) (*Group, error) {
 	if mech == nil {
 		mech = dp.Disabled()
 	}
-	var opts []core.OwnerOption
-	if cfg.DropDocTables {
-		opts = append(opts, core.WithoutDocTables())
-	}
 	if nShards == 1 && nReplicas == 1 {
 		// The one owner holds the mechanism and is the release point:
 		// there is nothing to merge, so nothing to draw after.
-		o, err := core.NewOwner(cfg.Params, cfg.Seed, mech, opts...)
+		o, err := core.NewOwner(cfg.Params, cfg.Seed, mech)
 		if err != nil {
 			return nil, err
 		}
@@ -192,7 +186,7 @@ func New(cfg Config) (*Group, error) {
 	for si := 0; si < nShards; si++ {
 		s := &shardState{}
 		for ri := 0; ri < nReplicas; ri++ {
-			o, err := core.NewOwner(ownerParams, cfg.Seed, dp.Disabled(), opts...)
+			o, err := core.NewOwner(ownerParams, cfg.Seed, dp.Disabled())
 			if err != nil {
 				return nil, err
 			}

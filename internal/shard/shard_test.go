@@ -993,3 +993,71 @@ func BenchmarkGroupAnswerRTK(b *testing.B) {
 		resp.Release()
 	}
 }
+
+// TestTracedGroupAnswersAndSpans: the view WithTrace returns for a
+// valid span context answers every OwnerAPI call exactly as the group
+// does, and records its replica attempts as "shard.attempt" spans of
+// the caller's trace.
+func TestTracedGroupAnswersAndSpans(t *testing.T) {
+	docs := testDocs(60, 5)
+	g := newGroup(t, 2, 2, docs)
+	reg := telemetry.NewRegistry()
+	reg.EnableTracing(0, 0)
+	g.SetHooks(Hooks{Registry: reg})
+	root := reg.StartRootSpan("root", nil)
+	view := g.WithTrace(root.Context())
+	if view == core.OwnerAPI(g) {
+		t.Fatal("a valid span context must get a traced view")
+	}
+	p := testParams()
+	if got, want := view.DocIDs(), g.DocIDs(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("DocIDs: %v, want %v", got, want)
+	}
+	d := docs[7].DocID
+	gl, gu, gerr := view.DocMeta(d)
+	wl, wu, werr := g.DocMeta(d)
+	if gl != wl || gu != wu || gerr != nil || werr != nil {
+		t.Fatalf("DocMeta(%d): %d, %d, %v, want %d, %d, %v", d, gl, gu, gerr, wl, wu, werr)
+	}
+	gotTF, err := view.AnswerTF(d, queryCols(p, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantTF, err := g.AnswerTF(d, queryCols(p, 1))
+	if err != nil || !reflect.DeepEqual(gotTF, wantTF) {
+		t.Fatalf("AnswerTF: %+v, want %+v (%v)", gotTF, wantTF, err)
+	}
+	gotRTK, err := view.AnswerRTK(queryCols(p, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantRTK, err := g.AnswerRTK(queryCols(p, 2))
+	if err != nil || !reflect.DeepEqual(gotRTK, wantRTK) {
+		t.Fatalf("AnswerRTK differs from the group's (%v)", err)
+	}
+	qs := []*core.TFQuery{queryCols(p, 3), queryCols(p, 4)}
+	gotBatch, err := view.AnswerRTKBatch(qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBatch, err := g.AnswerRTKBatch(qs)
+	if err != nil || !reflect.DeepEqual(gotBatch, wantBatch) {
+		t.Fatalf("AnswerRTKBatch differs from the group's (%v)", err)
+	}
+	root.End()
+	spans, ok := reg.Trace(root.Context().TraceID)
+	if !ok {
+		t.Fatal("the caller's trace was not retained")
+	}
+	attempts := 0
+	for _, sp := range spans {
+		if sp.Name == "shard.attempt" {
+			attempts++
+		}
+	}
+	// DocIDs and the two RTK calls reach both shards, DocMeta and
+	// AnswerTF only the document's: one healthy replica answers each.
+	if attempts != 2+1+1+2+2 {
+		t.Fatalf("%d shard.attempt spans in the trace, want 8", attempts)
+	}
+}

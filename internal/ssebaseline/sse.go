@@ -183,9 +183,6 @@ func (ix *Index) SizeBytes() int64 {
 	return n
 }
 
-// NumTerms returns the number of indexed terms.
-func (ix *Index) NumTerms() int { return len(ix.lists) }
-
 // Decrypt recovers a posting list from a Lookup payload.
 func (c *Client) Decrypt(token Token, payload []byte) ([]Posting, error) {
 	if len(payload)%8 != 0 {
@@ -205,16 +202,6 @@ func (c *Client) Decrypt(token Token, payload []byte) ([]Posting, error) {
 		}
 	}
 	return out, nil
-}
-
-// Search runs the full client round trip: token, lookup, decrypt.
-func (c *Client) Search(ix *Index, term uint64) ([]Posting, error) {
-	token := c.TokenFor(term)
-	payload, err := ix.Lookup(token)
-	if err != nil {
-		return nil, err
-	}
-	return c.Decrypt(token, payload)
 }
 
 // ReverseTopK answers the paper's reverse top-K query through the SSE

@@ -42,14 +42,19 @@ func TestNewClientValidation(t *testing.T) {
 
 func TestSearchRoundTrip(t *testing.T) {
 	c, ix := builtIndex(t)
-	list, err := c.Search(ix, 10)
+	token := c.TokenFor(10)
+	payload, err := ix.Lookup(token)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := c.Decrypt(token, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 2 || list[0].DocID != 0 || list[0].Count != 3 || list[1].DocID != 1 || list[1].Count != 7 {
-		t.Fatalf("Search(10) = %v", list)
+		t.Fatalf("term 10 decrypts to %v", list)
 	}
-	if _, err := c.Search(ix, 999); !errors.Is(err, ErrUnknownTerm) {
+	if _, err := ix.Lookup(c.TokenFor(999)); !errors.Is(err, ErrUnknownTerm) {
 		t.Fatal("absent term should report ErrUnknownTerm")
 	}
 }
@@ -113,8 +118,9 @@ func TestSealSemantics(t *testing.T) {
 	if err := ix.Seal(); !errors.Is(err, ErrSealed) {
 		t.Fatal("double seal should be refused")
 	}
-	if ix.NumTerms() != 1 || ix.SizeBytes() <= 0 {
-		t.Fatalf("index stats wrong: %d terms, %d bytes", ix.NumTerms(), ix.SizeBytes())
+	// One term holding one 8-byte posting, plus 32 bytes of overhead.
+	if got := ix.SizeBytes(); got != 8+32 {
+		t.Fatalf("index footprint %d bytes, want 40", got)
 	}
 }
 

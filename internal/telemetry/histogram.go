@@ -19,10 +19,6 @@ var LatencyBuckets = []float64{
 	1, 2.5, 10,
 }
 
-// SizeBuckets is a bucket layout for byte-size histograms: 64 B to 16 MB
-// in powers of four.
-var SizeBuckets = []float64{64, 256, 1 << 10, 4 << 10, 16 << 10, 64 << 10, 256 << 10, 1 << 20, 4 << 20, 16 << 20}
-
 // Histogram counts observations into fixed buckets with inclusive upper
 // bounds (Prometheus `le` semantics: a value equal to a bound lands in
 // that bound's bucket). An implicit +Inf bucket catches the rest. Safe
@@ -166,16 +162,4 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return math.Inf(1)
-}
-
-// Reset zeroes all buckets (experiment reruns only).
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i].Store(0)
-	}
-	h.count.Store(0)
-	h.sumBits.Store(0)
-	h.exMu.Lock()
-	h.exemplars = nil
-	h.exMu.Unlock()
 }

@@ -47,23 +47,16 @@ func (l *eventLog) events() []Event {
 	return append(out, l.buf[:l.next]...)
 }
 
-func (l *eventLog) reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next, l.full = 0, false
-}
-
 // EnableEvents turns on the structured event log with the given ring
 // capacity (older events are overwritten). Spans ended after this call
-// are appended; capacity <= 0 disables the log.
+// are appended. A log already on keeps its capacity and its events;
+// capacity <= 0 leaves the log as it is.
 func (r *Registry) EnableEvents(capacity int) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if capacity <= 0 {
-		r.events = nil
-		return
+	if r.events == nil && capacity > 0 {
+		r.events = &eventLog{buf: make([]Event, capacity)}
 	}
-	r.events = &eventLog{buf: make([]Event, capacity)}
 }
 
 // Events returns the logged events, oldest first.

@@ -184,34 +184,6 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Lab
 	return h
 }
 
-// Reset zeroes every series in the registry (between experiment runs).
-// Handles remain valid.
-func (r *Registry) Reset() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, f := range r.families {
-		for _, s := range f.series {
-			switch m := s.(type) {
-			case *Counter:
-				m.Reset()
-			case *Gauge:
-				m.Set(0)
-			case *Histogram:
-				m.Reset()
-			}
-		}
-	}
-	if r.events != nil {
-		r.events.reset()
-	}
-	if r.traces != nil {
-		r.traces.reset()
-	}
-	if r.slow != nil {
-		r.slow.reset()
-	}
-}
-
 // Counter is a monotonically increasing int64 metric.
 type Counter struct {
 	labels []Label

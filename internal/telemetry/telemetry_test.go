@@ -260,20 +260,6 @@ func TestSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestRegistryReset(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("csfltr_x_total", "")
-	g := r.Gauge("csfltr_x", "")
-	h := r.Histogram("csfltr_x_seconds", "", nil)
-	c.Add(3)
-	g.Set(4)
-	h.Observe(1)
-	r.Reset()
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
-		t.Fatalf("Reset left state behind: c=%d g=%v h=%d", c.Value(), g.Value(), h.Count())
-	}
-}
-
 func TestRequestIDUnique(t *testing.T) {
 	seen := make(map[string]bool)
 	for i := 0; i < 1000; i++ {
@@ -312,11 +298,6 @@ func TestGaugeFunc(t *testing.T) {
 	g2 := r.GaugeFunc("csfltr_live", "", func() float64 { return -1 })
 	if g2 != g || g2.Value() != 9 {
 		t.Fatalf("re-registration replaced the callback: %v", g2.Value())
-	}
-	// Reset leaves callback gauges untouched — they carry no state.
-	r.Reset()
-	if got := g.Value(); got != 9 {
-		t.Fatalf("Reset broke callback gauge: %v", got)
 	}
 	// Labelled series are independent.
 	a := r.GaugeFunc("csfltr_live_l", "", func() float64 { return 1 }, Label{"p", "a"})

@@ -46,14 +46,6 @@ func AStr(key, value string) Attr { return Attr{Key: key, Value: value} }
 // AInt builds an integer attribute.
 func AInt(key string, v int64) Attr { return Attr{Key: key, Value: strconv.FormatInt(v, 10)} }
 
-// AFloat builds a float attribute.
-func AFloat(key string, v float64) Attr {
-	return Attr{Key: key, Value: strconv.FormatFloat(v, 'g', -1, 64)}
-}
-
-// ABool builds a boolean attribute.
-func ABool(key string, v bool) Attr { return Attr{Key: key, Value: strconv.FormatBool(v)} }
-
 // SpanRecord is one completed span as retained by the trace store and
 // served from GET /v1/trace/{id}.
 type SpanRecord struct {
@@ -150,20 +142,6 @@ func (ts *traceStore) trace(id string) ([]SpanRecord, bool) {
 	return append([]SpanRecord(nil), e.spans...), true
 }
 
-func (ts *traceStore) ids() []string {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return append([]string(nil), ts.order...)
-}
-
-func (ts *traceStore) reset() {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.traces = make(map[string]*traceEntry, ts.maxTraces)
-	ts.order = nil
-	ts.droppedSpans, ts.evictedTraces = 0, 0
-}
-
 // EnableTracing turns on the trace store: traced spans ended after this
 // call are retained, grouped by trace ID. maxTraces bounds the number of
 // retained traces (oldest evicted first); maxSpansPerTrace bounds each
@@ -199,17 +177,6 @@ func (r *Registry) Trace(id string) ([]SpanRecord, bool) {
 		return nil, false
 	}
 	return ts.trace(id)
-}
-
-// TraceIDs returns the retained trace IDs, oldest first.
-func (r *Registry) TraceIDs() []string {
-	r.mu.Lock()
-	ts := r.traces
-	r.mu.Unlock()
-	if ts == nil {
-		return nil
-	}
-	return ts.ids()
 }
 
 // SlowEntry is one slow-query log record: a histogram tail sample linked
@@ -278,24 +245,17 @@ func (l *slowLog) entries() []SlowEntry {
 	return append(out, l.buf[:l.next]...)
 }
 
-func (l *slowLog) reset() {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.next, l.full = 0, false
-}
-
 // EnableSlowLog turns on the slow-query log: a traced span whose
 // duration is at least floor — or, when floor is zero, at least its own
 // histogram's current p99 bucket bound (after slowMinCount samples) —
-// is recorded with its trace ID. capacity <= 0 disables the log.
+// is recorded with its trace ID. A log already on keeps its settings and
+// its entries; capacity <= 0 leaves the log as it is.
 func (r *Registry) EnableSlowLog(capacity int, floor time.Duration) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if capacity <= 0 {
-		r.slow = nil
-		return
+	if r.slow == nil && capacity > 0 {
+		r.slow = &slowLog{buf: make([]SlowEntry, capacity), floor: floor}
 	}
-	r.slow = &slowLog{buf: make([]SlowEntry, capacity), floor: floor}
 }
 
 // SlowQueries returns the slow-query log entries, oldest first.

@@ -65,8 +65,8 @@ func TestTracingDisabledDegradesToPlainSpan(t *testing.T) {
 	if len(evs) != 1 || evs[0].Name != "op" || evs[0].TraceID != "" {
 		t.Fatalf("unexpected events: %+v", evs)
 	}
-	if got := reg.TraceIDs(); got != nil {
-		t.Fatalf("trace store should be off, got %v", got)
+	if reg.TracingEnabled() {
+		t.Fatal("trace store should be off")
 	}
 	// A child of an invalid parent is likewise untraced.
 	ch := reg.StartChildSpan("child", sp.Context(), nil)
@@ -78,8 +78,10 @@ func TestTracingDisabledDegradesToPlainSpan(t *testing.T) {
 
 func TestTraceStoreBounds(t *testing.T) {
 	ts := newTraceStore(2, 3)
+	var ids []string
 	for i := 0; i < 5; i++ {
 		id := NewTraceID()
+		ids = append(ids, id)
 		for j := 0; j < 5; j++ {
 			ts.add(SpanRecord{TraceID: id, SpanID: newSpanID(), Name: "s"})
 		}
@@ -88,8 +90,10 @@ func TestTraceStoreBounds(t *testing.T) {
 			t.Fatalf("trace %d: got %d spans, want 3 (capped)", i, len(spans))
 		}
 	}
-	if ids := ts.ids(); len(ids) != 2 {
-		t.Fatalf("got %d retained traces, want 2", len(ids))
+	for i, id := range ids {
+		if _, ok := ts.trace(id); ok != (i >= 3) {
+			t.Fatalf("trace %d retained = %v, want only the newest 2", i, ok)
+		}
 	}
 	if ts.evictedTraces != 3 {
 		t.Fatalf("evicted %d traces, want 3", ts.evictedTraces)
@@ -164,6 +168,49 @@ func TestSlowLogAndExemplars(t *testing.T) {
 	ms := snap.Metric("csfltr_test_seconds")
 	if ms == nil || len(ms.Series[0].Exemplars) == 0 {
 		t.Fatal("snapshot missing exemplars")
+	}
+}
+
+// TestEnableEventsKeepsLog: a second EnableEvents keeps the log already
+// on — its capacity and its events — and a non-positive capacity turns
+// nothing on.
+func TestEnableEventsKeepsLog(t *testing.T) {
+	reg := NewRegistry()
+	reg.EnableEvents(0)
+	reg.StartSpan("dropped", nil).End()
+	if ev := reg.Events(); ev != nil {
+		t.Fatalf("capacity 0 turned the log on: %+v", ev)
+	}
+	reg.EnableEvents(2)
+	reg.StartSpan("first", nil).End()
+	reg.EnableEvents(8)
+	reg.EnableEvents(0)
+	for _, name := range []string{"second", "third"} {
+		reg.StartSpan(name, nil).End()
+	}
+	ev := reg.Events()
+	if len(ev) != 2 || ev[0].Name != "second" || ev[1].Name != "third" {
+		t.Fatalf("events = %+v, want second and third in a ring of 2", ev)
+	}
+}
+
+// TestEnableSlowLogKeepsLog: a second EnableSlowLog keeps the log
+// already on — its floor and its entries.
+func TestEnableSlowLogKeepsLog(t *testing.T) {
+	reg := NewRegistry()
+	reg.EnableTracing(0, 0)
+	reg.EnableSlowLog(4, time.Nanosecond)
+	first := reg.StartRootSpan("first", nil)
+	time.Sleep(time.Millisecond)
+	first.End()
+	// A floor no span reaches, were it installed.
+	reg.EnableSlowLog(4, time.Hour)
+	second := reg.StartRootSpan("second", nil)
+	time.Sleep(time.Millisecond)
+	second.End()
+	slow := reg.SlowQueries()
+	if len(slow) != 2 || slow[0].TraceID != first.Context().TraceID || slow[1].TraceID != second.Context().TraceID {
+		t.Fatalf("slow entries = %+v, want both spans under the first floor", slow)
 	}
 }
 

@@ -8,7 +8,6 @@
 package textkit
 
 import (
-	"sort"
 	"strings"
 	"sync"
 	"unicode"
@@ -23,7 +22,6 @@ type TermID uint64
 type Vocabulary struct {
 	mu     sync.RWMutex
 	byTerm map[string]TermID
-	terms  []string
 }
 
 // NewVocabulary returns an empty vocabulary.
@@ -44,9 +42,8 @@ func (v *Vocabulary) Intern(term string) TermID {
 	if id, ok := v.byTerm[term]; ok {
 		return id
 	}
-	id = TermID(len(v.terms))
+	id = TermID(len(v.byTerm))
 	v.byTerm[term] = id
-	v.terms = append(v.terms, term)
 	return id
 }
 
@@ -65,23 +62,6 @@ func (v *Vocabulary) Lookup(term string) (TermID, bool) {
 	defer v.mu.RUnlock()
 	id, ok := v.byTerm[term]
 	return id, ok
-}
-
-// Term returns the string form of id.
-func (v *Vocabulary) Term(id TermID) (string, bool) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	if int(id) >= len(v.terms) {
-		return "", false
-	}
-	return v.terms[id], true
-}
-
-// Size returns the number of interned terms.
-func (v *Vocabulary) Size() int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return len(v.terms)
 }
 
 // Tokenize lowercases text and splits it into maximal runs of letters and
@@ -104,35 +84,6 @@ func Tokenize(text string) []string {
 		}
 	}
 	flush()
-	return out
-}
-
-// defaultStopwords is a small English stopword list; enough to keep
-// synthetic and real corpora from being dominated by glue words.
-var defaultStopwords = map[string]struct{}{
-	"a": {}, "an": {}, "and": {}, "are": {}, "as": {}, "at": {}, "be": {},
-	"but": {}, "by": {}, "for": {}, "from": {}, "had": {}, "has": {},
-	"have": {}, "he": {}, "her": {}, "his": {}, "if": {}, "in": {},
-	"is": {}, "it": {}, "its": {}, "not": {}, "of": {}, "on": {},
-	"or": {}, "she": {}, "that": {}, "the": {}, "their": {}, "them": {},
-	"they": {}, "this": {}, "to": {}, "was": {}, "were": {}, "which": {},
-	"will": {}, "with": {}, "you": {},
-}
-
-// IsStopword reports whether token is in the built-in stopword list.
-func IsStopword(token string) bool {
-	_, ok := defaultStopwords[token]
-	return ok
-}
-
-// FilterStopwords returns tokens with built-in stopwords removed.
-func FilterStopwords(tokens []string) []string {
-	out := tokens[:0:0]
-	for _, tok := range tokens {
-		if !IsStopword(tok) {
-			out = append(out, tok)
-		}
-	}
 	return out
 }
 
@@ -169,17 +120,6 @@ func (tv TermVector) Total() int {
 
 // Unique returns the number of distinct terms.
 func (tv TermVector) Unique() int { return len(tv) }
-
-// Counts returns the counts as a float slice in descending order; handy
-// for Zipf fitting and F2 computations.
-func (tv TermVector) Counts() []float64 {
-	out := make([]float64, 0, len(tv))
-	for _, c := range tv {
-		out = append(out, float64(c))
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
-}
 
 // Document is one retrievable unit: a title and a body, both term-ID
 // sequences. ID is local to the owning party. Topic records the
@@ -232,9 +172,6 @@ func (d *Document) BodyCounts() TermVector {
 // Len returns the body length in terms (the paper's document length L;
 // document lengths are non-private per Definition 2).
 func (d *Document) Len() int { return len(d.Body) }
-
-// TitleLen returns the title length in terms.
-func (d *Document) TitleLen() int { return len(d.Title) }
 
 // Query is a search query: an ordered multiset of term IDs. ID is local
 // to the owning party; Topic is synthetic ground truth (-1 if unknown).

@@ -39,20 +39,15 @@ func TestVocabularyIntern(t *testing.T) {
 	if a == b {
 		t.Fatal("distinct terms must get distinct ids")
 	}
-	if v.Size() != 2 {
-		t.Fatalf("size = %d, want 2", v.Size())
-	}
 	if id, ok := v.Lookup("banana"); !ok || id != b {
 		t.Fatal("Lookup failed for interned term")
 	}
 	if _, ok := v.Lookup("cherry"); ok {
 		t.Fatal("Lookup must not intern")
 	}
-	if s, ok := v.Term(a); !ok || s != "apple" {
-		t.Fatalf("Term(%d) = %q, %v", a, s, ok)
-	}
-	if _, ok := v.Term(TermID(99)); ok {
-		t.Fatal("Term of unknown id should report !ok")
+	// Lookup interned nothing: the next fresh term takes the next id.
+	if c := v.Intern("cherry"); a != 0 || b != 1 || c != 2 {
+		t.Fatalf("ids %d, %d, %d, want 0, 1, 2", a, b, c)
 	}
 }
 
@@ -87,8 +82,10 @@ func TestVocabularyConcurrent(t *testing.T) {
 			t.Fatal("concurrent interning produced inconsistent ids")
 		}
 	}
-	if v.Size() != len(words) {
-		t.Fatalf("size = %d, want %d", v.Size(), len(words))
+	// Every goroutine interned the same five terms, so the next one is
+	// the sixth.
+	if id := v.Intern("zeta"); id != TermID(len(words)) {
+		t.Fatalf("next id = %d, want %d", id, len(words))
 	}
 }
 
@@ -97,19 +94,6 @@ func TestInternAll(t *testing.T) {
 	ids := v.InternAll([]string{"x", "y", "x"})
 	if len(ids) != 3 || ids[0] != ids[2] || ids[0] == ids[1] {
 		t.Fatalf("InternAll = %v", ids)
-	}
-}
-
-func TestStopwords(t *testing.T) {
-	if !IsStopword("the") || IsStopword("ranking") {
-		t.Fatal("stopword membership wrong")
-	}
-	got := FilterStopwords([]string{"the", "ranking", "of", "documents"})
-	if !reflect.DeepEqual(got, []string{"ranking", "documents"}) {
-		t.Fatalf("FilterStopwords = %v", got)
-	}
-	if FilterStopwords(nil) != nil {
-		t.Fatal("FilterStopwords(nil) should be nil")
 	}
 }
 
@@ -123,10 +107,6 @@ func TestCountTerms(t *testing.T) {
 	}
 	if tv.Unique() != 3 {
 		t.Fatalf("Unique = %d, want 3", tv.Unique())
-	}
-	counts := tv.Counts()
-	if !reflect.DeepEqual(counts, []float64{3, 2, 1}) {
-		t.Fatalf("Counts = %v", counts)
 	}
 }
 
@@ -147,8 +127,8 @@ func TestCountTermsTotalProperty(t *testing.T) {
 
 func TestDocumentCounts(t *testing.T) {
 	d := NewDocument(7, 2, []TermID{10, 11}, []TermID{1, 2, 1, 3})
-	if d.Len() != 4 || d.TitleLen() != 2 {
-		t.Fatalf("Len=%d TitleLen=%d", d.Len(), d.TitleLen())
+	if d.Len() != 4 || len(d.Title) != 2 {
+		t.Fatalf("Len=%d, title %v", d.Len(), d.Title)
 	}
 	bc := d.BodyCounts()
 	if bc[1] != 2 || bc[2] != 1 || bc[3] != 1 {

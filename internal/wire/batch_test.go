@@ -25,13 +25,14 @@ func batchFixtures() ([]*core.TFQuery, []*core.RTKResponse) {
 }
 
 // TestBatchOfOneIsTheSingleFrame: the batch encoders did not change the
-// format — for one query or reply they write the bytes AppendTFQuery and
-// AppendRTKResponse write, whatever the frame form, and the batch
-// decoder reads the frame checked in before version 2 existed.
+// format — for one query they write the query's payload packed in one
+// frame, for one reply the bytes AppendRTKResponse writes, whatever the
+// frame form, and the batch decoder reads the frame checked in before
+// version 2 existed.
 func TestBatchOfOneIsTheSingleFrame(t *testing.T) {
 	qs, rs := batchFixtures()
 	for i, q := range qs {
-		if got, want := AppendTFQueries(nil, qs[i:i+1]), AppendTFQuery(nil, q); !bytes.Equal(got, want) {
+		if got, want := AppendTFQueries(nil, qs[i:i+1]), Pack(nil, appendTFQueryPayload(nil, q)); !bytes.Equal(got, want) {
 			t.Fatalf("query %d: a batch of one is % x, the single frame % x", i, got, want)
 		}
 	}
@@ -71,7 +72,7 @@ func TestBatchRoundTrip(t *testing.T) {
 				t.Fatalf("order %v: query %d diverged", order, i)
 			}
 		}
-		if compressed := body[len(body)-len(AppendTFQuery(nil, bq[2])):][1]&flagCompressed != 0; compressed != (order[2] == 1) {
+		if compressed := body[len(body)-len(AppendTFQueries(nil, []*core.TFQuery{bq[2]})):][1]&flagCompressed != 0; compressed != (order[2] == 1) {
 			t.Fatalf("order %v: last query frame compressed: %v", order, compressed)
 		}
 
@@ -99,10 +100,10 @@ func TestBatchRejects(t *testing.T) {
 	for name, body := range map[string][]byte{
 		"trailing byte":   append(bytes.Clone(queries), 0),
 		"last frame cut":  queries[:len(queries)-1],
-		"header cut":      queries[:len(queries)-len(AppendTFQuery(nil, qs[2]))+1],
+		"header cut":      queries[:len(queries)-len(AppendTFQueries(nil, []*core.TFQuery{qs[2]}))+1],
 		"empty":           {},
-		"four of three":   append(bytes.Clone(queries), AppendTFQuery(nil, qs[0])...),
-		"reply in a body": append(AppendTFQuery(nil, qs[0]), AppendRTKResponse(nil, rs[0])...),
+		"four of three":   append(bytes.Clone(queries), AppendTFQueries(nil, []*core.TFQuery{qs[0]})...),
+		"reply in a body": append(AppendTFQueries(nil, []*core.TFQuery{qs[0]}), AppendRTKResponse(nil, rs[0])...),
 	} {
 		if got, err := DecodeTFQueries(body, 3); !errors.Is(err, ErrMalformed) || got != nil {
 			t.Errorf("queries, %s: (%d queries, %v), want ErrMalformed", name, len(got), err)
@@ -117,7 +118,7 @@ func TestBatchRejects(t *testing.T) {
 		"empty":          {nil, 1},
 		"three for two":  {replies, 2},
 		"three for four": {replies, 4},
-		"query in body":  {append(AppendRTKResponse(nil, rs[0]), AppendTFQuery(nil, qs[0])...), 2},
+		"query in body":  {append(AppendRTKResponse(nil, rs[0]), AppendTFQueries(nil, []*core.TFQuery{qs[0]})...), 2},
 	} {
 		out := make([]*core.RTKResponse, tc.k)
 		if err := DecodeRTKResponses(tc.body, out); !errors.Is(err, ErrMalformed) {

@@ -109,16 +109,11 @@ func valuesSize(vals []float64) int {
 	return n + 8*len(vals)
 }
 
-// AppendTFQuery appends the framed encoding of a column query. A query
-// is far below CompressThreshold, so its frame is stored and is written
-// straight into dst; a longer one goes through Pack.
-func AppendTFQuery(dst []byte, q *core.TFQuery) []byte {
-	return appendTFQuery(dst, q, true)
-}
-
 // AppendTFQueries appends the request body of a reverse top-K batch:
-// the queries' frames back to back, for one query exactly AppendTFQuery.
-// Only the last frame may be compressed (see NextFrame).
+// the queries' framed encodings back to back. A query is far below
+// CompressThreshold, so its frame is stored and is written straight into
+// dst; a longer one goes through Pack. Only the last frame may be
+// compressed (see NextFrame).
 func AppendTFQueries(dst []byte, qs []*core.TFQuery) []byte {
 	for i, q := range qs {
 		dst = appendTFQuery(dst, q, i == len(qs)-1)
@@ -207,7 +202,7 @@ func DecodeTFQuery(data []byte) (*core.TFQuery, error) {
 }
 
 // AppendTFResponse appends the framed encoding of a TF reply, straight
-// into dst when it is short enough to be stored (as AppendTFQuery).
+// into dst when it is short enough to be stored (as AppendTFQueries).
 func AppendTFResponse(dst []byte, r *core.TFResponse) []byte {
 	n := tfResponseLen(r)
 	if n >= CompressThreshold {
@@ -551,12 +546,4 @@ func AppendModel(dst []byte, w []float64, b float64) []byte {
 	payload = AppendUvarint(payload, uint64(len(w)))
 	payload = appendValues(payload, vals)
 	return Pack(dst, payload)
-}
-
-// SizeModel returns the framed (uncompressed) encoded size of a model.
-func SizeModel(w []float64, b float64) int64 {
-	vals := make([]float64, 0, len(w)+1)
-	vals = append(vals, w...)
-	vals = append(vals, b)
-	return PackedSize(varint.Len(uint64(len(w))) + valuesSize(vals))
 }

@@ -23,7 +23,7 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{Version, 0, 0})
 	f.Add(Pack(nil, AppendUvarint(nil, 0)))
-	f.Add(AppendTFQuery(nil, &core.TFQuery{Cols: []uint32{1, 5, 199}}))
+	f.Add(AppendTFQueries(nil, []*core.TFQuery{{Cols: []uint32{1, 5, 199}}}))
 	f.Add(AppendTFResponse(nil, &core.TFResponse{Values: []float64{1, 2.5, -7}}))
 	small := &core.RTKResponse{Cells: []core.RTKCell{
 		{IDs: []int32{3, 9, 11}, Values: []float64{4, 1, 2}},
@@ -116,7 +116,7 @@ func FuzzWireDecode(f *testing.F) {
 			}
 		}
 		if q, err := DecodeTFQuery(data); err == nil {
-			if _, err := DecodeTFQuery(AppendTFQuery(nil, q)); err != nil {
+			if _, err := DecodeTFQuery(AppendTFQueries(nil, []*core.TFQuery{q})); err != nil {
 				t.Fatalf("TFQuery re-encode failed: %v", err)
 			}
 		}

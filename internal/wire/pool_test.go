@@ -277,10 +277,10 @@ func TestRTKCodecAllocCeilings(t *testing.T) {
 			t.Errorf("AppendRTKResponse, reply %s: %.1f allocs/op, %.0f B/op, want at most 1 and 1 kB", name, encAllocs, encBytes)
 		}
 	}
-	query := &core.TFQuery{Cols: make([]uint32, 30)}
+	query := []*core.TFQuery{{Cols: make([]uint32, 30)}}
 	values := &core.TFResponse{Values: resp.Cells[0].Values[:30]}
-	if n, _ := perRun(200, func() { buf = AppendTFQuery(buf[:0], query) }); n > 0 {
-		t.Errorf("AppendTFQuery: %.1f allocs/op, want 0", n)
+	if n, _ := perRun(200, func() { buf = AppendTFQueries(buf[:0], query) }); n > 0 {
+		t.Errorf("AppendTFQueries: %.1f allocs/op, want 0", n)
 	}
 	if n, _ := perRun(200, func() { buf = AppendTFResponse(buf[:0], values) }); n > 0 {
 		t.Errorf("AppendTFResponse: %.1f allocs/op, want 0", n)

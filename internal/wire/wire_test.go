@@ -141,7 +141,7 @@ func TestTFRoundTrip(t *testing.T) {
 		for i := range q.Cols {
 			q.Cols[i] = uint32(rng.Intn(1 << 16))
 		}
-		gotQ, err := DecodeTFQuery(AppendTFQuery(nil, q))
+		gotQ, err := DecodeTFQuery(AppendTFQueries(nil, []*core.TFQuery{q}))
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -303,25 +303,58 @@ func TestDecodeRejectsOverclaimedCounts(t *testing.T) {
 	}
 }
 
-// TestModelSize: SizeModel bounds the frame AppendModel writes, which is
-// what round-robin training charges per hop, and integral weights take
-// the compact form.
+// TestModelSize: the frame AppendModel writes, which is what round-robin
+// training charges per hop, holds the weight count and then the weights
+// and the bias exactly, and integral weights take the compact form.
 func TestModelSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, dim := range []int{0, 1, 8, 300} {
-		w := make([]float64, dim)
-		for i := range w {
-			w[i] = rng.NormFloat64()
+		want := make([]float64, dim+1)
+		for i := range want {
+			want[i] = rng.NormFloat64()
 		}
-		b := rng.NormFloat64()
-		frame := AppendModel(nil, w, b)
-		if got := SizeModel(w, b); got < int64(len(frame)) {
-			t.Fatalf("dim=%d: SizeModel %d < actual frame %d", dim, got, len(frame))
+		payload, err := Unpack(AppendModel(nil, want[:dim], want[dim]))
+		if err != nil {
+			t.Fatalf("dim=%d: %v", dim, err)
+		}
+		n, rest, err := Uvarint(payload)
+		if err != nil || n != uint64(dim) {
+			t.Fatalf("dim=%d: weight count %d, %v", dim, n, err)
+		}
+		got := make([]float64, dim+1)
+		if rest, err = decodeValues(got, rest); err != nil || len(rest) != 0 || !reflect.DeepEqual(got, want) {
+			t.Fatalf("dim=%d: decoded %v (%d bytes left, %v), want %v", dim, got, len(rest), err, want)
 		}
 	}
 	// Integral weights take the compact varint form: a zero model is tiny.
 	zero := AppendModel(nil, make([]float64, 100), 0)
 	if len(zero) >= 8*100 {
 		t.Fatalf("all-integral model not compact: %d bytes", len(zero))
+	}
+}
+
+// TestSizeTFFrames: SizeTFQuery and SizeTFResponse, what the transport
+// accounting charges per TF message, are the stored frame's exact size
+// and bound a compressed one.
+func TestSizeTFFrames(t *testing.T) {
+	for _, n := range []int{0, 1, 12, 400} {
+		q := &core.TFQuery{Cols: make([]uint32, n)}
+		r := &core.TFResponse{Values: make([]float64, n)}
+		for i := range q.Cols {
+			q.Cols[i] = uint32(i * 37 % 1000)
+			r.Values[i] = float64(i%5) + 0.25
+		}
+		for name, tc := range map[string]struct {
+			frame []byte
+			size  int64
+		}{
+			"query": {AppendTFQueries(nil, []*core.TFQuery{q}), SizeTFQuery(q)},
+			"reply": {AppendTFResponse(nil, r), SizeTFResponse(r)},
+		} {
+			if stored := tc.frame[1]&flagCompressed == 0; stored && tc.size != int64(len(tc.frame)) ||
+				!stored && tc.size < int64(len(tc.frame)) {
+				t.Fatalf("n=%d %s: size %d for a %d-byte frame (stored %v)", n, name, tc.size, len(tc.frame), stored)
+			}
+		}
 	}
 }
