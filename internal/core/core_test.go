@@ -786,8 +786,8 @@ func BenchmarkRTKRecover(b *testing.B) {
 
 // BenchmarkOwnerAnswerRTK measures the owner side alone at the benchmark
 // geometry: warm answers to rotating queries, each released as recovery
-// or the /rtk handler would, and the first answer after a mutation (an
-// accepted push leaves its cells as heaps to re-sort).
+// or the /rtk handler would, and the first answer after an ingest (which
+// leaves every cell in id order, so the read sorts nothing).
 func BenchmarkOwnerAnswerRTK(b *testing.B) {
 	q, o := benchGeometry(b, 0.5)
 	plans := make([]*Plan, 500)
@@ -795,7 +795,7 @@ func BenchmarkOwnerAnswerRTK(b *testing.B) {
 		plans[i] = q.Plan(uint64(1000 + i))
 	}
 	b.Run("warm", func(b *testing.B) {
-		for _, plan := range plans { // bring every addressed cell to canonical order
+		for _, plan := range plans { // warm the addressed cells and the pooled replies
 			if _, err := o.AnswerRTK(plan.Query()); err != nil {
 				b.Fatal(err)
 			}

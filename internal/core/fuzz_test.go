@@ -363,8 +363,9 @@ func heldPrefixStates(tb testing.TB) map[string]*Owner {
 // Encoding: one byte picks the sketch kind; then per step an operation
 // byte and its arguments — AddDocument (id, two bytes of terms, the first
 // with its top bit set for negative counts), AddDocuments (two
-// operation values; a size, then per document an id and two bytes of
-// terms; ids already live are skipped), RemoveDocument
+// operation values; a size byte — one to four documents, or with its top
+// bit set one to sixteen, twice the cap — then per document an id and two
+// bytes of terms; ids already live are skipped), RemoveDocument
 // (which live document), a Cell read (row, column) and a snapshot
 // reload. An id byte is taken mod 32, and 31 stands for math.MaxInt32.
 // Missing bytes read as zero.
@@ -419,6 +420,30 @@ func FuzzRTKSketchOps(f *testing.F) {
 	}
 	rejected = append(rejected, 0, 31, 0, 0, 5, 3, 8, 4, 2, 3)
 	f.Add(rejected)
+	// A batch of twelve, past the cap, lands on a sketch past it, its
+	// bounds lowered and id 3 removed: ids above every live one, below them
+	// and back, 31 among them. Count Sketch, Count-Min, and Count-Min over
+	// negative counts in half the batch after a reload, so the batch meets
+	// floors read from a snapshot; then a read, a reload and a read.
+	for v, kind := range []byte{0, 1, 1} {
+		big := []byte{kind}
+		for id := byte(0); id < 10; id++ {
+			big = append(big, 0, id, 1+id%3, 5*id)
+		}
+		big = append(big, 3, 3)
+		if v == 2 {
+			big = append(big, 5)
+		}
+		big = append(big, 2, 0x80|11)
+		for i, id := range []byte{20, 3, 15, 10, 31, 12, 11, 25, 13, 14, 26, 27} {
+			a := 1 + byte(i)%3
+			if v == 2 && i%2 == 0 {
+				a |= 0x80
+			}
+			big = append(big, id, a, 3*id+byte(i))
+		}
+		f.Add(append(big, 4, 1, 2, 5, 4, 2, 5))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {
@@ -489,7 +514,12 @@ func FuzzRTKSketchOps(f *testing.F) {
 				model(id, c)
 			case 1, 2:
 				var batch []DocCounts
-				for n := 1 + int(next()%4); n > 0; n-- {
+				size := next()
+				n := 1 + int(size%4)
+				if size&0x80 != 0 {
+					n = 1 + int(size%16)
+				}
+				for ; n > 0; n-- {
 					d := DocCounts{DocID: docID(), Counts: counts()}
 					if !live[d.DocID] && !slices.ContainsFunc(batch, func(b DocCounts) bool { return b.DocID == d.DocID }) {
 						batch = append(batch, d)

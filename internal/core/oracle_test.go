@@ -17,7 +17,7 @@ import (
 )
 
 // The reference query side: the copy-and-sort owner answer and the
-// map-based recovery this package used before cells kept their canonical
+// map-based recovery this package used before cells kept their DocID
 // order resident and recovery became a sorted merge. They survive here
 // only as the oracle the production code is compared against bit for bit.
 
@@ -209,33 +209,25 @@ func checkAscending(t *testing.T, resp *RTKResponse) {
 	}
 }
 
-// pushCapped is Algorithm 4's step on a cell on its own, which stores
-// everything it holds: below cap an append — the one that fills the cell
-// builds the heap and caches the floor — and at cap e replaces the floor
-// iff it beats it. above is the caller's word that e.DocID exceeds every
-// id in the cell.
-func pushCapped(h *cellHeap, e Entry, cap int, above bool) {
-	if n := len(h.entries); n < cap {
-		h.add(e, above)
-		if n+1 == cap {
-			h.canonical = false
-			h.heapify()
+// settleOne offers batch, whose ids are distinct and not live, to the one
+// cell of s as insert does: the ids enrolled, the non-zero entries handed
+// over ascending.
+func settleOne(s *RTKSketch, batch []Entry) {
+	slices.SortFunc(batch, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
+	ids := make([]int32, len(batch))
+	var nonZero []Entry
+	for i, e := range batch {
+		ids[i] = e.DocID
+		if e.Value != 0 {
+			nonZero = append(nonZero, e)
 		}
-		return
 	}
-	if cap <= 0 || !h.beats(e) {
-		return
-	}
-	if h.canonical {
-		h.canonical = false
-		h.heapify()
-	}
-	h.entries[0] = e
-	h.siftDown(0)
-	h.setFloor(h.entries[0])
+	live := len(s.roster)
+	s.enroll(ids)
+	s.settle(0, s.params.HeapCap(), s.load(0, live), nonZero, ids, new(settleScratch))
 }
 
-// strictlyAscending is the claim a set canonical flag makes.
+// strictlyAscending is the order every cell keeps its entries in.
 func strictlyAscending(es []Entry) bool {
 	for i := 1; i < len(es); i++ {
 		if es[i].DocID <= es[i-1].DocID {
@@ -245,124 +237,130 @@ func strictlyAscending(es []Entry) bool {
 	return true
 }
 
-// TestCellHeapMatchesModel drives one cell through random pushes,
-// removals and canonical reads and compares it, after every step, with
-// the definition: keep the cap largest entries under the eviction order.
-// Small caps and a narrow key range make floor ties, floor removals and
-// refills of a canonical cell the common case rather than the rare one.
-// Pushes vouch for their order whenever the model says they may (ids
-// come back after removal, so "above every live id" is not "above every
-// id ever seen"), removals aim at the newest, oldest, minimum, a random
-// and an absent id, and after every step a cell that claims to be
-// canonical must be strictly ascending.
-func TestCellHeapMatchesModel(t *testing.T) {
+// TestSettleMatchesModel drives one cell through random batches and
+// removals and holds it, after every step, to the definition: a batch
+// leaves the cap entries ranking highest, under the eviction order, among
+// those the cell held and the batch's, and the bound is the smallest id
+// ever let go. Caps run from 1 to 50, values over a narrow range, so zeros,
+// key ties and (Count-Min) negative keys are common, and ids come fresh,
+// from below every live one, back after a removal, or as math.MaxInt32.
+// The cell must also store exactly what keep's rule says, count what it
+// holds, keep its entries ascending and, while full, cache its minimum as
+// the floor. Every class the cut can fall in — a negative key, a zero, a
+// positive key — and a full cell the whole batch leaves untouched must
+// come up at least 100 times.
+func TestSettleMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var sorter docSorter
-	// removals met per resident state (canonical: searched; append buffer
-	// and full heap: scanned, learning) x (miss, hit)
-	var paths [3][2]int
+	var cuts [3]int // the smallest entry kept past the cap: negative, zero, positive key
+	untouched := 0
 	for trial := 0; trial < 600; trial++ {
-		cap := 1 + rng.Intn(6)
-		if trial%10 == 9 {
-			cap = 20 + rng.Intn(30) // deep enough for the gallop to bracket
+		cap := 1 + rng.Intn(50)
+		if trial%3 == 0 {
+			cap = 1 + rng.Intn(6) // full cells and floor ties the common case
 		}
-		h := cellHeap{abs: trial%2 == 0}
-		var model, retired []Entry
+		abs := trial%2 == 0
+		s := &RTKSketch{params: Params{Z: 1, W: 1, Alpha: 1, K: cap}, cells: []cellHeap{{abs: abs, below: noBound}}}
+		order := cellHeap{abs: abs}
+		var model []Entry
+		live := map[int32]bool{}
+		var retired []int32
+		bound, lost := int32(noBound), false
 		nextID := int32(100)
-		for step := 0; step < 160; step++ {
-			switch op := rng.Intn(10); {
-			case op < 6:
-				e := Entry{DocID: nextID, Value: int32(rng.Intn(7) - 3)}
-				switch r := rng.Intn(6); {
-				case r < 2: // out-of-order id, never seen before
-					e.DocID = -nextID
+		newID := func() int32 {
+			for {
+				var id int32
+				switch r := rng.Intn(8); {
+				case r < 2: // below every live id
+					id = -nextID
 					nextID++
-				case r == 2 && len(retired) > 0: // an id that was here before
+				case r == 2 && len(retired) > 0:
 					i := rng.Intn(len(retired))
-					e.DocID = retired[i].DocID
+					id = retired[i]
 					retired = slices.Delete(retired, i, i+1)
+				case r == 3:
+					id = math.MaxInt32
 				default:
+					id = nextID
 					nextID++
 				}
-				above := rng.Intn(4) > 0 // a caller need not vouch
-				for _, m := range model {
-					above = above && e.DocID > m.DocID
-				}
-				pushCapped(&h, e, cap, above)
-				if len(model) < cap {
-					model = append(model, e)
-				} else {
-					min := 0
-					for i := range model {
-						if h.less(model[i], model[min]) {
-							min = i
-						}
-					}
-					if h.less(model[min], e) {
-						model[min] = e
-					}
-				}
-			case op < 8 && len(model) > 0:
-				victim := model[rng.Intn(len(model))]
-				aim := func(better func(e, than Entry) bool) {
-					for _, e := range model {
-						if better(e, victim) {
-							victim = e
-						}
-					}
-				}
-				want := 1
-				switch rng.Intn(5) {
-				case 0:
-					aim(h.less) // the eviction minimum
-				case 1:
-					aim(func(e, than Entry) bool { return e.DocID > than.DocID }) // newest
-				case 2:
-					aim(func(e, than Entry) bool { return e.DocID < than.DocID }) // oldest
-				case 3: // absent: beside a live id, or beyond both ends
-					victim.DocID += int32(rng.Intn(3)-1) * 1000
-					for slices.ContainsFunc(model, func(e Entry) bool { return e.DocID == victim.DocID }) {
-						victim.DocID += 50_000
-					}
-					want = 0
-				}
-				path := 2
-				if h.canonical {
-					path = 0
-				} else if len(h.entries) < cap {
-					path = 1
-				}
-				paths[path][want]++
-				id := victim.DocID
-				if got := h.remove(id); got != want {
-					t.Fatalf("trial %d step %d: remove(%d) = %d, want %d", trial, step, id, got, want)
-				}
-				if want == 1 {
-					retired = append(retired, victim)
-				}
-				model = slices.DeleteFunc(model, func(e Entry) bool { return e.DocID == id })
-			default:
-				got := h.canonicalize(&sorter)
-				if !slices.IsSortedFunc(got, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) }) {
-					t.Fatalf("trial %d step %d: canonicalize left %v", trial, step, got)
+				if !live[id] {
+					live[id] = true
+					return id
 				}
 			}
-			if h.canonical && !strictlyAscending(h.entries) {
-				t.Fatalf("trial %d step %d (cap %d): cell claims canonical order but holds %v", trial, step, cap, h.entries)
+		}
+		for step := 0; step < 40; step++ {
+			if len(s.roster) > 0 && rng.Intn(4) == 0 {
+				victim := s.roster[rng.Intn(len(s.roster))]
+				held := slices.ContainsFunc(model, func(e Entry) bool { return e.DocID == victim })
+				if got := s.Delete(int(victim), nil); got != map[bool]int{false: 0, true: 1}[held] {
+					t.Fatalf("trial %d step %d: Delete(%d) reports %d cells, model holds it: %v", trial, step, victim, got, held)
+				}
+				model = slices.DeleteFunc(model, func(e Entry) bool { return e.DocID == victim })
+				delete(live, victim)
+				retired = append(retired, victim)
+			} else {
+				batch := make([]Entry, 1+rng.Intn(2*cap+2))
+				for i := range batch {
+					batch[i] = Entry{DocID: newID(), Value: int32(rng.Intn(7) - 3)}
+				}
+				all := append(slices.Clone(model), batch...)
+				slices.SortFunc(all, func(a, b Entry) int { // ranking highest first
+					if rankLess(order.ranked(b), order.ranked(a)) {
+						return -1
+					}
+					return 1
+				})
+				kept := all[:min(cap, len(all))]
+				for _, e := range all[len(kept):] {
+					lost, bound = true, min(bound, e.DocID)
+				}
+				if len(all) > cap {
+					cuts[1+max(-1, min(1, order.key(kept[cap-1])))]++
+					if len(model) == cap && !slices.ContainsFunc(batch, func(e Entry) bool {
+						return slices.Contains(kept, e)
+					}) {
+						untouched++
+					}
+				}
+				model = slices.Clone(kept)
+				settleOne(s, slices.Clone(batch))
 			}
-			got := slices.Clone(h.entries)
+
 			want := slices.Clone(model)
-			sorter.sort(got)
-			sorter.sort(want)
-			if !slices.Equal(got, want) {
+			slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
+			if got := s.Cell(0, 0); !slices.Equal(got, want) {
 				t.Fatalf("trial %d step %d (cap %d): cell holds %v, model %v", trial, step, cap, got, want)
+			}
+			h := &s.cells[0]
+			if h.below != bound {
+				t.Fatalf("trial %d step %d (cap %d): bound %d, smallest id let go %d", trial, step, cap, h.below, bound)
+			}
+			if got := s.load(0, len(s.roster)); got != len(model) {
+				t.Fatalf("trial %d step %d (cap %d): counts %d entries, model %d", trial, step, cap, got, len(model))
+			}
+			if counting := s.held != nil && s.held[0] >= 0; counting != lost {
+				t.Fatalf("trial %d step %d (cap %d): counting %v, an id let go %v", trial, step, cap, counting, lost)
+			}
+			stored := slices.DeleteFunc(want, func(e Entry) bool { return e.Value == 0 && e.DocID < bound })
+			if !strictlyAscending(h.entries) || !slices.Equal(h.entries, stored) {
+				t.Fatalf("trial %d step %d (cap %d, bound %d): stores %v, want %v", trial, step, cap, bound, h.entries, stored)
+			}
+			if len(model) == cap {
+				floor := model[cap-1]
+				if h.floorKey != order.key(floor) || h.floorDoc != floor.DocID {
+					t.Fatalf("trial %d step %d (cap %d): floor (%d, key %d), model's minimum %v", trial, step, cap, h.floorDoc, h.floorKey, floor)
+				}
 			}
 		}
 	}
-	for path, n := range paths {
-		if n[0] < 100 || n[1] < 100 {
-			t.Errorf("removals from state %d (0 canonical, 1 append buffer, 2 full heap) saw %d misses and %d hits, want >= 100 of each", path, n[0], n[1])
+	for class, n := range cuts {
+		if n < 100 {
+			t.Errorf("the cut fell among the %s keys %d times, want >= 100", []string{"negative", "zero", "positive"}[class], n)
 		}
+	}
+	if untouched < 100 {
+		t.Errorf("a full cell let a whole batch go %d times, want >= 100", untouched)
 	}
 }
 
@@ -440,17 +438,15 @@ func (m *modelSketch) remove(docID int) {
 }
 
 // check compares every cell of s, as Cell shows it, with the model's cell
-// sorted by DocID, holds every canonical flag to its word, and holds the
+// sorted by DocID, holds every cell to ascending ids, and holds the
 // held-prefix form to its rules: no cell stores a zero below its bound,
-// and a cell's count is what it holds. Cell re-orders what
-// it reads, so it reads a copy: the layout s was left in is what the next
-// step of a test means to meet.
+// and a cell's count is what it holds.
 func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 	t.Helper()
 	for c := range m.cells {
 		h := &s.cells[c]
-		if h.canonical && !strictlyAscending(h.entries) {
-			t.Fatalf("cell %d claims canonical order but holds %v", c, h.entries)
+		if !strictlyAscending(h.entries) {
+			t.Fatalf("cell %d holds %v, not ascending", c, h.entries)
 		}
 		if slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value == 0 && e.DocID < h.below }) {
 			t.Fatalf("cell %d stores a zero below its bound %d: %v", c, h.below, h.entries)
@@ -459,34 +455,22 @@ func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 			t.Fatalf("cell %d (bound %d) counts %d entries, model %d", c, h.below, got, len(m.cells[c]))
 		}
 	}
-	view := cloneSketch(s)
 	for c := range m.cells {
 		want := slices.Clone(m.cells[c])
 		slices.SortFunc(want, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) })
-		if got := view.Cell(c/m.p.W, uint32(c%m.p.W)); !slices.Equal(got, want) {
+		if got := s.Cell(c/m.p.W, uint32(c%m.p.W)); !slices.Equal(got, want) {
 			t.Fatalf("cell %d reads %v, model %v", c, got, want)
 		}
 	}
 }
 
-// cloneSketch returns a deep copy of s.
-func cloneSketch(s *RTKSketch) *RTKSketch {
-	c := *s
-	c.cells = slices.Clone(s.cells)
-	for i := range c.cells {
-		c.cells[i].entries = slices.Clone(s.cells[i].entries)
-	}
-	c.roster, c.held = slices.Clone(s.roster), slices.Clone(s.held)
-	c.sorter, c.view, c.marks = docSorter{}, nil, nil
-	return &c
-}
-
-// cellState is what one cell keeps, whatever the layout: its bound, its
-// count and its stored entries by id.
+// cellState is what one cell keeps: its bound, its count, its stored
+// entries and, while it is full, its floor.
 type cellState struct {
 	below  int32
 	held   int
 	stored []Entry
+	floor  Entry // ranked; zero unless the cell is full
 }
 
 // residentState returns what every cell of s keeps — the form a batch
@@ -495,18 +479,19 @@ func residentState(s *RTKSketch) []cellState {
 	out := make([]cellState, len(s.cells))
 	for c := range s.cells {
 		h := &s.cells[c]
-		stored := append([]Entry(nil), h.entries...)
-		slices.SortFunc(stored, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
-		out[c] = cellState{below: h.below, held: s.load(c, len(s.roster)), stored: stored}
+		out[c] = cellState{below: h.below, held: s.load(c, len(s.roster)), stored: append([]Entry(nil), h.entries...)}
+		if out[c].held == s.params.HeapCap() {
+			out[c].floor = Entry{DocID: h.floorDoc, Value: h.floorKey}
+		}
 	}
 	return out
 }
 
 // TestDeletePathsMatchModel puts a sketch into each resident state a
-// removal can meet — every cell holding every live id, its non-zero lists
-// canonical ("canonical") or out of order; bounds lowered by the push that
-// crossed the cap; ascending but unflagged; heap-ordered and full;
-// heap-ordered and one under capacity; a bound lowered by the eviction of
+// removal can meet — every cell holding every live id, after ingest in id
+// order or a shuffled batch; bounds lowered by the document that crossed
+// the cap; refilled below a larger id; full after shuffled ingest; one
+// under capacity; a bound lowered by letting go of
 // an implied zero; a cell back below capacity given a zero above its
 // bound; a small removed id ingested again; math.MaxInt32, stored as a zero
 // under no bound, evicted or rejected; one batch past the cap —
@@ -547,18 +532,13 @@ func TestDeletePathsMatchModel(t *testing.T) {
 		name  string
 		build func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand)
 	}{
-		{"canonical", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			for id := 10; id < 16; id++ { // ascending one by one: every append is vouched for
+		{"ascending", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 16; id++ { // ascending one by one: every cell appends
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
 			holdsAll(t, o, true)
-			for c := range o.rtk.cells {
-				if !o.rtk.cells[c].canonical {
-					t.Fatalf("cell %d lost canonical order under ascending ingest", c)
-				}
-			}
 		}},
-		{"sparse out of order", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"shuffled batch", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			batch := make([]DocCounts, 6)
 			for i, id := range rng.Perm(len(batch)) {
 				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
@@ -568,9 +548,8 @@ func TestDeletePathsMatchModel(t *testing.T) {
 				t.Fatal(err)
 			}
 			holdsAll(t, o, true)
-			somewhere(t, o, "stores its non-zero entries out of order", func(h *cellHeap) bool { return !h.canonical })
 		}},
-		{"materialized on the last push", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"past the cap one by one", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for id := 10; id < 18; id++ {
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
@@ -578,15 +557,15 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			addBoth(t, o, m, 18, pathCounts(rng))
 			for c := range o.rtk.cells {
 				if o.rtk.held[c] < 0 {
-					t.Fatalf("cell %d kept every id through the push that overfilled it", c)
+					t.Fatalf("cell %d kept every id through the document that overfilled it", c)
 				}
 			}
 		}},
-		{"ascending unflagged", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"refilled below a larger id", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for id := 10; id < 18; id++ {
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
-			addBoth(t, o, m, ghost, nil) // rejected everywhere, so the cells stay canonical
+			addBoth(t, o, m, ghost, nil) // let go everywhere: the largest id, stored nowhere
 			for id := 15; id < 18; id++ {
 				removeBoth(t, o, m, id)
 			}
@@ -594,7 +573,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			for _, d := range batch {
 				m.add(t, d.DocID, d.Counts)
 			}
-			if err := o.AddDocuments(batch); err != nil { // below the ghost, so vouched for by nobody
+			if err := o.AddDocuments(batch); err != nil { // below the ghost
 				t.Fatal(err)
 			}
 			holdsAll(t, o, false)
@@ -603,15 +582,14 @@ func TestDeletePathsMatchModel(t *testing.T) {
 					t.Fatalf("cell %d: entries %v, want ascending and under the cap", c, h.entries)
 				}
 			}
-			somewhere(t, o, "ascends unflagged", func(h *cellHeap) bool { return !h.canonical })
 		}},
-		{"heap full", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"full", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for _, id := range rng.Perm(30) {
 				addBoth(t, o, m, 10+id, pathCounts(rng))
 			}
 			addBoth(t, o, m, ghost, nil)
 		}},
-		{"heap one under", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+		{"one under", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for _, id := range rng.Perm(30) {
 				addBoth(t, o, m, 10+id, pathCounts(rng))
 			}
@@ -701,10 +679,9 @@ func TestDeletePathsMatchModel(t *testing.T) {
 							return
 						}
 						if _, ok := o.meta[ghost]; ok {
-							view := cloneSketch(o.rtk)
 							for c := range o.rtk.cells {
 								full := o.rtk.load(c, len(o.rtk.roster)) == p.HeapCap()
-								if full && slices.ContainsFunc(view.Cell(c/p.W, uint32(c%p.W)), func(e Entry) bool { return e.DocID == ghost }) {
+								if full && slices.ContainsFunc(o.rtk.Cell(c/p.W, uint32(c%p.W)), func(e Entry) bool { return e.DocID == ghost }) {
 									t.Fatalf("setup: the ghost document is resident in full cell %d", c)
 								}
 							}
@@ -713,8 +690,8 @@ func TestDeletePathsMatchModel(t *testing.T) {
 						}
 						// A document the owner does not have is stored nowhere.
 						for c := range o.rtk.cells {
-							if got := o.rtk.cells[c].remove(ghost); got != 0 {
-								t.Fatalf("cell %d: removing an absent id dropped %d entries", c, got)
+							if o.rtk.cells[c].remove(ghost) {
+								t.Fatalf("cell %d: removing an absent id dropped an entry", c)
 							}
 						}
 						m.check(t, o.rtk)
@@ -753,37 +730,6 @@ func removeBoth(t *testing.T, o *Owner, m *modelSketch, id int) {
 	}
 }
 
-// TestCyclicChurnStaysCanonical pins what makes write-beside-read cheap:
-// spare ids that come round again (one in, one out, like ingest_churn)
-// are below the largest id ever seen but above every live one, and that
-// is enough — every cell stays canonical through ingest and removal, so
-// removals search and reads sort nothing. A high-water mark instead of
-// the live maximum would lose the flag after the first lap.
-func TestCyclicChurnStaysCanonical(t *testing.T) {
-	p := testParams()
-	p.K = 40 // cap 200: nothing evicts
-	o := newOwnerT(t, p)
-	if err := o.AddDocuments(bulkBatch(30, 8, 5)); err != nil {
-		t.Fatal(err)
-	}
-	spare := bulkBatch(4, 8, 6)
-	for lap := 0; lap < 3; lap++ {
-		for i, d := range spare {
-			if err := o.AddDocument(100+i, d.Counts); err != nil {
-				t.Fatal(err)
-			}
-			for c := range o.rtk.cells {
-				if h := &o.rtk.cells[c]; !h.canonical || !strictlyAscending(h.entries) {
-					t.Fatalf("lap %d: cell %d after ingesting %d: canonical=%v, entries %v", lap, c, 100+i, h.canonical, h.entries)
-				}
-			}
-			if err := o.RemoveDocument(100 + i); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-}
-
 // churn drives identical random mutations into a set of owners.
 type churn struct {
 	rng     *rand.Rand
@@ -809,8 +755,8 @@ func (c *churn) counts() map[uint64]int64 {
 	return m
 }
 
-// freshID mixes ids above every earlier one (the append that keeps a
-// cell canonical, also when it refills one a removal opened up) with ids
+// freshID mixes ids above every earlier one (a cell's append, also when
+// it refills one a removal opened up) with ids
 // that land out of order and ids that were removed and come back — below
 // the largest id ever seen, yet possibly above every live one.
 func (c *churn) freshID() int {
@@ -940,7 +886,7 @@ func oracleRun(t *testing.T, p Params) {
 	for step := 0; step < 400; step++ {
 		if step == 200 {
 			// The second half runs on a reloaded owner: every cell arrives
-			// canonical, full ones with a scanned floor, and removals,
+			// from its view, full ones with a scanned floor, and removals,
 			// refills and reads carry on from there. It keeps the mechanism,
 			// so the noise draws stay in step with the reference's.
 			loaded, err := ReadOwner(bytes.NewReader(snapshot(t, got)), got.mech)
@@ -1484,7 +1430,7 @@ func TestRTKAllocCeilings(t *testing.T) {
 	plans := make([]*Plan, 64)
 	for i := range plans {
 		plans[i] = q.Plan(uint64(1000 + i))
-		if _, _, err := RTKWithPlan(plans[i], o, 50); err != nil { // warm: cells canonical, scratch pooled
+		if _, _, err := RTKWithPlan(plans[i], o, 50); err != nil { // warm: scratch pooled
 			t.Fatal(err)
 		}
 	}
@@ -1533,13 +1479,10 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// Removing a document and putting it back moves entries within the
 	// cells' own slabs.
 	const victim = 600
-	table, err := o.scratch.Expand(o.docTables[victim])
-	if err != nil {
-		t.Fatal(err)
-	}
+	docs, tables := []DocCounts{{DocID: victim}}, []sketch.Compact{o.docTables[victim]}
 	churn := testing.AllocsPerRun(10, func() {
-		o.rtk.Delete(victim, table)
-		o.rtk.insert(victim, table)
+		o.rtk.Delete(victim, &tables[0])
+		o.rtk.insert(docs, tables)
 	})
 	if churn > 0 {
 		t.Errorf("RTKSketch.Delete + insert of one document: %.1f allocs, want 0", churn)

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -206,8 +207,8 @@ type docMeta struct {
 // Owner is safe for concurrent use: ingestion and query answering are
 // serialized by an internal mutex (the HTTP host serves requests
 // concurrently, the DP mechanism's random source is not itself
-// thread-safe, and answering a query may re-order the addressed cells in
-// place — see cellHeap).
+// thread-safe, and a read of a cell whose roster implies zeros builds its
+// view in the sketch's scratch).
 type Owner struct {
 	mu            sync.Mutex
 	params        Params
@@ -215,7 +216,8 @@ type Owner struct {
 	mech          dp.Mechanism
 	keepDocTables bool
 	docTables     map[int]sketch.Compact
-	scratch       *sketch.Builder // the one dense table documents are built in and expanded into
+	scratch       *sketch.Builder  // the one dense table documents are built in
+	tables        []sketch.Compact // a batch's tables while it is settled, empty between batches
 	meta          map[int]docMeta
 	rtk           *RTKSketch
 	ids           []int
@@ -364,11 +366,14 @@ type DocCounts struct {
 }
 
 // AddDocuments ingests a batch of documents under one hold of the
-// owner's lock and one generation bump: each is folded into the shared
-// RTK-Sketch in slice order (fold), exactly as a loop of AddDocument
-// calls folds them. The batch is checked first (CheckBatch), so on error —
-// a duplicate id, a document an entry cannot hold — the owner is left
-// unchanged, with no partially applied prefix.
+// owner's lock and one generation bump. Each document's table is built in
+// the owner's one scratch and compacted — and kept, if the owner keeps
+// per-document sketches — and the RTK-Sketch then settles the batch into
+// every cell at once (RTKSketch.insert), leaving exactly what a loop of
+// AddDocument calls leaves: a cell keeps the same entries whatever order
+// they are offered in. The batch is checked first (CheckBatch), so on
+// error — a duplicate id, a document an entry cannot hold — the owner is
+// left unchanged, with no partially applied prefix.
 func (o *Owner) AddDocuments(docs []DocCounts) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -378,9 +383,22 @@ func (o *Owner) AddDocuments(docs []DocCounts) error {
 	if err := CheckBatch(docs, o.holds); err != nil {
 		return err
 	}
-	for _, d := range docs {
-		o.fold(d)
+	tables := slices.Grow(o.tables[:0], len(docs))[:len(docs)]
+	for i, d := range docs {
+		tables[i] = o.scratch.Compact(o.scratch.Sketch(d.Counts))
+		if o.keepDocTables {
+			o.docTables[d.DocID] = tables[i]
+		}
+		length := 0
+		for _, c := range d.Counts {
+			length += int(c)
+		}
+		o.meta[d.DocID] = docMeta{length: length, unique: len(d.Counts)}
+		o.trackID(d.DocID)
 	}
+	o.rtk.insert(docs, tables)
+	clear(tables) // pins no table past its batch
+	o.tables = tables[:0]
 	o.idsSorted = false
 	o.generation.Add(1)
 	return nil
@@ -392,30 +410,12 @@ func (o *Owner) holds(docID int) bool {
 	return ok
 }
 
-// fold is the per-document step of ingest: the document's table is built
-// in the owner's one scratch, inserted into every RTK-Sketch cell and,
-// if the owner keeps per-document sketches, kept compact; then its
-// metadata is recorded. Callers hold o.mu and have checked the document.
-func (o *Owner) fold(d DocCounts) {
-	t := o.scratch.Sketch(d.Counts)
-	o.rtk.insert(d.DocID, t)
-	if o.keepDocTables {
-		o.docTables[d.DocID] = o.scratch.Compact(t)
-	}
-	length := 0
-	for _, c := range d.Counts {
-		length += int(c)
-	}
-	o.meta[d.DocID] = docMeta{length: length, unique: len(d.Counts)}
-	o.trackID(d.DocID)
-}
-
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
 // sketch and metadata. An owner that kept the document's table uses it to
 // visit only the cells the document can be in: while every cell holds
 // every live id, those the compact table marks non-zero; once some cell
-// has let a document go, the table is expanded into the scratch and the
-// sketch skips every full cell whose floor the document orders below (see
+// has let a document go, the sketch reads the table's values and skips
+// every full cell whose floor the document orders below (see
 // RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
@@ -423,12 +423,11 @@ func (o *Owner) RemoveDocument(docID int) error {
 	if _, ok := o.meta[docID]; !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownDoc, docID)
 	}
-	if c, kept := o.docTables[docID]; !kept {
-		o.rtk.Delete(docID, nil)
-	} else if !o.rtk.deleteMarked(docID, c) {
-		table, _ := o.scratch.Expand(c) // a kept table has the scratch's geometry
-		o.rtk.Delete(docID, table)
+	var table *sketch.Compact
+	if c, kept := o.docTables[docID]; kept {
+		table = &c
 	}
+	o.rtk.Delete(docID, table)
 	delete(o.docTables, docID)
 	delete(o.meta, docID)
 	// Swap-delete via the position index instead of the old O(n)
@@ -494,10 +493,9 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 
 // AnswerRTK implements the owner side of Algorithm 5: return the content
 // of the addressed cell in every row, in canonical ascending-DocID order,
-// counts perturbed with a single noise draw. Cells a mutation left out of
-// canonical order are sorted in place on the way, so back-to-back queries
-// only copy; a row's zeros that the roster implies are merged in as it is
-// copied, so a reply does not depend on what the cell stores. The
+// counts perturbed with a single noise draw. Cells are kept in that order,
+// so a query only copies; a row's zeros that the roster implies are merged
+// in as it is copied, so a reply does not depend on what the cell stores. The
 // response belongs to the caller (see RTKResponse) and carries its
 // encoded length, computed in the copy loop (rtkSizer).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {

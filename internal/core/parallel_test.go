@@ -147,16 +147,54 @@ func bulkBatch(n, terms int, seed int64) []DocCounts {
 // TestAddDocumentsMatchesSequential: a corpus loaded in batches of any
 // size, past the cap, must leave the owner bit-identical to a sequential
 // AddDocument loop over the same documents — same snapshot bytes, same
-// resident cells (bounds, counts and stored entries), same document set,
-// metadata and query answers. Where one batch ends and the next begins
-// makes no difference.
+// resident cells (bounds, counts, stored entries and floors), same
+// document set, metadata and query answers. Where one batch ends and the
+// next begins makes no difference. It runs on synthetic documents at a
+// small geometry and, at the scorecard's (z = 30, w = 200, K = 50,
+// alpha = 5), on generated bodies and titles for Count Sketch, Count-Min
+// and Count-Min over negative counts, in batches of 1, 2, cap-1, cap,
+// cap+1 and all. Then one batch — removed documents coming back and new
+// ones above and below every live id — lands on each sketch after it was
+// read, lost documents and had its bounds lowered, and must leave what its
+// documents one at a time leave.
 func TestAddDocumentsMatchesSequential(t *testing.T) {
-	p := testParams()
-	docs := bulkBatch(180, 15, 5)
-	seq, err := NewOwner(p, 42, dp.Disabled())
-	if err != nil {
-		t.Fatal(err)
+	t.Run("synthetic", func(t *testing.T) {
+		matchesSequential(t, testParams(), bulkBatch(180, 15, 5), []int{1, 2, 3, 8, 180})
+	})
+	p := DefaultParams()
+	p.Z, p.W, p.K, p.Alpha, p.Epsilon = 30, 200, 50, 5, 0
+	cap := p.HeapCap()
+	for _, field := range []string{"body", "title"} {
+		docs := corpusDocs(t, 280, field)
+		for _, kind := range []string{"count", "count-min", "count-min-negative"} {
+			t.Run(field+"/"+kind, func(t *testing.T) {
+				t.Parallel()
+				p, docs := p, docs
+				if kind != "count" {
+					p.SketchKind = sketch.CountMin
+				}
+				if kind == "count-min-negative" {
+					docs = slices.Clone(docs)
+					for i := 1; i < len(docs); i += 2 {
+						negated := make(map[uint64]int64, len(docs[i].Counts))
+						for term, n := range docs[i].Counts {
+							negated[term] = -n
+						}
+						docs[i].Counts = negated
+					}
+				}
+				matchesSequential(t, p, docs, []int{1, 2, cap - 1, cap, cap + 1, len(docs)})
+			})
+		}
 	}
+}
+
+// matchesSequential loads docs, ids ascending, in batches of each size
+// and holds the owner to the one an AddDocument loop builds, then lands
+// one batch on a read and shrunk sketch (see
+// TestAddDocumentsMatchesSequential).
+func matchesSequential(t *testing.T, p Params, docs []DocCounts, sizes []int) {
+	seq := newOwnerT(t, p)
 	for _, d := range docs {
 		if err := seq.AddDocument(d.DocID, d.Counts); err != nil {
 			t.Fatal(err)
@@ -170,60 +208,107 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := []*Plan{q.Plan(3), q.Plan(77), q.Plan(401)}
-
-	for _, size := range []int{1, 2, 3, 8, len(docs)} {
+	saved := snapshot(t, seq)
+	for _, size := range sizes {
 		t.Run(fmt.Sprintf("batch=%d", size), func(t *testing.T) {
-			bulk, err := NewOwner(p, 42, dp.Disabled())
-			if err != nil {
-				t.Fatal(err)
-			}
+			bulk := newOwnerT(t, p)
 			for lo := 0; lo < len(docs); lo += size {
 				if err := bulk.AddDocuments(docs[lo:min(lo+size, len(docs))]); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if !bytes.Equal(snapshot(t, seq), snapshot(t, bulk)) {
-				t.Fatal("snapshots differ")
-			}
-			if !reflect.DeepEqual(residentState(seq.rtk), residentState(bulk.rtk)) {
-				t.Fatal("resident cells differ")
-			}
-			if !reflect.DeepEqual(seq.DocIDs(), bulk.DocIDs()) {
-				t.Fatal("document id sets differ")
-			}
-			for _, d := range docs {
-				sl, su, err1 := seq.DocMeta(d.DocID)
-				bl, bu, err2 := bulk.DocMeta(d.DocID)
-				if err1 != nil || err2 != nil || sl != bl || su != bu {
-					t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)",
-						d.DocID, sl, su, err1, bl, bu, err2)
-				}
+			sameOwners(t, seq, saved, bulk, docs, plans)
+		})
+	}
+	t.Run("onto a read, shrunk sketch", func(t *testing.T) {
+		one, each := newOwnerT(t, p), newOwnerT(t, p)
+		var batch []DocCounts
+		for _, o := range []*Owner{one, each} {
+			if err := o.AddDocuments(docs); err != nil {
+				t.Fatal(err)
 			}
 			for _, plan := range plans {
-				want, err := seq.AnswerRTK(plan.Query())
-				if err != nil {
+				if _, err := o.AnswerRTK(plan.Query()); err != nil {
 					t.Fatal(err)
-				}
-				got, err := bulk.AnswerRTK(plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("AnswerRTK(term %d) differs", plan.Term())
-				}
-				wantTF, err := seq.AnswerTF(docs[0].DocID, plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				gotTF, err := bulk.AnswerTF(docs[0].DocID, plan.Query())
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantTF, gotTF) {
-					t.Fatalf("AnswerTF(term %d) differs", plan.Term())
 				}
 			}
-		})
+			for c := range o.rtk.cells {
+				o.rtk.cellView(c)
+			}
+			for i := len(docs) - 1; i >= 0; i -= 9 {
+				if err := o.RemoveDocument(docs[i].DocID); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if !slices.ContainsFunc(one.rtk.cells, func(h cellHeap) bool { return h.below != noBound }) {
+			t.Fatal("setup: no bound was lowered")
+		}
+		for i := len(docs) - 1; i >= 0; i -= 9 {
+			batch = append(batch, docs[i]) // back, newest first
+		}
+		top := docs[len(docs)-1].DocID
+		for i := 0; i < 12; i++ {
+			batch = append(batch,
+				DocCounts{DocID: top + 1 + i, Counts: docs[i].Counts},
+				DocCounts{DocID: -1 - i, Counts: docs[len(docs)-1-i].Counts})
+		}
+		if err := one.AddDocuments(batch); err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range batch {
+			if err := each.AddDocument(d.DocID, d.Counts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sameOwners(t, each, snapshot(t, each), one, batch, plans)
+	})
+}
+
+// sameOwners holds got to want, whose snapshot is saved: snapshot bytes,
+// resident cells, document set, the metadata of docs and the answers to
+// plans.
+func sameOwners(t *testing.T, want *Owner, saved []byte, got *Owner, docs []DocCounts, plans []*Plan) {
+	t.Helper()
+	if !bytes.Equal(saved, snapshot(t, got)) {
+		t.Fatal("snapshots differ")
+	}
+	if !reflect.DeepEqual(residentState(want.rtk), residentState(got.rtk)) {
+		t.Fatal("resident cells differ")
+	}
+	if !reflect.DeepEqual(want.DocIDs(), got.DocIDs()) {
+		t.Fatal("document id sets differ")
+	}
+	for _, d := range docs {
+		wl, wu, err1 := want.DocMeta(d.DocID)
+		gl, gu, err2 := got.DocMeta(d.DocID)
+		if err1 != nil || err2 != nil || wl != gl || wu != gu {
+			t.Fatalf("doc %d metadata differs: (%d,%d,%v) vs (%d,%d,%v)", d.DocID, wl, wu, err1, gl, gu, err2)
+		}
+	}
+	for _, plan := range plans {
+		wantRTK, err := want.AnswerRTK(plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotRTK, err := got.AnswerRTK(plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantRTK, gotRTK) {
+			t.Fatalf("AnswerRTK(term %d) differs", plan.Term())
+		}
+		wantTF, err := want.AnswerTF(docs[0].DocID, plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotTF, err := got.AnswerTF(docs[0].DocID, plan.Query())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantTF, gotTF) {
+			t.Fatalf("AnswerTF(term %d) differs", plan.Term())
+		}
 	}
 }
 
@@ -382,7 +467,7 @@ func TestAddDocumentsPooledAllocs(t *testing.T) {
 // the cost of RTKSketch.Delete: whether the owner still has the document's table
 // (full cells below whose floor the document orders are skipped), whether
 // the victim is the newest id or drawn across the id range (the search in
-// a canonical cell gallops from the tail), and whether the cells are
+// a cell gallops from the tail), and whether the cells are
 // under capacity (64 documents, cap 250: every document is in every cell)
 // or over it (1 200). The last row is the 10k-document shape this
 // benchmark had before it became a table; with tables it would hold
@@ -430,5 +515,33 @@ func BenchmarkOwnerRemoveDocument(b *testing.B) {
 				})
 			}
 		}
+	}
+}
+
+// TestBulkLoadAllocCeiling pins what one 1 200-document batch allocates at
+// the benchmark geometry (z = 30, w = 200, cap 250) to O(z*w + docs): a
+// slab per cell and per document table, and the owner's maps and roster
+// growing. Settling a cell allocates nothing per entry it weighs, bodies
+// weighing hundreds per cell, so a regression there shows as hundreds of
+// thousands.
+func TestBulkLoadAllocCeiling(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; ceilings hold without -race")
+	}
+	p := DefaultParams()
+	p.K = 50
+	for _, field := range []string{"body", "title"} {
+		docs := corpusDocs(t, 1200, field)
+		var o *Owner
+		allocs := testing.AllocsPerRun(3, func() {
+			o = newOwnerT(t, p) // a sketch's z*w cell headers are one slab
+			if err := o.AddDocuments(docs); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if ceiling := float64(p.Z*p.W + 2*len(docs)); allocs > ceiling {
+			t.Errorf("%s: a %d-document batch allocates %.0f times, ceiling z*w + 2 per document = %.0f", field, len(docs), allocs, ceiling)
+		}
+		t.Logf("%s: %.0f allocations", field, allocs)
 	}
 }

@@ -789,7 +789,7 @@ func (p *Party) IngestAll(docs []*textkit.Document) error {
 // IngestAllParallel bulk-loads a document slice: term counting runs on a
 // pool of workers (workers <= 0 resolves to Params.Parallelism /
 // GOMAXPROCS), then the two fields load concurrently, each as one batch
-// folded document by document in slice order (see
+// settled into every RTK-Sketch cell at once (see
 // shard.Group.AddDocuments). The resulting party state is identical to a
 // sequential IngestAll. On error the party may hold one field's batch but
 // not the other — callers should treat the party as unusable, exactly as

@@ -433,7 +433,7 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 // Then a shard churns across the cap: it holds cap − 1 documents, the
 // largest ids, and goes to cap + 1 and back, lap after lap, each time
 // with other documents. Its owners' cells hold every live id until the
-// push past the cap and lower their bounds from then on; what a cell
+// document past the cap and lower their bounds from then on; what a cell
 // loses that way is the entry the cell ranks last — a zero with a large
 // id — which the other shards' documents keep out of the union's top cap
 // as well, so the group still answers what the single owner does, at
@@ -979,7 +979,7 @@ func BenchmarkGroupAnswerRTK(b *testing.B) {
 	queries := make([]*core.TFQuery, 64)
 	for i := range queries {
 		queries[i] = queryCols(p, i)
-		if _, err := g.AnswerRTK(queries[i]); err != nil { // bring every addressed cell to canonical order
+		if _, err := g.AnswerRTK(queries[i]); err != nil { // warm the addressed cells
 			b.Fatal(err)
 		}
 	}

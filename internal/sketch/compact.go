@@ -13,8 +13,8 @@ import (
 // the non-zero cells. A document of a hundred-odd terms touches a minority
 // of its z x w counters and leaves a count of a few units in each, so an
 // owner that keeps one sketch per document (Section IV's TF protocol)
-// keeps them like this and goes through a dense Table only to build, fold
-// or delete one (see Builder).
+// keeps them like this and goes through a dense Table only to build or
+// delete one (see Builder).
 //
 // A table is one slab of 64-bit words laid out marks | rank | vals. marks
 // is the row-major bitstream of the z·w cells: bit p&63 of word p>>6 is
@@ -148,22 +148,35 @@ func (c Compact) Lookup(cols []uint32, add float64, out []float64) {
 	}
 }
 
-// AppendNonZero appends to dst the row-major position (row*w + col) of
-// every non-zero cell, ascending — the cells the marks name, found without
-// expanding the table.
-func (c Compact) AppendNonZero(dst []int) []int {
-	for word, set := range c.slab[:markWords(c.z*c.w)] {
+// RowCell is one non-zero cell of a table row: its column and counter.
+type RowCell struct {
+	Col   int
+	Value int64
+}
+
+// AppendRow appends to dst the non-zero cells of row a, ascending by
+// column, read from the marks and counters without expanding the table:
+// the row's first counter is found by rank, and the rest follow it.
+func (c Compact) AppendRow(dst []RowCell, a int) []RowCell {
+	m := markWords(c.z * c.w)
+	marks, vals := c.slab[:m], c.slab[valsAt(m):]
+	lo, hi := a*c.w, (a+1)*c.w
+	i := c.rank(lo>>6) + bits.OnesCount64(marks[lo>>6]&(1<<(lo&63)-1))
+	for p := lo; p < hi; {
+		end := min(hi, (p>>6+1)<<6)
+		set := marks[p>>6] >> (p & 63) & (1<<(end-p) - 1)
 		for ; set != 0; set &= set - 1 {
-			dst = append(dst, word<<6+bits.TrailingZeros64(set))
+			dst = append(dst, RowCell{Col: p - lo + bits.TrailingZeros64(set), Value: counter(vals, c.width, i)})
+			i++
 		}
+		p = end
 	}
 	return dst
 }
 
 // Builder is the dense scratch through which an owner's documents pass:
-// it sketches one document at a time into a reused Table, hands that
-// table to whoever folds it, and compacts it for keeping — so ingesting a
-// document allocates its Compact slab and nothing else. A Builder is not
+// it sketches one document at a time into a reused Table and compacts it
+// — so ingesting a document allocates its Compact slab and nothing else. A Builder is not
 // safe for concurrent use.
 type Builder struct {
 	dense *Table
@@ -180,33 +193,11 @@ func NewBuilder(kind Kind, fam *hashutil.Family) (*Builder, error) {
 }
 
 // Sketch returns the table of one document's term counts. The table is
-// the builder's scratch: valid until the next Sketch or Expand.
+// the builder's scratch: valid until the next Sketch.
 func (b *Builder) Sketch(counts map[uint64]int64) *Table {
 	b.dense.Reset()
 	b.dense.AddCounts(counts)
 	return b.dense
-}
-
-// Expand returns the table c was compacted from, which must have the
-// builder's geometry, in the builder's scratch: valid until the next
-// Sketch or Expand.
-//
-//csfltr:deterministic
-func (b *Builder) Expand(c Compact) (*Table, error) {
-	t := b.dense
-	if c.z != t.Z() || c.w != t.W() {
-		return nil, fmt.Errorf("%w: compact table is %dx%d, builder %dx%d", ErrIncompatible, c.z, c.w, t.Z(), t.W())
-	}
-	t.Reset()
-	m := markWords(len(t.cells))
-	vals, i := c.slab[valsAt(m):], 0
-	for word, set := range c.slab[:m] {
-		for ; set != 0; set &= set - 1 {
-			t.cells[word<<6+bits.TrailingZeros64(set)] = counter(vals, c.width, i)
-			i++
-		}
-	}
-	return t, nil
 }
 
 // Compact returns the compact form of t (any table, not only the

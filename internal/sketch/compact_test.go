@@ -64,8 +64,8 @@ func counterBytes(dense *Table) int {
 }
 
 // checkCompactMatchesDense holds c against the dense table it was
-// compacted from: every cell, the column checks, the expansion and the
-// serialized round trip.
+// compacted from: every cell, every row's non-zero cells, the column
+// checks and the serialized round trip.
 func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 	t.Helper()
 	z, w := dense.Z(), dense.W()
@@ -74,15 +74,21 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 	}
 	checkLookups(t, c, dense)
 	nonZero := 0
-	var cells []int
-	for i, v := range dense.cells {
+	for _, v := range dense.cells {
 		if v != 0 {
 			nonZero++
-			cells = append(cells, i)
 		}
 	}
-	if got := c.AppendNonZero([]int{-1}); !slices.Equal(got[1:], cells) || got[0] != -1 {
-		t.Fatalf("AppendNonZero names cells %v, the dense table %v", got, cells)
+	for a := 0; a < z; a++ {
+		want := []RowCell{{Col: -1}}
+		for col := 0; col < w; col++ {
+			if v := dense.Cell(a, uint32(col)); v != 0 {
+				want = append(want, RowCell{Col: col, Value: v})
+			}
+		}
+		if got := c.AppendRow([]RowCell{{Col: -1}}, a); !slices.Equal(got, want) {
+			t.Fatalf("AppendRow(%d) = %v, the dense row %v", a, got[1:], want[1:])
+		}
 	}
 	// A marks word per 64 cells, a rank per marks word, two to a word,
 	// and the counters at the narrowest width that holds them all.
@@ -101,21 +107,6 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 		got := c.CheckColumns(bad)
 		if want == nil || got == nil || got.Error() != want.Error() || !errors.Is(got, ErrIncompatible) {
 			t.Fatalf("CheckColumns(%d columns) = %v, dense LookupColumns gives %v", len(bad), got, want)
-		}
-	}
-
-	b, err := NewBuilder(dense.Kind(), dense.Family())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.Sketch(map[uint64]int64{1: 1}) // expansion overwrites
-	back, err := b.Expand(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range dense.cells {
-		if back.cells[i] != v {
-			t.Fatalf("expanded cell %d = %d, want %d", i, back.cells[i], v)
 		}
 	}
 
@@ -140,7 +131,7 @@ func checkCompactMatchesDense(t *testing.T, c Compact, dense *Table) {
 }
 
 // TestCompactMatchesDense: whatever the table, its compact form answers,
-// expands and serializes to exactly what the dense table holds — on the
+// reads out row by row and serializes to exactly what the dense table holds — on the
 // narrow encoding where it fits and on the wide one where a counter or the
 // number of non-zero cells does not, at widths that do and do not fill
 // their last group of columns.
@@ -229,8 +220,7 @@ func TestCompactMatchesDense(t *testing.T) {
 }
 
 // TestBuilderReusesScratch: documents built one after another through one
-// builder come out as if each had a table of its own, and an expansion
-// gives back the table a document was built as.
+// builder come out as if each had a table of its own.
 func TestBuilderReusesScratch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	f := fam(t, 30, 200, 3)
@@ -249,22 +239,6 @@ func TestBuilderReusesScratch(t *testing.T) {
 	}
 	for i, c := range kept {
 		checkCompactMatchesDense(t, c, want[i])
-		dense, err := b.Expand(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j, v := range want[i].cells {
-			if dense.cells[j] != v {
-				t.Fatalf("document %d: expanded cell %d = %d, want %d", i, j, dense.cells[j], v)
-			}
-		}
-	}
-	other, err := NewBuilder(Count, fam(t, 30, 100, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := other.Expand(kept[0]); !errors.Is(err, ErrIncompatible) {
-		t.Fatalf("expansion into another geometry: %v, want ErrIncompatible", err)
 	}
 	if _, err := NewBuilder(Kind(9), f); !errors.Is(err, ErrBadKind) {
 		t.Fatalf("builder of an unknown kind: %v, want ErrBadKind", err)
