@@ -755,32 +755,46 @@ func BenchmarkRTKReverseTopK(b *testing.B) {
 	})
 }
 
-// BenchmarkRTKRecover measures the querier's recovery alone — the merge
-// over the private rows, the estimates and the best k — over prebuilt
-// replies at the benchmark geometry (epsilon = 0.5, every cell full),
-// rotating over terms: at the k the scorecard asks for and at the
-// paper's K.
+// BenchmarkRTKRecover measures the querier's recovery alone — the scatter
+// of the private rows by id window, the estimates and the best k — over
+// prebuilt replies at the benchmark geometry (epsilon = 0.5, every cell
+// full), rotating over terms: at the k the scorecard asks for and at the
+// paper's K. The sparse cases recover the same replies with every id
+// multiplied by 64, so each window holds one document: the most windows
+// a reply can take.
 func BenchmarkRTKRecover(b *testing.B) {
 	q, o := benchGeometry(b, 0.5)
 	plans := make([]*Plan, 64)
-	replies := make([]OwnerAPI, len(plans))
+	dense, sparse := make([]OwnerAPI, len(plans)), make([]OwnerAPI, len(plans))
 	for i := range plans {
 		plans[i] = q.Plan(uint64(1000 + i))
 		resp, err := o.AnswerRTK(plans[i].Query())
 		if err != nil {
 			b.Fatal(err)
 		}
-		replies[i] = stubOwner{resp: resp}
-	}
-	for _, k := range []int{50, 150} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := RTKWithPlan(plans[i%len(plans)], replies[i%len(plans)], k); err != nil {
-					b.Fatal(err)
-				}
+		spread := &RTKResponse{Cells: make([]RTKCell, len(resp.Cells))}
+		for a, cell := range resp.Cells {
+			spread.Cells[a] = RTKCell{IDs: make([]int32, len(cell.IDs)), Values: cell.Values}
+			for j, id := range cell.IDs {
+				spread.Cells[a].IDs[j] = id * window
 			}
-		})
+		}
+		dense[i], sparse[i] = stubOwner{resp: resp}, stubOwner{resp: spread}
+	}
+	for _, ids := range []struct {
+		name    string
+		replies []OwnerAPI
+	}{{"", dense}, {"sparse/", sparse}} {
+		for _, k := range []int{50, 150} {
+			b.Run(fmt.Sprintf("%sk=%d", ids.name, k), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := RTKWithPlan(plans[i%len(plans)], ids.replies[i%len(plans)], k); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -122,7 +122,10 @@ func FuzzRTKQueryHandling(f *testing.F) {
 // infinite values: RTKWithPlan must reject or recover, never panic, may
 // only ever return documents the response offered, and — at k = 1, where
 // the floor it prunes against is set by the first candidate, as at K —
-// must return what the estimate-everything reference does. Every
+// must return what the estimate-everything reference does. Every reply
+// is recovered with two private rows of the four and with three: only
+// with three can a document some row holds be absent from more than
+// half of them, which is where the zero-fill count bound skips it. Every
 // recovery ends its reply (the stub hands each its own), and a decoded
 // reply that is released must not change the next decode.
 //
@@ -133,14 +136,17 @@ func FuzzRTKResponseHandling(f *testing.F) {
 	p := DefaultParams()
 	p.Z = 4
 	p.W = 16
-	p.Z1 = 2
 	p.K = 3
 	p.Epsilon = 0
-	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
-	if err != nil {
-		f.Fatal(err)
+	var plans []*Plan
+	for _, z1 := range []int{2, 3} {
+		p.Z1 = z1
+		q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
+		if err != nil {
+			f.Fatal(err)
+		}
+		plans = append(plans, q.Plan(3))
 	}
-	plan := q.Plan(3)
 	f.Add([]byte{4, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20, 3, 2, 1, 2, 3, 10, 20}) // every row: 3 ids, 2 values
 	f.Add([]byte{4, 2, 2, 1, 2, 5, 6, 2, 2, 2, 3, 7, 8, 1, 1, 2, 9, 0, 0})                                       // well-formed
 	f.Add([]byte{4, 2, 2, 2, 1, 5, 6, 2, 2, 1, 1, 7, 8})                                                         // descending, duplicate
@@ -155,27 +161,36 @@ func FuzzRTKResponseHandling(f *testing.F) {
 	}}).AppendPayload(nil)
 	f.Add(payload)
 	f.Add(payload[:len(payload)-3])
+	wide, _ := (&RTKResponse{Cells: []RTKCell{ // ids at both int32 extremes
+		{IDs: []int32{math.MinInt32, 0, math.MaxInt32}, Values: []float64{5, 6, 7}},
+		{IDs: []int32{math.MinInt32, 1, math.MaxInt32}, Values: []float64{8, 9, 10}},
+		{IDs: []int32{0, math.MaxInt32}, Values: []float64{3, 4}}, {IDs: []int32{math.MinInt32}, Values: []float64{2}},
+	}}).AppendPayload(nil)
+	f.Add(wide)
+	f.Add([]byte{4, 3, 3, 156, 0, 100, 5, 6, 7, 3, 3, 156, 1, 100, 8, 9, 10, 2, 2, 0, 100, 3, 4, 1, 1, 156, 2}) // ids -100 to 100: windows apart
 	recoverFrom := func(t *testing.T, resp *RTKResponse, offered map[int]bool) {
-		docs, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K)
-		if err != nil {
-			if !errors.Is(err, ErrBadQuery) {
-				t.Fatalf("unexpected error class: %v", err)
+		for _, plan := range plans {
+			docs, _, err := RTKWithPlan(plan, stubOwner{resp: resp}, p.K)
+			if err != nil {
+				if !errors.Is(err, ErrBadQuery) {
+					t.Fatalf("unexpected error class: %v", err)
+				}
+				return
 			}
-			return
-		}
-		if len(docs) > p.K {
-			t.Fatalf("%d results for k=%d", len(docs), p.K)
-		}
-		for _, k := range []int{1, p.K} {
-			got, _, _ := RTKWithPlan(plan, stubOwner{resp: resp}, k)
-			want, _, _ := refRTKWithPlan(plan, stubOwner{resp: resp}, k)
-			if err := sameDocCounts(got, want); err != nil {
-				t.Fatalf("k=%d: %v\n got %v\nwant %v", k, err, got, want)
+			if len(docs) > p.K {
+				t.Fatalf("%d results for k=%d", len(docs), p.K)
 			}
-		}
-		for _, dc := range docs {
-			if !offered[dc.DocID] {
-				t.Fatalf("result %+v was never offered by the response", dc)
+			for _, k := range []int{1, p.K} {
+				got, _, _ := RTKWithPlan(plan, stubOwner{resp: resp}, k)
+				want, _, _ := refRTKWithPlan(plan, stubOwner{resp: resp}, k)
+				if err := sameDocCounts(got, want); err != nil {
+					t.Fatalf("z1=%d, k=%d: %v\n got %v\nwant %v", plan.params.Z1, k, err, got, want)
+				}
+			}
+			for _, dc := range docs {
+				if !offered[dc.DocID] {
+					t.Fatalf("result %+v was never offered by the response", dc)
+				}
 			}
 		}
 	}

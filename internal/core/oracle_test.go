@@ -1330,11 +1330,20 @@ func TestRTKWithPlanRejectsMalformedResponse(t *testing.T) {
 // 0..universe-1: each row lists a document with probability density and
 // draws its value from value.
 func randomReply(rng *rand.Rand, z, universe int, density float64, value func() float64) *RTKResponse {
+	ids := make([]int32, universe)
+	for id := range ids {
+		ids[id] = int32(id)
+	}
+	return replyOver(rng, z, ids, density, value)
+}
+
+// replyOver is randomReply over the ascending documents ids.
+func replyOver(rng *rand.Rand, z int, ids []int32, density float64, value func() float64) *RTKResponse {
 	resp := &RTKResponse{Cells: make([]RTKCell, z)}
 	for a := range resp.Cells {
-		for id := 0; id < universe; id++ {
+		for _, id := range ids {
 			if rng.Float64() < density {
-				resp.Cells[a].IDs = append(resp.Cells[a].IDs, int32(id))
+				resp.Cells[a].IDs = append(resp.Cells[a].IDs, id)
 				resp.Cells[a].Values = append(resp.Cells[a].Values, value())
 			}
 		}
@@ -1353,6 +1362,12 @@ func randomReply(rng *rand.Rand, z, universe int, density float64, value func() 
 // soft-intersection thresholds of one row and of several; Count-Min; and
 // replies salted with NaN, infinities and magnitudes whose pairwise mean
 // overflows, which is where a shortcut around a sort goes wrong first.
+// Recovery scatters the rows one window of 64 ids at a time, so the
+// trials after the first 400 spread the documents over many windows:
+// universes of up to 400 ids, ids farther apart than a window, runs
+// across window edges, negative ids and the int32 extremes, up to 40
+// private rows — and 300, more than a narrow per-document row count
+// could hold — each reply recovered by every estimator and sketch kind.
 func TestRTKRecoveryMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	hostile := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64, -math.MaxFloat64, math.MaxFloat64 / 2}
@@ -1386,17 +1401,113 @@ func TestRTKRecoveryMatchesReference(t *testing.T) {
 		universe := 1 + rng.Intn(40)
 		for name, value := range values {
 			owner := stubOwner{resp: randomReply(rng, p.Z, universe, []float64{0.2, 0.7, 1}[rng.Intn(3)], value)}
-			for _, k := range []int{1, 2, 3, 1 + universe/2, universe, universe + 5} {
-				got, _, err := RTKWithPlan(plan, owner, k)
+			checkRecovery(t, fmt.Sprintf("trial %d, %s values", trial, name), plan, owner, universe)
+		}
+	}
+
+	shapes := []struct {
+		name string
+		ids  func() []int32
+	}{
+		{"dense", func() []int32 { // 65 to 400 consecutive ids from anywhere in [-500, 500)
+			ids, base := make([]int32, 65+rng.Intn(336)), int32(rng.Intn(1000)-500)
+			for i := range ids {
+				ids[i] = base + int32(i)
+			}
+			return ids
+		}},
+		{"sparse", func() []int32 { // every gap wider than a window
+			var ids []int32
+			for id, n := int32(-rng.Intn(5000)), 5+rng.Intn(40); len(ids) < n; id += int32(window + 1 + rng.Intn(300)) {
+				ids = append(ids, id)
+			}
+			return ids
+		}},
+		{"edges", func() []int32 { // a run across every window edge, windows starting at the first id
+			first := int32(rng.Intn(200) - 100)
+			ids := []int32{first}
+			for j, n := int32(1), int32(2+rng.Intn(6)); j <= n; j++ {
+				r := int32(1 + rng.Intn(4))
+				for id := first + window*j - r; id < first+window*j+r; id++ {
+					ids = append(ids, id)
+				}
+			}
+			return ids
+		}},
+		{"extremes", func() []int32 {
+			return []int32{math.MinInt32, math.MinInt32 + 1, math.MinInt32 + 63, math.MinInt32 + 64,
+				-65, -64, -1, 0, 1, 63, 64, math.MaxInt32 - 64, math.MaxInt32 - 63, math.MaxInt32 - 1, math.MaxInt32}
+		}},
+	}
+	// plansFor returns p's plan for term in both estimators and both
+	// sketch kinds.
+	plansFor := func(p Params, term uint64) []*Plan {
+		var out []*Plan
+		for _, mode := range []EstimatorMode{EstimatorZeroFill, EstimatorPresentRows} {
+			for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
+				p.Estimator, p.SketchKind = mode, kind
+				q, err := NewQuerier(p, term, rng)
 				if err != nil {
 					t.Fatal(err)
 				}
-				want, _, _ := refRTKWithPlan(plan, owner, k)
-				if err := sameDocCounts(got, want); err != nil {
-					t.Fatalf("trial %d (%s values, z1=%d of %d, beta=%v, estimator=%d, kind=%v, k=%d of %d): %v\n got %v\nwant %v",
-						trial, name, p.Z1, p.Z, p.Beta, p.Estimator, p.SketchKind, k, universe, err, got, want)
-				}
+				out = append(out, q.Plan(term))
 			}
+		}
+		return out
+	}
+	for trial := 0; trial < 40; trial++ {
+		shape := shapes[trial%len(shapes)]
+		ids := shape.ids()
+		p := DefaultParams()
+		p.Z = 1 + rng.Intn(40)
+		p.Z1 = 1 + rng.Intn(p.Z)
+		p.W = 16
+		p.Epsilon = 0
+		p.Beta = []float64{0.05, 0.3, 0.6, 1}[rng.Intn(4)]
+		plans := plansFor(p, uint64(rng.Intn(1000)))
+		for name, value := range values {
+			owner := stubOwner{resp: replyOver(rng, p.Z, ids, []float64{0.2, 0.7, 1}[rng.Intn(3)], value)}
+			for _, plan := range plans {
+				checkRecovery(t, fmt.Sprintf("%s trial %d, %s values", shape.name, trial, name), plan, owner, len(ids))
+			}
+		}
+	}
+
+	// 300 private rows over two windows, nearly every row holding every
+	// document: a row count that wraps at 256 drops candidates at the
+	// soft intersection or at the count bound.
+	p := DefaultParams()
+	p.Z, p.Z1, p.W, p.Epsilon = 300, 300, 16, 0
+	ids := make([]int32, 100)
+	for i := range ids {
+		ids[i] = int32(i - 30)
+	}
+	positive := func() float64 { return float64(rng.Intn(5)) }
+	for _, beta := range []float64{0.05, 0.6} {
+		p.Beta = beta
+		for _, density := range []float64{0.9, 1} {
+			owner := stubOwner{resp: replyOver(rng, p.Z, ids, density, positive)}
+			for _, plan := range plansFor(p, 77) {
+				checkRecovery(t, fmt.Sprintf("z1=300, density %v", density), plan, owner, len(ids))
+			}
+		}
+	}
+}
+
+// checkRecovery holds RTKWithPlan to the reference on owner's reply for
+// k from 1 to beyond the n documents it offers.
+func checkRecovery(t *testing.T, desc string, plan *Plan, owner OwnerAPI, n int) {
+	t.Helper()
+	p := plan.params
+	for _, k := range []int{1, 2, 3, 1 + n/2, n, n + 5} {
+		got, _, err := RTKWithPlan(plan, owner, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, _ := refRTKWithPlan(plan, owner, k)
+		if err := sameDocCounts(got, want); err != nil {
+			t.Fatalf("%s (z1=%d of %d, beta=%v, estimator=%d, kind=%v, k=%d of %d): %v\n got %v\nwant %v",
+				desc, p.Z1, p.Z, p.Beta, p.Estimator, p.SketchKind, k, n, err, got, want)
 		}
 	}
 }
@@ -1486,5 +1597,49 @@ func TestRTKAllocCeilings(t *testing.T) {
 	})
 	if churn > 0 {
 		t.Errorf("RTKSketch.Delete + insert of one document: %.1f allocs, want 0", churn)
+	}
+}
+
+// TestRTKScratchIndependentOfIDSpan: recovery's working memory is one
+// window of 64 slots per private row, however far apart the ids lie. A
+// reply whose rows hold the int32 extremes and zero recovers warm within
+// TestRTKAllocCeilings' RTKWithPlan ceiling, and leaves 64·z1 values of
+// window behind.
+func TestRTKScratchIndependentOfIDSpan(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; ceilings hold without -race")
+	}
+	p := DefaultParams()
+	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := q.Plan(1000)
+	resp := &RTKResponse{Cells: make([]RTKCell, p.Z)}
+	for a := range resp.Cells {
+		resp.Cells[a] = RTKCell{IDs: []int32{math.MinInt32, 0, math.MaxInt32}, Values: []float64{3, float64(a), 5}}
+	}
+	var owner OwnerAPI = stubOwner{resp: resp}   // boxed once, not per call
+	docs, _, err := RTKWithPlan(plan, owner, 50) // warm: scratch pooled
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _, _ := refRTKWithPlan(plan, owner, 50); sameDocCounts(docs, want) != nil || len(docs) != 3 {
+		t.Fatalf("recovered %v, want %v", docs, want)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, _, err := RTKWithPlan(plan, owner, 50); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs > 2 {
+		t.Errorf("RTKWithPlan over ids %d..%d: %.1f allocs per call, ceiling 2", math.MinInt32, math.MaxInt32, allocs)
+	}
+	var sc rtkScratch
+	var cost Cost
+	if _, err := sc.recover(plan, resp, 50, &cost); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := cap(sc.slots), window*p.Z1; got != want {
+		t.Errorf("recovery window holds %d values, want 64·z1 = %d", got, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -36,6 +37,7 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 	cost.BytesSent += query.WireSize()
 	ids := owner.DocIDs()
 	results := make([]DocCount, 0, len(ids))
+	vals := make([]float64, len(priv.PV)) // refilled per document; the estimate consumes it
 	for _, id := range ids {
 		resp, err := owner.AnswerTF(id, query)
 		if err != nil {
@@ -49,12 +51,11 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 			return nil, cost, fmt.Errorf("%w: response has %d values, want %d",
 				ErrBadQuery, n, plan.params.Z)
 		}
-		vals := make([]float64, len(priv.PV))
 		for i, a := range priv.PV {
 			vals[i] = resp.Values[a]
 		}
 		resp.Release()
-		count := sketch.EstimateFromRows(plan.params.SketchKind, plan.fam, priv.Term, priv.PV, vals)
+		count := sketch.EstimateSigned(plan.params.SketchKind, plan.signs, vals)
 		results = append(results, DocCount{DocID: id, Count: count})
 	}
 	return topK(results, k), cost, nil
@@ -156,78 +157,126 @@ func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) 
 	if threshold < 1 {
 		threshold = 1
 	}
-	zeroFill := plan.params.Estimator == EstimatorZeroFill
 
 	// Walk the private rows only — decoy rows address unrelated cells and
-	// would pollute the intersection — as a k-way merge by DocID: every
-	// cell ascends, so each round takes the smallest id any row's cursor
-	// points at and collects that document's value from every row holding
-	// it, in PV order, noting the smallest id left under the cursors for
-	// the next round. Both estimator inputs are filled on the way: one
-	// slot per private row, zero where the document is absent, and the
-	// compacted present rows with their signs.
-	sc.size(len(priv.PV))
-	next := noHead
+	// would pollute the intersection — one window of 64 ids at a time.
+	// Every cell ascends, so a round starts at the smallest id any row has
+	// left, b, and each row scatters its entries with ids in [b, b+64)
+	// into the window: one z1-wide slot per id, in PV order and zero where
+	// the document is absent (the zero-fill estimator's input as it
+	// stands), a presence bit per row and a count per slot. The round then
+	// visits the ids present in ascending order and clears each slot after
+	// use; the next round starts at the smallest id left, so gaps between
+	// ids cost nothing.
+	z1 := len(priv.PV)
+	sc.size(z1)
+	b := noID
 	for i, a := range priv.PV {
-		sc.ids[i], sc.cellVals[i] = resp.Cells[a].IDs, resp.Cells[a].Values
-		sc.pos[i] = 0
-		sc.head[i] = headID(sc.ids[i], 0)
-		next = min(next, sc.head[i])
+		sc.rows[i] = rtkRow{ids: resp.Cells[a].IDs, vals: resp.Cells[a].Values}
+		if ids := sc.rows[i].ids; len(ids) > 0 {
+			b = min(b, int64(ids[0]))
+		}
 	}
-	median := plan.params.SketchKind == sketch.Count
+	// Zero-fill's zeros alone bound a Count Sketch median. A document
+	// absent from more than half the private rows has more than half its
+	// signed values at zero, so its median is at most 0 — at most floor,
+	// once floor >= 0 — and it cannot enter, whatever its values are. A
+	// NaN can put any value in the median's place, so in a window holding
+	// one the values decide.
+	countBound := plan.params.Estimator == EstimatorZeroFill && plan.params.SketchKind == sketch.Count
 	// best holds the at most k best candidates so far, in result order.
 	// Once it holds k, a candidate enters only with an estimate above
 	// floor, the k-th count: ids arrive ascending, so a tie loses. Until
 	// then floor is NaN, which nothing compares to.
 	best, floor := sc.candidates[:0], math.NaN()
-	for next != noHead {
-		cur, n := next, 0
-		next = noHead
-		for i, h := range sc.head {
-			if h == cur {
-				p := sc.pos[i]
-				v := sc.cellVals[i][p]
-				sc.filled[i] = v
-				sc.signs[n], sc.vals[n] = plan.signs[i], v
-				n++
-				sc.pos[i] = p + 1
-				h = headID(sc.ids[i], p+1)
-				sc.head[i] = h
-			} else {
-				sc.filled[i] = 0
+	for b != noID {
+		present, next, nan := sc.scatter(b, z1)
+		bounded := countBound && !nan
+		for ; present != 0; present &= present - 1 {
+			s := bits.TrailingZeros64(present)
+			slot, n := sc.slots[s*z1:(s+1)*z1], sc.count[s]
+			sc.count[s] = 0
+			if n >= threshold && !(bounded && floor >= 0 && 2*(z1-n) > z1) {
+				if est, ok := sc.estimate(plan, slot, s, floor); ok {
+					best = keepTop(best, DocCount{DocID: int(b) + s, Count: est}, k)
+					if len(best) == k {
+						floor = best[k-1].Count
+					}
+				}
 			}
-			next = min(next, h)
+			clear(slot)
 		}
-		if n < threshold {
-			continue
-		}
-		// Zero-fill estimates over ALL private rows, treating rows where
-		// the document was evicted from the heap as zeros. An absent entry
-		// means the document's cell value fell below the heap floor;
-		// scoring only the rows where it survived would bias borderline
-		// documents upward (they survive exactly where collision noise
-		// inflated them) and let weak candidates outrank true top-K
-		// members.
-		signs, vals := plan.signs, sc.filled
-		if !zeroFill {
-			signs, vals = sc.signs[:n], sc.vals[:n]
-		}
-		if median && medianAtMost(signs, vals, floor) {
-			continue // cannot enter: no need to sort for its median
-		}
-		est := sketch.EstimateSigned(plan.params.SketchKind, signs, vals)
-		best = keepTop(best, DocCount{DocID: int(cur), Count: est}, k)
-		if len(best) == k {
-			floor = best[k-1].Count
-		}
+		b = next
 	}
-	for i := range sc.ids {
-		sc.ids[i], sc.cellVals[i] = nil, nil // the scratch must not outlive the response's rows
+	for i := range sc.rows {
+		sc.rows[i] = rtkRow{} // the scratch must not outlive the response's rows
 	}
 	sc.candidates = best               // keep the grown buffer for the next query
 	out := make([]DocCount, len(best)) // callers retain the result
 	copy(out, best)
 	return out, nil
+}
+
+// scatter writes every private row's entries with ids in [b, b+64) into
+// the window, returning the slots it filled as a mask, the smallest id
+// left after the window (noID if none) and whether it wrote a NaN.
+func (sc *rtkScratch) scatter(b int64, z1 int) (present uint64, next int64, nan bool) {
+	end, next := b+window, noID
+	slots, count := sc.slots, &sc.count
+	for i := range sc.rows {
+		r := &sc.rows[i]
+		ids := r.ids
+		if len(ids) > 0 && int64(ids[0]) >= end { // nothing in this window
+			next = min(next, int64(ids[0]))
+			r.mask = 0
+			continue
+		}
+		vals := r.vals[:len(ids)]
+		var mask uint64
+		p := 0
+		for ; p < len(ids) && int64(ids[p]) < end; p++ {
+			s := int(int64(ids[p])-b) & (window - 1)
+			v := vals[p]
+			slots[s*z1+i] = v
+			mask |= 1 << s
+			count[s]++
+			if v != v {
+				nan = true
+			}
+		}
+		r.ids, r.vals = ids[p:], vals[p:]
+		if p < len(ids) {
+			next = min(next, int64(ids[p]))
+		}
+		r.mask = mask
+		present |= mask
+	}
+	return present, next, nan
+}
+
+// estimate returns the estimate of the candidate in window slot s, or
+// false when its median provably cannot beat floor. It may consume slot
+// as scratch.
+func (sc *rtkScratch) estimate(plan *Plan, slot []float64, s int, floor float64) (float64, bool) {
+	// Zero-fill estimates over ALL private rows, treating rows where the
+	// document was evicted from the heap as zeros. An absent entry means
+	// the document's cell value fell below the heap floor; scoring only the
+	// rows where it survived would bias borderline documents upward (they
+	// survive exactly where collision noise inflated them) and let weak
+	// candidates outrank true top-K members.
+	signs, vals := plan.signs, slot
+	if plan.params.Estimator != EstimatorZeroFill {
+		signs, vals = sc.signs[:0], sc.vals[:0]
+		for i, r := range sc.rows {
+			if r.mask>>s&1 != 0 {
+				signs, vals = append(signs, plan.signs[i]), append(vals, slot[i])
+			}
+		}
+	}
+	if plan.params.SketchKind == sketch.Count && medianAtMost(signs, vals, floor) {
+		return 0, false // cannot enter: no need to sort for its median
+	}
+	return sketch.EstimateSigned(plan.params.SketchKind, signs, vals), true
 }
 
 // medianAtMost reports whether the median of the signed values —
@@ -256,9 +305,9 @@ func medianAtMost(signs, vals []float64, bound float64) bool {
 
 // checkRTKResponse validates an owner's answer before recovery indexes
 // into it: z cells, each with one value per id and ids strictly
-// ascending (the canonical order every producer emits and the merge in
-// RTKWithPlan relies on; it also rejects a document listed twice in one
-// row). Responses cross transports, so a faulty or hostile remote party
+// ascending (the canonical order every producer emits and the window
+// scatter in RTKWithPlan relies on; it also rejects a document listed
+// twice in one row). Responses cross transports, so a faulty or hostile remote party
 // must surface as an error, never as an out-of-range panic.
 func checkRTKResponse(resp *RTKResponse, z int) error {
 	if len(resp.Cells) != z {
@@ -278,17 +327,23 @@ func checkRTKResponse(resp *RTKResponse, z int) error {
 	return nil
 }
 
+// rtkRow is one private row of the reply being recovered: its entries
+// not yet scattered, and which slots of the current window it filled.
+type rtkRow struct {
+	ids  []int32
+	vals []float64
+	mask uint64
+}
+
 // rtkScratch is the per-call working memory of RTKWithPlan, pooled so a
-// query allocates only the result it returns. All but candidates hold
-// one slot per private row: the row's ids and values, the merge cursor
-// and the id under it, then the current document's values zero-filled
-// and compacted (with the signs of the rows it is present in).
+// query allocates only the result it returns: the private rows; the
+// window, 64 z1-wide slots kept zero between uses, and the rows present
+// per slot; one candidate's present rows with their signs for the
+// present-rows estimator; and the best k so far.
 type rtkScratch struct {
-	ids        [][]int32
-	cellVals   [][]float64
-	pos        []int
-	head       []int64
-	filled     []float64
+	rows       []rtkRow
+	slots      []float64
+	count      [window]int
 	signs      []float64
 	vals       []float64
 	candidates []DocCount
@@ -300,25 +355,21 @@ type rtkScratch struct {
 var rtkScratchPool = sync.Pool{New: func() any { return new(rtkScratch) }}
 
 func (sc *rtkScratch) size(z1 int) {
-	if cap(sc.pos) < z1 {
-		sc.ids, sc.cellVals = make([][]int32, z1), make([][]float64, z1)
-		sc.pos, sc.head = make([]int, z1), make([]int64, z1)
-		sc.filled, sc.signs, sc.vals = make([]float64, z1), make([]float64, z1), make([]float64, z1)
+	if cap(sc.rows) < z1 {
+		sc.rows, sc.slots = make([]rtkRow, z1), make([]float64, window*z1)
+		sc.signs, sc.vals = make([]float64, z1), make([]float64, z1)
 	}
-	sc.ids, sc.cellVals = sc.ids[:z1], sc.cellVals[:z1]
-	sc.pos, sc.head = sc.pos[:z1], sc.head[:z1]
-	sc.filled, sc.signs, sc.vals = sc.filled[:z1], sc.signs[:z1], sc.vals[:z1]
+	sc.rows, sc.slots = sc.rows[:z1], sc.slots[:window*z1]
+	sc.signs, sc.vals = sc.signs[:z1], sc.vals[:z1]
 }
 
-// noHead is the cursor value of an exhausted row; wider than any DocID.
-const noHead = int64(math.MaxInt64)
-
-func headID(ids []int32, pos int) int64 {
-	if pos < len(ids) {
-		return int64(ids[pos])
-	}
-	return noHead
-}
+const (
+	// window is the number of consecutive ids one recovery round covers:
+	// the bits of a presence mask.
+	window = 64
+	// noID stands for "no id left"; wider than any DocID.
+	noID = int64(math.MaxInt64)
+)
 
 // topK orders results by descending count (ties by ascending id for
 // determinism) and truncates to k, in place: the results already scanned
