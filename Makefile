@@ -79,7 +79,8 @@ fuzz:
 # wire frames (version 2 RTK replies among them), the querier's handling
 # of a decoded reply, and the HTTP host and client that carry the frames;
 # on the RTK-Sketch's ingest and removal paths against the plain
-# Algorithm 4 model, across the cap both ways; on the owner snapshot
+# Algorithm 4 model, across the cap both ways; on a sharded party's merge
+# of its shards' replies against the sort-and-cut oracle; on the owner snapshot
 # reader, seeded with snapshots of every resident state; and on the
 # document-table decoder, seeded at every counter width. A short minimize
 # budget keeps the engine mutating instead of shrinking the 9 kB seeds.
@@ -88,6 +89,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzWireDecode -fuzztime 10s -fuzzminimizetime 1s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzRTKResponseHandling -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzRTKSketchOps -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
+	$(GO) test -run '^$$' -fuzz FuzzMergeRTKResponses -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzReadOwner -fuzztime 10s -fuzzminimizetime 1s ./internal/core/
 	$(GO) test -run '^$$' -fuzz FuzzHTTPWireBody -fuzztime 10s -fuzzminimizetime 1s ./internal/federation/
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalCompact -fuzztime 10s -fuzzminimizetime 1s ./internal/sketch/

@@ -268,6 +268,11 @@ func FuzzMergeRTKResponses(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0, 0, 1, 0, 0, 0, 1, 0}) // every key ties, cap 2
 	f.Add([]byte{1, 0, 3, 7, 9, 7, 9, 7, 9})       // one partition over a cap of 1
 	f.Add([]byte{5, 31, 2})                        // no entries at all
+	// Mostly zeros, over three parts that take turns, so the tail scan
+	// switches part at every entry; cap 5 for 12 entries a row.
+	f.Add([]byte{2, 4, 1, 0, 0, 1, 0, 2, 3, 0, 0, 1, 0, 2, 0, 0, 253, 1, 0, 2, 0, 0, 0, 1, 0, 2, 1, 0, 0, 1, 0, 2, 0, 0, 0, 1, 2, 2, 0, 0, 0, 1, 0, 2, 0, 0, 0, 1, 255, 2, 0})
+	// No zeros at all, under Count-Min with noise: no early stop.
+	f.Add([]byte{2, 4, 2, 16, 1, 1, 255, 2, 2, 0, 3, 17, 254, 2, 1, 0, 4, 1, 253, 18, 1, 0, 2, 1, 255, 2, 5, 16, 3, 1, 254, 2, 1, 0, 2, 17, 252, 2, 3, 0, 1, 1, 255, 18, 2, 0, 4, 1, 253, 2, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 3 {
 			return
@@ -282,9 +287,9 @@ func FuzzMergeRTKResponses(f *testing.F) {
 			*part = append(*part, Entry{DocID: id, Value: int32(int8(pairs[1]))})
 		}
 		checkMerge(t, rows, heapCap, abs, noise)
-		// Both ways of finding a cut agree on every rank the one-pass way
-		// takes.
-		order := cellHeap{abs: abs}
+		// The tail scan drops, for every overflow it takes, the entries
+		// selection leaves below that rank.
+		var sc mergeScratch
 		for _, row := range rows {
 			cells := make([]RTKCell, len(row))
 			for pi, part := range row {
@@ -293,10 +298,17 @@ func FuzzMergeRTKResponses(f *testing.F) {
 					cells[pi].Values = append(cells[pi].Values, float64(e.Value))
 				}
 			}
-			ranked := order.gather(cells, nil)
-			for k := 0; k < len(ranked) && k <= smallOverflow; k++ {
-				if got, want := order.cutSmall(cells, k), selectRank(slices.Clone(ranked), k); got != want {
-					t.Fatalf("rank %d of %v: one pass finds %v, selection %v", k, ranked, got, want)
+			ranked := (&cellHeap{abs: abs}).gather(cells, nil)
+			for k := 1; k <= len(ranked) && k <= smallOverflow; k++ {
+				sel := slices.Clone(ranked)
+				selectRank(sel, k-1)
+				want := make([]int32, k)
+				for i, e := range sel[:k] {
+					want[i] = e.DocID
+				}
+				slices.Sort(want)
+				if got := sc.drops(cells, k, abs); !slices.Equal(got, want) {
+					t.Fatalf("overflow %d of %v: the tail scan drops %v, selection %v", k, ranked, got, want)
 				}
 			}
 		}

@@ -85,7 +85,7 @@ func TestReleaseEndsTheReply(t *testing.T) {
 func TestLeaseNoStaleReach(t *testing.T) {
 	q, o := leaseGeometry(t)
 	plan := q.Plan(1007)
-	parts := benchMergeParts(300, 40)
+	parts := benchMergeParts(300, 40, sparseValue)
 	produce := map[string]func() *RTKResponse{
 		"Owner.AnswerRTK": func() *RTKResponse {
 			resp, err := o.AnswerRTK(plan.Query())

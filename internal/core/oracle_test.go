@@ -1205,12 +1205,75 @@ func TestMergeRTKResponsesMatchesOracle(t *testing.T) {
 			}
 		}
 	}
+
+	// The tail scan that names a small overflow's drops, on either side of
+	// smallOverflow: rows whose zeros run out before the overflow does, so
+	// non-zeros go; ids dealt to parts one at a time, so the descending
+	// walk changes part at every entry; more than 8 parts; zeros at both
+	// ends of the id range; and Count-Min keys below 0, down to the
+	// smallest a value can have, where the scan may stop early.
+	rng = rand.New(rand.NewSource(23)) // the edges above draw in map order
+	const tailCap = 60
+	nonzero := func() int64 { return int64(1+rng.Intn(4)) * int64(1-2*rng.Intn(2)) }
+	tailCases := []struct {
+		name  string
+		build func(n int) mergeRow
+	}{
+		{"fewer zeros than the overflow", func(n int) mergeRow {
+			row := randomMergeRow(rng, []int{n / 4, n / 4, n / 4, n - 3*(n/4)}, nonzero)
+			for z := (n - tailCap) / 2; z > 0; z-- {
+				part := row[rng.Intn(len(row))]
+				part[rng.Intn(len(part))].Value = 0
+			}
+			return row
+		}},
+		{"dealt one at a time", func(n int) mergeRow {
+			row := make(mergeRow, 5)
+			for id := 0; id < n; id++ {
+				row[id%5] = append(row[id%5], Entry{DocID: int32(3 * id), Value: int32(sparse())})
+			}
+			return row
+		}},
+		{"eleven parts", func(n int) mergeRow {
+			sizes := make([]int, 11)
+			for i := 0; i < n; i++ {
+				sizes[rng.Intn(11)]++
+			}
+			return randomMergeRow(rng, sizes, sparse)
+		}},
+		{"zeros at the extreme ids", func(n int) mergeRow {
+			row := randomMergeRow(rng, []int{n / 3, n / 3, n - 2*(n/3)}, nonzero)
+			row[0][0] = Entry{DocID: math.MinInt32}
+			row[2][len(row[2])-1] = Entry{DocID: math.MaxInt32}
+			return row
+		}},
+		{"keys below zero", func(n int) mergeRow {
+			return randomMergeRow(rng, []int{n / 2, n - n/2}, func() int64 {
+				if rng.Intn(12) == 0 {
+					return -math.MaxInt32
+				}
+				return int64(rng.Intn(7) - 3)
+			})
+		}},
+	}
+	for _, c := range tailCases {
+		for _, over := range []int{1, 16, 17} {
+			rows := []mergeRow{c.build(tailCap + over), c.build(tailCap + over), c.build(tailCap + over)}
+			for _, abs := range []bool{true, false} {
+				for _, noise := range []float64{0, 0.37} {
+					t.Run(fmt.Sprintf("%s/over=%d/abs=%v/noise=%v", c.name, over, abs, noise), func(t *testing.T) {
+						checkMerge(t, rows, tailCap, abs, noise)
+					})
+				}
+			}
+		}
+	}
 }
 
 // benchMergeParts builds z = 30 rows over documents 0..docs-1, dealt to
 // four partitions in blocks of ids the way shard.Group stripes them, with
-// the sharded benchmark's value mix (most cell values 0).
-func benchMergeParts(docs, block int) []*RTKResponse {
+// every value drawn from value.
+func benchMergeParts(docs, block int, value func(*rand.Rand) int) []*RTKResponse {
 	rng := rand.New(rand.NewSource(41))
 	parts := make([]*RTKResponse, 4)
 	for pi := range parts {
@@ -1218,38 +1281,50 @@ func benchMergeParts(docs, block int) []*RTKResponse {
 	}
 	for a := 0; a < 30; a++ {
 		for id := 0; id < docs; id++ {
-			v := 0
-			if rng.Intn(100) >= 60 {
-				v = rng.Intn(7) - 3
-			}
 			cell := &parts[id/block%4].Cells[a]
 			cell.IDs = append(cell.IDs, int32(id))
-			cell.Values = append(cell.Values, float64(v))
+			cell.Values = append(cell.Values, float64(value(rng)))
 		}
 	}
 	return parts
 }
 
-// The three regimes of the facade merge at the benchmark geometry
-// (z = 30, cap 250, 4 partitions): everything fits; the ingest_churn
-// shape, 4 x 64 + 1 candidates for 250 places; and every partition full.
+// sparseValue is the sharded benchmark's value mix: most cell values 0,
+// the rest small and of either sign, as a Count Sketch cell holds them.
+func sparseValue(rng *rand.Rand) int {
+	if rng.Intn(100) >= 60 {
+		return rng.Intn(7) - 3
+	}
+	return 0
+}
+
+// The regimes of the facade merge at the benchmark geometry (z = 30, cap
+// 250, 4 partitions): everything fits; the ingest_churn shape, 4 x 64 + 1
+// candidates for 250 places — also with no zeros, so the tail scan never
+// stops early, and under Count-Min, whose counts are never negative but
+// whose smallest key is, so the scan runs to the end; and every partition
+// full.
 var benchMergeShapes = []struct {
 	name        string
 	docs, block int
+	value       func(*rand.Rand) int
+	abs         bool
 }{
-	{"fits", 248, 64},
-	{"over_by_7", 257, 64},
-	{"over_4x", 1000, 125},
+	{"fits", 248, 64, sparseValue, true},
+	{"over_by_7", 257, 64, sparseValue, true},
+	{"over_by_7/dense", 257, 64, func(rng *rand.Rand) int { return (1 + rng.Intn(3)) * (1 - 2*rng.Intn(2)) }, true},
+	{"over_by_7/count_min", 257, 64, func(rng *rand.Rand) int { return max(sparseValue(rng), 0) }, false},
+	{"over_4x", 1000, 125, sparseValue, true},
 }
 
 func BenchmarkMergeRTKResponses(b *testing.B) {
 	for _, shape := range benchMergeShapes {
 		b.Run(shape.name, func(b *testing.B) {
-			parts := benchMergeParts(shape.docs, shape.block)
+			parts := benchMergeParts(shape.docs, shape.block, shape.value)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp := MergeRTKResponses(parts, 250, true, 0.5)
+				resp := MergeRTKResponses(parts, 250, shape.abs, 0.5)
 				if len(resp.Cells) != 30 {
 					b.Fatal("short response")
 				}
@@ -1580,8 +1655,8 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// The facade merge: the reply is leased and its cursor table and
 	// gather scratch pooled, whatever the rows hold.
 	for _, shape := range benchMergeShapes {
-		parts := benchMergeParts(shape.docs, shape.block)
-		merge := testing.AllocsPerRun(50, func() { MergeRTKResponses(parts, 250, true, 0.5).Release() })
+		parts := benchMergeParts(shape.docs, shape.block, shape.value)
+		merge := testing.AllocsPerRun(50, func() { MergeRTKResponses(parts, 250, shape.abs, 0.5).Release() })
 		if merge > 1 {
 			t.Errorf("MergeRTKResponses %s, reply released: %.1f allocs per call, ceiling 1", shape.name, merge)
 		}

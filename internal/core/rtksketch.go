@@ -732,16 +732,18 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // necessarily in the top-cap of its own partition —
 // the top-cap of the combined survivors under the same order is the
 // single-sketch cell bit for bit. The parts arrive ascending by DocID, so
-// every row is one k-way merge by DocID. A row whose survivors overflow
-// the cap first finds its cut, the smallest entry that stays: the entry
-// of rank n-heapCap among the n candidates, unique because the order is
-// strict — by one pass over the rows that keeps the few smallest
-// (cutSmall) when the overflow is small, as it is when shards just under
-// the cap meet, and by gathering the candidates and selecting (selectRank)
-// otherwise. The merge then drops what orders below the cut,
-// so exactly heapCap entries come out, already in canonical order, and
-// nothing is ever sorted. abs must be Params.AbsEvictionKeys() of the
-// sketches being merged; heapCap is Params.HeapCap().
+// every row is one k-way merge by DocID, taken a run at a time: the part
+// with the smallest head gives up every id below the others' heads.
+// A row whose n candidates overflow the cap loses its n-heapCap lowest
+// entries. When the overflow is small, as it is when shards just under
+// the cap meet, a scan from the rows' tails names those entries
+// (mergeScratch.drops) and the runs are copied around them. Otherwise the
+// merge gathers the candidates, selects the cut — the entry of rank
+// n-heapCap, unique because the order is strict — and drops what orders
+// below it. Either way exactly heapCap entries come out, already in
+// canonical order, and nothing is ever sorted. abs must be
+// Params.AbsEvictionKeys() of the sketches being merged; heapCap is
+// Params.HeapCap().
 //
 //csfltr:deterministic
 func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float64) *RTKResponse {
@@ -759,9 +761,8 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 	order := cellHeap{abs: abs}
 	sc := mergeScratchPool.Get().(*mergeScratch)
 	heads := slices.Grow(sc.heads[:0], len(parts))[:len(parts)]
-	ranked := sc.ranked
 	if longest-heapCap > smallOverflow {
-		ranked = slices.Grow(ranked[:0], longest)
+		sc.ranked = slices.Grow(sc.ranked[:0], longest)
 	}
 	var sz rtkSizer
 	for a := 0; a < z; a++ {
@@ -771,66 +772,100 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 			n += len(heads[pi].IDs)
 		}
 		keep := min(n, heapCap)
-		cut := Entry{DocID: math.MaxInt32, Value: math.MinInt32} // nothing orders below it
-		switch {
-		case n <= heapCap:
-		case n-heapCap <= smallOverflow:
-			cut = order.cutSmall(heads, n-heapCap)
-		default:
-			ranked = order.gather(heads, ranked[:0])
-			cut = selectRank(ranked, n-heapCap)
-		}
-		for out := 0; out < keep; {
-			// The part with the smallest head gives up its run: every id
-			// below the smallest head among the others. Shards own ranges
-			// of ids, so runs are long.
-			best, limit := -1, int64(math.MaxInt32)+1
-			for pi, c := range heads {
-				switch {
-				case len(c.IDs) == 0:
-				case best < 0 || c.IDs[0] < heads[best].IDs[0]:
-					if best >= 0 {
-						limit = int64(heads[best].IDs[0])
+		row := RTKCell{IDs: ids[:keep:keep], Values: vals[:keep:keep]}
+		if n-heapCap > smallOverflow {
+			sc.ranked = order.gather(heads, sc.ranked[:0])
+			cut := selectRank(sc.ranked, n-heapCap)
+			for out := 0; out < keep; {
+				run := nextRun(heads)
+				for i, id := range run.IDs {
+					if v := run.Values[i]; !rankLess(order.rank(id, v), cut) {
+						sz.note(int64(v))
+						row.IDs[out], row.Values[out] = id, v+noise
+						out++
 					}
-					best = pi
-				case int64(c.IDs[0]) < limit:
-					limit = int64(c.IDs[0])
 				}
 			}
-			run := &heads[best]
-			i := 0
-			for {
-				id, v := run.IDs[i], run.Values[i]
-				if !rankLess(order.rank(id, v), cut) {
-					sz.note(int64(v))
-					ids[out], vals[out] = id, v+noise
-					out++
-				}
-				if i++; i == len(run.IDs) || int64(run.IDs[i]) >= limit || out == keep {
-					break
-				}
+		} else {
+			var drops []int32
+			if n > heapCap {
+				drops = sc.drops(heads, n-heapCap, abs)
 			}
-			run.IDs, run.Values = run.IDs[i:], run.Values[i:]
+			for out := 0; out < keep; {
+				run := nextRun(heads)
+				// Every drop up to the run's last id is the run's own: the
+				// run holds every id of the row from its first to its last.
+				for last := run.IDs[len(run.IDs)-1]; len(drops) > 0 && drops[0] <= last; drops = drops[1:] {
+					j, _ := slices.BinarySearch(run.IDs, drops[0])
+					out += putRun(row, out, run.IDs[:j], run.Values[:j], noise, &sz)
+					run.IDs, run.Values = run.IDs[j+1:], run.Values[j+1:]
+				}
+				out += putRun(row, out, run.IDs, run.Values, noise, &sz)
+			}
 		}
-		resp.Cells[a] = RTKCell{IDs: ids[:keep:keep], Values: vals[:keep:keep]}
-		sz.cell(ids[:keep])
+		resp.Cells[a] = row
+		sz.cell(row.IDs)
 		ids, vals = ids[keep:], vals[keep:]
 	}
 	sz.finish(resp, noise)
 	clear(heads) // the scratch must not outlive the parts' rows
-	sc.heads, sc.ranked = heads, ranked
+	sc.heads = heads
 	mergeScratchPool.Put(sc)
 	return resp
 }
 
+// nextRun takes the next run of a k-way merge by DocID off heads, the
+// rows' untaken entries, at least one of them non-empty: every entry of
+// the part with the smallest head whose id is below every other part's
+// head. Shards own ranges of ids, so runs are long.
+func nextRun(heads []RTKCell) RTKCell {
+	best, limit := -1, int64(math.MaxInt32)+1
+	for pi, c := range heads {
+		switch {
+		case len(c.IDs) == 0:
+		case best < 0 || c.IDs[0] < heads[best].IDs[0]:
+			if best >= 0 {
+				limit = int64(heads[best].IDs[0])
+			}
+			best = pi
+		case int64(c.IDs[0]) < limit:
+			limit = int64(c.IDs[0])
+		}
+	}
+	head := &heads[best]
+	m := len(head.IDs)
+	if limit <= math.MaxInt32 {
+		m, _ = slices.BinarySearch(head.IDs, int32(limit))
+	}
+	run := RTKCell{IDs: head.IDs[:m], Values: head.Values[:m]}
+	head.IDs, head.Values = head.IDs[m:], head.Values[m:]
+	return run
+}
+
+// putRun writes the entries ids, vals of a raw run into row from position
+// out on, values plus noise, notes every value with sz and returns how
+// many it wrote.
+func putRun(row RTKCell, out int, ids []int32, vals []float64, noise float64, sz *rtkSizer) int {
+	copy(row.IDs[out:], ids)
+	dst := row.Values[out : out+len(vals)]
+	for i, v := range vals {
+		dst[i] = v + noise
+		sz.note(int64(v))
+	}
+	return len(ids)
+}
+
 // mergeScratch is the working memory of one MergeRTKResponses, pooled as
 // rtkScratch is for recovery: what the merge has yet to take of each
-// part's row, and the gathered candidates of a row that overflows the
-// cap. The candidates are Entries, which a reply's slabs cannot hold
+// part's row, and either the gathered candidates of a row that overflows
+// the cap by much, or the tail scan's place in each part's row and the ids
+// it drops. The candidates are Entries, which a reply's slabs cannot hold
 // without a slower selection, so this does not come from NewRTKResponse.
 type mergeScratch struct {
-	heads  []RTKCell
-	ranked []Entry
+	heads   []RTKCell
+	ranked  []Entry
+	tails   []int
+	dropped []int32
 }
 
 var mergeScratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
@@ -852,36 +887,86 @@ func (h *cellHeap) gather(rows []RTKCell, dst []Entry) []Entry {
 	return dst
 }
 
-// smallOverflow is the largest overflow of a merged row that cutSmall
-// cuts; beyond it a merge gathers and selects.
+// smallOverflow is the largest overflow of a merged row whose drops a
+// merge finds by the tail scan; beyond it a merge gathers and selects.
 const smallOverflow = 16
 
-// cutSmall returns the entry of rank k (0-based, at most smallOverflow)
-// under rankLess among the ranked entries of the rows, which hold more
-// than k — what selectRank finds in them gathered — in one pass that
-// keeps the k+1 smallest seen, in order, on the stack. Most entries cost
-// one comparison with the largest of those and are passed over.
-func (h *cellHeap) cutSmall(rows []RTKCell, k int) Entry {
-	var least [smallOverflow + 1]Entry
+// drops returns, ascending, the ids of the k entries (1 <= k <=
+// smallOverflow, at most what the rows hold) that order lowest under
+// rankLess among the raw rows' entries, ranked by the eviction order abs
+// names — what selectRank leaves below rank k of them gathered. The
+// slice is the scratch's own, valid until its next use.
+//
+// It walks the rows from their tails in descending id order, the mirror
+// of nextRun's walk, and keeps the k lowest seen. It stops as soon as
+// those all sit at the smallest key a value can have: 0 under abs, and
+// -math.MaxInt32 otherwise, since no value is smaller (fitsValue). Every
+// entry not yet seen has a smaller id and a key at least that large, and
+// a key tie ranks the smaller id higher, so none orders below one kept.
+// Most candidates of a shard's reply are zeros, so under abs the scan
+// stops a few entries after it has met k of them.
+func (sc *mergeScratch) drops(rows []RTKCell, k int, abs bool) []int32 {
+	order := cellHeap{abs: abs}
+	floor := int32(-math.MaxInt32)
+	if abs {
+		floor = 0
+	}
+	tails := slices.Grow(sc.tails[:0], len(rows))[:len(rows)]
+	for pi, c := range rows {
+		tails[pi] = len(c.IDs)
+	}
+	var least [smallOverflow]Entry // the k lowest seen, ascending under rankLess
 	n := 0
-	for _, c := range rows {
-		for i, id := range c.IDs {
-			e := h.rank(id, c.Values[i])
-			if n > k {
-				if !rankLess(e, least[k]) {
+scan:
+	for {
+		// The part with the largest tail gives up its run: every id above
+		// the largest tail among the others.
+		best, limit := -1, int64(math.MinInt32)-1
+		for pi, c := range rows {
+			switch t := tails[pi]; {
+			case t == 0:
+			case best < 0 || c.IDs[t-1] > rows[best].IDs[tails[best]-1]:
+				if best >= 0 {
+					limit = int64(rows[best].IDs[tails[best]-1])
+				}
+				best = pi
+			case int64(c.IDs[t-1]) > limit:
+				limit = int64(c.IDs[t-1])
+			}
+		}
+		if best < 0 {
+			break
+		}
+		c, from := rows[best], 0
+		if limit >= math.MinInt32 {
+			from, _ = slices.BinarySearch(c.IDs[:tails[best]], int32(limit))
+		}
+		for i := tails[best] - 1; i >= from; i-- {
+			e := order.rank(c.IDs[i], c.Values[i])
+			if n == k {
+				if !rankLess(e, least[k-1]) {
 					continue
 				}
-				n-- // the largest kept leaves to make room
+				n-- // the highest kept leaves to make room
 			}
 			j := n
 			for ; j > 0 && rankLess(e, least[j-1]); j-- {
 				least[j] = least[j-1]
 			}
 			least[j] = e
-			n++
+			if n++; n == k && least[k-1].Value == floor {
+				break scan
+			}
 		}
+		tails[best] = from
 	}
-	return least[k]
+	dropped := sc.dropped[:0]
+	for _, e := range least[:k] {
+		dropped = append(dropped, e.DocID)
+	}
+	slices.Sort(dropped)
+	sc.tails, sc.dropped = tails, dropped
+	return dropped
 }
 
 // selectRank returns the entry of rank k (0-based) under rankLess,

@@ -224,13 +224,18 @@ func (g *Group) SetHooks(h Hooks) {
 func (g *Group) Owner() *core.Owner { return g.owner }
 
 // ShardFor maps a document id to its owning shard: contiguous blocks of
-// BlockSize ids stripe round-robin across the shards.
+// BlockSize ids stripe round-robin across the shards. Blocks are floored,
+// so negative ids stripe like the rest: ids -BlockSize..-1 are one block,
+// on the shard before id 0's.
 func (g *Group) ShardFor(docID int) int {
 	n := len(g.shards)
 	if n <= 1 {
 		return 0
 	}
 	blk := docID / g.blockSize
+	if docID%g.blockSize < 0 {
+		blk--
+	}
 	s := blk % n
 	if s < 0 {
 		s += n

@@ -3,6 +3,7 @@ package shard
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
+	"csfltr/internal/sketch"
 	"csfltr/internal/telemetry"
 )
 
@@ -497,6 +499,42 @@ func TestChurnMatchesSingleOwner(t *testing.T) {
 	}
 }
 
+// TestChurnMatchesSingleOwnerUnderBothKinds: a group churning across
+// the cap answers what a single owner does whichever sketch it keeps. The
+// merge's tail scan stops early on the smallest key a kind allows — 0
+// under Count Sketch, far below any count under Count-Min — so each kind
+// is checked with its fullest shard at cap − 1, cap and cap + 1, going up
+// and coming back, the union overflowing the cap by 5 to 7.
+func TestChurnMatchesSingleOwnerUnderBothKinds(t *testing.T) {
+	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
+		t.Run(fmt.Sprint(kind), func(t *testing.T) {
+			p := testParams()
+			p.K, p.SketchKind = 18, kind // HeapCap 36
+			all := testDocs(46, 53)
+			for i := range all {
+				all[i].DocID = []int{0, 1, 2, 3, 40, 41}[min(i, 5)]
+				if i >= 6 {
+					all[i].DocID = 120 + i - 6
+				}
+			}
+			base, spare := all[:41], all[41:]
+			c := newChurnGroup(t, p, 40, base)
+			for lap := 0; lap < 6; lap++ {
+				x, y := spare[lap%len(spare)], spare[(lap+2)%len(spare)]
+				c.add(x)
+				c.check(4 * lap)
+				c.add(y)
+				c.check(4*lap + 1)
+				c.remove(y.DocID)
+				c.check(4*lap + 2)
+				c.remove(x.DocID)
+				c.check(4*lap + 3)
+			}
+			c.checkReplicas(0)
+		})
+	}
+}
+
 // churnGroup is a 4 x 2 group beside the documents it holds.
 type churnGroup struct {
 	t    *testing.T
@@ -841,8 +879,28 @@ func TestShardForStability(t *testing.T) {
 	if len(seen) != 4 {
 		t.Fatalf("block striping covered %d shards, want 4", len(seen))
 	}
-	if g.ShardFor(-40) < 0 || g.ShardFor(-40) >= 4 {
-		t.Fatal("negative ids must still map into range")
+
+	// Every block of 64 ids lands on one shard, negative ids and the ends
+	// of the id range included, and consecutive blocks on consecutive
+	// shards.
+	g, err = New(Config{Params: func() core.Params { p := testParams(); p.Shards = 4; return p }(), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const block = DefaultBlockSize
+	for _, first := range []int{-4 * block, -2 * block, -block, 0, block, 5 * block, math.MinInt32, math.MaxInt32 + 1 - block} {
+		s := g.ShardFor(first)
+		if s < 0 || s >= 4 {
+			t.Fatalf("ShardFor(%d) = %d out of range", first, s)
+		}
+		for id := first; id < first+block; id++ {
+			if got := g.ShardFor(id); got != s {
+				t.Fatalf("block at %d: ShardFor(%d) = %d, ShardFor(%d) = %d", first, first, s, id, got)
+			}
+		}
+		if next := g.ShardFor(first + block); first+block <= math.MaxInt32 && next != (s+1)%4 {
+			t.Fatalf("the block after %d's (shard %d) is on shard %d, want %d", first, s, next, (s+1)%4)
+		}
 	}
 }
 
@@ -953,44 +1011,53 @@ func TestRetentionShardedMatchesSingleOwnerUnderWrites(t *testing.T) {
 }
 
 // BenchmarkGroupAnswerRTK measures the facade's scatter-gather at the
-// benchmark geometry (z = 30, alpha*K = 250, 1 200 documents over
-// 4 shards x 1 replica): every call pays four raw answers and the
-// merge; the caller releases the merged reply as recovery does.
+// benchmark geometry (z = 30, alpha*K = 250, 4 shards x 1 replica): every
+// call pays four raw answers and the merge; the caller releases the
+// merged reply as recovery does. The ingest_churn shape, 4 x 64 + 1
+// documents, overflows each merged row by 7; at 1 200 documents every
+// shard is full and the merge selects its cut.
 func BenchmarkGroupAnswerRTK(b *testing.B) {
-	p := core.DefaultParams()
-	p.K, p.Epsilon = 50, 0
-	p.Shards, p.Replicas = 4, 1
-	g, err := New(Config{Params: p, Seed: testSeed})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
-	docs := make([]core.DocCounts, 1200)
-	for i := range docs {
-		counts := make(map[uint64]int64)
-		for t := 0; t < 80; t++ {
-			counts[uint64(rng.Intn(500))]++
-		}
-		docs[i] = core.DocCounts{DocID: i, Counts: counts}
-	}
-	if err := g.AddDocuments(docs); err != nil {
-		b.Fatal(err)
-	}
-	queries := make([]*core.TFQuery, 64)
-	for i := range queries {
-		queries[i] = queryCols(p, i)
-		if _, err := g.AnswerRTK(queries[i]); err != nil { // warm the addressed cells
-			b.Fatal(err)
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		resp, err := g.AnswerRTK(queries[i%len(queries)])
-		if err != nil {
-			b.Fatal(err)
-		}
-		resp.Release()
+	for _, bc := range []struct {
+		name string
+		docs int
+	}{{"over_by_7", 4*DefaultBlockSize + 1}, {"full_shards", 1200}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := core.DefaultParams()
+			p.K, p.Epsilon = 50, 0
+			p.Shards, p.Replicas = 4, 1
+			g, err := New(Config{Params: p, Seed: testSeed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(5))
+			docs := make([]core.DocCounts, bc.docs)
+			for i := range docs {
+				counts := make(map[uint64]int64)
+				for t := 0; t < 80; t++ {
+					counts[uint64(rng.Intn(500))]++
+				}
+				docs[i] = core.DocCounts{DocID: i, Counts: counts}
+			}
+			if err := g.AddDocuments(docs); err != nil {
+				b.Fatal(err)
+			}
+			queries := make([]*core.TFQuery, 64)
+			for i := range queries {
+				queries[i] = queryCols(p, i)
+				if _, err := g.AnswerRTK(queries[i]); err != nil { // warm the addressed cells
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				resp, err := g.AnswerRTK(queries[i%len(queries)])
+				if err != nil {
+					b.Fatal(err)
+				}
+				resp.Release()
+			}
+		})
 	}
 }
 
