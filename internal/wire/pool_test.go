@@ -12,6 +12,8 @@ import (
 	"testing"
 
 	"csfltr/internal/core"
+	"csfltr/internal/dp"
+	"csfltr/internal/zipf"
 )
 
 // packOracle is Pack as it was before the flate state was pooled: a new
@@ -46,6 +48,48 @@ func geometryResponse(seed int64) *core.RTKResponse {
 			id += 1 + int32(rng.Intn(4))
 		}
 		resp.Cells[c] = core.RTKCell{IDs: ids, Values: vals}
+	}
+	return resp
+}
+
+// ownerResponse is the reply an owner releases at the benchmark geometry
+// (30 cells of alpha*K = 250, epsilon 0.5) over 400 documents of 120
+// Zipf(1.1) tokens, for a term the querier plans: unlike
+// geometryResponse's, its values are a few dozen counts in long runs of
+// equal ones (most of them zero) plus the noise draw, and its id deltas
+// pack at 2 to 6 bits. Everything is drawn from seed.
+func ownerResponse(tb testing.TB, seed int64) *core.RTKResponse {
+	tb.Helper()
+	p := core.DefaultParams()
+	p.K = 50
+	mech, err := dp.ForEpsilon(p.Epsilon, rand.New(rand.NewSource(seed)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	owner, err := core.NewOwner(p, 42, mech)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(seed + 1))
+	terms := zipf.MustNew(8000, 1.1)
+	docs := make([]core.DocCounts, 400)
+	for id := range docs {
+		counts := map[uint64]int64{}
+		for j := 0; j < 120; j++ {
+			counts[uint64(terms.Sample(rng))]++
+		}
+		docs[id] = core.DocCounts{DocID: id, Counts: counts}
+	}
+	if err := owner.AddDocuments(docs); err != nil {
+		tb.Fatal(err)
+	}
+	querier, err := core.NewQuerier(p, 42, rand.New(rand.NewSource(seed+2)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	resp, err := owner.AnswerRTK(querier.Plan(uint64(1 + rng.Intn(50))).Query())
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return resp
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
@@ -202,4 +203,55 @@ func TestV1GoldenDecodes(t *testing.T) {
 	if !respEqual(got, goldenV1Response()) {
 		t.Fatal("the version 1 golden frame decodes to another reply")
 	}
+}
+
+// goldenV2Seed is the seed of the owner reply testdata/rtk_v2.golden
+// holds.
+const goldenV2Seed = 5
+
+// TestV2Golden pins the version 2 bytes: testdata/rtk_v2.golden is the
+// frame the encoder wrote for ownerResponse(goldenV2Seed), a reply with
+// cells whose runs pack 8 entries to the word and leave a tail. The
+// file decodes to the reply rebuilt from the seed, and encoding that
+// reply gives the file back.
+func TestV2Golden(t *testing.T) {
+	frame, err := os.ReadFile(filepath.Join("testdata", "rtk_v2.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := ownerResponse(t, goldenV2Seed)
+	grouped, tails := 0, 0
+	for _, c := range want.Cells {
+		if n := len(c.IDs); n > 8 && bits.Len64(deltaOR(c.IDs)) <= 8 {
+			grouped++
+			if (n-1)%8 != 0 || n%8 != 0 {
+				tails++
+			}
+		}
+	}
+	if grouped == 0 || tails == 0 {
+		t.Fatalf("the golden reply has %d cells that pack by the word, %d with a tail; want some of each", grouped, tails)
+	}
+	if frame[0] != VersionRTK || frame[1] != 0 {
+		t.Fatalf("golden frame starts %#x %#x, want a stored version 2 frame", frame[0], frame[1])
+	}
+	got, err := DecodeRTKResponse(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !respEqual(got, want) {
+		t.Fatal("the version 2 golden frame decodes to another reply")
+	}
+	if again := AppendRTKResponse(nil, want); !bytes.Equal(again, frame) {
+		t.Fatalf("the golden reply encodes to %d other bytes than the %d of the golden frame", len(again), len(frame))
+	}
+}
+
+// deltaOR is the OR of a cell's (id - previous id - 1).
+func deltaOR(ids []int32) uint64 {
+	or := uint64(0)
+	for k := 1; k < len(ids); k++ {
+		or |= uint64(int64(ids[k]) - int64(ids[k-1]) - 1)
+	}
+	return or
 }
