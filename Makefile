@@ -25,8 +25,10 @@ bench:
 
 # Compile every benchmark and run each for exactly one iteration under
 # the race detector — cheap rot protection, mirrored by the CI job.
+# -short shrinks what a benchmark sweeps (the Fig. 4 columns run the unit
+# tests' configuration), not which benchmarks run.
 bench-smoke:
-	$(GO) test -race -run='^$$' -bench=. -benchtime=1x ./...
+	$(GO) test -short -race -run='^$$' -bench=. -benchtime=1x ./...
 
 # The repo's one systems scorecard (BENCHMARK.json): every workload's
 # twelve end-to-end metrics, one process per workload, about a minute

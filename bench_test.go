@@ -18,7 +18,9 @@ import (
 )
 
 // benchFig4 runs one Fig. 4 sweep column per iteration and reports the
-// mean cover rate of the last run as a benchmark metric.
+// mean cover rate of the last run as a benchmark metric. Under -short
+// (make bench-smoke, which runs one iteration of every benchmark under
+// the race detector) it starts from the unit tests' tiny configuration.
 func benchFig4(b *testing.B, param string, values []float64) {
 	b.Helper()
 	cfg := experiments.DefaultFig4Config()
@@ -26,6 +28,9 @@ func benchFig4(b *testing.B, param string, values []float64) {
 	cfg.DocLen = 150
 	cfg.ProbeTerms = 5
 	cfg.NaiveTerms = 1
+	if testing.Short() {
+		cfg = experiments.TestFig4Config()
+	}
 	var points []experiments.Fig4Point
 	var err error
 	b.ResetTimer()
@@ -61,7 +66,7 @@ func BenchmarkFig4Z(b *testing.B) { benchFig4(b, "z", []float64{10, 20, 30, 50, 
 // BenchmarkNaiveVsRTK times single reverse top-K queries under both
 // algorithms at the same owner (Fig. 4's time-cost comparison in
 // miniature): the per-op numbers of the two sub-benchmarks are directly
-// comparable.
+// comparable. Under -short the owner holds a tenth of the documents.
 func BenchmarkNaiveVsRTK(b *testing.B) {
 	params := core.DefaultParams()
 	params.Epsilon = 0
@@ -75,7 +80,11 @@ func BenchmarkNaiveVsRTK(b *testing.B) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	const probe = uint64(99991)
-	for id := 0; id < 3000; id++ {
+	docs := 3000
+	if testing.Short() {
+		docs = 300
+	}
+	for id := 0; id < docs; id++ {
 		counts := make(map[uint64]int64)
 		for j := 0; j < 120; j++ {
 			counts[uint64(rng.Intn(20000))]++
@@ -105,13 +114,17 @@ func BenchmarkNaiveVsRTK(b *testing.B) {
 
 // BenchmarkHeadlineSpeedup regenerates the Section VI-D headline
 // ("NAIVE >100s vs RTK <10ms; space to ~1/5"), reporting the measured
-// speedup and space-reduction factors as metrics.
+// speedup and space-reduction factors as metrics. Under -short it starts
+// from the unit tests' tiny Fig. 4 configuration.
 func BenchmarkHeadlineSpeedup(b *testing.B) {
 	cfg := experiments.DefaultFig4Config()
 	cfg.Docs = 3000
 	cfg.DocLen = 200
 	cfg.ProbeTerms = 3
 	cfg.NaiveTerms = 2
+	if testing.Short() {
+		cfg = experiments.TestFig4Config()
+	}
 	var res *experiments.HeadlineResult
 	var err error
 	b.ResetTimer()

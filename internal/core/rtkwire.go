@@ -143,8 +143,8 @@ func (r *RTKResponse) AppendPayload(dst []byte) ([]byte, bool) {
 	if !ok {
 		return dst, false
 	}
-	// Dictionary order: sort the distinct values, then turn every
-	// entry's first-seen index into its sorted position.
+	// Dictionary order: sort the distinct values; rank turns an entry's
+	// first-seen index into its sorted position as the entry is packed.
 	e.sorted = append(e.sorted[:0], e.dict...)
 	slices.Sort(e.sorted)
 	e.rank = e.rank[:0]
@@ -152,43 +152,38 @@ func (r *RTKResponse) AppendPayload(dst []byte) ([]byte, bool) {
 		at, _ := slices.BinarySearch(e.sorted, b)
 		e.rank = append(e.rank, uint32(at))
 	}
-	for i, ref := range e.refs {
-		e.refs[i] = e.rank[ref]
-	}
 
-	dst = slices.Grow(dst, size)
+	dst = slices.Grow(dst, size+8) // a word of slack: the packers store whole words
 	dst = binary.AppendUvarint(dst, uint64(len(r.Cells)))
 	dst = binary.AppendUvarint(dst, uint64(len(e.sorted)))
 	for _, b := range e.sorted {
 		dst = binary.LittleEndian.AppendUint64(dst, b)
 	}
 	wval := uint(valueWidth(len(e.sorted)))
-	deltas, refs := e.deltas, e.refs
+	refs := e.refs
 	for i := range r.Cells {
-		n := len(r.Cells[i].IDs)
-		dst = binary.AppendUvarint(dst, uint64(n))
-		if n == 0 {
+		ids := r.Cells[i].IDs
+		dst = binary.AppendUvarint(dst, uint64(len(ids)))
+		if len(ids) == 0 {
 			continue
 		}
-		dst = binary.AppendVarint(dst, int64(r.Cells[i].IDs[0]))
+		dst = binary.AppendVarint(dst, int64(ids[0]))
 		dst = append(dst, e.widths[i])
-		dst = appendPacked(dst, deltas[1:n], uint(e.widths[i]))
-		dst = appendPacked(dst, refs[:n], wval)
-		deltas, refs = deltas[n:], refs[n:]
+		dst = packDeltas(dst, ids, uint(e.widths[i]))
+		dst = packRanks(dst, refs[:len(ids)], e.rank, wval)
+		refs = refs[len(ids):]
 	}
 	return dst, true
 }
 
 // rtkEncoder is the pooled working memory of one measure or encode: the
-// table that finds the distinct values, and per entry what the packing
-// loops write.
+// table that finds the distinct values, and per entry its value's index.
 type rtkEncoder struct {
 	slots  [2 * rtkMaxDict]uint16 // open addressing on the value bits, at most half full: 1 + index into dict, 0 empty
 	dict   []uint64               // distinct value bits, in first-seen order
 	sorted []uint64               // dict, ascending
 	rank   []uint32               // dict index -> index into sorted
-	refs   []uint32               // per entry: its value's dict index, then its rank
-	deltas []uint32               // per entry: id - previous id - 1 (0 for a cell's first)
+	refs   []uint32               // per entry: its value's dict index
 	widths []uint8                // per cell: bit width of its deltas
 }
 
@@ -208,8 +203,8 @@ func (e *rtkEncoder) measure(r *RTKResponse) (int, bool) {
 	}
 	clear(e.slots[:])
 	e.dict, e.widths = e.dict[:0], e.widths[:0]
-	e.refs, e.deltas = slices.Grow(e.refs[:0], total)[:total], slices.Grow(e.deltas[:0], total)[:total]
-	refs, deltas, cellsLen := e.refs, e.deltas, 0
+	e.refs = slices.Grow(e.refs[:0], total)[:total]
+	refs, cellsLen := e.refs, 0
 	for i := range r.Cells {
 		c := &r.Cells[i]
 		n := len(c.IDs)
@@ -222,29 +217,38 @@ func (e *rtkEncoder) measure(r *RTKResponse) (int, bool) {
 		if or>>32 != 0 {
 			return 0, false
 		}
-		deltas[0] = 0
-		for k := 1; k < n; k++ {
-			deltas[k] = uint32(c.IDs[k] - c.IDs[k-1] - 1)
-		}
 		e.widths = append(e.widths, uint8(bits.Len64(or)))
 		cellsLen += rtkCellLen(n, c.IDs[0], or)
 		for k, v := range c.Values {
-			ref, ok := e.intern(math.Float64bits(v))
+			// Most entries find their value in the first slot they hash
+			// to: a test that predicts well, where one against the entry
+			// before would mispredict at every other entry of a reply
+			// whose runs of equal values are short.
+			b := math.Float64bits(v)
+			if s := e.slots[rtkSlot(b)]; s != 0 && e.dict[s-1] == b {
+				refs[k] = uint32(s - 1)
+				continue
+			}
+			ref, ok := e.intern(b)
 			if !ok {
 				return 0, false
 			}
 			refs[k] = ref
 		}
-		refs, deltas = refs[n:], deltas[n:]
+		refs = refs[n:]
 	}
 	return rtkPayloadLen(r.Cells, len(e.dict), cellsLen), true
 }
+
+// rtkSlot is the slot of rtkEncoder.slots that a value's bits probe
+// first.
+func rtkSlot(b uint64) uint64 { return b * 0x9E3779B97F4A7C15 >> (64 - rtkDictBits - 1) }
 
 // intern returns the index in dict of a value's bits, adding them if
 // they are new; false once the dictionary is full.
 func (e *rtkEncoder) intern(b uint64) (uint32, bool) {
 	const mask = uint64(len(e.slots) - 1)
-	for h := b * 0x9E3779B97F4A7C15 >> (64 - rtkDictBits - 1); ; h = (h + 1) & mask {
+	for h := rtkSlot(b); ; h = (h + 1) & mask {
 		switch s := e.slots[h]; {
 		case s == 0:
 			if len(e.dict) == rtkMaxDict {
@@ -259,21 +263,86 @@ func (e *rtkEncoder) intern(b uint64) (uint32, bool) {
 	}
 }
 
-// appendPacked appends vals, w bits each (w <= 32, every value below
-// 1<<w), LSB-first, the last byte zero-padded.
-func appendPacked(dst []byte, vals []uint32, w uint) []byte {
+// The packers and unpackers below move a run of w-bit values (LSB-first,
+// the last byte zero-padded) a group at a time: for w <= 8, eight values
+// fill exactly w bytes of one little-endian uint64, so a group is one
+// word stored or loaded and the run stays byte-aligned between groups.
+// What is left — fewer than eight values, the last bytes of the input,
+// or every value of a wider run — goes through a 64-bit accumulator
+// flushed or refilled 32 bits at a time.
+
+// packDeltas appends the len(ids)-1 values (id - previous id - 1), w
+// bits each; every one is below 1<<w. dst has a word of capacity past
+// what it appends.
+func packDeltas(dst []byte, ids []int32, w uint) []byte {
 	if w == 0 {
 		return dst
 	}
+	if w <= 8 {
+		for ; len(ids) > 8; ids = ids[8:] {
+			d := ids[:9:9]
+			word := uint64(uint32(d[1]-d[0]-1)) |
+				uint64(uint32(d[2]-d[1]-1))<<w |
+				uint64(uint32(d[3]-d[2]-1))<<(2*w) |
+				uint64(uint32(d[4]-d[3]-1))<<(3*w) |
+				uint64(uint32(d[5]-d[4]-1))<<(4*w) |
+				uint64(uint32(d[6]-d[5]-1))<<(5*w) |
+				uint64(uint32(d[7]-d[6]-1))<<(6*w) |
+				uint64(uint32(d[8]-d[7]-1))<<(7*w)
+			n := len(dst)
+			binary.LittleEndian.PutUint64(dst[n:n+8], word)
+			dst = dst[:n+int(w)]
+		}
+	}
 	acc, n := uint64(0), uint(0)
-	for _, v := range vals {
-		acc |= uint64(v) << n
+	for k := 1; k < len(ids); k++ {
+		acc |= uint64(uint32(ids[k]-ids[k-1]-1)) << n
 		if n += w; n >= 32 {
 			dst = binary.LittleEndian.AppendUint32(dst, uint32(acc))
 			acc >>= 32
 			n -= 32
 		}
 	}
+	return appendBits(dst, acc, n)
+}
+
+// packRanks appends rank[ref] for every ref, w bits each; every rank is
+// below 1<<w. dst has a word of capacity past what it appends.
+func packRanks(dst []byte, refs, rank []uint32, w uint) []byte {
+	if w == 0 {
+		return dst
+	}
+	if w <= 8 {
+		for ; len(refs) >= 8; refs = refs[8:] {
+			r := refs[:8:8]
+			word := uint64(rank[r[0]]) |
+				uint64(rank[r[1]])<<w |
+				uint64(rank[r[2]])<<(2*w) |
+				uint64(rank[r[3]])<<(3*w) |
+				uint64(rank[r[4]])<<(4*w) |
+				uint64(rank[r[5]])<<(5*w) |
+				uint64(rank[r[6]])<<(6*w) |
+				uint64(rank[r[7]])<<(7*w)
+			n := len(dst)
+			binary.LittleEndian.PutUint64(dst[n:n+8], word)
+			dst = dst[:n+int(w)]
+		}
+	}
+	acc, n := uint64(0), uint(0)
+	for _, ref := range refs {
+		acc |= uint64(rank[ref]) << n
+		if n += w; n >= 32 {
+			dst = binary.LittleEndian.AppendUint32(dst, uint32(acc))
+			acc >>= 32
+			n -= 32
+		}
+	}
+	return appendBits(dst, acc, n)
+}
+
+// appendBits appends the n bits (n < 32) left in acc, zero-padded to a
+// byte.
+func appendBits(dst []byte, acc uint64, n uint) []byte {
 	for ; n > 0; n -= min(n, 8) {
 		dst = append(dst, byte(acc))
 		acc >>= 8
@@ -281,47 +350,117 @@ func appendPacked(dst []byte, vals []uint32, w uint) []byte {
 	return dst
 }
 
-// bitReader unpacks what appendPacked wrote.
-type bitReader struct {
-	data []byte
-	acc  uint64
-	n    uint
-}
-
-// read fills dst with the next len(dst) values of w bits and returns
-// their OR. The caller has checked that data holds that many bits.
-func (b *bitReader) read(dst []uint32, w uint) uint32 {
-	if w == 0 {
-		clear(dst)
-		return 0
-	}
-	data, acc, n := b.data, b.acc, b.n
-	mask, or := uint64(1)<<w-1, uint32(0)
-	for i := range dst {
-		if n < w {
-			if len(data) >= 4 {
-				acc |= uint64(binary.LittleEndian.Uint32(data)) << n
-				data = data[4:]
-				n += 32
-			} else {
-				for ; n < w; n += 8 {
-					acc |= uint64(data[0]) << n
-					data = data[1:]
-				}
-			}
+// unpackIDs fills ids from a cell's first id and run, its len(ids)-1
+// deltas packed w bits each, one running sum per delta. It returns the
+// last id before it is narrowed to int32, the OR of the deltas, and
+// whether all of run after them is zero padding. The word loop may load
+// from run's capacity past its length; no bit of that is used.
+func unpackIDs(ids []int32, first int64, run []byte, w uint) (last int64, or uint64, canonical bool) {
+	id, into, p := first, ids[1:], 0
+	ids[0] = int32(id)
+	mask := uint64(1)<<w - 1
+	if w <= 8 {
+		for ; len(into) >= 8 && p+8 <= cap(run); into = into[8:] {
+			word := binary.LittleEndian.Uint64(run[p : p+8])
+			p += int(w)
+			d0, d1, d2, d3 := word&mask, word>>w&mask, word>>(2*w)&mask, word>>(3*w)&mask
+			d4, d5, d6, d7 := word>>(4*w)&mask, word>>(5*w)&mask, word>>(6*w)&mask, word>>(7*w)&mask
+			or |= d0 | d1 | d2 | d3 | d4 | d5 | d6 | d7
+			to := into[:8:8]
+			id += 1 + int64(d0)
+			to[0] = int32(id)
+			id += 1 + int64(d1)
+			to[1] = int32(id)
+			id += 1 + int64(d2)
+			to[2] = int32(id)
+			id += 1 + int64(d3)
+			to[3] = int32(id)
+			id += 1 + int64(d4)
+			to[4] = int32(id)
+			id += 1 + int64(d5)
+			to[5] = int32(id)
+			id += 1 + int64(d6)
+			to[6] = int32(id)
+			id += 1 + int64(d7)
+			to[7] = int32(id)
 		}
-		v := uint32(acc & mask)
+	}
+	data, acc, n := run[p:], uint64(0), uint(0)
+	for k := range into {
+		if n < w {
+			data, acc, n = refill(data, acc, n, w)
+		}
+		d := acc & mask
 		acc >>= w
 		n -= w
-		dst[i] = v
-		or |= v
+		or |= d
+		id += 1 + int64(d)
+		into[k] = int32(id)
 	}
-	b.data, b.acc, b.n = data, acc, n
-	return or
+	return id, or, len(data) == 0 && acc == 0
 }
 
-// done reports whether everything left unread is zero padding.
-func (b *bitReader) done() bool { return len(b.data) == 0 && b.acc == 0 }
+// unpackRefs fills vals with table[index] for the len(vals) dictionary
+// indexes packed w bits each in run (w <= rtkDictBits), and flags every
+// index it meets in used. It returns the largest index and whether all
+// of run after them is zero padding; an index past the dictionary
+// reads a stale table entry, which the caller rejects by the maximum.
+// The word loop may load from run's capacity past its length; no bit of
+// that is used.
+func unpackRefs(vals []float64, run []byte, w uint, table *[rtkMaxDict]float64, used *[rtkMaxDict]uint8) (hi uint64, canonical bool) {
+	const ix = rtkMaxDict - 1 // a no-op on a w-bit index; it spares the bounds checks
+	mask, p := uint64(1)<<w-1, 0
+	if w <= 8 {
+		for ; len(vals) >= 8 && p+8 <= cap(run); vals = vals[8:] {
+			word := binary.LittleEndian.Uint64(run[p : p+8])
+			p += int(w)
+			r0, r1, r2, r3 := word&mask, word>>w&mask, word>>(2*w)&mask, word>>(3*w)&mask
+			r4, r5, r6, r7 := word>>(4*w)&mask, word>>(5*w)&mask, word>>(6*w)&mask, word>>(7*w)&mask
+			hi = max(hi, r0, r1, r2, r3, r4, r5, r6, r7)
+			used[r0&ix], used[r1&ix], used[r2&ix], used[r3&ix] = 1, 1, 1, 1
+			used[r4&ix], used[r5&ix], used[r6&ix], used[r7&ix] = 1, 1, 1, 1
+			to := vals[:8:8]
+			to[0], to[1], to[2], to[3] = table[r0&ix], table[r1&ix], table[r2&ix], table[r3&ix]
+			to[4], to[5], to[6], to[7] = table[r4&ix], table[r5&ix], table[r6&ix], table[r7&ix]
+		}
+	}
+	data, acc, n := run[p:], uint64(0), uint(0)
+	for k := range vals {
+		if n < w {
+			data, acc, n = refill(data, acc, n, w)
+		}
+		ref := acc & mask
+		acc >>= w
+		n -= w
+		hi = max(hi, ref)
+		used[ref&ix] = 1
+		vals[k] = table[ref&ix]
+	}
+	return hi, len(data) == 0 && acc == 0
+}
+
+// refill tops up acc, which holds n < w bits, to at least w bits from
+// data: 32 bits at once while four bytes remain, else byte by byte. The
+// caller has checked that data holds them.
+func refill(data []byte, acc uint64, n, w uint) ([]byte, uint64, uint) {
+	if len(data) >= 4 {
+		return data[4:], acc | uint64(binary.LittleEndian.Uint32(data))<<n, n + 32
+	}
+	for ; n < w; n += 8 {
+		acc |= uint64(data[0]) << n
+		data = data[1:]
+	}
+	return data, acc, n
+}
+
+// rtkDecoder is the pooled working memory of one decode: the dictionary
+// as float64 values, and a flag per index the cells use.
+type rtkDecoder struct {
+	table [rtkMaxDict]float64
+	used  [rtkMaxDict]uint8
+}
+
+var rtkDecoders = sync.Pool{New: func() any { return new(rtkDecoder) }}
 
 // DecodeRTKPayload decodes a version 2 payload into a reply of the
 // caller's (see RTKResponse) that refers to nothing in data: one id slab
@@ -334,6 +473,7 @@ func DecodeRTKPayload(data []byte) (*RTKResponse, error) {
 		out.Release() // half filled, and no one else's
 		return nil, fmt.Errorf("%w: rtk payload: %s", ErrBadQuery, what)
 	}
+	data = data[:len(data):len(data)] // the word loops load up to the payload's end, never past it
 	ncells, rest, ok := readUvarint(data)
 	if !ok || ncells > uint64(len(rest)) { // a cell is a byte at least
 		return bad("cell count")
@@ -365,8 +505,13 @@ func DecodeRTKPayload(data []byte) (*RTKResponse, error) {
 
 	out, ids, vals := NewRTKResponse(int(ncells), total)
 	out.payloadLen = len(data)
-	var used [rtkMaxDict / 64]uint64
-	var chunk [256]uint32
+	d := rtkDecoders.Get().(*rtkDecoder)
+	defer rtkDecoders.Put(d)
+	for i := range int(ndict) {
+		d.table[i] = math.Float64frombits(binary.LittleEndian.Uint64(dict[8*i:]))
+	}
+	flags := max(1<<wval, 8) // counted a word at a time below
+	clear(d.used[:flags])
 	rest = cells
 	for i := range out.Cells {
 		c, _ := readRTKCell(rest, wval, rtkMaxEntries) // checked above
@@ -378,45 +523,24 @@ func DecodeRTKPayload(data []byte) (*RTKResponse, error) {
 		cell.IDs, ids = ids[:c.n:c.n], ids[c.n:]
 		cell.Values, vals = vals[:c.n:c.n], vals[c.n:]
 
-		id, or := c.first, uint32(0)
-		cell.IDs[0] = int32(id)
-		br := bitReader{data: c.idRun}
-		for into := cell.IDs[1:]; len(into) > 0; {
-			part := chunk[:min(len(into), len(chunk))]
-			or |= br.read(part, c.wid)
-			for k, d := range part {
-				id += 1 + int64(d)
-				into[k] = int32(id)
-			}
-			into = into[len(part):]
-		}
-		if id > math.MaxInt32 {
+		last, or, canonical := unpackIDs(cell.IDs, c.first, c.idRun, c.wid)
+		if last > math.MaxInt32 {
 			return bad("document id out of range")
 		}
-		if uint(bits.Len32(or)) != c.wid || !br.done() {
+		if uint(bits.Len64(or)) != c.wid || !canonical {
 			return bad("id deltas are not packed canonically")
 		}
-
-		br = bitReader{data: c.valRun}
-		for into := cell.Values; len(into) > 0; {
-			part := chunk[:min(len(into), len(chunk))]
-			br.read(part, wval)
-			for k, ref := range part {
-				if uint64(ref) >= ndict {
-					return bad("dictionary index out of range")
-				}
-				used[ref>>6] |= 1 << (ref & 63)
-				into[k] = math.Float64frombits(binary.LittleEndian.Uint64(dict[8*ref:]))
-			}
-			into = into[len(part):]
+		hi, canonical := unpackRefs(cell.Values, c.valRun, wval, &d.table, &d.used)
+		if hi >= ndict {
+			return bad("dictionary index out of range")
 		}
-		if !br.done() {
+		if !canonical {
 			return bad("dictionary indexes are not packed canonically")
 		}
 	}
 	seen := 0
-	for _, u := range used {
-		seen += bits.OnesCount64(u)
+	for i := 0; i < flags; i += 8 { // every flag is 0 or 1, and none is set past ndict
+		seen += bits.OnesCount64(binary.LittleEndian.Uint64(d.used[i:]))
 	}
 	if uint64(seen) != ndict {
 		return bad("unused dictionary entry")

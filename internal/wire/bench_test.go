@@ -8,14 +8,29 @@ import (
 
 // BenchmarkWireRTK measures the codec on the protocol's dominant
 // payload at the benchmark geometry (30 cells of 250 entries, noisy
-// values): encode into a reused buffer, decode, and the sizing the
-// coordinator does for every relayed reply — a field read for a reply
-// that carries its length (any reply a producer or the decoder made),
-// a measuring walk for one that does not. frameB is what crosses a
-// socket, rawB what the byte accounting records; a version 2 frame is
-// stored, so they are equal.
+// values), in two shapes: geometry, six values in random order and no
+// runs, and owner, what Owner.AnswerRTK releases (a few dozen values in
+// long runs, most of them the bare noise draw). Each shape is encoded
+// into a reused buffer, decoded and released, as every holder of a
+// reply releases it, and sized as the coordinator sizes every relayed
+// reply — a field read for a reply that carries its length (any reply a
+// producer or the decoder made), a measuring walk for one that does
+// not. frameB is what crosses a socket, rawB what the byte accounting
+// records; a version 2 frame is stored, so they are equal.
 func BenchmarkWireRTK(b *testing.B) {
-	measured := geometryResponse(9)
+	for _, shape := range []struct {
+		name     string
+		measured *core.RTKResponse
+	}{
+		{"geometry", geometryResponse(9)},
+		{"owner", &core.RTKResponse{Cells: ownerResponse(b, 1).Cells}},
+	} {
+		b.Run(shape.name, func(b *testing.B) { benchWireRTK(b, shape.measured) })
+	}
+}
+
+// benchWireRTK runs the codec's cases on a reply that carries no length.
+func benchWireRTK(b *testing.B, measured *core.RTKResponse) {
 	frame := AppendRTKResponse(nil, measured)
 	carried, err := DecodeRTKResponse(frame)
 	if err != nil {
@@ -36,9 +51,11 @@ func BenchmarkWireRTK(b *testing.B) {
 	b.Run("decode", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeRTKResponse(frame); err != nil {
+			r, err := DecodeRTKResponse(frame)
+			if err != nil {
 				b.Fatal(err)
 			}
+			r.Release()
 		}
 		report(b)
 	})

@@ -56,6 +56,10 @@ func FuzzWireDecode(f *testing.F) {
 	f.Add(replies[:len(replies)-2])
 	f.Add(append(bytes.Clone(replies), 7))
 	f.Add(append(bytes.Clone(compressed), stored...))
+	// Version 2 faults the decoder meets eight entries to the word.
+	for _, bad := range malformedV2Grouped() {
+		f.Add(bad.frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if r, err := DecodeRTKResponse(data); err == nil {

@@ -59,6 +59,55 @@ func malformedV2() []struct {
 	}
 }
 
+// malformedV2Grouped are twins of malformedV2 cases with at least 17
+// entries, so that the decoder meets the fault inside the loops that
+// read eight entries to the word, or in the tail after them; each must
+// draw the words its short twin draws. They are FuzzWireDecode seeds
+// too, after all the others.
+func malformedV2Grouped() []struct {
+	name, why string
+	frame     []byte
+} {
+	one, two, three := le64(1), le64(2), le64(3)
+	cycle := func(n, period int, head ...uint64) []uint64 {
+		vals := append([]uint64(nil), head...)
+		for i := len(vals); i < n; i++ {
+			vals = append(vals, uint64(i%period))
+		}
+		return vals
+	}
+	dirty := bitsLE(3, cycle(19, 5)...)
+	dirty[len(dirty)-1] |= 0x80 // the top bit of the last byte: bits 57 to 63 are padding
+	nearMax := AppendVarint(nil, math.MaxInt32-40)
+	return []struct {
+		name, why string
+		frame     []byte
+	}{
+		{"dictionary index out of range in a full group", "index out of range",
+			v2Frame(concat([]byte{1, 3}, one, two, three, []byte{40, 20, 0}, bitsLE(2, cycle(40, 3, 0, 1, 3)...))...)},
+		{"padding bits set after grouped deltas", "not packed canonically",
+			v2Frame(concat([]byte{1, 2}, one, two, []byte{20, 20, 3}, dirty, bitsLE(1, cycle(20, 2)...))...)},
+		{"wider ids than needed in full groups", "not packed canonically",
+			v2Frame(concat([]byte{1, 1}, one, []byte{33, 20, 4}, bitsLE(4, cycle(32, 8)...))...)},
+		{"id past MaxInt32 inside a group", "id out of range",
+			v2Frame(concat([]byte{1, 1}, one, []byte{20}, nearMax, []byte{4}, bitsLE(4, cycle(19, 1, 8, 8, 8, 8, 8, 8, 8, 8, 8, 8)...))...)},
+	}
+}
+
+// bitsLE packs vals at w bits each, LSB-first, zero-padded to a byte.
+func bitsLE(w uint, vals ...uint64) []byte {
+	out := make([]byte, (len(vals)*int(w)+7)/8)
+	for i, v := range vals {
+		for b := uint(0); b < w; b++ {
+			if v>>b&1 != 0 {
+				at := uint(i)*w + b
+				out[at/8] |= 1 << (at % 8)
+			}
+		}
+	}
+	return out
+}
+
 func TestV2RejectsMalformed(t *testing.T) {
 	// The smallest well-formed neighbours of the table decode.
 	for name, good := range map[string][]byte{
@@ -75,7 +124,7 @@ func TestV2RejectsMalformed(t *testing.T) {
 			t.Fatalf("%s: re-encodes to % x, want % x", name, again, good)
 		}
 	}
-	for _, bad := range malformedV2() {
+	for _, bad := range append(malformedV2(), malformedV2Grouped()...) {
 		r, err := DecodeRTKResponse(bad.frame)
 		if !errors.Is(err, ErrMalformed) || !strings.Contains(err.Error(), bad.why) {
 			t.Errorf("%s: decoded to %+v, err %v; want ErrMalformed for %q", bad.name, r, err, bad.why)
