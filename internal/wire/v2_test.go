@@ -269,17 +269,16 @@ func TestV2Golden(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := ownerResponse(t, goldenV2Seed)
-	grouped, tails := 0, 0
+	// A cell of n > 8 entries at widths up to 8 packs by the word, and one
+	// of its two runs (n-1 deltas, n indexes) leaves a tail.
+	grouped := 0
 	for _, c := range want.Cells {
-		if n := len(c.IDs); n > 8 && bits.Len64(deltaOR(c.IDs)) <= 8 {
+		if len(c.IDs) > 8 && bits.Len64(deltaOR(c.IDs)) <= 8 {
 			grouped++
-			if (n-1)%8 != 0 || n%8 != 0 {
-				tails++
-			}
 		}
 	}
-	if grouped == 0 || tails == 0 {
-		t.Fatalf("the golden reply has %d cells that pack by the word, %d with a tail; want some of each", grouped, tails)
+	if grouped == 0 {
+		t.Fatal("no cell of the golden reply packs by the word")
 	}
 	if frame[0] != VersionRTK || frame[1] != 0 {
 		t.Fatalf("golden frame starts %#x %#x, want a stored version 2 frame", frame[0], frame[1])
