@@ -169,7 +169,7 @@ func partyCmd(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := p.IngestAll(c.Parties[idx].Docs); err != nil {
+	if err := p.IngestAllParallel(c.Parties[idx].Docs, 0); err != nil {
 		return err
 	}
 	// A private coordinator containing only this party: the silo keeps
@@ -400,7 +400,7 @@ func serve(args []string) error {
 			return err
 		}
 		fmt.Printf("ingesting %d documents for party %s...\n", len(c.Parties[i].Docs), name)
-		if err := party.IngestAll(c.Parties[i].Docs); err != nil {
+		if err := party.IngestAllParallel(c.Parties[i].Docs, 0); err != nil {
 			return err
 		}
 		if err := server.Register(party); err != nil {

@@ -43,7 +43,7 @@ func TestIntegrationHTTPPersistenceCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	b, _ := fed.Party("B")
-	if err := b.IngestAll(c.Parties[1].Docs); err != nil {
+	if err := b.IngestAllParallel(c.Parties[1].Docs, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Pick a probe term that actually occurs: first salient term of the

@@ -43,7 +43,10 @@ func corpusDocs(tb testing.TB, n int, field string) []DocCounts {
 //     batch each — sparse rows, and title cells that hold mostly zeros;
 //   - 8 into full: 8 bodies into an owner already holding the other 1 200,
 //     whose cells were all just read — what core.add_us_per_doc measures.
-//     The 8 leave again off the clock.
+//     The 8 leave again off the clock;
+//   - one at a time past αK: the 1 200 bodies into a fresh owner, one
+//     AddDocument each and no read between, as Fig. 4 loads its corpus —
+//     every cell passes the cap a fifth of the way in.
 func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 	p := DefaultParams()
 	p.K = 50 // HeapCap = Alpha*K = 250, well under the 1200-doc batch
@@ -108,5 +111,22 @@ func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(spare)), "us/doc")
+	})
+	b.Run("one at a time past αK", func(b *testing.B) {
+		docs := corpusDocs(b, 1200, "body")
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			o, err := NewOwner(p, 42, dp.Disabled())
+			if err != nil {
+				b.Fatal(err)
+			}
+			for _, d := range docs {
+				if err := o.AddDocument(d.DocID, d.Counts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(docs)), "us/doc")
 	})
 }

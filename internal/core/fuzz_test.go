@@ -471,6 +471,18 @@ func FuzzRTKSketchOps(f *testing.F) {
 		}
 		f.Add(append(big, 4, 1, 2, 5, 4, 2, 5))
 	}
+	// One document at a time, ids ascending, three terms each, three times
+	// the cap: every full cell an add beats settles by what enters and
+	// leaves, its zeros run out and its floor climbs through the positive
+	// keys. Then an id below every live one, a read and a reload. Count
+	// Sketch and Count-Min.
+	for _, kind := range []byte{0, 1} {
+		online := []byte{kind}
+		for id := byte(0); id < 24; id++ {
+			online = append(online, 0, id, 3+4*(id%5), 3*id+1)
+		}
+		f.Add(append(online, 3, 0, 0, 0, 7, 9, 4, 2, 6, 5, 4, 1, 3))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
 			if len(data) == 0 {

@@ -1666,9 +1666,10 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// cells' own slabs.
 	const victim = 600
 	docs, tables := []DocCounts{{DocID: victim}}, []sketch.Compact{o.docTables[victim]}
+	sc := new(settleScratch)
 	churn := testing.AllocsPerRun(10, func() {
 		o.rtk.Delete(victim, &tables[0])
-		o.rtk.insert(docs, tables)
+		o.rtk.insert(docs, tables, sc)
 	})
 	if churn > 0 {
 		t.Errorf("RTKSketch.Delete + insert of one document: %.1f allocs, want 0", churn)

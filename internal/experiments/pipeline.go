@@ -192,7 +192,7 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		docSets[i] = party.Docs
 		// Bulk load: term counting on Params.Parallelism workers (0 =
 		// GOMAXPROCS), both fields at once; the resulting sketch state is
-		// identical to a sequential IngestAll.
+		// identical to ingesting the documents one by one.
 		if err := fed.Parties[i].IngestAllParallel(party.Docs, 0); err != nil {
 			return nil, err
 		}

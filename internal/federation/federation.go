@@ -776,24 +776,15 @@ func (p *Party) IngestDocument(d *textkit.Document) error {
 	return nil
 }
 
-// IngestAll sketches a slice of documents.
-func (p *Party) IngestAll(docs []*textkit.Document) error {
-	for _, d := range docs {
-		if err := p.IngestDocument(d); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// IngestAllParallel bulk-loads a document slice: term counting runs on a
-// pool of workers (workers <= 0 resolves to Params.Parallelism /
-// GOMAXPROCS), then the two fields load concurrently, each as one batch
-// settled into every RTK-Sketch cell at once (see
-// shard.Group.AddDocuments). The resulting party state is identical to a
-// sequential IngestAll. On error the party may hold one field's batch but
-// not the other — callers should treat the party as unusable, exactly as
-// after a failed IngestAll.
+// IngestAllParallel bulk-loads a document slice, the party's one way to
+// load many documents: term counting runs on a pool of workers (workers
+// <= 0 resolves to Params.Parallelism / GOMAXPROCS), then the two fields
+// load concurrently, each as one batch settled into every RTK-Sketch cell
+// at once (see shard.Group.AddDocuments). The resulting party state is
+// identical to ingesting the documents one by one (IngestDocument). Each
+// field's batch is checked whole before any of it is written; on error
+// the party may hold one field's batch but not the other, and callers
+// should treat it as unusable.
 func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	if workers <= 0 {
 		workers = p.params.Workers(len(docs))

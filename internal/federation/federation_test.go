@@ -32,17 +32,17 @@ func twoPartyFed(t *testing.T, p core.Params) *Federation {
 	}
 	a, _ := fed.Party("A")
 	b, _ := fed.Party("B")
-	if err := a.IngestAll([]*textkit.Document{
+	if err := a.IngestAllParallel([]*textkit.Document{
 		doc(0, 5, 5, 6),
 		doc(1, 6, 7),
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.IngestAll([]*textkit.Document{
+	if err := b.IngestAllParallel([]*textkit.Document{
 		doc(0, 5, 5, 5, 5, 9),
 		doc(1, 5, 9, 9),
 		doc(2, 8, 8, 8),
-	}); err != nil {
+	}, 0); err != nil {
 		t.Fatal(err)
 	}
 	return fed

@@ -23,7 +23,7 @@ func fuzzFed(f *testing.F) *Federation {
 		f.Fatal(err)
 	}
 	a, _ := fed.Party("A")
-	if err := a.IngestAll([]*textkit.Document{doc(0, 5, 5, 6), doc(1, 6, 7)}); err != nil {
+	if err := a.IngestAllParallel([]*textkit.Document{doc(0, 5, 5, 6), doc(1, 6, 7)}, 0); err != nil {
 		f.Fatal(err)
 	}
 	return fed

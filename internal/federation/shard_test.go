@@ -46,10 +46,10 @@ func shardTestFedParams(t *testing.T, p core.Params) *Federation {
 	}
 	b, _ := fed.Party("B")
 	c, _ := fed.Party("C")
-	if err := b.IngestAll(shardTestDocs(24, 501)); err != nil {
+	if err := b.IngestAllParallel(shardTestDocs(24, 501), 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.IngestAll(shardTestDocs(16, 502)); err != nil {
+	if err := c.IngestAllParallel(shardTestDocs(16, 502), 0); err != nil {
 		t.Fatal(err)
 	}
 	return fed

@@ -182,6 +182,20 @@ func (f *Family) Index(row int, term uint64) uint32 {
 	}
 }
 
+// IndexSign evaluates h_row(term) and g_row(term) together: Index and
+// Sign of one row, at the cost of one call.
+func (f *Family) IndexSign(row int, term uint64) (uint32, int32) {
+	p := &f.rows[row]
+	var h, g uint64
+	if f.kind == KindMD5 {
+		h, g = f.md5Hash(row, term, 0), f.md5Hash(row, term, 1)
+	} else {
+		x := term % mersenne61
+		h, g = affineMod61(p.a, x, p.b), affineMod61(p.c, x, p.d)
+	}
+	return uint32(h % uint64(f.w)), int32(g&1)<<1 - 1
+}
+
 // Sign evaluates g_row(term) in {-1, +1}.
 func (f *Family) Sign(row int, term uint64) int32 {
 	p := &f.rows[row]

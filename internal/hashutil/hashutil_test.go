@@ -245,3 +245,20 @@ func BenchmarkIndexMD5(b *testing.B) {
 		f.Index(i%30, uint64(i))
 	}
 }
+
+// TestIndexSignMatches: the one-call evaluation of a row is Index and
+// Sign, for both constructions.
+func TestIndexSignMatches(t *testing.T) {
+	for _, k := range []Kind{KindPolynomial, KindMD5} {
+		f := MustNewFamily(k, 7, 203, 11)
+		for row := 0; row < f.Z(); row++ {
+			for _, term := range []uint64{0, 1, 2, 99, mersenne61 - 1, mersenne61, mersenne61 + 5, 1 << 63, ^uint64(0)} {
+				col, sign := f.IndexSign(row, term)
+				if col != f.Index(row, term) || sign != f.Sign(row, term) {
+					t.Fatalf("%v row %d term %d: IndexSign = (%d, %d), Index, Sign = (%d, %d)",
+						k, row, term, col, sign, f.Index(row, term), f.Sign(row, term))
+				}
+			}
+		}
+	}
+}

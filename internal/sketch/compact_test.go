@@ -235,7 +235,7 @@ func TestBuilderReusesScratch(t *testing.T) {
 		own := MustNew(Count, f)
 		own.AddCounts(counts)
 		want = append(want, own)
-		kept = append(kept, b.Compact(b.Sketch(counts)))
+		kept = append(kept, b.Compact(b.Sketch(counts, nil)))
 	}
 	for i, c := range kept {
 		checkCompactMatchesDense(t, c, want[i])
@@ -349,7 +349,7 @@ func BenchmarkCompactLookup(b *testing.B) {
 		dense := make([]*Table, docs)
 		compact := make([]Compact, docs)
 		for i := range dense {
-			dense[i] = bld.Sketch(randomCounts(rng, shape.terms, 3)).Clone()
+			dense[i] = bld.Sketch(randomCounts(rng, shape.terms, 3), nil).Clone()
 			compact[i] = bld.Compact(dense[i])
 		}
 		out := make([]float64, 30)
@@ -385,8 +385,60 @@ func BenchmarkCompactBuild(b *testing.B) {
 		b.Run(shape.name+"/compact", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				bld.Compact(bld.Sketch(counts))
+				bld.Compact(bld.Sketch(counts, nil))
 			}
 		})
+	}
+}
+
+// TestMemoMatchesAddCounts: a table built through a batch's memo is the
+// table AddCounts makes, cell for cell — for both sketch kinds over both
+// hash constructions, for a batch whose documents share most of their
+// terms (each met first by one document, then remembered) and for a batch
+// of one — and Reset leaves the memo empty and zeroed.
+func TestMemoMatchesAddCounts(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	shared := randomCounts(rng, 60, 4)
+	var batch []map[uint64]int64
+	for i := 0; i < 12; i++ {
+		counts := randomCounts(rng, 1+rng.Intn(40), 6)
+		for term, c := range shared {
+			if rng.Intn(3) > 0 {
+				counts[term] = c * int64(1+i%3)
+			}
+		}
+		batch = append(batch, counts)
+	}
+	for _, hk := range []hashutil.Kind{hashutil.KindPolynomial, hashutil.KindMD5} {
+		f := hashutil.MustNewFamily(hk, 30, 200, 21)
+		for _, kind := range []Kind{Count, CountMin} {
+			for name, docs := range map[string][]map[uint64]int64{"shared terms": batch, "one document": batch[:1]} {
+				t.Run(fmt.Sprintf("%v/%v/%s", hk, kind, name), func(t *testing.T) {
+					b, err := NewBuilder(kind, f)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var memo Memo
+					distinct := map[uint64]bool{}
+					for _, counts := range docs {
+						want := MustNew(kind, f)
+						want.AddCounts(counts)
+						if got := b.Sketch(counts, &memo); !slices.Equal(got.cells, want.cells) {
+							t.Fatal("the memo's table differs from AddCounts'")
+						}
+						for term := range counts {
+							distinct[term] = true
+						}
+					}
+					if memo.Len() != len(distinct) {
+						t.Fatalf("the memo remembers %d terms, the batch has %d", memo.Len(), len(distinct))
+					}
+					memo.Reset()
+					if memo.Len() != 0 || slices.ContainsFunc(memo.cells[:cap(memo.cells)], func(p int32) bool { return p != 0 }) {
+						t.Fatal("Reset leaves the memo's cells behind")
+					}
+				})
+			}
+		}
 	}
 }

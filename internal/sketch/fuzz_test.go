@@ -74,12 +74,12 @@ func FuzzUnmarshalCompact(f *testing.F) {
 		f.Fatal(err)
 	}
 	// A seed at each counter width: 1, 2, 4 and 8 bytes.
-	oneByte := b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 3, 9: 1})).AppendBinary(nil)
+	oneByte := b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 3, 9: 1}, nil)).AppendBinary(nil)
 	f.Add(oneByte)
-	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1000})).AppendBinary(nil))
-	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 20})).AppendBinary(nil))
-	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 40})).AppendBinary(nil))
-	f.Add(b.Compact(b.Sketch(nil)).AppendBinary(nil))
+	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1000}, nil)).AppendBinary(nil))
+	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 20}, nil)).AppendBinary(nil))
+	f.Add(b.Compact(b.Sketch(map[uint64]int64{1: 2, 2: 1 << 40}, nil)).AppendBinary(nil))
+	f.Add(b.Compact(b.Sketch(nil, nil)).AppendBinary(nil))
 	f.Add([]byte{})
 	f.Add(oneByte[:len(oneByte)-3])
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -90,7 +90,7 @@ func FuzzUnmarshalCompact(f *testing.F) {
 			}
 			return
 		}
-		dense := b.Sketch(nil) // the accepted table, row by row
+		dense := b.Sketch(nil, nil) // the accepted table, row by row
 		for row := 0; row < z; row++ {
 			for _, rc := range c.AppendRow(nil, row) {
 				dense.cells[row*w+rc.Col] = rc.Value
