@@ -10,9 +10,14 @@ import (
 // perturbed it — and so counts the draws made.
 type countingMech struct{ draws int }
 
-func (m *countingMech) Sample() float64           { m.draws++; return float64(m.draws) }
-func (m *countingMech) Perturb(x float64) float64 { return x + m.Sample() }
-func (m *countingMech) Epsilon() float64          { return 1 }
+func (m *countingMech) Sample() float64  { m.draws++; return float64(m.draws) }
+func (m *countingMech) Epsilon() float64 { return 1 }
+
+// fixedNoise is a mechanism whose every draw is the same.
+type fixedNoise float64
+
+func (f fixedNoise) Sample() float64  { return float64(f) }
+func (f fixedNoise) Epsilon() float64 { return 1 }
 
 // batchQueries returns the queries of k plans for distinct terms.
 func batchQueries(q *Querier, k int) ([]*Plan, []*TFQuery) {

@@ -258,7 +258,7 @@ func FuzzRTKResponseHandling(f *testing.F) {
 // disjoint, ascending ids. The output must equal the oracle's, strictly
 // ascending, with exactly min(n, heapCap) entries (see checkMerge).
 //
-// Encoding: partition count, cap and flags (abs, noise), then one byte
+// Encoding: partition count, cap and flags (abs, the draw), then one byte
 // pair per entry — the first picks the partition and how far the id
 // advances (ids only grow, which makes every partition ascending and all
 // of them disjoint), the second is the value as a signed byte. Pairs are
@@ -278,7 +278,7 @@ func FuzzMergeRTKResponses(f *testing.F) {
 			return
 		}
 		nparts, heapCap := 1+int(data[0])%5, 1+int(data[1])%32
-		abs, noise := data[2]&1 != 0, float64(data[2]>>1&3)*0.37
+		abs, draw := data[2]&1 != 0, float64(data[2]>>1&3)*0.37
 		rows := []mergeRow{make(mergeRow, nparts), make(mergeRow, nparts)}
 		id := int32(0)
 		for i, pairs := 0, data[3:]; len(pairs) >= 2; i, pairs = i+1, pairs[2:] {
@@ -286,7 +286,7 @@ func FuzzMergeRTKResponses(f *testing.F) {
 			part := &rows[i%2][int(pairs[0])%nparts]
 			*part = append(*part, Entry{DocID: id, Value: int32(int8(pairs[1]))})
 		}
-		checkMerge(t, rows, heapCap, abs, noise)
+		checkMerge(t, rows, heapCap, abs, draw)
 		// The tail scan drops, for every overflow it takes, the entries
 		// selection leaves below that rank.
 		var sc mergeScratch

@@ -94,7 +94,7 @@ func TestLeaseNoStaleReach(t *testing.T) {
 			}
 			return resp
 		},
-		"MergeRTKResponses": func() *RTKResponse { return MergeRTKResponses(parts, 50, true, 0) },
+		"MergeRTKResponses": func() *RTKResponse { return MergeRTKResponses(parts, 50, true, fixedNoise(0)) },
 	}
 	payload, ok := produce["Owner.AnswerRTK"]().AppendPayload(nil)
 	if !ok {

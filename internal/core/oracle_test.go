@@ -1083,9 +1083,11 @@ func randomMergeRow(rng *rand.Rand, sizes []int, value func() int64) mergeRow {
 }
 
 // checkMerge runs MergeRTKResponses over rows (all with the same number
-// of partitions) and compares every row with refMergeCell: same ids,
-// same value bits, strictly ascending, exactly min(n, heapCap) entries.
-func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise float64) {
+// of partitions), releasing with a mechanism whose every draw is draw,
+// and compares every row with refMergeCell: same ids, same value bits
+// (the count plus draw), strictly ascending, exactly min(n, heapCap)
+// entries.
+func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, draw float64) {
 	t.Helper()
 	parts := make([]*RTKResponse, len(rows[0]))
 	for pi := range parts {
@@ -1098,7 +1100,7 @@ func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise floa
 			}
 		}
 	}
-	got := MergeRTKResponses(parts, heapCap, abs, noise)
+	got := MergeRTKResponses(parts, heapCap, abs, fixedNoise(draw))
 	if len(got.Cells) != len(rows) {
 		t.Fatalf("%d rows, want %d", len(got.Cells), len(rows))
 	}
@@ -1108,7 +1110,7 @@ func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise floa
 		inWindow := true
 		for _, cell := range got.Cells {
 			for _, v := range cell.Values {
-				inWindow = inWindow && math.Abs(v-noise) < rtkCountWindow/2
+				inWindow = inWindow && math.Abs(v-draw) < rtkCountWindow/2
 			}
 		}
 		if got.payloadLen != 0 || inWindow {
@@ -1130,9 +1132,9 @@ func checkMerge(t testing.TB, rows []mergeRow, heapCap int, abs bool, noise floa
 			if i > 0 && cell.IDs[i] <= cell.IDs[i-1] {
 				t.Fatalf("row %d not strictly ascending at %d: %v", a, i, cell.IDs)
 			}
-			if cell.IDs[i] != e.DocID || math.Float64bits(cell.Values[i]) != math.Float64bits(float64(e.Value)+noise) {
+			if cell.IDs[i] != e.DocID || math.Float64bits(cell.Values[i]) != math.Float64bits(float64(e.Value)+draw) {
 				t.Fatalf("row %d entry %d: (%d,%v), want (%d,%v)", a, i,
-					cell.IDs[i], cell.Values[i], e.DocID, float64(e.Value)+noise)
+					cell.IDs[i], cell.Values[i], e.DocID, float64(e.Value)+draw)
 			}
 		}
 	}
@@ -1324,7 +1326,7 @@ func BenchmarkMergeRTKResponses(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				resp := MergeRTKResponses(parts, 250, shape.abs, 0.5)
+				resp := MergeRTKResponses(parts, 250, shape.abs, fixedNoise(0.5))
 				if len(resp.Cells) != 30 {
 					b.Fatal("short response")
 				}
@@ -1656,7 +1658,7 @@ func TestRTKAllocCeilings(t *testing.T) {
 	// gather scratch pooled, whatever the rows hold.
 	for _, shape := range benchMergeShapes {
 		parts := benchMergeParts(shape.docs, shape.block, shape.value)
-		merge := testing.AllocsPerRun(50, func() { MergeRTKResponses(parts, 250, shape.abs, 0.5).Release() })
+		merge := testing.AllocsPerRun(50, func() { MergeRTKResponses(parts, 250, shape.abs, fixedNoise(0.5)).Release() })
 		if merge > 1 {
 			t.Errorf("MergeRTKResponses %s, reply released: %.1f allocs per call, ceiling 1", shape.name, merge)
 		}

@@ -476,8 +476,8 @@ func (o *Owner) DocMeta(docID int) (length, unique int, err error) {
 }
 
 // AnswerTF implements Algorithm 2: look up the queried column in every
-// row of the document's sketch and perturb all z results with a single
-// noise draw before responding.
+// row of the document's sketch and release all z counts with a single
+// noise draw (PerturbTF).
 func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -494,19 +494,19 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 	if err := table.CheckColumns(q.Cols); err != nil {
 		return nil, err
 	}
-	noise := o.mech.Sample() // one draw for all z values, as in Algorithm 2
 	resp := NewTFResponse(len(q.Cols))
-	table.Lookup(q.Cols, noise, resp.Values)
+	table.Lookup(q.Cols, resp.Values)
+	PerturbTF(resp, o.mech)
 	return resp, nil
 }
 
 // AnswerRTK implements the owner side of Algorithm 5: return the content
 // of the addressed cell in every row, in canonical ascending-DocID order,
-// counts perturbed with a single noise draw. Cells are kept in that order,
+// counts released with a single noise draw. Cells are kept in that order,
 // so a query only copies; a row's zeros that the roster implies are merged
 // in as it is copied, so a reply does not depend on what the cell stores. The
 // response belongs to the caller (see RTKResponse) and carries its
-// encoded length, computed in the copy loop (rtkSizer).
+// encoded length, computed in the copy loop (rtkRelease).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	var out [1]*RTKResponse
 	err := o.answerRTK([]*TFQuery{q}, out[:])
@@ -531,21 +531,20 @@ func (o *Owner) answerRTK(qs []*TFQuery, out []*RTKResponse) error {
 		return err
 	}
 	for i, q := range qs {
-		noise := o.mech.Sample()
+		rel := newRTKRelease(o.mech)
 		total := 0
 		for a, col := range q.Cols {
 			total += o.rtk.cellLen(a, col)
 		}
 		resp, ids, vals := NewRTKResponse(o.params.Z, total)
-		var sz rtkSizer
 		for a, col := range q.Cols {
 			n := o.rtk.cellLen(a, col)
-			o.rtk.answerCell(a, col, ids[:n], vals[:n], noise, &sz)
+			o.rtk.answerCell(a, col, ids[:n], vals[:n], rel)
 			resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
-			sz.cell(ids[:n])
+			rel.cell(ids[:n])
 			ids, vals = ids[n:], vals[n:]
 		}
-		sz.finish(resp, noise)
+		rel.finish(resp)
 		out[i] = resp
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sync"
 
+	"csfltr/internal/dp"
 	"csfltr/internal/hashutil"
 	"csfltr/internal/sketch"
 )
@@ -1002,11 +1003,11 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 
 // MergeRTKResponses merges per-partition answers to one query into the
 // answer a single sketch over the union of the partitions' documents
-// would give, adding noise to every released value. Parts are raw
-// (noise-free, so every value is an exact integer) Owner answers over
+// would give, released with one draw from mech (rtkRelease). Parts are
+// raw (noise-free, so every value is an exact integer) Owner answers over
 // disjoint document sets, read and left as they are; like them, the
-// result belongs to the caller and carries its encoded length (rtkSizer,
-// fed from the merge loop).
+// result belongs to the caller and carries its encoded length, measured
+// in the merge loop.
 //
 // Correctness: eviction is a strict total order (key descending,
 // key-ties keep the smaller DocID), so an entry in the global top-cap is
@@ -1027,7 +1028,7 @@ func (p Params) AbsEvictionKeys() bool { return p.SketchKind == sketch.Count }
 // Params.HeapCap().
 //
 //csfltr:deterministic
-func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float64) *RTKResponse {
+func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, mech dp.Mechanism) *RTKResponse {
 	z := len(parts[0].Cells)
 	total, longest := 0, 0
 	for a := 0; a < z; a++ {
@@ -1045,7 +1046,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 	if longest-heapCap > smallOverflow {
 		sc.ranked = slices.Grow(sc.ranked[:0], longest)
 	}
-	var sz rtkSizer
+	rel := newRTKRelease(mech)
 	for a := 0; a < z; a++ {
 		n := 0
 		for pi, p := range parts {
@@ -1061,8 +1062,7 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 				run := nextRun(heads)
 				for i, id := range run.IDs {
 					if v := run.Values[i]; !rankLess(order.rank(id, v), cut) {
-						sz.note(int64(v))
-						row.IDs[out], row.Values[out] = id, v+noise
+						row.IDs[out], row.Values[out] = id, rel.value(int32(v))
 						out++
 					}
 				}
@@ -1078,17 +1078,17 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, noise float6
 				// run holds every id of the row from its first to its last.
 				for last := run.IDs[len(run.IDs)-1]; len(drops) > 0 && drops[0] <= last; drops = drops[1:] {
 					j, _ := slices.BinarySearch(run.IDs, drops[0])
-					out += putRun(row, out, run.IDs[:j], run.Values[:j], noise, &sz)
+					out += putRun(row, out, run.IDs[:j], run.Values[:j], rel)
 					run.IDs, run.Values = run.IDs[j+1:], run.Values[j+1:]
 				}
-				out += putRun(row, out, run.IDs, run.Values, noise, &sz)
+				out += putRun(row, out, run.IDs, run.Values, rel)
 			}
 		}
 		resp.Cells[a] = row
-		sz.cell(row.IDs)
+		rel.cell(row.IDs)
 		ids, vals = ids[keep:], vals[keep:]
 	}
-	sz.finish(resp, noise)
+	rel.finish(resp)
 	clear(heads) // the scratch must not outlive the parts' rows
 	sc.heads = heads
 	mergeScratchPool.Put(sc)
@@ -1124,14 +1124,12 @@ func nextRun(heads []RTKCell) RTKCell {
 }
 
 // putRun writes the entries ids, vals of a raw run into row from position
-// out on, values plus noise, notes every value with sz and returns how
-// many it wrote.
-func putRun(row RTKCell, out int, ids []int32, vals []float64, noise float64, sz *rtkSizer) int {
+// out on, values released by rel, and returns how many it wrote.
+func putRun(row RTKCell, out int, ids []int32, vals []float64, rel *rtkRelease) int {
 	copy(row.IDs[out:], ids)
 	dst := row.Values[out : out+len(vals)]
 	for i, v := range vals {
-		dst[i] = v + noise
-		sz.note(int64(v))
+		dst[i] = rel.value(int32(v))
 	}
 	return len(ids)
 }
@@ -1320,28 +1318,26 @@ func (s *RTKSketch) cellLen(row int, col uint32) int {
 }
 
 // answerCell writes Cell(row, col) into a reply's row — ids, and values
-// plus noise, cellLen(row, col) of each — noting every value with sz. The
-// merged view goes straight into the row.
-func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64, noise float64, sz *rtkSizer) {
+// released by rel, cellLen(row, col) of each. The merged view goes
+// straight into the row.
+func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64, rel *rtkRelease) {
 	h := &s.cells[row*s.params.W+int(col)]
 	es := h.entries
 	if len(ids) == len(es) { // nothing implied
 		for i, e := range es {
-			ids[i] = e.DocID
-			vals[i] = float64(e.Value) + noise
-			sz.note(int64(e.Value))
+			ids[i], vals[i] = e.DocID, rel.value(e.Value)
 		}
 		return
 	}
 	// The roster's ids below the bound go out as zeros, copied with no
 	// branch on the content; then the stored entries among them are
 	// written over their zeros, and the ones at or above the bound follow.
-	sz.note(0)
 	below, roster := h.below, s.roster
 	n := heldPrefix(roster, below)
 	copy(ids, roster[:n])
+	zero := rel.value(0)
 	for i := range vals[:n] {
-		vals[i] = noise
+		vals[i] = zero
 	}
 	p, j := 0, 0
 	for ; j < len(es) && es[j].DocID < below; j++ {
@@ -1349,13 +1345,11 @@ func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64,
 		for roster[p] != e.DocID {
 			p++
 		}
-		vals[p] = float64(e.Value) + noise
-		sz.note(int64(e.Value))
+		vals[p] = rel.value(e.Value)
 		p++
 	}
 	for i, e := range es[j:] {
-		ids[n+i], vals[n+i] = e.DocID, float64(e.Value)+noise
-		sz.note(int64(e.Value))
+		ids[n+i], vals[n+i] = e.DocID, rel.value(e.Value)
 	}
 }
 

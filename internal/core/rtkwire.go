@@ -8,6 +8,7 @@ import (
 	"slices"
 	"sync"
 
+	"csfltr/internal/dp"
 	"csfltr/internal/varint"
 )
 
@@ -46,10 +47,11 @@ import (
 //
 // with wid = bits.Len(OR of the cell's delta-1) and wval =
 // bits.Len(ndict-1). The producers (Owner.AnswerRTK, MergeRTKResponses)
-// gather the OR per cell and the set of distinct counts in the loop that
-// fills the reply and record the length in it (rtkSizer); a decoded
-// reply records the length of the payload it came from; for any other
-// reply PayloadLen measures. The encoding is canonical — minimal
+// build a reply through an rtkRelease, which writes each value once, as
+// count plus the reply's draw, and gathers the OR per cell and the set
+// of distinct counts in that loop to record the length in the reply; a
+// decoded reply records the length of the payload it came from; for any
+// other reply PayloadLen measures. The encoding is canonical — minimal
 // varints, minimal widths, zero padding, no unused dictionary entry —
 // and the decoder rejects anything else, so decoding a payload and
 // encoding the result gives back the same bytes.
@@ -602,28 +604,37 @@ func readUvarint(data []byte) (uint64, []byte, bool) {
 // whose counts all fall inside never overflows the dictionary.
 const rtkCountWindow = rtkMaxDict
 
-// rtkSizer computes a reply's payload length inside the loop that
-// builds the reply: the producer passes every count it releases through
-// note and every finished row through cell; finish records the length
-// in the reply, or leaves it unrecorded (PayloadLen then measures) when
-// something falls outside what the arithmetic covers.
-type rtkSizer struct {
+// rtkRelease releases one RTK reply, as Algorithm 5 does, and sizes its
+// payload in the loop that builds it: the producer writes every value as
+// value(count) and passes every finished row through cell; finish records
+// the length in the reply, or leaves it unrecorded (PayloadLen then
+// measures) when something falls outside what the arithmetic covers.
+type rtkRelease struct {
+	draw  float64               // the reply's one noise draw
 	seen  [rtkCountWindow]uint8 // seen[c + rtkCountWindow/2] is 1 once count c was released
 	cells int                   // sum of rtkCellLen
 	wide  bool                  // a count outside the window, or ids out of order
 }
 
-// note records one released count.
-func (s *rtkSizer) note(c int64) {
-	if u := uint64(c + rtkCountWindow/2); u < rtkCountWindow {
+// newRTKRelease starts the release of one reply with its one draw from
+// mech. Replies draw in the order they are built: in query order.
+func newRTKRelease(mech dp.Mechanism) *rtkRelease {
+	return &rtkRelease{draw: mech.Sample()}
+}
+
+// value releases one count, noting it for the sizing: the only place a
+// count of an RTK reply becomes the value that leaves its producer.
+func (s *rtkRelease) value(c int32) float64 {
+	if u := uint64(int64(c) + rtkCountWindow/2); u < rtkCountWindow {
 		s.seen[u] = 1
 	} else {
 		s.wide = true
 	}
+	return float64(c) + s.draw
 }
 
 // cell records the ids of one finished row.
-func (s *rtkSizer) cell(ids []int32) {
+func (s *rtkRelease) cell(ids []int32) {
 	first := int32(0)
 	if len(ids) > 0 {
 		first = ids[0]
@@ -633,12 +644,12 @@ func (s *rtkSizer) cell(ids []int32) {
 	s.wide = s.wide || or>>32 != 0
 }
 
-// finish records the payload length in resp, every value of which is a
-// count given to note plus noise. Distinct counts must give distinct
-// values for the presence table to count the dictionary: below 2^40 the
-// spacing of float64 is far under 1, so they do.
-func (s *rtkSizer) finish(resp *RTKResponse, noise float64) {
-	if s.wide || !(math.Abs(noise) < 1<<40) {
+// finish records the payload length in resp, every value of which came
+// from value. Distinct counts must give distinct values for the presence
+// table to count the dictionary: with a draw below 2^40 the spacing of
+// float64 is far under 1, so they do.
+func (s *rtkRelease) finish(resp *RTKResponse) {
+	if s.wide || !(math.Abs(s.draw) < 1<<40) {
 		return
 	}
 	ndict, total := 0, 0

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"csfltr/internal/core"
@@ -111,21 +112,23 @@ func TestCarriedSizeMatchesFrame(t *testing.T) {
 	}
 }
 
-// fixedNoise is a mechanism whose every draw is the same.
-type fixedNoise float64
-
-func (f fixedNoise) Sample() float64           { return float64(f) }
-func (f fixedNoise) Perturb(x float64) float64 { return x + float64(f) }
-func (f fixedNoise) Epsilon() float64          { return 1 }
-
 // TestUnsizedRepliesAreMeasured: what the producers' arithmetic does not
 // cover — a count outside the presence table's window, a noise draw so
 // large that distinct counts release the same value — leaves the reply
 // without a carried length. It is then measured, framed as version 2
 // through the general dictionary, and every value survives bit for bit.
+// Both producers are held to it: an owner, and the shard facade's merge
+// of two noise-free owners' parts, each releasing with the same draw.
 func TestUnsizedRepliesAreMeasured(t *testing.T) {
 	p := core.DefaultParams()
 	p.Z, p.Z1, p.W, p.K, p.Alpha = 8, 3, 64, 4, 2
+	newOwner := func(mech dp.Mechanism) *core.Owner {
+		o, err := core.NewOwner(p, 42, mech)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
 	for name, c := range map[string]struct {
 		count int64
 		noise float64
@@ -134,12 +137,14 @@ func TestUnsizedRepliesAreMeasured(t *testing.T) {
 		"count below the window": {-5000, 0.25},
 		"noise swallows counts":  {3, 1 << 60},
 	} {
-		owner, err := core.NewOwner(p, 42, fixedNoise(c.noise))
-		if err != nil {
-			t.Fatal(err)
-		}
+		owner := newOwner(core.FixedNoise(c.noise))
+		parts := []*core.Owner{newOwner(dp.Disabled()), newOwner(dp.Disabled())}
 		for i := 0; i < 6; i++ {
-			if err := owner.AddDocument(i, map[uint64]int64{7: c.count + int64(i), 9: 1}); err != nil {
+			doc := map[uint64]int64{7: c.count + int64(i), 9: 1}
+			if err := owner.AddDocument(i, doc); err != nil {
+				t.Fatal(err)
+			}
+			if err := parts[i%2].AddDocument(i, doc); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -147,28 +152,42 @@ func TestUnsizedRepliesAreMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := owner.AnswerRTK(querier.Plan(7).Query())
-		if err != nil {
-			t.Fatal(err)
+		q := querier.Plan(7).Query()
+		answer := func(o *core.Owner) *core.RTKResponse {
+			resp, err := o.AnswerRTK(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return resp
 		}
-		if resp.CarriedLen() != 0 {
-			t.Fatalf("%s: the reply carries length %d", name, resp.CarriedLen())
+		replies := map[string]*core.RTKResponse{
+			"owner": answer(owner),
+			"merge": core.MergeRTKResponses([]*core.RTKResponse{answer(parts[0]), answer(parts[1])},
+				p.HeapCap(), p.AbsEvictionKeys(), core.FixedNoise(c.noise)),
 		}
-		frame := wire.AppendRTKResponse(nil, resp)
-		if frame[0] != wire.VersionRTK || wire.SizeRTKResponse(resp) != int64(len(frame)) {
-			t.Fatalf("%s: version %d frame of %d bytes, sized %d", name, frame[0], len(frame), wire.SizeRTKResponse(resp))
-		}
-		got, err := wire.DecodeRTKResponse(frame)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for a, cell := range resp.Cells {
-			for i, v := range cell.Values {
-				if got.Cells[a].IDs[i] != cell.IDs[i] || math.Float64bits(got.Cells[a].Values[i]) != math.Float64bits(v) {
-					t.Fatalf("%s: row %d entry %d came back (%d, %v), want (%d, %v)",
-						name, a, i, got.Cells[a].IDs[i], got.Cells[a].Values[i], cell.IDs[i], v)
+		for who, resp := range replies {
+			if resp.CarriedLen() != 0 {
+				t.Fatalf("%s, %s: the reply carries length %d", name, who, resp.CarriedLen())
+			}
+			frame := wire.AppendRTKResponse(nil, resp)
+			if frame[0] != wire.VersionRTK || wire.SizeRTKResponse(resp) != int64(len(frame)) {
+				t.Fatalf("%s, %s: version %d frame of %d bytes, sized %d", name, who, frame[0], len(frame), wire.SizeRTKResponse(resp))
+			}
+			got, err := wire.DecodeRTKResponse(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for a, cell := range resp.Cells {
+				for i, v := range cell.Values {
+					if got.Cells[a].IDs[i] != cell.IDs[i] || math.Float64bits(got.Cells[a].Values[i]) != math.Float64bits(v) {
+						t.Fatalf("%s, %s: row %d entry %d came back (%d, %v), want (%d, %v)",
+							name, who, a, i, got.Cells[a].IDs[i], got.Cells[a].Values[i], cell.IDs[i], v)
+					}
 				}
 			}
+		}
+		if !reflect.DeepEqual(replies["owner"].Cells, replies["merge"].Cells) {
+			t.Fatalf("%s: the merge released other values than the owner", name)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 
+	"csfltr/internal/dp"
 	"csfltr/internal/hashutil"
 	"csfltr/internal/sketch"
 )
@@ -84,6 +85,16 @@ func (r *TFResponse) Release() {
 	r.Values = nil
 	if cap(r.mem) <= tfMaxValues {
 		tfReplies.Put(r)
+	}
+}
+
+// PerturbTF releases a TF reply of exact counts as Algorithm 2 does: one
+// draw from mech, added to all z values. It is where every TF reply, an
+// owner's or a shard facade's, becomes what leaves its producer.
+func PerturbTF(resp *TFResponse, mech dp.Mechanism) {
+	noise := mech.Sample()
+	for i := range resp.Values {
+		resp.Values[i] += noise
 	}
 }
 

@@ -30,13 +30,11 @@ var (
 	ErrBudgetExceeded = errors.New("dp: privacy budget exceeded")
 )
 
-// Mechanism perturbs a numeric query answer to provide differential
-// privacy. Implementations are safe for concurrent use only if their
-// underlying random source is.
+// Mechanism draws the noise a release adds to a numeric query answer to
+// provide differential privacy. Implementations are safe for concurrent
+// use only if their underlying random source is.
 type Mechanism interface {
-	// Perturb returns x plus mechanism noise.
-	Perturb(x float64) float64
-	// Sample returns one noise draw (Perturb(0)).
+	// Sample returns one noise draw.
 	Sample() float64
 	// Epsilon returns the per-invocation privacy cost (0 for Disabled).
 	Epsilon() float64
@@ -74,9 +72,6 @@ func (l *Laplace) Epsilon() float64 { return l.epsilon }
 
 // Sample draws one Lap(0, b) variate by inverse-CDF sampling.
 func (l *Laplace) Sample() float64 { return SampleLaplace(l.rng, l.scale) }
-
-// Perturb returns x + Lap(0, b).
-func (l *Laplace) Perturb(x float64) float64 { return x + l.Sample() }
 
 // SampleLaplace draws a Laplace(0, scale) variate from rng using the
 // inverse CDF: for u ~ U(-1/2, 1/2), x = -b * sign(u) * ln(1 - 2|u|).
@@ -136,9 +131,6 @@ func (g *Geometric) Sample() float64 {
 	}
 }
 
-// Perturb returns x plus integer geometric noise.
-func (g *Geometric) Perturb(x float64) float64 { return x + g.Sample() }
-
 // disabled is the no-op mechanism standing in for "DP off" (ε = 0 in the
 // paper's Figure 6a).
 type disabled struct{}
@@ -146,9 +138,8 @@ type disabled struct{}
 // Disabled returns a Mechanism that adds no noise and reports Epsilon()==0.
 func Disabled() Mechanism { return disabled{} }
 
-func (disabled) Perturb(x float64) float64 { return x }
-func (disabled) Sample() float64           { return 0 }
-func (disabled) Epsilon() float64          { return 0 }
+func (disabled) Sample() float64  { return 0 }
+func (disabled) Epsilon() float64 { return 0 }
 
 // ForEpsilon returns the mechanism the CS-F-LTR protocol uses at privacy
 // budget eps: Disabled() when eps == 0 (the paper's convention) and a

@@ -103,15 +103,15 @@ func TestLaplacePerturb(t *testing.T) {
 	const n = 50000
 	var sum float64
 	for i := 0; i < n; i++ {
-		sum += l.Perturb(10)
+		sum += 10 + l.Sample()
 	}
 	if math.Abs(sum/n-10) > 0.05 {
-		t.Fatalf("Perturb(10) mean %f, want ~10", sum/n)
+		t.Fatalf("10 + Sample() mean %f, want ~10", sum/n)
 	}
 }
 
 // TestLaplaceDPRatio statistically verifies the core ε-DP inequality for a
-// sensitivity-1 query: the histogram ratio of Perturb(0) vs Perturb(1)
+// sensitivity-1 query: the histogram ratio of 0 + Sample() vs 1 + Sample()
 // should never exceed e^ε by a wide margin.
 func TestLaplaceDPRatio(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
@@ -133,8 +133,8 @@ func TestLaplaceDPRatio(t *testing.T) {
 		return b
 	}
 	for i := 0; i < n; i++ {
-		h0[binOf(l.Perturb(0))]++
-		h1[binOf(l.Perturb(1))]++
+		h0[binOf(0+l.Sample())]++
+		h1[binOf(1+l.Sample())]++
 	}
 	bound := math.Exp(eps) * 1.25 // sampling slack
 	for i := 0; i < bins; i++ {
@@ -196,7 +196,7 @@ func TestGeometricValidation(t *testing.T) {
 
 func TestDisabled(t *testing.T) {
 	m := Disabled()
-	if m.Perturb(3.5) != 3.5 || m.Sample() != 0 || m.Epsilon() != 0 {
+	if 3.5+m.Sample() != 3.5 || m.Sample() != 0 || m.Epsilon() != 0 {
 		t.Fatal("Disabled mechanism must be a no-op")
 	}
 }

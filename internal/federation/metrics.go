@@ -678,17 +678,5 @@ func (t *timedMechanism) Sample() float64 {
 	return v
 }
 
-// Perturb implements dp.Mechanism.
-func (t *timedMechanism) Perturb(x float64) float64 {
-	h := t.hist.Load()
-	if h == nil {
-		return t.inner.Perturb(x)
-	}
-	start := time.Now()
-	v := t.inner.Perturb(x)
-	h.Observe(time.Since(start).Seconds())
-	return v
-}
-
 // Epsilon implements dp.Mechanism.
 func (t *timedMechanism) Epsilon() float64 { return t.inner.Epsilon() }

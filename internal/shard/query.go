@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"csfltr/internal/core"
+	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
 	"csfltr/internal/telemetry"
 )
@@ -109,12 +110,19 @@ func (t *tracedGroup) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, e
 	return t.g.answerRTKBatch(t.ctx, qs)
 }
 
-// sample serializes the facade's noise draws (the mechanism's random
-// source is not thread-safe, same contract as core.Owner's mutex).
-func (g *Group) sample() float64 {
-	g.mechMu.Lock()
-	defer g.mechMu.Unlock()
-	return g.mech.Sample()
+// lockedMech is the mechanism the facade hands to core's release
+// functions. Its draws are serialized: the random source is not
+// thread-safe, and the facade's releases run concurrently.
+type lockedMech struct {
+	mu sync.Mutex
+	dp.Mechanism
+}
+
+// Sample implements dp.Mechanism.
+func (m *lockedMech) Sample() float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.Mechanism.Sample()
 }
 
 // permanentErr reports protocol-level negative answers that must be
@@ -248,12 +256,8 @@ func (g *Group) answerTF(ctx telemetry.SpanContext, docID int, q *core.TFQuery) 
 		return nil, err
 	}
 	// The shard owner answered raw (its mechanism is disabled); the
-	// facade is the release point: one draw perturbs all z values,
-	// exactly the schedule of Algorithm 2 on a single owner.
-	noise := g.sample()
-	for i := range resp.Values {
-		resp.Values[i] += noise
-	}
+	// facade is the release point, with the owner's release function.
+	core.PerturbTF(resp, g.mech)
 	g.recordTransport(APITF, si, q.WireSize()+resp.WireSize())
 	return resp, nil
 }
@@ -313,7 +317,7 @@ func (g *Group) answerRTKs(ctx telemetry.SpanContext, qs []*core.TFQuery, out []
 		for si := range cells {
 			cells[si] = raw[si*k+i]
 		}
-		out[i] = core.MergeRTKResponses(cells, g.params.HeapCap(), g.absKeys, g.sample())
+		out[i] = core.MergeRTKResponses(cells, g.params.HeapCap(), g.absKeys, g.mech)
 		for _, r := range cells {
 			r.Release()
 		}

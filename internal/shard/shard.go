@@ -121,8 +121,7 @@ type Group struct {
 	blockSize int
 	absKeys   bool // Count sketch: heap eviction keys on |value|
 
-	mech   dp.Mechanism
-	mechMu sync.Mutex // the mechanism's random source is not thread-safe
+	mech *lockedMech // the release point's mechanism, drawn by core
 
 	shards []*shardState
 
@@ -180,7 +179,7 @@ func New(cfg Config) (*Group, error) {
 		params:    cfg.Params,
 		blockSize: blockSize,
 		absKeys:   cfg.Params.AbsEvictionKeys(),
-		mech:      mech,
+		mech:      &lockedMech{Mechanism: mech},
 		ids:       make(map[int]struct{}),
 	}
 	for si := 0; si < nShards; si++ {

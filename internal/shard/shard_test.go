@@ -136,12 +136,22 @@ func TestScatterGatherBitIdentical(t *testing.T) {
 	}
 }
 
-// TestOneByOneIsItsOwner: a 1 × 1 group's owner holds the group's
-// mechanism and answers every query itself, so at ε = 0.5 the group
-// releases, draw for draw, what an owner with an identically seeded
-// mechanism releases — a second draw at the facade would shift every
-// value. Traced calls go to the same owner.
-func TestOneByOneIsItsOwner(t *testing.T) {
+// TestGroupReleasesAsOneOwner: at ε = 0.5 a group releases, draw for
+// draw, what one owner with an identically seeded mechanism releases — a
+// missing or second draw anywhere would shift every value after it. At
+// 1 × 1 the group's one owner holds the mechanism and answers every query
+// itself (traced calls go to it too); above, the facade is the release
+// point, drawing once per released reply from that mechanism, in query
+// order, with the owner's release functions.
+func TestGroupReleasesAsOneOwner(t *testing.T) {
+	for _, geo := range []struct{ shards, replicas int }{{1, 1}, {2, 1}, {3, 2}} {
+		t.Run(fmt.Sprintf("%dx%d", geo.shards, geo.replicas), func(t *testing.T) {
+			testReleasesAsOneOwner(t, geo.shards, geo.replicas)
+		})
+	}
+}
+
+func testReleasesAsOneOwner(t *testing.T, shards, replicas int) {
 	docs := testDocs(60, 53)
 	p := testParams()
 	p.Epsilon = 0.5
@@ -152,11 +162,13 @@ func TestOneByOneIsItsOwner(t *testing.T) {
 		}
 		return m
 	}
-	g, err := New(Config{Params: p, Seed: testSeed, Mech: mech()})
+	ref, err := core.NewOwner(p, testSeed, mech())
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := core.NewOwner(p, testSeed, mech())
+	gp := p
+	gp.Shards, gp.Replicas = shards, replicas
+	g, err := New(Config{Params: gp, Seed: testSeed, Mech: mech(), BlockSize: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,8 +178,9 @@ func TestOneByOneIsItsOwner(t *testing.T) {
 	if err := ref.AddDocuments(docs); err != nil {
 		t.Fatal(err)
 	}
-	if g.Owner() == nil || g.WithTrace(telemetry.SpanContext{}) != core.OwnerAPI(g.Owner()) {
-		t.Fatal("a 1 × 1 group must hold one owner and trace straight to it")
+	if oneByOne := shards == 1 && replicas == 1; oneByOne != (g.Owner() != nil) ||
+		oneByOne && g.WithTrace(telemetry.SpanContext{}) != core.OwnerAPI(g.Owner()) {
+		t.Fatal("a group must hold one owner exactly at 1 × 1, and trace straight to it")
 	}
 	for salt := 0; salt < 4; salt++ {
 		q := queryCols(p, salt)
@@ -206,6 +219,53 @@ func TestOneByOneIsItsOwner(t *testing.T) {
 		if !reflect.DeepEqual(gotTF, wantTF) {
 			t.Fatalf("salt %d: AnswerTF differs from the owner's", salt)
 		}
+	}
+}
+
+// drawCounter counts its draws with no synchronization of its own, as
+// a seeded mechanism's random source has none.
+type drawCounter struct{ draws int }
+
+func (m *drawCounter) Sample() float64  { m.draws++; return 0.5 }
+func (m *drawCounter) Epsilon() float64 { return 0.5 }
+
+// TestFacadeDrawsConcurrently: concurrent releases at a sharded facade
+// share its one mechanism, which serializes the draws: every release
+// takes exactly one, none is lost, and -race sees no unordered access.
+func TestFacadeDrawsConcurrently(t *testing.T) {
+	docs := testDocs(60, 53)
+	p := testParams()
+	p.Shards, p.Replicas = 3, 2
+	mech := &drawCounter{}
+	g, err := New(Config{Params: p, Seed: testSeed, Mech: mech, BlockSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.AddDocuments(docs); err != nil {
+		t.Fatal(err)
+	}
+	const workers, rounds = 4, 20
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < rounds; n++ {
+				q := queryCols(p, w*rounds+n)
+				if _, err := g.AnswerRTKBatch([]*core.TFQuery{q, q}); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := g.AnswerTF(docs[n].DocID, q); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if want := workers * rounds * 3; mech.draws != want {
+		t.Fatalf("%d draws for %d releases", mech.draws, want)
 	}
 }
 
@@ -790,72 +850,6 @@ func TestLabelsBounded(t *testing.T) {
 	}
 	if BreakerLabel(1, 2) != "s1/r2" {
 		t.Fatalf("BreakerLabel(1,2) = %q", BreakerLabel(1, 2))
-	}
-}
-
-// TestFacadeNoiseSingleDraw: with DP enabled, every value of one answer
-// carries the same noise offset (one draw per release, Algorithm 2's
-// schedule) and the raw cache never leaks unperturbed values... the
-// offset must differ between two identical queries (fresh draw each
-// release even on a cache hit).
-func TestFacadeNoiseSingleDraw(t *testing.T) {
-	docs := testDocs(60, 43)
-	p := testParams()
-	p.Shards = 2
-	p.Epsilon = 0.5
-	mech, err := dp.ForEpsilon(p.Epsilon, rand.New(rand.NewSource(99)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := New(Config{Params: p, Seed: testSeed, Mech: mech, BlockSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddDocuments(docs); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := core.NewOwner(testParams(), testSeed, dp.Disabled())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := ref.AddDocuments(docs); err != nil {
-		t.Fatal(err)
-	}
-	q := queryCols(p, 5)
-	raw, err := ref.AnswerRTK(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// (value+noise)-value wobbles in the last ulp across magnitudes, so
-	// "same draw" is equality up to a relative tolerance, not bit equality.
-	const tol = 1e-9
-	offset := func() float64 {
-		resp, err := g.AnswerRTK(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var off float64
-		seen := false
-		for a, c := range resp.Cells {
-			for i, v := range c.Values {
-				d := v - raw.Cells[a].Values[i]
-				if !seen {
-					off = d
-					seen = true
-				} else if math.Abs(d-off) > tol*math.Max(1, math.Abs(off)) {
-					t.Fatalf("row %d entry %d: noise offset %v differs from %v (not a single draw)", a, i, d, off)
-				}
-			}
-		}
-		if !seen {
-			t.Skip("corpus produced empty cells")
-		}
-		return off
-	}
-	first := offset()
-	second := offset() // second call is a cache hit on both shards
-	if math.Abs(first-second) <= tol*math.Max(1, math.Abs(first)) {
-		t.Fatal("two releases drew identical noise; cached raw answers must be re-perturbed per release")
 	}
 }
 

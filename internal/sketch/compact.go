@@ -121,9 +121,8 @@ func checkColumns(cols []uint32, z, w int) error {
 }
 
 // Lookup is the owner-side operation of Algorithm 2 — the counter
-// C[a][cols[a]] of every row a — delivered as the protocol releases it:
-// out[a] is the counter as a float64 plus add, the owner's noise draw.
-// cols must have passed CheckColumns and out have a value per row.
+// C[a][cols[a]] of every row a: out[a] is the counter as a float64. cols
+// must have passed CheckColumns and out have a value per row.
 //
 // Whether a hashed column is stored is close to a coin toss, so the
 // answer is selected by arithmetic on the mark, not by a branch on it;
@@ -131,7 +130,7 @@ func checkColumns(cols []uint32, z, w int) error {
 // are at addresses that depend on no other cell, so a query's rows are
 // fetched side by side, like a dense table's cells. Every width is read
 // by the same shifts.
-func (c Compact) Lookup(cols []uint32, add float64, out []float64) {
+func (c Compact) Lookup(cols []uint32, out []float64) {
 	m := markWords(c.z * c.w)
 	marks, rank, vals := c.slab[:m], c.slab[m:valsAt(m)], c.slab[valsAt(m):]
 	width := c.width & 3
@@ -143,7 +142,7 @@ func (c Compact) Lookup(cols []uint32, add float64, out []float64) {
 		mark := marks[word]
 		i := uint(uint32(rank[word>>1]>>(uint(word)&1<<5))) + uint(bits.OnesCount64(mark&(1<<bit-1)))
 		v := vals[i<<width>>3] >> (i << width & 7 << 3)
-		out[a] = float64(int64(v<<keep)>>keep&-int64(mark>>bit&1)) + add
+		out[a] = float64(int64(v<<keep) >> keep & -int64(mark>>bit&1))
 		row += c.w
 	}
 }

@@ -42,9 +42,9 @@ func checkLookups(t *testing.T, c Compact, dense *Table) {
 		if err := c.CheckColumns(cols); err != nil {
 			t.Fatalf("valid columns rejected: %v", err)
 		}
-		c.Lookup(cols, 0.25, out)
+		c.Lookup(cols, out)
 		for a, col := range cols {
-			if want := float64(dense.Cell(a, col)) + 0.25; out[a] != want {
+			if want := float64(dense.Cell(a, col)); out[a] != want {
 				t.Fatalf("Lookup(%v) row %d = %v, dense has %v", cols, a, out[a], want)
 			}
 		}
@@ -357,13 +357,13 @@ func BenchmarkCompactLookup(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				t := dense[i*7%docs]
 				for a, col := range queries[i%docs*30:][:30] {
-					out[a] = float64(t.Cell(a, col)) + 0.5
+					out[a] = float64(t.Cell(a, col))
 				}
 			}
 		})
 		b.Run(shape.name+"/compact", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				compact[i*7%docs].Lookup(queries[i%docs*30:][:30], 0.5, out)
+				compact[i*7%docs].Lookup(queries[i%docs*30:][:30], out)
 			}
 		})
 	}
