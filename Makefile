@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease fuzz fuzz-smoke experiments experiments-fast fig4-bound examples fmt fmt-check vet analyze analyze-fixtures clean telemetry-demo trace-demo loc
+.PHONY: all build test race cover bench bench-smoke benchmark benchmark-test chaos lease bands fuzz fuzz-smoke experiments experiments-fast fig4-bound examples fmt fmt-check vet analyze analyze-fixtures clean telemetry-demo trace-demo loc
 
 all: build test
 
@@ -59,6 +59,13 @@ chaos:
 # Mirrored by the CI job.
 lease:
 	$(GO) test -race -count=5 -run 'Lease|Release|Retention|AllocBudget' ./internal/core ./internal/shard ./internal/wire ./internal/federation
+
+# A bulk batch settles the RTK-Sketch's rows in one band per processor:
+# the band-count test (every batch shape at 1, 2 and 3 bands, one state)
+# and the one-by-one ingest's snapshot check, under the race detector at
+# 1, 2 and 4 processors (~2 min). Mirrored by the CI job.
+bands:
+	$(GO) test -race -cpu 1,2,4 -run 'TestAddDocumentsBandCount|TestOneByOneIngestCost' ./internal/core
 
 # Short fuzz sessions over every fuzz target.
 fuzz:

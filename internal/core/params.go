@@ -74,9 +74,13 @@ type Params struct {
 	// Parallelism bounds the worker pool used by the parallel federation
 	// operations (federated search fan-out, bulk ingestion's term
 	// counting). 0 — the default — resolves to runtime.GOMAXPROCS(0); 1
-	// reproduces the sequential path exactly. It is a runtime knob, not a protocol
-	// parameter: it is not persisted with owner snapshots and does not
-	// affect protocol messages or cost accounting.
+	// reproduces the sequential path exactly, every task on the caller.
+	// It does not size what follows the machine instead, none of which
+	// changes a result: the two fields of a bulk load, a sharded field's
+	// shards, and the row bands an owner settles a batch of more than one
+	// document in, one per processor up to z. It is a runtime knob, not a
+	// protocol parameter: it is not persisted with owner snapshots and
+	// does not affect protocol messages or cost accounting.
 	Parallelism int
 	// MinParties enables degraded-mode federated search: when > 0, a
 	// party whose circuit breaker is open is skipped (spending none of

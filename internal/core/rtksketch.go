@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -243,6 +244,16 @@ func (s *RTKSketch) NumDocs() int { return s.docs }
 // the tables its working memory is one row of non-zero entries and one
 // cell's candidates. The caller has checked the batch (CheckBatch), so
 // every id and every cell value fits an Entry. sc is the batch's scratch.
+//
+// Rows are independent hash tables, so a batch of more than one document
+// settles them in contiguous bands, one per processor up to z, the caller
+// running the first (settleBands). Everything the rows share is settled
+// before they start: the roster is enrolled, and the cells' counts are
+// made room for exactly when some cell will let a document go (while
+// none has, every cell holds every live id, so that is when the batch
+// takes them past the cap). A band then writes only its own cells and
+// their counts and floor hints, and the sketch is the same whatever the
+// number of bands. A batch of one — an online add — settles inline.
 func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settleScratch) {
 	order := sc.order[:0]
 	for i := range docs {
@@ -253,16 +264,65 @@ func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settle
 	for _, i := range order {
 		ids = append(ids, int32(docs[i].DocID))
 	}
-	live, cap, w := len(s.roster), s.params.HeapCap(), s.params.W
+	sc.order, sc.ids = order, ids
+	live, cap := len(s.roster), s.params.HeapCap()
 	sc.above = live == 0 || ids[0] > s.roster[live-1]
 	s.enroll(ids)
-	// While every cell holds every live id and the batch fills none, a
-	// cell only stores the batch's non-zero entries for it (settle's take,
-	// every zero implied), so only the cells they name are visited.
-	quiet := s.held == nil && live+len(ids) < cap && ids[len(ids)-1] < noBound
-	for a := 0; a < s.params.Z; a++ {
-		row, ends := sc.readRow(a, order, tables)
-		if quiet {
+	if s.held == nil && live+len(ids) > cap {
+		s.countHeld()
+	}
+	b := settleBatch{
+		tables: tables, order: order, ids: ids, live: live,
+		// While every cell holds every live id and the batch fills none, a
+		// cell only stores the batch's non-zero entries for it (settle's
+		// take, every zero implied), so only the cells they name are visited.
+		quiet: s.held == nil && live+len(ids) < cap && ids[len(ids)-1] < noBound,
+	}
+	if bands := min(runtime.GOMAXPROCS(0), s.params.Z); len(ids) > 1 && bands > 1 {
+		s.settleBands(b, bands, sc)
+		return
+	}
+	s.settleRows(&b, 0, s.params.Z, sc)
+}
+
+// settleBatch is what every band of a batch reads and none writes: the
+// tables, the batch's positions and ids ascending by id, how many ids
+// were live before it, and whether it is quiet (see insert).
+type settleBatch struct {
+	tables []sketch.Compact
+	order  []int
+	ids    []int32
+	live   int
+	quiet  bool
+}
+
+// settleBands settles the batch's rows in the given number of contiguous
+// bands: band 0 on the caller with sc, every other on its own goroutine
+// with its own pooled scratch. b comes by value, so that only a banded
+// batch moves it to the heap.
+func (s *RTKSketch) settleBands(b settleBatch, bands int, sc *settleScratch) {
+	z := s.params.Z
+	var wg sync.WaitGroup
+	for k := 1; k < bands; k++ {
+		band := settleScratchPool.Get().(*settleScratch)
+		band.above = sc.above
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			s.settleRows(&b, lo, hi, band)
+			settleScratchPool.Put(band)
+		}(k*z/bands, (k+1)*z/bands)
+	}
+	s.settleRows(&b, 0, z/bands, sc)
+	wg.Wait()
+}
+
+// settleRows settles every cell of rows lo to hi-1 with the batch.
+func (s *RTKSketch) settleRows(b *settleBatch, lo, hi int, sc *settleScratch) {
+	cap, w, ids := s.params.HeapCap(), s.params.W, b.ids
+	for a := lo; a < hi; a++ {
+		row, ends := sc.readRow(a, b.order, b.tables)
+		if b.quiet {
 			s.addRow(a, row, ends, ids, sc)
 			continue
 		}
@@ -273,11 +333,10 @@ func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settle
 				k++
 			}
 			if c := a*w + j; at < k || !s.unmoved(c, cap, ids[0]) {
-				s.settle(c, cap, s.load(c, live), slab[at:k], ids, sc)
+				s.settle(c, cap, s.load(c, b.live), slab[at:k], ids, sc)
 			}
 		}
 	}
-	sc.order, sc.ids = order, ids
 }
 
 // settleScratch is the working memory of one batch, pooled as
@@ -286,7 +345,9 @@ func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settle
 // non-zero cells table by table, the same as entries ordered by column
 // and their columns, per column counts, one cell's ranked negative and
 // positive candidates and new entries, and a full cell's entries that
-// beat its floor and the positions of those that go.
+// beat its floor and the positions of those that go. Every band of a
+// batch past the first has a scratch of its own, and uses only its row
+// and cell fields and above.
 type settleScratch struct {
 	memo   sketch.Memo
 	order  []int
@@ -420,12 +481,18 @@ func (s *RTKSketch) count(c, delta int) {
 // making room for the cells' counts first if none is kept yet.
 func (s *RTKSketch) setHeld(c, n int) {
 	if s.held == nil {
-		s.held, s.floorAt = make([]int32, len(s.cells)), make([]int32, len(s.cells))
-		for c := range s.held {
-			s.held[c] = -1
-		}
+		s.countHeld()
 	}
 	s.held[c] = int32(n)
+}
+
+// countHeld makes room for the cells' counts and floor hints, every cell
+// counted as holding every live id.
+func (s *RTKSketch) countHeld() {
+	s.held, s.floorAt = make([]int32, len(s.cells)), make([]int32, len(s.cells))
+	for c := range s.held {
+		s.held[c] = -1
+	}
 }
 
 // unmoved reports whether a batch of zeros alone, the smallest at id,

@@ -780,50 +780,52 @@ func (p *Party) IngestDocument(d *textkit.Document) error {
 // load many documents: term counting runs on a pool of workers (workers
 // <= 0 resolves to Params.Parallelism / GOMAXPROCS), then the two fields
 // load concurrently, each as one batch settled into every RTK-Sketch cell
-// at once (see shard.Group.AddDocuments). The resulting party state is
-// identical to ingesting the documents one by one (IngestDocument). Each
-// field's batch is checked whole before any of it is written; on error
-// the party may hold one field's batch but not the other, and callers
-// should treat it as unusable.
+// at once (see shard.Group.AddDocuments). The caller is the first
+// counting worker and loads the titles; one worker counts on the caller
+// alone, and one document is counted and loaded there with no goroutine
+// started. The resulting party state is identical to ingesting the
+// documents one by one (IngestDocument). Each field's batch is checked
+// whole before any of it is written; on error the party may hold one
+// field's batch but not the other, and callers should treat it as
+// unusable.
 func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 	if workers <= 0 {
 		workers = p.params.Workers(len(docs))
 	}
 	bodies := make([]core.DocCounts, len(docs))
 	titles := make([]core.DocCounts, len(docs))
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	n := workers
-	if n > len(docs) {
-		n = len(docs)
-	}
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(docs) {
-					return
-				}
-				d := docs[i]
-				bodies[i] = core.DocCounts{DocID: d.ID, Counts: CountsToUint64(d.BodyCounts())}
-				titles[i] = core.DocCounts{DocID: d.ID, Counts: CountsToUint64(d.TitleCounts())}
+	if n := min(workers, len(docs)); n <= 1 {
+		for i, d := range docs {
+			bodies[i], titles[i] = fieldCounts(d)
+		}
+	} else {
+		var next atomic.Int64
+		work := func() {
+			for i := int(next.Add(1)) - 1; i < len(docs); i = int(next.Add(1)) - 1 {
+				bodies[i], titles[i] = fieldCounts(docs[i])
 			}
-		}()
+		}
+		var wg sync.WaitGroup
+		for w := 1; w < n; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work()
+			}()
+		}
+		work()
+		wg.Wait()
 	}
-	wg.Wait()
 	var bodyErr, titleErr error
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
+	if len(docs) <= 1 {
 		bodyErr = p.groups[FieldBody].AddDocuments(bodies)
-	}()
-	go func() {
-		defer wg.Done()
 		titleErr = p.groups[FieldTitle].AddDocuments(titles)
-	}()
-	wg.Wait()
+	} else {
+		done := make(chan error, 1)
+		go func() { done <- p.groups[FieldBody].AddDocuments(bodies) }()
+		titleErr = p.groups[FieldTitle].AddDocuments(titles)
+		bodyErr = <-done
+	}
 	if bodyErr != nil {
 		return fmt.Errorf("federation: bulk ingest bodies: %w", bodyErr)
 	}
@@ -831,6 +833,13 @@ func (p *Party) IngestAllParallel(docs []*textkit.Document, workers int) error {
 		return fmt.Errorf("federation: bulk ingest titles: %w", titleErr)
 	}
 	return nil
+}
+
+// fieldCounts returns a document's body and title term counts as batch
+// entries.
+func fieldCounts(d *textkit.Document) (body, title core.DocCounts) {
+	return core.DocCounts{DocID: d.ID, Counts: CountsToUint64(d.BodyCounts())},
+		core.DocCounts{DocID: d.ID, Counts: CountsToUint64(d.TitleCounts())}
 }
 
 // NumDocs returns the number of documents the party holds.

@@ -288,12 +288,14 @@ func allOK(res *SearchResult) bool {
 	return true
 }
 
-// runPool executes fn(0..n-1) on at most `workers` goroutines, returning
-// when every task has finished. Tasks are claimed from an atomic counter
-// in index order, so workers stay busy without a scheduler goroutine or
-// per-task channel traffic. The pool reports its pressure into the
-// metrics' fanout gauges (in-flight tasks and queue depth). It is the
-// worker pool of the search fan-out below.
+// runPool executes fn(0..n-1) on at most `workers` workers, the caller
+// being the first, returning when every task has finished. One worker
+// runs the tasks in index order on the caller, starting no goroutine.
+// More claim tasks from an atomic counter in index order, so workers stay
+// busy without a scheduler goroutine or per-task channel traffic. The
+// pool reports its pressure into the metrics' fanout gauges (in-flight
+// tasks and queue depth). It is the worker pool of the search fan-out
+// below.
 func runPool(workers, n int, m *serverMetrics, fn func(i int)) {
 	if n <= 0 {
 		return
@@ -301,29 +303,38 @@ func runPool(workers, n int, m *serverMetrics, fn func(i int)) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > n {
-		workers = n
-	}
 	m.poolQueue.Add(float64(n))
+	if workers = min(workers, n); workers == 1 {
+		for i := 0; i < n; i++ {
+			runTask(m, fn, i)
+		}
+		return
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			runTask(m, fn, i)
+		}
+	}
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				m.poolQueue.Dec()
-				m.poolInFlight.Inc()
-				fn(i)
-				m.poolInFlight.Dec()
-			}
+			work()
 		}()
 	}
+	work()
 	wg.Wait()
+}
+
+// runTask runs pool task i, moving it from the queue gauge to the
+// in-flight one while it runs.
+func runTask(m *serverMetrics, fn func(i int), i int) {
+	m.poolQueue.Dec()
+	m.poolInFlight.Inc()
+	fn(i)
+	m.poolInFlight.Dec()
 }
 
 // searchUncached is the fan-out path of Search: everything except the

@@ -282,21 +282,26 @@ func (g *Group) answerRTKs(ctx telemetry.SpanContext, qs []*core.TFQuery, out []
 	}
 
 	// Scatter: every shard answers all the queries raw, on one replica,
-	// into its fixed run of slots, concurrently. Slots keep the merge
-	// order independent of completion order — the same slot-merge
-	// discipline as the federated search fan-out.
+	// into its fixed run of slots, concurrently — shard 0 on the caller.
+	// Slots keep the merge order independent of completion order — the
+	// same slot-merge discipline as the federated search fan-out.
 	k, n := len(qs), len(g.shards)
 	raw := make([]*core.RTKResponse, n*k) // shard si's answer to qs[i] at si*k+i
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for si := range g.shards {
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			errs[si] = g.shardRTK(ctx, si, qs, raw[si*k:(si+1)*k])
-		}(si)
+	if n == 1 {
+		errs[0] = g.shardRTK(ctx, 0, qs, raw)
+	} else {
+		var wg sync.WaitGroup
+		for si := 1; si < n; si++ {
+			wg.Add(1)
+			go func(si int) {
+				defer wg.Done()
+				errs[si] = g.shardRTK(ctx, si, qs, raw[si*k:(si+1)*k])
+			}(si)
+		}
+		errs[0] = g.shardRTK(ctx, 0, qs, raw[:k])
+		wg.Wait()
 	}
-	wg.Wait()
 	// The raw answers are made for this call, and a merge copies what it
 	// keeps: each is released once its merge is done, or here if a shard
 	// failed and there is none.

@@ -331,29 +331,49 @@ func (g *Group) AddDocuments(docs []core.DocCounts) error {
 		si := g.ShardFor(d.DocID)
 		parts[si] = append(parts[si], d)
 	}
+	// The first shard the batch touches loads on the caller, every other
+	// on its own goroutine.
 	errs := make([]error, len(g.shards))
-	var wg sync.WaitGroup
-	for si := range g.shards {
-		if len(parts[si]) == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(si int) {
-			defer wg.Done()
-			for _, r := range g.shards[si].replicas {
-				if err := r.owner.AddDocuments(parts[si]); err != nil {
-					errs[si] = err
-					return
-				}
+	first := -1
+	var wg *sync.WaitGroup
+	for si, part := range parts {
+		switch {
+		case len(part) == 0:
+		case first < 0:
+			first = si
+		default:
+			if wg == nil {
+				wg = new(sync.WaitGroup)
 			}
-		}(si)
+			wg.Add(1)
+			go func(si int, wg *sync.WaitGroup) {
+				defer wg.Done()
+				errs[si] = g.shards[si].addDocuments(parts[si])
+			}(si, wg)
+		}
 	}
-	wg.Wait()
+	if first >= 0 {
+		errs[first] = g.shards[first].addDocuments(parts[first])
+	}
+	if wg != nil {
+		wg.Wait()
+	}
 	if err := errors.Join(errs...); err != nil {
 		return err // a replica written to past the group holds ids it does not know
 	}
 	for _, d := range docs {
 		g.ids[d.DocID] = struct{}{}
+	}
+	return nil
+}
+
+// addDocuments writes a batch through to every replica of the shard, in
+// replica order, stopping at the first refusal.
+func (s *shardState) addDocuments(docs []core.DocCounts) error {
+	for _, r := range s.replicas {
+		if err := r.owner.AddDocuments(docs); err != nil {
+			return err
+		}
 	}
 	return nil
 }
