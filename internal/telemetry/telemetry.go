@@ -17,8 +17,9 @@
 //
 // Everything here is safe for concurrent use. Metric handles returned by
 // Counter/Gauge/Histogram are stable: asking for the same name and label
-// set twice returns the same handle, so callers may either cache handles
-// on hot paths or re-resolve per call on cold ones.
+// set twice returns the same handle. Asking again allocates nothing, so
+// callers re-resolve a series where they use it; a path that runs per
+// message resolves its handles once, up front.
 package telemetry
 
 import (
@@ -26,8 +27,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -89,28 +88,35 @@ func NewRegistry() *Registry {
 	return &Registry{families: make(map[string]*family)}
 }
 
-// signature builds the canonical series key from sorted labels.
-func signature(labels []Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	var b strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			b.WriteByte('\xff')
-		}
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
-	}
-	return b.String()
-}
+// Every caller's label set fits these stack buffers, in which a lookup
+// sorts its labels and builds the series signature; a larger set only
+// moves the buffers to the heap.
+const (
+	stackLabels = 8
+	stackSig    = 128
+)
 
-// sortLabels returns a sorted copy of labels.
-func sortLabels(labels []Label) []Label {
-	out := append([]Label(nil), labels...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
+// seriesKey appends labels, sorted by key, to lb and their canonical
+// signature to sig. Both are the caller's stack buffers, so a lookup
+// that finds its series allocates nothing.
+func seriesKey(labels, lb []Label, sig []byte) ([]Label, []byte) {
+	for _, l := range labels {
+		i := len(lb)
+		lb = append(lb, l)
+		for ; i > 0 && lb[i-1].Key > l.Key; i-- {
+			lb[i] = lb[i-1]
+		}
+		lb[i] = l
+	}
+	for i, l := range lb {
+		if i > 0 {
+			sig = append(sig, '\xff')
+		}
+		sig = append(sig, l.Key...)
+		sig = append(sig, '=')
+		sig = append(sig, l.Value...)
+	}
+	return lb, sig
 }
 
 // lookup resolves (or creates) the family for name, enforcing that every
@@ -129,38 +135,41 @@ func (r *Registry) lookup(name, help string, typ metricType, buckets []float64) 
 	return f
 }
 
+// series returns the series of family name under labels, given in any
+// order, creating the family and the series on first use: mk builds a
+// new series from its own copy of the sorted labels. Only a miss
+// allocates.
+func (r *Registry) series(name, help string, typ metricType, buckets []float64,
+	labels []Label, mk func(f *family, sorted []Label) any) any {
+	var lb [stackLabels]Label
+	var sb [stackSig]byte
+	sorted, sig := seriesKey(labels, lb[:0], sb[:0])
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.lookup(name, help, typ, buckets)
+	if s, ok := f.series[string(sig)]; ok {
+		return s
+	}
+	s := mk(f, append([]Label(nil), sorted...))
+	f.series[string(sig)] = s
+	return s
+}
+
 // Counter returns the counter series for name and labels, creating it on
 // first use. Counters only go up (Add panics on negative deltas); Reset
 // exists for experiment reruns.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	labels = sortLabels(labels)
-	sig := signature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, counterType, nil)
-	if c, ok := f.series[sig]; ok {
-		return c.(*Counter)
-	}
-	c := &Counter{labels: labels}
-	f.series[sig] = c
-	return c
+	return r.series(name, help, counterType, nil, labels, func(_ *family, sorted []Label) any {
+		return &Counter{labels: sorted}
+	}).(*Counter)
 }
 
 // Gauge returns the gauge series for name and labels, creating it on
 // first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	labels = sortLabels(labels)
-	sig := signature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, gaugeType, nil)
-	if g, ok := f.series[sig]; ok {
-		return g.(*Gauge)
-	}
-	g := &Gauge{}
-	g.labels = labels
-	f.series[sig] = g
-	return g
+	return r.series(name, help, gaugeType, nil, labels, func(_ *family, sorted []Label) any {
+		return &Gauge{labels: sorted}
+	}).(*Gauge)
 }
 
 // Histogram returns the histogram series for name and labels, creating
@@ -168,20 +177,44 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 // (an implicit +Inf bucket is always appended); nil selects
 // LatencyBuckets. The first registration of a name fixes its buckets.
 func (r *Registry) Histogram(name, help string, buckets []float64, labels ...Label) *Histogram {
-	labels = sortLabels(labels)
-	sig := signature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if buckets == nil {
 		buckets = LatencyBuckets
 	}
-	f := r.lookup(name, help, histogramType, buckets)
-	if h, ok := f.series[sig]; ok {
-		return h.(*Histogram)
+	return r.series(name, help, histogramType, buckets, labels, func(f *family, sorted []Label) any {
+		return newHistogram(f.buckets, sorted)
+	}).(*Histogram)
+}
+
+// Walk calls fn with the labels, sorted by key, and the handle — a
+// *Counter, *Gauge, *GaugeFunc or *Histogram — of every series of the
+// family name, in no particular order; it is the read side for views
+// that sum or reset a family. fn runs under the registry's lock: it
+// must not call back into the registry, nor keep or change labels.
+func (r *Registry) Walk(name string, fn func(labels []Label, series any)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	f := r.families[name]
+	if f == nil {
+		return
 	}
-	h := newHistogram(f.buckets, labels)
-	f.series[sig] = h
-	return h
+	for _, s := range f.series {
+		fn(seriesLabels(s), s)
+	}
+}
+
+// seriesLabels returns one series' sorted labels.
+func seriesLabels(s any) []Label {
+	switch m := s.(type) {
+	case *Counter:
+		return m.labels
+	case *Gauge:
+		return m.labels
+	case *GaugeFunc:
+		return m.labels
+	case *Histogram:
+		return m.labels
+	}
+	return nil
 }
 
 // Counter is a monotonically increasing int64 metric.
@@ -216,21 +249,14 @@ func (c *Counter) Reset() { c.v.Store(0) }
 // privacy budget). fn must be safe for concurrent use; the first
 // registration of a series fixes its callback.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Label) *GaugeFunc {
-	labels = sortLabels(labels)
-	sig := signature(labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.lookup(name, help, gaugeType, nil)
-	if g, ok := f.series[sig]; ok {
-		gf, isFunc := g.(*GaugeFunc)
-		if !isFunc {
-			panic(fmt.Sprintf("telemetry: gauge %q re-registered as a callback gauge", name))
-		}
-		return gf
+	s := r.series(name, help, gaugeType, nil, labels, func(_ *family, sorted []Label) any {
+		return &GaugeFunc{labels: sorted, fn: fn}
+	})
+	gf, ok := s.(*GaugeFunc)
+	if !ok {
+		panic(fmt.Sprintf("telemetry: gauge %q re-registered as a callback gauge", name))
 	}
-	g := &GaugeFunc{labels: labels, fn: fn}
-	f.series[sig] = g
-	return g
+	return gf
 }
 
 // Gauge is an instantaneous float64 metric.
