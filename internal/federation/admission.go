@@ -22,21 +22,6 @@ import (
 // refuses the rest quickly — never to a slow service that answers
 // everything late.
 
-// Admission metric families.
-const (
-	// MetricAdmissionShed counts requests refused by admission control,
-	// labeled by reason ("queue_full": the wait queue was at capacity on
-	// arrival; "deadline": the request queued but no slot freed within
-	// QueueTimeout; "canceled": the client gave up while queued).
-	MetricAdmissionShed = "csfltr_http_admission_shed_total"
-	// MetricAdmissionQueueDepth is the number of requests currently
-	// waiting for an execution slot.
-	MetricAdmissionQueueDepth = "csfltr_http_admission_queue_depth"
-	// MetricAdmissionInFlight is the number of admitted searches
-	// currently executing.
-	MetricAdmissionInFlight = "csfltr_http_admission_in_flight"
-)
-
 // Shed reason label values (bounded).
 const (
 	shedQueueFull = "queue_full"
@@ -99,23 +84,15 @@ type admission struct {
 // controller (occupancy restarts from zero).
 func (s *Server) SetAdmission(cfg AdmissionConfig) {
 	cfg = cfg.withDefaults()
-	reg := s.Metrics()
+	m := s.metrics()
 	a := &admission{
-		cfg:   cfg,
-		slots: make(chan struct{}, cfg.MaxInFlight),
-		inFlight: reg.Gauge(MetricAdmissionInFlight,
-			"Admitted gateway searches currently executing."),
-		queueDepth: reg.Gauge(MetricAdmissionQueueDepth,
-			"Gateway search requests waiting for an execution slot."),
-		shedFull: reg.Counter(MetricAdmissionShed,
-			"Gateway search requests refused by admission control.",
-			telemetry.L("reason", shedQueueFull)),
-		shedDeadline: reg.Counter(MetricAdmissionShed,
-			"Gateway search requests refused by admission control.",
-			telemetry.L("reason", shedDeadline)),
-		shedCanceled: reg.Counter(MetricAdmissionShed,
-			"Gateway search requests refused by admission control.",
-			telemetry.L("reason", shedCanceled)),
+		cfg:          cfg,
+		slots:        make(chan struct{}, cfg.MaxInFlight),
+		inFlight:     m.gauge(MetricAdmissionInFlight),
+		queueDepth:   m.gauge(MetricAdmissionQueueDepth),
+		shedFull:     m.counter(MetricAdmissionShed, telemetry.L("reason", shedQueueFull)),
+		shedDeadline: m.counter(MetricAdmissionShed, telemetry.L("reason", shedDeadline)),
+		shedCanceled: m.counter(MetricAdmissionShed, telemetry.L("reason", shedCanceled)),
 	}
 	s.admission.Store(a)
 }

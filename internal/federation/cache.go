@@ -82,12 +82,8 @@ func (f *Federation) cache() *qcache.Cache {
 		f.flight = qcache.NewGroup(qc)
 		f.keyer = qcache.NewKeyer(f.HashSeed)
 		m := f.Server.metrics()
-		m.reg.GaugeFunc(MetricCacheSizeBytes,
-			"Resident bytes in the federated answer cache.",
-			func() float64 { return float64(qc.Bytes()) })
-		m.reg.GaugeFunc(MetricCacheEntries,
-			"Live entries in the federated answer cache.",
-			func() float64 { return float64(qc.Len()) })
+		m.gaugeFunc(MetricCacheSizeBytes, func() float64 { return float64(qc.Bytes()) })
+		m.gaugeFunc(MetricCacheEntries, func() float64 { return float64(qc.Len()) })
 		f.Server.setCacheStats(qc.Stats)
 		f.qc = qc
 	})

@@ -317,8 +317,8 @@ func TestCacheDisabledUnchanged(t *testing.T) {
 	}
 }
 
-// TestBudgetGaugeExported: a search registers per-(querier, peer)
-// remaining-budget gauges whose callback tracks the accountant.
+// TestBudgetGaugeExported: every (querier, peer) pair on the roster has
+// a remaining-budget gauge whose callback tracks the accountant.
 func TestBudgetGaugeExported(t *testing.T) {
 	p := cacheParams()
 	fed, err := NewDeterministic([]string{"A", "B"}, p, 42, 7)

@@ -15,13 +15,14 @@ import (
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
+	"csfltr/internal/telemetry"
 )
 
 // exchangesSent sums the reverse top-K exchanges relayed to every party.
 func exchangesSent(fed *Federation) int64 {
 	var n int64
 	for _, p := range fed.Parties {
-		n += fed.Server.metrics().exchangesFor(p.Name).Value()
+		n += fed.Server.metrics().counter(MetricSearchExchanges, telemetry.L("party", p.Name)).Value()
 	}
 	return n
 }
@@ -274,8 +275,8 @@ func TestChaosExchangeDropsWholeParty(t *testing.T) {
 			t.Fatalf("%s: accountant has %v, want %v (spent before dispatch, answered or not)", rep.Party, got, want)
 		}
 		// One exchange, plus one per retry; a retry re-sends every query.
-		sent := m.exchangesFor(rep.Party).Value()
-		msgs := m.relayFor(rep.Party, opQuery).msgs.Value()
+		sent := m.counter(MetricSearchExchanges, telemetry.L("party", rep.Party)).Value()
+		msgs := m.counter(MetricRelayedMessages, telemetry.L("party", rep.Party), telemetry.L("op", opQuery)).Value()
 		answered := 0
 		if rep.Outcome == OutcomeOK {
 			answered = len(terms)
@@ -319,12 +320,12 @@ func TestChaosExchangeDropsWholeParty(t *testing.T) {
 		}
 	}
 	before := src.Accountant().Spent("P0")
-	sentBefore := m.exchangesFor("P0").Value()
+	sentBefore := m.counter(MetricSearchExchanges, telemetry.L("party", "P0")).Value()
 	res, err = fed.Search("Q", terms, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Parties[0].Outcome != OutcomeSkipped || src.Accountant().Spent("P0") != before || m.exchangesFor("P0").Value() != sentBefore {
+	if res.Parties[0].Outcome != OutcomeSkipped || src.Accountant().Spent("P0") != before || m.counter(MetricSearchExchanges, telemetry.L("party", "P0")).Value() != sentBefore {
 		t.Fatalf("P0 with an open breaker: %+v, spent %v -> %v", res.Parties[0], before, src.Accountant().Spent("P0"))
 	}
 }
@@ -363,7 +364,8 @@ func TestChaosExchangeFaultIsPerExchange(t *testing.T) {
 		t.Fatalf("degenerate: %d failed, %d ok searches at a 50%% error rate", failed, ok)
 	}
 	// Every exchange relayed 3 queries; only the answered ones 3 replies.
-	if msgs := fed.Server.metrics().relayFor("P1", opQuery).msgs.Value(); msgs != int64(30*3+ok*3) {
+	msgs := fed.Server.metrics().counter(MetricRelayedMessages, telemetry.L("party", "P1"), telemetry.L("op", opQuery)).Value()
+	if msgs != int64(30*3+ok*3) {
 		t.Fatalf("P1 relayed %d messages over 30 exchanges, %d answered", msgs, ok)
 	}
 }

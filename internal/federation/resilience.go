@@ -6,6 +6,7 @@ import (
 	"csfltr/internal/core"
 	"csfltr/internal/dp"
 	"csfltr/internal/resilience"
+	"csfltr/internal/telemetry"
 )
 
 // SetResiliencePolicy installs the retry/deadline/breaker policy used
@@ -51,7 +52,7 @@ func (f *Federation) breakerFor(party string) *resilience.Breaker {
 	b, ok := f.breakers[party]
 	if !ok {
 		b = resilience.NewBreaker(f.policyLocked())
-		g := f.Server.metrics().breakerGauge(party)
+		g := f.Server.metrics().gauge(MetricBreakerState, telemetry.L("party", party))
 		g.Set(float64(resilience.Closed))
 		b.OnChange(func(s resilience.State) { g.Set(float64(s)) })
 		f.breakers[party] = b

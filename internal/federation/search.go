@@ -207,7 +207,8 @@ func (f *Federation) SearchTraced(from string, terms []uint64, k int) (*SearchRe
 	f.commitSearchAudit(run, from, k, start, d, res, err)
 	if err == nil && res != nil {
 		codec := f.Server.codecLabel()
-		m.recordTransport(from, apiSearch, codec, sizeSearchRelease(codec, res))
+		m.counter(MetricTransportBytes, telemetry.L("party", from), telemetry.L("api", apiSearch),
+			telemetry.L("codec", codec)).Add(sizeSearchRelease(codec, res))
 	}
 	return res, root.Context().TraceID, err
 }
@@ -226,7 +227,7 @@ func (f *Federation) searchDispatch(src *Party, from string, uniq []uint64, k in
 
 	full, base := f.queryKeys(from, uniq, k)
 	if v, ok := c.Get(full, base); ok {
-		m.cacheFor(cacheTierQuery, cacheHit).Inc()
+		m.counter(MetricCacheLookups, telemetry.L("tier", cacheTierQuery), telemetry.L("result", cacheHit)).Inc()
 		res := v.(*SearchResult)
 		// Every party's whole contribution is a zero-spend replay.
 		for _, rep := range res.Parties {
@@ -246,7 +247,7 @@ func (f *Federation) searchDispatch(src *Party, from string, uniq []uint64, k in
 		}
 		return cloneSearchResult(res), nil
 	}
-	m.cacheFor(cacheTierQuery, cacheMiss).Inc()
+	m.counter(MetricCacheLookups, telemetry.L("tier", cacheTierQuery), telemetry.L("result", cacheMiss)).Inc()
 
 	// Coalesce concurrent identical searches: one leader fans out, every
 	// concurrent duplicate shares its result (and its budget spend).
@@ -264,7 +265,7 @@ func (f *Federation) searchDispatch(src *Party, from string, uniq []uint64, k in
 		// The leader's closure — and therefore the leader's searchRun —
 		// owns the fan-out's budget, bytes and spans. This caller's audit
 		// record is a bare coalesced marker so budgets never double-count.
-		m.coalescedCounter().Inc()
+		m.counter(MetricCacheCoalesced).Inc()
 		run.outcome = AuditCoalesced
 		if run.parent.Valid() {
 			sp := m.reg.StartChildSpan("search.coalesced", run.parent, nil)
@@ -381,7 +382,6 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		if party.Name == from {
 			continue
 		}
-		m.budgetGauge(from, party.Name, src.account)
 		if degraded && !f.breakerFor(party.Name).Allow() {
 			if run.parent.Valid() {
 				sp := m.reg.StartChildSpan("search.skip", run.parent, nil,
@@ -412,13 +412,13 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 			if c != nil {
 				t.full, t.base = f.taskKeys(from, party.Name, plan.Term(), gens)
 				if v, ok := c.Get(t.full, t.base); ok {
-					m.cacheFor(cacheTierTask, cacheHit).Inc()
+					m.counter(MetricCacheLookups, telemetry.L("tier", cacheTierTask), telemetry.L("result", cacheHit)).Inc()
 					t.cached = true
 					t.hit = v.(cachedTask)
 					src.account.Replayed(party.Name)
 					rep.Cached++
 				} else {
-					m.cacheFor(cacheTierTask, cacheMiss).Inc()
+					m.counter(MetricCacheLookups, telemetry.L("tier", cacheTierTask), telemetry.L("result", cacheMiss)).Inc()
 				}
 			}
 			if !t.cached {
@@ -572,8 +572,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		rep.Outcome = OutcomeStale
 		rep.StaleFor = oldest
 		rep.Cached = len(uniq)
-		m.outcomeFor(rep.Party, OutcomeStale).Inc()
-		m.staleFor(rep.Party).Inc()
+		m.counter(MetricPartyOutcome, telemetry.L("party", rep.Party), telemetry.L("outcome", OutcomeStale)).Inc()
+		m.counter(MetricCacheStaleServed, telemetry.L("party", rep.Party)).Inc()
 		if merge.Context().Valid() {
 			sp := m.reg.StartChildSpan("search.cache.stale_serve", merge.Context(), nil,
 				telemetry.AStr("party", rep.Party),
@@ -596,7 +596,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 			if backfill(ri) {
 				continue
 			}
-			m.outcomeFor(rep.Party, OutcomeSkipped).Inc()
+			m.counter(MetricPartyOutcome, telemetry.L("party", rep.Party), telemetry.L("outcome", OutcomeSkipped)).Inc()
 			continue
 		}
 		start, count := spans[ri].start, spans[ri].count
@@ -609,7 +609,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 			}
 		}
 		if rep.Retries > 0 {
-			m.retriesFor(rep.Party).Add(int64(rep.Retries))
+			m.counter(MetricRetries, telemetry.L("party", rep.Party)).Add(int64(rep.Retries))
 		}
 		if firstErr != nil && !degraded {
 			// Strict mode: pre-PR behavior, first error fails the search.
@@ -627,10 +627,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 				continue
 			}
 			rep.Outcome = OutcomeFailed
-			m.outcomeFor(rep.Party, OutcomeFailed).Inc()
+			m.counter(MetricPartyOutcome, telemetry.L("party", rep.Party), telemetry.L("outcome", OutcomeFailed)).Inc()
 			continue
 		}
-		m.outcomeFor(rep.Party, OutcomeOK).Inc()
+		m.counter(MetricPartyOutcome, telemetry.L("party", rep.Party), telemetry.L("outcome", OutcomeOK)).Inc()
 		survivors++
 		for i := start; i < start+count; i++ {
 			result.Cost.Add(costs[i])

@@ -610,7 +610,7 @@ func relayLedger(t *testing.T, remote, traced, faulty bool) string {
 			res.Hits, res.Parties, tf, tfErr, length, unique, metaErr, len(owner.DocIDs()))
 	}
 	fmt.Fprintf(&out, "traffic %+v exchanges %d faults %d\n", srv.Traffic(), exchangesSent(fed),
-		srv.metrics().faultFor("P1", chaos.KindError).Value())
+		srv.metrics().counter(MetricInjectedFaults, telemetry.L("party", "P1"), telemetry.L("kind", chaos.KindError)).Value())
 	for _, codec := range []string{CodecRaw, CodecWire} {
 		for _, api := range []string{apiDocIDs, apiDocMeta, apiTF, apiRTK, apiSearch} {
 			fmt.Fprintf(&out, "%s/%s %d\n", codec, api, srv.TransportBytes(codec, api))
