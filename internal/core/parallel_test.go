@@ -155,14 +155,16 @@ func bulkBatch(n, terms int, seed int64) []DocCounts {
 // next begins makes no difference. It runs on synthetic documents at a
 // small geometry and, at the scorecard's (z = 30, w = 200, K = 50,
 // alpha = 5), on generated bodies and titles for Count Sketch, Count-Min
-// and Count-Min over negative counts, in batches of 1, 2, cap-1, cap,
-// cap+1 and all. Then one batch — removed documents coming back and new
-// ones above and below every live id — lands on each sketch after it was
-// read, lost documents and had its bounds lowered, and must leave what its
-// documents one at a time leave.
+// and Count-Min over negative counts, in batches of 2, cap-1, cap,
+// cap+1 and all. Batches of one are not among them: AddDocument is
+// AddDocuments of one document, so they would rebuild the reference
+// owner through the very same calls. Then one batch — removed documents
+// coming back and new ones above and below every live id — lands on each
+// sketch after it was read, lost documents and had its bounds lowered,
+// and must leave what its documents one at a time leave.
 func TestAddDocumentsMatchesSequential(t *testing.T) {
 	t.Run("synthetic", func(t *testing.T) {
-		matchesSequential(t, testParams(), bulkBatch(180, 15, 5), []int{1, 2, 3, 8, 180})
+		matchesSequential(t, testParams(), bulkBatch(180, 15, 5), []int{2, 3, 8, 180})
 	})
 	p := DefaultParams()
 	p.Z, p.W, p.K, p.Alpha, p.Epsilon = 30, 200, 50, 5, 0
@@ -186,7 +188,7 @@ func TestAddDocumentsMatchesSequential(t *testing.T) {
 						docs[i].Counts = negated
 					}
 				}
-				matchesSequential(t, p, docs, []int{1, 2, cap - 1, cap, cap + 1, len(docs)})
+				matchesSequential(t, p, docs, []int{2, cap - 1, cap, cap + 1, len(docs)})
 			})
 		}
 	}
