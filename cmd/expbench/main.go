@@ -35,7 +35,6 @@ import (
 	"sort"
 	"strings"
 
-	"csfltr/internal/corpus"
 	"csfltr/internal/experiments"
 	"csfltr/internal/telemetry"
 )
@@ -376,9 +375,7 @@ func runFig6a(e *env) error {
 
 func runFig6b(e *env) error {
 	fmt.Println("== Fig. 6b: impact of number of parties ==")
-	cfg := e.pipe
-	cfg.Corpus = resizeForParties(cfg.Corpus)
-	points, err := experiments.RunFig6b(cfg, []int{1, 2, 3, 4, 5})
+	points, err := experiments.RunFig6b(e.pipe, []int{1, 2, 3, 4, 5})
 	if err != nil {
 		return err
 	}
@@ -386,7 +383,3 @@ func runFig6b(e *env) error {
 	e.report.Add("fig6b", points)
 	return nil
 }
-
-// resizeForParties keeps the per-party sizes constant across the Fig. 6b
-// sweep (the paper adds parties, it does not re-slice a fixed pie).
-func resizeForParties(c corpus.Config) corpus.Config { return c }

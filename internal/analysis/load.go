@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Package is one type-checked package: the unit every analyzer runs over.
@@ -32,9 +33,19 @@ type Loader struct {
 	ModuleRoot string
 	ModulePath string
 
-	std     types.Importer
 	pkgs    map[string]*Package // import path -> loaded package
 	loading map[string]bool     // cycle detection
+}
+
+// std type-checks the standard library from source once per process:
+// every Loader shares its importer and the FileSet the importer records
+// positions in, so a second loader (each fixture test builds its own)
+// does not check fmt or net/http again.
+var std struct {
+	once sync.Once
+	mu   sync.Mutex // the source importer is not safe for concurrent use
+	fset *token.FileSet
+	imp  types.Importer
 }
 
 // NewLoader builds a loader for the module rooted at root (a directory
@@ -48,12 +59,14 @@ func NewLoader(root string) (*Loader, error) {
 	if err != nil {
 		return nil, err
 	}
-	fset := token.NewFileSet()
+	std.once.Do(func() {
+		std.fset = token.NewFileSet()
+		std.imp = importer.ForCompiler(std.fset, "source", nil)
+	})
 	return &Loader{
-		Fset:       fset,
+		Fset:       std.fset,
 		ModuleRoot: abs,
 		ModulePath: modPath,
-		std:        importer.ForCompiler(fset, "source", nil),
 		pkgs:       make(map[string]*Package),
 		loading:    make(map[string]bool),
 	}, nil
@@ -164,7 +177,9 @@ func (l *Loader) importPkg(path string) (*types.Package, error) {
 		}
 		return p.Types, nil
 	}
-	return l.std.Import(path)
+	std.mu.Lock()
+	defer std.mu.Unlock()
+	return std.imp.Import(path)
 }
 
 // inModule reports whether path names a package of this module.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"strings"
 	"testing"
+
+	"csfltr/internal/telemetry"
 )
 
 func testPipeline(t *testing.T) *Pipeline {
@@ -168,6 +170,40 @@ func TestRunTable1(t *testing.T) {
 		if !strings.Contains(out, needle) {
 			t.Fatalf("rendered table missing %q:\n%s", needle, out)
 		}
+	}
+}
+
+// TestTable1CountsOnlyItsOwnTraffic: on a registry an earlier pipeline
+// already relayed through — its parties named A, B, C… like Table I's —
+// Table I reports the traffic a lone run reports.
+func TestTable1CountsOnlyItsOwnTraffic(t *testing.T) {
+	lone, err := RunTable1(testPipeline(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := TestPipelineConfig()
+	cfg.Metrics = telemetry.NewRegistry()
+	earlier, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := earlier.Augment(0, true); err != nil {
+		t.Fatal(err)
+	}
+	if earlier.Fed.Server.Traffic().Messages == 0 {
+		t.Fatal("the earlier pipeline relayed nothing")
+	}
+	p, err := NewPipeline(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := RunTable1(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if shared.ServerTraffic != lone.ServerTraffic {
+		t.Fatalf("Table I on a shared registry reports %+v, a lone run %+v",
+			shared.ServerTraffic, lone.ServerTraffic)
 	}
 }
 

@@ -47,7 +47,7 @@ type Table1Result struct {
 	// AugmentCost is the total protocol cost of generating every party's
 	// augmented data.
 	AugmentCost core.Cost
-	// ServerTraffic is the total traffic relayed by the server.
+	// ServerTraffic is the traffic the server relayed during the run.
 	ServerTraffic federation.TrafficStats
 	// TrainSizes records per-party (local, augmented) instance counts.
 	LocalSizes []int
@@ -58,6 +58,9 @@ type Table1Result struct {
 func RunTable1(p *Pipeline) (*Table1Result, error) {
 	n := len(p.Fed.Parties)
 	res := &Table1Result{}
+	// The registry may be shared with earlier pipelines whose parties
+	// carry the same names, so the run counts only what it adds.
+	before := p.Fed.Server.Traffic()
 	for i := 0; i < n; i++ {
 		res.PartyNames = append(res.PartyNames, partyName(i))
 	}
@@ -119,7 +122,11 @@ func RunTable1(p *Pipeline) (*Table1Result, error) {
 	}
 	res.CSFLTR = evaluate(cm, cnz, test)
 
-	res.ServerTraffic = p.Fed.Server.Traffic()
+	after := p.Fed.Server.Traffic()
+	res.ServerTraffic = federation.TrafficStats{
+		Messages: after.Messages - before.Messages,
+		Bytes:    after.Bytes - before.Bytes,
+	}
 	return res, nil
 }
 

@@ -126,7 +126,7 @@ type Server struct {
 
 	// audit is the per-query flight recorder (see trace.go). Nil until
 	// EnableTracing.
-	audit atomic.Pointer[auditLog]
+	audit atomic.Pointer[telemetry.Ring[AuditRecord]]
 
 	// wireCodec selects the byte accounting the transport layer reports
 	// under MetricTransportBytes: false (default) counts the fixed-width
@@ -450,10 +450,10 @@ type routedOwner struct {
 	party string
 	api   core.OwnerAPI
 	// ctx, when set, parents every call's span; nil is the untraced
-	// relay, which times calls with a value span and allocates nothing for
-	// tracing. A pointer, and no field for what only a traced call needs
-	// (the transport label), because WithTrace copies the relay per traced
-	// exchange and 64 bytes is its size class.
+	// relay, whose spans allocate nothing. A pointer, and no field for
+	// what only a traced call needs (the transport label), because
+	// WithTrace copies the relay per traced exchange and 64 bytes is its
+	// size class.
 	ctx *telemetry.SpanContext
 }
 
@@ -495,40 +495,31 @@ func (r *routedOwner) WithTrace(ctx telemetry.SpanContext) core.OwnerAPI {
 	return &cp
 }
 
-// relaySpan times one relayed call. Exactly one half is live: the value
-// span on the untraced path, the trace span under a valid parent.
-type relaySpan struct {
-	plain  telemetry.Span
-	traced *telemetry.TraceSpan
-}
-
-// end stops whichever half is live; the other is a no-op.
-func (s relaySpan) end() {
-	s.plain.End()
-	s.traced.End()
-}
-
-// begin starts one relayed call: its span, and the owner to forward to —
-// bound to the call's span context when the relay is traced and the
-// transport can carry one (the HTTP X-Trace-* headers).
-func (r *routedOwner) begin(api string) (relaySpan, core.OwnerAPI) {
-	if r.ctx == nil {
-		return relaySpan{plain: r.m.apiSpan(api)}, r.api
-	}
+// begin starts one relayed call: its span — parented under the relay's
+// trace context and tagged with the party and its transport when there
+// is one — and the owner to forward to, bound to the call's span context
+// when the transport can carry one (the HTTP X-Trace-* headers).
+func (r *routedOwner) begin(api string) (telemetry.Span, core.OwnerAPI) {
 	h := r.m.api[api]
-	sp := r.m.reg.StartChildSpan(h.name, *r.ctx, h.hist,
-		telemetry.AStr("party", r.party), telemetry.AStr("transport", r.srv.transportFor(r.party)))
-	if tc, ok := r.api.(traceCarrier); ok {
-		return relaySpan{traced: sp}, tc.WithTrace(sp.Context())
+	var parent telemetry.SpanContext
+	if r.ctx != nil {
+		parent = *r.ctx
 	}
-	return relaySpan{traced: sp}, r.api
+	sp := r.m.reg.StartChildSpan(h.name, parent, h.hist)
+	if !sp.Context().Valid() {
+		return sp, r.api
+	}
+	sp.AddAttr(telemetry.AStr("party", r.party), telemetry.AStr("transport", r.srv.transportFor(r.party)))
+	if tc, ok := r.api.(traceCarrier); ok {
+		return sp, tc.WithTrace(sp.Context())
+	}
+	return sp, r.api
 }
 
 // markFault tags the span with the injected-fault kind (or nothing for
-// ordinary errors, which the caller's span records itself). A nil span —
-// the untraced relay's — is left alone.
-func markFault(sp *telemetry.TraceSpan, err error) {
-	if kind := chaos.FaultKind(err); sp != nil && kind != "" {
+// ordinary errors, which the caller's span records itself).
+func markFault(sp *telemetry.Span, err error) {
+	if kind := chaos.FaultKind(err); kind != "" {
 		sp.AddAttr(telemetry.AStr("fault", kind))
 	}
 }
@@ -536,12 +527,12 @@ func markFault(sp *telemetry.TraceSpan, err error) {
 func (r *routedOwner) DocIDs() []int {
 	sp, api := r.begin(apiDocIDs)
 	if err := r.srv.intercept(r.party, apiDocIDs, 0); err != nil {
-		markFault(sp.traced, err)
-		sp.end()
+		markFault(&sp, err)
+		sp.End()
 		return nil
 	}
 	ids := api.DocIDs()
-	sp.end()
+	sp.End()
 	r.h.account(r.h.docIDs, r.srv.codecLabel(), int64(8*len(ids)), int64(8*len(ids)))
 	return ids
 }
@@ -549,23 +540,23 @@ func (r *routedOwner) DocIDs() []int {
 func (r *routedOwner) DocMeta(docID int) (int, int, error) {
 	sp, api := r.begin(apiDocMeta)
 	if err := r.srv.intercept(r.party, apiDocMeta, uint64(docID)); err != nil {
-		markFault(sp.traced, err)
-		sp.end()
+		markFault(&sp, err)
+		sp.End()
 		return 0, 0, err
 	}
 	length, unique, err := api.DocMeta(docID)
-	sp.end()
+	sp.End()
 	r.h.account(r.h.docMeta, r.srv.codecLabel(), 16, 16)
 	return length, unique, err
 }
 
 func (r *routedOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, error) {
 	sp, api := r.begin(apiTF)
-	defer sp.end()
+	defer sp.End()
 	codec := r.srv.codecLabel()
 	r.h.account(r.h.tf, codec, q.WireSize(), sizeTFQueryAs(codec, q))
 	if err := r.srv.intercept(r.party, apiTF, chaosContent(uint64(docID)+1, q.Cols)); err != nil {
-		markFault(sp.traced, err)
+		markFault(&sp, err)
 		return nil, err
 	}
 	resp, err := api.AnswerTF(docID, q)
@@ -573,18 +564,18 @@ func (r *routedOwner) AnswerTF(docID int, q *core.TFQuery) (*core.TFResponse, er
 		return nil, err
 	}
 	r.h.account(r.h.tf, codec, resp.WireSize(), sizeTFRespAs(codec, resp))
-	if sp.traced != nil {
-		sp.traced.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
+	if sp.Context().Valid() {
+		sp.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
 	}
 	return resp, nil
 }
 
 func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 	sp, api := r.begin(apiRTK)
-	defer sp.end()
+	defer sp.End()
 	codec := r.srv.codecLabel()
 	if err := r.rtkSent(codec, q); err != nil {
-		markFault(sp.traced, err)
+		markFault(&sp, err)
 		return nil, err
 	}
 	resp, err := api.AnswerRTK(q)
@@ -592,8 +583,8 @@ func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 		return nil, err
 	}
 	r.rtkReceived(codec, resp)
-	if sp.traced != nil {
-		sp.traced.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
+	if sp.Context().Valid() {
+		sp.AddAttr(telemetry.AInt("bytes", q.WireSize()+resp.WireSize()))
 	}
 	return resp, nil
 }
@@ -602,10 +593,10 @@ func (r *routedOwner) AnswerRTK(q *core.TFQuery) (*core.RTKResponse, error) {
 // relayed by AnswerRTK, which differs only in not passing a slice on.
 func (r *routedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, error) {
 	sp, api := r.begin(apiRTK)
-	defer sp.end()
+	defer sp.End()
 	codec := r.srv.codecLabel()
 	if err := r.rtkSent(codec, qs...); err != nil {
-		markFault(sp.traced, err)
+		markFault(&sp, err)
 		return nil, err
 	}
 	resps, err := api.AnswerRTKBatch(qs)
@@ -615,7 +606,7 @@ func (r *routedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, e
 	for _, resp := range resps {
 		r.rtkReceived(codec, resp)
 	}
-	if sp.traced != nil {
+	if sp.Context().Valid() {
 		var bytes int64
 		for _, q := range qs {
 			bytes += q.WireSize()
@@ -623,7 +614,7 @@ func (r *routedOwner) AnswerRTKBatch(qs []*core.TFQuery) ([]*core.RTKResponse, e
 		for _, resp := range resps {
 			bytes += resp.WireSize()
 		}
-		sp.traced.AddAttr(telemetry.AInt("queries", int64(len(qs))), telemetry.AInt("bytes", bytes))
+		sp.AddAttr(telemetry.AInt("queries", int64(len(qs))), telemetry.AInt("bytes", bytes))
 	}
 	return resps, nil
 }
@@ -1013,7 +1004,8 @@ func (f *Federation) ReverseTopK(from, to string, field Field, term uint64, k in
 	if err := src.account.Spend(to, f.Params.Epsilon); err != nil {
 		return nil, core.Cost{}, err
 	}
-	defer f.Server.metrics().stageSpan(StageRTKQuery).End()
+	sp := f.Server.metrics().stageSpan(StageRTKQuery, telemetry.SpanContext{})
+	defer sp.End()
 	if useRTK {
 		return core.RTKReverseTopK(src.querier, dst, term, k)
 	}
@@ -1037,6 +1029,7 @@ func (f *Federation) CrossTF(from, to string, field Field, docID int, term uint6
 	if err := src.account.Spend(to, f.Params.Epsilon); err != nil {
 		return 0, err
 	}
-	defer f.Server.metrics().stageSpan(StageTFQuery).End()
+	sp := f.Server.metrics().stageSpan(StageTFQuery, telemetry.SpanContext{})
+	defer sp.End()
 	return core.CrossTF(src.querier, dst, docID, term)
 }

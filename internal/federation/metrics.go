@@ -399,23 +399,11 @@ func (m *serverMetrics) resetTraffic(roster map[string]*member) {
 	m.reg.Walk(MetricTransportBytes, reset)
 }
 
-// apiSpan starts a latency span for one owner API call.
-func (m *serverMetrics) apiSpan(api string) telemetry.Span {
-	h := m.api[api]
-	return m.reg.StartSpan(h.name, h.hist)
-}
-
-// stageSpan starts a span for one query pipeline stage.
-func (m *serverMetrics) stageSpan(stage string) telemetry.Span {
+// stageSpan starts a span for one query pipeline stage under parent
+// (untraced when parent is invalid).
+func (m *serverMetrics) stageSpan(stage string, parent telemetry.SpanContext) telemetry.Span {
 	h := m.stage[stage]
-	return m.reg.StartSpan(h.name, h.hist)
-}
-
-// stageTrace starts a pipeline-stage span parented under ctx; with an
-// invalid ctx (tracing off) it degrades to stageSpan behaviour.
-func (m *serverMetrics) stageTrace(stage string, ctx telemetry.SpanContext) *telemetry.TraceSpan {
-	h := m.stage[stage]
-	return m.reg.StartChildSpan(h.name, ctx, h.hist)
+	return m.reg.StartChildSpan(h.name, parent, h.hist)
 }
 
 // timedMechanism decorates a dp.Mechanism so the time spent drawing

@@ -240,8 +240,8 @@ func (f *Federation) searchDispatch(src *Party, from string, uniq []uint64, k in
 			run.replayed = append(run.replayed, rep.Party)
 		}
 		if run.parent.Valid() {
-			sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil,
-				telemetry.AStr("tier", cacheTierQuery),
+			sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil)
+			sp.AddAttr(telemetry.AStr("tier", cacheTierQuery),
 				telemetry.AInt("parties", int64(len(res.Parties))))
 			sp.End()
 		}
@@ -384,8 +384,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		if degraded && !f.breakerFor(party.Name).Allow() {
 			if run.parent.Valid() {
-				sp := m.reg.StartChildSpan("search.skip", run.parent, nil,
-					telemetry.AStr("party", party.Name),
+				sp := m.reg.StartChildSpan("search.skip", run.parent, nil)
+				sp.AddAttr(telemetry.AStr("party", party.Name),
 					telemetry.AStr("reason", "breaker_open"))
 				sp.End()
 			}
@@ -466,22 +466,24 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		docs[i], costs[i] = tasks[i].hit.docs, tasks[i].hit.cost
 		if run.parent.Valid() {
-			sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil,
-				telemetry.AStr("tier", cacheTierTask),
+			sp := m.reg.StartChildSpan("search.cache.replay", run.parent, nil)
+			sp.AddAttr(telemetry.AStr("tier", cacheTierTask),
 				telemetry.AStr("party", tasks[i].party),
 				telemetry.AStr("term", f.TermHash(tasks[i].plan.Term())))
 			sp.End()
 		}
 	}
-	fanout := m.stageTrace(StageFanout, run.parent)
+	fanout := m.stageSpan(StageFanout, run.parent)
+	fanoutCtx := fanout.Context() // the workers parent under it; fanout itself stays on this stack
 	runPool(f.Params.Workers(len(exchanges)), len(exchanges), m, func(xi int) {
 		x := exchanges[xi]
 		xplans := make([]*core.Plan, len(x.tasks))
 		for j, i := range x.tasks {
 			xplans[j] = tasks[i].plan
 		}
-		sp := m.stageTrace(StageRTKQuery, fanout.Context())
-		traced := sp.Context().Valid()
+		sp := m.stageSpan(StageRTKQuery, fanoutCtx)
+		spCtx := sp.Context() // the attempts parent under it; sp itself stays on this stack
+		traced := spCtx.Valid()
 		if traced {
 			hashes := make([]string, len(xplans))
 			for j, plan := range xplans {
@@ -498,10 +500,10 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		out, attempts, err := resilience.Call(policy, f.callSeed(x.party, xplans[0].Term()),
 			func() (exchangeOut, error) {
 				owner := x.owner
-				var asp *telemetry.TraceSpan
+				var asp telemetry.Span
 				if traced {
-					asp = m.reg.StartChildSpan("search.attempt", sp.Context(), nil,
-						telemetry.AStr("party", x.party),
+					asp = m.reg.StartChildSpan("search.attempt", spCtx, nil)
+					asp.AddAttr(telemetry.AStr("party", x.party),
 						telemetry.AInt("attempt", atomic.AddInt64(&attemptN, 1)))
 					if tc, ok := owner.(traceCarrier); ok {
 						owner = tc.WithTrace(asp.Context())
@@ -510,8 +512,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 				var o exchangeOut
 				var err error
 				o.docs, o.costs, err = core.RTKWithPlans(xplans, owner, f.Params.K)
-				if asp != nil {
-					markFault(asp, err)
+				if traced {
+					markFault(&asp, err)
 					if err != nil {
 						asp.AddAttr(telemetry.AStr("error", err.Error()))
 					}
@@ -528,7 +530,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		if traced {
 			sp.AddAttr(telemetry.AInt("attempts", int64(attempts)))
 			if err != nil {
-				markFault(sp, err)
+				markFault(&sp, err)
 				sp.AddAttr(telemetry.AStr("error", err.Error()))
 			}
 		}
@@ -542,7 +544,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	// queries contribute, or the party is dropped entirely. Breaker
 	// outcomes are recorded here, in exchange order, so breaker state
 	// evolves deterministically.
-	merge := m.stageTrace(StageMerge, run.parent)
+	merge := m.stageSpan(StageMerge, run.parent)
 	defer func() { run.addStage(StageMerge, merge.End()) }()
 	type key struct {
 		party int // index into result.Parties
@@ -575,8 +577,8 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		m.counter(MetricPartyOutcome, telemetry.L("party", rep.Party), telemetry.L("outcome", OutcomeStale)).Inc()
 		m.counter(MetricCacheStaleServed, telemetry.L("party", rep.Party)).Inc()
 		if merge.Context().Valid() {
-			sp := m.reg.StartChildSpan("search.cache.stale_serve", merge.Context(), nil,
-				telemetry.AStr("party", rep.Party),
+			sp := m.reg.StartChildSpan("search.cache.stale_serve", merge.Context(), nil)
+			sp.AddAttr(telemetry.AStr("party", rep.Party),
 				telemetry.AInt("terms", int64(len(uniq))),
 				telemetry.AInt("stale_for_nanos", int64(oldest)))
 			sp.End()

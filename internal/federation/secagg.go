@@ -125,7 +125,7 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 	msgN := uint64(0) // chaos-stream discriminator across all messages
 
 	for r := 0; r < rounds; r++ {
-		round := m.reg.StartSpan("training.round", m.roundDur)
+		round := m.reg.StartChildSpan("training.round", telemetry.SpanContext{}, m.roundDur)
 		local.LearningRate = cfg.LearningRate * math.Pow(cfg.LRDecay, float64(r))
 
 		// Roster for this round: parties with data whose breaker admits
@@ -162,7 +162,7 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 				round.End()
 				return nil, stats, fmt.Errorf("federation: secure round %d party %s: %w", r, name, err)
 			}
-			maskSpan := m.reg.StartSpan("secagg."+StageSecAggMask,
+			maskSpan := m.reg.StartChildSpan("secagg."+StageSecAggMask, telemetry.SpanContext{},
 				m.histogram(MetricSecAggStageDuration, telemetry.L("stage", StageSecAggMask)))
 			update := make(secagg.RawUpdate, 0, dim+1)
 			update = append(update, clone.W...)
@@ -205,7 +205,7 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 		// t-of-N recovery: cancel each dropped party's residual masks
 		// with seed reveals from every surviving submitter.
 		for _, d := range dropped {
-			recoverSpan := m.reg.StartSpan("secagg."+StageSecAggRecover,
+			recoverSpan := m.reg.StartChildSpan("secagg."+StageSecAggRecover, telemetry.SpanContext{},
 				m.histogram(MetricSecAggStageDuration, telemetry.L("stage", StageSecAggRecover)))
 			reveals := make(map[int]secagg.Seed, survivors)
 			for j, name := range names {
@@ -251,7 +251,7 @@ func (f *Federation) TrainSecureFedAvg(dim int, data map[string][]ltr.Instance, 
 
 		// Blind aggregate: masks cancelled, exact ring sum, averaged on
 		// the fixed-point grid.
-		aggSpan := m.reg.StartSpan("secagg."+StageSecAggAggregate,
+		aggSpan := m.reg.StartChildSpan("secagg."+StageSecAggAggregate, telemetry.SpanContext{},
 			m.histogram(MetricSecAggStageDuration, telemetry.L("stage", StageSecAggAggregate)))
 		sum, count, err := agg.Sum()
 		if err != nil {

@@ -86,66 +86,10 @@ type AuditRecord struct {
 	Err          string       `json:"error,omitempty"`
 }
 
-// auditLog is the bounded append-only ring of audit records.
-type auditLog struct {
-	mu   sync.Mutex
-	buf  []AuditRecord
-	next int
-	full bool
-}
-
-func newAuditLog(capacity int) *auditLog {
-	return &auditLog{buf: make([]AuditRecord, capacity)}
-}
-
-func (l *auditLog) append(rec AuditRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf[l.next] = rec
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-func (l *auditLog) records() []AuditRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.full {
-		return append([]AuditRecord(nil), l.buf[:l.next]...)
-	}
-	out := make([]AuditRecord, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	return append(out, l.buf[:l.next]...)
-}
-
-func (l *auditLog) byTrace(id string) (AuditRecord, bool) {
-	if id == "" {
-		return AuditRecord{}, false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	// Newest match wins; scan backwards through the ring.
-	n := len(l.buf)
-	if !l.full {
-		n = l.next
-	}
-	for i := 0; i < n; i++ {
-		idx := (l.next - 1 - i + len(l.buf)) % len(l.buf)
-		if l.buf[idx].TraceID == id {
-			return l.buf[idx], true
-		}
-	}
-	return AuditRecord{}, false
-}
-
 // The flight recorder's bounds: each ring keeps its newest entries.
 const (
-	maxTraces        = 256  // retained traces
-	maxSpansPerTrace = 512  // spans per trace; the excess is dropped
-	auditCapacity    = 1024 // audit records
-	slowLogCapacity  = 64   // slow-query log entries
+	auditCapacity   = 1024 // audit records
+	slowLogCapacity = 64   // slow-query log entries
 )
 
 // TraceConfig configures the flight recorder (Server.EnableTracing).
@@ -167,11 +111,11 @@ type TraceConfig struct {
 // — construct a fresh server to trace-free state.
 func (s *Server) EnableTracing(cfg TraceConfig) {
 	reg := s.Metrics()
-	reg.EnableTracing(maxTraces, maxSpansPerTrace)
+	reg.EnableTracing()
 	reg.EnableEvents(cfg.EventCapacity)
 	reg.EnableSlowLog(slowLogCapacity, 0)
 	if s.audit.Load() == nil {
-		s.audit.CompareAndSwap(nil, newAuditLog(auditCapacity))
+		s.audit.CompareAndSwap(nil, telemetry.NewRing[AuditRecord](auditCapacity))
 	}
 }
 
@@ -184,16 +128,16 @@ func (s *Server) AuditRecords() []AuditRecord {
 	if l == nil {
 		return nil
 	}
-	return l.records()
+	return l.Snapshot()
 }
 
 // AuditFor returns the audit record of one trace.
 func (s *Server) AuditFor(traceID string) (AuditRecord, bool) {
 	l := s.audit.Load()
-	if l == nil {
+	if l == nil || traceID == "" {
 		return AuditRecord{}, false
 	}
-	return l.byTrace(traceID)
+	return l.Newest(func(rec AuditRecord) bool { return rec.TraceID == traceID })
 }
 
 // TraceTree returns the retained spans of one trace, ordered parents
@@ -209,7 +153,7 @@ func (s *Server) TraceTree(id string) ([]telemetry.SpanRecord, bool) {
 // auditAppend commits one record to the ledger (no-op when off).
 func (s *Server) auditAppend(rec AuditRecord) {
 	if l := s.audit.Load(); l != nil {
-		l.append(rec)
+		l.Push(rec)
 	}
 }
 

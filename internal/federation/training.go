@@ -103,7 +103,7 @@ func (f *Federation) TrainRoundRobin(dim int, data map[string][]ltr.Instance, ro
 	startRetries := trainRetriesTotal(m, names)
 	hopN := uint64(0)
 	for r := 0; r < rounds; r++ {
-		round := m.reg.StartSpan("training.round", m.roundDur)
+		round := m.reg.StartChildSpan("training.round", telemetry.SpanContext{}, m.roundDur)
 		local.LearningRate = cfg.LearningRate * math.Pow(cfg.LRDecay, float64(r))
 		orderRNG.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		for _, pi := range order {

@@ -163,35 +163,34 @@ func (g *Group) callShard(ctx telemetry.SpanContext, si int, api string, fn func
 		if err == nil || permanentErr(err) {
 			// Answered (a protocol-level negative answer is an answer).
 			r.breaker.Record(true)
-			endAttempt(sp, "ok")
+			endAttempt(&sp, "ok")
 			g.recordOutcome(h, si, true)
 			return err
 		}
 		r.breaker.Record(false)
-		endAttempt(sp, "failed")
+		endAttempt(&sp, "failed")
 		lastErr = err
 	}
 	g.recordOutcome(h, si, false)
 	return fmt.Errorf("shard: shard %s: %w (last: %v)", ShardLabel(si), ErrNoReplica, lastErr)
 }
 
-// attemptSpan starts one replica attempt span (nil without hooks or a
-// valid parent — span recording is strictly opt-in).
-func (g *Group) attemptSpan(h *Hooks, ctx telemetry.SpanContext, api string, si, ri int) *telemetry.TraceSpan {
+// attemptSpan starts one replica attempt span; without hooks or a valid
+// parent it is the zero Span, which records nothing — span recording is
+// strictly opt-in.
+func (g *Group) attemptSpan(h *Hooks, ctx telemetry.SpanContext, api string, si, ri int) telemetry.Span {
 	if h == nil || h.Registry == nil || !ctx.Valid() {
-		return nil
+		return telemetry.Span{}
 	}
-	return h.Registry.StartChildSpan("shard.attempt", ctx, nil,
-		telemetry.AStr("api", api),
+	sp := h.Registry.StartChildSpan("shard.attempt", ctx, nil)
+	sp.AddAttr(telemetry.AStr("api", api),
 		telemetry.AStr("shard", ShardLabel(si)),
 		telemetry.AStr("replica", ReplicaLabel(ri)))
+	return sp
 }
 
 // endAttempt closes an attempt span with its outcome.
-func endAttempt(sp *telemetry.TraceSpan, outcome string) {
-	if sp == nil {
-		return
-	}
+func endAttempt(sp *telemetry.Span, outcome string) {
 	sp.AddAttr(telemetry.AStr("outcome", outcome))
 	sp.End()
 }

@@ -1063,7 +1063,7 @@ func TestTracedGroupAnswersAndSpans(t *testing.T) {
 	docs := testDocs(60, 5)
 	g := newGroup(t, 2, 2, docs)
 	reg := telemetry.NewRegistry()
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	g.SetHooks(Hooks{Registry: reg})
 	root := reg.StartRootSpan("root", nil)
 	view := g.WithTrace(root.Context())

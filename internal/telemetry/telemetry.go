@@ -73,14 +73,17 @@ type family struct {
 	series map[string]any // label signature -> *Counter/*Gauge/*Histogram
 }
 
-// Registry holds metric families and the optional event log. The zero
+// Registry holds metric families and the optional span sinks. The zero
 // value is not usable; construct with NewRegistry.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
-	events   *eventLog   // nil until EnableEvents
-	traces   *traceStore // nil until EnableTracing
-	slow     *slowLog    // nil until EnableSlowLog
+
+	// The span sinks: each is set once, by its Enable call, and read by
+	// every span's End without taking mu.
+	events atomic.Pointer[Ring[Event]] // nil until EnableEvents
+	traces atomic.Pointer[traceStore]  // nil until EnableTracing
+	slow   atomic.Pointer[slowLog]     // nil until EnableSlowLog
 }
 
 // NewRegistry creates an empty registry.

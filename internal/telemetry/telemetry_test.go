@@ -137,7 +137,8 @@ func TestConcurrentWriters(t *testing.T) {
 				r.Counter("csfltr_race_total", "", L("party", party)).Inc()
 				r.Gauge("csfltr_race_inflight", "").Add(1)
 				r.Histogram("csfltr_race_seconds", "", nil).Observe(float64(i) * 1e-6)
-				r.StartSpan("race", r.Histogram("csfltr_race_span_seconds", "", nil)).End()
+				sp := r.StartRootSpan("race", r.Histogram("csfltr_race_span_seconds", "", nil))
+				sp.End()
 				if i%100 == 0 {
 					_ = r.Snapshot()
 					_ = r.WritePrometheus(new(strings.Builder))
@@ -162,7 +163,7 @@ func TestSpanRecordsAndLogs(t *testing.T) {
 	r := NewRegistry()
 	r.EnableEvents(4)
 	h := r.Histogram("csfltr_test_span_seconds", "", nil)
-	sp := r.StartSpan("unit", h)
+	sp := r.StartRootSpan("unit", h)
 	time.Sleep(time.Millisecond)
 	d := sp.End()
 	if d < time.Millisecond {
@@ -177,7 +178,8 @@ func TestSpanRecordsAndLogs(t *testing.T) {
 	}
 	// Ring buffer keeps only the newest `capacity` events.
 	for i := 0; i < 10; i++ {
-		r.StartSpan("later", nil).End()
+		sp := r.StartRootSpan("later", nil)
+		sp.End()
 	}
 	ev = r.Events()
 	if len(ev) != 4 {

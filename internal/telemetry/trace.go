@@ -83,15 +83,21 @@ func newSpanID() string {
 	return fmt.Sprintf("s%s%010x", requestIDPrefix, traceIDCounter.Add(1))
 }
 
+// The trace store's bounds: the newest maxTraces traces are kept, and
+// each keeps its first maxSpansPerTrace spans (the excess is dropped).
+const (
+	maxTraces        = 256
+	maxSpansPerTrace = 512
+)
+
 // traceStore retains completed spans grouped by trace, bounded both in
 // the number of traces (FIFO eviction of whole traces) and in spans per
 // trace (excess spans are dropped and counted).
 type traceStore struct {
 	mu            sync.Mutex
-	maxTraces     int
 	maxSpansPer   int
 	traces        map[string]*traceEntry
-	order         []string // trace IDs in first-seen order, for eviction
+	order         *Ring[string] // trace IDs in first-seen order, for eviction
 	droppedSpans  int64
 	evictedTraces int64
 }
@@ -103,9 +109,9 @@ type traceEntry struct {
 
 func newTraceStore(maxTraces, maxSpansPer int) *traceStore {
 	return &traceStore{
-		maxTraces:   maxTraces,
 		maxSpansPer: maxSpansPer,
 		traces:      make(map[string]*traceEntry, maxTraces),
+		order:       NewRing[string](maxTraces),
 	}
 }
 
@@ -114,15 +120,12 @@ func (ts *traceStore) add(rec SpanRecord) {
 	defer ts.mu.Unlock()
 	e, ok := ts.traces[rec.TraceID]
 	if !ok {
-		for len(ts.order) >= ts.maxTraces {
-			oldest := ts.order[0]
-			ts.order = ts.order[1:]
+		if oldest, evicted := ts.order.Push(rec.TraceID); evicted {
 			delete(ts.traces, oldest)
 			ts.evictedTraces++
 		}
 		e = &traceEntry{}
 		ts.traces[rec.TraceID] = e
-		ts.order = append(ts.order, rec.TraceID)
 	}
 	if len(e.spans) >= ts.maxSpansPer {
 		e.dropped++
@@ -143,36 +146,21 @@ func (ts *traceStore) trace(id string) ([]SpanRecord, bool) {
 }
 
 // EnableTracing turns on the trace store: traced spans ended after this
-// call are retained, grouped by trace ID. maxTraces bounds the number of
-// retained traces (oldest evicted first); maxSpansPerTrace bounds each
-// trace's span count (excess dropped). Non-positive arguments select the
-// defaults (256 traces × 512 spans). Enabling is idempotent.
-func (r *Registry) EnableTracing(maxTraces, maxSpansPerTrace int) {
-	if maxTraces <= 0 {
-		maxTraces = 256
-	}
-	if maxSpansPerTrace <= 0 {
-		maxSpansPerTrace = 512
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.traces == nil {
-		r.traces = newTraceStore(maxTraces, maxSpansPerTrace)
+// call are retained, grouped by trace ID, up to 256 traces (oldest
+// evicted first) of up to 512 spans each (excess dropped). Enabling is
+// idempotent.
+func (r *Registry) EnableTracing() {
+	if r.traces.Load() == nil {
+		r.traces.CompareAndSwap(nil, newTraceStore(maxTraces, maxSpansPerTrace))
 	}
 }
 
 // TracingEnabled reports whether the trace store is active.
-func (r *Registry) TracingEnabled() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.traces != nil
-}
+func (r *Registry) TracingEnabled() bool { return r.traces.Load() != nil }
 
 // Trace returns the retained spans of one trace, in end order.
 func (r *Registry) Trace(id string) ([]SpanRecord, bool) {
-	r.mu.Lock()
-	ts := r.traces
-	r.mu.Unlock()
+	ts := r.traces.Load()
 	if ts == nil {
 		return nil, false
 	}
@@ -190,26 +178,25 @@ type SlowEntry struct {
 	ThresholdSecs float64 `json:"threshold_seconds"`
 }
 
-// slowLog is a bounded ring of SlowEntry records.
+// slowLog is the slow-query log: a ring of SlowEntry records and the
+// floor that admits a span regardless of its histogram.
 type slowLog struct {
-	mu    sync.Mutex
-	buf   []SlowEntry
-	next  int
-	full  bool
-	floor time.Duration
+	entries *Ring[SlowEntry]
+	floor   time.Duration
 }
 
 // slowMinCount is how many observations a histogram needs before its p99
 // bound is trusted for slow-query admission.
 const slowMinCount = 20
 
-func (l *slowLog) consider(h *Histogram, name string, ctx SpanContext, reqID string, start time.Time, d time.Duration) {
+// consider logs the ended traced span s, of duration d, when it was slow.
+func (l *slowLog) consider(s *Span, d time.Duration) {
 	var threshold float64
 	switch {
 	case l.floor > 0 && d >= l.floor:
 		threshold = l.floor.Seconds()
-	case h != nil && h.Count() >= slowMinCount:
-		p99 := h.Quantile(0.99)
+	case s.hist != nil && s.hist.Count() >= slowMinCount:
+		p99 := s.hist.Quantile(0.99)
 		if !(d.Seconds() >= p99) { // NaN-safe: records only when d reached the bound
 			return
 		}
@@ -217,32 +204,14 @@ func (l *slowLog) consider(h *Histogram, name string, ctx SpanContext, reqID str
 	default:
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.buf[l.next] = SlowEntry{
-		Name:          name,
-		TraceID:       ctx.TraceID,
-		RequestID:     reqID,
-		StartUnixNano: start.UnixNano(),
+	l.entries.Push(SlowEntry{
+		Name:          s.name,
+		TraceID:       s.ctx.TraceID,
+		RequestID:     s.reqID,
+		StartUnixNano: s.start.UnixNano(),
 		DurationNanos: int64(d),
 		ThresholdSecs: threshold,
-	}
-	l.next++
-	if l.next == len(l.buf) {
-		l.next = 0
-		l.full = true
-	}
-}
-
-func (l *slowLog) entries() []SlowEntry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if !l.full {
-		return append([]SlowEntry(nil), l.buf[:l.next]...)
-	}
-	out := make([]SlowEntry, 0, len(l.buf))
-	out = append(out, l.buf[l.next:]...)
-	return append(out, l.buf[:l.next]...)
+	})
 }
 
 // EnableSlowLog turns on the slow-query log: a traced span whose
@@ -251,116 +220,17 @@ func (l *slowLog) entries() []SlowEntry {
 // is recorded with its trace ID. A log already on keeps its settings and
 // its entries; capacity <= 0 leaves the log as it is.
 func (r *Registry) EnableSlowLog(capacity int, floor time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.slow == nil && capacity > 0 {
-		r.slow = &slowLog{buf: make([]SlowEntry, capacity), floor: floor}
+	if capacity > 0 && r.slow.Load() == nil {
+		r.slow.CompareAndSwap(nil, &slowLog{entries: NewRing[SlowEntry](capacity), floor: floor})
 	}
 }
 
 // SlowQueries returns the slow-query log entries, oldest first.
 func (r *Registry) SlowQueries() []SlowEntry {
-	r.mu.Lock()
-	l := r.slow
-	r.mu.Unlock()
-	if l == nil {
-		return nil
+	if l := r.slow.Load(); l != nil {
+		return l.entries.Snapshot()
 	}
-	return l.entries()
-}
-
-// TraceSpan is a started span carrying trace identity. Like Span it must
-// be ended exactly once; End records the duration into the backing
-// histogram (with a trace-ID exemplar), the event log, the trace store
-// and — for tail samples — the slow-query log.
-type TraceSpan struct {
-	reg    *Registry
-	hist   *Histogram
-	name   string
-	reqID  string
-	start  time.Time
-	ctx    SpanContext
-	parent string
-	attrs  []Attr
-}
-
-// StartRootSpan starts a new trace rooted at a span named name. When
-// tracing is disabled on the registry the returned span degrades to
-// plain Span behaviour (histogram + event log only) and its Context is
-// invalid.
-func (r *Registry) StartRootSpan(name string, h *Histogram, attrs ...Attr) *TraceSpan {
-	s := &TraceSpan{reg: r, hist: h, name: name, start: time.Now(), attrs: attrs}
-	if r.TracingEnabled() {
-		s.ctx = SpanContext{TraceID: NewTraceID(), SpanID: newSpanID()}
-	}
-	return s
-}
-
-// StartChildSpan starts a span under parent. An invalid parent (or
-// tracing disabled) degrades to plain Span behaviour.
-func (r *Registry) StartChildSpan(name string, parent SpanContext, h *Histogram, attrs ...Attr) *TraceSpan {
-	s := &TraceSpan{reg: r, hist: h, name: name, start: time.Now(), attrs: attrs}
-	if parent.Valid() && r.TracingEnabled() {
-		s.ctx = SpanContext{TraceID: parent.TraceID, SpanID: newSpanID()}
-		s.parent = parent.SpanID
-	}
-	return s
-}
-
-// Context returns the span's trace identity (invalid when untraced).
-func (s *TraceSpan) Context() SpanContext { return s.ctx }
-
-// SetRequestID attaches the transport request ID (propagated alongside
-// the trace context) to the span.
-func (s *TraceSpan) SetRequestID(id string) { s.reqID = id }
-
-// AddAttr appends attributes to the span (not safe for concurrent use
-// with End; attach from the owning goroutine only).
-func (s *TraceSpan) AddAttr(attrs ...Attr) { s.attrs = append(s.attrs, attrs...) }
-
-// End stops the span, records it everywhere it belongs and returns the
-// measured duration. A nil or zero-value span is a no-op.
-func (s *TraceSpan) End() time.Duration {
-	if s == nil || s.reg == nil {
-		return 0
-	}
-	d := time.Since(s.start)
-	if s.hist != nil {
-		if s.ctx.Valid() {
-			s.hist.ObserveTraced(d.Seconds(), s.ctx.TraceID)
-		} else {
-			s.hist.Observe(d.Seconds())
-		}
-	}
-	s.reg.mu.Lock()
-	events, traces, slow := s.reg.events, s.reg.traces, s.reg.slow
-	s.reg.mu.Unlock()
-	if events != nil {
-		events.append(Event{
-			Name:          s.name,
-			StartUnixNano: s.start.UnixNano(),
-			DurationNanos: int64(d),
-			TraceID:       s.ctx.TraceID,
-			SpanID:        s.ctx.SpanID,
-			RequestID:     s.reqID,
-		})
-	}
-	if traces != nil && s.ctx.Valid() {
-		traces.add(SpanRecord{
-			Name:          s.name,
-			TraceID:       s.ctx.TraceID,
-			SpanID:        s.ctx.SpanID,
-			ParentID:      s.parent,
-			RequestID:     s.reqID,
-			StartUnixNano: s.start.UnixNano(),
-			DurationNanos: int64(d),
-			Attrs:         s.attrs,
-		})
-	}
-	if slow != nil && s.ctx.Valid() {
-		slow.consider(s.hist, s.name, s.ctx, s.reqID, s.start, d)
-	}
-	return d
+	return nil
 }
 
 // SortSpans orders spans topologically for display: by start time, with

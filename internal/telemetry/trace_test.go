@@ -10,15 +10,17 @@ import (
 
 func TestTraceSpanTree(t *testing.T) {
 	reg := NewRegistry()
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	h := reg.Histogram("csfltr_test_seconds", "h", nil)
 
-	root := reg.StartRootSpan("search", h, AStr("querier", "A"))
+	root := reg.StartRootSpan("search", h)
+	root.AddAttr(AStr("querier", "A"))
 	if !root.Context().Valid() {
 		t.Fatal("root context invalid with tracing enabled")
 	}
 	child := reg.StartChildSpan("fanout", root.Context(), nil)
-	grand := reg.StartChildSpan("rtk_query", child.Context(), nil, AInt("attempt", 1))
+	grand := reg.StartChildSpan("rtk_query", child.Context(), nil)
+	grand.AddAttr(AInt("attempt", 1))
 	grand.AddAttr(AStr("party", "B"))
 	grand.End()
 	child.End()
@@ -76,6 +78,29 @@ func TestTracingDisabledDegradesToPlainSpan(t *testing.T) {
 	ch.End()
 }
 
+// TestUntracedSpanAllocatesNothing: an untraced span is a value, so
+// starting, annotating and ending one allocates nothing — under an
+// invalid parent, and as a root with tracing off.
+func TestUntracedSpanAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	reg := NewRegistry()
+	h := reg.Histogram("csfltr_test_seconds", "h", nil)
+	for name, start := range map[string]func() Span{
+		"child of an invalid parent": func() Span { return reg.StartChildSpan("child", SpanContext{}, h) },
+		"root with tracing off":      func() Span { return reg.StartRootSpan("root", h) },
+	} {
+		if n := testing.AllocsPerRun(100, func() {
+			sp := start()
+			sp.AddAttr(AStr("party", "B"))
+			sp.End()
+		}); n != 0 {
+			t.Errorf("%s: %v allocations per span, want 0", name, n)
+		}
+	}
+}
+
 func TestTraceStoreBounds(t *testing.T) {
 	ts := newTraceStore(2, 3)
 	var ids []string
@@ -106,7 +131,8 @@ func TestTraceStoreBounds(t *testing.T) {
 func TestEventJSONFieldsStable(t *testing.T) {
 	reg := NewRegistry()
 	reg.EnableEvents(4)
-	reg.StartSpan("plain", nil).End()
+	plain := reg.StartRootSpan("plain", nil)
+	plain.End()
 
 	raw, err := json.Marshal(reg.Events())
 	if err != nil {
@@ -131,7 +157,7 @@ func TestEventJSONFieldsStable(t *testing.T) {
 	}
 
 	// Traced spans carry the additive fields.
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	sp := reg.StartRootSpan("traced", nil)
 	sp.SetRequestID("req-1")
 	sp.End()
@@ -144,7 +170,7 @@ func TestEventJSONFieldsStable(t *testing.T) {
 
 func TestSlowLogAndExemplars(t *testing.T) {
 	reg := NewRegistry()
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	reg.EnableSlowLog(4, time.Microsecond)
 	h := reg.Histogram("csfltr_test_seconds", "h", nil)
 
@@ -177,16 +203,19 @@ func TestSlowLogAndExemplars(t *testing.T) {
 func TestEnableEventsKeepsLog(t *testing.T) {
 	reg := NewRegistry()
 	reg.EnableEvents(0)
-	reg.StartSpan("dropped", nil).End()
+	dropped := reg.StartRootSpan("dropped", nil)
+	dropped.End()
 	if ev := reg.Events(); ev != nil {
 		t.Fatalf("capacity 0 turned the log on: %+v", ev)
 	}
 	reg.EnableEvents(2)
-	reg.StartSpan("first", nil).End()
+	first := reg.StartRootSpan("first", nil)
+	first.End()
 	reg.EnableEvents(8)
 	reg.EnableEvents(0)
 	for _, name := range []string{"second", "third"} {
-		reg.StartSpan(name, nil).End()
+		sp := reg.StartRootSpan(name, nil)
+		sp.End()
 	}
 	ev := reg.Events()
 	if len(ev) != 2 || ev[0].Name != "second" || ev[1].Name != "third" {
@@ -198,7 +227,7 @@ func TestEnableEventsKeepsLog(t *testing.T) {
 // already on — its floor and its entries.
 func TestEnableSlowLogKeepsLog(t *testing.T) {
 	reg := NewRegistry()
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	reg.EnableSlowLog(4, time.Nanosecond)
 	first := reg.StartRootSpan("first", nil)
 	time.Sleep(time.Millisecond)
@@ -216,10 +245,11 @@ func TestEnableSlowLogKeepsLog(t *testing.T) {
 
 func TestWriteChromeTraceShape(t *testing.T) {
 	reg := NewRegistry()
-	reg.EnableTracing(0, 0)
+	reg.EnableTracing()
 	root := reg.StartRootSpan("search", nil)
 	a := reg.StartChildSpan("fanout", root.Context(), nil)
-	b := reg.StartChildSpan("rtk_query", a.Context(), nil, AStr("party", "B"))
+	b := reg.StartChildSpan("rtk_query", a.Context(), nil)
+	b.AddAttr(AStr("party", "B"))
 	b.End()
 	a.End()
 	root.End()
