@@ -89,12 +89,6 @@ func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 			b.Fatal(err)
 		}
 		spare := docs[1200:]
-		readAll := func() {
-			for c := range o.rtk.cells {
-				o.rtk.cellView(c)
-			}
-		}
-		readAll()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -107,7 +101,6 @@ func BenchmarkOwnerAddDocumentsEviction(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			readAll()
 			b.StartTimer()
 		}
 		b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N*len(spare)), "us/doc")

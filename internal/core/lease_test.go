@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 )
 
@@ -296,5 +297,55 @@ func TestTFAllocCeilings(t *testing.T) {
 		if n > c.ceiling {
 			t.Errorf("%s: %.1f allocs per call, ceiling %v", c.name, n, c.ceiling)
 		}
+	}
+}
+
+// TestLeaseMixedLengthsAllocFree: a reply is as long as the cells its
+// query addresses hold, so replies of one geometry vary in length, and a
+// slab made for one must serve the longer ones that follow it. After a
+// warm-up of four replies, batches of four held at once (as a search
+// holds one per party) at lengths from just above the warm-up's to
+// almost twice it, in mixed order, take every cell array and slab from
+// released replies: per reply, the one allocation left is the header
+// Release parks for the next.
+func TestLeaseMixedLengthsAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector; ceilings hold without -race")
+	}
+	const z, held = 30, 4
+	lengths := []int{1900, 1100, 2047, 1500, 1025, 1999, 1300, 1700, 1800, 1200, 1600, 1400}
+	var batch [held]*RTKResponse
+	hold := func(i int) {
+		for k := range batch {
+			n := lengths[(i+k)%len(lengths)]
+			resp, ids, vals := NewRTKResponse(z, n)
+			if len(ids) != n || len(vals) != n || len(resp.Cells) != z {
+				t.Fatalf("NewRTKResponse(%d, %d): %d cells, slabs of %d and %d", z, n, len(resp.Cells), len(ids), len(vals))
+			}
+			resp.Cells[0] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+			batch[k] = resp
+		}
+		for _, resp := range batch {
+			resp.Release()
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1)) // one P: one pool shard, as AllocsPerRun runs
+	// The warm-up: shorter than every reply after it.
+	for k := range batch {
+		batch[k], _, _ = NewRTKResponse(z, 1025)
+	}
+	for _, resp := range batch {
+		resp.Release()
+	}
+	// Counted by hand: AllocsPerRun would warm up on the first mixed batch
+	// and round the average down.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range lengths {
+		hold(i)
+	}
+	runtime.ReadMemStats(&after)
+	if n, most := after.Mallocs-before.Mallocs, uint64(held*len(lengths)); n > most {
+		t.Errorf("%d replies of mixed lengths: %d allocs, ceiling %d (the parked headers)", most, n, most)
 	}
 }

@@ -21,21 +21,10 @@ import (
 // order resident and recovery became a sorted merge. They survive here
 // only as the oracle the production code is compared against bit for bit.
 
-// refCell is a copy of cell (row, col) sorted by DocID — its stored
-// entries, and a zero for every roster id below its bound that it does
-// not store — and never touches the resident layout.
+// refCell is a copy of cell (row, col) sorted by DocID, and never
+// touches the resident layout.
 func refCell(s *RTKSketch, row int, col uint32) []Entry {
-	h := &s.cells[row*s.params.W+int(col)]
-	out := slices.Clone(h.entries)
-	stored := make(map[int32]bool)
-	for _, e := range h.entries {
-		stored[e.DocID] = true
-	}
-	for _, id := range s.roster {
-		if id < h.below && !stored[id] {
-			out = append(out, Entry{DocID: id})
-		}
-	}
+	out := slices.Clone(s.cells[row*s.params.W+int(col)].entries)
 	sort.Slice(out, func(i, j int) bool { return out[i].DocID < out[j].DocID })
 	return out
 }
@@ -58,6 +47,9 @@ func (r refOwner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 			return nil, fmt.Errorf("%w: column %d out of range", ErrBadQuery, q.Cols[a])
 		}
 		entries := refCell(o.rtk, a, q.Cols[a])
+		if len(entries) == 0 {
+			continue // the zero RTKCell
+		}
 		cell := RTKCell{
 			IDs:    make([]int32, len(entries)),
 			Values: make([]float64, len(entries)),
@@ -210,21 +202,14 @@ func checkAscending(t *testing.T, resp *RTKResponse) {
 }
 
 // settleOne offers batch, whose ids are distinct and not live, to the one
-// cell of s as insert does: the ids enrolled, the non-zero entries handed
-// over ascending.
+// cell of s as insert does: the documents counted, their non-zero entries
+// handed over ascending.
 func settleOne(s *RTKSketch, batch []Entry) {
 	slices.SortFunc(batch, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
-	ids := make([]int32, len(batch))
-	var nonZero []Entry
-	for i, e := range batch {
-		ids[i] = e.DocID
-		if e.Value != 0 {
-			nonZero = append(nonZero, e)
-		}
+	s.docs += len(batch)
+	if nonZero := slices.DeleteFunc(batch, func(e Entry) bool { return e.Value == 0 }); len(nonZero) > 0 {
+		s.cells[0].settle(s.params.HeapCap(), nonZero, new(settleScratch))
 	}
-	live := len(s.roster)
-	s.enroll(ids)
-	s.settle(0, s.params.HeapCap(), s.load(0, live), nonZero, ids, new(settleScratch))
 }
 
 // strictlyAscending is the order every cell keeps its entries in.
@@ -238,33 +223,32 @@ func strictlyAscending(es []Entry) bool {
 }
 
 // TestSettleMatchesModel drives one cell through random batches and
-// removals and holds it, after every step, to the definition: a batch
-// leaves the cap entries ranking highest, under the eviction order, among
-// those the cell held and the batch's, and the bound is the smallest id
-// ever let go. Caps run from 1 to 50, values over a narrow range, so zeros,
-// key ties and (Count-Min) negative keys are common, and ids come fresh,
-// from below every live one, back after a removal, or as math.MaxInt32.
-// The cell must also store exactly what keep's rule says, count what it
-// holds, keep its entries ascending and, while full, cache its minimum as
-// the floor. Every class the cut can fall in — a negative key, a zero, a
-// positive key — and a full cell the whole batch leaves untouched must
-// come up at least 100 times.
+// removals and holds it, after every step, to the definition of the
+// zero-free Algorithm 4: a batch leaves the cap entries ranking highest,
+// under the eviction order, among the non-zero entries the cell held and
+// the batch's, and a zero never enters. Caps run from 1 to 50, values
+// over a narrow range, so zeros, key ties and (Count-Min) negative keys
+// are common, and ids come fresh, from below every live one, back after
+// a removal, or as math.MaxInt32. The cell must also keep its entries
+// ascending and, while full, cache its minimum as the floor. A cut among
+// the negative keys and among the positive ones, a full cell the whole
+// batch leaves untouched, and one a few entries beat (settled from its
+// floor) must each come up at least 100 times.
 func TestSettleMatchesModel(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	var cuts [3]int // the smallest entry kept past the cap: negative, zero, positive key
-	untouched := 0
+	var cuts [2]int // the smallest entry kept past the cap: negative, positive key
+	untouched, beaten := 0, 0
 	for trial := 0; trial < 600; trial++ {
 		cap := 1 + rng.Intn(50)
 		if trial%3 == 0 {
 			cap = 1 + rng.Intn(6) // full cells and floor ties the common case
 		}
 		abs := trial%2 == 0
-		s := &RTKSketch{params: Params{Z: 1, W: 1, Alpha: 1, K: cap}, cells: []cellHeap{{abs: abs, below: noBound}}}
+		s := &RTKSketch{params: Params{Z: 1, W: 1, Alpha: 1, K: cap}, cells: []cellHeap{{abs: abs}}}
 		order := cellHeap{abs: abs}
 		var model []Entry
 		live := map[int32]bool{}
-		var retired []int32
-		bound, lost := int32(noBound), false
+		var retired, ids []int32 // ids: the live ones, in ingest order
 		nextID := int32(100)
 		newID := func() int32 {
 			for {
@@ -285,13 +269,16 @@ func TestSettleMatchesModel(t *testing.T) {
 				}
 				if !live[id] {
 					live[id] = true
+					ids = append(ids, id)
 					return id
 				}
 			}
 		}
 		for step := 0; step < 40; step++ {
-			if len(s.roster) > 0 && rng.Intn(4) == 0 {
-				victim := s.roster[rng.Intn(len(s.roster))]
+			if len(ids) > 0 && rng.Intn(4) == 0 {
+				i := rng.Intn(len(ids))
+				victim := ids[i]
+				ids = slices.Delete(ids, i, i+1)
 				held := slices.ContainsFunc(model, func(e Entry) bool { return e.DocID == victim })
 				if got := s.Delete(int(victim), nil); got != map[bool]int{false: 0, true: 1}[held] {
 					t.Fatalf("trial %d step %d: Delete(%d) reports %d cells, model holds it: %v", trial, step, victim, got, held)
@@ -305,6 +292,7 @@ func TestSettleMatchesModel(t *testing.T) {
 					batch[i] = Entry{DocID: newID(), Value: int32(rng.Intn(7) - 3)}
 				}
 				all := append(slices.Clone(model), batch...)
+				all = slices.DeleteFunc(all, func(e Entry) bool { return e.Value == 0 })
 				slices.SortFunc(all, func(a, b Entry) int { // ranking highest first
 					if rankLess(order.ranked(b), order.ranked(a)) {
 						return -1
@@ -312,15 +300,22 @@ func TestSettleMatchesModel(t *testing.T) {
 					return 1
 				})
 				kept := all[:min(cap, len(all))]
-				for _, e := range all[len(kept):] {
-					lost, bound = true, min(bound, e.DocID)
-				}
 				if len(all) > cap {
-					cuts[1+max(-1, min(1, order.key(kept[cap-1])))]++
-					if len(model) == cap && !slices.ContainsFunc(batch, func(e Entry) bool {
-						return slices.Contains(kept, e)
-					}) {
+					cuts[max(0, min(1, order.key(kept[cap-1])))]++
+				}
+				if len(model) == cap {
+					switch enter := 0; {
+					case !slices.ContainsFunc(batch, func(e Entry) bool { return slices.Contains(kept, e) }):
 						untouched++
+					default:
+						for _, e := range batch {
+							if slices.Contains(kept, e) {
+								enter++
+							}
+						}
+						if enter <= min(cap-1, smallOverflow) {
+							beaten++
+						}
 					}
 				}
 				model = slices.Clone(kept)
@@ -329,22 +324,9 @@ func TestSettleMatchesModel(t *testing.T) {
 
 			want := slices.Clone(model)
 			slices.SortFunc(want, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
-			if got := s.Cell(0, 0); !slices.Equal(got, want) {
-				t.Fatalf("trial %d step %d (cap %d): cell holds %v, model %v", trial, step, cap, got, want)
-			}
 			h := &s.cells[0]
-			if h.below != bound {
-				t.Fatalf("trial %d step %d (cap %d): bound %d, smallest id let go %d", trial, step, cap, h.below, bound)
-			}
-			if got := s.load(0, len(s.roster)); got != len(model) {
-				t.Fatalf("trial %d step %d (cap %d): counts %d entries, model %d", trial, step, cap, got, len(model))
-			}
-			if counting := s.held != nil && s.held[0] >= 0; counting != lost {
-				t.Fatalf("trial %d step %d (cap %d): counting %v, an id let go %v", trial, step, cap, counting, lost)
-			}
-			stored := slices.DeleteFunc(want, func(e Entry) bool { return e.Value == 0 && e.DocID < bound })
-			if !strictlyAscending(h.entries) || !slices.Equal(h.entries, stored) {
-				t.Fatalf("trial %d step %d (cap %d, bound %d): stores %v, want %v", trial, step, cap, bound, h.entries, stored)
+			if got := s.Cell(0, 0); !slices.Equal(got, want) || !strictlyAscending(got) {
+				t.Fatalf("trial %d step %d (cap %d): cell holds %v, model %v", trial, step, cap, got, want)
 			}
 			if len(model) == cap {
 				floor := model[cap-1]
@@ -356,11 +338,11 @@ func TestSettleMatchesModel(t *testing.T) {
 	}
 	for class, n := range cuts {
 		if n < 100 {
-			t.Errorf("the cut fell among the %s keys %d times, want >= 100", []string{"negative", "zero", "positive"}[class], n)
+			t.Errorf("the cut fell among the %s keys %d times, want >= 100", []string{"negative", "positive"}[class], n)
 		}
 	}
-	if untouched < 100 {
-		t.Errorf("a full cell let a whole batch go %d times, want >= 100", untouched)
+	if untouched < 100 || beaten < 100 {
+		t.Errorf("a full cell let a whole batch go %d times and was beaten by a few entries %d times, want >= 100 each", untouched, beaten)
 	}
 }
 
@@ -385,10 +367,11 @@ func TestSearchFromTail(t *testing.T) {
 	}
 }
 
-// modelSketch is Algorithm 4 by definition, one plain slice per cell: an
-// update offers the document to every cell, which keeps the cap largest
-// entries under the eviction order; a deletion drops the document from
-// every cell. It shares no code with cellHeap.
+// modelSketch is the zero-free Algorithm 4 by definition, one plain
+// slice per cell: an update offers the document to every cell it puts a
+// non-zero value in, which keeps the cap largest entries under the
+// eviction order; a deletion drops the document from every cell. It
+// shares no code with cellHeap.
 type modelSketch struct {
 	p     Params
 	cells [][]Entry
@@ -415,6 +398,9 @@ func (m *modelSketch) add(t *testing.T, docID int, counts map[uint64]int64) {
 	table.AddCounts(counts)
 	for c := range m.cells {
 		e := Entry{DocID: int32(docID), Value: int32(table.Cell(c/m.p.W, uint32(c%m.p.W)))}
+		if e.Value == 0 {
+			continue
+		}
 		if len(m.cells[c]) < m.p.HeapCap() {
 			m.cells[c] = append(m.cells[c], e)
 			continue
@@ -437,38 +423,26 @@ func (m *modelSketch) remove(docID int) {
 	}
 }
 
-// check compares every cell of s, as Cell shows it, with the model's cell
-// sorted by DocID, holds every cell to ascending ids, and holds the
-// held-prefix form to its rules: no cell stores a zero below its bound,
-// and a cell's count is what it holds.
+// check compares every cell of s with the model's cell sorted by DocID,
+// and holds every cell to ascending ids and to no zero entry.
 func (m *modelSketch) check(t *testing.T, s *RTKSketch) {
 	t.Helper()
 	for c := range m.cells {
-		h := &s.cells[c]
-		if !strictlyAscending(h.entries) {
-			t.Fatalf("cell %d holds %v, not ascending", c, h.entries)
+		got := s.Cell(c/m.p.W, uint32(c%m.p.W))
+		if !strictlyAscending(got) || slices.ContainsFunc(got, func(e Entry) bool { return e.Value == 0 }) {
+			t.Fatalf("cell %d holds %v: not ascending, or a zero", c, got)
 		}
-		if slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value == 0 && e.DocID < h.below }) {
-			t.Fatalf("cell %d stores a zero below its bound %d: %v", c, h.below, h.entries)
-		}
-		if got := s.load(c, len(s.roster)); got != len(m.cells[c]) {
-			t.Fatalf("cell %d (bound %d) counts %d entries, model %d", c, h.below, got, len(m.cells[c]))
-		}
-	}
-	for c := range m.cells {
 		want := slices.Clone(m.cells[c])
 		slices.SortFunc(want, func(a, b Entry) int { return int(a.DocID) - int(b.DocID) })
-		if got := s.Cell(c/m.p.W, uint32(c%m.p.W)); !slices.Equal(got, want) {
+		if !slices.Equal(got, want) {
 			t.Fatalf("cell %d reads %v, model %v", c, got, want)
 		}
 	}
 }
 
-// cellState is what one cell keeps: its bound, its count, its stored
-// entries and, while it is full, its floor.
+// cellState is what one cell keeps: its entries and, while it is full,
+// its floor.
 type cellState struct {
-	below  int32
-	held   int
 	stored []Entry
 	floor  Entry // ranked; zero unless the cell is full
 }
@@ -479,36 +453,29 @@ func residentState(s *RTKSketch) []cellState {
 	out := make([]cellState, len(s.cells))
 	for c := range s.cells {
 		h := &s.cells[c]
-		out[c] = cellState{below: h.below, held: s.load(c, len(s.roster)), stored: append([]Entry(nil), h.entries...)}
-		if out[c].held == s.params.HeapCap() {
+		out[c] = cellState{stored: append([]Entry(nil), h.entries...)}
+		if len(h.entries) == s.params.HeapCap() {
 			out[c].floor = Entry{DocID: h.floorDoc, Value: h.floorKey}
 		}
 	}
 	return out
 }
 
-// TestDeletePathsMatchModel puts a sketch into each resident state a
-// removal can meet — every cell holding every live id, after ingest in id
-// order or a shuffled batch; bounds lowered by the document that crossed
-// the cap; refilled below a larger id; full after shuffled ingest; one
-// under capacity; a bound lowered by letting go of
-// an implied zero; a cell back below capacity given a zero above its
-// bound; a small removed id ingested again; math.MaxInt32, stored as a zero
-// under no bound, evicted or rejected; one batch past the cap —
-// and removes the newest, the oldest, a middle and a nowhere-resident
-// document, with the document's table (while every cell holds every live
-// id it visits the cells the table marks, otherwise it skips the implied
-// zeros and the full cells below whose floor the document orders) and
-// without (every cell is walked), for both sketch kinds. The cells must
-// equal the model's after every removal, and NumDocs the roster.
+// TestDeletePathsMatchModel puts a sketch into each state a removal can
+// meet — no cell full, after ingest in id order or a shuffled batch;
+// cells past the cap one by one, shuffled, or in one batch; refilled
+// below a larger id; one under the cap; a small removed id ingested
+// again; math.MaxInt32 with the largest values; a few entries settled
+// into full cells from their floors, and many weighed whole; negative
+// counts (Count-Min keys below zero) — and removes the newest, the
+// oldest, a middle and a nowhere-resident document (no terms, so no
+// non-zero value anywhere), with the document's table (only the cells of
+// its row are visited, a full cell it orders below skipped) and without
+// (every cell is searched), for both sketch kinds. The cells must equal
+// the zero-free model's after every removal, and NumDocs the document
+// count.
 func TestDeletePathsMatchModel(t *testing.T) {
-	const ghost = 9000 // no terms, largest id: resident in no full cell
-	holdsAll := func(t *testing.T, o *Owner, want bool) {
-		t.Helper()
-		if got := o.rtk.held == nil; got != want {
-			t.Fatalf("setup: sketch of %d documents under a cap of %d has every cell unbounded=%v, want %v", o.rtk.NumDocs(), o.params.HeapCap(), got, want)
-		}
-	}
+	const ghost = 9000 // no terms: resident nowhere
 	somewhere := func(t *testing.T, o *Owner, what string, ok func(h *cellHeap) bool) {
 		t.Helper()
 		for c := range o.rtk.cells {
@@ -518,15 +485,24 @@ func TestDeletePathsMatchModel(t *testing.T) {
 		}
 		t.Fatalf("setup: no cell %s", what)
 	}
-	stores := func(h *cellHeap, id int32, zero bool) bool {
-		return slices.ContainsFunc(h.entries, func(e Entry) bool { return e.DocID == id && (!zero || e.Value == 0) })
+	full := func(o *Owner) func(h *cellHeap) bool {
+		return func(h *cellHeap) bool { return len(h.entries) == o.params.HeapCap() }
+	}
+	noneFull := func(t *testing.T, o *Owner) {
+		t.Helper()
+		if got := o.rtk.MaxCellLoad(); got >= o.params.HeapCap() {
+			t.Fatalf("setup: a cell holds %d entries under a cap of %d", got, o.params.HeapCap())
+		}
+	}
+	stores := func(h *cellHeap, id int32) bool {
+		return slices.ContainsFunc(h.entries, func(e Entry) bool { return e.DocID == id })
 	}
 	heavy := map[uint64]int64{1: 90, 2: 90, 3: 90} // resident in most cells
 	pastCap := func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-		for id := 10; id < 18; id++ {
+		for id := 10; id < 30; id++ {
 			addBoth(t, o, m, id, pathCounts(rng))
 		}
-		addBoth(t, o, m, 18, heavy)
+		somewhere(t, o, "is full", full(o))
 	}
 	layouts := []struct {
 		name  string
@@ -536,7 +512,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			for id := 10; id < 16; id++ { // ascending one by one: every cell appends
 				addBoth(t, o, m, id, pathCounts(rng))
 			}
-			holdsAll(t, o, true)
+			noneFull(t, o)
 		}},
 		{"shuffled batch", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			batch := make([]DocCounts, 6)
@@ -547,40 +523,21 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			if err := o.AddDocuments(batch); err != nil {
 				t.Fatal(err)
 			}
-			holdsAll(t, o, true)
+			noneFull(t, o)
 		}},
-		{"past the cap one by one", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			for id := 10; id < 18; id++ {
-				addBoth(t, o, m, id, pathCounts(rng))
-			}
-			holdsAll(t, o, true) // at the cap
-			addBoth(t, o, m, 18, pathCounts(rng))
-			for c := range o.rtk.cells {
-				if o.rtk.held[c] < 0 {
-					t.Fatalf("cell %d kept every id through the document that overfilled it", c)
-				}
-			}
-		}},
+		{"past the cap one by one", pastCap},
 		{"refilled below a larger id", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			for id := 10; id < 18; id++ {
-				addBoth(t, o, m, id, pathCounts(rng))
-			}
-			addBoth(t, o, m, ghost, nil) // let go everywhere: the largest id, stored nowhere
-			for id := 15; id < 18; id++ {
+			pastCap(t, o, m, rng)
+			addBoth(t, o, m, ghost, nil)
+			for id := 25; id < 30; id++ {
 				removeBoth(t, o, m, id)
 			}
-			batch := []DocCounts{{DocID: 16, Counts: pathCounts(rng)}, {DocID: 17, Counts: pathCounts(rng)}}
+			batch := []DocCounts{{DocID: 26, Counts: pathCounts(rng)}, {DocID: 27, Counts: pathCounts(rng)}}
 			for _, d := range batch {
 				m.add(t, d.DocID, d.Counts)
 			}
 			if err := o.AddDocuments(batch); err != nil { // below the ghost
 				t.Fatal(err)
-			}
-			holdsAll(t, o, false)
-			for c := range o.rtk.cells {
-				if h := &o.rtk.cells[c]; !strictlyAscending(h.entries) || o.rtk.load(c, len(o.rtk.roster)) == o.params.HeapCap() {
-					t.Fatalf("cell %d: entries %v, want ascending and under the cap", c, h.entries)
-				}
 			}
 		}},
 		{"full", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
@@ -588,6 +545,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 				addBoth(t, o, m, 10+id, pathCounts(rng))
 			}
 			addBoth(t, o, m, ghost, nil)
+			somewhere(t, o, "is full", full(o))
 		}},
 		{"one under", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			for _, id := range rng.Perm(30) {
@@ -596,47 +554,21 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			addBoth(t, o, m, ghost, nil)
 			addBoth(t, o, m, 5, heavy)
 			removeBoth(t, o, m, 5)
-		}},
-		{"bound lowered by an eviction", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			pastCap(t, o, m, rng)
-			// Rejecting 18 would leave the bound at 18; evicting an implied
-			// zero takes it to a live id.
-			somewhere(t, o, "took 18 by evicting an implied zero", func(h *cellHeap) bool { return stores(h, 18, false) && h.below < 18 })
-		}},
-		{"zero above the bound", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			pastCap(t, o, m, rng)
-			removeBoth(t, o, m, 12)
-			removeBoth(t, o, m, 13)
-			addBoth(t, o, m, 19, nil) // below the cap again: accepted everywhere, a zero
-			somewhere(t, o, "stores a zero above its bound", func(h *cellHeap) bool { return stores(h, 19, true) })
+			somewhere(t, o, "is one under the cap", func(h *cellHeap) bool { return len(h.entries) == o.params.HeapCap()-1 })
 		}},
 		{"small id again", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
 			pastCap(t, o, m, rng)
 			removeBoth(t, o, m, 10)
-			addBoth(t, o, m, 10, pathCounts(rng))
-			somewhere(t, o, "implies the returning id", func(h *cellHeap) bool { return h.below > 10 && !stores(h, 10, false) })
+			addBoth(t, o, m, 10, heavy)
+			somewhere(t, o, "is full and holds the returning id", func(h *cellHeap) bool { return full(o)(h) && stores(h, 10) })
 		}},
-		{"largest id evicted", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			for id := 10; id < 17; id++ {
-				addBoth(t, o, m, id, pathCounts(rng))
-			}
-			addBoth(t, o, m, math.MaxInt32, nil) // a stored zero under no bound, and the floor of every cell
-			addBoth(t, o, m, 17, heavy)
-			somewhere(t, o, "let math.MaxInt32 go, its bound unmoved", func(h *cellHeap) bool {
-				return h.below == noBound && !stores(h, math.MaxInt32, false)
-			})
-		}},
-		{"largest id rejected", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			for id := 10; id < 18; id++ {
-				addBoth(t, o, m, id, pathCounts(rng))
-			}
-			addBoth(t, o, m, math.MaxInt32, nil) // orders below every zero held
-			somewhere(t, o, "turned math.MaxInt32 away, its bound unmoved", func(h *cellHeap) bool {
-				return h.below == noBound && !stores(h, math.MaxInt32, false)
-			})
+		{"largest id", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			addBoth(t, o, m, math.MaxInt32, heavy)
+			somewhere(t, o, "is full and holds math.MaxInt32", func(h *cellHeap) bool { return full(o)(h) && stores(h, math.MaxInt32) })
 		}},
 		{"one batch past the cap", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
-			batch := make([]DocCounts, 12)
+			batch := make([]DocCounts, 30)
 			for i, id := range rng.Perm(len(batch)) {
 				batch[i] = DocCounts{DocID: 10 + id, Counts: pathCounts(rng)}
 				m.add(t, batch[i].DocID, batch[i].Counts)
@@ -644,7 +576,42 @@ func TestDeletePathsMatchModel(t *testing.T) {
 			if err := o.AddDocuments(batch); err != nil {
 				t.Fatal(err)
 			}
-			holdsAll(t, o, false)
+			somewhere(t, o, "is full", full(o))
+		}},
+		{"many into full cells", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			batch := make([]DocCounts, 20)
+			for i := range batch {
+				batch[i] = DocCounts{DocID: 40 + i, Counts: pathCounts(rng)}
+				m.add(t, batch[i].DocID, batch[i].Counts)
+			}
+			if err := o.AddDocuments(batch); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"negative counts", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			for id := 10; id < 30; id++ {
+				counts := pathCounts(rng)
+				if id%2 == 1 {
+					for term := range counts {
+						counts[term] = -counts[term]
+					}
+				}
+				addBoth(t, o, m, id, counts)
+			}
+			somewhere(t, o, "is full with a negative value", func(h *cellHeap) bool {
+				return full(o)(h) && slices.ContainsFunc(h.entries, func(e Entry) bool { return e.Value < 0 })
+			})
+		}},
+		{"a few into full cells", func(t *testing.T, o *Owner, m *modelSketch, rng *rand.Rand) {
+			pastCap(t, o, m, rng)
+			batch := []DocCounts{{DocID: 3, Counts: heavy}, {DocID: 40, Counts: pathCounts(rng)}, {DocID: 41, Counts: heavy}}
+			for _, d := range batch {
+				m.add(t, d.DocID, d.Counts)
+			}
+			if err := o.AddDocuments(batch); err != nil {
+				t.Fatal(err)
+			}
 		}},
 	}
 	for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
@@ -667,10 +634,7 @@ func TestDeletePathsMatchModel(t *testing.T) {
 						m := newModelSketch(p)
 						layout.build(t, o, m, rand.New(rand.NewSource(31)))
 						m.check(t, o.rtk)
-						ids := o.DocIDs()
-						if ids[len(ids)-1] == ghost {
-							ids = ids[:len(ids)-1]
-						}
+						ids := slices.DeleteFunc(o.DocIDs(), func(id int) bool { return id == ghost })
 						id := map[string]int{
 							"newest": ids[len(ids)-1], "oldest": ids[0], "middle": ids[len(ids)/2], "absent": ghost,
 						}[victim]
@@ -678,13 +642,12 @@ func TestDeletePathsMatchModel(t *testing.T) {
 							removeBoth(t, o, m, id)
 							return
 						}
-						if _, ok := o.meta[ghost]; ok {
-							for c := range o.rtk.cells {
-								full := o.rtk.load(c, len(o.rtk.roster)) == p.HeapCap()
-								if full && slices.ContainsFunc(o.rtk.Cell(c/p.W, uint32(c%p.W)), func(e Entry) bool { return e.DocID == ghost }) {
-									t.Fatalf("setup: the ghost document is resident in full cell %d", c)
-								}
+						for c := range o.rtk.cells {
+							if stores(&o.rtk.cells[c], ghost) {
+								t.Fatalf("setup: the ghost document is resident in cell %d", c)
 							}
+						}
+						if _, ok := o.meta[ghost]; ok {
 							removeBoth(t, o, m, ghost)
 							return
 						}

@@ -74,11 +74,28 @@ func NewRTKResponse(z, n int) (*RTKResponse, []int32, []float64) {
 		cells = make([]RTKCell, z+1)
 	}
 	if slabs.IDs == nil || cap(slabs.IDs) < n {
-		slabs = RTKCell{IDs: make([]int32, 0, n), Values: make([]float64, 0, n)}
+		c := slabCap(n)
+		slabs = RTKCell{IDs: make([]int32, 0, c), Values: make([]float64, 0, c)}
 	}
 	cells[len(cells)-1] = slabs
 	r.Cells = cells[:z]
 	return r, slabs.IDs[:n], slabs.Values[:n]
+}
+
+// slabCap is the capacity of a new slab for n entries. Replies vary in
+// length with the cells they copy, so a slab sized exactly would be
+// replaced by the next longer reply: n is rounded up to a power of two,
+// which a later reply of the same geometry is likely to fit, and never
+// past rtkMaxEntries, beyond which Release keeps no slab.
+func slabCap(n int) int {
+	if n > rtkMaxEntries {
+		return n
+	}
+	c := 1
+	for c < n {
+		c <<= 1
+	}
+	return c
 }
 
 // Release ends the reply's life: its cell array and slabs go back to
@@ -206,9 +223,8 @@ type docMeta struct {
 //
 // Owner is safe for concurrent use: ingestion and query answering are
 // serialized by an internal mutex (the HTTP host serves requests
-// concurrently, the DP mechanism's random source is not itself
-// thread-safe, and a read of a cell whose roster implies zeros builds its
-// view in the sketch's scratch).
+// concurrently, and the DP mechanism's random source is not itself
+// thread-safe).
 type Owner struct {
 	mu            sync.Mutex
 	params        Params
@@ -421,11 +437,9 @@ func (o *Owner) holds(docID int) bool {
 
 // RemoveDocument deletes a document from the RTK-Sketch and drops its
 // sketch and metadata. An owner that kept the document's table uses it to
-// visit only the cells the document can be in: while every cell holds
-// every live id, those the compact table marks non-zero; once some cell
-// has let a document go, the sketch reads the table's values and skips
-// every full cell whose floor the document orders below (see
-// RTKSketch.Delete).
+// visit only the cells the document can be in, those the table marks
+// non-zero, and skips every full cell whose floor the document orders
+// below (see RTKSketch.Delete).
 func (o *Owner) RemoveDocument(docID int) error {
 	o.mu.Lock()
 	defer o.mu.Unlock()
@@ -503,10 +517,9 @@ func (o *Owner) AnswerTF(docID int, q *TFQuery) (*TFResponse, error) {
 // AnswerRTK implements the owner side of Algorithm 5: return the content
 // of the addressed cell in every row, in canonical ascending-DocID order,
 // counts released with a single noise draw. Cells are kept in that order,
-// so a query only copies; a row's zeros that the roster implies are merged
-// in as it is copied, so a reply does not depend on what the cell stores. The
-// response belongs to the caller (see RTKResponse) and carries its
-// encoded length, computed in the copy loop (rtkRelease).
+// so a query only copies what they store. The response belongs to the
+// caller (see RTKResponse) and carries its encoded length, computed in
+// the copy loop (rtkRelease).
 func (o *Owner) AnswerRTK(q *TFQuery) (*RTKResponse, error) {
 	var out [1]*RTKResponse
 	err := o.answerRTK([]*TFQuery{q}, out[:])
@@ -534,13 +547,18 @@ func (o *Owner) answerRTK(qs []*TFQuery, out []*RTKResponse) error {
 		rel := newRTKRelease(o.mech)
 		total := 0
 		for a, col := range q.Cols {
-			total += o.rtk.cellLen(a, col)
+			total += len(o.rtk.Cell(a, col))
 		}
 		resp, ids, vals := NewRTKResponse(o.params.Z, total)
 		for a, col := range q.Cols {
-			n := o.rtk.cellLen(a, col)
-			o.rtk.answerCell(a, col, ids[:n], vals[:n], rel)
-			resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+			es := o.rtk.Cell(a, col)
+			n := len(es)
+			for j, e := range es {
+				ids[j], vals[j] = e.DocID, rel.value(e.Value)
+			}
+			if n > 0 { // an empty cell stays the zero RTKCell, as a decoder leaves it
+				resp.Cells[a] = RTKCell{IDs: ids[:n:n], Values: vals[:n:n]}
+			}
 			rel.cell(ids[:n])
 			ids, vals = ids[n:], vals[n:]
 		}
@@ -572,21 +590,11 @@ func (o *Owner) DocTableBytes() int64 {
 }
 
 // RTKSizeBytes returns the RTK-Sketch space of the paper's Fig. 4: 8
-// bytes per entry the cells hold, zero entries included, whether or not
-// they are resident (see RTKSketch.SizeBytes).
+// bytes per entry the cells hold (see RTKSketch.SizeBytes).
 func (o *Owner) RTKSizeBytes() int64 {
 	o.mu.Lock()
 	defer o.mu.Unlock()
 	return o.rtk.SizeBytes()
-}
-
-// RTKResidentBytes returns what the RTK-Sketch occupies in memory: 8
-// bytes per entry a cell stores and 4 per live id on its roster. The zeros
-// the roster implies are in RTKSizeBytes and not here.
-func (o *Owner) RTKResidentBytes() int64 {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	return o.rtk.residentBytes()
 }
 
 func qLen(q *TFQuery) int {

@@ -150,26 +150,32 @@ func bulkBatch(n, terms int, seed int64) []DocCounts {
 // TestAddDocumentsMatchesSequential: a corpus loaded in batches of any
 // size, past the cap, must leave the owner bit-identical to a sequential
 // AddDocument loop over the same documents — same snapshot bytes, same
-// resident cells (bounds, counts, stored entries and floors), same
-// document set, metadata and query answers. Where one batch ends and the
-// next begins makes no difference. It runs on synthetic documents at a
-// small geometry and, at the scorecard's (z = 30, w = 200, K = 50,
-// alpha = 5), on generated bodies and titles for Count Sketch, Count-Min
-// and Count-Min over negative counts, in batches of 2, cap-1, cap,
-// cap+1 and all. Batches of one are not among them: AddDocument is
+// resident cells (stored entries and floors), same document set,
+// metadata and query answers. Where one batch ends and the next begins
+// makes no difference. It runs on synthetic documents at a small
+// geometry and, at the scorecard's (z = 30, w = 200, alpha = 5), on
+// generated bodies (K = 50) and titles (K = 2, so that their few terms
+// fill cells) for Count Sketch, Count-Min and Count-Min over negative
+// counts, in batches of 2, cap-1, cap, cap+1 and all. Batches of one are not among them: AddDocument is
 // AddDocuments of one document, so they would rebuild the reference
 // owner through the very same calls. Then one batch — removed documents
 // coming back and new ones above and below every live id — lands on each
-// sketch after it was read, lost documents and had its bounds lowered,
-// and must leave what its documents one at a time leave.
+// sketch after it was read and lost documents, and must leave what its
+// documents one at a time leave.
 func TestAddDocumentsMatchesSequential(t *testing.T) {
 	t.Run("synthetic", func(t *testing.T) {
-		matchesSequential(t, testParams(), bulkBatch(180, 15, 5), []int{2, 3, 8, 180})
+		p := testParams()
+		p.W = 16
+		matchesSequential(t, p, bulkBatch(180, 15, 5), []int{2, 3, 8, 180})
 	})
 	p := DefaultParams()
 	p.Z, p.W, p.K, p.Alpha, p.Epsilon = 30, 200, 50, 5, 0
-	cap := p.HeapCap()
 	for _, field := range []string{"body", "title"} {
+		p := p
+		if field == "title" {
+			p.K = 2
+		}
+		cap := p.HeapCap()
 		docs := corpusDocs(t, 280, field)
 		for _, kind := range []string{"count", "count-min", "count-min-negative"} {
 			t.Run(field+"/"+kind, func(t *testing.T) {
@@ -205,8 +211,8 @@ func matchesSequential(t *testing.T, p Params, docs []DocCounts, sizes []int) {
 			t.Fatal(err)
 		}
 	}
-	if seq.rtk.held == nil {
-		t.Fatal("setup: the corpus did not take the sketch past the cap")
+	if seq.rtk.MaxCellLoad() < p.HeapCap() {
+		t.Fatal("setup: the corpus did not fill a cell")
 	}
 	q, err := NewQuerier(p, 42, rand.New(rand.NewSource(7)))
 	if err != nil {
@@ -237,17 +243,14 @@ func matchesSequential(t *testing.T, p Params, docs []DocCounts, sizes []int) {
 					t.Fatal(err)
 				}
 			}
-			for c := range o.rtk.cells {
-				o.rtk.cellView(c)
+			if o.rtk.MaxCellLoad() < p.HeapCap() {
+				t.Fatal("setup: the corpus did not fill a cell")
 			}
 			for i := len(docs) - 1; i >= 0; i -= 9 {
 				if err := o.RemoveDocument(docs[i].DocID); err != nil {
 					t.Fatal(err)
 				}
 			}
-		}
-		if !slices.ContainsFunc(one.rtk.cells, func(h cellHeap) bool { return h.below != noBound }) {
-			t.Fatal("setup: no bound was lowered")
 		}
 		for i := len(docs) - 1; i >= 0; i -= 9 {
 			batch = append(batch, docs[i]) // back, newest first
@@ -273,24 +276,19 @@ func matchesSequential(t *testing.T, p Params, docs []DocCounts, sizes []int) {
 // TestAddDocumentsBandCount: a batch's rows settle in one band per
 // processor, and the band count must never change what the owner holds.
 // The same batches — one that leaves the cells under the cap, one that
-// ends exactly at it (every count stays unkept, so a removal still visits
-// only the cells its table marks), one that overflows the cells, one into
-// full cells, and one out of id order that brings removed documents back
-// below live ids — load at GOMAXPROCS 1, 2 and 3, at z = 30 and an odd
-// z = 7, for Count Sketch and Count-Min. After each batch the snapshot
-// bytes, every cell's raw fields (stored entries, bound, floor), the
-// counts, the floor hints, the roster and residentBytes must equal the
+// ends at it, one that overflows the cells, one into full cells, and one
+// out of id order that brings removed documents back below live ids —
+// load at GOMAXPROCS 1, 2 and 3, at z = 30 and an odd z = 7, for Count
+// Sketch and Count-Min. After each batch the snapshot bytes, every cell's
+// raw fields (entries, floor, floor hint) and SizeBytes must equal the
 // one-band load's. It sets GOMAXPROCS, so it must not run in parallel.
 func TestAddDocumentsBandCount(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	docs := corpusDocs(t, 200, "body")
 	type state struct {
-		snap    []byte
-		cells   []cellHeap
-		held    []int32
-		floorAt []int32
-		roster  []int32
-		bytes   int64
+		snap  []byte
+		cells []cellHeap
+		bytes int64
 	}
 	for _, z := range []int{30, 7} {
 		for _, kind := range []sketch.Kind{sketch.Count, sketch.CountMin} {
@@ -320,16 +318,13 @@ func TestAddDocumentsBandCount(t *testing.T) {
 						if err := o.AddDocuments(step.batch); err != nil {
 							t.Fatal(err)
 						}
-						if step.name == "at the cap" && o.rtk.held != nil {
-							t.Fatalf("GOMAXPROCS=%d: a batch ending at the cap kept the cells' counts", procs)
-						}
 						for _, id := range step.remove {
 							if err := o.RemoveDocument(id); err != nil {
 								t.Fatal(err)
 							}
 						}
 						s := o.rtk
-						got := state{snapshot(t, o), slices.Clone(s.cells), slices.Clone(s.held), slices.Clone(s.floorAt), slices.Clone(s.roster), s.residentBytes()}
+						got := state{snapshot(t, o), slices.Clone(s.cells), s.SizeBytes()}
 						for c := range got.cells {
 							got.cells[c].entries = slices.Clone(got.cells[c].entries) // later batches edit them in place
 						}
@@ -342,8 +337,8 @@ func TestAddDocumentsBandCount(t *testing.T) {
 						}
 					}
 				}
-				if last := want[len(want)-1]; last.held == nil || !slices.ContainsFunc(last.cells, func(h cellHeap) bool { return h.below != noBound }) {
-					t.Fatal("setup: no cell let a document go")
+				if last := want[len(want)-1]; !slices.ContainsFunc(last.cells, func(h cellHeap) bool { return len(h.entries) == cap }) {
+					t.Fatal("setup: no cell filled")
 				}
 			})
 		}
@@ -514,9 +509,9 @@ func BenchmarkOwnerAddDocuments(b *testing.B) {
 }
 
 // TestAddDocumentsPooledAllocs pins the scratch-reuse contract: once the
-// cells and the roster have grown, steady-state ingestion allocates a
-// small constant per document (metadata map entries, the batch check's
-// id set) — every table is built in the owner's one scratch, and no heap
+// cells and the owner's id list have grown, steady-state ingestion
+// allocates a small constant per document (metadata map entries, the
+// batch check's id set) — every table is built in the owner's one scratch, and no heap
 // entry is boxed.
 func TestAddDocumentsPooledAllocs(t *testing.T) {
 	p := DefaultParams()
@@ -605,8 +600,8 @@ func BenchmarkOwnerRemoveDocument(b *testing.B) {
 
 // TestBulkLoadAllocCeiling pins what one 1 200-document batch allocates at
 // the benchmark geometry (z = 30, w = 200, cap 250) to O(z*w + docs): a
-// slab per cell and per document table, and the owner's maps and roster
-// growing. Settling a cell allocates nothing per entry it weighs, bodies
+// slab per cell and per document table, and the owner's maps and id
+// list growing. Settling a cell allocates nothing per entry it weighs, bodies
 // weighing hundreds per cell, so a regression there shows as hundreds of
 // thousands.
 func TestBulkLoadAllocCeiling(t *testing.T) {

@@ -195,17 +195,15 @@ func TestSnapshotSketchKindPreserved(t *testing.T) {
 	}
 }
 
-// TestSnapshotSparseRoundTrip: a sketch that never evicted, loaded in one
-// batch, writes the snapshot and keeps the cells of the same documents
-// ingested one by one, holds at most half of its logical bytes, and loads
-// back as it was — save, load, save is byte-equal and the reload holds
-// exactly the bytes the original held. An
-// owner that went past alpha*K and shrank back below it has cells that
-// lost entries to the cap; it reloads byte-stable too, each cell's bound
-// as high as what it holds allows, so it holds no more than before.
+// TestSnapshotSparseRoundTrip: a sketch loaded in one batch writes the
+// snapshot and keeps the cells of the same documents ingested one by
+// one, and loads back as it was — save, load, save is byte-equal and the
+// reload keeps every cell, floors included. An owner that went past
+// alpha*K and shrank back below it has cells that lost entries to the
+// cap; it reloads byte-stable too.
 func TestSnapshotSparseRoundTrip(t *testing.T) {
 	p := testParams()
-	p.W, p.Alpha, p.K = 64, 2, 10 // cells cap at 20
+	p.W, p.Alpha, p.K = 64, 2, 2 // cells cap at 4
 	docs := bulkBatch(24, 12, 9)
 	for _, keep := range []bool{true, false} {
 		newOwner := func(batch bool) *Owner {
@@ -230,7 +228,7 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			}
 			return o
 		}
-		reload := func(o *Owner, same bool) *Owner {
+		reload := func(o *Owner) {
 			t.Helper()
 			saved := snapshot(t, o)
 			loaded, err := ReadOwner(bytes.NewReader(saved), dp.Disabled())
@@ -240,26 +238,16 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 			if !bytes.Equal(snapshot(t, loaded), saved) {
 				t.Fatalf("keep=%v: save -> load -> save is not byte-stable", keep)
 			}
-			got, want := loaded.RTKResidentBytes(), o.RTKResidentBytes()
-			if got > want || same && got != want {
-				t.Fatalf("keep=%v: reloaded sketch holds %d bytes, the original %d", keep, got, want)
+			if !reflect.DeepEqual(residentState(loaded.rtk), residentState(o.rtk)) {
+				t.Fatalf("keep=%v: the reload keeps other cells", keep)
 			}
-			return loaded
 		}
 
 		one, each := newOwner(true), newOwner(false)
-		if one.rtk.held != nil {
-			t.Fatal("setup: 18 documents under a cap of 20 lowered a bound")
-		}
 		if !bytes.Equal(snapshot(t, one), snapshot(t, each)) || !reflect.DeepEqual(residentState(one.rtk), residentState(each.rtk)) {
 			t.Fatalf("keep=%v: a batch writes or keeps other cells than its documents one by one", keep)
 		}
-		if 2*one.RTKResidentBytes() > one.RTKSizeBytes() {
-			t.Fatalf("keep=%v: %d B resident of %d logical", keep, one.RTKResidentBytes(), one.RTKSizeBytes())
-		}
-		if loaded := reload(one, true); !reflect.DeepEqual(residentState(loaded.rtk), residentState(one.rtk)) {
-			t.Fatalf("keep=%v: the reload keeps other cells", keep)
-		}
+		reload(one)
 
 		shrunk := newOwner(true)
 		for _, d := range docs[18:] {
@@ -267,37 +255,33 @@ func TestSnapshotSparseRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		if shrunk.rtk.MaxCellLoad() < p.HeapCap() {
+			t.Fatal("setup: no cell filled")
+		}
 		for _, d := range docs[18:] {
 			if err := shrunk.RemoveDocument(d.DocID); err != nil {
 				t.Fatal(err)
 			}
 		}
-		lost := false
-		for c := range shrunk.rtk.cells {
-			lost = lost || shrunk.rtk.load(c, len(shrunk.rtk.roster)) < 18
-		}
-		if shrunk.rtk.held == nil || !lost {
-			t.Fatal("setup: the shrunk owner lost no entry to the cap")
-		}
-		reload(shrunk, false)
+		reload(shrunk)
 	}
 }
 
-// TestSparseResidentBytes pins what the held-prefix form saves at the
+// TestSparseResidentBytes pins what zero-free cells save at the
 // benchmark geometry (z = 30, w = 200, alpha*K = 250) on generated
-// documents: a shard-sized owner of 64 bodies, 30 % of whose cells are
-// non-zero, which never evicts; and an owner of 1 200 titles, past the cap
-// in every cell, whose cells hold a few non-zero entries and zeros
-// implied by the roster. Each holds at most its share of the sketch's
-// logical bytes, while RTKSizeBytes — Fig. 4's quantity — still counts
-// every entry, zeros included.
+// documents, against the cells of Algorithm 4 as stated, which top up
+// with zero entries to min(n, alpha*K) each: a shard-sized owner of 64
+// bodies, 30 % of whose cells are non-zero; and an owner of 1 200
+// titles, past the cap in every topped-up cell, whose cells hold a few
+// non-zero entries. Each holds at most its share of the topped-up bytes,
+// and RTKSizeBytes — Fig. 4's quantity — counts what the cells hold.
 func TestSparseResidentBytes(t *testing.T) {
 	p := DefaultParams()
 	p.K = 50
 	for _, row := range []struct {
 		docs     int
 		field    string
-		ceilingP int64 // percent of the logical bytes
+		ceilingP int64 // percent of the topped-up bytes
 	}{
 		{64, "body", 40},
 		{1200, "title", 25},
@@ -324,15 +308,18 @@ func TestSparseResidentBytes(t *testing.T) {
 		if err := o.AddDocuments(docs); err != nil {
 			t.Fatal(err)
 		}
-		logical := int64(8 * min(len(docs), p.HeapCap()) * p.Z * p.W)
-		if got := o.RTKSizeBytes(); got != logical {
-			t.Fatalf("%d %ss: RTKSizeBytes = %d, want the explicit figure %d", row.docs, row.field, got, logical)
+		held := int64(0)
+		for c := range o.rtk.cells {
+			held += int64(8 * len(o.rtk.cells[c].entries))
 		}
-		resident := o.RTKResidentBytes()
-		if 100*resident > row.ceilingP*logical {
-			t.Fatalf("%d %ss: the sketch holds %d bytes of its %d logical: more than %d %%", row.docs, row.field, resident, logical, row.ceilingP)
+		if got := o.RTKSizeBytes(); got != held {
+			t.Fatalf("%d %ss: RTKSizeBytes = %d, the cells hold %d", row.docs, row.field, got, held)
 		}
-		t.Logf("%d %ss: resident %d B of %d logical (%.1f %%)", row.docs, row.field, resident, logical, 100*float64(resident)/float64(logical))
+		toppedUp := int64(8 * min(len(docs), p.HeapCap()) * p.Z * p.W)
+		if 100*held > row.ceilingP*toppedUp {
+			t.Fatalf("%d %ss: the sketch holds %d bytes of %d topped up: more than %d %%", row.docs, row.field, held, toppedUp, row.ceilingP)
+		}
+		t.Logf("%d %ss: %d B of %d topped up (%.1f %%)", row.docs, row.field, held, toppedUp, 100*float64(held)/float64(toppedUp))
 	}
 }
 
@@ -365,9 +352,10 @@ func pastCapCorpus(t testing.TB) *Owner {
 }
 
 // TestReadOwnerPastCap: a snapshot of an owner past alpha*K, written when
-// its cells stored every zero they held, loads to the owner the same
-// corpus builds today — every RTK answer at epsilon = 0, the same resident
-// bytes, fewer than the logical ones — and re-saves byte for byte.
+// its cells stored Algorithm 4's zeros, loads to the owner the same
+// corpus builds today — its cells' zeros dropped, every RTK answer at
+// epsilon = 0 the same, the same cells and bytes — and saves the
+// snapshot that owner saves.
 func TestReadOwnerPastCap(t *testing.T) {
 	past, err := os.ReadFile("testdata/owner_v2_explicit.snap")
 	if err != nil {
@@ -396,14 +384,14 @@ func TestReadOwnerPastCap(t *testing.T) {
 			t.Fatalf("AnswerRTK(%v): loaded %v, built %v", q.Cols, got.Cells, want.Cells)
 		}
 	}
-	if !bytes.Equal(snapshot(t, old), past) {
-		t.Fatal("the snapshot, loaded and saved, changed")
+	if !bytes.Equal(snapshot(t, old), snapshot(t, fresh)) {
+		t.Fatal("the snapshot, loaded and saved, differs from the built owner's")
 	}
 	if !reflect.DeepEqual(residentState(old.rtk), residentState(fresh.rtk)) {
 		t.Fatal("the loaded owner keeps other cells than the built one")
 	}
-	if got, logical := old.RTKResidentBytes(), old.RTKSizeBytes(); got != fresh.RTKResidentBytes() || got >= logical {
-		t.Fatalf("loaded owner holds %d bytes, the built one %d, logical %d", got, fresh.RTKResidentBytes(), logical)
+	if got, want := old.RTKSizeBytes(), fresh.RTKSizeBytes(); got != want {
+		t.Fatalf("loaded owner holds %d bytes, the built one %d", got, want)
 	}
 }
 
@@ -496,10 +484,52 @@ func TestReadOwnerVersion1(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(resaved.Bytes(), v2.Bytes()) {
-		t.Fatal("a version-1 snapshot, loaded and saved, differs from the version-2 snapshot of the same corpus")
+		t.Fatal("a version-1 snapshot, loaded and saved, differs from the current snapshot of the same corpus")
 	}
-	if v2.Bytes()[4] != 2 {
-		t.Fatalf("snapshots are written as version %d, want 2", v2.Bytes()[4])
+	if v2.Bytes()[4] != byte(persistVersion) {
+		t.Fatalf("snapshots are written as version %d, want %d", v2.Bytes()[4], persistVersion)
+	}
+}
+
+// cellWithZero returns the first cell of s that holds a zero entry, or
+// -1 if none does.
+func cellWithZero(s *RTKSketch) int {
+	for c := range s.cells {
+		if slices.ContainsFunc(s.cells[c].entries, func(e Entry) bool { return e.Value == 0 }) {
+			return c
+		}
+	}
+	return -1
+}
+
+// TestGoldenSnapshotsLoadZeroFree: each checked-in snapshot of an older
+// version — version 1's dense tables, and version 2 past the cap with
+// Algorithm 4's zeros written out — loads to cells that hold no zero, and
+// saves a current-version snapshot that loads and saves byte for byte.
+func TestGoldenSnapshotsLoadZeroFree(t *testing.T) {
+	for _, name := range []string{"testdata/owner_v1.snap", "testdata/owner_v2_explicit.snap"} {
+		golden, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o, err := ReadOwner(bytes.NewReader(golden), dp.Disabled())
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if c := cellWithZero(o.rtk); c >= 0 {
+			t.Fatalf("%s: cell %d holds a zero: %v", name, c, o.rtk.cells[c].entries)
+		}
+		saved := snapshot(t, o)
+		if saved[4] != byte(persistVersion) {
+			t.Fatalf("%s: saved as version %d, want %d", name, saved[4], persistVersion)
+		}
+		again, err := ReadOwner(bytes.NewReader(saved), dp.Disabled())
+		if err != nil {
+			t.Fatalf("%s: the saved snapshot does not load: %v", name, err)
+		}
+		if !bytes.Equal(snapshot(t, again), saved) {
+			t.Fatalf("%s: save -> load -> save is not byte-stable", name)
+		}
 	}
 }
 

@@ -30,12 +30,12 @@ type Entry struct {
 func fitsDocID(id int64) bool { return math.MinInt32 <= id && id <= math.MaxInt32 }
 func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32 }
 
-// cellHeap is one capped RTK-Sketch cell: the at most cap entries with
-// the largest ranking key offered to it. For Count Sketch the key is
-// |Value|: a document's cell value is its (sign-weighted) contribution
-// plus collision noise, and the querier recovers the sign later, so
-// magnitude is what predicts relevance. For Count-Min the key is Value
-// itself (non-negative unless a document's counts are not).
+// cellHeap is one capped RTK-Sketch cell: the at most cap non-zero
+// entries with the largest ranking key offered to it. For Count Sketch
+// the key is |Value|: a document's cell value is its (sign-weighted)
+// contribution plus collision noise, and the querier recovers the sign
+// later, so magnitude is what predicts relevance. For Count-Min the key
+// is Value itself (positive unless a document's counts are not).
 //
 // Eviction follows a strict total order — key ascending, ties broken by
 // DocID descending — so the set of entries a cell keeps depends only on
@@ -50,24 +50,15 @@ func fitsValue(v int64) bool  { return -math.MaxInt32 <= v && v <= math.MaxInt32
 // While a cell is full, floorKey/floorDoc cache its eviction minimum: a
 // batch entry that does not beat it is let go with one comparison against
 // fields already in cache, and a removal skips a full cell its document
-// orders below.
-//
-// In an RTKSketch a cell also has a held-prefix bound: it holds every
-// live id below it, and stores only its non-zero entries and the zeros at
-// or above the bound — the zeros below it are implied by the sketch's
-// roster of live ids (see RTKSketch).
+// orders below. floorAt is where the floor's entry was when last known, a
+// hint checked before use.
 type cellHeap struct {
 	entries  []Entry
 	abs      bool  // order by |Value| (Count Sketch) instead of Value
 	floorDoc int32 // DocID of the eviction minimum, valid while full
 	floorKey int32 // key of the eviction minimum, valid while full
-	below    int32 // the held-prefix bound: every live id below it is held
+	floorAt  int32
 }
-
-// noBound is the bound of a cell that has let no document below it go: it
-// holds every live id below math.MaxInt32, and stores a zero only for id
-// math.MaxInt32.
-const noBound = math.MaxInt32
 
 func (h *cellHeap) key(e Entry) int32 {
 	if h.abs {
@@ -99,25 +90,6 @@ func rankLess(a, b Entry) bool {
 func (h *cellHeap) beats(e Entry) bool {
 	ke := h.key(e)
 	return ke > h.floorKey || ke == h.floorKey && e.DocID < h.floorDoc
-}
-
-// keep makes the cell hold es, ascending, under its bound: it stores all
-// but the zeros below the bound, which the roster implies, in exactly the
-// memory that takes.
-func (h *cellHeap) keep(es []Entry) {
-	stored := func(e Entry) bool { return e.Value != 0 || e.DocID >= h.below }
-	n := 0
-	for _, e := range es {
-		if stored(e) {
-			n++
-		}
-	}
-	h.entries = make([]Entry, 0, n)
-	for _, e := range es {
-		if stored(e) {
-			h.entries = append(h.entries, e)
-		}
-	}
 }
 
 // remove drops docID's entry and reports whether the cell stored one:
@@ -156,10 +128,10 @@ func searchFromTail(es []Entry, docID int32) int {
 
 // add stores e, whose id the cell does not store: an append when it comes
 // after every stored entry, and otherwise where a search from the tail
-// puts it. above is the caller's word that e's id exceeds every id live
-// before its batch, and so every stored one but the batch's, which are
-// added ascending: ingest in id order appends without loading the cell's
-// last entry, a cache miss per cell touched.
+// puts it. above is the caller's word that e's id exceeds every id
+// summarized before its batch, and so every stored one but the batch's,
+// which are added ascending: ingest in id order appends without loading
+// the cell's last entry, a cache miss per cell touched.
 func (h *cellHeap) add(e Entry, above bool) {
 	n := len(h.entries)
 	if above || n == 0 || e.DocID > h.entries[n-1].DocID {
@@ -175,20 +147,16 @@ func (h *cellHeap) add(e Entry, above bool) {
 // NAIVE solution on the owner side and reduces per-term query cost from
 // O(zn) to O(z*alpha*K).
 //
-// Most of what the cells hold is zeros — a document leaves a non-zero
-// value in a few of a row's w cells — and a zero carries nothing the
-// roster of live ids does not. So the sketch keeps that roster, ascending,
-// and every cell a held-prefix bound: the cell holds every live id below
-// its bound, and stores only its non-zero entries and the zeros at or
-// above the bound. A cell that has never let a document go holds every
-// live id (noBound) and stores its non-zero entries alone; letting go of
-// an id below the bound lowers the bound to it. Every observable surface
-// (Cell, AnswerRTK, snapshots, MaxCellLoad) emits the merged view — the
-// stored entries plus a zero for every live id below the bound that the
-// cell does not store — which is, entry for entry, Algorithm 4's cell.
+// A document enters a cell only through a non-zero value: a cell holds
+// the at most alpha*K non-zero entries ranking highest among those
+// offered to it, and a document absent from a cell reads as a zero to
+// the querier (zero-fill). Algorithm 4 as the paper states it also tops
+// a cell that fewer than alpha*K documents reach up with zero entries;
+// those carry nothing an absent row does not, and are not kept.
 //
-// Documents come in batches (insert), and each cell is settled once per
-// batch (settle); a cell's entries always ascend by DocID.
+// Documents come in batches (insert), and each cell a batch puts a
+// non-zero value in is settled once per batch (settle); a cell's entries
+// always ascend by DocID.
 //
 // RTKSketch is not safe for concurrent mutation.
 type RTKSketch struct {
@@ -196,18 +164,8 @@ type RTKSketch struct {
 	fam    *hashutil.Family
 	cells  []cellHeap // row-major z x w
 	docs   int
-	roster []int32 // the live ids, ascending
-	// held counts, per cell that has let a document go, what it holds; -1
-	// for a cell that has not, which holds every live id. It is nil while
-	// no cell has — always, for a sketch that never reaches alpha*K — and
-	// then a removal need visit only the cells that store the document.
-	held []int32
-	// floorAt is, per cell, where its floor's id was among its stored
-	// entries when last known: a hint, checked before use, kept beside
-	// held.
-	floorAt []int32
-	view    []Entry          // Cell's merged view
-	row     []sketch.RowCell // a removed document's row
+	top    int64            // the largest id ever summarized; math.MinInt64 before the first
+	row    []sketch.RowCell // a removed document's row
 }
 
 // NewRTKSketch creates an empty RTK-Sketch bound to the shared hash
@@ -226,9 +184,9 @@ func NewRTKSketch(params Params, fam *hashutil.Family) (*RTKSketch, error) {
 	cells := make([]cellHeap, params.Z*params.W)
 	abs := params.SketchKind == sketch.Count
 	for i := range cells {
-		cells[i].abs, cells[i].below = abs, noBound
+		cells[i].abs = abs
 	}
-	return &RTKSketch{params: params, fam: fam, cells: cells}, nil
+	return &RTKSketch{params: params, fam: fam, cells: cells, top: math.MinInt64}, nil
 }
 
 // Params returns the sketch's parameters.
@@ -237,23 +195,20 @@ func (s *RTKSketch) Params() Params { return s.params }
 // NumDocs returns the number of documents currently summarized.
 func (s *RTKSketch) NumDocs() int { return s.docs }
 
-// insert is Algorithm 4's insertion of a batch: it enrols the documents,
+// insert is Algorithm 4's insertion of a batch: it counts the documents,
 // each summarized by its compact table over the sketch's hash family
-// (tables[i] is docs[i]'s), and settles every cell once. It walks the
-// sketch row by row, reading the batch's row from each table, so beside
-// the tables its working memory is one row of non-zero entries and one
-// cell's candidates. The caller has checked the batch (CheckBatch), so
-// every id and every cell value fits an Entry. sc is the batch's scratch.
+// (tables[i] is docs[i]'s), and settles every cell the batch puts a
+// non-zero value in once. It walks the sketch row by row, reading the
+// batch's row from each table, so beside the tables its working memory
+// is one row of non-zero entries and one cell's candidates. The caller
+// has checked the batch (CheckBatch), so every id and every cell value
+// fits an Entry. sc is the batch's scratch.
 //
 // Rows are independent hash tables, so a batch of more than one document
 // settles them in contiguous bands, one per processor up to z, the caller
-// running the first (settleBands). Everything the rows share is settled
-// before they start: the roster is enrolled, and the cells' counts are
-// made room for exactly when some cell will let a document go (while
-// none has, every cell holds every live id, so that is when the batch
-// takes them past the cap). A band then writes only its own cells and
-// their counts and floor hints, and the sketch is the same whatever the
-// number of bands. A batch of one — an online add — settles inline.
+// running the first (settleBands). A band writes only its own cells, and
+// the sketch is the same whatever the number of bands. A batch of one —
+// an online add — settles inline.
 func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settleScratch) {
 	order := sc.order[:0]
 	for i := range docs {
@@ -265,19 +220,10 @@ func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settle
 		ids = append(ids, int32(docs[i].DocID))
 	}
 	sc.order, sc.ids = order, ids
-	live, cap := len(s.roster), s.params.HeapCap()
-	sc.above = live == 0 || ids[0] > s.roster[live-1]
-	s.enroll(ids)
-	if s.held == nil && live+len(ids) > cap {
-		s.countHeld()
-	}
-	b := settleBatch{
-		tables: tables, order: order, ids: ids, live: live,
-		// While every cell holds every live id and the batch fills none, a
-		// cell only stores the batch's non-zero entries for it (settle's
-		// take, every zero implied), so only the cells they name are visited.
-		quiet: s.held == nil && live+len(ids) < cap && ids[len(ids)-1] < noBound,
-	}
+	sc.above = int64(ids[0]) > s.top
+	s.docs += len(ids)
+	s.top = max(s.top, int64(ids[len(ids)-1]))
+	b := settleBatch{tables: tables, order: order, ids: ids}
 	if bands := min(runtime.GOMAXPROCS(0), s.params.Z); len(ids) > 1 && bands > 1 {
 		s.settleBands(b, bands, sc)
 		return
@@ -286,14 +232,11 @@ func (s *RTKSketch) insert(docs []DocCounts, tables []sketch.Compact, sc *settle
 }
 
 // settleBatch is what every band of a batch reads and none writes: the
-// tables, the batch's positions and ids ascending by id, how many ids
-// were live before it, and whether it is quiet (see insert).
+// tables, and the batch's positions and ids ascending by id.
 type settleBatch struct {
 	tables []sketch.Compact
 	order  []int
 	ids    []int32
-	live   int
-	quiet  bool
 }
 
 // settleBands settles the batch's rows in the given number of contiguous
@@ -317,24 +260,19 @@ func (s *RTKSketch) settleBands(b settleBatch, bands int, sc *settleScratch) {
 	wg.Wait()
 }
 
-// settleRows settles every cell of rows lo to hi-1 with the batch.
+// settleRows settles every cell of rows lo to hi-1 that the batch puts a
+// non-zero value in; no other cell changes.
 func (s *RTKSketch) settleRows(b *settleBatch, lo, hi int, sc *settleScratch) {
-	cap, w, ids := s.params.HeapCap(), s.params.W, b.ids
+	cap, w := s.params.HeapCap(), s.params.W
 	for a := lo; a < hi; a++ {
 		row, ends := sc.readRow(a, b.order, b.tables)
-		if b.quiet {
-			s.addRow(a, row, ends, ids, sc)
-			continue
-		}
-		slab, cols := sc.bucket(w, row, ends, ids)
-		for j, k := 0, 0; j < w; j++ {
-			at := k
+		slab, cols := sc.bucket(w, row, ends, b.ids)
+		for k := 0; k < len(cols); {
+			at, j := k, cols[k]
 			for k < len(cols) && cols[k] == j {
 				k++
 			}
-			if c := a*w + j; at < k || !s.unmoved(c, cap, ids[0]) {
-				s.settle(c, cap, s.load(c, b.live), slab[at:k], ids, sc)
-			}
+			s.cells[a*w+j].settle(cap, slab[at:k], sc)
 		}
 	}
 }
@@ -343,11 +281,10 @@ func (s *RTKSketch) settleRows(b *settleBatch, lo, hi int, sc *settleScratch) {
 // mergeScratch is: the memo its tables are built with (empty between
 // batches), the batch's positions and ids ascending by id, one row's
 // non-zero cells table by table, the same as entries ordered by column
-// and their columns, per column counts, one cell's ranked negative and
-// positive candidates and new entries, and a full cell's entries that
-// beat its floor and the positions of those that go. Every band of a
-// batch past the first has a scratch of its own, and uses only its row
-// and cell fields and above.
+// and their columns, one cell's ranked candidates and new entries, and a
+// full cell's entries that beat its floor and the positions of those that
+// go. Every band of a batch past the first has a scratch of its own, and
+// uses only its row and cell fields and above.
 type settleScratch struct {
 	memo   sketch.Memo
 	order  []int
@@ -357,13 +294,11 @@ type settleScratch struct {
 	starts []int
 	slab   []Entry
 	cols   []int
-	counts []int // all zero between rows
-	negs   []Entry
-	poss   []Entry
+	ranked []Entry
 	out    []Entry
 	enter  []Entry
 	gone   []int
-	above  bool // the batch's ids exceed every id live before it
+	above  bool // the batch's ids exceed every id summarized before it
 }
 
 var settleScratchPool = sync.Pool{New: func() any { return new(settleScratch) }}
@@ -379,32 +314,6 @@ func (sc *settleScratch) readRow(a int, order []int, tables []sketch.Compact) ([
 	}
 	sc.row, sc.ends = row, ends
 	return row, ends
-}
-
-// addRow stores row a's non-zero entries of a batch no cell lets a
-// document go for, read by readRow: each cell they name grows once, to
-// what it comes to store, and then takes them in id order.
-func (s *RTKSketch) addRow(a int, row []sketch.RowCell, ends []int, ids []int32, sc *settleScratch) {
-	w := s.params.W
-	cells := s.cells[a*w : (a+1)*w]
-	counts := slices.Grow(sc.counts[:0], w)[:w]
-	for _, rc := range row {
-		counts[rc.Col]++
-	}
-	for _, rc := range row {
-		if n := counts[rc.Col]; n > 0 {
-			cells[rc.Col].entries = slices.Grow(cells[rc.Col].entries, n)
-			counts[rc.Col] = 0
-		}
-	}
-	sc.counts = counts
-	from := 0
-	for k, end := range ends {
-		for _, rc := range row[from:end] {
-			cells[rc.Col].add(Entry{DocID: ids[k], Value: int32(rc.Value)}, sc.above)
-		}
-		from = end
-	}
 }
 
 // bucket orders a row read by readRow by column, ids ascending within a
@@ -443,161 +352,44 @@ func (sc *settleScratch) bucket(w int, row []sketch.RowCell, ends []int, ids []i
 	return slab, cols
 }
 
-// enroll puts ids, ascending and none of them live, on the roster.
-func (s *RTKSketch) enroll(ids []int32) {
-	s.docs += len(ids)
-	n := len(s.roster)
-	if s.roster = append(s.roster, ids...); n > 0 && ids[0] < s.roster[n-1] {
-		slices.Sort(s.roster) // some id below a live one: ingest out of id order
-	}
-}
-
-// unenroll ends a removal: it takes id off the roster, and so out of
-// every cell that implied it.
-func (s *RTKSketch) unenroll(id int32) {
-	s.docs--
-	if i, on := slices.BinarySearch(s.roster, id); on {
-		s.roster = slices.Delete(s.roster, i, i+1)
-	}
-}
-
-// load returns how many entries cell c holds, stored or implied, when
-// live documents are summarized: all of them until it lets one go.
-func (s *RTKSketch) load(c, live int) int {
-	if s.held == nil || s.held[c] < 0 {
-		return live
-	}
-	return int(s.held[c])
-}
-
-// count adds delta to what cell c holds, if it keeps a count.
-func (s *RTKSketch) count(c, delta int) {
-	if s.held != nil && s.held[c] >= 0 {
-		s.held[c] += int32(delta)
-	}
-}
-
-// setHeld counts n entries for cell c, which has let a document go,
-// making room for the cells' counts first if none is kept yet.
-func (s *RTKSketch) setHeld(c, n int) {
-	if s.held == nil {
-		s.countHeld()
-	}
-	s.held[c] = int32(n)
-}
-
-// countHeld makes room for the cells' counts and floor hints, every cell
-// counted as holding every live id.
-func (s *RTKSketch) countHeld() {
-	s.held, s.floorAt = make([]int32, len(s.cells)), make([]int32, len(s.cells))
-	for c := range s.held {
-		s.held[c] = -1
-	}
-}
-
-// unmoved reports whether a batch of zeros alone, the smallest at id,
-// leaves cell c as it is: the cell is full, counts what it holds, its
-// bound is at most id, and its floor orders above id's zero, so settle
-// would let the whole batch go and change nothing.
-func (s *RTKSketch) unmoved(c, cap int, id int32) bool {
-	h := &s.cells[c]
-	return s.held != nil && int(s.held[c]) == cap && h.below <= id && !h.beats(Entry{DocID: id})
-}
-
 // settle is Algorithm 4's step for one cell and a whole batch: the cell
-// keeps the cap entries ranking highest among those it held and the
+// keeps the cap entries ranking highest among those it stored and the
 // batch's — what offering it the documents one at a time leaves, since
-// that set does not depend on the order — and the smallest id let go
-// lowers the bound to it. The cell held n entries; batch holds the
-// batch's non-zero entries for it, ids ascending, and every other id of
-// ids brings a zero.
-func (s *RTKSketch) settle(c, cap, n int, batch []Entry, ids []int32, sc *settleScratch) {
-	h := &s.cells[c]
-	if n+len(ids) < cap {
-		// Nothing goes: the cell takes the batch, storing what the roster
-		// does not imply.
-		s.count(c, len(ids))
-		if len(batch) > 0 || ids[len(ids)-1] >= h.below {
-			h.take(batch, ids, sc.above)
+// that set does not depend on the order. batch holds the batch's non-zero
+// entries for the cell, at least one, ids ascending. A batch the cell
+// keeps whole is added; a full cell that at most a few entries beat is
+// settled from its floor (settleFull); any other is weighed whole
+// (settleOver).
+func (h *cellHeap) settle(cap int, batch []Entry, sc *settleScratch) {
+	n := len(h.entries)
+	if n+len(batch) < cap {
+		h.entries = slices.Grow(h.entries, len(batch))
+		for _, e := range batch {
+			h.add(e, sc.above)
 		}
 		return
 	}
 	if n == cap {
-		switch enter, few := h.beaters(batch, ids, cap, sc); {
-		case few && len(enter) == 0:
-			// The batch goes whole — the floor only rises — and only the
-			// bound can change.
-			s.letGo(c, ids[0], cap)
-			return
-		case few:
-			s.settleFull(c, cap, enter, ids, sc)
+		if enter, few := h.beaters(batch, cap, sc); few {
+			if len(enter) > 0 {
+				h.settleFull(enter, sc)
+			}
 			return
 		}
 	}
-	s.settleOver(c, cap, n, batch, ids, sc)
+	h.settleOver(cap, batch, sc)
 }
 
-// take adds a batch the cell keeps whole: its non-zero entries, and a zero
-// for every id at or above the bound that the batch has no entry for.
-func (h *cellHeap) take(batch []Entry, ids []int32, above bool) {
-	if ids[len(ids)-1] < h.below { // every zero implied
-		for _, e := range batch {
-			h.add(e, above)
-		}
-		return
-	}
-	k := 0
-	for _, id := range ids {
-		e := Entry{DocID: id}
-		if k < len(batch) && batch[k].DocID == id {
-			e, k = batch[k], k+1
-		} else if id < h.below {
-			continue
-		}
-		h.add(e, above)
-	}
-}
-
-// beaters returns the batch's entries that beat the floor of a full cell —
-// its non-zero entries that do, and, when the floor is a zero, the zero of
-// every id below the floor's that has none — in the scratch, and reports
-// whether settleFull may settle the cell: whether the floor's key is not
-// negative, no negative key of the batch sits below the bound (letting it
-// go would turn the zeros held above it from implied to stored), and
-// fewer than the cap and at most smallOverflow entries beat. Otherwise
-// settleOver weighs the whole cell.
-func (h *cellHeap) beaters(batch []Entry, ids []int32, cap int, sc *settleScratch) ([]Entry, bool) {
-	if len(batch) == 0 && !h.beats(Entry{DocID: ids[0]}) {
-		return nil, true // the batch's highest-ranking entry, its smallest id's zero, does not beat
-	}
-	if h.floorKey < 0 {
-		return nil, false
-	}
+// beaters returns the batch's entries that beat the floor of a full cell,
+// in the scratch, and reports whether settleFull may settle them: whether
+// fewer than the cap and at most smallOverflow do. Otherwise settleOver
+// weighs the whole cell.
+func (h *cellHeap) beaters(batch []Entry, cap int, sc *settleScratch) ([]Entry, bool) {
 	most := min(cap-1, smallOverflow)
 	enter := sc.enter[:0]
 	for _, e := range batch {
-		switch {
-		case h.key(e) < 0 && e.DocID < h.below:
-			return nil, false
-		case h.beats(e):
+		if h.beats(e) {
 			if enter = append(enter, e); len(enter) > most {
-				return nil, false
-			}
-		}
-	}
-	if h.floorKey == 0 && ids[0] < h.floorDoc {
-		if ids[0] < h.below {
-			return nil, false // the walk down from the floor would meet the batch's ids
-		}
-		k := 0
-		for _, id := range ids[:heldPrefix(ids, h.floorDoc)] {
-			for k < len(batch) && batch[k].DocID < id {
-				k++
-			}
-			if k < len(batch) && batch[k].DocID == id {
-				continue // its non-zero entry is weighed above
-			}
-			if enter = append(enter, Entry{DocID: id}); len(enter) > most {
 				return nil, false
 			}
 		}
@@ -606,22 +398,15 @@ func (h *cellHeap) beaters(batch []Entry, ids []int32, cap int, sc *settleScratc
 	return enter, true
 }
 
-// settleFull settles cell c, full, against the entries of a batch that
+// settleFull settles the cell, full, against the entries of a batch that
 // beat its floor (beaters), at least one: every other entry of the batch
 // ranks below the floor and goes. Of the cell's entries and those that
 // beat it, the lowest len(enter) go too, found by walking the cell up from
 // its floor (floorWalk) beside enter sorted by rank, and the next one up
 // is the new floor. Only what leaves and what enters is moved: a batch of
 // b such entries costs O(b log b), the walk's steps, and the shift of the
-// entries above where they leave and land — no ranking of the whole cell
-// and no roster walk.
-//
-// Nothing else changes what the cell stores: every id let go is above
-// every zero that stays (zeros rank by id, the largest lowest, and every
-// other entry of the batch ranks below them all), so the lowered bound
-// leaves each zero that stays on the side of it where it already was.
-func (s *RTKSketch) settleFull(c, cap int, enter []Entry, ids []int32, sc *settleScratch) {
-	h := &s.cells[c]
+// entries above where they leave and land — no ranking of the whole cell.
+func (h *cellHeap) settleFull(enter []Entry, sc *settleScratch) {
 	if len(enter) > 1 { // most batches that beat a full cell are one entry
 		slices.SortFunc(enter, func(a, b Entry) int {
 			if x, y := h.ranked(a), h.ranked(b); x != y {
@@ -633,17 +418,14 @@ func (s *RTKSketch) settleFull(c, cap int, enter []Entry, ids []int32, sc *settl
 			return 0
 		})
 	}
-	walk := newFloorWalk(h, s.roster, s.floorPos(c))
-	first, gone, lost := int32(noBound), sc.gone[:0], 0 // gone: where the cell stores what goes
+	walk := floorWalk{h: h, at: h.floorPos(), cur: Entry{DocID: h.floorDoc, Value: h.floorKey}}
+	gone, lost := sc.gone[:0], 0 // gone: where the cell stores what goes
 	for range enter {
 		if rankLess(h.ranked(enter[lost]), walk.cur) {
 			lost++
 			continue
 		}
-		first = min(first, walk.cur.DocID)
-		if walk.stored() {
-			gone = append(gone, walk.at)
-		}
+		gone = append(gone, walk.at)
 		walk.next()
 	}
 	floor, stay := walk.cur, enter[lost:]
@@ -661,13 +443,10 @@ func (s *RTKSketch) settleFull(c, cap int, enter []Entry, ids []int32, sc *settl
 		slices.SortFunc(stay, func(a, b Entry) int { return cmp.Compare(a.DocID, b.DocID) })
 	}
 	h.removeAt(gone)
-	s.letGo(c, min(first, firstOutside(ids, stay)), cap)
 	for _, e := range stay {
-		if e.Value != 0 || e.DocID >= h.below {
-			h.add(e, sc.above)
-		}
+		h.add(e, sc.above)
 	}
-	h.floorKey, h.floorDoc, s.floorAt[c] = floor.Value, floor.DocID, int32(at)
+	h.floorKey, h.floorDoc, h.floorAt = floor.Value, floor.DocID, int32(at)
 	sc.gone = gone
 }
 
@@ -689,106 +468,38 @@ func (h *cellHeap) removeAt(at []int) {
 	h.entries = es[:out]
 }
 
-// firstOutside returns the smallest of ascending ids that is not the id of
-// an entry of ascending stay, a subset of them; noBound if there is none.
-func firstOutside(ids []int32, stay []Entry) int32 {
-	for i, id := range ids {
-		if i == len(stay) || stay[i].DocID != id {
-			return id
-		}
-	}
-	return noBound
-}
-
-// floorWalk walks a full cell's held entries up from its floor, in
-// eviction order: the zeros, largest id first — the stored ones and those
-// the roster implies — and then the positive keys, smallest first, largest
-// id first among equal keys. cur is the entry it is at, ranked, and at is
-// where cur's id is or would be among the stored entries. Zeros are met
-// one step each down the ids; the first positive key, and the first of each
-// larger key, is found by a scan of the stored entries, and the rest of a
-// key by a search down from the last.
+// floorWalk walks a full cell's entries up from its floor, in eviction
+// order: keys smallest first, largest id first among equal keys. cur is
+// the entry it is at, ranked, and at is where cur is among the entries.
+// The first entry of each larger key is found by a scan of the entries,
+// and the rest of a key by a search down from the last.
 type floorWalk struct {
-	h      *cellHeap
-	roster []int32
-	at, ri int // the stored entries below cur are h.entries[:at]; the held roster ids, roster[:ri]
-	cur    Entry
+	h   *cellHeap
+	at  int
+	cur Entry
 }
 
-// newFloorWalk starts a walk at the floor of full cell h under roster,
-// at where the floor's id is among the stored entries. The floor's key
-// is not negative, so the cell holds no negative key.
-func newFloorWalk(h *cellHeap, roster []int32, at int) floorWalk {
-	w := floorWalk{h: h, roster: roster, at: at, cur: Entry{DocID: h.floorDoc, Value: h.floorKey}}
-	if h.floorKey == 0 {
-		// Every live id below the bound is held, and is a zero unless stored.
-		w.ri = rosterPos(roster, min(h.floorDoc, h.below))
-	}
-	return w
-}
-
-// floorPos returns the index of the first entry cell c stores whose id is
-// at least its floor's: floorAt's, if it still is, else what a search
-// finds.
-func (s *RTKSketch) floorPos(c int) int {
-	h := &s.cells[c]
-	es, at := h.entries, -1
-	if s.floorAt != nil {
-		at = int(s.floorAt[c])
-	}
-	if 0 <= at && at <= len(es) && (at == 0 || es[at-1].DocID < h.floorDoc) && (at == len(es) || es[at].DocID >= h.floorDoc) {
+// floorPos returns the index of the floor's entry in the full cell:
+// floorAt, if it still is, else what a search finds.
+func (h *cellHeap) floorPos() int {
+	if at := int(h.floorAt); at < len(h.entries) && h.entries[at].DocID == h.floorDoc {
 		return at
 	}
-	return searchFromTail(es, h.floorDoc)
-}
-
-// stored reports whether the cell stores cur.
-func (w *floorWalk) stored() bool {
-	return w.at < len(w.h.entries) && w.h.entries[w.at].DocID == w.cur.DocID
+	return searchFromTail(h.entries, h.floorDoc)
 }
 
 // next moves the walk one entry up. The cell holds more entries than the
 // walk has passed.
 func (w *floorWalk) next() {
-	es := w.h.entries
-	if w.cur.Value == 0 {
-		// Down the ids: a stored id below the bound is on the roster too,
-		// and holds a non-zero entry; a roster id that is not stored is a
-		// zero, and so is a stored zero, which is at or above the bound.
-		for w.at > 0 || w.ri > 0 {
-			if w.at == 0 || w.ri > 0 && w.roster[w.ri-1] > es[w.at-1].DocID {
-				w.ri--
-				w.cur = Entry{DocID: w.roster[w.ri]}
-				return
-			}
-			w.at--
-			e := es[w.at]
-			if w.ri > 0 && w.roster[w.ri-1] == e.DocID {
-				w.ri--
-			}
-			if e.Value == 0 {
-				w.cur = e
-				return
-			}
-		}
-		w.lowestAbove(0)
-		return
-	}
-	k := w.cur.Value
+	es, k := w.h.entries, w.cur.Value
 	for i := w.at - 1; i >= 0; i-- {
 		if w.h.key(es[i]) == k {
 			w.cur, w.at = w.h.ranked(es[i]), i
 			return
 		}
 	}
-	w.lowestAbove(k)
-}
-
-// lowestAbove moves the walk to the lowest stored entry whose key exceeds
-// k.
-func (w *floorWalk) lowestAbove(k int32) {
 	w.cur = Entry{Value: math.MaxInt32}
-	for i, e := range w.h.entries {
+	for i, e := range es {
 		// Ids ascend, so an equal key later is a larger id: it ranks lower.
 		if x := w.h.ranked(e); x.Value > k && x.Value <= w.cur.Value {
 			w.cur, w.at = x, i
@@ -796,270 +507,76 @@ func (w *floorWalk) lowestAbove(k int32) {
 	}
 }
 
-// letGo records that cell c, full after a batch, let id go, the smallest
-// id it let go: the cell counts what it holds, and an id below the bound
-// lowers it.
-func (s *RTKSketch) letGo(c int, id int32, cap int) {
-	s.setHeld(c, cap)
-	if h := &s.cells[c]; id < h.below {
-		h.below = id
-	}
-}
-
-// settleOver settles cell c when the batch takes it to the cap or past
-// it: of the n entries it held and the batch's, the cap ranking highest
-// stay. The cut — the smallest that stays, the new floor — is found by
-// class: negative keys rank below every zero, zeros below every positive
-// key, and zeros among themselves by id, the largest lowest. A cut among
-// the negative or the positive keys is selected from that class alone
-// (selectRank); a cut among the zeros is a count of how many stay, the
-// smallest ids. One walk up the ids then decides every entry and writes
-// what the cell stores under keep's rule: the first id let go is the
-// smallest, the new bound unless the old one is lower, and a zero that
-// stays above it is stored.
-func (s *RTKSketch) settleOver(c, cap, n int, batch []Entry, ids []int32, sc *settleScratch) {
-	h := &s.cells[c]
-	negs, poss := h.rankNonZero(sc, batch)
-	neg, pos := len(negs), len(poss)
-	drop := n + len(ids) - cap
-	zeros := n + len(ids) - neg - pos
-	st := settlement{h: h, cut: Entry{DocID: noBound}, keepZeros: zeros, out: sc.out[:0]}
-	switch {
-	case drop < neg:
-		st.cut = selectRank(negs, drop)
-	case drop < neg+zeros:
-		st.keepZeros = zeros - (drop - neg)
-	default:
-		st.keepZeros = 0
-		st.cut = selectRank(poss, drop-neg-zeros)
-	}
-	// Below the bound the ids are the roster's: the non-zero entries,
-	// stored or the batch's, met one at a time, and zeros — implied ones
-	// and the batch's — in runs between them, each run decided at once.
-	// Once an id has gone and no more zeros stay, the runs left decide
-	// nothing, and the roster is not walked further.
-	pre := s.roster[:heldPrefix(s.roster, h.below)]
-	es, p, si, li := h.entries, 0, 0, 0
-	for {
-		var e Entry
-		switch {
-		case li < len(batch) && batch[li].DocID < h.below && (si == len(es) || batch[li].DocID < es[si].DocID):
-			e, li = batch[li], li+1
-		case si < len(es) && es[si].DocID < h.below:
-			e, si = es[si], si+1
-		}
-		if e.Value == 0 { // none left below the bound
-			break
-		}
-		if !st.zerosDecided() {
-			if q := p; pre[q] != e.DocID { // a run of zeros first
-				for pre[q] != e.DocID {
-					q++
-				}
-				st.zeroRun(pre[p:q])
-				p = q
-			}
-			p++
-		}
-		st.visit(e)
-	}
-	if !st.zerosDecided() {
-		st.zeroRun(pre[p:])
-	}
-	// At and above the bound: the stored entries, and every id of the batch.
-	for bi := heldPrefix(ids, h.below); si < len(es) || bi < len(ids); {
-		if bi == len(ids) || si < len(es) && es[si].DocID < ids[bi] {
-			st.visit(es[si])
-			si++
-			continue
-		}
-		e := Entry{DocID: ids[bi]}
-		if bi++; li < len(batch) && batch[li].DocID == e.DocID {
-			e, li = batch[li], li+1
-		}
-		st.visit(e)
-	}
-	h.entries, sc.out = append(h.entries[:0], st.out...), st.out
-	switch {
-	case st.lost:
-		s.letGo(c, st.first, cap)
-	case s.held != nil && s.held[c] >= 0:
-		s.held[c] = int32(cap)
-	}
-	if st.cut.Value == 0 { // among the zeros
-		st.cut.DocID = st.lastZero
-	}
-	h.floorKey, h.floorDoc = st.cut.Value, st.cut.DocID
-}
-
-// rankNonZero returns, ranked, the stored and the batch's entries whose
-// key is negative, and those whose key is positive.
-func (h *cellHeap) rankNonZero(sc *settleScratch, batch []Entry) (negs, poss []Entry) {
-	negs, poss = sc.negs[:0], sc.poss[:0]
-	for _, es := range [2][]Entry{h.entries, batch} {
-		for _, e := range es {
-			switch x := h.ranked(e); {
-			case x.Value > 0:
-				poss = append(poss, x)
-			case x.Value < 0:
-				negs = append(negs, x)
-			}
-		}
-	}
-	sc.negs, sc.poss = negs, poss
-	return negs, poss
-}
-
-// settlement is settleOver's walk up a cell's ids: what stays, and what
-// the cell stores of it.
-type settlement struct {
-	h         *cellHeap
-	cut       Entry // ranked: a non-zero entry stays iff it does not order below
-	keepZeros int   // how many zeros stay: the smallest ids
-	zeros     int   // zeros met so far
-	lastZero  int32 // the largest id of a zero that stays
-	lost      bool  // some id has been let go
-	first     int32 // the first id let go, which is the smallest
-	out       []Entry
-}
-
-// visit decides e, the next id up.
-func (st *settlement) visit(e Entry) {
-	switch {
-	case e.Value == 0:
-		st.zeroRun([]int32{e.DocID})
-	case rankLess(st.h.ranked(e), st.cut):
-		st.lose(e.DocID)
-	default:
-		st.out = append(st.out, e)
-	}
-}
-
-// lose notes that id goes.
-func (st *settlement) lose(id int32) {
-	if !st.lost {
-		st.lost, st.first = true, id
-	}
-}
-
-// zeroRun decides a run of zeros, ids ascending and all on one side of
-// the bound: while fewer than keepZeros zeros have stayed they stay —
-// stored if at or above the bound, or once an id below them has gone —
-// and the rest go.
-func (st *settlement) zeroRun(run []int32) {
-	stay := min(len(run), max(0, st.keepZeros-st.zeros))
-	if stay > 0 {
-		st.lastZero = run[stay-1]
-		if st.lost || run[0] >= st.h.below {
-			for _, id := range run[:stay] {
-				st.out = append(st.out, Entry{DocID: id})
-			}
-		}
-	}
-	if stay < len(run) {
-		st.lose(run[stay])
-	}
-	st.zeros += len(run)
-}
-
-// zerosDecided reports whether every zero still to come goes without
-// changing anything: an id has gone already, so none is stored, and no
-// more zeros stay.
-func (st *settlement) zerosDecided() bool { return st.lost && st.zeros >= st.keepZeros }
-
-// rosterPos is heldPrefix(roster, id), found without a search when the
-// roster runs consecutively from its first id up to id, as a corpus
-// numbered from its first document does until one is removed.
-func rosterPos(roster []int32, id int32) int {
-	if n := int64(len(roster)); n > 0 {
-		if at := int64(id) - int64(roster[0]); 0 <= at && at <= n && (at == 0 || roster[at-1] < id) && (at == n || roster[at] >= id) {
-			return int(at)
-		}
-	}
-	return heldPrefix(roster, id)
-}
-
-// heldPrefix returns how many ids of ascending roster are below bound.
-func heldPrefix(roster []int32, bound int32) int {
-	i, _ := slices.BinarySearch(roster, bound)
-	return i
-}
-
-// appendView appends to dst the entries cell h holds under roster, in
-// DocID order: its stored entries merged with a zero for every live id
-// below its bound that it does not store. Every stored id below the bound
-// is on the roster, so the stored entries past the roster prefix are the
-// ones at or above the bound.
-func appendView(dst []Entry, h *cellHeap, roster []int32) []Entry {
+// settleOver settles the cell when the batch takes it to the cap or past
+// it: of the entries it stored and the batch's, the cap ranking highest
+// stay. The cut — the lowest that stays, the new floor — is selected
+// among them all (selectRank), and one merge up the ids writes what
+// stays.
+func (h *cellHeap) settleOver(cap int, batch []Entry, sc *settleScratch) {
 	es := h.entries
-	j := 0
-	for _, r := range roster[:heldPrefix(roster, h.below)] {
-		if j < len(es) && es[j].DocID == r {
-			dst = append(dst, es[j])
-			j++
+	ranked := sc.ranked[:0]
+	for _, e := range es {
+		ranked = append(ranked, h.ranked(e))
+	}
+	for _, e := range batch {
+		ranked = append(ranked, h.ranked(e))
+	}
+	cut := selectRank(ranked, len(ranked)-cap)
+	out, at := sc.out[:0], 0
+	for i, j := 0, 0; i < len(es) || j < len(batch); {
+		var e Entry
+		if j == len(batch) || i < len(es) && es[i].DocID < batch[j].DocID {
+			e, i = es[i], i+1
 		} else {
-			dst = append(dst, Entry{DocID: r})
+			e, j = batch[j], j+1
+		}
+		if x := h.ranked(e); !rankLess(x, cut) {
+			if x == cut {
+				at = len(out)
+			}
+			out = append(out, e)
 		}
 	}
-	return append(dst, es[j:]...)
+	h.entries = append(h.entries[:0], out...)
+	h.floorKey, h.floorDoc, h.floorAt = cut.Value, cut.DocID, int32(at)
+	sc.ranked, sc.out = ranked, out
 }
 
 // Delete removes document docID, which must be summarized, from every
-// cell (Algorithm 4's deletion: enumerate all cells and drop the
-// document) and returns the number of cells that held it. table is the
-// document's compact table, read a row at a time, or nil if the caller no
-// longer has it. With it, while every cell holds every live id, only the
-// cells the table marks non-zero store the document and only they are
-// visited; once some cell has let a document go — or for id
-// math.MaxInt32, whose zeros are stored — every cell is, but a cell whose
-// roster implies the document's zero is not searched, and a full cell
-// whose cached floor orders above the document's own entry is skipped
-// without touching its slab: an entry a full cell holds orders at or above
-// its floor.
+// cell (Algorithm 4's deletion) and returns the number of cells that held
+// it. table is the document's compact table, read a row at a time, or nil
+// if the caller no longer has it. With it, only the cells of the
+// document's row — those it put a non-zero value in — are visited, and a
+// full cell whose cached floor orders above the document's entry is
+// skipped without touching its slab: an entry a full cell holds orders at
+// or above its floor. Without it every cell is searched.
 func (s *RTKSketch) Delete(docID int, table *sketch.Compact) int {
 	id := int32(docID) // summarized, so checkDoc saw it fit
-	live, cap, w := len(s.roster), s.params.HeapCap(), s.params.W
-	marked := table != nil && s.held == nil && id != noBound
+	s.docs--
 	held := 0
-	for i := 0; i < s.params.Z; i++ {
-		var row []sketch.RowCell
-		if table != nil {
-			row = table.AppendRow(s.row[:0], i)
-			s.row = row
-		}
-		if marked {
-			for _, rc := range row {
-				s.cells[i*w+rc.Col].remove(id)
+	if table == nil {
+		for c := range s.cells {
+			if s.cells[c].remove(id) {
+				held++
 			}
-			held += w
-			continue
 		}
-		for j, k := 0, 0; j < w; j++ {
-			c, e := i*w+j, Entry{DocID: id}
-			if k < len(row) && row[k].Col == j {
-				e.Value, k = int32(row[k].Value), k+1
+		return held
+	}
+	cap, w := s.params.HeapCap(), s.params.W
+	for a := 0; a < s.params.Z; a++ {
+		s.row = table.AppendRow(s.row[:0], a)
+		for _, rc := range s.row {
+			h := &s.cells[a*w+rc.Col]
+			e := Entry{DocID: id, Value: int32(rc.Value)}
+			if len(h.entries) == cap && !h.beats(e) && id != h.floorDoc {
+				continue // below the floor
 			}
-			if s.cells[c].drop(e, table != nil, s.load(c, live) == cap) {
-				s.count(c, -1)
+			if h.remove(id) {
 				held++
 			}
 		}
 	}
-	s.unenroll(id)
 	return held
-}
-
-// drop takes e's document out of the cell and reports whether the cell
-// held it. known says whether e's value is the document's, full whether
-// the cell is at capacity.
-func (h *cellHeap) drop(e Entry, known, full bool) bool {
-	switch {
-	case known && e.Value == 0 && e.DocID < h.below:
-		return true // an implied zero: the roster lets it go
-	case known && full && !h.beats(e) && e.DocID != h.floorDoc:
-		return false // below the floor, which every entry held orders at or above
-	}
-	return h.remove(e.DocID) || e.DocID < h.below
 }
 
 // AbsEvictionKeys reports whether cell eviction ranks entries by
@@ -1151,7 +668,9 @@ func MergeRTKResponses(parts []*RTKResponse, heapCap int, abs bool, mech dp.Mech
 				out += putRun(row, out, run.IDs, run.Values, rel)
 			}
 		}
-		resp.Cells[a] = row
+		if keep > 0 { // an empty row stays the zero RTKCell, as a decoder leaves it
+			resp.Cells[a] = row
+		}
 		rel.cell(row.IDs)
 		ids, vals = ids[keep:], vals[keep:]
 	}
@@ -1249,8 +768,6 @@ const smallOverflow = 16
 // -math.MaxInt32 otherwise, since no value is smaller (fitsValue). Every
 // entry not yet seen has a smaller id and a key at least that large, and
 // a key tie ranks the smaller id higher, so none orders below one kept.
-// Most candidates of a shard's reply are zeros, so under abs the scan
-// stops a few entries after it has met k of them.
 func (sc *mergeScratch) drops(rows []RTKCell, k int, abs bool) []int32 {
 	order := cellHeap{abs: abs}
 	floor := int32(-math.MaxInt32)
@@ -1361,82 +878,17 @@ func selectRank(es []Entry, k int) Entry {
 // Cell returns the entries of cell (row, col) in ascending DocID order.
 // This is the owner-side lookup of Algorithm 5: the querier asks for the
 // cells its term hashes to. The order makes responses (and therefore wire
-// encodings and snapshots) independent of ingestion history, and a cell
-// whose roster implies zeros hands out its merged view, those zeros
-// included. The slice is the sketch's own storage: it is valid until the
-// sketch's next mutation or Cell and must not be modified.
+// encodings and snapshots) independent of ingestion history. The slice is
+// the sketch's own storage: it is valid until the sketch's next mutation
+// and must not be modified.
 func (s *RTKSketch) Cell(row int, col uint32) []Entry {
-	return s.cellView(row*s.params.W + int(col))
-}
-
-// cellView is Cell by row-major cell index.
-func (s *RTKSketch) cellView(c int) []Entry {
-	h := &s.cells[c]
-	if s.load(c, len(s.roster)) == len(h.entries) {
-		return h.entries // nothing implied
-	}
-	s.view = appendView(s.view[:0], h, s.roster)
-	return s.view
-}
-
-// cellLen returns the length of Cell(row, col) without materializing it.
-func (s *RTKSketch) cellLen(row int, col uint32) int {
-	return s.load(row*s.params.W+int(col), len(s.roster))
-}
-
-// answerCell writes Cell(row, col) into a reply's row — ids, and values
-// released by rel, cellLen(row, col) of each. The merged view goes
-// straight into the row.
-func (s *RTKSketch) answerCell(row int, col uint32, ids []int32, vals []float64, rel *rtkRelease) {
-	h := &s.cells[row*s.params.W+int(col)]
-	es := h.entries
-	if len(ids) == len(es) { // nothing implied
-		for i, e := range es {
-			ids[i], vals[i] = e.DocID, rel.value(e.Value)
-		}
-		return
-	}
-	// The roster's ids below the bound go out as zeros, copied with no
-	// branch on the content; then the stored entries among them are
-	// written over their zeros, and the ones at or above the bound follow.
-	below, roster := h.below, s.roster
-	n := heldPrefix(roster, below)
-	copy(ids, roster[:n])
-	zero := rel.value(0)
-	for i := range vals[:n] {
-		vals[i] = zero
-	}
-	p, j := 0, 0
-	for ; j < len(es) && es[j].DocID < below; j++ {
-		e := es[j]
-		for roster[p] != e.DocID {
-			p++
-		}
-		vals[p] = rel.value(e.Value)
-		p++
-	}
-	for i, e := range es[j:] {
-		ids[n+i], vals[n+i] = e.DocID, rel.value(e.Value)
-	}
+	return s.cells[row*s.params.W+int(col)].entries
 }
 
 // SizeBytes returns the space metric of Fig. 4: 8 bytes (4 for the doc
-// id, 4 for the value) per entry the cells hold, zero entries included.
-// It counts what the paper's sketch holds, not what is resident: the
-// zeros the roster implies are not stored (see residentBytes).
+// id, 4 for the value) per entry the cells hold.
 func (s *RTKSketch) SizeBytes() int64 {
 	n := int64(0)
-	for c := range s.cells {
-		n += int64(8 * s.load(c, len(s.roster)))
-	}
-	return n
-}
-
-// residentBytes returns what the sketch holds in memory: 8 bytes per
-// stored entry, 4 per roster id, and 4 per cell count and 4 per floor
-// position once they are kept.
-func (s *RTKSketch) residentBytes() int64 {
-	n := int64(4 * (len(s.roster) + len(s.held) + len(s.floorAt)))
 	for c := range s.cells {
 		n += int64(8 * len(s.cells[c].entries))
 	}
@@ -1448,7 +900,7 @@ func (s *RTKSketch) residentBytes() int64 {
 func (s *RTKSketch) MaxCellLoad() int {
 	most := 0
 	for c := range s.cells {
-		most = max(most, s.load(c, len(s.roster)))
+		most = max(most, len(s.cells[c].entries))
 	}
 	return most
 }

@@ -99,13 +99,10 @@ type Fig4Point struct {
 	// RTKQueryMicros and NaiveQueryMicros are mean per-term query times.
 	RTKQueryMicros   float64
 	NaiveQueryMicros float64
-	// Space in bytes at the owner: the paper's logical RTK-Sketch size
-	// (every entry a cell holds) and the NAIVE tables', and what the
-	// RTK-Sketch occupies in memory (the zeros its roster implies are not
-	// stored).
-	RTKSpaceBytes    int64
-	NaiveSpaceBytes  int64
-	RTKResidentBytes int64
+	// Space in bytes at the owner: the RTK-Sketch's (every entry a cell
+	// holds) and the NAIVE tables'.
+	RTKSpaceBytes   int64
+	NaiveSpaceBytes int64
 	// Traffic per query in bytes (owner -> querier).
 	RTKRespBytes   int64
 	NaiveRespBytes int64
@@ -184,7 +181,6 @@ func runFig4Point(cfg Fig4Config, params core.Params, w *fig4Workload, param str
 	}
 	pt.RTKSpaceBytes = owner.RTKSizeBytes()
 	pt.NaiveSpaceBytes = owner.NaiveSizeBytes()
-	pt.RTKResidentBytes = owner.RTKResidentBytes()
 
 	var coverSum float64
 	var rtkTime time.Duration

@@ -60,7 +60,7 @@ func RenderTable1(res *Table1Result) string {
 func RenderFig4(points []Fig4Point) string {
 	var b strings.Builder
 	tw := tabwriter.NewWriter(&b, 2, 4, 2, ' ', 0)
-	wprintln(tw, "param\tvalue\tcover-rate\trtk-us\tnaive-us\trtk-KB\trtk-resident-KB\tnaive-KB\trtk-resp-B\tnaive-resp-B")
+	wprintln(tw, "param\tvalue\tcover-rate\trtk-us\tnaive-us\trtk-KB\tnaive-KB\trtk-resp-B\tnaive-resp-B")
 	for _, p := range points {
 		naiveUs := "-"
 		if p.NaiveQueryMicros > 0 {
@@ -70,9 +70,9 @@ func RenderFig4(points []Fig4Point) string {
 		if p.NaiveRespBytes > 0 {
 			naiveResp = fmt.Sprintf("%d", p.NaiveRespBytes)
 		}
-		wprintf(tw, "%s\t%g\t%.3f\t%.1f\t%s\t%.1f\t%.1f\t%.1f\t%d\t%s\n",
+		wprintf(tw, "%s\t%g\t%.3f\t%.1f\t%s\t%.1f\t%.1f\t%d\t%s\n",
 			p.Param, p.Value, p.CoverRate, p.RTKQueryMicros, naiveUs,
-			float64(p.RTKSpaceBytes)/1024, float64(p.RTKResidentBytes)/1024, float64(p.NaiveSpaceBytes)/1024,
+			float64(p.RTKSpaceBytes)/1024, float64(p.NaiveSpaceBytes)/1024,
 			p.RTKRespBytes, naiveResp)
 	}
 	flushTable(tw)
@@ -81,13 +81,13 @@ func RenderFig4(points []Fig4Point) string {
 
 // WriteFig4CSV writes a sweep as CSV.
 func WriteFig4CSV(w io.Writer, points []Fig4Point) error {
-	if _, err := fmt.Fprintln(w, "param,value,cover_rate,rtk_us,naive_us,rtk_space_bytes,rtk_resident_bytes,naive_space_bytes,rtk_resp_bytes,naive_resp_bytes"); err != nil {
+	if _, err := fmt.Fprintln(w, "param,value,cover_rate,rtk_us,naive_us,rtk_space_bytes,naive_space_bytes,rtk_resp_bytes,naive_resp_bytes"); err != nil {
 		return err
 	}
 	for _, p := range points {
-		if _, err := fmt.Fprintf(w, "%s,%g,%.6f,%.3f,%.3f,%d,%d,%d,%d,%d\n",
+		if _, err := fmt.Fprintf(w, "%s,%g,%.6f,%.3f,%.3f,%d,%d,%d,%d\n",
 			p.Param, p.Value, p.CoverRate, p.RTKQueryMicros, p.NaiveQueryMicros,
-			p.RTKSpaceBytes, p.RTKResidentBytes, p.NaiveSpaceBytes, p.RTKRespBytes, p.NaiveRespBytes); err != nil {
+			p.RTKSpaceBytes, p.NaiveSpaceBytes, p.RTKRespBytes, p.NaiveRespBytes); err != nil {
 			return err
 		}
 	}

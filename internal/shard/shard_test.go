@@ -15,6 +15,7 @@ import (
 	"csfltr/internal/resilience"
 	"csfltr/internal/sketch"
 	"csfltr/internal/telemetry"
+	"csfltr/internal/wire"
 )
 
 const testSeed = 0x5eed
@@ -81,6 +82,54 @@ func queryCols(p core.Params, salt int) *core.TFQuery {
 		cols[i] = uint32((i*31 + salt*7 + 3) % p.W)
 	}
 	return &core.TFQuery{Cols: cols}
+}
+
+// TestRTKRepliesHoldNoZeros: an RTK-Sketch cell holds only what
+// documents put in it, so at epsilon = 0, where a reply's values are the
+// cells' own, no reply entry is zero and no row holds more than alpha*K
+// entries — from a 1 x 1 group (its owner), from a 2 x 2 group's merge
+// of its shards' replies, and after a version 2 wire frame round trip of
+// either. The corpus overflows the cap, and the replies must hold
+// entries, full rows among them.
+func TestRTKRepliesHoldNoZeros(t *testing.T) {
+	docs := testDocs(120, 11)
+	p := testParams()
+	full := 0
+	for _, fan := range [][2]int{{1, 1}, {2, 2}} {
+		g := newGroup(t, fan[0], fan[1], docs)
+		for salt := 0; salt < 8; salt++ {
+			resp, err := g.AnswerRTK(queryCols(p, salt))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frame := wire.AppendRTKResponse(nil, resp)
+			if frame[0] != wire.VersionRTK {
+				t.Fatalf("the frame is version %d, want %d", frame[0], wire.VersionRTK)
+			}
+			decoded, err := wire.DecodeRTKResponse(frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, r := range map[string]*core.RTKResponse{"reply": resp, "decoded frame": decoded} {
+				for a, c := range r.Cells {
+					if len(c.IDs) > p.HeapCap() {
+						t.Fatalf("%d x %d, salt %d, %s: row %d holds %d entries, cap %d", fan[0], fan[1], salt, name, a, len(c.IDs), p.HeapCap())
+					}
+					if len(c.IDs) == p.HeapCap() {
+						full++
+					}
+					for i, v := range c.Values {
+						if v == 0 {
+							t.Fatalf("%d x %d, salt %d, %s: row %d holds document %d at zero", fan[0], fan[1], salt, name, a, c.IDs[i])
+						}
+					}
+				}
+			}
+		}
+	}
+	if full == 0 {
+		t.Fatal("setup: no reply row is full; the corpus does not overflow the cap")
+	}
 }
 
 // TestScatterGatherBitIdentical is the core determinism contract: for
@@ -480,8 +529,9 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 
 // TestChurnMatchesSingleOwner runs the write-beside-read cycle — ingest
 // one document, search, remove one — for 200 steps on a 4 x 2 group whose
-// shards stay under the cap while their union overflows it, so every
-// answer is cut by the facade merge. Spare ids come round again and
+// shards stay under the cap while their union overflows it in the cells
+// of a term every document holds (commonTerm), so every answer is cut by
+// the facade merge. Spare ids come round again and
 // again, one step behind their removal, so an ingest lands now above
 // every live id and now below; every fifth step a document from the
 // middle of some shard's range leaves and returns. After every step the
@@ -494,16 +544,15 @@ func TestRemoveDocumentMatchesSingleOwner(t *testing.T) {
 //
 // Then a shard churns across the cap: it holds cap − 1 documents, the
 // largest ids, and goes to cap + 1 and back, lap after lap, each time
-// with other documents. Its owners' cells hold every live id until the
-// document past the cap and lower their bounds from then on; what a cell
-// loses that way is the entry the cell ranks last — a zero with a large
-// id — which the other shards' documents keep out of the union's top cap
-// as well, so the group still answers what the single owner does, at
-// cap + 1 and after each way back.
+// with other documents. Its owners' common-term cells hold every live id
+// until the document past the cap; what such a cell loses is the entry it
+// ranks last, which cannot be in the union's top cap either (an entry
+// there is in its own shard's), so the group still answers what the
+// single owner does, at cap + 1 and after each way back.
 func TestChurnMatchesSingleOwner(t *testing.T) {
 	p := testParams()
 	p.K = 18 // HeapCap 36: shards hold 10-12 documents, their union 40-42
-	all := testDocs(48, 43)
+	all := withCommonTerm(testDocs(48, 43))
 	for i := range all {
 		all[i].DocID = i
 	}
@@ -529,7 +578,7 @@ func TestChurnMatchesSingleOwner(t *testing.T) {
 	// Across the cap, in blocks of 40 ids: shard 3 holds 120-154, the cap
 	// less one, and 155-159 come and go; shards 0 and 1 hold six smaller
 	// ids between them.
-	all = testDocs(46, 47)
+	all = withCommonTerm(testDocs(46, 47))
 	for i := range all {
 		all[i].DocID = []int{0, 1, 2, 3, 40, 41}[min(i, 5)]
 		if i >= 6 {
@@ -570,7 +619,7 @@ func TestChurnMatchesSingleOwnerUnderBothKinds(t *testing.T) {
 		t.Run(fmt.Sprint(kind), func(t *testing.T) {
 			p := testParams()
 			p.K, p.SketchKind = 18, kind // HeapCap 36
-			all := testDocs(46, 53)
+			all := withCommonTerm(testDocs(46, 53))
 			for i := range all {
 				all[i].DocID = []int{0, 1, 2, 3, 40, 41}[min(i, 5)]
 				if i >= 6 {
@@ -595,12 +644,27 @@ func TestChurnMatchesSingleOwnerUnderBothKinds(t *testing.T) {
 	}
 }
 
-// churnGroup is a 4 x 2 group beside the documents it holds.
+// commonTerm is a term every churn document holds, at a count no sum of
+// its other terms' reaches, so no collision cancels it: in every row,
+// its cell holds a non-zero entry of every live document.
+const commonTerm = 999
+
+// withCommonTerm adds commonTerm to every document of docs.
+func withCommonTerm(docs []core.DocCounts) []core.DocCounts {
+	for i := range docs {
+		docs[i].Counts[commonTerm] = int64(100 + i%7)
+	}
+	return docs
+}
+
+// churnGroup is a 4 x 2 group beside the documents it holds, and the
+// column commonTerm hashes to in row 0.
 type churnGroup struct {
-	t    *testing.T
-	p    core.Params
-	g    *Group
-	live map[int]core.DocCounts
+	t      *testing.T
+	p      core.Params
+	g      *Group
+	live   map[int]core.DocCounts
+	common uint32
 }
 
 func newChurnGroup(t *testing.T, p core.Params, blockSize int, base []core.DocCounts) *churnGroup {
@@ -614,7 +678,11 @@ func newChurnGroup(t *testing.T, p core.Params, blockSize int, base []core.DocCo
 	if err := g.AddDocuments(base); err != nil {
 		t.Fatal(err)
 	}
-	c := &churnGroup{t: t, p: p, g: g, live: make(map[int]core.DocCounts)}
+	fam, err := p.Family(testSeed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &churnGroup{t: t, p: p, g: g, live: make(map[int]core.DocCounts), common: fam.Index(0, commonTerm)}
 	for _, d := range base {
 		c.live[d.DocID] = d
 	}
@@ -637,9 +705,10 @@ func (c *churnGroup) remove(id int) {
 	delete(c.live, id)
 }
 
-// check asks the group three queries and requires, bit for bit, what a
-// single owner built afresh from the live documents answers — an answer
-// the facade merge cut at the cap.
+// check asks the group three queries, each addressing commonTerm's cell
+// in row 0, and requires, bit for bit, what a single owner built afresh
+// from the live documents answers — an answer the facade merge cut at the
+// cap.
 func (c *churnGroup) check(step int) {
 	c.t.Helper()
 	docs := make([]core.DocCounts, 0, len(c.live))
@@ -655,6 +724,7 @@ func (c *churnGroup) check(step int) {
 	}
 	for salt := 0; salt < 3; salt++ {
 		q := queryCols(c.p, step+salt)
+		q.Cols[0] = c.common
 		got, err := c.g.AnswerRTK(q)
 		if err != nil {
 			c.t.Fatal(err)

@@ -55,9 +55,9 @@ func geometryResponse(seed int64) *core.RTKResponse {
 // ownerResponse is the reply an owner releases at the benchmark geometry
 // (30 cells of alpha*K = 250, epsilon 0.5) over 400 documents of 120
 // Zipf(1.1) tokens, for a term the querier plans: unlike
-// geometryResponse's, its values are a few dozen counts in long runs of
-// equal ones (most of them zero) plus the noise draw, and its id deltas
-// pack at 2 to 6 bits. Everything is drawn from seed.
+// geometryResponse's, its values are a few dozen non-zero counts in runs
+// of equal ones plus the noise draw, and its id deltas pack at 3 to 6
+// bits. Everything is drawn from seed.
 func ownerResponse(tb testing.TB, seed int64) *core.RTKResponse {
 	tb.Helper()
 	p := core.DefaultParams()
