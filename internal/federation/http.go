@@ -361,7 +361,11 @@ func HTTPHandler(s *Server) http.Handler {
 			resp := resps[0]
 			out := httpRTKResponse{Cells: make([]httpRTKCell, len(resp.Cells))}
 			for i, c := range resp.Cells {
-				out.Cells[i] = httpRTKCell{IDs: c.IDs, Values: c.Values}
+				ids, vals := c.IDs, c.Values
+				if ids == nil { // an empty cell is the zero RTKCell: JSON clients read [], not null
+					ids, vals = []int32{}, []float64{}
+				}
+				out.Cells[i] = httpRTKCell{IDs: ids, Values: vals}
 			}
 			writeJSON(w, http.StatusOK, out)
 			resp.Release() // out aliased its rows until the body was encoded

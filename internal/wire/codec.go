@@ -474,6 +474,9 @@ func decodeRTKCells(cells []core.RTKCell, ids []int32, vals []float64, rest []by
 		if rest, err = decodeValues(c.Values, r2); err != nil {
 			return err
 		}
+		if n == 0 {
+			*c = core.RTKCell{} // an empty cell is the zero RTKCell, as version 2 and the owner leave it
+		}
 	}
 	if len(rest) != 0 {
 		return fmt.Errorf("%w: trailing bytes", ErrMalformed)

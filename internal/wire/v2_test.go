@@ -252,6 +252,9 @@ func TestV1GoldenDecodes(t *testing.T) {
 	if !respEqual(got, goldenV1Response()) {
 		t.Fatal("the version 1 golden frame decodes to another reply")
 	}
+	if c := got.Cells[4]; c.IDs != nil || c.Values != nil {
+		t.Fatalf("the empty cell decodes to %#v, want the zero RTKCell version 2 and the owner give", c)
+	}
 }
 
 // goldenV2Seed is the seed of the owner reply testdata/rtk_v2.golden
