@@ -29,6 +29,45 @@ func batchQueries(q *Querier, k int) ([]*Plan, []*TFQuery) {
 	return plans, qs
 }
 
+// rtkBatch is RTKWithPlans into new lists: the documents and costs per
+// plan, or no documents on error.
+func rtkBatch(plans []*Plan, owner OwnerAPI, k int) ([][]DocCount, []Cost, error) {
+	docs, costs := make([][]DocCount, len(plans)), make([]Cost, len(plans))
+	if err := RTKWithPlans(plans, owner, k, docs, costs); err != nil {
+		return nil, costs, err
+	}
+	return docs, costs, nil
+}
+
+// TestRTKWithPlansInPlace: lists recovered into disjoint ranges of one
+// slab stay in their ranges — each is where its range begins and within
+// its capacity — and equal the lists recovered into new memory.
+func TestRTKWithPlansInPlace(t *testing.T) {
+	q, o := leaseGeometry(t)
+	plans, _ := batchQueries(q, 3)
+	const k = 10
+	want, wantCosts, err := rtkBatch(plans, o, k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slab := make([]DocCount, len(plans)*k)
+	docs, costs := make([][]DocCount, len(plans)), make([]Cost, len(plans))
+	for i := range docs {
+		docs[i] = slab[i*k : i*k : (i+1)*k]
+	}
+	if err := RTKWithPlans(plans, o, k, docs, costs); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(docs, want) || !reflect.DeepEqual(costs, wantCosts) {
+		t.Fatalf("in place: %v at %+v, want %v at %+v", docs, costs, want, wantCosts)
+	}
+	for i, d := range docs {
+		if len(d) == 0 || &d[0] != &slab[i*k] || cap(d) != k {
+			t.Fatalf("list %d (%d entries, capacity %d) left its range of the slab", i, len(d), cap(d))
+		}
+	}
+}
+
 // TestAnswerRTKBatchDrawsInQueryOrder: a batch is answered with the
 // draws its queries would have got one by one — the i-th reply carries
 // the i-th draw — so grouping a search's terms moves no noise.
@@ -155,7 +194,7 @@ func TestLeaseBatchRepliesAllReleased(t *testing.T) {
 	}
 
 	whole := &handedOut{OwnerAPI: o, spoil: -1}
-	docs, costs, err := RTKWithPlans(plans, whole, 10)
+	docs, costs, err := rtkBatch(plans, whole, 10)
 	if err != nil || !reflect.DeepEqual(docs, wantDocs) || !reflect.DeepEqual(costs, wantCosts) {
 		t.Fatalf("batched recovery: %v at %+v (%v), want %v at %+v", docs, costs, err, wantDocs, wantCosts)
 	}
@@ -164,7 +203,7 @@ func TestLeaseBatchRepliesAllReleased(t *testing.T) {
 	}
 
 	spoiled := &handedOut{OwnerAPI: o, spoil: 1}
-	docs, _, err = RTKWithPlans(plans, spoiled, 10)
+	docs, _, err = rtkBatch(plans, spoiled, 10)
 	if !errors.Is(err, ErrBadQuery) || docs != nil {
 		t.Fatalf("a batch with a refused reply: (%v, %v), want no documents and ErrBadQuery", docs, err)
 	}
@@ -174,7 +213,7 @@ func TestLeaseBatchRepliesAllReleased(t *testing.T) {
 
 	// One plan is the batch of one: asked as AnswerRTK, released alike.
 	lone := &handedOut{OwnerAPI: o, spoil: -1}
-	if docs, _, err := RTKWithPlans(plans[:1], lone, 10); err != nil || !reflect.DeepEqual(docs[0], wantDocs[0]) {
+	if docs, _, err := rtkBatch(plans[:1], lone, 10); err != nil || !reflect.DeepEqual(docs[0], wantDocs[0]) {
 		t.Fatalf("a batch of one: %v (%v), want %v", docs, err, wantDocs[0])
 	}
 	if len(lone.seen) != 1 || !released(lone.seen) {

@@ -1677,7 +1677,7 @@ func TestRTKScratchIndependentOfIDSpan(t *testing.T) {
 	}
 	var sc rtkScratch
 	var cost Cost
-	if _, err := sc.recover(plan, resp, 50, &cost); err != nil {
+	if _, err := sc.recover(plan, resp, 50, &cost, nil); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := cap(sc.slots), window*p.Z1; got != want {

@@ -71,48 +71,57 @@ func NaiveWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) 
 func RTKReverseTopK(q *Querier, owner OwnerAPI, term uint64, k int) ([]DocCount, Cost, error) {
 	sc := planScratchPool.Get().(*planScratch)
 	defer planScratchPool.Put(sc)
-	q.planInto(&sc.plan, term)
+	q.PlanInto(&sc.plan, term)
 	return RTKWithPlan(&sc.plan, owner, k)
 }
 
 // RTKWithPlan is RTKReverseTopK over a prebuilt query plan (see
-// Querier.Plan): RTKWithPlans for one plan. Cost accounting is
-// identical to the build-per-call path — the query is still sent (and
-// its bytes counted) once per owner.
+// Querier.Plan): RTKWithPlans for one plan, returning a list the caller
+// keeps. Cost accounting is identical to the build-per-call path — the
+// query is still sent (and its bytes counted) once per owner.
 //
 //csfltr:deterministic
 func RTKWithPlan(plan *Plan, owner OwnerAPI, k int) ([]DocCount, Cost, error) {
-	var docs [1][]DocCount
+	sc := rtkScratchPool.Get().(*rtkScratch)
+	defer rtkScratchPool.Put(sc)
+	docs := [1][]DocCount{sc.candidates[:0]}
 	var costs [1]Cost
-	err := rtkWithPlans([]*Plan{plan}, owner, k, docs[:], costs[:])
-	return docs[0], costs[0], err
+	if err := sc.rtkWithPlans([]*Plan{plan}, owner, k, docs[:], costs[:]); err != nil {
+		return nil, costs[0], err
+	}
+	sc.candidates = docs[0][:0]           // keep the grown buffer for the next query
+	out := make([]DocCount, len(docs[0])) // callers retain the result
+	copy(out, docs[0])
+	return out, costs[0], nil
 }
 
 // RTKWithPlans runs the reverse top-K queries of several plans against
 // one owner in a single exchange (OwnerAPI.AnswerRTKBatch) and recovers
 // each plan's top k from its reply: per plan, the documents and the cost
-// RTKWithPlan would have returned. A federated search builds one plan
-// per query term and sends each party the plans it still needs; plans
-// are read-only here, so concurrent calls sharing them are safe. It is
-// all or nothing — an error from the owner or from any reply leaves no
-// documents — and every reply of the exchange is released before it
-// returns, recovered or not.
+// RTKWithPlan would have returned, in docs[i] and costs[i]. The lists
+// are written into memory the caller provides: docs[i] comes in as an
+// empty slice and plan i's list is appended to it, so a caller that
+// hands out disjoint ranges of one slab with capacity k each —
+// slab[i*k : i*k : (i+1)*k] — gets every list in place and this call
+// allocates none of them (a nil docs[i] gets a new list). A federated
+// search builds one plan per query term and sends each party the plans
+// it still needs; plans are read-only here, so concurrent calls sharing
+// them are safe. It is all or nothing — an error from the owner or from
+// any reply leaves docs all nil — and every reply of the exchange is
+// released before it returns, recovered or not.
 //
 //csfltr:deterministic
-func RTKWithPlans(plans []*Plan, owner OwnerAPI, k int) ([][]DocCount, []Cost, error) {
-	docs, costs := make([][]DocCount, len(plans)), make([]Cost, len(plans))
-	if err := rtkWithPlans(plans, owner, k, docs, costs); err != nil {
-		return nil, costs, err
-	}
-	return docs, costs, nil
-}
-
-func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs []Cost) error {
-	if k <= 0 {
-		return fmt.Errorf("%w: k=%d", ErrBadParams, k)
-	}
+func RTKWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs []Cost) error {
 	sc := rtkScratchPool.Get().(*rtkScratch)
 	defer rtkScratchPool.Put(sc)
+	return sc.rtkWithPlans(plans, owner, k, docs, costs)
+}
+
+func (sc *rtkScratch) rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs []Cost) error {
+	if k <= 0 {
+		clear(docs)
+		return fmt.Errorf("%w: k=%d", ErrBadParams, k)
+	}
 	sc.queries, sc.replies = sc.queries[:0], sc.replies[:0]
 	for i, plan := range plans {
 		sc.queries = append(sc.queries, &plan.query)
@@ -120,7 +129,7 @@ func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs
 		costs[i].BytesSent = plan.query.WireSize()
 	}
 	// The answers are this call's alone and are not needed once the
-	// candidates are recovered from them; what is returned is a copy.
+	// candidates are recovered from them into docs.
 	defer func() {
 		for i, resp := range sc.replies {
 			resp.Release()
@@ -128,11 +137,12 @@ func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs
 		}
 	}()
 	if err := AnswerRTKs(owner, sc.queries, sc.replies); err != nil {
+		clear(docs)
 		return err
 	}
 	for i, plan := range plans {
 		var err error
-		if docs[i], err = sc.recover(plan, sc.replies[i], k, &costs[i]); err != nil {
+		if docs[i], err = sc.recover(plan, sc.replies[i], k, &costs[i], docs[i][:0]); err != nil {
 			clear(docs)
 			return err
 		}
@@ -141,8 +151,9 @@ func rtkWithPlans(plans []*Plan, owner OwnerAPI, k int, docs [][]DocCount, costs
 }
 
 // recover is the querier side of Algorithm 5 for one reply: it checks
-// the reply, accounts it in cost and returns the plan's top k.
-func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) ([]DocCount, error) {
+// the reply, accounts it in cost and returns the plan's top k, appended
+// to best.
+func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost, best []DocCount) ([]DocCount, error) {
 	priv := &plan.priv
 	cost.Messages = 1
 	cost.BytesReceived += resp.WireSize()
@@ -188,7 +199,7 @@ func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) 
 	// Once it holds k, a candidate enters only with an estimate above
 	// floor, the k-th count: ids arrive ascending, so a tie loses. Until
 	// then floor is NaN, which nothing compares to.
-	best, floor := sc.candidates[:0], math.NaN()
+	floor := math.NaN()
 	for b != noID {
 		present, next, nan := sc.scatter(b, z1)
 		bounded := countBound && !nan
@@ -211,10 +222,7 @@ func (sc *rtkScratch) recover(plan *Plan, resp *RTKResponse, k int, cost *Cost) 
 	for i := range sc.rows {
 		sc.rows[i] = rtkRow{} // the scratch must not outlive the response's rows
 	}
-	sc.candidates = best               // keep the grown buffer for the next query
-	out := make([]DocCount, len(best)) // callers retain the result
-	copy(out, best)
-	return out, nil
+	return best, nil
 }
 
 // scatter writes every private row's entries with ids in [b, b+64) into
@@ -335,11 +343,12 @@ type rtkRow struct {
 	mask uint64
 }
 
-// rtkScratch is the per-call working memory of RTKWithPlan, pooled so a
-// query allocates only the result it returns: the private rows; the
-// window, 64 z1-wide slots kept zero between uses, and the rows present
-// per slot; one candidate's present rows with their signs for the
-// present-rows estimator; and the best k so far.
+// rtkScratch is the per-call working memory of RTKWithPlans, pooled so
+// an exchange allocates none of it: the private rows; the window, 64
+// z1-wide slots kept zero between uses, and the rows present per slot;
+// one candidate's present rows with their signs for the present-rows
+// estimator; and the list RTKWithPlan recovers into before it copies
+// out the result its caller keeps.
 type rtkScratch struct {
 	rows       []rtkRow
 	slots      []float64

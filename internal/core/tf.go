@@ -208,12 +208,15 @@ type Plan struct {
 // Plan builds a reusable query plan for term (Algorithm 1 run once).
 func (q *Querier) Plan(term uint64) *Plan {
 	p := new(Plan)
-	q.planInto(p, term)
+	q.PlanInto(p, term)
 	return p
 }
 
-// planInto builds the plan for term in p, reusing p's memory.
-func (q *Querier) planInto(p *Plan, term uint64) {
+// PlanInto builds the plan for term in p, as Plan does, reusing p's
+// memory: a caller that keeps its plans between queries builds them
+// without allocating (a federated search holds its plans in pooled
+// state).
+func (q *Querier) PlanInto(p *Plan, term uint64) {
 	p.params, p.fam = q.params, q.fam
 	p.query.Cols = resize(p.query.Cols, q.params.Z)
 	p.priv.Term, p.priv.PV = term, resize(p.priv.PV, q.params.Z1)
@@ -277,7 +280,7 @@ func CrossTF(q *Querier, owner OwnerAPI, docID int, term uint64) (float64, error
 	sc := planScratchPool.Get().(*planScratch)
 	defer planScratchPool.Put(sc)
 	plan := &sc.plan
-	q.planInto(plan, term)
+	q.PlanInto(plan, term)
 	resp, err := owner.AnswerTF(docID, &plan.query)
 	if err != nil {
 		return 0, err

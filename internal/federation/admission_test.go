@@ -14,9 +14,10 @@ import (
 	"csfltr/internal/telemetry"
 )
 
-// admissionLinkRTT slows every owner call relayed to party B, so one
-// search holds its execution slot long enough for other requests to
-// queue behind it.
+// admissionLinkRTT slows every owner call relayed to party B, so the
+// searches of the closing phase overlap the replica kill. No phase's
+// outcome rests on it: a search that must hold its slot is held on the
+// test's gate.
 const admissionLinkRTT = 25 * time.Millisecond
 
 // admissionReply is what a client saw for one POST /v1/search.
@@ -29,10 +30,13 @@ type admissionReply struct {
 
 // TestGatewayAdmission drives POST /v1/search through the gateway of a
 // 2 x 2 sharded federation with one execution slot and one queue
-// position. Each phase serves from its own listener: closing it waits
-// for every handler to return, so the closing checks — occupancy gauges
-// back at zero, querier epsilon spend equal to exactly the searches
-// that answered 200 — see a quiescent gateway.
+// position. Every admitted search first waits at a gate the test opens,
+// so a request meant to find the slot taken finds it taken however slow
+// the machine is. Each phase serves from its own listener: closing it
+// waits for every handler to return, so the closing checks — occupancy
+// gauges back at zero, querier epsilon spend equal to exactly the
+// searches that answered 200 — see a quiescent gateway. A shed request
+// never spends: admission refuses it before the search is called.
 func TestGatewayAdmission(t *testing.T) {
 	p := testParams()
 	p.Epsilon = 0.5 // a search that runs is a search that spends
@@ -40,6 +44,14 @@ func TestGatewayAdmission(t *testing.T) {
 	p.Shards, p.Replicas = 2, 2
 	fed := shardTestFedParams(t, p)
 	fed.Server.SetPartyLink("B", admissionLinkRTT)
+	// gate lets one admitted search run per token sent, and every one
+	// once it is closed.
+	gate := make(chan struct{})
+	fed.Server.setSearcher(func(from string, terms []uint64, k int) (*SearchResult, string, error) {
+		<-gate
+		return fed.SearchTraced(from, terms, k)
+	})
+	pass := func() { gate <- struct{}{} }
 
 	reg := fed.Server.Metrics()
 	inFlight := reg.Gauge(MetricAdmissionInFlight, "")
@@ -72,15 +84,23 @@ func TestGatewayAdmission(t *testing.T) {
 		go func() { ch <- post(ctx, url, seq) }()
 		return ch
 	}
-	waitGauge := func(t *testing.T, g *telemetry.Gauge, name string, want float64) {
+	waitFor := func(t *testing.T, name string, value func() float64, want float64) {
 		t.Helper()
 		deadline := time.Now().Add(20 * time.Second)
-		for g.Value() != want {
+		for value() < want {
 			if time.Now().After(deadline) {
-				t.Fatalf("%s = %v, never reached %v", name, g.Value(), want)
+				t.Fatalf("%s = %v, never reached %v", name, value(), want)
 			}
 			time.Sleep(time.Millisecond)
 		}
+	}
+	waitGauge := func(t *testing.T, g *telemetry.Gauge, name string, want float64) {
+		t.Helper()
+		waitFor(t, name, g.Value, want)
+	}
+	waitShed := func(t *testing.T, reason string, want int64) {
+		t.Helper()
+		waitFor(t, "shed{reason="+reason+"}", func() float64 { return float64(shed(reason)) }, float64(want))
 	}
 	wantOK := func(t *testing.T, what string, r admissionReply) {
 		t.Helper()
@@ -128,7 +148,9 @@ func TestGatewayAdmission(t *testing.T) {
 	}
 
 	phase("uncontended", AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: wait}, func(t *testing.T, url string) {
-		wantOK(t, "lone request", post(bg, url, next()))
+		lone := goPost(bg, url, next())
+		pass()
+		wantOK(t, "lone request", <-lone)
 		okTotal++
 		if spent() == 0 {
 			t.Fatal("degenerate test: an answered search spent no epsilon")
@@ -141,7 +163,9 @@ func TestGatewayAdmission(t *testing.T) {
 		queued := goPost(bg, url, next())
 		waitGauge(t, queueDepth, "queue_depth", 1)
 		wantShed(t, "arrival beyond the queue", post(bg, url, next()), shedQueueFull)
+		pass()
 		wantOK(t, "running request", <-running)
+		pass()
 		wantOK(t, "queued request", <-queued)
 		okTotal += 2
 		if got := shed(shedQueueFull); got != 1 {
@@ -153,6 +177,7 @@ func TestGatewayAdmission(t *testing.T) {
 		running := goPost(bg, url, next())
 		waitGauge(t, inFlight, "in_flight", 1)
 		wantShed(t, "request queued past the deadline", post(bg, url, next()), shedDeadline)
+		pass()
 		wantOK(t, "running request", <-running)
 		okTotal++
 		if got := shed(shedDeadline); got != 1 {
@@ -162,7 +187,10 @@ func TestGatewayAdmission(t *testing.T) {
 
 	// A client that disconnects while queued must give its position back
 	// without ever searching: the closing spend check of this phase is
-	// what fails if the abandoned request still claims a slot later.
+	// what fails if the abandoned request still claims a slot later. The
+	// running search is let through only once the gateway has seen the
+	// disconnect: a slot freed before that may go to the abandoned
+	// request, which would then search, and spend, for nobody.
 	phase("canceled", AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: wait}, func(t *testing.T, url string) {
 		running := goPost(bg, url, next())
 		waitGauge(t, inFlight, "in_flight", 1)
@@ -174,6 +202,8 @@ func TestGatewayAdmission(t *testing.T) {
 		if r := <-abandoned; !errors.Is(r.err, context.Canceled) {
 			t.Fatalf("abandoned request: status %d err %v, want context.Canceled", r.status, r.err)
 		}
+		waitShed(t, shedCanceled, 1)
+		pass()
 		wantOK(t, "running request", <-running)
 		okTotal++
 	})
@@ -182,9 +212,15 @@ func TestGatewayAdmission(t *testing.T) {
 	}
 
 	// Three closed-loop clients against one slot: outcomes partition into
-	// answered and shed, and losing a replica mid-run fails nobody.
-	phase("replica_kill", AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: 2 * admissionLinkRTT}, func(t *testing.T, url string) {
+	// answered and shed, and losing a replica mid-run fails nobody. The
+	// first search admitted is held until a request has been shed; then
+	// the gate opens for good. No queued request waits out a deadline,
+	// so every request the queue turns away leaves two admitted ones that
+	// answer after it, and the kill, at the first answer, is followed by
+	// more answers.
+	phase("replica_kill", AdmissionConfig{MaxInFlight: 1, MaxQueue: 1, QueueTimeout: wait}, func(t *testing.T, url string) {
 		const clients, perClient = 3, 4
+		turnedAway := shed(shedQueueFull)
 		replies := make(chan admissionReply, clients*perClient)
 		for c := 0; c < clients; c++ {
 			first := seq + 1
@@ -195,6 +231,8 @@ func TestGatewayAdmission(t *testing.T) {
 				}
 			}()
 		}
+		waitShed(t, shedQueueFull, turnedAway+1)
+		close(gate)
 		b, _ := fed.Party("B")
 		var ok, okAfterKill, shedSeen int
 		killed := false

@@ -146,18 +146,34 @@ func BenchmarkGatewaySearch(b *testing.B) {
 	b.ReportMetric(float64(exchangesSent(gateway))/float64(b.N), "exchanges/op")
 }
 
-// BenchmarkFederatedSearchCPU measures a three-term whole-query search
-// with in-process owners and no simulated network: pure compute, the
-// regime where parallel dispatch only pays off with multiple physical
-// cores.
+// BenchmarkFederatedSearchCPU measures whole-query searches with
+// in-process owners and no simulated network: pure compute, the regime
+// where parallel dispatch only pays off with multiple physical cores.
+// small is a three-term search of one 400-document party; geometry is
+// the scorecard's search_cold shape (searchGeometryFed), four terms
+// rotating so that no two searches repeat.
 func BenchmarkFederatedSearchCPU(b *testing.B) {
-	fed := benchFed(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := fed.Search("A", []uint64{9999, 17, 23}, 20); err != nil {
-			b.Fatal(err)
+	b.Run("small", func(b *testing.B) {
+		fed := benchFed(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := fed.Search("A", []uint64{9999, 17, 23}, 20); err != nil {
+				b.Fatal(err)
+			}
 		}
-	}
+	})
+	b.Run("geometry", func(b *testing.B) {
+		fed := searchGeometryFed(b)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			n := uint64(4 * (i % 750))
+			if _, err := fed.Search("Q", []uint64{n, n + 1, n + 2, n + 3}, 10); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // benchFedN builds a federation with a querier party Q plus `parties`

@@ -370,6 +370,16 @@ func TestChaosExchangeFaultIsPerExchange(t *testing.T) {
 	}
 }
 
+// rtkBatch is core.RTKWithPlans into new lists: the documents and costs
+// per plan, or no documents on error.
+func rtkBatch(plans []*core.Plan, owner core.OwnerAPI, k int) ([][]core.DocCount, []core.Cost, error) {
+	docs, costs := make([][]core.DocCount, len(plans)), make([]core.Cost, len(plans))
+	if err := core.RTKWithPlans(plans, owner, k, docs, costs); err != nil {
+		return nil, costs, err
+	}
+	return docs, costs, nil
+}
+
 // TestLeaseAbandonedExchangeReleases: resilience.Call walks away from
 // an exchange that outlives its deadline, and the exchange runs on —
 // through AnswerRTKBatch, the recovery of all k replies and their
@@ -387,7 +397,7 @@ func TestLeaseAbandonedExchangeReleases(t *testing.T) {
 		t.Fatal(err)
 	}
 	plans := []*core.Plan{src.Querier().Plan(3), src.Querier().Plan(7), src.Querier().Plan(12)}
-	want, wantCosts, err := core.RTKWithPlans(plans, owner, 5)
+	want, wantCosts, err := rtkBatch(plans, owner, 5)
 	if err != nil || len(want[0]) == 0 {
 		t.Fatalf("undisturbed recovery: %v, %v", want, err)
 	}
@@ -396,7 +406,7 @@ func TestLeaseAbandonedExchangeReleases(t *testing.T) {
 		defer running.Done()
 		var o exchangeOut
 		var err error
-		o.docs, o.costs, err = core.RTKWithPlans(plans, owner, 5)
+		o.docs, o.costs, err = rtkBatch(plans, owner, 5)
 		if err == nil && (!reflect.DeepEqual(o.docs, want) || !reflect.DeepEqual(o.costs, wantCosts)) {
 			err = fmt.Errorf("an abandoned exchange recovered %v at %+v, want %v at %+v", o.docs, o.costs, want, wantCosts)
 			t.Error(err)
@@ -413,13 +423,13 @@ func TestLeaseAbandonedExchangeReleases(t *testing.T) {
 		} else if !errors.Is(err, resilience.ErrDeadlineExceeded) {
 			t.Fatal(err)
 		}
-		got, costs, err := core.RTKWithPlans(plans, owner, 5)
+		got, costs, err := rtkBatch(plans, owner, 5)
 		if err != nil || !reflect.DeepEqual(got, want) || !reflect.DeepEqual(costs, wantCosts) {
 			t.Fatalf("round %d: the retried exchange answered %v at %+v (%v), want %v at %+v", round, got, costs, err, want, wantCosts)
 		}
 	}
 	running.Wait()
-	if got, _, err := core.RTKWithPlans(plans, owner, 5); err != nil || !reflect.DeepEqual(got, want) {
+	if got, _, err := rtkBatch(plans, owner, 5); err != nil || !reflect.DeepEqual(got, want) {
 		t.Fatalf("after every abandoned exchange finished: %v (%v), want %v", got, err, want)
 	}
 }

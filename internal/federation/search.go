@@ -82,11 +82,18 @@ type searchTask struct {
 // party that still need an answer — all of them, up to
 // core.MaxRTKBatch — asked in one AnswerRTKBatch under one deadline,
 // one retry loop and one breaker outcome. They succeed or fail together.
+// Its tasks are positions [first, first+n) of the search's exchange
+// order (searchState.xtasks), which also index its plans, its first
+// attempt's lists and their ranges of the slab.
 type searchExchange struct {
-	party string
-	owner core.OwnerAPI
-	tasks []int // indexes into the search's task list, ascending
+	party    string
+	owner    core.OwnerAPI
+	first, n int
 }
+
+// taskSpan is the task range and the exchange range of one party of a
+// search (empty for a skipped party).
+type taskSpan struct{ start, count, xstart, xcount int }
 
 // exchangeOut is one exchange's result, produced inside a
 // resilience.Call so a timed-out attempt can be abandoned without
@@ -342,25 +349,24 @@ func runTask(m *serverMetrics, fn func(i int), i int) {
 // query-tier cache and singleflight, which wrap it. With the cache
 // enabled it still consults the task tier per (party, term) and
 // backfills lost parties from stale entries; with the cache disabled it
-// is byte-for-byte the pre-cache search.
+// is byte-for-byte the pre-cache search. Its working memory — plans,
+// tasks, exchanges, recovered lists and the merge — is one pooled
+// searchState; what it returns is the caller's.
 //
 //csfltr:releases
-func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k int,
+func (f *Federation) searchUncached(src *Party, from string, uniq []uint64, k int,
 	run *searchRun) (*SearchResult, error) {
 	m := f.Server.metrics()
 	degraded := f.Params.MinParties > 0
 	policy := f.ResiliencePolicy()
 	c := f.cache() // nil when disabled
+	st := searchStates.Get().(*searchState)
+	defer st.release()
 
-	// Deduplicate query terms, preserving first-seen order, and build
-	// each term's obfuscated plan exactly once. Plan construction draws
-	// from the querier's private randomness, so it stays on this
+	// Build each term's obfuscated plan exactly once. Plan construction
+	// draws from the querier's private randomness, so it stays on this
 	// goroutine, in deterministic order.
-	uniq := dedupeTerms(terms)
-	plans := make([]*core.Plan, 0, len(uniq))
-	for _, term := range uniq {
-		plans = append(plans, src.querier.Plan(term))
-	}
+	plans := st.planFor(src.querier, uniq)
 
 	// Enumerate the (party, term) fan-out in roster order and spend the
 	// whole privacy budget up front: if any spend is refused the search
@@ -371,13 +377,11 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	// never sent. A task whose answer is already cached is likewise
 	// never spent for: the replay is free (post-processing) and the
 	// accountant records it separately.
-	result := &SearchResult{}
-	var tasks []searchTask
-	var exchanges []searchExchange
+	result := &SearchResult{Parties: make([]PartyReport, 0, len(f.Parties))}
 	// spans[ri] is the task range and the exchange range of
-	// result.Parties[ri] (empty for a skipped party).
-	type taskSpan struct{ start, count, xstart, xcount int }
-	var spans []taskSpan
+	// result.Parties[ri].
+	tasks, exchanges, xtasks, spans := st.tasks[:0], st.exchanges[:0], st.xtasks[:0], st.spans[:0]
+	defer func() { st.tasks, st.exchanges, st.xtasks, st.spans = tasks, exchanges, xtasks, spans }()
 	for _, party := range f.Parties {
 		if party.Name == from {
 			continue
@@ -435,12 +439,11 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 					return nil, err
 				}
 				rep.Queries++
-				if n := len(exchanges); n == xstart || len(exchanges[n-1].tasks) == core.MaxRTKBatch {
-					exchanges = append(exchanges, searchExchange{party: party.Name, owner: owner,
-						tasks: make([]int, 0, min(len(plans), core.MaxRTKBatch))})
+				if n := len(exchanges); n == xstart || exchanges[n-1].n == core.MaxRTKBatch {
+					exchanges = append(exchanges, searchExchange{party: party.Name, owner: owner, first: len(xtasks)})
 				}
-				x := &exchanges[len(exchanges)-1]
-				x.tasks = append(x.tasks, len(tasks))
+				exchanges[len(exchanges)-1].n++
+				xtasks = append(xtasks, len(tasks))
 			}
 			tasks = append(tasks, t)
 		}
@@ -450,16 +453,14 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	}
 
 	// Fan out on the worker pool, one unit of work per exchange. Each
-	// exchange writes only its own tasks' slots, so workers never contend
-	// on shared state; the fanout span measures the wall-clock of the
-	// whole dispatch while the per-exchange rtk_query spans accumulate
-	// worker time. The resilience wrapper bounds each attempt with the
-	// policy deadline and retries transient failures with deterministic
+	// exchange writes only its own positions of the state — its lists
+	// into its own range of the slab — so workers never contend on
+	// shared state; the fanout span measures the wall-clock of the whole
+	// dispatch while the per-exchange rtk_query spans accumulate worker
+	// time. The resilience wrapper bounds each attempt with the policy
+	// deadline and retries transient failures with deterministic
 	// backoff. Cached tasks are prefilled and belong to no exchange.
-	docs := make([][]core.DocCount, len(tasks))
-	costs := make([]core.Cost, len(tasks))
-	errs := make([]error, len(exchanges))
-	retries := make([]int, len(exchanges))
+	docs, costs := st.sizeFanout(tasks, xtasks, len(exchanges), f.Params.K)
 	for i := range tasks {
 		if !tasks[i].cached {
 			continue
@@ -477,10 +478,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	fanoutCtx := fanout.Context() // the workers parent under it; fanout itself stays on this stack
 	runPool(f.Params.Workers(len(exchanges)), len(exchanges), m, func(xi int) {
 		x := exchanges[xi]
-		xplans := make([]*core.Plan, len(x.tasks))
-		for j, i := range x.tasks {
-			xplans[j] = tasks[i].plan
-		}
+		xplans := st.xplans[x.first : x.first+x.n]
 		sp := m.stageSpan(StageRTKQuery, fanoutCtx)
 		spCtx := sp.Context() // the attempts parent under it; sp itself stays on this stack
 		traced := spCtx.Valid()
@@ -495,23 +493,24 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		}
 		// The attempt counter is atomic because resilience.Call abandons
 		// timed-out attempt goroutines: a late attempt can still be
-		// running when the retry fires.
+		// running when the retry fires. Only the first attempt recovers
+		// into the state; a retry, which may run beside an abandoned
+		// first attempt, recovers into lists of its own.
 		var attemptN int64
 		out, attempts, err := resilience.Call(policy, f.callSeed(x.party, xplans[0].Term()),
 			func() (exchangeOut, error) {
+				n := atomic.AddInt64(&attemptN, 1)
 				owner := x.owner
 				var asp telemetry.Span
 				if traced {
 					asp = m.reg.StartChildSpan("search.attempt", spCtx, nil)
-					asp.AddAttr(telemetry.AStr("party", x.party),
-						telemetry.AInt("attempt", atomic.AddInt64(&attemptN, 1)))
+					asp.AddAttr(telemetry.AStr("party", x.party), telemetry.AInt("attempt", n))
 					if tc, ok := owner.(traceCarrier); ok {
 						owner = tc.WithTrace(asp.Context())
 					}
 				}
-				var o exchangeOut
-				var err error
-				o.docs, o.costs, err = core.RTKWithPlans(xplans, owner, f.Params.K)
+				o := st.outFor(x, n == 1)
+				err := core.RTKWithPlans(xplans, owner, f.Params.K, o.docs, o.costs)
 				if traced {
 					markFault(&asp, err)
 					if err != nil {
@@ -521,9 +520,12 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 				}
 				return o, err
 			})
-		errs[xi], retries[xi] = err, attempts-1
+		st.errs[xi], st.retries[xi] = err, attempts-1
+		if err != nil || attempts > 1 {
+			st.held.Store(true) // an attempt may have been abandoned
+		}
 		if err == nil {
-			for j, i := range x.tasks {
+			for j, i := range xtasks[x.first : x.first+x.n] {
 				docs[i], costs[i] = out.docs[j], out.costs[j]
 			}
 		}
@@ -546,20 +548,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 	// evolves deterministically.
 	merge := m.stageSpan(StageMerge, run.parent)
 	defer func() { run.addStage(StageMerge, merge.End()) }()
-	type key struct {
-		party int // index into result.Parties
-		doc   int
-	}
 	survivors := 0
-	scores := make(map[key]float64)
-	addDocs := func(party int, dcs []core.DocCount) {
-		for _, dc := range dcs {
-			if dc.Count <= 0 {
-				continue
-			}
-			scores[key{party: party, doc: dc.DocID}] += dc.Count
-		}
-	}
 	// backfill serves a lost party from recent cache entries when the
 	// staleness policy allows; it counts as a survivor with OutcomeStale.
 	backfill := func(ri int) bool {
@@ -586,7 +575,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		survivors++
 		for _, h := range hits {
 			result.Cost.Add(h.cost)
-			addDocs(ri, h.docs)
+			st.feed(ri, h.docs)
 			src.account.Replayed(rep.Party)
 			run.addCost(rep.Party, h.cost)
 		}
@@ -605,9 +594,9 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		sent := spans[ri].xstart + spans[ri].xcount
 		var firstErr error
 		for xi := spans[ri].xstart; xi < sent; xi++ {
-			rep.Retries += retries[xi]
-			if errs[xi] != nil && firstErr == nil {
-				firstErr = errs[xi]
+			rep.Retries += st.retries[xi]
+			if st.errs[xi] != nil && firstErr == nil {
+				firstErr = st.errs[xi]
 			}
 		}
 		if rep.Retries > 0 {
@@ -620,7 +609,7 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		if degraded {
 			b := f.breakerFor(rep.Party)
 			for xi := spans[ri].xstart; xi < sent; xi++ {
-				b.Record(errs[xi] == nil)
+				b.Record(st.errs[xi] == nil)
 			}
 		}
 		if firstErr != nil {
@@ -636,11 +625,14 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		survivors++
 		for i := start; i < start+count; i++ {
 			result.Cost.Add(costs[i])
-			addDocs(ri, docs[i])
+			st.feed(ri, docs[i])
 			run.addCost(rep.Party, costs[i])
 			if c != nil && !tasks[i].cached {
+				// An exactly sized copy: the entry outlives this search's
+				// pooled slab.
+				kept := append([]core.DocCount(nil), docs[i]...)
 				c.Put(tasks[i].full, tasks[i].base,
-					cachedTaskSize(docs[i]), cachedTask{docs: docs[i], cost: costs[i]})
+					cachedTaskSize(kept), cachedTask{docs: kept, cost: costs[i]})
 			}
 		}
 	}
@@ -652,23 +644,197 @@ func (f *Federation) searchUncached(src *Party, from string, terms []uint64, k i
 		return result, fmt.Errorf("%w: %d of %d parties answered, need %d",
 			ErrQuorum, survivors, len(result.Parties), f.Params.MinParties)
 	}
-
-	hits := make([]SearchHit, 0, len(scores))
-	for kk, s := range scores {
-		hits = append(hits, SearchHit{Party: result.Parties[kk.party].Party, DocID: kk.doc, Score: s})
-	}
-	slices.SortFunc(hits, func(a, b SearchHit) int {
-		if c := cmp.Compare(b.Score, a.Score); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.Party, b.Party); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.DocID, b.DocID)
-	})
-	if len(hits) > k {
-		hits = hits[:k]
-	}
-	result.Hits = hits
+	result.Hits = st.rank(result.Parties, k)
 	return result, nil
+}
+
+// searchState is the working memory of one uncached search, pooled so
+// a search allocates little beyond the result it returns: the plans;
+// the tasks, exchanges and per-party spans of the fan-out; per task the
+// recovered list and cost; per exchange position the plan and the first
+// attempt's list and cost, the lists in a slab of K entries a position;
+// per exchange the error and retries; and the merge's entries and
+// bounded top k. A state an abandoned attempt may still use is never
+// pooled again.
+type searchState struct {
+	plans     []core.Plan
+	planPtrs  []*core.Plan
+	tasks     []searchTask
+	exchanges []searchExchange
+	xtasks    []int // task index per exchange position
+	spans     []taskSpan
+	docs      [][]core.DocCount
+	costs     []core.Cost
+	xplans    []*core.Plan
+	xdocs     [][]core.DocCount
+	xcosts    []core.Cost
+	slab      []core.DocCount
+	k         int // slab entries a position
+	errs      []error
+	retries   []int
+	entries   []mergeEntry
+	top       []SearchHit
+	// held is set when an exchange failed or took more than one attempt,
+	// the only ways an attempt is abandoned at its deadline; one that is
+	// still reads the plans and writes its lists after the search
+	// returns, so the state is never pooled again.
+	held atomic.Bool
+}
+
+// maxPooledSlab caps the slab a pooled searchState keeps, so one
+// outsized search does not pin its memory for the life of the process.
+const maxPooledSlab = 1 << 16
+
+var searchStates = sync.Pool{New: func() any { return new(searchState) }}
+
+// release returns the state to the pool, unless an abandoned attempt
+// may still hold it, dropping every reference the search left in it.
+func (st *searchState) release() {
+	if st.held.Load() || cap(st.slab) > maxPooledSlab {
+		return
+	}
+	clear(st.planPtrs)
+	clear(st.tasks)
+	clear(st.exchanges)
+	clear(st.docs)
+	clear(st.xplans)
+	clear(st.xdocs)
+	clear(st.errs)
+	clear(st.top)
+	st.entries = st.entries[:0]
+	searchStates.Put(st)
+}
+
+// planFor builds the plan of every term in the state's plans, in term
+// order.
+func (st *searchState) planFor(q *core.Querier, terms []uint64) []*core.Plan {
+	if cap(st.plans) < len(terms) {
+		st.plans = make([]core.Plan, len(terms))
+	}
+	st.plans, st.planPtrs = st.plans[:len(terms)], st.planPtrs[:0]
+	for i, term := range terms {
+		q.PlanInto(&st.plans[i], term)
+		st.planPtrs = append(st.planPtrs, &st.plans[i])
+	}
+	return st.planPtrs
+}
+
+// sizeFanout sizes the fan-out's per-task, per-position and per-exchange
+// memory for the enumerated tasks, k slab entries a position, and
+// returns the per-task lists and costs.
+func (st *searchState) sizeFanout(tasks []searchTask, xtasks []int, exchanges, k int) ([][]core.DocCount, []core.Cost) {
+	st.docs, st.costs = resize(st.docs, len(tasks)), resize(st.costs, len(tasks))
+	st.xplans, st.xdocs = resize(st.xplans, len(xtasks)), resize(st.xdocs, len(xtasks))
+	st.xcosts = resize(st.xcosts, len(xtasks))
+	for p, i := range xtasks {
+		st.xplans[p] = tasks[i].plan
+	}
+	st.slab, st.k = resize(st.slab, len(xtasks)*k), k
+	st.errs, st.retries = resize(st.errs, exchanges), resize(st.retries, exchanges)
+	return st.docs, st.costs
+}
+
+// outFor returns where an attempt at exchange x recovers its lists:
+// the exchange's own positions of the state and their ranges of the
+// slab for the first attempt, new memory for a retry.
+func (st *searchState) outFor(x searchExchange, first bool) exchangeOut {
+	if !first {
+		return exchangeOut{docs: make([][]core.DocCount, x.n), costs: make([]core.Cost, x.n)}
+	}
+	o := exchangeOut{docs: st.xdocs[x.first : x.first+x.n], costs: st.xcosts[x.first : x.first+x.n]}
+	for j := range o.docs {
+		p := (x.first + j) * st.k
+		o.docs[j] = st.slab[p:p:(p + st.k)]
+	}
+	clear(o.costs)
+	return o
+}
+
+// mergeEntry is one positive count fed to the merge: the party (an
+// index into SearchResult.Parties), the document, and its place in the
+// feed.
+type mergeEntry struct {
+	party, seq int32
+	doc        int
+	count      float64
+}
+
+// feed adds one recovered list of party to the merge. A search feeds
+// each party's lists in plan order, a stale-backfilled party's in term
+// order; counts at or below zero add nothing.
+func (st *searchState) feed(party int, dcs []core.DocCount) {
+	for _, dc := range dcs {
+		if dc.Count <= 0 {
+			continue
+		}
+		st.entries = append(st.entries, mergeEntry{party: int32(party), seq: int32(len(st.entries)),
+			doc: dc.DocID, count: dc.Count})
+	}
+}
+
+// rank sums each (party, document)'s fed counts and returns the k best
+// sums in rank order, a slice the caller keeps. Ordering the entries by
+// (party, document, feed position) lines each document's counts up in
+// the order they were fed, so every sum is the same float sum, in the
+// same order, as one accumulated as the lists arrive; only the k best
+// sums are ever ordered.
+func (st *searchState) rank(parties []PartyReport, k int) []SearchHit {
+	e := st.entries
+	slices.SortFunc(e, func(a, b mergeEntry) int {
+		if c := cmp.Compare(a.party, b.party); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.doc, b.doc); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	top := st.top[:0]
+	for i := 0; i < len(e); {
+		j, score := i, 0.0
+		for ; j < len(e) && e[j].party == e[i].party && e[j].doc == e[i].doc; j++ {
+			score += e[j].count
+		}
+		top = keepHit(top, SearchHit{Party: parties[e[i].party].Party, DocID: e[i].doc, Score: score}, k)
+		i = j
+	}
+	st.top = top
+	return append(make([]SearchHit, 0, len(top)), top...)
+}
+
+// rankHits is the ranking order: score descending (NaN last, as
+// cmp.Compare places it), then party name, then document id.
+func rankHits(a, b SearchHit) int {
+	if c := cmp.Compare(b.Score, a.Score); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Party, b.Party); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.DocID, b.DocID)
+}
+
+// keepHit offers h to top, the at most k best hits so far in rank
+// order, and returns top with h inserted if it belongs: a hit that does
+// not beat the k-th costs one comparison.
+func keepHit(top []SearchHit, h SearchHit, k int) []SearchHit {
+	m := len(top)
+	if m >= k && (k <= 0 || rankHits(h, top[m-1]) >= 0) {
+		return top
+	}
+	at, _ := slices.BinarySearchFunc(top, h, rankHits)
+	if m < k {
+		top = append(top, h)
+	}
+	copy(top[at+1:], top[at:])
+	top[at] = h
+	return top
+}
+
+// resize returns s at length n, reusing its memory when it is enough.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }

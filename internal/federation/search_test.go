@@ -1,9 +1,15 @@
 package federation
 
 import (
+	"cmp"
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
+	"csfltr/internal/core"
 	"csfltr/internal/textkit"
 )
 
@@ -131,5 +137,100 @@ func TestFederatedSearchBudget(t *testing.T) {
 	// Two terms -> two queries at eps=0.5 exceeds the 0.5 budget.
 	if _, err := fed.Search("A2", []uint64{1, 2}, 3); err == nil {
 		t.Fatal("budget overrun should abort the search")
+	}
+}
+
+// mergeFeed is one list fed to the merge: a party (an index into the
+// roster) and its documents.
+type mergeFeed struct {
+	party int
+	docs  []core.DocCount
+}
+
+// refMerge is the map-and-sort merge the search ran before its pooled
+// one: per (party, document) a sum accumulated as the lists are fed,
+// then every sum sorted and the first k kept.
+func refMerge(parties []PartyReport, feeds []mergeFeed, k int) []SearchHit {
+	type key struct {
+		party int
+		doc   int
+	}
+	scores := make(map[key]float64)
+	for _, fd := range feeds {
+		for _, dc := range fd.docs {
+			if dc.Count <= 0 {
+				continue
+			}
+			scores[key{party: fd.party, doc: dc.DocID}] += dc.Count
+		}
+	}
+	hits := make([]SearchHit, 0, len(scores))
+	for kk, s := range scores {
+		hits = append(hits, SearchHit{Party: parties[kk.party].Party, DocID: kk.doc, Score: s})
+	}
+	slices.SortFunc(hits, func(a, b SearchHit) int {
+		if c := cmp.Compare(b.Score, a.Score); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.Party, b.Party); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.DocID, b.DocID)
+	})
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
+
+// TestMergeMatchesMapAndSort holds the pooled merge to the map-and-sort
+// reference over seeded searches: rosters in non-alphabetical order
+// with answering, skipped, failed and stale-backfilled parties; lists
+// that share documents across terms; and counts drawn from ties, zero,
+// negative values, NaN and values whose sum depends on its order.
+// Every hit, and every score's bits, must agree. One state serves every
+// search, through the pool, as searches reuse it.
+func TestMergeMatchesMapAndSort(t *testing.T) {
+	counts := []float64{1, 1, 2, 3, 0, -1, -0.5, math.NaN(), 0.1, 0.2, 0.3, 1e16, 1e-3, 7.25}
+	outcomes := []string{OutcomeOK, OutcomeOK, OutcomeSkipped, OutcomeFailed, OutcomeStale}
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		var parties []PartyReport
+		var feeds []mergeFeed
+		for _, name := range rng.Perm(2 + rng.Intn(5)) {
+			rep := PartyReport{Party: fmt.Sprintf("P%d", 9-name), Outcome: outcomes[rng.Intn(len(outcomes))]}
+			ri := len(parties)
+			parties = append(parties, rep)
+			if rep.Outcome == OutcomeSkipped || rep.Outcome == OutcomeFailed {
+				continue // nothing of theirs is fed
+			}
+			// An answering party's lists come in plan order, a backfilled
+			// one's in term order: either way one list per term.
+			for term := 1 + rng.Intn(4); term > 0; term-- {
+				docs := make([]core.DocCount, rng.Intn(12))
+				for i := range docs {
+					docs[i] = core.DocCount{DocID: rng.Intn(15) - 2, Count: counts[rng.Intn(len(counts))]}
+				}
+				feeds = append(feeds, mergeFeed{party: ri, docs: docs})
+			}
+		}
+		k := 1 + rng.Intn(20)
+
+		st := searchStates.Get().(*searchState)
+		for _, fd := range feeds {
+			st.feed(fd.party, fd.docs)
+		}
+		got := st.rank(parties, k)
+		st.release()
+		want := refMerge(parties, feeds, k)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d hits, want %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			g, w := got[i], want[i]
+			if g.Party != w.Party || g.DocID != w.DocID || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+				t.Fatalf("seed %d, hit %d: %+v, want %+v", seed, i, g, w)
+			}
+		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"csfltr/internal/varint"
 	"csfltr/internal/wire"
 )
 
@@ -119,14 +120,37 @@ func AppendSearchResult(dst []byte, r *SearchResult) []byte {
 }
 
 // sizeSearchRelease charges one released SearchResult under the active
-// codec: the in-memory estimate the cache already uses for "raw", the
-// framed binary encoding for "wire".
+// codec: the in-memory estimate the cache already uses for "raw", and
+// for "wire" the stored frame of AppendSearchResult's payload, sized by
+// arithmetic — the rule wire.SizeRTKResponse follows. A result whose
+// payload reaches wire.CompressThreshold may travel compressed, so for
+// it the charge is an upper bound.
 func sizeSearchRelease(codec string, res *SearchResult) int64 {
 	if codec != codecWire {
 		return searchResultSize(res)
 	}
-	return int64(len(AppendSearchResult(nil, res)))
+	return wire.PackedSize(searchPayloadLen(res))
 }
+
+// searchPayloadLen is the length of AppendSearchResult's payload.
+func searchPayloadLen(r *SearchResult) int {
+	n := varint.Len(uint64(len(r.Hits)))
+	for _, h := range r.Hits {
+		n += stringLen(h.Party) + varint.ZigZagLen(int64(h.DocID)) + 8
+	}
+	n += varint.ZigZagLen(int64(r.Cost.Messages)) + varint.ZigZagLen(r.Cost.BytesSent) +
+		varint.ZigZagLen(r.Cost.BytesReceived) + varint.ZigZagLen(int64(r.Cost.SketchLookups)) + 1
+	n += varint.Len(uint64(len(r.Parties)))
+	for _, p := range r.Parties {
+		n += stringLen(p.Party) + stringLen(p.Outcome) + stringLen(p.Err) +
+			varint.ZigZagLen(int64(p.Queries)) + varint.ZigZagLen(int64(p.Retries)) +
+			varint.ZigZagLen(int64(p.Cached)) + varint.ZigZagLen(int64(p.StaleFor))
+	}
+	return n
+}
+
+// stringLen is the length of appendString's encoding of s.
+func stringLen(s string) int { return varint.Len(uint64(len(s))) + len(s) }
 
 // appendFloat appends a float64 as its little-endian bit pattern
 // (scores are post-estimation aggregates; exactness matters more than

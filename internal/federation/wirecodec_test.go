@@ -12,6 +12,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"csfltr/internal/core"
 	"csfltr/internal/textkit"
@@ -316,5 +317,49 @@ func TestTransportBytesAccounting(t *testing.T) {
 	}
 	if !reflect.DeepEqual(wireRes.Hits, rawRes.Hits) {
 		t.Fatalf("codec changed the ranking:\n got %+v\nwant %+v", wireRes.Hits, rawRes.Hits)
+	}
+}
+
+// TestSizeSearchRelease: the wire codec charges a released search
+// result the stored frame of its payload, by arithmetic: exactly the
+// encoding's length for every result stored as it is — a ranking of ten
+// hits, an empty one, a failed and a stale party, negative and large
+// fields — and for one long enough to be compressed, at least the
+// compressed frame's length.
+func TestSizeSearchRelease(t *testing.T) {
+	ranking := func(n int) []SearchHit {
+		hits := make([]SearchHit, n)
+		for i := range hits {
+			hits[i] = SearchHit{Party: fmt.Sprintf("P%d", i%3), DocID: 1 << (2 * i), Score: float64(n - i)}
+		}
+		return hits
+	}
+	results := []*SearchResult{
+		{},
+		{Hits: ranking(10), Cost: core.Cost{Messages: 8, BytesSent: 1 << 20, BytesReceived: 170_000, SketchLookups: 240},
+			Parties: []PartyReport{{Party: "B", Outcome: OutcomeOK, Queries: 4}, {Party: "C", Outcome: OutcomeOK, Queries: 4}}},
+		{Hits: []SearchHit{{Party: "B", DocID: -7, Score: -0.5}}, Partial: true,
+			Parties: []PartyReport{
+				{Party: "B", Outcome: OutcomeStale, Cached: 2, StaleFor: 90 * time.Second},
+				{Party: "C", Outcome: OutcomeFailed, Err: "chaos: injected error", Retries: 2, Queries: 2},
+				{Party: "D", Outcome: OutcomeSkipped, Err: "resilience: circuit breaker open"},
+			}},
+	}
+	for i, res := range results {
+		frame := AppendSearchResult(nil, res)
+		if frame[1] != 0 {
+			t.Fatalf("result %d: frame is compressed, want a stored one", i)
+		}
+		if got := sizeSearchRelease(codecWire, res); got != int64(len(frame)) {
+			t.Errorf("result %d: charged %d bytes, its frame is %d", i, got, len(frame))
+		}
+	}
+	long := &SearchResult{Hits: ranking(200)}
+	frame := AppendSearchResult(nil, long)
+	if frame[1] == 0 {
+		t.Fatal("a 200-hit ranking is stored, want it compressed")
+	}
+	if got := sizeSearchRelease(codecWire, long); got < int64(len(frame)) {
+		t.Errorf("a compressed result is charged %d bytes, below its %d-byte frame", got, len(frame))
 	}
 }

@@ -277,6 +277,33 @@ func TestLeaseDecodedCellsEndAtTheirRows(t *testing.T) {
 	}
 }
 
+// TestRTKEncodeBuildsNoFlateWriter: a version 2 RTK reply is never
+// compressed, so encoding one from empty pools — as they are again after
+// a garbage collection — builds no flate writer, which is over a
+// megabyte of tables: it allocates the packer, its payload scratch and
+// the reply encoder's scratch (about 60 kB at this geometry), nothing
+// near a writer's size.
+func TestRTKEncodeBuildsNoFlateWriter(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts under the race detector")
+	}
+	resp := geometryResponse(9)
+	buf := AppendRTKResponse(nil, resp)
+	if buf[0] != VersionRTK {
+		t.Fatalf("the geometry reply's frame is version %d, want %d", buf[0], VersionRTK)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC() // a pooled packer survives one collection in the victim cache
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	buf = AppendRTKResponse(buf[:0], resp)
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(256<<10); got > limit {
+		t.Fatalf("encoding a %d-byte version 2 frame from empty pools allocated %d B, want at most %d", len(buf), got, limit)
+	}
+}
+
 // TestRTKCodecAllocCeilings pins the steady-state allocation cost of the
 // dominant payload at the benchmark geometry. Encoding into a reused
 // buffer allocates nothing, for the RTK reply and for the TF pair that

@@ -73,20 +73,18 @@ const maxPooledScratch = 1 << 20
 // packer is the reusable state of one Pack call: the flate writer, the
 // buffer it compresses into and scratch for the payload under
 // construction. flate.NewWriter allocates over a megabyte of tables, so
-// they are built once per pool entry and Reset between frames; Reset
-// makes a writer equivalent to a new one, so the compressed bytes do
-// not depend on what the entry packed before.
+// the writer is built the first time its pool entry compresses a frame —
+// a version 2 RTK reply, never compressed, takes a packer only for its
+// payload scratch — and Reset between frames; Reset makes a writer
+// equivalent to a new one, so the compressed bytes do not depend on what
+// the entry packed before.
 type packer struct {
 	zw      *flate.Writer
 	z       bytes.Buffer
 	payload []byte
 }
 
-var packers = sync.Pool{New: func() any {
-	p := new(packer)
-	p.zw, _ = flate.NewWriter(&p.z, flate.BestSpeed) // fails only on an invalid level
-	return p
-}}
+var packers = sync.Pool{New: func() any { return new(packer) }}
 
 func putPacker(p *packer) {
 	if cap(p.payload) <= maxPooledScratch && p.z.Cap() <= maxPooledScratch {
@@ -98,7 +96,11 @@ func putPacker(p *packer) {
 func (p *packer) pack(dst, payload []byte) []byte {
 	if len(payload) >= CompressThreshold {
 		p.z.Reset()
-		p.zw.Reset(&p.z)
+		if p.zw == nil {
+			p.zw, _ = flate.NewWriter(&p.z, flate.BestSpeed) // fails only on an invalid level
+		} else {
+			p.zw.Reset(&p.z)
+		}
 		if _, err := p.zw.Write(payload); err == nil && p.zw.Close() == nil && p.z.Len() < len(payload) {
 			return append(appendHeader(dst, Version, flagCompressed, len(payload)), p.z.Bytes()...)
 		}
